@@ -24,20 +24,27 @@ from .linalg import CycMatrix
 from .verify import PRESETS, run_suite
 
 
+def _spec_int(text: str, tok: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad operator spec {tok!r}") from None
+
+
 def _parse_op_token(tok: str):
     tok = tok.strip()
     kind, _, rest = tok.partition(":")
     if not rest:
         raise ValueError(f"bad operator spec {tok!r}")
     if kind in ("T", "T1"):
-        return HeckeOp(kind, int(rest))
+        return HeckeOp(kind, _spec_int(rest, tok))
     if kind in ("S1", "S2"):
-        return (kind, int(rest))
+        return (kind, _spec_int(rest, tok))
     if kind == "U":
         q_s, _, p_s = rest.partition(",")
         if not p_s:
             raise ValueError(f"bad U operator spec {tok!r}; want U:Q,P")
-        return UOperator(int(q_s), int(p_s))
+        return UOperator(_spec_int(q_s, tok), _spec_int(p_s, tok))
     raise ValueError(f"unknown operator kind {kind!r} in {tok!r}")
 
 
@@ -111,7 +118,7 @@ def cmd_eigen(args) -> int:
                 if op not in op_list:
                     op_list.append(op)
     system = eigenbasis(ops)
-    comparison = compare_eigenvalues(ops, op_list)
+    comparison = compare_eigenvalues(system, op_list)
     if args.format == "csv":
         lines = ["partition,op,eigenvalue,closed_form,match"]
         for row in comparison:
@@ -318,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

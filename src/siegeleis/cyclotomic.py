@@ -58,6 +58,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():

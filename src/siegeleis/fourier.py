@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNum, as_cyc, factorize, is_squarefree
+from .cyclotomic import CycNum, as_cyc, is_squarefree
 from .eisspace import Partition, enumerate_partitions, prime_factors
 from .hecke import HeckeOp, eigenvalue_closed_form
 from .lattices import (
@@ -37,7 +37,7 @@ from .lattices import (
     restrict_and_scale,
     sublattices,
 )
-from .linalg import _Span, Poly
+from .linalg import _Span, Poly, split_roots
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -134,15 +134,6 @@ class FourierExpansion:
 
     def add(self, other: "FourierExpansion") -> "FourierExpansion":
         return combine([(_ONE, self), (_ONE, other)])
-
-    def restricted(self, det_bound: int, content_bound: int) -> "FourierExpansion":
-        if det_bound > self.det_bound or content_bound > self.content_bound:
-            raise CoverageError("cannot enlarge coverage by restriction")
-        keys = reduced_class_keys(det_bound, content_bound, self.mode)
-        return FourierExpansion(
-            self.mode, det_bound, content_bound,
-            {k: self.coeffs[k] for k in keys}, validate=False,
-        )
 
     def sample_vector(self, det_bound: int, content_bound: int) -> list[CycNum]:
         if det_bound > self.det_bound or content_bound > self.content_bound:
@@ -348,71 +339,6 @@ class SpectralComponent:
     expansion: FourierExpansion
 
 
-def _smooth_divisors(n: int, limit: int = 10**6) -> list[int] | None:
-    """Divisors of |n| via trial factorization; None when n has a cofactor
-    we refuse to factorize (root search is then skipped, not guessed)."""
-    n = abs(n)
-    if n == 0:
-        return None
-    fac: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d <= limit:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if n > limit * limit:
-            return None
-        fac[n] = fac.get(n, 0) + 1
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
-def _poly_distinct_roots(p: Poly) -> list[CycNum]:
-    """All roots of a monic polynomial found in the working field; raises if
-    the polynomial does not split with distinct roots."""
-    rem = p
-    roots: list[CycNum] = []
-    candidates: list[CycNum] = [_ZERO]
-    if all(c.is_rational() for c in p.coeffs):
-        from math import lcm
-
-        den = lcm(*(c.as_fraction().denominator for c in p.coeffs))
-        c0 = p.coeffs[0].as_fraction() * den
-        num_divs = _smooth_divisors(int(c0)) if c0 else []
-        den_divs = _smooth_divisors(den)
-        if num_divs is not None and den_divs is not None:
-            for nd in num_divs:
-                for dd in den_divs:
-                    candidates.append(as_cyc(Fraction(nd, dd)))
-                    candidates.append(as_cyc(Fraction(-nd, dd)))
-    for cand in candidates:
-        if rem.degree < 1:
-            break
-        if any(cand == r for r in roots):
-            continue
-        mult = 0
-        while rem.degree >= 1 and rem(cand).is_zero():
-            rem = rem // Poly([-cand, _ONE])
-            mult += 1
-        if mult > 1:
-            raise LabelingError(
-                f"minimal polynomial has the repeated root {cand!r}; "
-                f"components are not separable"
-            )
-        if mult:
-            roots.append(cand)
-    if rem.degree >= 1:
-        raise LabelingError(
-            f"minimal polynomial factor {rem!r} does not split over the "
-            f"working field"
-        )
-    return roots
-
-
 def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
               ) -> list[tuple[CycNum, FourierExpansion]]:
     """Split g into exact eigencomponents of u via a sampled Krylov space.
@@ -421,7 +347,9 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
     sample domain (rank stabilization = first repeated rank); Lagrange
     projectors then rebuild the components on the largest common domain, and
     each component is re-checked to be an exact eigenvector on its full
-    remaining coverage.  Insufficient coverage raises CoverageError."""
+    remaining coverage.  Insufficient coverage raises CoverageError; a
+    relation that split_roots cannot split into distinct roots raises
+    LabelingError."""
     krylov = [g]
     span = _Span(track=True)
     span.insert(g.sample_vector(sample_bound, sample_bound))
@@ -443,7 +371,19 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
             rel = dep
     d = len(krylov)
     minpoly = Poly([-c for c in rel] + [_ONE])
-    roots = _poly_distinct_roots(minpoly)
+    found, rem = split_roots(minpoly)
+    for lam, mult in found:
+        if mult > 1:
+            raise LabelingError(
+                f"minimal polynomial has the repeated root {lam!r}; "
+                f"components are not separable"
+            )
+    if rem.degree >= 1:
+        raise LabelingError(
+            f"minimal polynomial factor {rem!r} does not split over the "
+            f"working field"
+        )
+    roots = [lam for lam, _ in found]
     if d == 1:
         # g itself is an eigenvector (relation x - lambda)
         return [(roots[0], g)]

@@ -381,24 +381,28 @@ def eigenvalue_closed_form(space: EisSpace, rho: Partition, op: HeckeOp) -> CycN
     return as_cyc(_chi_over(space, c2, p * p) * (p + 1))
 
 
-def compare_eigenvalues(ops: SpaceOperators, op_list=None) -> list[dict]:
-    """Matrix-derived eigenvalues vs the closed-form tables, per (rho, op).
+def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
+    """Verified eigenvalues vs the closed-form tables, per (rho, op).
 
+    ``system`` comes from eigenbasis, so each value is the exactly checked
+    diagonal entry of the action table; op_list defaults to the level
+    operators, and an op that eigenbasis did not verify raises ValueError.
     The matrices are authoritative.  The only expected disagreement is
     T1(q^2) at partitions with q | N1, where the table entry has q^{2k-3}
     in place of the matrices' q^{2k-2}; those rows come back match=False
     with expected_mismatch=True.
     """
-    space = ops.space
+    space = system.space
     if op_list is None:
-        op_list = ops.level_ops()
-    system = eigenbasis(ops)
+        op_list = SpaceOperators(space).level_ops()
     out = []
     for e in system.entries:
         for op in op_list:
-            hm = ops.matrix(op)
-            i = space.index_of(e.partition)
-            mval = hm.mat[i, i]
+            mval = e.eigenvalues.get(op)
+            if mval is None:
+                raise ValueError(
+                    f"{op} was not verified; build its table before eigenbasis"
+                )
             cval = eigenvalue_closed_form(space, e.partition, op)
             expected_mismatch = (
                 op.kind == "T1"

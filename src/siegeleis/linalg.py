@@ -3,8 +3,9 @@
 Matrices carry CycNum entries; vectors are plain lists.  Kernel, minimal
 polynomial and eigen decomposition are all exact.  Eigen decomposition splits
 the minimal polynomial only by trial roots drawn from the matrix entries
-(plus a bounded rational-root search); whatever does not split inside the
-working field is reported as an unsplit factor rather than approximated.
+(plus a bounded rational-root search, shared with the Fourier projection in
+split_roots); whatever does not split inside the working field is reported as
+an unsplit factor rather than approximated.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm as _int_lcm
 
-from .cyclotomic import CycNum, as_cyc
+from .cyclotomic import CycNum, as_cyc, divisors
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -152,18 +153,6 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 
 
 # -- vectors ----------------------------------------------------------------
-
-
-def vec(entries) -> list[CycNum]:
-    return [as_cyc(e) for e in entries]
-
-
-def vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_scale(a, s):
-    return [x * s for x in a]
 
 
 def vec_is_zero(a) -> bool:
@@ -440,58 +429,21 @@ class CycMatrix:
     def eigen(self) -> "EigenDecomposition":
         """Exact right eigen decomposition over the working field.
 
-        Roots of the minimal polynomial are found by trial against the matrix
-        entries and a bounded rational-root search; any factor that does not
-        split this way is reported in ``unsplit`` instead of being guessed.
+        Roots of the minimal polynomial are found by split_roots, with the
+        matrix entries as extra candidates; any factor that does not split
+        this way is reported in ``unsplit`` instead of being guessed.
         """
         self._require_square()
         p = self.min_poly()
-        rem = p
-        roots: list[CycNum] = []
-        for cand in self._root_candidates(p):
-            if rem.degree < 1:
-                break
-            if any(cand == r for r in roots):
-                continue
-            hit = False
-            while rem.degree >= 1 and rem(cand).is_zero():
-                rem = rem // Poly([-cand, _ONE])
-                hit = True
-            if hit:
-                roots.append(cand)
+        found, rem = split_roots(p, [e for row in self.data for e in row])
         pairs = []
         ident = CycMatrix.identity(self.rows)
-        for lam in roots:
+        for lam, _ in found:
             space = (self - ident * lam).kernel()
             assert space, "minimal polynomial root without eigenvector"
             pairs.append((lam, space))
         unsplit = rem if rem.degree >= 1 else None
         return EigenDecomposition(min_poly=p, pairs=pairs, unsplit=unsplit)
-
-    def _root_candidates(self, p: Poly):
-        out: list[CycNum] = []
-
-        def push(x):
-            x = as_cyc(x)
-            if all(not (x == y) for y in out):
-                out.append(x)
-
-        push(0)
-        for row in self.data:
-            for e in row:
-                push(e)
-        # bounded rational-root search for monic rational polynomials
-        if all(c.is_rational() for c in p.coeffs) and not p.is_zero():
-            den = _int_lcm(*(c.as_fraction().denominator for c in p.coeffs))
-            c0 = p.coeffs[0].as_fraction() * den
-            if c0 == 0:
-                push(0)
-            elif abs(c0.numerator) <= 10**9 and den <= 10**6:
-                for d in _divisors(abs(int(c0))):
-                    for q in _divisors(den):
-                        push(Fraction(d, q))
-                        push(Fraction(-d, q))
-        return out
 
     def to_json(self):
         return [[e.to_json() for e in row] for row in self.data]
@@ -505,19 +457,50 @@ class CycMatrix:
         return f"CycMatrix {self.rows}x{self.cols}\n{body}"
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    small, big = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
-        d += 1
-    return small + big[::-1]
+def _root_candidates(p: Poly, extra):
+    """0, then ``extra``, then +-d/q for d | den*p(0) and q | den ascending
+    (den the common denominator of the rational polynomial p); duplicates
+    are dropped and the divisor search is skipped past |den*p(0)| > 10^9 or
+    den > 10^6, so huge constant terms are never factored."""
+    seen: list[CycNum] = []
+
+    def fresh(xs):
+        for x in xs:
+            x = as_cyc(x)
+            if all(not (x == y) for y in seen):
+                seen.append(x)
+                yield x
+
+    yield from fresh([_ZERO, *extra])
+    if not all(c.is_rational() for c in p.coeffs):
+        return
+    den = _int_lcm(*(c.as_fraction().denominator for c in p.coeffs))
+    c0 = abs((p.coeffs[0].as_fraction() * den).numerator)
+    if c0 == 0 or c0 > 10**9 or den > 10**6:
+        return
+    yield from fresh(
+        Fraction(s * d, q) for d in divisors(c0) for q in divisors(den)
+        for s in (1, -1)
+    )
+
+
+def split_roots(p: Poly, extra=()) -> tuple[list[tuple[CycNum, int]], Poly]:
+    """Divide the monic polynomial p by its roots among _root_candidates.
+
+    Returns (root, multiplicity) pairs in candidate order and the leftover
+    factor, which has degree < 1 exactly when p split completely."""
+    rem = p
+    found: list[tuple[CycNum, int]] = []
+    for cand in _root_candidates(p, extra):
+        if rem.degree < 1:
+            break
+        mult = 0
+        while rem.degree >= 1 and rem(cand).is_zero():
+            rem = rem // Poly([-cand, _ONE])
+            mult += 1
+        if mult:
+            found.append((cand, mult))
+    return found, rem
 
 
 @dataclass

@@ -26,6 +26,24 @@ def test_parse_op_word():
         parse_op_word("X:2")
     with pytest.raises(ValueError):
         parse_op_word("U:2")
+    for tok in ("T:x", "T1:x", "S1:x", "S2:x", "U:x,2", "U:2,x"):
+        with pytest.raises(ValueError, match=f"^bad operator spec '{tok}'$"):
+            parse_op_word(tok)
+
+
+def test_bad_operator_argument_exit_code(capsys):
+    code, out, err = run(capsys, "hecke", "--level", "2", "--weight", "4",
+                         "--op", "T:x")
+    assert code == 1 and out == ""
+    assert err == "error: bad operator spec 'T:x'\n"
+
+
+def test_missing_provider_is_a_clean_error(capsys, tmp_path):
+    missing = tmp_path / "missing.coeffs"
+    code, out, err = run(capsys, "fourier", "--provider", str(missing),
+                         "--level", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(missing) in err
 
 
 def test_basis_examples(capsys):

@@ -202,3 +202,33 @@ def test_calibration_report_on_shipped_data():
     assert entry["T"]["relation_to_matrix"]["type"] == "scalar"
     assert entry["T1"]["relation_to_matrix"]["type"] == "scalar"
     assert entry["T1"]["relation_to_closed_form"]["type"] == "none"
+
+
+def rank1_valuation_sequence(seq, bound=400):
+    # seq(v_2(content)) on rank-1 classes; U(1,2) shifts the sequence by one
+    return expansion_from_function(
+        GL2, lambda key: seq((key.a & -key.a).bit_length() - 1)
+        if key.rank() == 1 else 0, bound, bound,
+    )
+
+
+def test_krylov_repeated_root_is_a_labeling_error():
+    # h = v_2(content): h|U(1,2) = h + 1 on rank 1, so the relation is (x-1)^2
+    h = rank1_valuation_sequence(lambda v: v)
+    with pytest.raises(LabelingError, match="repeated root"):
+        krylov_spectral(h, [UOperator(1, 2)], sample_bound=2)
+
+
+def test_krylov_leftover_factor_is_a_labeling_error():
+    # Fibonacci in v_2(content): the relation x^2 - x - 1 has no rational root
+    fib = [0, 1]
+    while len(fib) < 12:
+        fib.append(fib[-1] + fib[-2])
+    g = rank1_valuation_sequence(fib.__getitem__)
+    with pytest.raises(LabelingError, match="does not split"):
+        krylov_spectral(g, [UOperator(1, 2)], sample_bound=2)
+    # rational roots 2^15 and 2^16, but the constant term 2^31 is above the
+    # 10^9 root-search bound, so the relation is left unsplit as well
+    mix = combine([(1, rank1_power(15)), (1, rank1_power(16))])
+    with pytest.raises(LabelingError, match="does not split"):
+        krylov_spectral(mix, [UOperator(1, 2)], sample_bound=2)

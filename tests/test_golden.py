@@ -1,0 +1,82 @@
+"""Golden-output guard: the stdout of a fixed list of fast CLI commands must
+keep the sha256 digests recorded before the one-helper-per-job refactor.
+
+A refactor that changes no result leaves every digest unchanged.  When an
+output changes on purpose, re-record the digest and name the change in
+CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import siegeleis.cli as cli
+import siegeleis.hecke as hecke
+from siegeleis.cli import main
+
+PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
+               / "e8_weight4_level1.coeffs")
+
+EIGEN_30_PRIMES_7 = ("eigen", "--level", "30", "--weight", "4", "--primes", "7")
+
+GOLDEN = [
+    (("basis", "--level", "30", "--weight", "4"),
+     "431e8a5bd7c8855ea6022d7fd08843950401b5bf9cc02359e650c2c798849ef8"),
+    (("basis", "--level", "10", "--weight", "4", "--char", "5:2"),
+     "ca6e152ff0ccbcb8107eeecea7b924ea29eb10e00e84afb48074d65addea016e"),
+    (("hecke", "--level", "6", "--weight", "4", "--op", "T:2;S1:3;S2:2"),
+     "22e8f668e64aaad77a87cf61726e2ab6ac08af08f1833a80adbba61a7b8230ce"),
+    (("hecke", "--level", "6", "--weight", "4", "--op", "T1:5"),
+     "f7a84d390e80090c58c67f7cfdc4983edea907ad97743989a08488778f3d7546"),
+    (("eigen", "--level", "30", "--weight", "4"),
+     "f3ab844b1dd39f28a4e735242dff1d3ccfe41a6e853484250be694b7961665b9"),
+    (("eigen", "--level", "30", "--weight", "4", "--format", "csv"),
+     "4c5a2142884d09a11bda4d82b3be0c4d2d939a1c19eb5e510ad1d8ffdd5485ba"),
+    (("eigen", "--level", "10", "--weight", "4", "--char", "5:2",
+      "--primes", "3"),
+     "28af00b712fd908e0021930a79e984ab25bd97cef7b28c358e961bc8240fa3e4"),
+    (EIGEN_30_PRIMES_7,
+     "16d202b2b9859fa0eacfd750fbc10f5aa51bb62df0824151e32b1cb8446e3010"),
+    (("relations", "--level", "30", "--weight", "4"),
+     "854f8d584076800e83d528f449ef0fd6776d617dda134547667a36efbabdc014"),
+    (("fourier", "--provider", PROVIDER, "--level", "2"),
+     "22dc2d83c0157c0851aaca1f231d78deef188fe7452a8f936a845b77e03233b3"),
+    (("fourier", "--provider", PROVIDER, "--level", "2", "--calibrate"),
+     "7cace6c3aa356e814bd4c9526d63cef7d1a9f6f0bb095bfe6645f9542fd23bfa"),
+    (("fourier", "--provider", PROVIDER, "--ops", "U:1,2;U:2,1"),
+     "009fd983aaa5980930dde3d2b26b326e23eb9b2a3b317ff32151bb44a07a6edd"),
+    (("fourier", "--provider", PROVIDER, "--apply", "U:1,3"),
+     "0a519d27d6a5422a7671ecf71b2270e247a797f8b02eb244ccb288f8fda0f5df"),
+    (("verify", "--preset", "quick"),
+     "b4f091bfc548201b2357800dd41757d15614680f86d1c7ddf7f2a6bb59e8afd5"),
+]
+
+
+def stdout_digest(capsys, argv) -> str:
+    code = main(list(argv))
+    assert code == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=[" ".join(a).replace(PROVIDER, "E8")
+                              for a, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, digest):
+    assert stdout_digest(capsys, argv) == digest
+
+
+def test_eigen_builds_one_eigenbasis(capsys, monkeypatch):
+    calls = []
+    real = hecke.eigenbasis
+
+    def counted(ops):
+        calls.append(ops.space.level)
+        return real(ops)
+
+    # both names, so a second call from inside hecke is counted too
+    monkeypatch.setattr(cli, "eigenbasis", counted)
+    monkeypatch.setattr(hecke, "eigenbasis", counted)
+    digest = stdout_digest(capsys, EIGEN_30_PRIMES_7)
+    assert calls == [30]
+    assert digest == dict(GOLDEN)[EIGEN_30_PRIMES_7]

@@ -66,7 +66,7 @@ def test_closed_form_examples():
 
 def test_compare_eigenvalues_documents_t1_mismatch():
     ops = SpaceOperators(N2K4)
-    report = compare_eigenvalues(ops)
+    report = compare_eigenvalues(eigenbasis(ops))
     bad = [r for r in report if not r["match"]]
     assert len(bad) == 1
     row = bad[0]
@@ -76,8 +76,9 @@ def test_compare_eigenvalues_documents_t1_mismatch():
     assert CycNum.from_json(row["matrix_value"]) == 66  # q^{2k-2} + q
     assert CycNum.from_json(row["closed_form"]) == 34  # q^{2k-3} + q
     # level 1: vacuous single comparison per op, all matching
-    sp1 = enumerate_partitions(1, None, 4)
-    assert compare_eigenvalues(SpaceOperators(sp1), [HeckeOp("T", 3)]) == [
+    ops1 = SpaceOperators(enumerate_partitions(1, None, 4))
+    ops1.matrix(HeckeOp("T", 3))
+    assert compare_eigenvalues(eigenbasis(ops1), [HeckeOp("T", 3)]) == [
         {
             "partition": {"N0": 1, "N1": 1, "N2": 1},
             "op": "T:3",
@@ -87,6 +88,9 @@ def test_compare_eigenvalues_documents_t1_mismatch():
             "expected_mismatch": False,
         }
     ]
+    # an operator that eigenbasis never verified is refused, not read off
+    with pytest.raises(ValueError, match="not verified"):
+        compare_eigenvalues(eigenbasis(ops), [HeckeOp("T", 3)])
 
 
 def test_higher_order_character_rows_are_diagonal():
@@ -138,7 +142,7 @@ def test_character_twisted_entries():
     assert T2[src, sp.index_of(Partition(5, 1, 2))] == -6
     T1 = ops.matrix(HeckeOp("T1", 2)).mat
     assert T1[src, src] == 66  # chi_5(2^2) = +1 on the diagonal
-    row = compare_eigenvalues(ops, [HeckeOp("T1", 2)])
+    row = compare_eigenvalues(eigenbasis(ops), [HeckeOp("T1", 2)])
     bad = [r for r in row if not r["match"]]
     assert all(r["expected_mismatch"] for r in bad)
 

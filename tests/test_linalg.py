@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from siegeleis import linalg
 from siegeleis.cyclotomic import CycNum
 from siegeleis.linalg import (CycMatrix, Poly, intersect_spans, poly_gcd,
-                              poly_lcm)
+                              poly_lcm, split_roots)
 
 
 def test_kernel_example():
@@ -115,3 +116,37 @@ def test_matrix_json_round_trip():
     M = CycMatrix([[CycNum.root_of_unity(4), Fraction(1, 2)], [0, 7]])
     blob = json.dumps(M.to_json())
     assert CycMatrix.from_json(json.loads(blob)) == M
+
+
+def test_split_roots_candidate_order():
+    # x^3 - 2x^2 - 15/4 x + 9/4: den 4, c0 9; candidates +-d/q run over
+    # d in 1, 3, 9 and q in 1, 2, 4, so 1/2 is met before 3 and -3/2
+    p = Poly.from_roots([3, Fraction(-3, 2), Fraction(1, 2)])
+    found, rem = split_roots(p)
+    assert [(r.as_fraction(), m) for r, m in found] == [
+        (Fraction(1, 2), 1), (3, 1), (Fraction(-3, 2), 1)]
+    assert rem.degree == 0
+    # 0 comes first, then the extra candidates, then the divisor search
+    found, _ = split_roots(Poly.from_roots([Fraction(1, 2), 3, 3]), [7, 3])
+    assert [(r.as_fraction(), m) for r, m in found] == [
+        (3, 2), (Fraction(1, 2), 1)]
+    found, _ = split_roots(Poly.from_roots([5, 0]), [5])
+    assert [(r.as_fraction(), m) for r, m in found] == [(0, 1), (5, 1)]
+
+
+def test_eigen_huge_constant_term_is_not_factored(monkeypatch):
+    # companion matrix of (x - 2)(x - 500000001): constant term
+    # 1000000002 > 10^9 and no root among the entries
+    C = CycMatrix([[0, -1000000002], [1, 500000003]])
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(linalg, "divisors", refuse)
+    ed = C.eigen()
+    assert ed.pairs == [] and ed.unsplit == ed.min_poly
+    assert ed.unsplit == Poly.from_roots([2, 500000001])
+    # inside the gate the same search finds both roots
+    monkeypatch.undo()
+    ed = CycMatrix([[0, -1000000], [1, 500002]]).eigen()
+    assert ed.unsplit is None and ed.eigenvalues() == [2, 500000]
