@@ -110,13 +110,16 @@ def cmd_eigen(args) -> int:
     space = _space_from_args(args)
     ops = SpaceOperators(space)
     op_list = ops.level_ops()
-    if args.primes:
-        for p in (int(t) for t in args.primes.split(",") if t.strip()):
-            for kind in ("T", "T1"):
-                op = HeckeOp(kind, p)
-                ops.matrix(op)
-                if op not in op_list:
-                    op_list.append(op)
+    try:
+        primes = [int(t) for t in args.primes.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"bad prime list {args.primes!r}") from None
+    for p in primes:
+        for kind in ("T", "T1"):
+            op = HeckeOp(kind, p)
+            ops.matrix(op)
+            if op not in op_list:
+                op_list.append(op)
     system = eigenbasis(ops)
     comparison = compare_eigenvalues(system, op_list)
     if args.format == "csv":

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 
 from .characters import is_prime, legendre_epsilon
 from .cyclotomic import CycNum, as_cyc
@@ -47,9 +49,35 @@ class HeckeOp:
 
 @dataclass
 class HeckeMatrix:
+    """An action table stored as sparse rows.
+
+    ``rows[i]`` holds the nonzero entries of row i as (j, value) pairs in
+    ascending j; every table has at most 3 per row.  ``mat`` is the dense
+    view, built from the rows on first use and then kept.
+    """
+
     space: EisSpace
     op: HeckeOp
-    mat: CycMatrix
+    rows: tuple[tuple[tuple[int, CycNum], ...], ...]
+
+    @cached_property
+    def mat(self) -> CycMatrix:
+        dense = []
+        for row in self.rows:
+            out = [_ZERO] * self.space.dimension
+            for j, a in row:
+                out[j] = a
+            dense.append(out)
+        return CycMatrix(dense)
+
+    def vec_mat(self, v: dict[int, CycNum]) -> dict[int, CycNum]:
+        """The row vector v.M, with v and the image keyed by basis index;
+        an absent index stands for 0."""
+        out: dict[int, CycNum] = {}
+        for i, x in v.items():
+            for j, a in self.rows[i]:
+                out[j] = out[j] + x * a if j in out else x * a
+        return out
 
     def to_json(self):
         return {
@@ -151,7 +179,6 @@ def _row_at_level_prime(space: EisSpace, rho: Partition, op: HeckeOp, q: int) ->
 
 def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     """Exact action table, rows indexed by the source basis element."""
-    n = space.dimension
     at_level = space.level % op.p == 0
     rows = []
     for rho in space.basis:
@@ -159,11 +186,11 @@ def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
             entries = _row_at_level_prime(space, rho, op, op.p)
         else:
             entries = _row_prime_to_level(space, rho, op)
-        row = [_ZERO] * n
-        for target, val in entries.items():
-            row[space.index_of(target)] = as_cyc(val)
-        rows.append(row)
-    return HeckeMatrix(space, op, CycMatrix(rows))
+        rows.append(tuple(sorted(
+            ((space.index_of(target), as_cyc(val)) for target, val in entries.items()),
+            key=itemgetter(0),
+        )))
+    return HeckeMatrix(space, op, tuple(rows))
 
 
 class SpaceOperators:
@@ -313,8 +340,10 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
 
     The level operators T(q), T1(q^2) for q | N are constructed if absent;
     each eigenvector is then checked exactly against every stored matrix
-    (v.M = lambda.v with lambda the diagonal entry at rho).  A verification
-    failure is an internal error, not a data condition.
+    (v.M = lambda.v with lambda the diagonal entry at rho).  The check runs
+    on the sparse rows over the union of the supports of v and v.M; every
+    other coordinate is 0 on both sides, so all coordinates are proved.  A
+    verification failure is an internal error, not a data condition.
     """
     space = ops.space
     for op in ops.level_ops():
@@ -323,14 +352,14 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     entries = []
     for rho in space.basis:
         vec = eigen_vector(space, rho)
-        dense = vec.dense()
+        v = {space.index_of(p): c for p, c in vec.coeffs.items()}
         i = space.index_of(rho)
         eigs: dict[HeckeOp, CycNum] = {}
         for op, hm in stored.items():
-            lam = hm.mat[i, i]
-            image = hm.mat.vec_mat(dense)
-            for a, b in zip(image, dense):
-                if not (a == lam * b):
+            lam = next((a for j, a in hm.rows[i] if j == i), _ZERO)
+            image = hm.vec_mat(v)
+            for j in image.keys() | v.keys():
+                if not (image.get(j, _ZERO) == lam * v.get(j, _ZERO)):
                     raise RuntimeError(
                         f"eigenvector verification failed for rho={rho}, op={op}"
                     )
@@ -475,7 +504,12 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
     else:
         raise ValueError(f"unknown relation operator {which!r}; want S1 or S2")
     op = HeckeOp("T", q)  # carrier only; the word label lives in the caller
-    return HeckeMatrix(space, op, mat)
+    hm = HeckeMatrix(space, op, tuple(
+        tuple((j, a) for j, a in enumerate(row) if not a.is_zero())
+        for row in mat.data
+    ))
+    hm.mat = mat  # the dense product is already known
+    return hm
 
 
 def s_word(ops: SpaceOperators, n1: int, n2: int) -> CycMatrix:

@@ -458,9 +458,10 @@ class CycMatrix:
 
 
 def _root_candidates(p: Poly, extra):
-    """0, then ``extra``, then +-d/q for d | den*p(0) and q | den ascending
-    (den the common denominator of the rational polynomial p); duplicates
-    are dropped and the divisor search is skipped past |den*p(0)| > 10^9 or
+    """0, then ``extra``, then +-d/q for d | den*c0 and q | den ascending
+    (den the common denominator of the rational polynomial p, c0 the
+    constant term of p with its power of x divided out); duplicates are
+    dropped and the divisor search is skipped past |den*c0| > 10^9 or
     den > 10^6, so huge constant terms are never factored."""
     seen: list[CycNum] = []
 
@@ -475,8 +476,9 @@ def _root_candidates(p: Poly, extra):
     if not all(c.is_rational() for c in p.coeffs):
         return
     den = _int_lcm(*(c.as_fraction().denominator for c in p.coeffs))
-    c0 = abs((p.coeffs[0].as_fraction() * den).numerator)
-    if c0 == 0 or c0 > 10**9 or den > 10**6:
+    low = next(c for c in p.coeffs if not c.is_zero())
+    c0 = abs((low.as_fraction() * den).numerator)
+    if c0 > 10**9 or den > 10**6:
         return
     yield from fresh(
         Fraction(s * d, q) for d in divisors(c0) for q in divisors(den)

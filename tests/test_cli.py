@@ -38,6 +38,13 @@ def test_bad_operator_argument_exit_code(capsys):
     assert err == "error: bad operator spec 'T:x'\n"
 
 
+def test_bad_prime_list_exit_code(capsys):
+    code, out, err = run(capsys, "eigen", "--level", "6", "--weight", "4",
+                         "--primes", "x")
+    assert code == 1 and out == ""
+    assert err == "error: bad prime list 'x'\n"
+
+
 def test_missing_provider_is_a_clean_error(capsys, tmp_path):
     missing = tmp_path / "missing.coeffs"
     code, out, err = run(capsys, "fourier", "--provider", str(missing),

@@ -1,15 +1,18 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import siegeleis.hecke as hecke
 from siegeleis.characters import DirichletCharacter
-from siegeleis.cyclotomic import CycNum
-from siegeleis.eisspace import Partition, enumerate_partitions
-from siegeleis.hecke import (HeckeOp, SpaceOperators, compare_eigenvalues,
-                             eigen_vector, eigenbasis, eigenvalue_closed_form,
-                             hecke_matrix, s_constant, s_operator, s_word)
+from siegeleis.cyclotomic import CycNum, as_cyc
+from siegeleis.eisspace import EisVector, Partition, enumerate_partitions
+from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators,
+                             compare_eigenvalues, eigen_vector, eigenbasis,
+                             eigenvalue_closed_form, hecke_matrix, s_constant,
+                             s_operator, s_word)
 from siegeleis.linalg import CycMatrix
 
 N2K4 = enumerate_partitions(2, None, 4)
@@ -218,3 +221,94 @@ def test_matrix_json_round_trip():
     parsed = json.loads(blob)
     assert CycMatrix.from_json(parsed["matrix"]) == hm.mat
     assert parsed["op"] == "T1:2"
+
+
+# -- sparse rows against the dense view ----------------------------------------
+
+SPARSE_SPACES = [(1, None), (6, None), (30, None), (10, "5:2"), (10, "5:1")]
+
+
+def _dense_reference(space, op):
+    """The table written straight into dense rows from the row formulas."""
+    rows = []
+    for rho in space.basis:
+        if space.level % op.p == 0:
+            entries = hecke._row_at_level_prime(space, rho, op, op.p)
+        else:
+            entries = hecke._row_prime_to_level(space, rho, op)
+        row = [CycNum.zero()] * space.dimension
+        for target, val in entries.items():
+            row[space.index_of(target)] = as_cyc(val)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("level,spec", SPARSE_SPACES,
+                         ids=[f"{n}-{s or 'trivial'}" for n, s in SPARSE_SPACES])
+def test_sparse_rows_match_dense_view(level, spec):
+    chi = DirichletCharacter.parse(level, spec or "1")
+    space = enumerate_partitions(level, chi, 4 if chi.valid_for_weight(4) else 5)
+    rng = random.Random(level)
+    field = [CycNum.one(), CycNum.root_of_unity(space.char.order)]
+    primes = [q for q in (2, 3, 5) if level % q == 0] + [7]
+    for op in (HeckeOp(kind, p) for p in primes for kind in ("T", "T1")):
+        hm = hecke_matrix(space, op)
+        for i, row in enumerate(hm.rows):
+            cols = [j for j, _ in row]
+            assert len(row) <= 3 and cols == sorted(set(cols))
+            assert all(j >= i and not a.is_zero() for j, a in row)
+        ref = _dense_reference(space, op)
+        n = space.dimension
+        assert all(hm.mat[i, j] == ref[i][j] for i in range(n) for j in range(n))
+        for _ in range(3):
+            dense = [rng.choice(field) * Fraction(rng.randint(-9, 9),
+                                                  rng.randint(1, 9))
+                     for _ in range(n)]
+            image = hm.vec_mat({i: x for i, x in enumerate(dense)
+                                if not x.is_zero()})
+            want = hm.mat.vec_mat(dense)
+            assert all(image.get(j, CycNum.zero()) == want[j] for j in range(n))
+
+
+def test_s_operator_rows_match_its_dense_product():
+    ops = SpaceOperators(enumerate_partitions(6, None, 4))
+    for q in (2, 3):
+        for which in ("S1", "S2"):
+            hm = s_operator(ops, q, which)
+            assert HeckeMatrix(hm.space, hm.op, hm.rows).mat == hm.mat
+
+
+# -- the sparse verifier proves every coordinate -------------------------------
+
+
+def _tampered(change):
+    """eigen_vector with the corner vector of N2K4 altered by change()."""
+    real = hecke.eigen_vector
+
+    def fake(space, rho):
+        vec = real(space, rho)
+        if rho == Partition(2, 1, 1):
+            coeffs = dict(vec.coeffs)
+            change(coeffs)
+            vec = EisVector(space, coeffs)
+        return vec
+    return fake
+
+
+def _change_coeff(coeffs):
+    coeffs[Partition(1, 2, 1)] = CycNum.from_rational(Fraction(-1, 13))
+
+
+def _drop_coeff(coeffs):
+    # the image of e0 - e1/14 under T(2) is nonzero at (1,1,2), where the
+    # vector is 0: only a check beyond v's support sees it
+    del coeffs[Partition(1, 1, 2)]
+
+
+@pytest.mark.parametrize("change", [_change_coeff, _drop_coeff],
+                         ids=["changed", "dropped"])
+def test_eigenbasis_rejects_a_wrong_vector(monkeypatch, change):
+    monkeypatch.setattr(hecke, "eigen_vector", _tampered(change))
+    with pytest.raises(RuntimeError,
+                       match=r"verification failed for rho=\(2,1,1\)"):
+        eigenbasis(SpaceOperators(N2K4))

@@ -62,6 +62,14 @@ def test_eigen_unsplit_reported():
     assert ed2.unsplit is None and len(ed2.pairs) == 2
 
 
+def test_eigen_splits_past_a_zero_root():
+    # x^2 - x/2: 0 is a root, and 1/2 is not a matrix entry, so only the
+    # divisor search on x - 1/2 can find it
+    ed = CycMatrix([[Fraction(1, 4), Fraction(1, 4)],
+                    [Fraction(1, 4), Fraction(1, 4)]]).eigen()
+    assert ed.eigenvalues() == [0, Fraction(1, 2)] and ed.unsplit is None
+
+
 def test_eigen_jordan_dimension():
     B = CycMatrix([[2, 1], [0, 2]])
     ed = B.eigen()
