@@ -1,11 +1,15 @@
 """Exact arithmetic in cyclotomic-rational fields Q(zeta_m).
 
 Elements are stored reduced modulo the m-th cyclotomic polynomial in the
-power basis 1, z, ..., z^(phi(m)-1) with Fraction coordinates; m = 1 encodes
-plain rationals.  Mixed-conductor arithmetic lifts both operands to the least
-common multiple conductor, which keeps equality testing exact and canonical.
-Conductors m = 2 (mod 4) are rewritten into the equivalent odd-conductor
-field on construction so every value has a single stored form.
+power basis 1, z, ..., z^(phi(m)-1), as a tuple of integer numerators over
+one positive integer denominator (the layout of FLINT's fmpq_poly).  The
+stored form is canonical at its conductor: the denominator is coprime to the
+content of the numerators, a rational value is stored at m = 1, and zero is
+m = 1, numerators (0,), denominator 1.  Mixed-conductor arithmetic lifts both
+operands to the least common multiple conductor, which keeps equality testing
+exact.  Conductors m = 2 (mod 4) are rewritten into the equivalent
+odd-conductor field on construction.  Inverses are fraction-free: Bareiss
+elimination on the integer matrix of multiplication by the numerator.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import cmath
 import os
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 DEFAULT_CONDUCTOR_CAP = 120
 
@@ -108,69 +112,76 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return out
 
 
-_red_cache: dict[int, list[tuple[int, ...]]] = {}
+_Rows = list[tuple[tuple[int, int], ...]]
+_red_cache: dict[int, tuple[int, _Rows]] = {}
 
 
-def _reduction_rows(m: int) -> list[tuple[int, ...]]:
-    """Row e = coordinates of z^e in the power basis, for e in range(m)."""
+def _reduction_rows(m: int) -> tuple[int, _Rows]:
+    """phi(m) and, for e in range(m), row e = the nonzero (j, c) coordinates
+    of z^e in the power basis."""
     if m in _red_cache:
         return _red_cache[m]
     phi = euler_phi(m)
     top = cyclotomic_polynomial(m)
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * phi
+    rows: _Rows = []
+    cur: list[int] = []
     for e in range(m):
         if e < phi:
-            row = [0] * phi
-            row[e] = 1
-            rows.append(tuple(row))
-            if e == phi - 1:
-                cur = list(row)
-            continue
-        # multiply previous row by z and reduce by Phi_m (monic)
-        lead = cur[-1]
-        nxt = [0] + cur[:-1]
-        if lead:
-            for j in range(phi):
-                nxt[j] -= lead * top[j]
-        rows.append(tuple(nxt))
-        cur = nxt
-    _red_cache[m] = rows
-    return rows
+            cur = [0] * phi
+            cur[e] = 1
+        else:
+            # multiply the previous row by z and reduce by Phi_m (monic)
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
+            if lead:
+                for j in range(phi):
+                    cur[j] -= lead * top[j]
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+    _red_cache[m] = (phi, rows)
+    return phi, rows
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _reduce_exponents(m: int, raw: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    """Collapse a sparse exponent->coefficient map into power-basis coords."""
-    phi = euler_phi(m)
-    rows = _reduction_rows(m)
-    out = [_F0] * phi
-    for e, c in raw.items():
-        if not c:
-            continue
-        row = rows[e % m]
-        for j, r in enumerate(row):
-            if r:
+def _collect(m: int, terms) -> list[int]:
+    """Power-basis numerators of the sum of c * z^e over (e, c) in terms."""
+    phi, rows = _reduction_rows(m)
+    out = [0] * phi
+    for e, c in terms:
+        if c:
+            for j, r in rows[e % m]:
                 out[j] += c * r
-    return tuple(out)
+    return out
+
+
+_new = object.__new__
 
 
 class CycNum:
-    """An element of Q(zeta_m), immutable."""
+    """An element of Q(zeta_m), immutable: (sum n[i] z^i) / d."""
 
-    __slots__ = ("m", "c")
+    __slots__ = ("m", "n", "d")
     __hash__ = None  # cross-conductor equality makes a sound hash pointless here
 
     def __init__(self, m: int, coeffs):
-        coeffs = tuple(Fraction(x) for x in coeffs)
-        if len(coeffs) != euler_phi(m):
+        if m < 1:
+            raise ValueError("conductor must be positive")
+        # the field Q(zeta_m) is Q(zeta_{m/2}) for m = 2 (mod 4)
+        _check_cap(m // 2 if m % 4 == 2 else m)
+        phi = euler_phi(m)
+        fracs = [Fraction(x) for x in coeffs]
+        if len(fracs) != phi:
             raise ValueError("coefficient length must equal phi(m)")
-        m, coeffs = _normalize(m, coeffs)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", coeffs)
+        d = lcm(*(f.denominator for f in fracs))
+        num = [f.numerator * (d // f.denominator) for f in fracs]
+        if m % 4 == 2:
+            # rewrite into Q(zeta_{m/2}) via zeta_m = -zeta_{m/2}^{(m/2+1)/2}
+            m //= 2
+            step = (m + 1) // 2
+            num = _collect(m, ((i * step, -a if i % 2 else a)
+                               for i, a in enumerate(num)))
+        v = _make(m, num, d)
+        _set_m(self, v.m)
+        _set_n(self, v.n)
+        _set_d(self, v.d)
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
@@ -178,15 +189,10 @@ class CycNum:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _raw(m: int, coeffs: tuple[Fraction, ...]) -> "CycNum":
-        self = object.__new__(CycNum)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", coeffs)
-        return self
-
-    @staticmethod
     def from_rational(x) -> "CycNum":
-        return CycNum._raw(1, (Fraction(x),))
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return _raw(1, (x.numerator,), x.denominator)
 
     @staticmethod
     def zero() -> "CycNum":
@@ -208,7 +214,7 @@ class CycNum:
         if order == 1:
             return _ONE
         if order == 2:
-            return CycNum.from_rational(-1)
+            return _raw(1, (-1,), 1)
         if order % 4 == 2:
             # zeta_{2n} = -zeta_n^{(n+1)/2} for odd n
             n = order // 2
@@ -217,17 +223,21 @@ class CycNum:
             base = CycNum.root_of_unity(n, e)
             return -base if sign < 0 else base
         _check_cap(order)
-        coeffs = _reduce_exponents(order, {power: _F1})
-        m, coeffs = _normalize(order, coeffs)
-        return CycNum._raw(m, coeffs)
+        return _make(order, _collect(order, ((power, 1),)), 1)
 
     # -- predicates / accessors -------------------------------------------
 
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, a derived view for repr and approx."""
+        d = self.d
+        return tuple(Fraction(a, d) for a in self.n)
+
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return self.m == 1 and not self.n[0]
 
     def is_one(self) -> bool:
-        return self.m == 1 and self.c[0] == 1
+        return self.m == 1 and self.n[0] == 1 and self.d == 1
 
     def is_rational(self) -> bool:
         return self.m == 1
@@ -235,39 +245,56 @@ class CycNum:
     def as_fraction(self) -> Fraction:
         if self.m != 1:
             raise ValueError(f"{self!r} is not rational")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
 
     def approx(self) -> complex:
         """Float embedding zeta_m -> exp(2*pi*i/m); test-side sanity only."""
         z = cmath.exp(2j * cmath.pi / self.m)
         val = 0j
-        for i in range(len(self.c) - 1, -1, -1):
-            val = val * z + complex(self.c[i])
+        for a in reversed(self.c):
+            val = val * z + complex(a)
         return val
 
     # -- arithmetic --------------------------------------------------------
 
-    def _lift(self, n: int) -> tuple[Fraction, ...]:
-        """Coordinates of self inside Q(zeta_n), m | n."""
+    def _lift(self, n: int):
+        """Numerators of self inside Q(zeta_n), m | n, over the same d."""
         if n == self.m:
-            return self.c
+            return self.n
         step = n // self.m
-        raw = {i * step: a for i, a in enumerate(self.c) if a}
-        return _reduce_exponents(n, raw)
+        return _collect(n, ((i * step, a) for i, a in enumerate(self.n)))
+
+    def _scale(self, sn: int, sd: int) -> "CycNum":
+        """self * sn / sd, for sd > 0."""
+        if not sn:
+            return _ZERO
+        return _make(self.m, [a * sn for a in self.n], self.d * sd)
 
     def __add__(self, other):
-        other = as_cyc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.m == other.m:
-            return _norm_raw(self.m, tuple(a + b for a, b in zip(self.c, other.c)))
-        n = _lcm_conductor(self.m, other.m)
-        return _norm_raw(n, tuple(a + b for a, b in zip(self._lift(n), other._lift(n))))
+        if type(other) is not CycNum:
+            other = as_cyc(other)
+            if other is NotImplemented:
+                return NotImplemented
+        m, da, db = self.m, self.d, other.d
+        if m == other.m:
+            if m == 1:
+                if da == db:
+                    return _rational(self.n[0] + other.n[0], da)
+                return _rational(self.n[0] * db + other.n[0] * da, da * db)
+            a, b = self.n, other.n
+        else:
+            m = _lcm_conductor(m, other.m)
+            a, b = self._lift(m), other._lift(m)
+        if da == db:
+            return _make(m, [x + y for x, y in zip(a, b)], da)
+        return _make(m, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._raw(self.m, tuple(-a for a in self.c))
+        if self.m == 1:
+            return _raw(1, (-self.n[0],), self.d)
+        return _raw(self.m, tuple(-a for a in self.n), self.d)
 
     def __sub__(self, other):
         other = as_cyc(other)
@@ -282,51 +309,57 @@ class CycNum:
         return other.__add__(-self)
 
     def __mul__(self, other):
-        other = as_cyc(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CycNum:
+            other = as_cyc(other)
+            if other is NotImplemented:
+                return NotImplemented
         if other.m == 1:
-            s = other.c[0]
-            if not s:
-                return _ZERO
-            return _norm_raw(self.m, tuple(a * s for a in self.c))
+            if self.m == 1:
+                return _rational(self.n[0] * other.n[0], self.d * other.d)
+            return self._scale(other.n[0], other.d)
         if self.m == 1:
-            s = self.c[0]
-            if not s:
-                return _ZERO
-            return _norm_raw(other.m, tuple(a * s for a in other.c))
-        n = self.m if self.m == other.m else _lcm_conductor(self.m, other.m)
-        a, b = self._lift(n), other._lift(n)
-        raw: dict[int, Fraction] = {}
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    k = i + j
-                    raw[k] = raw.get(k, _F0) + ai * bj
-        return _norm_raw(n, _reduce_exponents(n, raw))
+            return other._scale(self.n[0], self.d)
+        m = self.m if self.m == other.m else _lcm_conductor(self.m, other.m)
+        a, b = self._lift(m), other._lift(m)
+        phi, rows = _reduction_rows(m)
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    if y:
+                        prod[k] += x * y
+        out = prod[:phi]
+        for e in range(phi, 2 * phi - 1):
+            c = prod[e]
+            if c:
+                for j, r in rows[e % m]:
+                    out[j] += c * r
+        return _make(m, out, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.m == 1:
-            return CycNum._raw(1, (1 / self.c[0],))
-        phi_poly = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
-        u = _poly_mod_inverse(list(self.c), phi_poly)
-        coeffs = _reduce_exponents(self.m, {i: a for i, a in enumerate(u) if a})
-        return _norm_raw(self.m, coeffs)
+        m, d = self.m, self.d
+        if m == 1:
+            a = self.n[0]
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            return _raw(1, (d,), a) if a > 0 else _raw(1, (-d,), -a)
+        # (num / d)^-1 = d * A^-1 e_0 = d * y / det, A = multiplication by num
+        y, det = _solve_unit(m, self.n)
+        if det < 0:
+            det, d = -det, -d
+        return _make(m, [d * a for a in y], det)
 
     def __truediv__(self, other):
         other = as_cyc(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
         if other.m == 1:
-            return _norm_raw(self.m, tuple(a / other.c[0] for a in self.c))
+            b = other.n[0]
+            if not b:
+                raise ZeroDivisionError("division by zero")
+            return self._scale(other.d, b) if b > 0 else self._scale(-other.d, -b)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -340,6 +373,8 @@ class CycNum:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
+        if self.m == 1:
+            return _raw(1, (self.n[0] ** e,), self.d ** e)
         out = _ONE
         base = self
         while e:
@@ -350,13 +385,20 @@ class CycNum:
         return out
 
     def __eq__(self, other):
-        other = as_cyc(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is int:
+            return self.m == 1 and self.d == 1 and self.n[0] == other
+        if type(other) is not CycNum:
+            other = as_cyc(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.m == other.m:
-            return self.c == other.c
-        n = _lcm_conductor(self.m, other.m)
-        return self._lift(n) == other._lift(n)
+            return self.d == other.d and self.n == other.n
+        if self.m == 1 or other.m == 1:
+            return False  # a value stored at m > 1 is not rational
+        m = _lcm_conductor(self.m, other.m)
+        da, db = self.d, other.d
+        return all(x * db == y * da
+                   for x, y in zip(self._lift(m), other._lift(m)))
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -367,7 +409,7 @@ class CycNum:
 
     def __repr__(self):
         if self.m == 1:
-            return str(self.c[0])
+            return str(self.as_fraction())
         parts = []
         for i, a in enumerate(self.c):
             if not a:
@@ -382,105 +424,110 @@ class CycNum:
     # -- JSON --------------------------------------------------------------
 
     def to_json(self):
-        return {"m": self.m, "coeffs": [str(a) for a in self.c]}
+        d = self.d
+        coeffs = []
+        for a in self.n:
+            g = gcd(a, d)
+            coeffs.append(str(a // g) if g == d else f"{a // g}/{d // g}")
+        return {"m": self.m, "coeffs": coeffs}
 
     @staticmethod
     def from_json(obj) -> "CycNum":
-        return CycNum(int(obj["m"]), [Fraction(s) for s in obj["coeffs"]])
+        return CycNum(int(obj["m"]), obj["coeffs"])
+
+
+_set_m = CycNum.m.__set__
+_set_n = CycNum.n.__set__
+_set_d = CycNum.d.__set__
+
+
+def _raw(m: int, n: tuple[int, ...], d: int) -> CycNum:
+    # the caller guarantees the canonical form
+    self = _new(CycNum)
+    _set_m(self, m)
+    _set_n(self, n)
+    _set_d(self, d)
+    return self
+
+
+def _make(m: int, n, d: int) -> CycNum:
+    """The canonical value of (sum n[i] z^i) / d at conductor m, for d > 0."""
+    if m == 1 or not any(n[1:]):
+        return _rational(n[0], d)
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            return _raw(m, tuple(a // g for a in n), d // g)
+    return _raw(m, tuple(n), d)
+
+
+def _rational(a: int, d: int) -> CycNum:
+    """The canonical value of a / d, for d > 0."""
+    if not a:
+        return _ZERO
+    if d != 1:
+        g = gcd(a, d)
+        if g != 1:
+            a //= g
+            d //= g
+    return _raw(1, (a,), d)
+
+
+def _solve_unit(m: int, num) -> tuple[list[int], int]:
+    """(y, det) with A y = det * e_0, A the integer matrix of multiplication
+    by num(z) in Q(zeta_m) and det = +-det(A): Bareiss elimination, so every
+    intermediate is an integer minor."""
+    top = cyclotomic_polynomial(m)
+    phi = len(num)
+    cols = [list(num)]
+    for _ in range(phi - 1):
+        # column j + 1 = z * column j, reduced by Phi_m (monic)
+        prev = cols[-1]
+        lead = prev[-1]
+        col = [0] + prev[:-1]
+        if lead:
+            for j in range(phi):
+                col[j] -= lead * top[j]
+        cols.append(col)
+    a = [[col[r] for col in cols] + [int(r == 0)] for r in range(phi)]
+    prev_pivot = 1
+    for k in range(phi):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, phi) if a[i][k]), None)
+            if swap is None:
+                raise ZeroDivisionError("element is not invertible")
+            a[k], a[swap] = a[swap], a[k]
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, phi + 1):
+                row[j] = (row[j] * pivot - f * row_k[j]) // prev_pivot
+        prev_pivot = pivot
+    det = a[-1][-2]
+    # back substitution on det * x, which is integral by Cramer's rule
+    y = [0] * phi
+    for i in range(phi - 1, -1, -1):
+        row = a[i]
+        s = det * row[phi] - sum(row[j] * y[j] for j in range(i + 1, phi))
+        y[i] = s // row[i]
+    return y, det
 
 
 def _lcm_conductor(a: int, b: int) -> int:
-    n = a * b // gcd(a, b)
+    n = lcm(a, b)
     _check_cap(n)
     return n
-
-
-def _normalize(m: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
-    while m % 4 == 2:
-        # rewrite into Q(zeta_{m/2}) via zeta_m = -zeta_{m/2}^{(m/2+1)/2}
-        n = m // 2
-        step = (n + 1) // 2
-        raw: dict[int, Fraction] = {}
-        for i, a in enumerate(coeffs):
-            if not a:
-                continue
-            e = (i * step) % n
-            raw[e] = raw.get(e, _F0) + (-a if i % 2 else a)
-        coeffs = _reduce_exponents(n, raw)
-        m = n
-    if m > 1 and not any(coeffs[1:]):
-        return 1, (coeffs[0],)
-    return m, coeffs
-
-
-def _norm_raw(m: int, coeffs: tuple[Fraction, ...]) -> CycNum:
-    m, coeffs = _normalize(m, coeffs)
-    return CycNum._raw(m, coeffs)
 
 
 def as_cyc(x) -> "CycNum":
     if isinstance(x, CycNum):
         return x
-    if isinstance(x, (int, Fraction)):
-        return CycNum._raw(1, (Fraction(x),))
+    if isinstance(x, int):
+        return _raw(1, (int(x),), 1)
+    if isinstance(x, Fraction):
+        return _raw(1, (x.numerator,), x.denominator)
     return NotImplemented
 
 
-def _poly_deg(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_mod_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo mod in Q[x] via extended Euclid; gcd must be 1."""
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [_F0], [_F1]
-    while _poly_deg(r1) > 0:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    d = _poly_deg(r1)
-    if d != 0:
-        raise ZeroDivisionError("element is not invertible")
-    inv_lead = 1 / r1[0]
-    return [x * inv_lead for x in s1]
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    dn, dd = _poly_deg(num), _poly_deg(den)
-    if dd < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_F0] * max(dn - dd + 1, 1)
-    r = list(num)
-    lead = den[dd]
-    for i in range(dn - dd, -1, -1):
-        c = r[i + dd] / lead
-        if c:
-            q[i] = c
-            for j in range(dd + 1):
-                r[i + j] -= c * den[j]
-    return q, r
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else _F0) - (b[i] if i < len(b) else _F0) for i in range(n)
-    ]
-
-
-_ZERO = CycNum._raw(1, (_F0,))
-_ONE = CycNum._raw(1, (_F1,))
+_ZERO = _raw(1, (0,), 1)
+_ONE = _raw(1, (1,), 1)

@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .characters import enumerate_characters
 from .cyclotomic import CycNum, as_cyc, is_squarefree
@@ -155,16 +156,18 @@ def run_suite(config: dict) -> VerificationReport:
     config = dict(config)
     report = VerificationReport(config=config)
     rng = random.Random(config["seed"])
+    # every space sweep reads the same list, built once per run
+    spaces = spaces_in_scope(config)
     checks = [
         ("exactmath-field-axioms", _check_field_axioms),
-        ("eisspace-enumeration", _check_eisspace),
-        ("hecke-commutativity", _check_commutativity),
-        ("hecke-triangularity", _check_triangularity),
-        ("hecke-eigen-exactness", _check_eigen_exactness),
-        ("hecke-closed-form-comparison", _check_closed_forms),
+        ("eisspace-enumeration", partial(_check_eisspace, spaces=spaces)),
+        ("hecke-commutativity", partial(_check_commutativity, spaces=spaces)),
+        ("hecke-triangularity", partial(_check_triangularity, spaces=spaces)),
+        ("hecke-eigen-exactness", partial(_check_eigen_exactness, spaces=spaces)),
+        ("hecke-closed-form-comparison", partial(_check_closed_forms, spaces=spaces)),
         ("hecke-relation-words", _check_relation_words),
         ("hecke-level-one-specialization", _check_level_one_specialization),
-        ("hecke-eigen-oracle", _check_eigen_oracle),
+        ("hecke-eigen-oracle", partial(_check_eigen_oracle, spaces=spaces)),
         ("lattice-sublattice-counts", _check_sublattice_counts),
         ("lattice-reduction-invariance", _check_reduction_invariance),
         ("lattice-isotropy", _check_isotropy),
@@ -214,9 +217,9 @@ def _check_field_axioms(config, rng):
     )]
 
 
-def _check_eisspace(config, rng):
+def _check_eisspace(config, rng, spaces):
     out = []
-    for space in spaces_in_scope(config):
+    for space in spaces:
         a = sum(1 for q in prime_factors(space.level) if space.char.is_real_at(q))
         b = len(prime_factors(space.level)) - a
         ok = space.dimension == 3**a * 2**b
@@ -240,9 +243,9 @@ def _sweep_ops(space, config) -> SpaceOperators:
     return ops
 
 
-def _check_commutativity(config, rng):
+def _check_commutativity(config, rng, spaces):
     out = []
-    for space in spaces_in_scope(config):
+    for space in spaces:
         ops = _sweep_ops(space, config)
         mats = [hm.mat for hm in ops.stored().values()]
         bad = 0
@@ -260,9 +263,9 @@ def _check_commutativity(config, rng):
     return out
 
 
-def _check_triangularity(config, rng):
+def _check_triangularity(config, rng, spaces):
     out = []
-    for space in spaces_in_scope(config):
+    for space in spaces:
         ops = _sweep_ops(space, config)
         bad = 0
         for hm in ops.stored().values():
@@ -284,9 +287,9 @@ def _check_triangularity(config, rng):
     return out
 
 
-def _check_eigen_exactness(config, rng):
+def _check_eigen_exactness(config, rng, spaces):
     out = []
-    for space in spaces_in_scope(config):
+    for space in spaces:
         ops = _sweep_ops(space, config)
         try:
             eigenbasis(ops)  # raises on any failed exact verification
@@ -302,9 +305,9 @@ def _check_eigen_exactness(config, rng):
     return out
 
 
-def _check_closed_forms(config, rng):
+def _check_closed_forms(config, rng, spaces):
     out = []
-    for space in spaces_in_scope(config):
+    for space in spaces:
         ops = SpaceOperators(space)
         system = eigenbasis(ops)
         bad = 0
@@ -423,9 +426,9 @@ def _oracle_joint_eigenspaces(mats):
     return pieces
 
 
-def _check_eigen_oracle(config, rng):
+def _check_eigen_oracle(config, rng, spaces):
     out = []
-    for space in spaces_in_scope(config):
+    for space in spaces:
         ops = SpaceOperators(space)
         level_ops = ops.level_ops()
         extra = [HeckeOp("T", p) for p in _primes_up_to(config["prime_max"])

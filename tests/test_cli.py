@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from siegeleis.cli import main, parse_op_word
+from siegeleis.cyclotomic import conductor_cap, set_conductor_cap
 from siegeleis.fourier import UOperator
 from siegeleis.hecke import HeckeOp
 from siegeleis.linalg import CycMatrix
@@ -43,6 +44,18 @@ def test_bad_prime_list_exit_code(capsys):
                          "--primes", "x")
     assert code == 1 and out == ""
     assert err == "error: bad prime list 'x'\n"
+
+
+def test_conductor_over_the_cap_exit_code(capsys):
+    old = conductor_cap()
+    set_conductor_cap(3)  # the character 5:1 takes values in Q(zeta_4)
+    try:
+        code, out, err = run(capsys, "hecke", "--level", "10", "--weight", "5",
+                             "--char", "5:1", "--op", "T:2")
+    finally:
+        set_conductor_cap(old)
+    assert code == 1 and out == ""
+    assert err == "error: conductor 4 exceeds the configured cap 3\n"
 
 
 def test_missing_provider_is_a_clean_error(capsys, tmp_path):

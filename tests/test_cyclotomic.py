@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import siegeleis.cyclotomic as cyclotomic
 from siegeleis.cyclotomic import (ConductorCapError, CycNum, as_cyc,
                                   conductor_cap, cyclotomic_polynomial,
                                   euler_phi, factorize, is_squarefree,
@@ -89,6 +90,30 @@ def test_conductor_cap():
             root(121)
     finally:
         set_conductor_cap(old)
+
+
+def test_conductor_cap_at_construction(monkeypatch):
+    def poisoned():
+        raise AssertionError("coefficients read before the cap check")
+        yield
+
+    def no_phi(m):
+        raise AssertionError(f"euler_phi({m}) called before the cap check")
+
+    # neither phi(m) nor a single coefficient is touched for an oversized m,
+    # so even m = 10^6 + 3 (phi ~ 10^6) costs nothing
+    monkeypatch.setattr(cyclotomic, "euler_phi", no_phi)
+    for m in (121, 242, 1000, 10**6 + 3, 10**100):
+        with pytest.raises(ConductorCapError):
+            CycNum(m, poisoned())
+        with pytest.raises(ConductorCapError):
+            CycNum.from_json({"m": str(m), "coeffs": poisoned()})
+    monkeypatch.undo()
+    # m = 2 (mod 4) is checked as m/2, the conductor it is stored at
+    assert CycNum(238, [3] + [0] * 95) == 3
+    assert CycNum.from_json(root(119, 2).to_json()) == root(119, 2)
+    with pytest.raises(ValueError):
+        CycNum(0, [])
 
 
 def test_json_round_trip():

@@ -1,7 +1,10 @@
 """Golden-output guard: the stdout of a fixed list of fast CLI commands must
 keep the sha256 digests recorded before the one-helper-per-job refactor
 (the level-210 eigen digest before the tables became sparse rows; at
-dimension 81 it runs the sparse verifier over four level primes).
+dimension 81 it runs the sparse verifier over four level primes; the level-55
+eigen and level-10 hecke digests before CycNum moved to integer numerators:
+they print values at conductors 5 and 4, where the others print only
+rationals).
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -42,6 +45,11 @@ GOLDEN = [
      "16d202b2b9859fa0eacfd750fbc10f5aa51bb62df0824151e32b1cb8446e3010"),
     (("eigen", "--level", "210", "--weight", "4"),
      "38e8f87388fe4b74c7b665f9671570e9b524acda6cdb2ce3a5275c54a485ad08"),
+    (("eigen", "--level", "55", "--weight", "4", "--char", "5:1,11:1"),
+     "7a81fc89669bd9a1cffb2ecc191555956cea0b2a0a5224e16643ea491f79c8a6"),
+    (("hecke", "--level", "10", "--weight", "5", "--char", "5:1",
+      "--op", "T:2;T1:5;S2:2;T:3"),
+     "8d482f96cd9aa66c4cae7e2b02c2a217e97e4488a5dabcfb527cc0283ca70768"),
     (("relations", "--level", "30", "--weight", "4"),
      "854f8d584076800e83d528f449ef0fd6776d617dda134547667a36efbabdc014"),
     (("fourier", "--provider", PROVIDER, "--level", "2"),
