@@ -136,9 +136,10 @@ class DirichletCharacter:
         spec = []
         for part in text.split(","):
             q_s, _, j_s = part.partition(":")
-            if not j_s:
-                raise ValueError(f"bad character component {part!r}; want q:j")
-            spec.append((int(q_s), int(j_s)))
+            try:
+                spec.append((int(q_s), int(j_s)))
+            except ValueError:
+                raise ValueError(f"bad character component {part!r}; want q:j") from None
         return DirichletCharacter.make(N, spec)
 
     def spec_string(self) -> str:

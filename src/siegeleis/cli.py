@@ -15,36 +15,38 @@ import json
 import sys
 
 from .characters import DirichletCharacter
-from .eisspace import Partition, enumerate_partitions, prime_factors
+from .eisspace import enumerate_partitions, prime_factors
 from .fourier import (UOperator, apply_U, calibrate_normalization,
                       krylov_spectral, project_components, provider_load)
 from .hecke import (HeckeOp, SpaceOperators, compare_eigenvalues, eigenbasis,
-                    s_operator)
-from .linalg import CycMatrix
+                    relation_defects, s_constant, word_matrix)
 from .verify import PRESETS, run_suite
 
 
-def _spec_int(text: str, tok: str) -> int:
+def _spec_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"bad operator spec {tok!r}") from None
+        raise ValueError(f"bad {what}") from None
+
+
+def _int_list(text: str, name: str) -> list[int]:
+    return [_spec_int(t, f"{name} {text!r}") for t in text.split(",")]
 
 
 def _parse_op_token(tok: str):
     tok = tok.strip()
+    spec = f"operator spec {tok!r}"
     kind, _, rest = tok.partition(":")
     if not rest:
-        raise ValueError(f"bad operator spec {tok!r}")
-    if kind in ("T", "T1"):
-        return HeckeOp(kind, _spec_int(rest, tok))
-    if kind in ("S1", "S2"):
-        return (kind, _spec_int(rest, tok))
+        raise ValueError(f"bad {spec}")
+    if kind in ("T", "T1", "S1", "S2"):
+        return HeckeOp(kind, _spec_int(rest, spec))
     if kind == "U":
         q_s, _, p_s = rest.partition(",")
         if not p_s:
             raise ValueError(f"bad U operator spec {tok!r}; want U:Q,P")
-        return UOperator(_spec_int(q_s, tok), _spec_int(p_s, tok))
+        return UOperator(_spec_int(q_s, spec), _spec_int(p_s, spec))
     raise ValueError(f"unknown operator kind {kind!r} in {tok!r}")
 
 
@@ -75,17 +77,6 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def _word_matrix(ops: SpaceOperators, word) -> CycMatrix:
-    mat = CycMatrix.identity(ops.space.dimension)
-    for op in word:
-        if isinstance(op, HeckeOp):
-            mat = mat @ ops.matrix(op).mat
-        else:
-            which, q = op
-            mat = mat @ s_operator(ops, q, which).mat
-    return mat
-
-
 def cmd_hecke(args) -> int:
     space = _space_from_args(args)
     word = parse_op_word(args.op)
@@ -93,8 +84,7 @@ def cmd_hecke(args) -> int:
         raise ValueError("empty operator word")
     if any(isinstance(op, UOperator) for op in word):
         raise ValueError("U operators act on Fourier expansions; use `fourier`")
-    ops = SpaceOperators(space)
-    mat = _word_matrix(ops, word)
+    mat = word_matrix(SpaceOperators(space), word)
     _emit_json(args, {
         "level": space.level,
         "weight": space.weight,
@@ -110,11 +100,7 @@ def cmd_eigen(args) -> int:
     space = _space_from_args(args)
     ops = SpaceOperators(space)
     op_list = ops.level_ops()
-    try:
-        primes = [int(t) for t in args.primes.split(",") if t.strip()]
-    except ValueError:
-        raise ValueError(f"bad prime list {args.primes!r}") from None
-    for p in primes:
+    for p in _int_list(args.primes, "prime list") if args.primes.strip() else []:
         for kind in ("T", "T1"):
             op = HeckeOp(kind, p)
             ops.matrix(op)
@@ -149,27 +135,15 @@ def _cyc_str(obj) -> str:
 
 
 def cmd_relations(args) -> int:
-    from .hecke import s_constant, s_word
-
     char = DirichletCharacter.trivial(args.level)
     space = enumerate_partitions(args.level, char, args.weight)
-    ops = SpaceOperators(space)
-    corner = space.index_of(Partition(space.level, 1, 1))
-    results = []
-    all_ok = True
-    for rho in space.basis:
-        word = s_word(ops, rho.n1, rho.n2)
-        row = word.data[corner]
-        ok = all(
-            (v == (1 if j == space.index_of(rho) else 0))
-            for j, v in enumerate(row)
-        )
-        all_ok = all_ok and ok
-        results.append({
-            "target": rho.to_json(),
-            "word": f"S1:{rho.n1};S2:{rho.n2}",
-            "holds": ok,
-        })
+    defects = relation_defects(SpaceOperators(space))
+    results = [
+        {"target": rho.to_json(), "word": f"S1:{rho.n1};S2:{rho.n2}",
+         "holds": bad == 0}
+        for rho, bad in zip(space.basis, defects)
+    ]
+    all_ok = not any(defects)
     _emit_json(args, {
         "level": space.level,
         "weight": space.weight,
@@ -245,9 +219,9 @@ def cmd_verify(args) -> int:
     else:
         config = {
             "N_max": args.n_max,
-            "k_set": [int(t) for t in args.k_set.split(",")],
+            "k_set": _int_list(args.k_set, "weight list"),
             "prime_max": args.prime_max,
-            "char_orders": [int(t) for t in args.char_orders.split(",")],
+            "char_orders": _int_list(args.char_orders, "character order list"),
             "trials": args.trials,
             "seed": args.seed,
         }

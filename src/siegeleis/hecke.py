@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import itemgetter
 
 from .characters import is_prime, legendre_epsilon
@@ -31,17 +32,17 @@ _ONE = CycNum.one()
 
 @dataclass(frozen=True)
 class HeckeOp:
-    kind: str  # "T" (degree p) or "T1" (degree p^2)
+    kind: str  # "T" (degree p), "T1" (degree p^2), or "S1"/"S2" (relations)
     p: int
 
     def __post_init__(self):
-        if self.kind not in ("T", "T1"):
+        if self.kind not in ("T", "T1", "S1", "S2"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     def __str__(self):
-        return f"T({self.p})" if self.kind == "T" else f"T1({self.p}^2)"
+        return f"T1({self.p}^2)" if self.kind == "T1" else f"{self.kind}({self.p})"
 
     def spec_string(self) -> str:
         return f"{self.kind}:{self.p}"
@@ -143,9 +144,7 @@ def _row_at_level_prime(space: EisSpace, rho: Partition, op: HeckeOp, q: int) ->
         )
         row = {rho: diag}
         if local.is_trivial:
-            chi_rest = space.char.eval_over(
-                (r for r in prime_factors(space.level) if r != q), q
-            )
+            chi_rest = _chi_over(space, space.level // q, q)
             row[up] = (
                 (chi_rest * q ** (k - 2) + _chi_over(space, c2, q * q))
                 * Fraction(q * q - 1, q)
@@ -167,9 +166,7 @@ def _row_at_level_prime(space: EisSpace, rho: Partition, op: HeckeOp, q: int) ->
     chi2 = _chi_over(space, c2, q * q)
     row = {rho: chi2 * (q + 1)}
     if local.is_trivial:
-        chi_rest = space.char.eval_over(
-            (r for r in prime_factors(space.level) if r != q), q
-        )
+        chi_rest = _chi_over(space, space.level // q, q)
         row[up1] = (chi_rest * q ** (k - 1) + chi2) * Fraction(q - 1, q)
         row[up2] = chi2 * Fraction(q * q - 1, q * q)
     elif local.is_real:
@@ -178,7 +175,10 @@ def _row_at_level_prime(space: EisSpace, rho: Partition, op: HeckeOp, q: int) ->
 
 
 def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
-    """Exact action table, rows indexed by the source basis element."""
+    """Exact action table of T(p) or T1(p^2), rows indexed by the source
+    basis element."""
+    if op.kind not in ("T", "T1"):
+        raise ValueError(f"{op} is a relation operator; build it with s_operator")
     at_level = space.level % op.p == 0
     rows = []
     for rho in space.basis:
@@ -194,7 +194,8 @@ def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
 
 
 class SpaceOperators:
-    """Per-space cache of constructed Hecke matrices.
+    """Per-space cache of constructed Hecke matrices: T and T1 built by
+    hecke_matrix, S1 and S2 by s_operator, each once per space.
 
     Construction is pure; each cache entry is published with a single dict
     assignment, so concurrent readers never observe a half-built table.
@@ -207,7 +208,10 @@ class SpaceOperators:
     def matrix(self, op: HeckeOp) -> HeckeMatrix:
         hit = self._cache.get(op)
         if hit is None:
-            hit = hecke_matrix(self.space, op)
+            if op.kind in ("S1", "S2"):
+                hit = s_operator(self, op.p, op.kind)
+            else:
+                hit = hecke_matrix(self.space, op)
             self._cache[op] = hit
         return hit
 
@@ -457,81 +461,112 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
 def s_constant(space: EisSpace, q: int) -> CycNum:
     """c(q) = q^2 / ((q-1)(chi_{N/q}(q) q^k - 1)); needs trivial chi_q."""
     k = space.weight
-    chi_rest = space.char.eval_over(
-        (r for r in prime_factors(space.level) if r != q), q
-    )
+    chi_rest = _chi_over(space, space.level // q, q)
     return as_cyc(Fraction(q * q, q - 1)) / (chi_rest * q**k - 1)
 
 
 def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
-    """The Hecke-algebra elements S1(q), S2(q) as exact matrices.
+    """The Hecke-algebra elements S1(q), S2(q) as exact sparse tables.
 
     S1 moves the corner prime q into rank 1 and needs chi_q = 1; S2 moves it
     into rank 2 and needs chi_q^2 = 1 (with a separate form when chi_q is
-    quadratic).
+    quadratic).  Row i combines rows i of the cached T(q), T1(q^2) and the
+    identity, entry by entry with the operations of the dense expression.
     """
     space = ops.space
     if space.level % q != 0:
         raise ValueError(f"{q} does not divide the level {space.level}")
     local = space.char.local(q)
     k = space.weight
-    T = ops.matrix(HeckeOp("T", q)).mat
-    T1 = ops.matrix(HeckeOp("T1", q)).mat
-    ident = CycMatrix.identity(space.dimension)
     if which == "S1":
         if not local.is_trivial:
             raise ValueError(f"S1({q}) requires trivial chi_{q}")
         c = s_constant(space, q)
-        mat = (
-            T1 - T * Fraction(q + 1, q) - ident * Fraction(q * q - 1, q)
-        ) * c
+        a, b = as_cyc(Fraction(q + 1, q)), as_cyc(Fraction(q * q - 1, q))
+
+        def entry(t, t1, e):  # (T1 - T a - I b) c
+            return ((t1 - t * a) - e * b) * c
     elif which == "S2":
         if local.is_trivial:
             c = s_constant(space, q)
-            chi_rest = space.char.eval_over(
-                (r for r in prime_factors(space.level) if r != q), q
-            )
-            mat = (
-                T * (chi_rest * q ** (k - 1) + 1)
-                - T1
-                - ident * ((chi_rest * q ** (k - 2) - 1) * q)
-            ) * c
+            chi_rest = _chi_over(space, space.level // q, q)
+            a = chi_rest * q ** (k - 1) + 1
+            b = (chi_rest * q ** (k - 2) - 1) * q
+
+            def entry(t, t1, e):  # (T a - T1 - I b) c
+                return ((t * a - t1) - e * b) * c
         elif local.is_real:
-            eps = legendre_epsilon(q)
-            mat = (T - ident) * Fraction(eps * q * q, q - 1)
+            f = as_cyc(Fraction(legendre_epsilon(q) * q * q, q - 1))
+
+            def entry(t, t1, e):  # (T - I) f
+                return (t - e) * f
         else:
             raise ValueError(f"S2({q}) requires chi_{q}^2 = 1")
     else:
         raise ValueError(f"unknown relation operator {which!r}; want S1 or S2")
-    op = HeckeOp("T", q)  # carrier only; the word label lives in the caller
-    hm = HeckeMatrix(space, op, tuple(
-        tuple((j, a) for j, a in enumerate(row) if not a.is_zero())
-        for row in mat.data
-    ))
-    hm.mat = mat  # the dense product is already known
-    return hm
+    T = ops.matrix(HeckeOp("T", q)).rows
+    T1 = ops.matrix(HeckeOp("T1", q)).rows
+    rows = []
+    for i in range(space.dimension):
+        t, t1 = dict(T[i]), dict(T1[i])
+        row = []
+        for j in sorted(t.keys() | t1.keys() | {i}):
+            val = entry(t.get(j, _ZERO), t1.get(j, _ZERO),
+                        _ONE if j == i else _ZERO)
+            if not val.is_zero():
+                row.append((j, val))
+        rows.append(tuple(row))
+    return HeckeMatrix(space, HeckeOp(which, q), tuple(rows))
+
+
+def apply_word(ops: SpaceOperators, word, v: dict[int, CycNum]) -> dict[int, CycNum]:
+    """The row vector v.M1.M2... for a word of HeckeOps, keyed by basis
+    index (an absent index stands for 0).  Each product sums in ascending
+    index order, as the dense product does, so every entry serializes the
+    same way."""
+    for op in word:
+        v = ops.matrix(op).vec_mat(dict(sorted(v.items())))
+    return v
+
+
+def word_matrix(ops: SpaceOperators, word) -> CycMatrix:
+    """The dense product of a word of HeckeOps, one unit-vector row at a
+    time."""
+    n = ops.space.dimension
+    rows = []
+    for i in range(n):
+        v = apply_word(ops, word, {i: _ONE})
+        rows.append([v.get(j, _ZERO) for j in range(n)])
+    return CycMatrix(rows)
+
+
+def _s_word_ops(space: EisSpace, n1: int, n2: int) -> list[HeckeOp]:
+    """The word S1(n1)S2(n2), primes ascending, S1 factors first;
+    s_operator checks the character at each prime."""
+    if gcd(n1, n2) != 1 or space.level % (n1 * n2) != 0:
+        raise ValueError("need coprime n1*n2 dividing the level")
+    return ([HeckeOp("S1", q) for q in prime_factors(n1)]
+            + [HeckeOp("S2", q) for q in prime_factors(n2)])
 
 
 def s_word(ops: SpaceOperators, n1: int, n2: int) -> CycMatrix:
-    """Product S1(n1)S2(n2), primes ascending, S1 factors first.
+    """Dense product S1(n1)S2(n2), primes ascending, S1 factors first.
 
     The factors commute, so the order is a determinism convention only.
     Requires chi trivial on n1, chi^2 trivial on n2, and n1*n2 | N coprime.
     """
-    space = ops.space
-    from math import gcd
+    return word_matrix(ops, _s_word_ops(ops.space, n1, n2))
 
-    if gcd(n1, n2) != 1 or space.level % (n1 * n2) != 0:
-        raise ValueError("need coprime n1*n2 dividing the level")
-    for q in prime_factors(n1):
-        if not space.char.local(q).is_trivial:
-            raise ValueError(f"S1 word needs trivial chi at {q}")
-    for q in prime_factors(n2):
-        if not space.char.local(q).is_real:
-            raise ValueError(f"S2 word needs chi_q^2 = 1 at {q}")
-    mat = CycMatrix.identity(space.dimension)
-    for q in prime_factors(n1):
-        mat = mat @ s_operator(ops, q, "S1").mat
-    for q in prime_factors(n2):
-        mat = mat @ s_operator(ops, q, "S2").mat
-    return mat
+
+def relation_defects(ops: SpaceOperators) -> list[int]:
+    """For each basis partition rho, in basis order, the number of entries
+    where e_corner.S1(N1)S2(N2) differs from e_rho (0 when the relation
+    holds); the corner is (N,1,1)."""
+    space = ops.space
+    corner = space.index_of(Partition(space.level, 1, 1))
+    out = []
+    for i, rho in enumerate(space.basis):
+        v = apply_word(ops, _s_word_ops(space, rho.n1, rho.n2), {corner: _ONE})
+        out.append(sum(1 for j in v.keys() | {i}
+                       if not (v.get(j, _ZERO) == (1 if j == i else 0))))
+    return out

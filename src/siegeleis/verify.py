@@ -26,7 +26,7 @@ from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
 from .hecke import HeckeOp, SpaceOperators, eigen_vector, eigenbasis, \
-    eigenvalue_closed_form, s_word
+    eigenvalue_closed_form, relation_defects
 from .lattices import GL2, GramForm, isotropic_lines, reduce_form, \
     sublattices, transform
 from .linalg import intersect_spans
@@ -269,12 +269,10 @@ def _check_triangularity(config, rng, spaces):
         ops = _sweep_ops(space, config)
         bad = 0
         for hm in ops.stored().values():
-            for i, ri in enumerate(space.basis):
+            for ri, row in zip(space.basis, hm.rows):
                 rv_i = ri.rank_vector()
-                for j, rj in enumerate(space.basis):
-                    if hm.mat[i, j].is_zero():
-                        continue
-                    rv_j = rj.rank_vector()
+                for j, _ in row:
+                    rv_j = space.basis[j].rank_vector()
                     if any(rv_j[q] < rv_i[q] for q in rv_i):
                         bad += 1
         out.append(CheckRecord(
@@ -313,9 +311,8 @@ def _check_closed_forms(config, rng, spaces):
         bad = 0
         matched = 0
         for e in system.entries:
-            i = space.index_of(e.partition)
             for op in ops.level_ops():
-                mval = ops.matrix(op).mat[i, i]
+                mval = e.eigenvalues[op]
                 cval = eigenvalue_closed_form(space, e.partition, op)
                 exempt = op.kind == "T1" and e.partition.rank_of(op.p) == 1
                 if exempt:
@@ -357,16 +354,7 @@ def _check_relation_words(config, rng):
             continue
         for k in [k for k in config["k_set"] if k % 2 == 0]:
             space = enumerate_partitions(N, None, k)
-            ops = SpaceOperators(space)
-            corner = space.index_of(Partition(N, 1, 1))
-            bad = 0
-            for rho in space.basis:
-                word = s_word(ops, rho.n1, rho.n2)
-                row = word.data[corner]
-                for j, v in enumerate(row):
-                    want = 1 if j == space.index_of(rho) else 0
-                    if not (v == want):
-                        bad += 1
+            bad = sum(relation_defects(SpaceOperators(space)))
             out.append(CheckRecord(
                 "hecke-relation-words",
                 {"level": N, "weight": k, "char": "1"},

@@ -21,7 +21,7 @@ def run(capsys, *argv):
 
 def test_parse_op_word():
     assert parse_op_word("T:2;T1:3") == [HeckeOp("T", 2), HeckeOp("T1", 3)]
-    assert parse_op_word("S1:2;S2:3") == [("S1", 2), ("S2", 3)]
+    assert parse_op_word("S1:2;S2:3") == [HeckeOp("S1", 2), HeckeOp("S2", 3)]
     assert parse_op_word("U:2,1") == [UOperator(2, 1)]
     with pytest.raises(ValueError):
         parse_op_word("X:2")
@@ -44,6 +44,23 @@ def test_bad_prime_list_exit_code(capsys):
                          "--primes", "x")
     assert code == 1 and out == ""
     assert err == "error: bad prime list 'x'\n"
+
+
+@pytest.mark.parametrize("spec", ["3:x", "3:1:2"])
+def test_bad_character_component_exit_code(capsys, spec):
+    code, out, err = run(capsys, "basis", "--level", "3", "--weight", "5",
+                         "--char", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: bad character component '{spec}'; want q:j\n"
+
+
+@pytest.mark.parametrize("flag,name", [("--k-set", "weight list"),
+                                       ("--char-orders", "character order list")])
+@pytest.mark.parametrize("text", ["4,x", "4,", ""])
+def test_bad_verify_list_exit_code(capsys, flag, name, text):
+    code, out, err = run(capsys, "verify", flag, text)
+    assert code == 1 and out == ""
+    assert err == f"error: bad {name} {text!r}\n"
 
 
 def test_conductor_over_the_cap_exit_code(capsys):

@@ -4,7 +4,9 @@ keep the sha256 digests recorded before the one-helper-per-job refactor
 dimension 81 it runs the sparse verifier over four level primes; the level-55
 eigen and level-10 hecke digests before CycNum moved to integer numerators:
 they print values at conductors 5 and 4, where the others print only
-rationals).
+rationals; the level-70 and level-210 hecke words and the level-210
+relations before S1/S2 became cached sparse tables applied to row vectors:
+the level-70 word prints entries at conductor 12).
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -24,6 +26,7 @@ PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
                / "e8_weight4_level1.coeffs")
 
 EIGEN_30_PRIMES_7 = ("eigen", "--level", "30", "--weight", "4", "--primes", "7")
+RELATIONS_210 = ("relations", "--level", "210", "--weight", "4")
 
 GOLDEN = [
     (("basis", "--level", "30", "--weight", "4"),
@@ -50,8 +53,15 @@ GOLDEN = [
     (("hecke", "--level", "10", "--weight", "5", "--char", "5:1",
       "--op", "T:2;T1:5;S2:2;T:3"),
      "8d482f96cd9aa66c4cae7e2b02c2a217e97e4488a5dabcfb527cc0283ca70768"),
+    (("hecke", "--level", "70", "--weight", "5", "--char", "5:1,7:2",
+      "--op", "S1:2;T:3;S2:2"),
+     "47774f21320d095edf9b9632f8ea3b8de7a3a6512c6a92fa2cee016ba36dd0e0"),
+    (("hecke", "--level", "210", "--weight", "4", "--op", "T:2;S1:3;S2:5"),
+     "85ae3aee8e6ed0569afea0dd17c09ee68be57308cc9e74b3e5efa25dea0473cf"),
     (("relations", "--level", "30", "--weight", "4"),
      "854f8d584076800e83d528f449ef0fd6776d617dda134547667a36efbabdc014"),
+    (RELATIONS_210,
+     "cb949c95a6865b98fcc76af3a4a3add4dd65548d6d9a44dcb509e57a82512d64"),
     (("fourier", "--provider", PROVIDER, "--level", "2"),
      "22dc2d83c0157c0851aaca1f231d78deef188fe7452a8f936a845b77e03233b3"),
     (("fourier", "--provider", PROVIDER, "--level", "2", "--calibrate"),
@@ -92,3 +102,18 @@ def test_eigen_builds_one_eigenbasis(capsys, monkeypatch):
     digest = stdout_digest(capsys, EIGEN_30_PRIMES_7)
     assert calls == [30]
     assert digest == dict(GOLDEN)[EIGEN_30_PRIMES_7]
+
+
+def test_relations_build_each_s_table_once(capsys, monkeypatch):
+    calls = []
+    real = hecke.s_operator
+
+    def counted(ops, q, which):
+        calls.append((q, which))
+        return real(ops, q, which)
+
+    monkeypatch.setattr(hecke, "s_operator", counted)
+    digest = stdout_digest(capsys, RELATIONS_210)
+    # 4 primes x {S1, S2}, each built once for the 81 relation words
+    assert sorted(calls) == [(q, w) for q in (2, 3, 5, 7) for w in ("S1", "S2")]
+    assert digest == dict(GOLDEN)[RELATIONS_210]

@@ -6,11 +6,12 @@ from itertools import combinations
 import pytest
 
 import siegeleis.hecke as hecke
-from siegeleis.characters import DirichletCharacter
+from siegeleis.characters import DirichletCharacter, legendre_epsilon
 from siegeleis.cyclotomic import CycNum, as_cyc
-from siegeleis.eisspace import EisVector, Partition, enumerate_partitions
+from siegeleis.eisspace import (EisVector, Partition, enumerate_partitions,
+                                 prime_factors)
 from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators,
-                             compare_eigenvalues, eigen_vector, eigenbasis,
+                             apply_word, compare_eigenvalues, eigen_vector, eigenbasis,
                              eigenvalue_closed_form, hecke_matrix, s_constant,
                              s_operator, s_word)
 from siegeleis.linalg import CycMatrix
@@ -270,12 +271,75 @@ def test_sparse_rows_match_dense_view(level, spec):
             assert all(image.get(j, CycNum.zero()) == want[j] for j in range(n))
 
 
+def _dense_s(ops, q, which):
+    """S1(q), S2(q) as dense matrix expressions in T(q), T1(q^2) and I."""
+    space, k = ops.space, ops.space.weight
+    T = ops.matrix(HeckeOp("T", q)).mat
+    T1 = ops.matrix(HeckeOp("T1", q)).mat
+    ident = CycMatrix.identity(space.dimension)
+    chi_rest = space.char.eval_over(
+        [r for r in prime_factors(space.level) if r != q], q)
+    if which == "S1":
+        return (T1 - T * Fraction(q + 1, q)
+                - ident * Fraction(q * q - 1, q)) * s_constant(space, q)
+    if space.char.local(q).is_trivial:
+        return (T * (chi_rest * q ** (k - 1) + 1) - T1
+                - ident * ((chi_rest * q ** (k - 2) - 1) * q)) * s_constant(space, q)
+    return (T - ident) * Fraction(legendre_epsilon(q) * q * q, q - 1)
+
+
+# (level, character, weight, the S operators the character allows)
+S_SPACES = [
+    (6, "1", 4, [(2, "S1"), (2, "S2"), (3, "S1"), (3, "S2")]),
+    (3, "3:1", 5, [(3, "S2")]),  # quadratic chi_3: the (T - I) branch
+    (70, "5:1,7:2", 5, [(2, "S1"), (2, "S2")]),
+]
+
+
 def test_s_operator_rows_match_its_dense_product():
-    ops = SpaceOperators(enumerate_partitions(6, None, 4))
-    for q in (2, 3):
-        for which in ("S1", "S2"):
+    for level, spec, k, wanted in S_SPACES:
+        space = enumerate_partitions(
+            level, DirichletCharacter.parse(level, spec), k)
+        ops = SpaceOperators(space)
+        n = space.dimension
+        for q, which in wanted:
             hm = s_operator(ops, q, which)
-            assert HeckeMatrix(hm.space, hm.op, hm.rows).mat == hm.mat
+            assert hm.op == HeckeOp(which, q)
+            assert all(len(row) <= 3 for row in hm.rows)
+            dense = _dense_s(ops, q, which)
+            for i in range(n):
+                for j in range(n):
+                    # equal values, and equal serialized forms
+                    assert hm.mat[i, j] == dense[i, j], (level, q, which, i, j)
+                    assert hm.mat[i, j].to_json() == dense[i, j].to_json()
+
+
+def test_s_operators_are_cached_hecke_ops():
+    ops = SpaceOperators(enumerate_partitions(6, None, 4))
+    assert s_operator(ops, 2, "S1").to_json()["op"] == "S1:2"
+    s2 = HeckeOp("S2", 3)
+    assert (str(s2), s2.spec_string()) == ("S2(3)", "S2:3")
+    assert ops.matrix(s2) is ops.matrix(s2)
+    assert ops.matrix(s2).rows == s_operator(ops, 3, "S2").rows
+    with pytest.raises(ValueError, match="relation operator"):
+        hecke_matrix(ops.space, s2)
+
+
+def test_apply_word_sums_in_ascending_index_order():
+    # x - x collapses to the rational 0 before i is added, so the ascending
+    # sum stores i at conductor 4; summed in the order given it stays at 12
+    x, i = CycNum.root_of_unity(12), CycNum.root_of_unity(4)
+    op = HeckeOp("T", 2)
+    hm = HeckeMatrix(N2K4, op, (((0, x),), ((0, -x),), ((0, i),)))
+
+    class Ops:
+        def matrix(self, o):
+            return hm
+
+    one = CycNum.one()
+    image = apply_word(Ops(), [op], {2: one, 1: one, 0: one})
+    assert image[0] == i and image[0].to_json() == i.to_json()
+    assert (i - x + x).to_json() != i.to_json()
 
 
 # -- the sparse verifier proves every coordinate -------------------------------
