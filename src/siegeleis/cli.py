@@ -4,8 +4,8 @@ Subcommands: basis, hecke, eigen, relations, fourier, verify.  Operator
 specs use the grammar T:p, T1:p, S1:q, S2:q, U:Q,P and compose into words
 with ';'.  Output is JSON (eigenvalue tables may also be CSV); identical
 inputs produce byte-identical output.  Usage errors exit 2, domain errors
-exit 1.  The environment variable SIEGELEIS_CONDUCTOR_CAP overrides the
-cyclotomic conductor cap.
+exit 1, internal errors (a failed internal check) exit 3.  The environment
+variable SIEGELEIS_CONDUCTOR_CAP overrides the cyclotomic conductor cap.
 """
 
 from __future__ import annotations
@@ -305,6 +305,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RuntimeError, AssertionError, ZeroDivisionError, KeyError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

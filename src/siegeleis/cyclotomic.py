@@ -70,6 +70,11 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def primes_up_to(n: int) -> list[int]:
+    """Primes p <= n, ascending."""
+    return [p for p in range(2, n + 1) if factorize(p) == {p: 1}]
+
+
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():

@@ -585,10 +585,7 @@ def calibrate_normalization(provider: CoefficientProvider, N: int, k: int,
                 eigenvalue_closed_form(space, rho, hop) for rho, _ in labeled
             ]
             hm = ops.matrix(hop)
-            diag = [
-                hm.mat[space.index_of(rho), space.index_of(rho)]
-                for rho, _ in labeled
-            ]
+            diag = [hm.diagonal(space.index_of(rho)) for rho, _ in labeled]
             distinct_vals: list[CycNum] = []
             for m in measured:
                 if all(not (m == seen) for seen in distinct_vals):

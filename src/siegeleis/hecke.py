@@ -71,6 +71,10 @@ class HeckeMatrix:
             dense.append(out)
         return CycMatrix(dense)
 
+    def diagonal(self, i: int) -> CycNum:
+        """The entry (i, i), read off the sparse row without the dense view."""
+        return next((a for j, a in self.rows[i] if j == i), _ZERO)
+
     def vec_mat(self, v: dict[int, CycNum]) -> dict[int, CycNum]:
         """The row vector v.M, with v and the image keyed by basis index;
         an absent index stands for 0."""
@@ -360,7 +364,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
         i = space.index_of(rho)
         eigs: dict[HeckeOp, CycNum] = {}
         for op, hm in stored.items():
-            lam = next((a for j, a in hm.rows[i] if j == i), _ZERO)
+            lam = hm.diagonal(i)
             image = hm.vec_mat(v)
             for j in image.keys() | v.keys():
                 if not (image.get(j, _ZERO) == lam * v.get(j, _ZERO)):

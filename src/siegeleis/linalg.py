@@ -518,26 +518,3 @@ class EigenDecomposition:
     def eigenvalues(self) -> list[CycNum]:
         return [lam for lam, _ in self.pairs]
 
-
-def intersect_spans(basis_a: list[list[CycNum]], basis_b: list[list[CycNum]]):
-    """Exact basis of span(basis_a) intersect span(basis_b)."""
-    if not basis_a or not basis_b:
-        return []
-    n = len(basis_a[0])
-    stacked = CycMatrix(
-        [
-            [basis_a[i][j] if i < len(basis_a) else -basis_b[i - len(basis_a)][j]
-             for i in range(len(basis_a) + len(basis_b))]
-            for j in range(n)
-        ]
-    )
-    out = []
-    for combo in stacked.kernel():
-        v = [_ZERO] * n
-        for i, c in enumerate(combo[: len(basis_a)]):
-            if not c.is_zero():
-                for j, x in enumerate(basis_a[i]):
-                    v[j] = v[j] + c * x
-        if not vec_is_zero(v):
-            out.append(v)
-    return out

@@ -21,15 +21,15 @@ from fractions import Fraction
 from functools import partial
 
 from .characters import enumerate_characters
-from .cyclotomic import CycNum, as_cyc, is_squarefree
+from .cyclotomic import CycNum, as_cyc, is_squarefree, primes_up_to
 from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
-from .hecke import HeckeOp, SpaceOperators, eigen_vector, eigenbasis, \
+from .hecke import HeckeOp, SpaceOperators, eigenbasis, \
     eigenvalue_closed_form, relation_defects
 from .lattices import GL2, GramForm, isotropic_lines, reduce_form, \
     sublattices, transform
-from .linalg import intersect_spans
+from .linalg import CycMatrix, _Span
 
 PASS = "pass"
 FAIL = "fail"
@@ -114,12 +114,6 @@ def subgroup_count_oracle(q: int) -> int:
                 pts = frozenset((0, t) for t in range(q))
             kernels.add(pts)
     return len(kernels)
-
-
-def _primes_up_to(n: int) -> list[int]:
-    from .characters import is_prime
-
-    return [p for p in range(2, n + 1) if is_prime(p)]
 
 
 def spaces_in_scope(config) -> list[EisSpace]:
@@ -237,7 +231,7 @@ def _check_eisspace(config, rng, spaces):
 
 def _sweep_ops(space, config) -> SpaceOperators:
     ops = SpaceOperators(space)
-    for p in _primes_up_to(config["prime_max"]):
+    for p in primes_up_to(config["prime_max"]):
         ops.matrix(HeckeOp("T", p))
         ops.matrix(HeckeOp("T1", p))
     return ops
@@ -297,7 +291,7 @@ def _check_eigen_exactness(config, rng, spaces):
         out.append(CheckRecord(
             "hecke-eigen-exactness",
             {"level": space.level, "char": space.char.spec_string(),
-             "weight": space.weight, "operators": 2 * len(_primes_up_to(config["prime_max"]))},
+             "weight": space.weight, "operators": 2 * len(primes_up_to(config["prime_max"]))},
             status, detail,
         ))
     return out
@@ -384,7 +378,7 @@ def _check_level_one_specialization(config, rng):
             if not (lhs == rhs):
                 bad += 1
         # and the closed form agrees with the table at genuine primes
-        for p in _primes_up_to(config["prime_max"]):
+        for p in primes_up_to(config["prime_max"]):
             tv = eigenvalue_closed_form(space, rho, HeckeOp("T", p))
             if not (tv == (p ** (k - 1) + 1) * (p ** (k - 2) + 1)):
                 bad += 1
@@ -397,19 +391,38 @@ def _check_level_one_specialization(config, rng):
 
 
 def _oracle_joint_eigenspaces(mats):
-    """Joint row-eigenspace refinement using only the eigen decomposition
-    machinery (independent of the closed-form eigenvector construction)."""
-    pieces = [((), None)]  # (eigenvalue tags, row-space basis or None=all)
+    """Joint row eigenspaces of ``mats`` by dense refinement, independent of
+    the closed-form eigenvector construction.
+
+    Starting from the whole space, every piece is split inside itself by
+    each matrix M in turn.  The piece's basis B is brought to reduced row
+    echelon form with pivot columns P, W = B.M, and the restricted matrix R
+    is read off as R[i][j] = W[i][P[j]].  W == R.B is checked on every
+    entry, which proves the piece invariant under M instead of assuming it
+    from commutativity.  Each left eigenvector x of R (a 1-dimensional
+    piece takes lambda = R[0][0]) gives the piece x.B tagged with lambda.
+    A non-invariant piece is dropped, and an unsplit factor or a missing
+    eigenvector leaves rows uncovered, so any failure leaves fewer pieces
+    than the dimension.  Returns (eigenvalue tags, row basis) pairs.
+    """
+    pieces = [((), CycMatrix.identity(mats[0].rows).data)]
     for m in mats:
-        ed = m.transpose().eigen()
         nxt = []
         for tags, basis in pieces:
-            for lam, eigbasis in ed.pairs:
-                inter = eigbasis if basis is None else intersect_spans(
-                    basis, eigbasis
-                )
-                if inter:
-                    nxt.append((tags + (lam,), inter))
+            span = _Span()
+            for v in basis:
+                span.insert(v)
+            b = CycMatrix([u for _, u, _ in span.rows])
+            w = b @ m
+            r = CycMatrix([[row[p] for p, _, _ in span.rows] for row in w.data])
+            if not w == r @ b:
+                continue
+            if r.rows == 1:
+                split = [(r[0, 0], [[CycNum.one()]])]
+            else:
+                split = r.transpose().eigen().pairs
+            for lam, xs in split:
+                nxt.append((tags + (lam,), (CycMatrix(xs) @ b).data))
         pieces = nxt
     return pieces
 
@@ -419,7 +432,7 @@ def _check_eigen_oracle(config, rng, spaces):
     for space in spaces:
         ops = SpaceOperators(space)
         level_ops = ops.level_ops()
-        extra = [HeckeOp("T", p) for p in _primes_up_to(config["prime_max"])
+        extra = [HeckeOp("T", p) for p in primes_up_to(config["prime_max"])
                  if space.level % p != 0][:1]
         op_list = level_ops + extra
         mats = [ops.matrix(op).mat for op in op_list]
@@ -471,7 +484,7 @@ def _check_eigen_oracle(config, rng, spaces):
 def _check_sublattice_counts(config, rng):
     out = []
     bad = []
-    for q in _primes_up_to(50):
+    for q in primes_up_to(50):
         n_list = len(sublattices(q))
         n_oracle = subgroup_count_oracle(q)
         if not (n_list == n_oracle == q + 1):
@@ -522,7 +535,7 @@ def _check_reduction_invariance(config, rng):
 def _check_isotropy(config, rng):
     bad = 0
     total = 0
-    for p in _primes_up_to(13):
+    for p in primes_up_to(13):
         for a in range(p):
             for b in range(p):
                 for c in range(p):

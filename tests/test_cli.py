@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from siegeleis import cli
 from siegeleis.cli import main, parse_op_word
 from siegeleis.cyclotomic import conductor_cap, set_conductor_cap
 from siegeleis.fourier import UOperator
@@ -103,6 +104,22 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["nonsense"])
+
+
+@pytest.mark.parametrize("exc", [
+    RuntimeError("eigenvector verification failed"),
+    AssertionError("chi(-1) must be +-1"),
+    ZeroDivisionError("inverse of zero"),
+    KeyError("(1,1,1)"),
+], ids=lambda e: type(e).__name__)
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_basis", broken)
+    code, out, err = run(capsys, "basis", "--level", "2", "--weight", "4")
+    assert code == 3 and out == ""
+    assert err == f"internal error: {exc}\n"
 
 
 def test_hecke_matrix_and_round_trip(capsys):

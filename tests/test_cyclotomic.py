@@ -9,7 +9,7 @@ import siegeleis.cyclotomic as cyclotomic
 from siegeleis.cyclotomic import (ConductorCapError, CycNum, as_cyc,
                                   conductor_cap, cyclotomic_polynomial,
                                   euler_phi, factorize, is_squarefree,
-                                  set_conductor_cap)
+                                  primes_up_to, set_conductor_cap)
 
 
 def root(m, e=1):
@@ -165,6 +165,7 @@ def test_small_helpers():
     assert factorize(60) == {2: 2, 3: 1, 5: 1}
     assert euler_phi(1) == 1 and euler_phi(12) == 4
     assert is_squarefree(30) and not is_squarefree(12)
+    assert primes_up_to(1) == [] and primes_up_to(13) == [2, 3, 5, 7, 11, 13]
     with pytest.raises(ValueError):
         factorize(0)
 

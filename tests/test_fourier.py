@@ -10,6 +10,7 @@ from siegeleis.fourier import (CoefficientProvider, CoverageError,
                                constant_expansion, expansion_from_function,
                                krylov_spectral, project_eisenstein,
                                provider_load, provider_parse)
+from siegeleis.hecke import HeckeMatrix
 from siegeleis.lattices import GL2, SL2, GramForm, ZERO_FORM, class_key
 
 PROVIDER_PATH = Path(__file__).resolve().parent.parent / "data" / "e8_weight4_level1.coeffs"
@@ -202,6 +203,16 @@ def test_calibration_report_on_shipped_data():
     assert entry["T"]["relation_to_matrix"]["type"] == "scalar"
     assert entry["T1"]["relation_to_matrix"]["type"] == "scalar"
     assert entry["T1"]["relation_to_closed_form"]["type"] == "none"
+
+
+@needs_provider
+def test_calibration_builds_no_dense_view(monkeypatch):
+    def dense_view(hm):
+        raise AssertionError(f"dense view of {hm.op} built")
+
+    monkeypatch.setattr(HeckeMatrix, "mat", property(dense_view))
+    rep = calibrate_normalization(provider_load(PROVIDER_PATH), 2, 4)
+    assert rep["primes"]["2"]["T"]["relation_to_matrix"]["type"] == "scalar"
 
 
 def rank1_valuation_sequence(seq, bound=400):

@@ -5,8 +5,7 @@ import pytest
 
 from siegeleis import linalg
 from siegeleis.cyclotomic import CycNum
-from siegeleis.linalg import (CycMatrix, Poly, intersect_spans, poly_gcd,
-                              poly_lcm, split_roots)
+from siegeleis.linalg import CycMatrix, Poly, poly_gcd, poly_lcm, split_roots
 
 
 def test_kernel_example():
@@ -103,21 +102,6 @@ def test_vec_mat_row_action():
     M = CycMatrix([[1, 2], [0, 3]])
     assert [x.as_fraction() for x in M.vec_mat([1, 1])] == [1, 5]
     assert [x.as_fraction() for x in M.mat_vec([1, 1])] == [3, 3]
-
-
-def test_intersect_spans():
-    one = CycNum.one()
-    zero = CycNum.zero()
-    e1 = [one, zero, zero]
-    e2 = [zero, one, zero]
-    e3 = [zero, zero, one]
-    plane_a = [e1, e2]
-    plane_b = [e2, e3]
-    inter = intersect_spans(plane_a, plane_b)
-    assert len(inter) == 1
-    v = inter[0]
-    assert v[0].is_zero() and v[2].is_zero() and not v[1].is_zero()
-    assert intersect_spans([e1], [e3]) == []
 
 
 def test_matrix_json_round_trip():

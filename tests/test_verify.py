@@ -1,5 +1,9 @@
 import json
 
+from siegeleis import hecke, verify
+from siegeleis.eisspace import enumerate_partitions
+from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators
+from siegeleis.linalg import CycMatrix
 from siegeleis.verify import (DESK_CONFIG, PRESETS, QUICK_CONFIG,
                               run_suite, subgroup_count_oracle)
 
@@ -46,3 +50,52 @@ def test_presets():
     assert PRESETS["desk"] is DESK_CONFIG
     assert PRESETS["quick"] is QUICK_CONFIG
     assert DESK_CONFIG["N_max"] == 30 and DESK_CONFIG["seed"] == 7
+
+
+def test_eigen_oracle_fails_on_a_wrong_table(monkeypatch):
+    # Swap the two off-diagonal entries of row 0 of T1(2^2) at level 2.
+    # The table stays upper triangular with the same diagonal, so every
+    # eigenvalue tag and every piece vector stays as it was; only the
+    # invariance check W == R.B can see that the table is wrong.
+    space = enumerate_partitions(2, None, 4)
+    assert verify._check_eigen_oracle(QUICK_CONFIG, None, [space])[0].status \
+        == "pass"
+
+    dense_view = HeckeMatrix.mat.func
+
+    def wrong(hm):
+        dense = [list(row) for row in dense_view(hm).data]
+        if hm.op == HeckeOp("T1", 2):
+            dense[0][1], dense[0][2] = dense[0][2], dense[0][1]
+        return CycMatrix(dense)
+
+    monkeypatch.setattr(HeckeMatrix, "mat", property(wrong))
+    rec = verify._check_eigen_oracle(QUICK_CONFIG, None, [space])[0]
+    assert rec.status == "fail"
+    assert rec.details == "2 joint pieces for dim 3"
+
+
+def test_eigen_oracle_drops_a_non_invariant_piece():
+    # the eigenlines of diag(1, 2) are not invariant under the swap matrix
+    pieces = verify._oracle_joint_eigenspaces(
+        [CycMatrix([[1, 0], [0, 2]]), CycMatrix([[0, 1], [1, 0]])]
+    )
+    assert len(pieces) < 2
+
+
+def test_eigen_oracle_is_independent_of_the_fast_paths(monkeypatch):
+    space = enumerate_partitions(30, None, 4)
+    ops = SpaceOperators(space)
+    mats = [ops.matrix(op).mat for op in ops.level_ops() + [HeckeOp("T", 7)]]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a fast path")
+
+    monkeypatch.setattr(hecke, "eigen_vector", forbidden)
+    monkeypatch.setattr(hecke, "eigenvalue_closed_form", forbidden)
+    monkeypatch.setattr(verify, "eigenvalue_closed_form", forbidden)
+    monkeypatch.setattr(HeckeMatrix, "vec_mat", forbidden)
+    monkeypatch.setattr(HeckeMatrix, "diagonal", forbidden)
+    pieces = verify._oracle_joint_eigenspaces(mats)
+    assert len(pieces) == space.dimension == 27
+    assert all(len(basis) == 1 for _, basis in pieces)
