@@ -305,7 +305,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, AssertionError, ZeroDivisionError, KeyError) as exc:
+    except (RuntimeError, AssertionError, ZeroDivisionError, KeyError,
+            IndexError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

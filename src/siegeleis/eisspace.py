@@ -11,7 +11,7 @@ it exists so JSON output and test fixtures are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .characters import DirichletCharacter
 from .cyclotomic import CycNum, factorize, is_squarefree
@@ -91,6 +91,18 @@ class EisSpace:
 
     def index_of(self, p: Partition) -> int:
         return self._index[p]
+
+    @cached_property
+    def rank_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The ranks of each basis element at the primes of N, ascending,
+        by basis index."""
+        primes = prime_factors(self.level)
+        return tuple(tuple(p.rank_of(q) for q in primes) for p in self.basis)
+
+    @cached_property
+    def index_of_ranks(self) -> dict[tuple[int, ...], int]:
+        """The basis index of each rank tuple: the inverse of rank_tuples."""
+        return {r: i for i, r in enumerate(self.rank_tuples)}
 
     def __contains__(self, p: Partition) -> bool:
         return p in self._index

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd
 from operator import itemgetter
 
@@ -309,68 +310,164 @@ class EigenSystem:
 def eigen_vector(space: EisSpace, rho: Partition) -> EisVector:
     """The simultaneous eigenvector attached to rho: a double sum over
     coprime divisor moves out of N0 and N1 with coefficients a, b, c
-    extended multiplicatively."""
-    primes0 = prime_factors(rho.n0)
-    primes1 = prime_factors(rho.n1)
-    coeffs: dict[Partition, CycNum] = {}
+    extended multiplicatively.
 
-    def add_term(n0, n1, n2, coeff):
-        target = Partition(n0, n1, n2)
-        coeffs[target] = coeffs.get(target, _ZERO) + coeff
+    Each coefficient is computed once per prime.  A term's coefficient is
+    the product, from 1, of the coefficients of its moves: the N0 primes
+    ascending, then the N1 primes ascending.
+    """
+    ranks = space.rank_tuples[space.index_of(rho)]
+    primes = prime_factors(space.level)
+    moves = [(pos, ((1, _coeff_a(space, rho, q)), (2, _coeff_b(space, rho, q))))
+             for pos, q in enumerate(primes) if ranks[pos] == 0]
+    moves += [(pos, ((2, _coeff_c(space, rho, q)),))
+              for pos, q in enumerate(primes) if ranks[pos] == 1]
+    terms = [(ranks, _ONE)]
+    for pos, options in moves:
+        options = [(r, x) for r, x in options if not x.is_zero()]
+        grown = []
+        for s, coeff in terms:
+            grown.append((s, coeff))
+            grown.extend((s[:pos] + (r,) + s[pos + 1:], coeff * x)
+                         for r, x in options)
+        terms = grown
+    basis, index = space.basis, space.index_of_ranks
+    return EisVector(space, {basis[index[s]]: coeff for s, coeff in terms})
 
-    def rec1(idx, n0, n1, n2, coeff):
-        if coeff.is_zero():
-            return
-        if idx == len(primes1):
-            add_term(n0, n1, n2, coeff)
-            return
-        q = primes1[idx]
-        rec1(idx + 1, n0, n1, n2, coeff)
-        rec1(idx + 1, n0, n1 // q, n2 * q, coeff * _coeff_c(space, rho, q))
 
-    def rec0(idx, n0, n1, n2, coeff):
-        if coeff.is_zero():
-            return
-        if idx == len(primes0):
-            rec1(0, n0, n1, n2, coeff)
-            return
-        q = primes0[idx]
-        rec0(idx + 1, n0, n1, n2, coeff)
-        rec0(idx + 1, n0 // q, n1 * q, n2, coeff * _coeff_a(space, rho, q))
-        rec0(idx + 1, n0 // q, n1, n2 * q, coeff * _coeff_b(space, rho, q))
+def _verification_failed(rho: Partition, op: HeckeOp, why: str) -> RuntimeError:
+    return RuntimeError(
+        f"eigenvector verification failed for rho={rho}, op={op}: {why}"
+    )
 
-    rec0(0, rho.n0, rho.n1, rho.n2, _ONE)
-    return EisVector(space, coeffs)
+
+def _local_blocks(hm: HeckeMatrix):
+    """Check that the table at p is block-diagonal over the p-fibers and
+    that each block is a local block repeated over the other primes.
+
+    A p-fiber is the set of basis indices whose ranks agree off p.  Let A_p
+    be the positions of the primes q != p of N with chi_q(p) != 1.  For
+    p | N, every entry (i, j) may change only the rank at p, and row i must
+    have the same local row (its entries as (rank at p of j, value)) as
+    every other row with the same key (ranks at A_p, rank at p).  For p not
+    dividing N, every entry must be diagonal, and row i must have the same
+    diagonal value as every other row with the same key (ranks at A_p).
+    Returns (the position of p, or None for p not dividing N; A_p; the
+    local row or diagonal value of each key).
+    """
+    space = hm.space
+    primes = prime_factors(space.level)
+    p = hm.op.p
+    pos = primes.index(p) if p in primes else None
+    at = [x for x, q in enumerate(primes)
+          if q != p and not (space.char.eval_over((q,), p) == 1)]
+    ranks = space.rank_tuples
+    blocks: dict[tuple, tuple | CycNum] = {}
+    for i, row in enumerate(hm.rows):
+        r = ranks[i]
+        at_ranks = tuple(r[x] for x in at)
+        if pos is None:
+            in_fiber = all(j == i for j, _ in row)
+            key, local = at_ranks, hm.diagonal(i)
+        else:
+            rest = r[:pos] + r[pos + 1:]
+            in_fiber = all(ranks[j][:pos] + ranks[j][pos + 1:] == rest
+                           for j, _ in row)
+            key = (at_ranks, r[pos])
+            local = tuple((ranks[j][pos], a) for j, a in row)
+        if not in_fiber:
+            raise _verification_failed(space.basis[i], hm.op,
+                                       f"an entry leaves the {p}-fiber")
+        if not blocks.setdefault(key, local) == local:
+            raise _verification_failed(space.basis[i], hm.op,
+                                       "the table does not factor")
+    return pos, at, blocks
+
+
+def _local_vectors(space: EisSpace, i: int, v: dict[int, CycNum]):
+    """The local vectors u_q of v (keyed by rank, nonzero entries only),
+    read off at rho = basis[i] with only q moved; None unless v[rho] == 1
+    and v equals the tensor product of the u_q on every coordinate."""
+    r = space.rank_tuples[i]
+    index = space.index_of_ranks
+    if not v.get(i, _ZERO) == 1:
+        return None
+    local = []
+    for pos in range(len(r)):
+        u = {}
+        for t in range(3):
+            x = v.get(index.get(r[:pos] + (t,) + r[pos + 1:]), _ZERO)
+            if not x.is_zero():
+                u[t] = x
+        local.append(u)
+    terms = [((), _ONE)]
+    for u in local:
+        terms = [(s + (t,), c * x) for s, c in terms for t, x in u.items()]
+    if sum(1 for x in v.values() if not x.is_zero()) != len(terms):
+        return None
+    for s, c in terms:
+        if not v.get(index.get(s), _ZERO) == c:
+            return None
+    return local
 
 
 def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     """One verified eigenvector per basis partition.
 
     The level operators T(q), T1(q^2) for q | N are constructed if absent;
-    each eigenvector is then checked exactly against every stored matrix
-    (v.M = lambda.v with lambda the diagonal entry at rho).  The check runs
-    on the sparse rows over the union of the supports of v and v.M; every
-    other coordinate is 0 on both sides, so all coordinates are proved.  A
-    verification failure is an internal error, not a data condition.
+    each eigenvector v is then proved to satisfy v.M = lambda.v, with lambda
+    the diagonal entry at rho, against every stored table M at a prime p.
+    Basis elements are indexed by their rank tuples over the primes of N,
+    and the proof has three checks, each exact:
+
+    1. Once per table (_local_blocks): M is block-diagonal over the
+       p-fibers, and rows with the same key (ranks at A_p, rank at p) have
+       the same local row, so each block is a local block L_key.
+    2. Once per vector (_local_vectors): v[rho] == 1, and v is the tensor
+       product of its local vectors u_q on the product of their supports
+       and 0 on every other coordinate.
+    3. Per vector and table: for each key in the product of the local
+       supports at A_p, u_p.L_key == lambda.u_p on the union of the
+       supports for p | N, and the diagonal value of the key equals lambda
+       for p not dividing N.
+
+    Why this proves every coordinate: on a p-fiber s, v restricted to s is
+    prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
+    (v.M)[s] = lambda.v[s] on every fiber in the support of v; elsewhere
+    both sides are 0.  The proof reads only the emitted vector and the
+    sparse rows; a wrong A_p makes check 1 fail.  A verification failure
+    is an internal error, not a data condition.
     """
     space = ops.space
     for op in ops.level_ops():
         ops.matrix(op)
-    stored = ops.stored()
+    tables = [(op, hm, *_local_blocks(hm)) for op, hm in ops.stored().items()]
     entries = []
-    for rho in space.basis:
+    for i, rho in enumerate(space.basis):
         vec = eigen_vector(space, rho)
-        v = {space.index_of(p): c for p, c in vec.coeffs.items()}
-        i = space.index_of(rho)
         eigs: dict[HeckeOp, CycNum] = {}
-        for op, hm in stored.items():
+        if tables:
+            local = _local_vectors(
+                space, i, {space.index_of(p): c for p, c in vec.coeffs.items()})
+            if local is None:
+                raise _verification_failed(
+                    rho, tables[0][0],
+                    "not v[rho] = 1 times a product of local vectors")
+        for op, hm, pos, at, blocks in tables:
             lam = hm.diagonal(i)
-            image = hm.vec_mat(v)
-            for j in image.keys() | v.keys():
-                if not (image.get(j, _ZERO) == lam * v.get(j, _ZERO)):
-                    raise RuntimeError(
-                        f"eigenvector verification failed for rho={rho}, op={op}"
-                    )
+            for key in product(*(local[x] for x in at)):
+                if pos is None:
+                    ok = blocks[key] == lam
+                else:
+                    u, image = local[pos], {}
+                    for s, x in u.items():
+                        for t, a in blocks[key, s]:
+                            image[t] = image[t] + x * a if t in image else x * a
+                    ok = all(image.get(t, _ZERO) == lam * u.get(t, _ZERO)
+                             for t in image.keys() | u.keys())
+                if not ok:
+                    raise _verification_failed(
+                        rho, op, f"wrong local eigenvector at {op.p}")
             eigs[op] = lam
         entries.append(EigenVectorEntry(rho, vec, eigs))
     return EigenSystem(space, entries)

@@ -145,9 +145,22 @@ def _expected_mismatch_values(space, rho, q):
     return matrix_side, table_side
 
 
+def _check_config(config: dict) -> None:
+    """Refuse a scale at which some check would run on nothing."""
+    for name, low in (("N_max", 1), ("prime_max", 2), ("trials", 1)):
+        if config[name] < low:
+            raise ValueError(f"{name} must be at least {low}, got {config[name]}")
+    for name, low in (("k_set", 4), ("char_orders", 1)):
+        for x in config[name]:
+            if x < low:
+                raise ValueError(f"every {name} entry must be at least {low}, got {x}")
+
+
 def run_suite(config: dict) -> VerificationReport:
-    """Run every module invariant at the configured scale; see module doc."""
+    """Run every module invariant at the configured scale; see module doc.
+    A config below the smallest meaningful scale raises ValueError."""
     config = dict(config)
+    _check_config(config)
     report = VerificationReport(config=config)
     rng = random.Random(config["seed"])
     # every space sweep reads the same list, built once per run
@@ -261,13 +274,12 @@ def _check_triangularity(config, rng, spaces):
     out = []
     for space in spaces:
         ops = _sweep_ops(space, config)
+        ranks = space.rank_tuples
         bad = 0
         for hm in ops.stored().values():
-            for ri, row in zip(space.basis, hm.rows):
-                rv_i = ri.rank_vector()
+            for r_i, row in zip(ranks, hm.rows):
                 for j, _ in row:
-                    rv_j = space.basis[j].rank_vector()
-                    if any(rv_j[q] < rv_i[q] for q in rv_i):
+                    if any(b < a for a, b in zip(r_i, ranks[j])):
                         bad += 1
         out.append(CheckRecord(
             "hecke-triangularity",

@@ -10,6 +10,7 @@ from siegeleis.cyclotomic import conductor_cap, set_conductor_cap
 from siegeleis.fourier import UOperator
 from siegeleis.hecke import HeckeOp
 from siegeleis.linalg import CycMatrix
+from siegeleis.verify import PRESETS, run_suite
 
 PROVIDER = Path(__file__).resolve().parent.parent / "data" / "e8_weight4_level1.coeffs"
 
@@ -111,6 +112,7 @@ def test_usage_error_exit_code(capsys):
     AssertionError("chi(-1) must be +-1"),
     ZeroDivisionError("inverse of zero"),
     KeyError("(1,1,1)"),
+    IndexError("list index out of range"),
 ], ids=lambda e: type(e).__name__)
 def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def broken(args):
@@ -120,6 +122,33 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "basis", "--level", "2", "--weight", "4")
     assert code == 3 and out == ""
     assert err == f"internal error: {exc}\n"
+
+
+SMALL_SCALES = [
+    (("--prime-max", "1"), "prime_max must be at least 2, got 1"),
+    (("--trials", "-5"), "trials must be at least 1, got -5"),
+    (("--n-max", "0"), "N_max must be at least 1, got 0"),
+    (("--k-set", "4,3"), "every k_set entry must be at least 4, got 3"),
+    (("--char-orders", "1,0"), "every char_orders entry must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,field", SMALL_SCALES,
+                         ids=[argv[0] for argv, _ in SMALL_SCALES])
+def test_verify_scale_below_the_minimum_exit_code(capsys, argv, field):
+    # --prime-max 1 gave the level-1 oracle no operators (an IndexError
+    # traceback); --trials -5 and --n-max 0 reported ok without checking
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {field}\n"
+
+
+def test_run_suite_refuses_a_scale_below_the_minimum():
+    for name, value in (("N_max", 0), ("prime_max", 1), ("trials", 0),
+                        ("k_set", [3]), ("char_orders", [0])):
+        config = dict(PRESETS["quick"], **{name: value})
+        with pytest.raises(ValueError, match=f"{name} "):
+            run_suite(config)
 
 
 def test_hecke_matrix_and_round_trip(capsys):

@@ -6,7 +6,10 @@ eigen and level-10 hecke digests before CycNum moved to integer numerators:
 they print values at conductors 5 and 4, where the others print only
 rationals; the level-70 and level-210 hecke words and the level-210
 relations before S1/S2 became cached sparse tables applied to row vectors:
-the level-70 word prints entries at conductor 12).
+the level-70 word prints entries at conductor 12; the level-2310 eigen with
+a conductor-20 character and the level-70 eigen with extra primes before
+eigenvectors were verified one prime at a time: they verify against tables
+whose local blocks differ by character pattern).
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -50,6 +53,11 @@ GOLDEN = [
      "38e8f87388fe4b74c7b665f9671570e9b524acda6cdb2ce3a5275c54a485ad08"),
     (("eigen", "--level", "55", "--weight", "4", "--char", "5:1,11:1"),
      "7a81fc89669bd9a1cffb2ecc191555956cea0b2a0a5224e16643ea491f79c8a6"),
+    (("eigen", "--level", "2310", "--weight", "4", "--char", "5:1,11:1"),
+     "dc58e53b85bbb68f5d3a412c77fb8fe0b989908bfacb151c2ddaa08571d136cb"),
+    (("eigen", "--level", "70", "--weight", "5", "--char", "5:1,7:2",
+      "--primes", "3,11"),
+     "0568553e32059e25126095223ef76c866298c5e01b1b7363e4435778146ba1e4"),
     (("hecke", "--level", "10", "--weight", "5", "--char", "5:1",
       "--op", "T:2;T1:5;S2:2;T:3"),
      "8d482f96cd9aa66c4cae7e2b02c2a217e97e4488a5dabcfb527cc0283ca70768"),

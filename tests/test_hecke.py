@@ -345,13 +345,13 @@ def test_apply_word_sums_in_ascending_index_order():
 # -- the sparse verifier proves every coordinate -------------------------------
 
 
-def _tampered(change):
-    """eigen_vector with the corner vector of N2K4 altered by change()."""
+def _tampered(change, target=Partition(2, 1, 1)):
+    """eigen_vector with the vector of target altered by change()."""
     real = hecke.eigen_vector
 
     def fake(space, rho):
         vec = real(space, rho)
-        if rho == Partition(2, 1, 1):
+        if rho == target:
             coeffs = dict(vec.coeffs)
             change(coeffs)
             vec = EisVector(space, coeffs)
@@ -369,10 +369,153 @@ def _drop_coeff(coeffs):
     del coeffs[Partition(1, 1, 2)]
 
 
-@pytest.mark.parametrize("change", [_change_coeff, _drop_coeff],
-                         ids=["changed", "dropped"])
-def test_eigenbasis_rejects_a_wrong_vector(monkeypatch, change):
-    monkeypatch.setattr(hecke, "eigen_vector", _tampered(change))
+def _extra_coeff(coeffs):
+    # (2,1,3) has rank 0 at 2 and rank 2 at 3: it lies off the product of
+    # the local supports of the vector of (1,6,1), {1,2} x {1,2}
+    coeffs[Partition(2, 1, 3)] = CycNum.one()
+
+
+def _change_off_axis(coeffs):
+    # (1,2,3) moves both primes of the corner (6,1,1), so no local vector
+    # reads it: only the tensor-product check does
+    coeffs[Partition(1, 2, 3)] *= 2
+
+
+def _scale_vector(coeffs):
+    # still an eigenvector, but no longer normalized at rho
+    for p in coeffs:
+        coeffs[p] *= 2
+
+
+NOT_A_PRODUCT = r"op=T\(2\): not v\[rho\] = 1 times a product of local vectors"
+
+
+@pytest.mark.parametrize("change,level,rho,want", [
+    (_change_coeff, 2, Partition(2, 1, 1), r"verification failed for rho=\(2,1,1\)"),
+    (_drop_coeff, 2, Partition(2, 1, 1), r"verification failed for rho=\(2,1,1\)"),
+    (_extra_coeff, 6, Partition(1, 6, 1), r"rho=\(1,6,1\), " + NOT_A_PRODUCT),
+    (_change_off_axis, 6, Partition(6, 1, 1), r"rho=\(6,1,1\), " + NOT_A_PRODUCT),
+    (_scale_vector, 2, Partition(1, 2, 1), r"rho=\(1,2,1\), " + NOT_A_PRODUCT),
+], ids=["changed", "dropped", "extra", "changed-off-axis", "scaled"])
+def test_eigenbasis_rejects_a_wrong_vector(monkeypatch, change, level, rho, want):
+    monkeypatch.setattr(hecke, "eigen_vector", _tampered(change, rho))
+    with pytest.raises(RuntimeError, match=want):
+        eigenbasis(SpaceOperators(enumerate_partitions(level, None, 4)))
+
+
+def _space(level, spec, k=4):
+    return enumerate_partitions(level, DirichletCharacter.parse(level, spec), k)
+
+
+def _with_table(monkeypatch, op, tamper):
+    """hecke_matrix with the rows of op, as lists of [j, value], altered by
+    tamper(space, rows)."""
+    real = hecke.hecke_matrix
+
+    def fake(space, o):
+        hm = real(space, o)
+        if o == op:
+            rows = [[list(e) for e in row] for row in hm.rows]
+            tamper(space, rows)
+            hm = HeckeMatrix(space, o, tuple(
+                tuple(sorted((j, as_cyc(a)) for j, a in row)) for row in rows))
+        return hm
+    monkeypatch.setattr(hecke, "hecke_matrix", fake)
+
+
+def _leave_fiber(space, rows):
+    # (6,1,1) -> (2,3,1) moves 3, which T(2) must not do
+    rows[0].append([space.index_of(Partition(2, 3, 1)), CycNum.one()])
+
+
+def _break_one_row(space, rows):
+    # (2,3,1) has the key of the corner (rank 0 at 2), but not its row
+    rows[space.index_of(Partition(2, 3, 1))][0][1] += 1
+
+
+def _shift_off_diagonal(space, rows):
+    for i, row in enumerate(rows):
+        for entry in row:
+            if entry[0] != i:
+                entry[1] += 1
+
+
+def _wrong_diagonal(space, rows):
+    rows[5][0][1] += 1
+
+
+WRONG_TABLES = [
+    ("leave-fiber", 6, "1", 4, HeckeOp("T", 2), _leave_fiber,
+     r"rho=\(6,1,1\), op=T\(2\): an entry leaves the 2-fiber"),
+    ("one-row", 6, "1", 4, HeckeOp("T", 2), _break_one_row,
+     r"rho=\(2,3,1\), op=T\(2\): the table does not factor"),
+    # every rank-0 and rank-1 row at 3 shifts alike, so the table still
+    # factors and only the local eigenvector check sees the wrong block
+    ("local-block-trivial", 30, "1", 4, HeckeOp("T1", 3), _shift_off_diagonal,
+     r"rho=\(30,1,1\), op=T1\(3\^2\): wrong local eigenvector at 3"),
+    ("local-block-5:1", 30, "5:1", 5, HeckeOp("T1", 3), _shift_off_diagonal,
+     r"rho=\(30,1,1\), op=T1\(3\^2\): wrong local eigenvector at 3"),
+    ("diagonal-T13", 30, "1", 4, HeckeOp("T", 13), _wrong_diagonal,
+     r"rho=\(10,1,3\), op=T\(13\): the table does not factor"),
+]
+
+
+@pytest.mark.parametrize("level,spec,k,op,tamper,want",
+                         [w[1:] for w in WRONG_TABLES],
+                         ids=[w[0] for w in WRONG_TABLES])
+def test_eigenbasis_rejects_a_wrong_table(monkeypatch, level, spec, k, op,
+                                          tamper, want):
+    _with_table(monkeypatch, op, tamper)
+    ops = SpaceOperators(_space(level, spec, k))
+    ops.matrix(op)
     with pytest.raises(RuntimeError,
-                       match=r"verification failed for rho=\(2,1,1\)"):
-        eigenbasis(SpaceOperators(N2K4))
+                       match="eigenvector verification failed for " + want):
+        eigenbasis(ops)
+
+
+def test_eigenbasis_checks_each_character_pattern_off_the_level(monkeypatch):
+    # chi_5(3) = -1, so T(3) at level 10 has one diagonal value per rank at
+    # 5; a wrong value on all rank-2 rows still factors, and the corner
+    # vector, supported on ranks 0 and 2 at 5, must see it
+    def shift_rank_2(space, rows):
+        for i, row in enumerate(rows):
+            if space.rank_tuples[i][1] == 2:
+                row[0][1] += 1
+
+    _with_table(monkeypatch, HeckeOp("T", 3), shift_rank_2)
+    ops = SpaceOperators(_space(10, "5:2"))
+    ops.matrix(HeckeOp("T", 3))
+    with pytest.raises(RuntimeError, match=r"rho=\(10,1,1\), op=T\(3\): "
+                                           r"wrong local eigenvector at 3"):
+        eigenbasis(ops)
+
+
+# (level, character, weight, extra primes off the level)
+ORACLE_SPACES = [
+    (1, "1", 4, (2, 3, 5)),
+    (10, "5:2", 4, (3, 7)),
+    (30, "5:1", 5, (7, 11)),
+    (70, "5:1,7:2", 5, (3, 11)),
+]
+
+
+@pytest.mark.parametrize("level,spec,k,extra", ORACLE_SPACES,
+                         ids=[f"{n}-{s}-k{k}" for n, s, k, _ in ORACLE_SPACES])
+def test_verified_vectors_pass_the_dense_check(level, spec, k, extra):
+    # the per-coordinate check v.M == lambda.v on the dense view, which
+    # shares nothing with the factored proof
+    ops = SpaceOperators(_space(level, spec, k))
+    for p in extra:
+        ops.matrix(HeckeOp("T", p))
+        ops.matrix(HeckeOp("T1", p))
+    system = eigenbasis(ops)
+    stored = ops.stored()
+    assert len(stored) == 2 * (len(prime_factors(level)) + len(extra))
+    for e in system.entries:
+        dense = e.vector.dense()
+        assert e.eigenvalues.keys() == stored.keys()
+        for op, hm in stored.items():
+            lam = e.eigenvalues[op]
+            image = hm.mat.vec_mat(dense)
+            assert all(image[j] == lam * dense[j] for j in range(len(dense))), \
+                (level, e.partition, op)
