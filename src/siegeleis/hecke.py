@@ -120,6 +120,28 @@ def _row_prime_to_level(space: EisSpace, rho: Partition, op: HeckeOp) -> dict:
     return {rho: val}
 
 
+def _rows_prime_to_level(space: EisSpace, op: HeckeOp) -> tuple:
+    """The diagonal rows of T(p) or T1(p^2) for p not dividing the level.
+
+    A prime q of N with chi_q(p) = 1 contributes the factor 1 to every
+    character value in the entry, wherever rho puts q, so the entry is a
+    function of the ranks at the other primes of N: it is computed once
+    for each of their rank patterns and shared (_local_blocks checks that
+    the rows agree on this key).
+    """
+    moving = [x for x, q in enumerate(prime_factors(space.level))
+              if not space.char.local(q)(op.p).is_one()]
+    values: dict[tuple, CycNum] = {}
+    rows = []
+    for i, (rho, ranks) in enumerate(zip(space.basis, space.rank_tuples)):
+        key = tuple(ranks[x] for x in moving)
+        val = values.get(key)
+        if val is None:
+            val = values[key] = as_cyc(_row_prime_to_level(space, rho, op)[rho])
+        rows.append(((i, val),))
+    return tuple(rows)
+
+
 def _row_at_level_prime(space: EisSpace, rho: Partition, op: HeckeOp, q: int) -> dict:
     """Row of rho for T(q) or T1(q^2) with q dividing the level."""
     k = space.weight
@@ -184,13 +206,11 @@ def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     basis element."""
     if op.kind not in ("T", "T1"):
         raise ValueError(f"{op} is a relation operator; build it with s_operator")
-    at_level = space.level % op.p == 0
+    if space.level % op.p:
+        return HeckeMatrix(space, op, _rows_prime_to_level(space, op))
     rows = []
     for rho in space.basis:
-        if at_level:
-            entries = _row_at_level_prime(space, rho, op, op.p)
-        else:
-            entries = _row_prime_to_level(space, rho, op)
+        entries = _row_at_level_prime(space, rho, op, op.p)
         rows.append(tuple(sorted(
             ((space.index_of(target), as_cyc(val)) for target, val in entries.items()),
             key=itemgetter(0),

@@ -222,36 +222,38 @@ class _Span:
 
 
 class CycMatrix:
-    """Immutable dense matrix of CycNum entries, row-major."""
+    """Immutable dense matrix of CycNum entries, row-major.
 
-    __slots__ = ("rows", "cols", "data")
+    The nonzero pattern (per row, the (column, entry) pairs of the nonzero
+    entries) is computed on first use and kept; products walk it.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_nonzero")
 
     def __init__(self, rows_data):
         data = tuple(tuple(as_cyc(e) for e in row) for row in rows_data)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]) if data else 0)
-        object.__setattr__(self, "data", data)
+        _fill(self, data)
 
     def __setattr__(self, *a):
         raise AttributeError("CycMatrix is immutable")
 
     @staticmethod
     def identity(n: int) -> "CycMatrix":
-        return CycMatrix(
+        return _matrix(
             [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
         )
 
     @staticmethod
     def zeros(r: int, c: int) -> "CycMatrix":
-        return CycMatrix([[_ZERO] * c for _ in range(r)])
+        return _matrix([[_ZERO] * c for _ in range(r)])
 
     @staticmethod
     def diagonal(entries) -> "CycMatrix":
         es = [as_cyc(e) for e in entries]
         n = len(es)
-        return CycMatrix(
+        return _matrix(
             [[es[i] if i == j else _ZERO for j in range(n)] for i in range(n)]
         )
 
@@ -259,19 +261,22 @@ class CycMatrix:
         i, j = ij
         return self.data[i][j]
 
+    def _nonzeros(self) -> tuple[tuple[tuple[int, CycNum], ...], ...]:
+        nz = self._nonzero
+        if nz is None:
+            nz = tuple(tuple((j, a) for j, a in enumerate(row) if not a.is_zero())
+                       for row in self.data)
+            object.__setattr__(self, "_nonzero", nz)
+        return nz
+
     def __eq__(self, other):
-        return (
-            isinstance(other, CycMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)
-            )
-        )
+        # equal row tuples have equal shapes; zero cells are mostly the
+        # shared _ZERO, which the tuple comparison settles by identity
+        return isinstance(other, CycMatrix) and self.data == other.data
 
     def __add__(self, other):
         self._same_shape(other)
-        return CycMatrix(
+        return _matrix(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.data, other.data)
@@ -280,7 +285,7 @@ class CycMatrix:
 
     def __sub__(self, other):
         self._same_shape(other)
-        return CycMatrix(
+        return _matrix(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.data, other.data)
@@ -295,37 +300,39 @@ class CycMatrix:
         s = as_cyc(scalar)
         if s is NotImplemented:
             return NotImplemented
-        return CycMatrix([[a * s for a in row] for row in self.data])
+        return _matrix([[a * s for a in row] for row in self.data])
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
+        """The full dense product.  Each entry sums the nonzero terms in
+        ascending inner index, as the schoolbook loop does; the first term
+        is stored as is, which is the value _ZERO + term gives."""
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bdata = other.data
+        brows = other._nonzeros()
         out = []
-        for row in self.data:
+        for row in self._nonzeros():
             acc = [_ZERO] * other.cols
-            for j, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                for l, b in enumerate(bdata[j]):
-                    if not b.is_zero():
-                        acc[l] = acc[l] + a * b
+            for j, a in row:
+                for l, b in brows[j]:
+                    c = acc[l]
+                    acc[l] = a * b if c is _ZERO else c + a * b
             out.append(acc)
-        return CycMatrix(out)
+        return _matrix(out)
 
     def mat_vec(self, v) -> list[CycNum]:
         if self.cols != len(v):
             raise ValueError("dimension mismatch")
         v = [as_cyc(x) for x in v]
         out = []
-        for row in self.data:
+        for row in self._nonzeros():
             s = _ZERO
-            for a, x in zip(row, v):
-                if not a.is_zero() and not x.is_zero():
+            for j, a in row:
+                x = v[j]
+                if not x.is_zero():
                     s = s + a * x
             out.append(s)
         return out
@@ -344,7 +351,7 @@ class CycMatrix:
         return acc
 
     def transpose(self) -> "CycMatrix":
-        return CycMatrix(
+        return _matrix(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
@@ -437,9 +444,11 @@ class CycMatrix:
         p = self.min_poly()
         found, rem = split_roots(p, [e for row in self.data for e in row])
         pairs = []
-        ident = CycMatrix.identity(self.rows)
         for lam, _ in found:
-            space = (self - ident * lam).kernel()
+            # self - lam*I, leaving the off-diagonal entries as they are
+            shifted = _matrix([[a - lam if i == j else a for j, a in enumerate(row)]
+                               for i, row in enumerate(self.data)])
+            space = shifted.kernel()
             assert space, "minimal polynomial root without eigenvector"
             pairs.append((lam, space))
         unsplit = rem if rem.degree >= 1 else None
@@ -455,6 +464,21 @@ class CycMatrix:
     def __repr__(self):
         body = "\n".join("  [" + ", ".join(repr(e) for e in row) + "]" for row in self.data)
         return f"CycMatrix {self.rows}x{self.cols}\n{body}"
+
+
+def _fill(m: CycMatrix, data: tuple) -> None:
+    object.__setattr__(m, "rows", len(data))
+    object.__setattr__(m, "cols", len(data[0]) if data else 0)
+    object.__setattr__(m, "data", data)
+    object.__setattr__(m, "_nonzero", None)
+
+
+def _matrix(rows) -> CycMatrix:
+    """A CycMatrix over rectangular rows that already hold CycNum entries,
+    without the per-entry as_cyc pass of the constructor."""
+    m = object.__new__(CycMatrix)
+    _fill(m, tuple(map(tuple, rows)))
+    return m
 
 
 def _root_candidates(p: Poly, extra):

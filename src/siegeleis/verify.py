@@ -7,25 +7,35 @@ between the eigenvalue table and the action matrices (the T1 entry at
 rank-1 primes); it keeps the suite green without hiding regressions, since
 the mismatch must still have exactly the expected shape on both sides.
 
+The suite walks the spaces in scope once.  For each space it builds one
+SpaceOperators holding the sweep tables (T(p), T1(p^2) for p <= prime_max)
+and the level tables, runs eigenbasis on it once, hands both to the
+per-space checks (enumeration, commutativity, triangularity, eigen
+exactness, closed forms, eigen oracle) and drops them before the next
+space, so only one space's tables are alive at a time.  A failed eigenbasis
+becomes a fail record of each check that reads it.  Records come out grouped
+by check, in the order of run_suite's check list.
+
 Reports are reproducible: the same config (including the seed) produces an
 identical report.  Wall-clock timings are kept out of the serialized report
-for that reason and exposed separately.
+for that reason and exposed separately, one total per check; building a
+space's tables and eigenbasis counts towards hecke-eigen-exactness.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .characters import enumerate_characters
 from .cyclotomic import CycNum, as_cyc, is_squarefree, primes_up_to
 from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
-from .hecke import HeckeOp, SpaceOperators, eigenbasis, \
+from .hecke import EigenSystem, HeckeOp, SpaceOperators, eigenbasis, \
     eigenvalue_closed_form, relation_defects
 from .lattices import GL2, GramForm, isotropic_lines, reduce_form, \
     sublattices, transform
@@ -161,29 +171,47 @@ def run_suite(config: dict) -> VerificationReport:
     A config below the smallest meaningful scale raises ValueError."""
     config = dict(config)
     _check_config(config)
-    report = VerificationReport(config=config)
     rng = random.Random(config["seed"])
-    # every space sweep reads the same list, built once per run
-    spaces = spaces_in_scope(config)
+    # (name, check, whether it runs once per space); records and timings
+    # come out in this order
     checks = [
-        ("exactmath-field-axioms", _check_field_axioms),
-        ("eisspace-enumeration", partial(_check_eisspace, spaces=spaces)),
-        ("hecke-commutativity", partial(_check_commutativity, spaces=spaces)),
-        ("hecke-triangularity", partial(_check_triangularity, spaces=spaces)),
-        ("hecke-eigen-exactness", partial(_check_eigen_exactness, spaces=spaces)),
-        ("hecke-closed-form-comparison", partial(_check_closed_forms, spaces=spaces)),
-        ("hecke-relation-words", _check_relation_words),
-        ("hecke-level-one-specialization", _check_level_one_specialization),
-        ("hecke-eigen-oracle", partial(_check_eigen_oracle, spaces=spaces)),
-        ("lattice-sublattice-counts", _check_sublattice_counts),
-        ("lattice-reduction-invariance", _check_reduction_invariance),
-        ("lattice-isotropy", _check_isotropy),
-        ("fourier-operator-properties", _check_fourier_properties),
+        ("exactmath-field-axioms", _check_field_axioms, False),
+        ("eisspace-enumeration", _check_eisspace, True),
+        ("hecke-commutativity", _check_commutativity, True),
+        ("hecke-triangularity", _check_triangularity, True),
+        ("hecke-eigen-exactness", _check_eigen_exactness, True),
+        ("hecke-closed-form-comparison", _check_closed_forms, True),
+        ("hecke-relation-words", _check_relation_words, False),
+        ("hecke-level-one-specialization", _check_level_one_specialization, False),
+        ("hecke-eigen-oracle", _check_eigen_oracle, True),
+        ("lattice-sublattice-counts", _check_sublattice_counts, False),
+        ("lattice-reduction-invariance", _check_reduction_invariance, False),
+        ("lattice-isotropy", _check_isotropy, False),
+        ("fourier-operator-properties", _check_fourier_properties, False),
     ]
-    for name, fn in checks:
+    records = defaultdict(list)
+    timings = defaultdict(float)
+
+    def timed(name, fn, *args):
         t0 = time.perf_counter()
-        report.checks.extend(fn(config, rng))
-        report.timings[name] = time.perf_counter() - t0
+        out = fn(*args)
+        timings[name] += time.perf_counter() - t0
+        return out
+
+    # no per-space check reads rng, so the other checks draw the same stream
+    for space in spaces_in_scope(config):
+        run = timed("hecke-eigen-exactness", space_run, space, config)
+        for name, fn, per_space in checks:
+            if per_space:
+                records[name] += timed(name, fn, config, run)
+        del run  # before the next space's tables are built
+    for name, fn, per_space in checks:
+        if not per_space:
+            records[name] = timed(name, fn, config, rng)
+    report = VerificationReport(config=config)
+    for name, _, _ in checks:
+        report.checks += records[name]
+        report.timings[name] = timings[name]
     return report
 
 
@@ -224,132 +252,135 @@ def _check_field_axioms(config, rng):
     )]
 
 
-def _check_eisspace(config, rng, spaces):
-    out = []
-    for space in spaces:
-        a = sum(1 for q in prime_factors(space.level) if space.char.is_real_at(q))
-        b = len(prime_factors(space.level)) - a
-        ok = space.dimension == 3**a * 2**b
-        again = enumerate_partitions(space.level, space.char, space.weight)
-        ok = ok and again.basis == space.basis
-        out.append(CheckRecord(
-            "eisspace-enumeration",
-            {"level": space.level, "char": space.char.spec_string(),
-             "weight": space.weight},
-            PASS if ok else FAIL,
-            f"dimension {space.dimension}",
-        ))
-    return out
+@dataclass
+class SpaceRun:
+    """What the per-space checks share: one SpaceOperators holding the sweep
+    tables and the level tables, and its eigenbasis (None, with the failure
+    message in ``error``, when the exact verification failed)."""
+
+    space: EisSpace
+    ops: SpaceOperators
+    sweep: list[HeckeOp]
+    system: EigenSystem | None
+    error: str = ""
 
 
-def _sweep_ops(space, config) -> SpaceOperators:
+def space_run(space: EisSpace, config) -> SpaceRun:
+    """Build the sweep tables, T(p) and T1(p^2) for p <= prime_max in that
+    order, then the level tables, then the eigenbasis verified against all
+    of them."""
     ops = SpaceOperators(space)
-    for p in primes_up_to(config["prime_max"]):
-        ops.matrix(HeckeOp("T", p))
-        ops.matrix(HeckeOp("T1", p))
-    return ops
+    sweep = [HeckeOp(kind, p) for p in primes_up_to(config["prime_max"])
+             for kind in ("T", "T1")]
+    for op in sweep + ops.level_ops():
+        ops.matrix(op)
+    try:
+        return SpaceRun(space, ops, sweep, eigenbasis(ops))
+    except RuntimeError as exc:
+        return SpaceRun(space, ops, sweep, None, str(exc))
 
 
-def _check_commutativity(config, rng, spaces):
-    out = []
-    for space in spaces:
-        ops = _sweep_ops(space, config)
-        mats = [hm.mat for hm in ops.stored().values()]
-        bad = 0
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if not (mats[i] @ mats[j]) == (mats[j] @ mats[i]):
+def _space_params(space):
+    return {"level": space.level, "char": space.char.spec_string(),
+            "weight": space.weight}
+
+
+def _check_eisspace(config, run):
+    space = run.space
+    a = sum(1 for q in prime_factors(space.level) if space.char.is_real_at(q))
+    b = len(prime_factors(space.level)) - a
+    ok = space.dimension == 3**a * 2**b
+    again = enumerate_partitions(space.level, space.char, space.weight)
+    ok = ok and again.basis == space.basis
+    return [CheckRecord(
+        "eisspace-enumeration", _space_params(space),
+        PASS if ok else FAIL,
+        f"dimension {space.dimension}",
+    )]
+
+
+def _check_commutativity(config, run):
+    # both full dense products of every pair of sweep tables, every entry
+    mats = [run.ops.matrix(op).mat for op in run.sweep]
+    bad = 0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if not (mats[i] @ mats[j]) == (mats[j] @ mats[i]):
+                bad += 1
+    return [CheckRecord(
+        "hecke-commutativity",
+        {**_space_params(run.space), "prime_max": config["prime_max"]},
+        PASS if bad == 0 else FAIL,
+        f"{len(mats)} operators, {bad} non-commuting pairs",
+    )]
+
+
+def _check_triangularity(config, run):
+    ranks = run.space.rank_tuples
+    bad = 0
+    for op in run.sweep:
+        for r_i, row in zip(ranks, run.ops.matrix(op).rows):
+            for j, _ in row:
+                if any(b < a for a, b in zip(r_i, ranks[j])):
                     bad += 1
-        out.append(CheckRecord(
-            "hecke-commutativity",
-            {"level": space.level, "char": space.char.spec_string(),
-             "weight": space.weight, "prime_max": config["prime_max"]},
-            PASS if bad == 0 else FAIL,
-            f"{len(mats)} operators, {bad} non-commuting pairs",
-        ))
-    return out
+    return [CheckRecord(
+        "hecke-triangularity", _space_params(run.space),
+        PASS if bad == 0 else FAIL,
+        f"{bad} rank-decreasing entries",
+    )]
 
 
-def _check_triangularity(config, rng, spaces):
+def _check_eigen_exactness(config, run):
+    space = run.space
+    if run.system is None:
+        status, detail = FAIL, run.error
+    else:
+        status, detail = PASS, f"{space.dimension} eigenvectors verified"
+    return [CheckRecord(
+        "hecke-eigen-exactness",
+        {**_space_params(space), "operators": len(run.sweep)},
+        status, detail,
+    )]
+
+
+def _check_closed_forms(config, run):
+    space = run.space
+    if run.system is None:
+        return [CheckRecord("hecke-closed-form-comparison",
+                            _space_params(space), FAIL, run.error)]
     out = []
-    for space in spaces:
-        ops = _sweep_ops(space, config)
-        ranks = space.rank_tuples
-        bad = 0
-        for hm in ops.stored().values():
-            for r_i, row in zip(ranks, hm.rows):
-                for j, _ in row:
-                    if any(b < a for a, b in zip(r_i, ranks[j])):
-                        bad += 1
-        out.append(CheckRecord(
-            "hecke-triangularity",
-            {"level": space.level, "char": space.char.spec_string(),
-             "weight": space.weight},
-            PASS if bad == 0 else FAIL,
-            f"{bad} rank-decreasing entries",
-        ))
-    return out
-
-
-def _check_eigen_exactness(config, rng, spaces):
-    out = []
-    for space in spaces:
-        ops = _sweep_ops(space, config)
-        try:
-            eigenbasis(ops)  # raises on any failed exact verification
-            status, detail = PASS, f"{space.dimension} eigenvectors verified"
-        except RuntimeError as exc:
-            status, detail = FAIL, str(exc)
-        out.append(CheckRecord(
-            "hecke-eigen-exactness",
-            {"level": space.level, "char": space.char.spec_string(),
-             "weight": space.weight, "operators": 2 * len(primes_up_to(config["prime_max"]))},
-            status, detail,
-        ))
-    return out
-
-
-def _check_closed_forms(config, rng, spaces):
-    out = []
-    for space in spaces:
-        ops = SpaceOperators(space)
-        system = eigenbasis(ops)
-        bad = 0
-        matched = 0
-        for e in system.entries:
-            for op in ops.level_ops():
-                mval = e.eigenvalues[op]
-                cval = eigenvalue_closed_form(space, e.partition, op)
-                exempt = op.kind == "T1" and e.partition.rank_of(op.p) == 1
-                if exempt:
-                    mwant, twant = _expected_mismatch_values(
-                        space, e.partition, op.p
-                    )
-                    if mval == mwant and cval == twant and not (mval == cval):
-                        out.append(CheckRecord(
-                            "hecke-closed-form-comparison",
-                            {"level": space.level,
-                             "char": space.char.spec_string(),
-                             "weight": space.weight,
-                             "partition": str(e.partition),
-                             "op": op.spec_string()},
-                            DOCUMENTED,
-                            "table q^(2k-3) vs matrix q^(2k-2), both sides "
-                            "have the expected shape",
-                        ))
-                    else:
-                        bad += 1
-                elif mval == cval:
-                    matched += 1
+    bad = 0
+    matched = 0
+    for e in run.system.entries:
+        for op in run.ops.level_ops():
+            mval = e.eigenvalues[op]
+            cval = eigenvalue_closed_form(space, e.partition, op)
+            exempt = op.kind == "T1" and e.partition.rank_of(op.p) == 1
+            if exempt:
+                mwant, twant = _expected_mismatch_values(
+                    space, e.partition, op.p
+                )
+                if mval == mwant and cval == twant and not (mval == cval):
+                    out.append(CheckRecord(
+                        "hecke-closed-form-comparison",
+                        {**_space_params(space),
+                         "partition": str(e.partition),
+                         "op": op.spec_string()},
+                        DOCUMENTED,
+                        "table q^(2k-3) vs matrix q^(2k-2), both sides "
+                        "have the expected shape",
+                    ))
                 else:
                     bad += 1
-        out.append(CheckRecord(
-            "hecke-closed-form-comparison",
-            {"level": space.level, "char": space.char.spec_string(),
-             "weight": space.weight},
-            PASS if bad == 0 else FAIL,
-            f"{matched} matches, {bad} unexpected mismatches",
-        ))
+            elif mval == cval:
+                matched += 1
+            else:
+                bad += 1
+    out.append(CheckRecord(
+        "hecke-closed-form-comparison", _space_params(space),
+        PASS if bad == 0 else FAIL,
+        f"{matched} matches, {bad} unexpected mismatches",
+    ))
     return out
 
 
@@ -439,58 +470,53 @@ def _oracle_joint_eigenspaces(mats):
     return pieces
 
 
-def _check_eigen_oracle(config, rng, spaces):
-    out = []
-    for space in spaces:
-        ops = SpaceOperators(space)
-        level_ops = ops.level_ops()
-        extra = [HeckeOp("T", p) for p in primes_up_to(config["prime_max"])
-                 if space.level % p != 0][:1]
-        op_list = level_ops + extra
-        mats = [ops.matrix(op).mat for op in op_list]
-        system = eigenbasis(ops)
-        pieces = _oracle_joint_eigenspaces(mats)
-        bad = []
-        if len(pieces) != space.dimension:
-            bad.append(f"{len(pieces)} joint pieces for dim {space.dimension}")
-        else:
-            for tags, basis in pieces:
-                if len(basis) != 1:
-                    bad.append("joint eigenspace not 1-dimensional")
-                    continue
-                hits = [
-                    e for e in system.entries
-                    if all(e.eigenvalues[op] == lam
-                           for op, lam in zip(op_list, tags))
-                ]
-                if len(hits) != 1:
-                    bad.append(f"eigenvalue tags match {len(hits)} vectors")
-                    continue
-                dense = hits[0].vector.dense()
-                v = basis[0]
-                ratio = None
-                okspan = True
-                for x, y in zip(v, dense):
-                    if y.is_zero() != x.is_zero():
+def _check_eigen_oracle(config, run):
+    space, ops, system = run.space, run.ops, run.system
+    extra = [HeckeOp("T", p) for p in primes_up_to(config["prime_max"])
+             if space.level % p != 0][:1]
+    op_list = ops.level_ops() + extra
+    params = {**_space_params(space), "operators": len(op_list)}
+    if system is None:
+        return [CheckRecord("hecke-eigen-oracle", params, FAIL, run.error)]
+    pieces = _oracle_joint_eigenspaces([ops.matrix(op).mat for op in op_list])
+    bad = []
+    if len(pieces) != space.dimension:
+        bad.append(f"{len(pieces)} joint pieces for dim {space.dimension}")
+    else:
+        for tags, basis in pieces:
+            if len(basis) != 1:
+                bad.append("joint eigenspace not 1-dimensional")
+                continue
+            hits = [
+                e for e in system.entries
+                if all(e.eigenvalues[op] == lam
+                       for op, lam in zip(op_list, tags))
+            ]
+            if len(hits) != 1:
+                bad.append(f"eigenvalue tags match {len(hits)} vectors")
+                continue
+            dense = hits[0].vector.dense()
+            v = basis[0]
+            ratio = None
+            okspan = True
+            for x, y in zip(v, dense):
+                if y.is_zero() != x.is_zero():
+                    okspan = False
+                    break
+                if not y.is_zero():
+                    r = x / y
+                    if ratio is None:
+                        ratio = r
+                    elif not (r == ratio):
                         okspan = False
                         break
-                    if not y.is_zero():
-                        r = x / y
-                        if ratio is None:
-                            ratio = r
-                        elif not (r == ratio):
-                            okspan = False
-                            break
-                if not okspan:
-                    bad.append(f"span mismatch at {hits[0].partition}")
-        out.append(CheckRecord(
-            "hecke-eigen-oracle",
-            {"level": space.level, "char": space.char.spec_string(),
-             "weight": space.weight, "operators": len(op_list)},
-            PASS if not bad else FAIL,
-            "; ".join(bad) if bad else f"{space.dimension} joint eigenlines",
-        ))
-    return out
+            if not okspan:
+                bad.append(f"span mismatch at {hits[0].partition}")
+    return [CheckRecord(
+        "hecke-eigen-oracle", params,
+        PASS if not bad else FAIL,
+        "; ".join(bad) if bad else f"{space.dimension} joint eigenlines",
+    )]
 
 
 def _check_sublattice_counts(config, rng):

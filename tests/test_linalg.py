@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,81 @@ def test_poly_arithmetic():
     quo, rem = (p * q).divmod(q)
     assert quo == p and rem.is_zero()
     assert p(2).is_zero() and p(5) == 12
+
+
+def _random_matrix(rng, rows, cols, conductors):
+    """Seeded entries: about half zero, the rest rational multiples of a
+    random power of a root of unity whose order is drawn from conductors."""
+    def entry():
+        if rng.random() < 0.5:
+            return CycNum.zero()
+        m = rng.choice(conductors)
+        return (CycNum.root_of_unity(m, rng.randrange(m))
+                * Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return CycMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def _schoolbook(a, b):
+    """The triple loop: every term, zero or not, summed from 0 in
+    ascending inner index."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = CycNum.zero()
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _assert_product(a, b):
+    got = a @ b
+    want = _schoolbook(a, b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert all(got[i, j] == want[i][j]
+               for i in range(a.rows) for j in range(b.cols))
+    assert got.to_json() == [[x.to_json() for x in row] for row in want]
+
+
+@pytest.mark.parametrize("conductors", [[1], [1, 4], [1, 4, 12], [1, 4, 20],
+                                        [1, 4, 12, 20]])
+def test_matmul_equals_the_triple_loop(conductors):
+    rng = random.Random(len(conductors) * 100 + conductors[-1])
+    for r, n, c in [(1, 1, 1), (3, 3, 3), (2, 5, 4), (5, 2, 3), (6, 6, 6)]:
+        a = _random_matrix(rng, r, n, conductors)
+        b = _random_matrix(rng, n, c, conductors)
+        _assert_product(a, b)
+        square = _random_matrix(rng, n, n, conductors)
+        _assert_product(square, square)  # one matrix as both operands
+    # zero rows and zero columns on either side
+    a = _random_matrix(rng, 4, 4, conductors)
+    holes = CycMatrix([[0 if i == 1 or j == 2 else a[i, j] for j in range(4)]
+                       for i in range(4)])
+    for x, y in [(holes, a), (a, holes), (holes, holes),
+                 (CycMatrix.zeros(4, 4), a), (a, CycMatrix.zeros(4, 3))]:
+        _assert_product(x, y)
+    assert (holes @ a).data[1] == (CycNum.zero(),) * 4
+    assert all((a @ holes)[i, 2].is_zero() for i in range(4))
+
+
+def test_matrix_eq_across_entry_types():
+    ints = CycMatrix([[1, 0, -2], [0, 3, 0]])
+    fracs = CycMatrix([[Fraction(2, 2), Fraction(0), Fraction(-4, 2)],
+                       [Fraction(0, 5), Fraction(3), Fraction(0)]])
+    cycs = CycMatrix([[CycNum.one(), CycNum.zero(), CycNum(1, [-2])],
+                      [CycNum(4, [0, 0]), CycNum(3, [3, 0]), CycNum.zero()]])
+    assert ints == fracs == cycs and cycs == ints
+    i = CycNum.root_of_unity(4)
+    assert CycMatrix([[i * i, 0]]) == CycMatrix([[-1, 0]])
+    for r, c in [(0, 0), (0, 1), (1, 1), (1, 2)]:
+        changed = [list(row) for row in cycs.data]
+        changed[r][c] = changed[r][c] + Fraction(1, 7)
+        assert not CycMatrix(changed) == cycs
+        assert not cycs == CycMatrix(changed)
+    assert not CycMatrix([[1, 0], [0, 1]]) == CycMatrix([[1, 0, 0], [0, 1, 0]])
+    assert not CycMatrix([[1, 0]]) == [[1, 0]]
 
 
 def test_vec_mat_row_action():

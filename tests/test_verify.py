@@ -1,11 +1,15 @@
 import json
+from collections import Counter
+from fractions import Fraction
 
 from siegeleis import hecke, verify
-from siegeleis.eisspace import enumerate_partitions
+from siegeleis.cyclotomic import CycNum
+from siegeleis.eisspace import EisVector, Partition, enumerate_partitions
 from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators
 from siegeleis.linalg import CycMatrix
 from siegeleis.verify import (DESK_CONFIG, PRESETS, QUICK_CONFIG,
-                              run_suite, subgroup_count_oracle)
+                              run_suite, space_run, spaces_in_scope,
+                              subgroup_count_oracle)
 
 SMALL = {"N_max": 2, "k_set": [4], "prime_max": 3, "char_orders": [1],
          "trials": 10, "seed": 7}
@@ -58,9 +62,19 @@ def test_eigen_oracle_fails_on_a_wrong_table(monkeypatch):
     # eigenvalue tag and every piece vector stays as it was; only the
     # invariance check W == R.B can see that the table is wrong.
     space = enumerate_partitions(2, None, 4)
-    assert verify._check_eigen_oracle(QUICK_CONFIG, None, [space])[0].status \
-        == "pass"
+    run = space_run(space, QUICK_CONFIG)
+    assert verify._check_eigen_oracle(QUICK_CONFIG, run)[0].status == "pass"
 
+    _swap_row_0_of_t1_2(monkeypatch)
+    run = space_run(space, QUICK_CONFIG)
+    rec = verify._check_eigen_oracle(QUICK_CONFIG, run)[0]
+    assert rec.status == "fail"
+    assert rec.details == "2 joint pieces for dim 3"
+
+
+def _swap_row_0_of_t1_2(monkeypatch):
+    """Make the dense view of T1(2^2) swap the two off-diagonal entries of
+    its row 0; the sparse rows, which eigenbasis reads, stay right."""
     dense_view = HeckeMatrix.mat.func
 
     def wrong(hm):
@@ -70,9 +84,77 @@ def test_eigen_oracle_fails_on_a_wrong_table(monkeypatch):
         return CycMatrix(dense)
 
     monkeypatch.setattr(HeckeMatrix, "mat", property(wrong))
-    rec = verify._check_eigen_oracle(QUICK_CONFIG, None, [space])[0]
-    assert rec.status == "fail"
-    assert rec.details == "2 joint pieces for dim 3"
+
+
+def test_commutativity_fails_on_a_wrong_table(monkeypatch):
+    # At level 2 only T(2) and T1(2^2) are not scalar among the sweep
+    # tables, so the swap in T1(2^2) leaves exactly one pair that does not
+    # commute; a product or an equality that skipped entries would miss it.
+    space = enumerate_partitions(2, None, 4)
+    rec = verify._check_commutativity(QUICK_CONFIG, space_run(space, QUICK_CONFIG))[0]
+    assert (rec.status, rec.details) == ("pass", "6 operators, 0 non-commuting pairs")
+
+    _swap_row_0_of_t1_2(monkeypatch)
+    rec = verify._check_commutativity(QUICK_CONFIG, space_run(space, QUICK_CONFIG))[0]
+    assert (rec.status, rec.details) == ("fail", "6 operators, 1 non-commuting pairs")
+
+
+def test_run_suite_builds_each_table_and_eigenbasis_once(monkeypatch):
+    # keyed by the space object: the relation-word check enumerates its own
+    # trivial-character spaces and builds their level tables itself
+    spaces, eigen_calls, table_calls = [], Counter(), Counter()
+    real_eigenbasis, real_table = hecke.eigenbasis, hecke.hecke_matrix
+
+    def counted_eigenbasis(ops):
+        spaces.append(ops.space)  # keeps every id distinct during the run
+        eigen_calls[id(ops.space)] += 1
+        return real_eigenbasis(ops)
+
+    def counted_table(space, op):
+        spaces.append(space)
+        table_calls[id(space), op] += 1
+        return real_table(space, op)
+
+    monkeypatch.setattr(verify, "eigenbasis", counted_eigenbasis)
+    monkeypatch.setattr(hecke, "eigenbasis", counted_eigenbasis)
+    monkeypatch.setattr(hecke, "hecke_matrix", counted_table)
+    report = run_suite(QUICK_CONFIG)
+    assert report.ok
+    in_scope = spaces_in_scope(QUICK_CONFIG)
+    assert len(eigen_calls) == len(in_scope) == 8
+    assert set(eigen_calls.values()) == {1}
+    assert set(table_calls.values()) == {1}
+    for space_id in eigen_calls:
+        space = next(s for s in spaces if id(s) == space_id)
+        built = {op for sid, op in table_calls if sid == space_id}
+        want = {HeckeOp(kind, p) for p in (2, 3, 5) for kind in ("T", "T1")}
+        assert built == want | set(SpaceOperators(space).level_ops())
+
+
+def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
+    real = hecke.eigen_vector
+
+    def wrong(space, rho):
+        vec = real(space, rho)
+        if space.level == 2 and rho == Partition(2, 1, 1):
+            coeffs = dict(vec.coeffs)
+            coeffs[Partition(1, 2, 1)] = CycNum.from_rational(Fraction(-1, 13))
+            vec = EisVector(space, coeffs)
+        return vec
+
+    monkeypatch.setattr(hecke, "eigen_vector", wrong)
+    report = run_suite(QUICK_CONFIG)  # no exception escapes
+    assert not report.ok
+    for name in ("hecke-eigen-exactness", "hecke-closed-form-comparison",
+                 "hecke-eigen-oracle"):
+        failed = [c for c in report.checks
+                  if c.name == name and c.status == "fail"]
+        assert [c.parameters["level"] for c in failed] == [2]
+        assert failed[0].details.startswith(
+            "eigenvector verification failed for rho=(2,1,1)")
+    assert {c.name for c in report.checks if c.status == "fail"} == {
+        "hecke-eigen-exactness", "hecke-closed-form-comparison",
+        "hecke-eigen-oracle"}
 
 
 def test_eigen_oracle_drops_a_non_invariant_piece():
