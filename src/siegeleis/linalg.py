@@ -1,16 +1,16 @@
 """Dense exact linear algebra over cyclotomic-rational fields.
 
-Matrices carry CycNum entries; vectors are plain lists.  Kernel, minimal
-polynomial and eigen decomposition are all exact.  Eigen decomposition splits
-the minimal polynomial only by trial roots drawn from the matrix entries
-(plus a bounded rational-root search, shared with the Fourier projection in
-split_roots); whatever does not split inside the working field is reported as
-an unsplit factor rather than approximated.
+Matrices carry CycNum entries; vectors are plain lists.  Row spaces are kept
+in reduced row echelon form, and a tracked insertion reports each dependent
+row's expression over the rows before it, which gives left null spaces
+exactly.  Polynomial roots are found only by trial candidates (given extras,
+then a bounded rational-root search) in split_roots; whatever does not split
+inside the working field is returned as a leftover factor rather than
+approximated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm as _int_lcm
 
@@ -38,9 +38,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
-
     @staticmethod
     def one() -> "Poly":
         return Poly([_ONE])
@@ -51,12 +48,6 @@ class Poly:
         for r in roots:
             p = p * Poly([-as_cyc(r), _ONE])
         return p
-
-    def monic(self) -> "Poly":
-        if self.is_zero() or self.is_monic():
-            return self
-        inv = self.coeffs[-1].inverse()
-        return Poly([c * inv for c in self.coeffs])
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -111,9 +102,6 @@ class Poly:
     def __floordiv__(self, den):
         return self.divmod(den)[0]
 
-    def __mod__(self, den):
-        return self.divmod(den)[1]
-
     def __call__(self, x):
         x = as_cyc(x)
         val = _ZERO
@@ -137,26 +125,6 @@ class Poly:
             else:
                 parts.append(f"({c!r})*{t}")
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly([])
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
-
-
-# -- vectors ----------------------------------------------------------------
-
-
-def vec_is_zero(a) -> bool:
-    return all(x.is_zero() for x in a)
 
 
 class _Span:
@@ -212,13 +180,20 @@ class _Span:
         self.count += 1
         return None
 
-    def contains(self, v) -> bool:
-        w, _ = self._reduce(v)
-        return vec_is_zero(w)
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+def left_null_space(rows) -> list[list[CycNum]]:
+    """Basis of {x : x.A = 0} for the matrix A with the given rows.
+
+    Row i that depends on the rows before it gives the vector of its
+    dependency with -1 at i.  The last nonzero entries of these vectors sit
+    at distinct rows, so the n - rank of them are independent."""
+    span = _Span(track=True)
+    out = []
+    for i, row in enumerate(rows):
+        dep = span.insert(row)
+        if dep is not None:
+            out.append(dep + [-_ONE] + [_ZERO] * (len(rows) - i - 1))
+    return out
 
 
 class CycMatrix:
@@ -323,20 +298,6 @@ class CycMatrix:
             out.append(acc)
         return _matrix(out)
 
-    def mat_vec(self, v) -> list[CycNum]:
-        if self.cols != len(v):
-            raise ValueError("dimension mismatch")
-        v = [as_cyc(x) for x in v]
-        out = []
-        for row in self._nonzeros():
-            s = _ZERO
-            for j, a in row:
-                x = v[j]
-                if not x.is_zero():
-                    s = s + a * x
-            out.append(s)
-        return out
-
     def vec_mat(self, v) -> list[CycNum]:
         if self.rows != len(v):
             raise ValueError("dimension mismatch")
@@ -350,109 +311,11 @@ class CycMatrix:
                     acc[j] = acc[j] + x * a
         return acc
 
-    def transpose(self) -> "CycMatrix":
-        return _matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.data for e in row)
 
     def commutes_with(self, other: "CycMatrix") -> bool:
         return (self @ other) == (other @ self)
-
-    def _require_square(self):
-        if self.rows != self.cols:
-            raise ValueError("square matrix required")
-
-    def kernel(self) -> list[list[CycNum]]:
-        """Exact basis of the right null space {v : A v = 0}."""
-        rows = [list(r) for r in self.data]
-        pivots: list[tuple[int, int]] = []  # (row, col)
-        r = 0
-        for c in range(self.cols):
-            p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [x * inv for x in rows[r]]
-            prow = rows[r]
-            for i in range(len(rows)):
-                if i == r:
-                    continue
-                f = rows[i][c]
-                if f.is_zero():
-                    continue
-                ri = rows[i]
-                rows[i] = [x - f * y for x, y in zip(ri, prow)]
-            pivots.append((r, c))
-            r += 1
-            if r == len(rows):
-                break
-        pivot_cols = {c for _, c in pivots}
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_cols:
-                continue
-            v = [_ZERO] * self.cols
-            v[f] = _ONE
-            for i, c in pivots:
-                v[c] = -rows[i][f]
-            basis.append(v)
-        return basis
-
-    def min_poly(self) -> Poly:
-        """Monic minimal polynomial, exact."""
-        self._require_square()
-        n = self.rows
-        if n == 0:
-            return Poly.one()
-        mp = Poly.one()
-        seen = _Span()
-        for s in range(n):
-            if mp.degree == n:
-                break
-            e = [_ONE if i == s else _ZERO for i in range(n)]
-            if seen.contains(e):
-                continue
-            local = _Span(track=True)
-            v = e
-            krylov = []
-            while True:
-                dep = local.insert(v)
-                if dep is not None:
-                    # v = sum dep[j] * A^j e  =>  annihilator x^d - sum dep[j] x^j
-                    d = len(krylov)
-                    coeffs = [-c for c in dep] + [_ONE]
-                    mp = poly_lcm(mp, Poly(coeffs))
-                    break
-                krylov.append(v)
-                v = self.mat_vec(v)
-            for w in krylov:
-                seen.insert(w)
-        return mp
-
-    def eigen(self) -> "EigenDecomposition":
-        """Exact right eigen decomposition over the working field.
-
-        Roots of the minimal polynomial are found by split_roots, with the
-        matrix entries as extra candidates; any factor that does not split
-        this way is reported in ``unsplit`` instead of being guessed.
-        """
-        self._require_square()
-        p = self.min_poly()
-        found, rem = split_roots(p, [e for row in self.data for e in row])
-        pairs = []
-        for lam, _ in found:
-            # self - lam*I, leaving the off-diagonal entries as they are
-            shifted = _matrix([[a - lam if i == j else a for j, a in enumerate(row)]
-                               for i, row in enumerate(self.data)])
-            space = shifted.kernel()
-            assert space, "minimal polynomial root without eigenvector"
-            pairs.append((lam, space))
-        unsplit = rem if rem.degree >= 1 else None
-        return EigenDecomposition(min_poly=p, pairs=pairs, unsplit=unsplit)
 
     def to_json(self):
         return [[e.to_json() for e in row] for row in self.data]
@@ -527,18 +390,4 @@ def split_roots(p: Poly, extra=()) -> tuple[list[tuple[CycNum, int]], Poly]:
         if mult:
             found.append((cand, mult))
     return found, rem
-
-
-@dataclass
-class EigenDecomposition:
-    """Roots of the minimal polynomial found in the working field, with exact
-    right-eigenspace bases; ``unsplit`` is the leftover factor (None if the
-    minimal polynomial split completely)."""
-
-    min_poly: Poly
-    pairs: list[tuple[CycNum, list[list[CycNum]]]]
-    unsplit: Poly | None
-
-    def eigenvalues(self) -> list[CycNum]:
-        return [lam for lam, _ in self.pairs]
 

@@ -39,7 +39,7 @@ from .hecke import EigenSystem, HeckeOp, SpaceOperators, eigenbasis, \
     eigenvalue_closed_form, relation_defects
 from .lattices import GL2, GramForm, isotropic_lines, reduce_form, \
     sublattices, transform
-from .linalg import CycMatrix, _Span
+from .linalg import CycMatrix, _Span, left_null_space
 
 PASS = "pass"
 FAIL = "fail"
@@ -442,11 +442,16 @@ def _oracle_joint_eigenspaces(mats):
     echelon form with pivot columns P, W = B.M, and the restricted matrix R
     is read off as R[i][j] = W[i][P[j]].  W == R.B is checked on every
     entry, which proves the piece invariant under M instead of assuming it
-    from commutativity.  Each left eigenvector x of R (a 1-dimensional
-    piece takes lambda = R[0][0]) gives the piece x.B tagged with lambda.
-    A non-invariant piece is dropped, and an unsplit factor or a missing
-    eigenvector leaves rows uncovered, so any failure leaves fewer pieces
-    than the dimension.  Returns (eigenvalue tags, row basis) pairs.
+    from commutativity.  Row i of B is zero before column P[i], so for an
+    upper triangular M, R[i][j] = 0 whenever P[j] < P[i] and
+    R[i][i] = M[P[i]][P[i]]: R is triangular up to the order of its rows,
+    and its eigenvalues are its diagonal entries.  Each distinct diagonal
+    entry lambda gives the piece X.B tagged with lambda, X the left null
+    space of R - lambda.I.  A candidate that is not an eigenvalue has an
+    empty null space, and a non-invariant piece is dropped; a missed
+    eigenvalue, a non-diagonalizable R or a dropped piece can only leave
+    fewer pieces than the dimension, never more, so every such failure
+    reads as ``fail``.  Returns (eigenvalue tags, row basis) pairs.
     """
     pieces = [((), CycMatrix.identity(mats[0].rows).data)]
     for m in mats:
@@ -457,15 +462,19 @@ def _oracle_joint_eigenspaces(mats):
                 span.insert(v)
             b = CycMatrix([u for _, u, _ in span.rows])
             w = b @ m
-            r = CycMatrix([[row[p] for p, _, _ in span.rows] for row in w.data])
-            if not w == r @ b:
+            r = [[row[p] for p, _, _ in span.rows] for row in w.data]
+            if not w == CycMatrix(r) @ b:
                 continue
-            if r.rows == 1:
-                split = [(r[0, 0], [[CycNum.one()]])]
-            else:
-                split = r.transpose().eigen().pairs
-            for lam, xs in split:
-                nxt.append((tags + (lam,), (CycMatrix(xs) @ b).data))
+            lams = []
+            for i, row in enumerate(r):
+                if all(not (row[i] == lam) for lam in lams):
+                    lams.append(row[i])
+            for lam in lams:
+                xs = left_null_space([[a - lam if i == j else a
+                                       for j, a in enumerate(row)]
+                                      for i, row in enumerate(r)])
+                if xs:
+                    nxt.append((tags + (lam,), (CycMatrix(xs) @ b).data))
         pieces = nxt
     return pieces
 
@@ -497,20 +506,9 @@ def _check_eigen_oracle(config, run):
                 continue
             dense = hits[0].vector.dense()
             v = basis[0]
-            ratio = None
-            okspan = True
-            for x, y in zip(v, dense):
-                if y.is_zero() != x.is_zero():
-                    okspan = False
-                    break
-                if not y.is_zero():
-                    r = x / y
-                    if ratio is None:
-                        ratio = r
-                    elif not (r == ratio):
-                        okspan = False
-                        break
-            if not okspan:
+            p = next(i for i, y in enumerate(dense) if not y.is_zero())
+            if v[p].is_zero() or any(not (x * dense[p] == y * v[p])
+                                     for x, y in zip(v, dense)):
                 bad.append(f"span mismatch at {hits[0].partition}")
     return [CheckRecord(
         "hecke-eigen-oracle", params,

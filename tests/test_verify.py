@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 from siegeleis import hecke, verify
@@ -163,6 +164,63 @@ def test_eigen_oracle_drops_a_non_invariant_piece():
         [CycMatrix([[1, 0], [0, 2]]), CycMatrix([[0, 1], [1, 0]])]
     )
     assert len(pieces) < 2
+
+
+def test_oracle_leaves_a_jordan_block_short():
+    # one eigenline for the double eigenvalue 2
+    pieces = verify._oracle_joint_eigenspaces([CycMatrix([[2, 1], [0, 2]])])
+    assert [(tags, len(basis)) for tags, basis in pieces] == [((2,), 1)]
+
+
+def test_oracle_misses_eigenvalues_off_the_diagonal():
+    # the eigenvalues +-1 of the swap matrix are not on its diagonal, so no
+    # piece comes out; a triangular table never has that shape
+    assert verify._oracle_joint_eigenspaces([CycMatrix([[0, 1], [1, 0]])]) == []
+
+
+def _doctored_oracle(change):
+    """The oracle record on N=2, k=4 after ``change`` edits the verified
+    entries of its eigenbasis."""
+    run = space_run(enumerate_partitions(2, None, 4), QUICK_CONFIG)
+    entries = list(run.system.entries)
+    change(entries)
+    run = replace(run, system=replace(run.system, entries=entries))
+    return verify._check_eigen_oracle(QUICK_CONFIG, run)[0]
+
+
+def test_eigen_oracle_fails_on_a_wrong_eigenvalue():
+    def wrong(entries):
+        e = entries[0]
+        lams = dict(e.eigenvalues)
+        op = next(iter(lams))
+        lams[op] = lams[op] + 1
+        entries[0] = replace(e, eigenvalues=lams)
+
+    rec = _doctored_oracle(wrong)
+    assert rec.status == "fail"
+    assert rec.details == "eigenvalue tags match 0 vectors"
+
+
+def test_eigen_oracle_fails_on_a_wrong_vector():
+    def swap(entries):
+        a, b = entries[0], entries[1]
+        entries[0] = replace(a, vector=b.vector)
+        entries[1] = replace(b, vector=a.vector)
+
+    rec = _doctored_oracle(swap)
+    assert rec.status == "fail"
+    assert sorted(rec.details.split("; ")) == [
+        "span mismatch at (1,2,1)", "span mismatch at (2,1,1)"]
+
+    def last_coefficient(entries):
+        # (2,1,1) has coefficient -1/434 at (1,1,2)
+        e = entries[0]
+        coeffs = dict(e.vector.coeffs)
+        coeffs[Partition(1, 1, 2)] = CycNum.from_rational(Fraction(-1, 433))
+        entries[0] = replace(e, vector=EisVector(e.vector.space, coeffs))
+
+    assert _doctored_oracle(last_coefficient).details == (
+        "span mismatch at (2,1,1)")
 
 
 def test_eigen_oracle_is_independent_of_the_fast_paths(monkeypatch):
