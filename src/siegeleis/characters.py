@@ -10,7 +10,7 @@ runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -106,6 +106,10 @@ class DirichletCharacter:
 
     modulus: int
     locals: tuple[LocalCharacter, ...]  # sorted by prime
+    # eval_over values by (primes, n); CycNum is immutable, so callers may
+    # share them
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @staticmethod
     def make(N: int, spec=()) -> "DirichletCharacter":
@@ -162,13 +166,19 @@ class DirichletCharacter:
         return val
 
     def eval_over(self, primes, n: int) -> CycNum:
-        """Product of the local components at the given primes, at n."""
-        val = _ONE
-        for q in primes:
-            v = self.local(q)(n)
-            if v.is_zero():
-                return _ZERO
-            val = val * v
+        """Product of the local components at the given primes, at n,
+        memoized per character."""
+        key = (tuple(primes), n)
+        val = self._memo.get(key)
+        if val is None:
+            val = _ONE
+            for q in key[0]:
+                v = self.local(q)(n)
+                if v.is_zero():
+                    val = _ZERO
+                    break
+                val = val * v
+            self._memo[key] = val
         return val
 
     def restrict(self, M: int) -> "DirichletCharacter":

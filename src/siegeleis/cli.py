@@ -11,8 +11,9 @@ variable SIEGELEIS_CONDUCTOR_CAP overrides the cyclotomic conductor cap.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .characters import DirichletCharacter
 from .eisspace import enumerate_partitions, prime_factors
@@ -59,16 +60,94 @@ def _space_from_args(args):
     return enumerate_partitions(args.level, char, args.weight)
 
 
-def _emit(args, text: str) -> None:
+_FLUSH_PIECES = 4096
+
+
+def write_json(obj, write) -> None:
+    """Write `obj` as the bytes of json.dumps(obj, indent=2, sort_keys=True)
+    plus a newline, in chunks of a few thousand pieces through `write`.
+
+    Takes dict with str keys, list, tuple, str, int, bool and None, and
+    raises TypeError naming the type of anything else: no `to_json` emits
+    floats or non-str keys, so they are rejected rather than emulated.
+    """
+    out = []
+    append = out.append
+
+    def emit(o, pad):
+        t = type(o)
+        if t is str:
+            append(_json_str(o))
+        elif t is dict:
+            if not o:
+                append("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            try:
+                keys = sorted(o)
+            except TypeError:  # a non-str key; the loop names its type
+                keys = o
+            for k in keys:
+                if type(k) is not str:
+                    raise TypeError(
+                        f"keys must be str, not {type(k).__name__}")
+                append(sep + _json_str(k) + ": ")
+                emit(o[k], inner)
+                sep = "," + inner
+            append(pad + "}")
+            if len(out) >= _FLUSH_PIECES:
+                write("".join(out))
+                out.clear()
+        elif t is list or t is tuple:
+            if not o:
+                append("[]")
+                return
+            inner = pad + "  "
+            try:  # all items str: one join; the escaper rejects anything else
+                append("[" + inner + ("," + inner).join(map(_json_str, o))
+                       + pad + "]")
+                return
+            except TypeError:
+                pass
+            sep = "[" + inner
+            for v in o:
+                append(sep)
+                emit(v, inner)
+                sep = "," + inner
+            append(pad + "]")
+            if len(out) >= _FLUSH_PIECES:
+                write("".join(out))
+                out.clear()
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif t is int:
+            append(int.__repr__(o))
+        else:
+            raise TypeError(f"cannot write {t.__name__} as JSON")
+
+    emit(obj, "\n")
+    append("\n")
+    write("".join(out))
+
+
+@contextlib.contextmanager
+def _writer(args):
+    """The write function of the --output file, or of stdout."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _writer(args) as write:
+        write_json(obj, write)
 
 
 def cmd_basis(args) -> int:
@@ -117,7 +196,8 @@ def cmd_eigen(args) -> int:
                 f"{_cyc_str(row['matrix_value'])},{_cyc_str(row['closed_form'])},"
                 f"{str(row['match']).lower()}"
             )
-        _emit(args, "\n".join(lines) + "\n")
+        with _writer(args) as write:
+            write("\n".join(lines) + "\n")
         return 0
     _emit_json(args, {
         "space": space.descriptor(),

@@ -533,9 +533,25 @@ def _check_sublattice_counts(config, rng):
     return out
 
 
+def _symmetric_draws(rng, bound: int, count: int) -> list[int]:
+    """`count` values of rng.randint(-bound, bound), drawn as CPython's
+    randint draws them (getrandbits(k) redrawn while >= 2*bound + 1), so the
+    random stream is the same, at about half the cost per value."""
+    span = 2 * bound + 1
+    k = span.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(count):
+        x = draw(k)
+        while x >= span:
+            x = draw(k)
+        out.append(x - bound)
+    return out
+
+
 def _random_unimodular(rng, bound: int, special: bool = False):
     while True:
-        g = tuple(rng.randint(-bound, bound) for _ in range(4))
+        g = tuple(_symmetric_draws(rng, bound, 4))
         det = g[0] * g[3] - g[1] * g[2]
         if det == 1 or (det == -1 and not special):
             return g

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -117,6 +118,27 @@ def test_restriction_reassembles():
         for part in parts:
             prod = prod * part(n)
         assert chi(n) == prod
+
+
+@pytest.mark.parametrize("modulus,spec,conductors", [
+    (2310, "5:1,11:1", {1, 4, 5, 20}),
+    (15, "3:1,5:1", {1, 4}),
+    (35, "5:1,7:1", {1, 3, 4, 12}),
+])
+def test_eval_over_memo_matches_the_local_product(modulus, spec, conductors):
+    chi = DirichletCharacter.parse(modulus, spec)
+    primes = [lc.q for lc in chi.locals]
+    seen = set()
+    for r in range(len(primes) + 1):
+        for sub in combinations(primes, r):
+            for n in range(2 * modulus):
+                direct = CycNum.one()
+                for q in sub:
+                    direct = direct * chi.local(q)(n)
+                seen.add(direct.m)
+                assert chi.eval_over(list(sub), n) == direct  # first call
+                assert chi.eval_over(sub, n) == direct  # memoized
+    assert seen == conductors
 
 
 def test_enumerate_characters():

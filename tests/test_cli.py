@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,3 +249,48 @@ def test_output_file(capsys, tmp_path):
                  "--output", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["dimension"] == 3
+
+    argv = ["eigen", "--level", "30", "--weight", "4", "--primes", "7"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "eigen.json"
+    assert main(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+
+
+def _written(obj) -> list[str]:
+    pieces = []
+    cli.write_json(obj, pieces.append)
+    return pieces
+
+
+def test_write_json_across_flush_chunks():
+    rng = random.Random(20)
+
+    def tree(depth):
+        if depth == 0:
+            return rng.choice([rng.randint(-10**30, 10**30), "x\"\\\né",
+                               None, True, False, [], {}, ()])
+        kind = rng.randrange(3)
+        if kind == 0:
+            return {f"k{rng.randint(0, 99)}": tree(depth - 1) for _ in range(4)}
+        if kind == 1:
+            return [tree(depth - 1) for _ in range(4)]
+        return tuple(str(rng.random()) for _ in range(3))
+
+    obj = [tree(6) for _ in range(10)]
+    pieces = _written(obj)
+    assert len(pieces) > 1
+    assert "".join(pieces) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj,message", [
+    (Fraction(1, 2), "cannot write Fraction as JSON"),
+    ({"a": [1, {"b": {3}}]}, "cannot write set as JSON"),
+    (["a", 0.5], "cannot write float as JSON"),
+    ({"a": 1, 2: "b"}, "keys must be str, not int"),
+])
+def test_write_json_rejects_what_no_output_holds(obj, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        _written(obj)

@@ -9,7 +9,9 @@ relations before S1/S2 became cached sparse tables applied to row vectors:
 the level-70 word prints entries at conductor 12; the level-2310 eigen with
 a conductor-20 character and the level-70 eigen with extra primes before
 eigenvectors were verified one prime at a time: they verify against tables
-whose local blocks differ by character pattern).
+whose local blocks differ by character pattern; the level-2310 trivial
+eigen, the largest rational tree, before JSON output was streamed through
+`cli.write_json`).
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -53,6 +55,8 @@ GOLDEN = [
      "38e8f87388fe4b74c7b665f9671570e9b524acda6cdb2ce3a5275c54a485ad08"),
     (("eigen", "--level", "55", "--weight", "4", "--char", "5:1,11:1"),
      "7a81fc89669bd9a1cffb2ecc191555956cea0b2a0a5224e16643ea491f79c8a6"),
+    (("eigen", "--level", "2310", "--weight", "4"),
+     "83787407a0c7766556e731b3a4f5871de2aabdfcdc05b0076b05dba55d5c5a47"),
     (("eigen", "--level", "2310", "--weight", "4", "--char", "5:1,11:1"),
      "dc58e53b85bbb68f5d3a412c77fb8fe0b989908bfacb151c2ddaa08571d136cb"),
     (("eigen", "--level", "70", "--weight", "5", "--char", "5:1,7:2",

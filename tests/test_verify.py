@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -22,6 +23,13 @@ def test_subgroup_count_oracle():
     assert subgroup_count_oracle(5) == 6
     for q in (7, 11, 13):
         assert subgroup_count_oracle(q) == q + 1
+
+
+def test_symmetric_draws_follow_randint():
+    fast, slow = random.Random(31), random.Random(31)
+    assert verify._symmetric_draws(fast, 10, 10**5) == [
+        slow.randint(-10, 10) for _ in range(10**5)]
+    assert fast.random() == slow.random()
 
 
 def test_small_config_report():
