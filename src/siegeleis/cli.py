@@ -20,7 +20,8 @@ from .eisspace import enumerate_partitions, prime_factors
 from .fourier import (UOperator, apply_U, calibrate_normalization,
                       krylov_spectral, project_components, provider_load)
 from .hecke import (HeckeOp, SpaceOperators, compare_eigenvalues, eigenbasis,
-                    relation_defects, s_constant, word_matrix)
+                    eigenvalue_comparisons, relation_defects, s_constant,
+                    word_matrix)
 from .verify import PRESETS, run_suite
 
 
@@ -186,15 +187,13 @@ def cmd_eigen(args) -> int:
             if op not in op_list:
                 op_list.append(op)
     system = eigenbasis(ops)
-    comparison = compare_eigenvalues(system, op_list)
     if args.format == "csv":
         lines = ["partition,op,eigenvalue,closed_form,match"]
-        for row in comparison:
-            part = row["partition"]
+        for rho, op, mval, cval, match, _ in eigenvalue_comparisons(
+                system, op_list):
             lines.append(
-                f"({part['N0']};{part['N1']};{part['N2']}),{row['op']},"
-                f"{_cyc_str(row['matrix_value'])},{_cyc_str(row['closed_form'])},"
-                f"{str(row['match']).lower()}"
+                f"({rho.n0};{rho.n1};{rho.n2}),{op.spec_string()},"
+                f"{_cyc_str(mval)},{_cyc_str(cval)},{str(match).lower()}"
             )
         with _writer(args) as write:
             write("\n".join(lines) + "\n")
@@ -202,16 +201,13 @@ def cmd_eigen(args) -> int:
     _emit_json(args, {
         "space": space.descriptor(),
         "eigenbasis": system.to_json(),
-        "comparison": comparison,
+        "comparison": compare_eigenvalues(system, op_list),
     })
     return 0
 
 
-def _cyc_str(obj) -> str:
-    from .cyclotomic import CycNum
-
-    v = CycNum.from_json(obj)
-    return repr(v).replace(" ", "")
+def _cyc_str(value) -> str:
+    return repr(value).replace(" ", "")
 
 
 def cmd_relations(args) -> int:

@@ -191,6 +191,10 @@ class CycNum:
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
 
+    def __reduce__(self):
+        # the stored form is canonical, so it is rebuilt as it is
+        return _raw, (self.m, self.n, self.d)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .characters import is_prime, legendre_epsilon
 from .cyclotomic import CycNum, as_cyc
-from .eisspace import EisSpace, EisVector, Partition, prime_factors
+from .eisspace import EisSpace, Partition, prime_factors
 from .linalg import CycMatrix
 
 _ZERO = CycNum.zero()
@@ -120,6 +120,12 @@ def _row_prime_to_level(space: EisSpace, rho: Partition, op: HeckeOp) -> dict:
     return {rho: val}
 
 
+def _moved_by(space: EisSpace, p: int) -> list[int]:
+    """A_p: the positions of the primes q != p of N with chi_q(p) != 1."""
+    return [x for x, q in enumerate(prime_factors(space.level))
+            if q != p and not space.char.local(q)(p).is_one()]
+
+
 def _rows_prime_to_level(space: EisSpace, op: HeckeOp) -> tuple:
     """The diagonal rows of T(p) or T1(p^2) for p not dividing the level.
 
@@ -129,8 +135,7 @@ def _rows_prime_to_level(space: EisSpace, op: HeckeOp) -> tuple:
     for each of their rank patterns and shared (_local_blocks checks that
     the rows agree on this key).
     """
-    moving = [x for x, q in enumerate(prime_factors(space.level))
-              if not space.char.local(q)(op.p).is_one()]
+    moving = _moved_by(space, op.p)
     values: dict[tuple, CycNum] = {}
     rows = []
     for i, (rho, ranks) in enumerate(zip(space.basis, space.rank_tuples)):
@@ -293,10 +298,98 @@ def _coeff_c(space: EisSpace, rho: Partition, q: int) -> CycNum:
     return -(chi2 * Fraction(q * q - 1, q * q)) / (chi01 * q ** (k - 2) - chi2)
 
 
+class TensorVector:
+    """The eigenvector of a basis partition, stored as the tensor product of
+    its local vectors.
+
+    ``local[x]`` is the local vector u_q at the x-th prime q of N: a map
+    rank -> value that is 1 at the rank of the partition (eigenbasis checks
+    this), shared with the other vectors of its key and so read only.  The
+    coefficient at a rank tuple s is the product of the u_q[s_q]; the
+    factors at the partition's own ranks are 1 and left out.  ``coeffs``,
+    ``dense()`` and ``to_json()`` expand the vector on each call, through
+    _expand.
+    """
+
+    __slots__ = ("space", "partition", "local")
+
+    def __init__(self, space: EisSpace, partition: Partition,
+                 local: tuple[dict[int, CycNum], ...]):
+        self.space = space
+        self.partition = partition
+        self.local = local
+
+    @property
+    def coeffs(self) -> dict[Partition, CycNum]:
+        basis = self.space.basis
+        return {basis[i]: c for i, c in _expand(self, {})}
+
+    def dense(self) -> list[CycNum]:
+        out = [_ZERO] * self.space.dimension
+        for i, c in _expand(self, {}):
+            out[i] = c
+        return out
+
+    def to_json(self, memo: _JsonMemo | None = None):
+        """The nonzero coefficients in basis order; a memo shared by the
+        vectors of one output computes each product and each JSON once."""
+        if memo is None:
+            memo = _JsonMemo(self.space)
+        values, parts = memo.values, memo.partitions
+        out = []
+        for i, c in sorted(_expand(self, memo.products), key=itemgetter(0)):
+            hit = values.get(id(c))
+            if hit is None:
+                hit = values[id(c)] = (c, c.to_json())
+            out.append({"partition": parts[i], "coeff": hit[1]})
+        return out
+
+
+class _JsonMemo:
+    """What the vectors of one JSON output share.  The values of `products`
+    and `values` keep their objects alive, so no id is reused meanwhile."""
+
+    def __init__(self, space: EisSpace):
+        self.products: dict = {}  # (id(prefix), id(factor)) -> (factor, product)
+        self.values: dict = {}  # id(product) -> (product, its JSON)
+        self.partitions = [p.to_json() for p in space.basis]
+
+
+def _expand(vec: TensorVector, products: dict) -> list[tuple[int, CycNum]]:
+    """The nonzero coefficients of vec as (basis index, value) pairs.
+
+    Each value is the product, from 1, of its local entries off the
+    partition's ranks: the primes at rank 0 ascending, then those at rank 1
+    ascending.  A CycNum keeps the conductor its products reach, so this
+    fixed order keeps the JSON of every value the same.  A product already
+    in `products` (the same prefix object times the same factor object) is
+    reused, not recomputed.
+    """
+    space = vec.space
+    ranks = space.rank_tuples[space.index_of(vec.partition)]
+    terms = [(ranks, _ONE)]
+    for x in sorted(range(len(ranks)), key=lambda x: (ranks[x], x)):
+        moves = [(t, a) for t, a in vec.local[x].items()
+                 if t != ranks[x] and not a.is_zero()]
+        if not moves:
+            continue
+        grown = []
+        for s, coeff in terms:
+            grown.append((s, coeff))
+            for t, a in moves:
+                hit = products.get((id(coeff), id(a)))
+                if hit is None:
+                    hit = products[id(coeff), id(a)] = (a, coeff * a)
+                grown.append((s[:x] + (t,) + s[x + 1:], hit[1]))
+        terms = grown
+    index = space.index_of_ranks
+    return [(index[s], coeff) for s, coeff in terms]
+
+
 @dataclass
 class EigenVectorEntry:
     partition: Partition
-    vector: EisVector
+    vector: TensorVector
     eigenvalues: dict[HeckeOp, CycNum]
 
 
@@ -312,10 +405,11 @@ class EigenSystem:
         raise KeyError(rho)
 
     def to_json(self):
+        memo = _JsonMemo(self.space)
         return [
             {
                 "partition": e.partition.to_json(),
-                "vector": e.vector.to_json(),
+                "vector": e.vector.to_json(memo),
                 "eigenvalues": {
                     op.spec_string(): lam.to_json()
                     for op, lam in sorted(
@@ -327,32 +421,44 @@ class EigenSystem:
         ]
 
 
-def eigen_vector(space: EisSpace, rho: Partition) -> EisVector:
-    """The simultaneous eigenvector attached to rho: a double sum over
-    coprime divisor moves out of N0 and N1 with coefficients a, b, c
-    extended multiplicatively.
+def _local_vector(space: EisSpace, rho: Partition, q: int,
+                  rank: int) -> dict[int, CycNum]:
+    """u_q of rho: 1 at its rank at q, then the coefficients a, b (rank 0)
+    or c (rank 1) of the moves up from it, where nonzero."""
+    if rank == 0:
+        u = {0: _ONE, 1: _coeff_a(space, rho, q), 2: _coeff_b(space, rho, q)}
+    elif rank == 1:
+        u = {1: _ONE, 2: _coeff_c(space, rho, q)}
+    else:
+        u = {2: _ONE}
+    return {t: a for t, a in u.items() if not a.is_zero()}
 
-    Each coefficient is computed once per prime.  A term's coefficient is
-    the product, from 1, of the coefficients of its moves: the N0 primes
-    ascending, then the N1 primes ascending.
+
+def eigen_vector(space: EisSpace, rho: Partition,
+                 memo: dict | None = None) -> TensorVector:
+    """The simultaneous eigenvector attached to rho: the tensor product over
+    the primes q of N of local vectors u_q, built from the coefficients
+    a, b, c of the moves out of N0 and N1.
+
+    The character values in a, b, c at q are those of the primes in A_q, so
+    u_q depends on rho only through its key (q, rank at q, ranks at A_q).
+    With a memo shared between calls on one space (it holds A_q under q and
+    u_q under its key), each u_q is computed once per key and shared.
     """
     ranks = space.rank_tuples[space.index_of(rho)]
-    primes = prime_factors(space.level)
-    moves = [(pos, ((1, _coeff_a(space, rho, q)), (2, _coeff_b(space, rho, q))))
-             for pos, q in enumerate(primes) if ranks[pos] == 0]
-    moves += [(pos, ((2, _coeff_c(space, rho, q)),))
-              for pos, q in enumerate(primes) if ranks[pos] == 1]
-    terms = [(ranks, _ONE)]
-    for pos, options in moves:
-        options = [(r, x) for r, x in options if not x.is_zero()]
-        grown = []
-        for s, coeff in terms:
-            grown.append((s, coeff))
-            grown.extend((s[:pos] + (r,) + s[pos + 1:], coeff * x)
-                         for r, x in options)
-        terms = grown
-    basis, index = space.basis, space.index_of_ranks
-    return EisVector(space, {basis[index[s]]: coeff for s, coeff in terms})
+    if memo is None:
+        memo = {}
+    local = []
+    for x, q in enumerate(prime_factors(space.level)):
+        at = memo.get(q)
+        if at is None:
+            at = memo[q] = _moved_by(space, q)
+        key = (q, ranks[x], *(ranks[y] for y in at))
+        u = memo.get(key)
+        if u is None:
+            u = memo[key] = _local_vector(space, rho, q, ranks[x])
+        local.append(u)
+    return TensorVector(space, rho, tuple(local))
 
 
 def _verification_failed(rho: Partition, op: HeckeOp, why: str) -> RuntimeError:
@@ -404,90 +510,83 @@ def _local_blocks(hm: HeckeMatrix):
     return pos, at, blocks
 
 
-def _local_vectors(space: EisSpace, i: int, v: dict[int, CycNum]):
-    """The local vectors u_q of v (keyed by rank, nonzero entries only),
-    read off at rho = basis[i] with only q moved; None unless v[rho] == 1
-    and v equals the tensor product of the u_q on every coordinate."""
-    r = space.rank_tuples[i]
-    index = space.index_of_ranks
-    if not v.get(i, _ZERO) == 1:
-        return None
-    local = []
-    for pos in range(len(r)):
-        u = {}
-        for t in range(3):
-            x = v.get(index.get(r[:pos] + (t,) + r[pos + 1:]), _ZERO)
-            if not x.is_zero():
-                u[t] = x
-        local.append(u)
-    terms = [((), _ONE)]
-    for u in local:
-        terms = [(s + (t,), c * x) for s, c in terms for t, x in u.items()]
-    if sum(1 for x in v.values() if not x.is_zero()) != len(terms):
-        return None
-    for s, c in terms:
-        if not v.get(index.get(s), _ZERO) == c:
-            return None
-    return local
+def _is_local_eigen(blocks, key, u, lam: CycNum) -> bool:
+    """Check 3 at one key: for p not dividing N (u is None) the diagonal
+    value of the key is lam; for p | N, u.L_key == lam.u on the union of
+    the supports.  A key or rank with no rows in the table fails."""
+    if u is None:
+        value = blocks.get(key)
+        return value is not None and value == lam
+    image: dict[int, CycNum] = {}
+    for s, x in u.items():
+        row = blocks.get((key, s))
+        if row is None:
+            return False
+        for t, a in row:
+            image[t] = image[t] + x * a if t in image else x * a
+    return all(image.get(t, _ZERO) == lam * u.get(t, _ZERO)
+               for t in image.keys() | u.keys())
 
 
 def eigenbasis(ops: SpaceOperators) -> EigenSystem:
-    """One verified eigenvector per basis partition.
+    """One verified eigenvector per basis partition, in factored form.
 
     The level operators T(q), T1(q^2) for q | N are constructed if absent;
     each eigenvector v is then proved to satisfy v.M = lambda.v, with lambda
     the diagonal entry at rho, against every stored table M at a prime p.
     Basis elements are indexed by their rank tuples over the primes of N,
-    and the proof has three checks, each exact:
+    and v is by definition the tensor product of its local vectors u_q
+    (TensorVector).  The proof has three checks, each exact:
 
     1. Once per table (_local_blocks): M is block-diagonal over the
        p-fibers, and rows with the same key (ranks at A_p, rank at p) have
        the same local row, so each block is a local block L_key.
-    2. Once per vector (_local_vectors): v[rho] == 1, and v is the tensor
-       product of its local vectors u_q on the product of their supports
-       and 0 on every other coordinate.
+    2. Once per vector: u_q[rank of rho at q] == 1 for every q, so v[rho]
+       == 1 and the factors that the expansion leaves out are 1.
     3. Per vector and table: for each key in the product of the local
        supports at A_p, u_p.L_key == lambda.u_p on the union of the
        supports for p | N, and the diagonal value of the key equals lambda
-       for p not dividing N.
+       for p not dividing N.  Local vectors are shared between vectors, so
+       each distinct (table, key, u_p, lambda) is checked once; the memo
+       keys u_p by identity and keeps it alive, and lambda by its exact
+       stored value.
 
     Why this proves every coordinate: on a p-fiber s, v restricted to s is
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
     (v.M)[s] = lambda.v[s] on every fiber in the support of v; elsewhere
-    both sides are 0.  The proof reads only the emitted vector and the
-    sparse rows; a wrong A_p makes check 1 fail.  A verification failure
-    is an internal error, not a data condition.
+    both sides are 0.  The proof reads only the local vectors and the
+    sparse rows, and no dense vector is built; a wrong A_p makes check 1
+    fail.  A verification failure is an internal error, not a data
+    condition.
     """
     space = ops.space
     for op in ops.level_ops():
         ops.matrix(op)
     tables = [(op, hm, *_local_blocks(hm)) for op, hm in ops.stored().items()]
+    vectors: dict = {}
+    checked: dict[tuple, dict | None] = {}
     entries = []
     for i, rho in enumerate(space.basis):
-        vec = eigen_vector(space, rho)
+        vec = eigen_vector(space, rho, vectors)
+        ranks, local = space.rank_tuples[i], vec.local
+        if tables and not (vec.partition == rho and len(local) == len(ranks)
+                           and all(u.get(r, _ZERO) == 1
+                                   for u, r in zip(local, ranks))):
+            raise _verification_failed(
+                rho, tables[0][0], "a local vector is not 1 at rho")
         eigs: dict[HeckeOp, CycNum] = {}
-        if tables:
-            local = _local_vectors(
-                space, i, {space.index_of(p): c for p, c in vec.coeffs.items()})
-            if local is None:
-                raise _verification_failed(
-                    rho, tables[0][0],
-                    "not v[rho] = 1 times a product of local vectors")
-        for op, hm, pos, at, blocks in tables:
+        for n, (op, hm, pos, at, blocks) in enumerate(tables):
             lam = hm.diagonal(i)
+            u = None if pos is None else local[pos]
+            exact = (lam.m, lam.n, lam.d)
             for key in product(*(local[x] for x in at)):
-                if pos is None:
-                    ok = blocks[key] == lam
-                else:
-                    u, image = local[pos], {}
-                    for s, x in u.items():
-                        for t, a in blocks[key, s]:
-                            image[t] = image[t] + x * a if t in image else x * a
-                    ok = all(image.get(t, _ZERO) == lam * u.get(t, _ZERO)
-                             for t in image.keys() | u.keys())
-                if not ok:
+                seen = (n, key, id(u), exact)
+                if seen in checked:
+                    continue
+                if not _is_local_eigen(blocks, key, u, lam):
                     raise _verification_failed(
                         rho, op, f"wrong local eigenvector at {op.p}")
+                checked[seen] = u
             eigs[op] = lam
         entries.append(EigenVectorEntry(rho, vec, eigs))
     return EigenSystem(space, entries)
@@ -535,8 +634,9 @@ def eigenvalue_closed_form(space: EisSpace, rho: Partition, op: HeckeOp) -> CycN
     return as_cyc(_chi_over(space, c2, p * p) * (p + 1))
 
 
-def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
-    """Verified eigenvalues vs the closed-form tables, per (rho, op).
+def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
+    """Verified eigenvalues vs the closed-form tables, per (rho, op), as
+    tuples (rho, op, matrix value, closed form, match, expected mismatch).
 
     ``system`` comes from eigenbasis, so each value is the exactly checked
     diagonal entry of the action table; op_list defaults to the level
@@ -563,17 +663,25 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
                 and space.level % op.p == 0
                 and e.partition.rank_of(op.p) == 1
             )
-            out.append(
-                {
-                    "partition": e.partition.to_json(),
-                    "op": op.spec_string(),
-                    "matrix_value": mval.to_json(),
-                    "closed_form": cval.to_json(),
-                    "match": bool(mval == cval),
-                    "expected_mismatch": expected_mismatch,
-                }
-            )
+            out.append((e.partition, op, mval, cval, bool(mval == cval),
+                        expected_mismatch))
     return out
+
+
+def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
+    """The rows of eigenvalue_comparisons as JSON."""
+    return [
+        {
+            "partition": rho.to_json(),
+            "op": op.spec_string(),
+            "matrix_value": mval.to_json(),
+            "closed_form": cval.to_json(),
+            "match": match,
+            "expected_mismatch": expected_mismatch,
+        }
+        for rho, op, mval, cval, match, expected_mismatch
+        in eigenvalue_comparisons(system, op_list)
+    ]
 
 
 # -- relation operators (corner-to-basis words) --------------------------------

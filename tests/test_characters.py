@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 from math import gcd
@@ -139,6 +140,17 @@ def test_eval_over_memo_matches_the_local_product(modulus, spec, conductors):
                 assert chi.eval_over(list(sub), n) == direct  # first call
                 assert chi.eval_over(sub, n) == direct  # memoized
     assert seen == conductors
+
+
+def test_character_pickles_with_its_memo():
+    chi = DirichletCharacter.parse(55, "5:1,11:1")
+    values = {n: chi.eval_over((5, 11), n) for n in range(1, 56)}
+    back = pickle.loads(pickle.dumps(chi))
+    assert back == chi and back.spec_string() == "5:1,11:1"
+    assert back._memo.keys() == chi._memo.keys()
+    for n, v in values.items():
+        assert back.eval_over((5, 11), n).to_json() == v.to_json()
+        assert back(n) == chi(n)
 
 
 def test_enumerate_characters():

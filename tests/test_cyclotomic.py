@@ -1,5 +1,6 @@
 import cmath
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -176,3 +177,16 @@ def test_immutability_and_repr():
         v.m = 8
     assert "z4" in repr(v)
     assert repr(as_cyc(Fraction(-3, 7))) == "-3/7"
+
+
+@pytest.mark.parametrize("value,m", [
+    (CycNum.one(), 1),
+    (CycNum.from_rational(Fraction(-7, 3)), 1),
+    (root(4) / 3 - 1, 4),
+    (root(12, 5) * Fraction(2, 5) + root(3), 12),
+    (root(20, 3) - root(4) * Fraction(1, 7), 20),
+], ids=["one", "rational", "m4", "m12", "m20"])
+def test_pickle_round_trip(value, m):
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is CycNum and back.m == value.m == m
+    assert back == value and back.to_json() == value.to_json()

@@ -11,7 +11,9 @@ a conductor-20 character and the level-70 eigen with extra primes before
 eigenvectors were verified one prime at a time: they verify against tables
 whose local blocks differ by character pattern; the level-2310 trivial
 eigen, the largest rational tree, before JSON output was streamed through
-`cli.write_json`).
+`cli.write_json`; the level-55 csv eigen, which prints values at conductor
+20, before eigenvectors were stored factored and csv cells were formatted
+from the values instead of a JSON round trip).
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -19,6 +21,7 @@ CHANGES.md.
 """
 
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,8 @@ PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
 
 EIGEN_30_PRIMES_7 = ("eigen", "--level", "30", "--weight", "4", "--primes", "7")
 RELATIONS_210 = ("relations", "--level", "210", "--weight", "4")
+EIGEN_55_CSV = ("eigen", "--level", "55", "--weight", "4", "--char",
+                "5:1,11:1", "--format", "csv")
 
 GOLDEN = [
     (("basis", "--level", "30", "--weight", "4"),
@@ -55,6 +60,8 @@ GOLDEN = [
      "38e8f87388fe4b74c7b665f9671570e9b524acda6cdb2ce3a5275c54a485ad08"),
     (("eigen", "--level", "55", "--weight", "4", "--char", "5:1,11:1"),
      "7a81fc89669bd9a1cffb2ecc191555956cea0b2a0a5224e16643ea491f79c8a6"),
+    (EIGEN_55_CSV,
+     "24f3c4e9dd95581b8f2a3fa41dc40403c08b52aa5f1bad38677e055786b90493"),
     (("eigen", "--level", "2310", "--weight", "4"),
      "83787407a0c7766556e731b3a4f5871de2aabdfcdc05b0076b05dba55d5c5a47"),
     (("eigen", "--level", "2310", "--weight", "4", "--char", "5:1,11:1"),
@@ -129,3 +136,25 @@ def test_relations_build_each_s_table_once(capsys, monkeypatch):
     # 4 primes x {S1, S2}, each built once for the 81 relation words
     assert sorted(calls) == [(q, w) for q in (2, 3, 5, 7) for w in ("S1", "S2")]
     assert digest == dict(GOLDEN)[RELATIONS_210]
+
+
+def test_csv_eigen_expands_no_vector(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("csv output expanded an eigenvector")
+
+    monkeypatch.setattr(hecke, "_expand", forbidden)
+    assert stdout_digest(capsys, EIGEN_55_CSV) == dict(GOLDEN)[EIGEN_55_CSV]
+
+
+def test_json_eigen_expands_each_vector_once(capsys, monkeypatch):
+    calls = Counter()
+    real = hecke._expand
+
+    def counted(vec, products):
+        calls[vec.partition] += 1
+        return real(vec, products)
+
+    monkeypatch.setattr(hecke, "_expand", counted)
+    digest = stdout_digest(capsys, EIGEN_30_PRIMES_7)
+    assert len(calls) == 27 and set(calls.values()) == {1}
+    assert digest == dict(GOLDEN)[EIGEN_30_PRIMES_7]

@@ -8,9 +8,8 @@ import pytest
 import siegeleis.hecke as hecke
 from siegeleis.characters import DirichletCharacter, legendre_epsilon
 from siegeleis.cyclotomic import CycNum, as_cyc
-from siegeleis.eisspace import (EisVector, Partition, enumerate_partitions,
-                                 prime_factors)
-from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators,
+from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
+from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
                              apply_word, compare_eigenvalues, eigen_vector, eigenbasis,
                              eigenvalue_closed_form, hecke_matrix, s_constant,
                              s_operator, s_word)
@@ -346,61 +345,143 @@ def test_apply_word_sums_in_ascending_index_order():
 
 
 def _tampered(change, target=Partition(2, 1, 1)):
-    """eigen_vector with the vector of target altered by change()."""
+    """eigen_vector with the local vectors of target altered by change(),
+    which gets copies of them, one rank -> value dict per prime of N."""
     real = hecke.eigen_vector
 
-    def fake(space, rho):
-        vec = real(space, rho)
+    def fake(space, rho, memo=None):
+        vec = real(space, rho, memo)
         if rho == target:
-            coeffs = dict(vec.coeffs)
-            change(coeffs)
-            vec = EisVector(space, coeffs)
+            local = [dict(u) for u in vec.local]
+            change(local)
+            vec = TensorVector(space, rho, tuple(local))
         return vec
     return fake
 
 
-def _change_coeff(coeffs):
-    coeffs[Partition(1, 2, 1)] = CycNum.from_rational(Fraction(-1, 13))
+def _change_coeff(local):
+    # u_2 of (2,1,1) is {0: 1, 1: -1/14, 2: -1/434}
+    local[0][1] = CycNum.from_rational(Fraction(-1, 13))
 
 
-def _drop_coeff(coeffs):
-    # the image of e0 - e1/14 under T(2) is nonzero at (1,1,2), where the
-    # vector is 0: only a check beyond v's support sees it
-    del coeffs[Partition(1, 1, 2)]
+def _drop_coeff(local):
+    # the image of u_2 without its rank-2 entry under the local block of
+    # T(2) is nonzero at rank 2, where that u_2 is 0: only a check beyond
+    # u_2's support sees it
+    del local[0][2]
 
 
-def _extra_coeff(coeffs):
-    # (2,1,3) has rank 0 at 2 and rank 2 at 3: it lies off the product of
-    # the local supports of the vector of (1,6,1), {1,2} x {1,2}
-    coeffs[Partition(2, 1, 3)] = CycNum.one()
+def _wrong_normalization(local):
+    # (6,1,1) has rank 0 at 3; the rest of u_3 is left as it is
+    local[1][0] = CycNum.from_rational(2)
 
 
-def _change_off_axis(coeffs):
-    # (1,2,3) moves both primes of the corner (6,1,1), so no local vector
-    # reads it: only the tensor-product check does
-    coeffs[Partition(1, 2, 3)] *= 2
+def _scale_vector(local):
+    # still a local eigenvector, so the tensor product is an eigenvector,
+    # but no longer normalized at rho
+    local[0] = {t: a * 2 for t, a in local[0].items()}
 
 
-def _scale_vector(coeffs):
-    # still an eigenvector, but no longer normalized at rho
-    for p in coeffs:
-        coeffs[p] *= 2
+def _extra_local_coeff(local):
+    # (1,6,1) has rank 1 at 2; an entry at rank 0 moves down, which no
+    # eigenvector of the upper triangular local block does
+    local[0][0] = CycNum.one()
 
 
-NOT_A_PRODUCT = r"op=T\(2\): not v\[rho\] = 1 times a product of local vectors"
+def _off_basis_coeff(local):
+    # chi_5 has order 4, so no basis element has rank 1 at 5
+    local[0][1] = CycNum.one()
 
 
-@pytest.mark.parametrize("change,level,rho,want", [
-    (_change_coeff, 2, Partition(2, 1, 1), r"verification failed for rho=\(2,1,1\)"),
-    (_drop_coeff, 2, Partition(2, 1, 1), r"verification failed for rho=\(2,1,1\)"),
-    (_extra_coeff, 6, Partition(1, 6, 1), r"rho=\(1,6,1\), " + NOT_A_PRODUCT),
-    (_change_off_axis, 6, Partition(6, 1, 1), r"rho=\(6,1,1\), " + NOT_A_PRODUCT),
-    (_scale_vector, 2, Partition(1, 2, 1), r"rho=\(1,2,1\), " + NOT_A_PRODUCT),
-], ids=["changed", "dropped", "extra", "changed-off-axis", "scaled"])
-def test_eigenbasis_rejects_a_wrong_vector(monkeypatch, change, level, rho, want):
+NOT_ONE = r"op=T\(2\): a local vector is not 1 at rho"
+WRONG_AT = r"op=T\({0}\): wrong local eigenvector at {0}"
+
+
+@pytest.mark.parametrize("change,space,rho,want", [
+    (_change_coeff, (2, "1", 4), Partition(2, 1, 1),
+     r"rho=\(2,1,1\), " + WRONG_AT.format(2)),
+    (_drop_coeff, (2, "1", 4), Partition(2, 1, 1),
+     r"rho=\(2,1,1\), " + WRONG_AT.format(2)),
+    (_extra_local_coeff, (6, "1", 4), Partition(1, 6, 1),
+     r"rho=\(1,6,1\), " + WRONG_AT.format(2)),
+    (_off_basis_coeff, (5, "5:1", 5), Partition(5, 1, 1),
+     r"rho=\(5,1,1\), " + WRONG_AT.format(5)),
+    (_wrong_normalization, (6, "1", 4), Partition(6, 1, 1),
+     r"rho=\(6,1,1\), " + NOT_ONE),
+    (_scale_vector, (2, "1", 4), Partition(1, 2, 1), r"rho=\(1,2,1\), " + NOT_ONE),
+], ids=["changed", "dropped", "extra-local", "off-basis", "normalization",
+        "scaled"])
+def test_eigenbasis_rejects_a_wrong_vector(monkeypatch, change, space, rho, want):
     monkeypatch.setattr(hecke, "eigen_vector", _tampered(change, rho))
-    with pytest.raises(RuntimeError, match=want):
-        eigenbasis(SpaceOperators(enumerate_partitions(level, None, 4)))
+    with pytest.raises(RuntimeError, match="verification failed for " + want):
+        eigenbasis(SpaceOperators(_space(*space)))
+
+
+def test_expansion_multiplies_rank_0_primes_first():
+    # i * -i is rational, so multiplying it first leaves zeta_3 at its own
+    # conductor 3; the primes in ascending order would give i * zeta_3 * -i,
+    # the same value stored at conductor 12
+    i, z3 = CycNum.root_of_unity(4), CycNum.root_of_unity(3)
+    space = enumerate_partitions(30, None, 4)
+    rho = Partition(10, 3, 1)  # ranks 0, 1, 0 at 2, 3, 5
+    vec = TensorVector(space, rho, ({0: CycNum.one(), 1: i},
+                                    {1: CycNum.one(), 2: z3},
+                                    {0: CycNum.one(), 2: -i}))
+    coeff = vec.coeffs[Partition(1, 2, 15)]
+    assert coeff == z3 and coeff.to_json() == z3.to_json()
+    assert (i * z3 * -i).to_json() != z3.to_json()
+    assert len(vec.coeffs) == 8
+
+
+def test_eigenbasis_checks_a_shared_local_vector_per_object(monkeypatch):
+    # (6,1,1) and (2,3,1) share u_2 (rank 0 at 2, and A_2 is empty at the
+    # trivial character) and every eigenvalue at 2; only the second is
+    # tampered, so a memo keyed on the local key or the basis index would
+    # pass it
+    space = enumerate_partitions(6, None, 4)
+    first, second = Partition(6, 1, 1), Partition(2, 3, 1)
+    memo = {}
+    assert (eigen_vector(space, first, memo).local[0]
+            is eigen_vector(space, second, memo).local[0])
+    assert space.index_of(first) < space.index_of(second)
+    monkeypatch.setattr(hecke, "eigen_vector", _tampered(_change_coeff, second))
+    with pytest.raises(RuntimeError, match=r"rho=\(2,3,1\), op=T\(2\): "
+                                           r"wrong local eigenvector at 2"):
+        eigenbasis(SpaceOperators(space))
+
+
+def test_local_vectors_are_computed_once_per_key(monkeypatch):
+    # at the trivial character A_q is empty, so the key is (q, rank at q):
+    # 3 per prime for the 243 vectors at N=2310
+    calls = []
+    real = hecke._local_vector
+
+    def counted(space, rho, q, rank):
+        calls.append((q, rank))
+        return real(space, rho, q, rank)
+
+    monkeypatch.setattr(hecke, "_local_vector", counted)
+    system = eigenbasis(SpaceOperators(enumerate_partitions(2310, None, 4)))
+    assert len(system.entries) == 243
+    assert sorted(calls) == [(q, r) for q in (2, 3, 5, 7, 11) for r in range(3)]
+
+
+def test_expansion_views_agree_and_sharing_changes_no_byte():
+    # coeffs, dense() and to_json() read one expansion; the products and
+    # JSON that EigenSystem.to_json shares between vectors equal those of
+    # each vector expanded alone
+    system = eigenbasis(SpaceOperators(_space(2310, "5:1,11:1")))
+    space = system.space
+    shared = system.to_json()
+    for e, row in zip(system.entries, shared):
+        coeffs, dense = e.vector.coeffs, e.vector.dense()
+        assert all(dense[space.index_of(p)] == c for p, c in coeffs.items())
+        assert sum(1 for c in dense if not c.is_zero()) == len(coeffs)
+        alone = e.vector.to_json()
+        assert alone == row["vector"]
+        assert [(t["partition"], t["coeff"]) for t in alone] == sorted(
+            ((p.to_json(), c.to_json()) for p, c in coeffs.items()),
+            key=lambda t: space.index_of(Partition.from_json(t[0])))
 
 
 def _space(level, spec, k=4):

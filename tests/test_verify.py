@@ -7,7 +7,7 @@ from fractions import Fraction
 from siegeleis import hecke, verify
 from siegeleis.cyclotomic import CycNum
 from siegeleis.eisspace import EisVector, Partition, enumerate_partitions
-from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators
+from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators, TensorVector
 from siegeleis.linalg import CycMatrix
 from siegeleis.verify import (DESK_CONFIG, PRESETS, QUICK_CONFIG,
                               run_suite, space_run, spaces_in_scope,
@@ -143,12 +143,12 @@ def test_run_suite_builds_each_table_and_eigenbasis_once(monkeypatch):
 def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
     real = hecke.eigen_vector
 
-    def wrong(space, rho):
-        vec = real(space, rho)
+    def wrong(space, rho, memo=None):
+        vec = real(space, rho, memo)
         if space.level == 2 and rho == Partition(2, 1, 1):
-            coeffs = dict(vec.coeffs)
-            coeffs[Partition(1, 2, 1)] = CycNum.from_rational(Fraction(-1, 13))
-            vec = EisVector(space, coeffs)
+            # u_2 is {0: 1, 1: -1/14, 2: -1/434}
+            u = {**vec.local[0], 1: CycNum.from_rational(Fraction(-1, 13))}
+            vec = TensorVector(space, rho, (u,))
         return vec
 
     monkeypatch.setattr(hecke, "eigen_vector", wrong)
