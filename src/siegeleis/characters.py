@@ -181,12 +181,6 @@ class DirichletCharacter:
             self._memo[key] = val
         return val
 
-    def restrict(self, M: int) -> "DirichletCharacter":
-        if M < 1 or self.modulus % M != 0:
-            raise ValueError(f"{M} does not divide the modulus {self.modulus}")
-        comps = tuple(lc for lc in self.locals if M % lc.q == 0)
-        return DirichletCharacter(M, comps)
-
     @property
     def order(self) -> int:
         return lcm(1, *(lc.order for lc in self.locals))
@@ -208,16 +202,6 @@ class DirichletCharacter:
     def valid_for_weight(self, k: int) -> bool:
         """Nonvanishing condition chi(-1) = (-1)^k."""
         return self.parity() == (-1) ** k
-
-    def props(self, k: int | None = None) -> dict:
-        out = {
-            "order": self.order,
-            "is_real_at": {lc.q: lc.is_real for lc in self.locals},
-            "parity": self.parity(),
-        }
-        if k is not None:
-            out["valid_space"] = self.valid_for_weight(k)
-        return out
 
     def __repr__(self):
         return f"chi[{self.modulus}; {self.spec_string()}]"

@@ -198,12 +198,6 @@ class CycNum:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_rational(x) -> "CycNum":
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        return _raw(1, (x.numerator,), x.denominator)
-
-    @staticmethod
     def zero() -> "CycNum":
         return _ZERO
 

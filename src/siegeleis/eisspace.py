@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .characters import DirichletCharacter
-from .cyclotomic import CycNum, factorize, is_squarefree
+from .cyclotomic import factorize, is_squarefree
 
 
 @lru_cache(maxsize=None)
@@ -104,9 +104,6 @@ class EisSpace:
         """The basis index of each rank tuple: the inverse of rank_tuples."""
         return {r: i for i, r in enumerate(self.rank_tuples)}
 
-    def __contains__(self, p: Partition) -> bool:
-        return p in self._index
-
     def descriptor(self) -> dict:
         return {
             "level": self.level,
@@ -165,35 +162,3 @@ def enumerate_partitions(N: int, char: DirichletCharacter | None = None,
     rec(prime_factors(N), 1, 1, 1)
     parts.sort(key=Partition.sort_key)
     return EisSpace(N, k, char, tuple(parts), parity_ok)
-
-
-class EisVector:
-    """Row vector in the ordered basis, kept as a partition -> CycNum map."""
-
-    def __init__(self, space: EisSpace, coeffs: dict[Partition, CycNum]):
-        for p in coeffs:
-            if p not in space:
-                raise ValueError(f"{p} is not in the basis")
-        self.space = space
-        self.coeffs = {p: c for p, c in coeffs.items() if not c.is_zero()}
-
-    def dense(self) -> list[CycNum]:
-        zero = CycNum.zero()
-        out = [zero] * self.space.dimension
-        for p, c in self.coeffs.items():
-            out[self.space.index_of(p)] = c
-        return out
-
-    def to_json(self):
-        return [
-            {"partition": p.to_json(), "coeff": c.to_json()}
-            for p, c in sorted(self.coeffs.items(), key=lambda t: self.space.index_of(t[0]))
-        ]
-
-    def __repr__(self):
-        terms = ", ".join(
-            f"{p}: {c!r}" for p, c in sorted(
-                self.coeffs.items(), key=lambda t: self.space.index_of(t[0])
-            )
-        )
-        return f"EisVector({terms})"

@@ -33,7 +33,6 @@ from .lattices import (
     class_key,
     key_representative,
     reduced_class_keys,
-    reduced_posdef_forms,
     restrict_and_scale,
     sublattices,
 )
@@ -132,9 +131,6 @@ class FourierExpansion:
             {k: v * s for k, v in self.coeffs.items()}, validate=False,
         )
 
-    def add(self, other: "FourierExpansion") -> "FourierExpansion":
-        return combine([(_ONE, self), (_ONE, other)])
-
     def sample_vector(self, det_bound: int, content_bound: int) -> list[CycNum]:
         if det_bound > self.det_bound or content_bound > self.content_bound:
             raise CoverageError(
@@ -167,20 +163,6 @@ class FourierExpansion:
             "content_bound": self.content_bound,
             "coeffs": out,
         }
-
-    def to_provider_lines(self, weight: int | None = None) -> list[str]:
-        """Line format mirroring the provider files (GL2 only)."""
-        if self.mode != GL2:
-            raise ValueError("provider line format is defined for GL2 tables")
-        lines = []
-        if weight is not None:
-            lines.append(f"!weight {weight} level 1 group GL2")
-        for key in self.domain_keys():
-            v = self.coeffs[key]
-            if not v.is_rational():
-                raise ValueError("provider line format stores rational values")
-            lines.append(f"{key.a} {key.b} {key.c} {v.as_fraction()}")
-        return lines
 
 
 def expansion_from_function(mode: str, fn, det_bound: int, content_bound: int
@@ -308,16 +290,19 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
     cb = 0
     while class_key(GramForm(cb + 1, 0, 0), mode) in table:
         cb += 1
-    # det bound: largest D with every reduced positive definite class covered
+    # det bound: largest D with every reduced positive definite class
+    # covered.  [[1,0],[0,d]] is a reduced class of det d, so D is at most
+    # the number of positive definite classes in the table, and the walk
+    # stops there however large a det the file names.
     posdef_dets = [form_of(k).det for k in table if form_of(k).rank() == 2]
-    max_det = max(posdef_dets, default=0)
+    walk = min(max(posdef_dets, default=0), len(posdef_dets))
     db = 0
     keys_by_det: dict[int, list] = {}
-    for key in reduced_class_keys(max_det, 0, mode):
+    for key in reduced_class_keys(walk, 0, mode):
         d = form_of(key).det
         if d > 0:
             keys_by_det.setdefault(d, []).append(key)
-    for d in range(1, max_det + 1):
+    for d in range(1, walk + 1):
         if not all(k in table for k in keys_by_det.get(d, [])):
             break
         db = d
@@ -521,17 +506,6 @@ def project_components(provider: CoefficientProvider, N: int, k: int,
         out.append((rho, comp))
     out.sort(key=lambda t: t[0].sort_key())
     return out
-
-
-def project_eisenstein(provider: CoefficientProvider, N: int, k: int,
-                       sample_bound: int = 2) -> dict[Partition, FourierExpansion]:
-    """Partition-labeled eigencomponents of the level-1 expansion; they sum
-    to the input coefficientwise, and exactly the corner component has a
-    nonzero zero-form coefficient."""
-    return {
-        rho: comp.expansion
-        for rho, comp in project_components(provider, N, k, sample_bound)
-    }
 
 
 def _fit_relation(measured: list[CycNum], closed: list[CycNum]) -> dict:

@@ -85,16 +85,6 @@ class HeckeMatrix:
                 out[j] = out[j] + x * a if j in out else x * a
         return out
 
-    def to_json(self):
-        return {
-            "level": self.space.level,
-            "weight": self.space.weight,
-            "char": self.space.char.spec_string(),
-            "op": self.op.spec_string(),
-            "basis": [p.to_json() for p in self.space.basis],
-            "matrix": self.mat.to_json(),
-        }
-
 
 def _chi_over(space: EisSpace, part_value: int, n: int) -> CycNum:
     """chi restricted to the primes of part_value, evaluated at n."""
@@ -397,12 +387,6 @@ class EigenVectorEntry:
 class EigenSystem:
     space: EisSpace
     entries: list[EigenVectorEntry]
-
-    def entry(self, rho: Partition) -> EigenVectorEntry:
-        for e in self.entries:
-            if e.partition == rho:
-                return e
-        raise KeyError(rho)
 
     def to_json(self):
         memo = _JsonMemo(self.space)

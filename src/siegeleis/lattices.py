@@ -13,7 +13,7 @@ orientation bit (+1 for every class that does not split).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .cyclotomic import is_squarefree
 
@@ -41,9 +41,6 @@ class GramForm:
 
     def value(self, x: int, y: int) -> int:
         return self.a * x * x + 2 * self.b * x * y + self.c * y * y
-
-    def scaled(self, s: int) -> "GramForm":
-        return GramForm(s * self.a, s * self.b, s * self.c)
 
     def to_json(self):
         return {"a": self.a, "b": self.b, "c": self.c}
@@ -130,15 +127,8 @@ class SublatticeBasis:
     d2: int
 
     @property
-    def index(self) -> int:
-        return self.d1 * self.d2
-
-    @property
     def rows(self):
         return ((self.d1, self.x), (0, self.d2))
-
-    def to_json(self):
-        return [[self.d1, self.x], [0, self.d2]]
 
     def __repr__(self):
         return f"[[{self.d1},{self.x}],[0,{self.d2}]]"
@@ -178,9 +168,6 @@ SPLIT_TYPE = "split_type"
 class IsotropyReport:
     count: int
     kind: str
-
-    def to_json(self):
-        return {"count": self.count, "class": self.kind}
 
 
 def isotropic_lines(T: GramForm, p: int) -> IsotropyReport:

@@ -52,25 +52,7 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else _ZERO)
-                + (other.coeffs[i] if i < len(other.coeffs) else _ZERO)
-                for i in range(n)
-            ]
-        )
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            other = Poly([other])
+    def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly([])
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -81,8 +63,6 @@ class Poly:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def divmod(self, den: "Poly"):
         if den.is_zero():
@@ -220,18 +200,6 @@ class CycMatrix:
             [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "CycMatrix":
-        return _matrix([[_ZERO] * c for _ in range(r)])
-
-    @staticmethod
-    def diagonal(entries) -> "CycMatrix":
-        es = [as_cyc(e) for e in entries]
-        n = len(es)
-        return _matrix(
-            [[es[i] if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -248,36 +216,6 @@ class CycMatrix:
         # equal row tuples have equal shapes; zero cells are mostly the
         # shared _ZERO, which the tuple comparison settles by identity
         return isinstance(other, CycMatrix) and self.data == other.data
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return _matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return _matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape mismatch")
-
-    def __mul__(self, scalar):
-        s = as_cyc(scalar)
-        if s is NotImplemented:
-            return NotImplemented
-        return _matrix([[a * s for a in row] for row in self.data])
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         """The full dense product.  Each entry sums the nonzero terms in
@@ -310,12 +248,6 @@ class CycMatrix:
                 if not a.is_zero():
                     acc[j] = acc[j] + x * a
         return acc
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
-
-    def commutes_with(self, other: "CycMatrix") -> bool:
-        return (self @ other) == (other @ self)
 
     def to_json(self):
         return [[e.to_json() for e in row] for row in self.data]
@@ -390,4 +322,3 @@ def split_roots(p: Poly, extra=()) -> tuple[list[tuple[CycNum, int]], Poly]:
         if mult:
             found.append((cand, mult))
     return found, rem
-

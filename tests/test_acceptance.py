@@ -112,15 +112,15 @@ def test_criterion_5_worked_fixture():
     ok = ok and T1 == CycMatrix(
         [[3, Fraction(9, 2), Fraction(3, 4)], [0, 66, Fraction(15, 2)], [0, 0, 96]]
     )
-    system = eigenbasis(ops)
-    corner = system.entry(Partition(2, 1, 1))
+    entry = {e.partition: e for e in eigenbasis(ops).entries}
+    corner = entry[Partition(2, 1, 1)]
     ok = ok and corner.vector.coeffs[Partition(1, 2, 1)] == Fraction(-1, 14)
     ok = ok and corner.vector.coeffs[Partition(1, 1, 2)] == Fraction(-1, 434)
-    mid = system.entry(Partition(1, 2, 1))
+    mid = entry[Partition(1, 2, 1)]
     ok = ok and mid.vector.coeffs[Partition(1, 1, 2)] == Fraction(-1, 4)
     t2, t1 = HeckeOp("T", 2), HeckeOp("T1", 2)
-    ok = ok and [system.entry(r).eigenvalues[t2] for r in space.basis] == [1, 8, 32]
-    ok = ok and [system.entry(r).eigenvalues[t1] for r in space.basis] == [3, 66, 96]
+    ok = ok and [entry[r].eigenvalues[t2] for r in space.basis] == [1, 8, 32]
+    ok = ok and [entry[r].eigenvalues[t1] for r in space.basis] == [3, 66, 96]
     _announce(5, "worked fixture N=2 k=4", ok, time.perf_counter() - t0)
 
 
@@ -155,12 +155,13 @@ def test_desk_report_bytes(desk):
                     reason="optional tier: no provider file present")
 def test_criterion_8_fourier_pipeline():
     from siegeleis.fourier import (calibrate_normalization, combine,
-                                   project_eisenstein, provider_load)
+                                   project_components, provider_load)
     from siegeleis.lattices import ZERO_FORM, class_key
 
     t0 = time.perf_counter()
     prov = provider_load(PROVIDER)
-    comps = project_eisenstein(prov, 2, 4, sample_bound=2)
+    comps = {rho: comp.expansion
+             for rho, comp in project_components(prov, 2, 4, sample_bound=2)}
     zk = class_key(ZERO_FORM)
     ok = set(comps) == {Partition(2, 1, 1), Partition(1, 2, 1), Partition(1, 1, 2)}
     ok = ok and comps[Partition(2, 1, 1)].coeffs[zk] == 1

@@ -56,25 +56,15 @@ def test_eval_matches_euler_criterion():
             assert chi(n) == want, (q, n)
 
 
-def test_restrict():
-    chi = DirichletCharacter.make(15, [(3, 1), (5, 2)])
-    part3 = chi.restrict(3)
-    assert part3.modulus == 3 and part3(2) == -1
-    assert chi.restrict(1).modulus == 1
-    assert chi.restrict(15) == chi
-    with pytest.raises(ValueError):
-        chi.restrict(2)
-
-
 def test_props_examples():
     triv2 = DirichletCharacter.make(2)
-    p = triv2.props(k=4)
-    assert p["parity"] == 1 and p["valid_space"]
+    assert triv2.order == 1 and triv2.is_real_at(2)
+    assert triv2.parity() == 1 and triv2.valid_for_weight(4)
     quad3 = DirichletCharacter.make(3, [(3, 1)])
     assert quad3.parity() == -1
     assert not quad3.valid_for_weight(4) and quad3.valid_for_weight(5)
     chi5 = DirichletCharacter.make(5, [(5, 1)])
-    assert chi5.props()["is_real_at"][5] is False
+    assert chi5.order == 4 and chi5.is_real_at(5) is False
     assert DirichletCharacter.make(1).parity() == 1
 
 
@@ -113,7 +103,7 @@ def test_multiplicativity_property():
 
 def test_restriction_reassembles():
     chi = DirichletCharacter.make(30, [(3, 1), (5, 2)])
-    parts = [chi.restrict(q) for q in (2, 3, 5)]
+    parts = [chi.local(q) for q in (2, 3, 5)]
     for n in range(1, 31):
         prod = CycNum.one()
         for part in parts:

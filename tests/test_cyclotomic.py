@@ -181,7 +181,7 @@ def test_immutability_and_repr():
 
 @pytest.mark.parametrize("value,m", [
     (CycNum.one(), 1),
-    (CycNum.from_rational(Fraction(-7, 3)), 1),
+    (as_cyc(Fraction(-7, 3)), 1),
     (root(4) / 3 - 1, 4),
     (root(12, 5) * Fraction(2, 5) + root(3), 12),
     (root(20, 3) - root(4) * Fraction(1, 7), 20),

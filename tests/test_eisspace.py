@@ -3,8 +3,7 @@ from itertools import product
 import pytest
 
 from siegeleis.characters import DirichletCharacter
-from siegeleis.eisspace import EisVector, Partition, enumerate_partitions
-from siegeleis.cyclotomic import CycNum
+from siegeleis.eisspace import Partition, enumerate_partitions
 
 
 def brute_force_partitions(N):
@@ -93,12 +92,3 @@ def test_partition_json():
     desc = sp.descriptor()
     assert desc["dimension"] == 3
     assert desc["basis"][0] == {"index": 0, "N0": 2, "N1": 1, "N2": 1}
-
-
-def test_eisvector():
-    sp = enumerate_partitions(2, None, 4)
-    v = EisVector(sp, {Partition(2, 1, 1): CycNum.one()})
-    dense = v.dense()
-    assert dense[0] == 1 and dense[1].is_zero()
-    with pytest.raises(ValueError):
-        EisVector(sp, {Partition(3, 1, 1): CycNum.one()})

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from siegeleis.fourier import (CoefficientProvider, CoverageError,
                                FourierExpansion, LabelingError, UOperator,
                                apply_U, calibrate_normalization, combine,
                                constant_expansion, expansion_from_function,
-                               krylov_spectral, project_eisenstein,
+                               krylov_spectral, project_components,
                                provider_load, provider_parse)
 from siegeleis.hecke import HeckeMatrix
 from siegeleis.lattices import GL2, SL2, GramForm, ZERO_FORM, class_key
@@ -55,7 +56,8 @@ def test_identity_and_scaling():
     hp = apply_U(h, UOperator(1, 2))
     assert hp.det_bound == 16 and hp.content_bound == 8
     for key in hp.domain_keys():
-        assert hp.coeffs[key] == h.value(key.scaled(2))
+        assert hp.coeffs[key] == h.value(
+            GramForm(2 * key.a, 2 * key.b, 2 * key.c))
 
 
 def test_constant_eigenvalue():
@@ -130,7 +132,8 @@ def test_sl2_mode_tracks_orientation():
     assert split_keys
     for form, orient in split_keys:
         rep = GramForm(form.a, -form.b, form.c)  # the class behind orient -1
-        assert g.coeffs[(form, orient)] == f.value(rep.scaled(2))
+        assert g.coeffs[(form, orient)] == f.value(
+            GramForm(2 * rep.a, 2 * rep.b, 2 * rep.c))
         # scaling preserves orientation, so the +- values stay separated
         plus = g.coeffs[(form, 1)]
         minus = g.coeffs[(form, -1)]
@@ -154,11 +157,23 @@ def test_provider_parse_examples():
         provider_parse(["!weight 4 level 1 group GL2", "0 0 0 1", "1 2"])
 
 
+def test_provider_det_walk_is_bounded_by_the_class_count():
+    # one class far out cannot make the parser walk every det up to it
+    t0 = time.perf_counter()
+    p = provider_parse(["!weight 4 level 1 group GL2", "0 0 0 1",
+                        "1 0 100000 5"])
+    assert time.perf_counter() - t0 < 1
+    assert p.expansion.det_bound == 0
+    assert p.expansion.coeffs[class_key(GramForm(1, 0, 100000))] == 5
+
+
 def test_provider_lines_round_trip():
     f = expansion_from_function(
         GL2, lambda k: Fraction(k.det, 3) if k.rank() == 2 else 1, 12, 5
     )
-    lines = f.to_provider_lines(weight=4)
+    lines = ["!weight 4 level 1 group GL2"] + [
+        f"{k.a} {k.b} {k.c} {f.coeffs[k].as_fraction()}"
+        for k in f.domain_keys()]
     p = provider_parse(lines)
     assert p.weight == 4
     assert p.expansion.det_bound == 12 and p.expansion.content_bound == 5
@@ -174,7 +189,8 @@ needs_provider = pytest.mark.skipif(
 def test_projection_pipeline_on_shipped_data():
     prov = provider_load(PROVIDER_PATH)
     assert prov.weight == 4 and prov.level == 1
-    comps = project_eisenstein(prov, 2, 4, sample_bound=2)
+    comps = {rho: comp.expansion
+             for rho, comp in project_components(prov, 2, 4, sample_bound=2)}
     assert set(comps) == {Partition(2, 1, 1), Partition(1, 2, 1), Partition(1, 1, 2)}
     zk = class_key(ZERO_FORM)
     assert comps[Partition(2, 1, 1)].coeffs[zk] == 1
@@ -188,7 +204,7 @@ def test_projection_pipeline_on_shipped_data():
 def test_projection_weight_mismatch():
     prov = provider_load(PROVIDER_PATH)
     with pytest.raises(ValueError, match="weight"):
-        project_eisenstein(prov, 2, 6)
+        project_components(prov, 2, 6)
 
 
 @needs_provider

@@ -30,7 +30,7 @@ def test_worked_fixture_matrices():
         [[3, Fraction(9, 2), Fraction(3, 4)], [0, 66, Fraction(15, 2)], [0, 0, 96]]
     )
     T3 = ops.matrix(HeckeOp("T", 3)).mat
-    assert T3 == CycMatrix.diagonal([280, 280, 280])
+    assert T3 == CycMatrix([[280, 0, 0], [0, 280, 0], [0, 0, 280]])
 
 
 def test_worked_fixture_eigenbasis():
@@ -38,17 +38,17 @@ def test_worked_fixture_eigenbasis():
     for p in (2, 3):
         ops.matrix(HeckeOp("T", p))
         ops.matrix(HeckeOp("T1", p))
-    system = eigenbasis(ops)
-    corner = system.entry(Partition(2, 1, 1))
+    entry = {e.partition: e for e in eigenbasis(ops).entries}
+    corner = entry[Partition(2, 1, 1)]
     assert corner.vector.coeffs[Partition(2, 1, 1)] == 1
     assert corner.vector.coeffs[Partition(1, 2, 1)] == Fraction(-1, 14)
     assert corner.vector.coeffs[Partition(1, 1, 2)] == Fraction(-1, 434)
-    mid = system.entry(Partition(1, 2, 1))
+    mid = entry[Partition(1, 2, 1)]
     assert mid.vector.coeffs[Partition(1, 1, 2)] == Fraction(-1, 4)
     t2 = HeckeOp("T", 2)
     t1 = HeckeOp("T1", 2)
-    assert [system.entry(r).eigenvalues[t2] for r in N2K4.basis] == [1, 8, 32]
-    assert [system.entry(r).eigenvalues[t1] for r in N2K4.basis] == [3, 66, 96]
+    assert [entry[r].eigenvalues[t2] for r in N2K4.basis] == [1, 8, 32]
+    assert [entry[r].eigenvalues[t1] for r in N2K4.basis] == [3, 66, 96]
 
 
 def test_trivial_level_one_eigenvector():
@@ -85,8 +85,8 @@ def test_compare_eigenvalues_documents_t1_mismatch():
         {
             "partition": {"N0": 1, "N1": 1, "N2": 1},
             "op": "T:3",
-            "matrix_value": CycNum.from_rational(280).to_json(),
-            "closed_form": CycNum.from_rational(280).to_json(),
+            "matrix_value": as_cyc(280).to_json(),
+            "closed_form": as_cyc(280).to_json(),
             "match": True,
             "expected_mismatch": False,
         }
@@ -104,9 +104,9 @@ def test_higher_order_character_rows_are_diagonal():
     assert sp.basis == (Partition(5, 1, 1), Partition(1, 1, 5))
     ops = SpaceOperators(sp)
     T = ops.matrix(HeckeOp("T", 5)).mat
-    assert T == CycMatrix.diagonal([1, 5**7])
+    assert T == CycMatrix([[1, 0], [0, 5**7]])
     T1 = ops.matrix(HeckeOp("T1", 5)).mat
-    assert T1 == CycMatrix.diagonal([6, 6 * 5**7])
+    assert T1 == CycMatrix([[6, 0], [0, 6 * 5**7]])
     system = eigenbasis(ops)
     for entry in system.entries:
         assert list(entry.vector.coeffs) == [entry.partition]
@@ -129,8 +129,8 @@ def test_quadratic_character_epsilon_branch():
     assert T1[i0, i0] == 4 and T1[i0, i2] == Fraction(-8, 9)
     assert T1[i0, i1].is_zero()
     assert T1[i1, i1] == 3**8 + 3
-    system = eigenbasis(ops)
-    corner = system.entry(Partition(3, 1, 1))
+    entry = {e.partition: e for e in eigenbasis(ops).entries}
+    corner = entry[Partition(3, 1, 1)]
     assert corner.vector.coeffs[Partition(1, 1, 3)] == Fraction(1, 9837)
 
 
@@ -158,7 +158,7 @@ def test_commutativity_with_characters():
     mats = [ops.matrix(HeckeOp(kind, p)).mat
             for p in (2, 3, 5) for kind in ("T", "T1")]
     for A, B in combinations(mats, 2):
-        assert A.commutes_with(B)
+        assert A @ B == B @ A
     eigenbasis(ops)  # exact verification against all six tables
 
 
@@ -217,10 +217,9 @@ def test_hecke_op_validation_and_cache():
 
 def test_matrix_json_round_trip():
     hm = hecke_matrix(N2K4, HeckeOp("T1", 2))
-    blob = json.dumps(hm.to_json(), sort_keys=True)
-    parsed = json.loads(blob)
-    assert CycMatrix.from_json(parsed["matrix"]) == hm.mat
-    assert parsed["op"] == "T1:2"
+    blob = json.dumps(hm.mat.to_json())
+    assert CycMatrix.from_json(json.loads(blob)) == hm.mat
+    assert hm.op.spec_string() == "T1:2"
 
 
 # -- sparse rows against the dense view ----------------------------------------
@@ -271,20 +270,27 @@ def test_sparse_rows_match_dense_view(level, spec):
 
 
 def _dense_s(ops, q, which):
-    """S1(q), S2(q) as dense matrix expressions in T(q), T1(q^2) and I."""
+    """S1(q), S2(q) as expressions in T(q), T1(q^2) and I, evaluated on the
+    dense entries one position at a time."""
     space, k = ops.space, ops.space.weight
-    T = ops.matrix(HeckeOp("T", q)).mat
-    T1 = ops.matrix(HeckeOp("T1", q)).mat
-    ident = CycMatrix.identity(space.dimension)
+    mats = (ops.matrix(HeckeOp("T", q)).mat, ops.matrix(HeckeOp("T1", q)).mat,
+            CycMatrix.identity(space.dimension))
     chi_rest = space.char.eval_over(
         [r for r in prime_factors(space.level) if r != q], q)
+    c = s_constant(space, q)
     if which == "S1":
-        return (T1 - T * Fraction(q + 1, q)
-                - ident * Fraction(q * q - 1, q)) * s_constant(space, q)
-    if space.char.local(q).is_trivial:
-        return (T * (chi_rest * q ** (k - 1) + 1) - T1
-                - ident * ((chi_rest * q ** (k - 2) - 1) * q)) * s_constant(space, q)
-    return (T - ident) * Fraction(legendre_epsilon(q) * q * q, q - 1)
+        def f(t, t1, e):
+            return (t1 - t * Fraction(q + 1, q) - e * Fraction(q * q - 1, q)) * c
+    elif space.char.local(q).is_trivial:
+        def f(t, t1, e):
+            return (t * (chi_rest * q ** (k - 1) + 1) - t1
+                    - e * ((chi_rest * q ** (k - 2) - 1) * q)) * c
+    else:
+        def f(t, t1, e):
+            return (t - e) * Fraction(legendre_epsilon(q) * q * q, q - 1)
+    n = space.dimension
+    return CycMatrix([[f(*(m[i, j] for m in mats)) for j in range(n)]
+                      for i in range(n)])
 
 
 # (level, character, weight, the S operators the character allows)
@@ -315,7 +321,7 @@ def test_s_operator_rows_match_its_dense_product():
 
 def test_s_operators_are_cached_hecke_ops():
     ops = SpaceOperators(enumerate_partitions(6, None, 4))
-    assert s_operator(ops, 2, "S1").to_json()["op"] == "S1:2"
+    assert s_operator(ops, 2, "S1").op.spec_string() == "S1:2"
     s2 = HeckeOp("S2", 3)
     assert (str(s2), s2.spec_string()) == ("S2(3)", "S2:3")
     assert ops.matrix(s2) is ops.matrix(s2)
@@ -361,7 +367,7 @@ def _tampered(change, target=Partition(2, 1, 1)):
 
 def _change_coeff(local):
     # u_2 of (2,1,1) is {0: 1, 1: -1/14, 2: -1/434}
-    local[0][1] = CycNum.from_rational(Fraction(-1, 13))
+    local[0][1] = as_cyc(Fraction(-1, 13))
 
 
 def _drop_coeff(local):
@@ -373,7 +379,7 @@ def _drop_coeff(local):
 
 def _wrong_normalization(local):
     # (6,1,1) has rank 0 at 3; the rest of u_3 is left as it is
-    local[1][0] = CycNum.from_rational(2)
+    local[1][0] = as_cyc(2)
 
 
 def _scale_vector(local):

@@ -106,7 +106,7 @@ def test_restrict_and_scale():
             for H in sublattices(Q):
                 P = rng.randint(1, 4)
                 out = restrict_and_scale(T, H, P)
-                assert out.det == P * P * H.index**2 * T.det
+                assert out.det == P * P * Q**2 * T.det  # det H = Q
 
 
 def test_isotropy_paper_classification():

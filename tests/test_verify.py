@@ -3,10 +3,11 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from siegeleis import hecke, verify
-from siegeleis.cyclotomic import CycNum
-from siegeleis.eisspace import EisVector, Partition, enumerate_partitions
+from siegeleis.cyclotomic import as_cyc
+from siegeleis.eisspace import Partition, enumerate_partitions
 from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators, TensorVector
 from siegeleis.linalg import CycMatrix
 from siegeleis.verify import (DESK_CONFIG, PRESETS, QUICK_CONFIG,
@@ -147,7 +148,7 @@ def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
         vec = real(space, rho, memo)
         if space.level == 2 and rho == Partition(2, 1, 1):
             # u_2 is {0: 1, 1: -1/14, 2: -1/434}
-            u = {**vec.local[0], 1: CycNum.from_rational(Fraction(-1, 13))}
+            u = {**vec.local[0], 1: as_cyc(Fraction(-1, 13))}
             vec = TensorVector(space, rho, (u,))
         return vec
 
@@ -221,11 +222,13 @@ def test_eigen_oracle_fails_on_a_wrong_vector():
         "span mismatch at (1,2,1)", "span mismatch at (2,1,1)"]
 
     def last_coefficient(entries):
-        # (2,1,1) has coefficient -1/434 at (1,1,2)
+        # (2,1,1) has coefficient -1/434 at (1,1,2); the oracle reads a
+        # vector only through dense()
         e = entries[0]
-        coeffs = dict(e.vector.coeffs)
-        coeffs[Partition(1, 1, 2)] = CycNum.from_rational(Fraction(-1, 433))
-        entries[0] = replace(e, vector=EisVector(e.vector.space, coeffs))
+        dense = e.vector.dense()
+        dense[e.vector.space.index_of(Partition(1, 1, 2))] = as_cyc(
+            Fraction(-1, 433))
+        entries[0] = replace(e, vector=SimpleNamespace(dense=lambda: dense))
 
     assert _doctored_oracle(last_coefficient).details == (
         "span mismatch at (2,1,1)")
