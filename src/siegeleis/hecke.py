@@ -137,62 +137,65 @@ def _rows_prime_to_level(space: EisSpace, op: HeckeOp) -> tuple:
     return tuple(rows)
 
 
-def _row_at_level_prime(space: EisSpace, rho: Partition, op: HeckeOp, q: int) -> dict:
-    """Row of rho for T(q) or T1(q^2) with q dividing the level."""
-    k = space.weight
+def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> dict:
+    """Row i of T(q) or T1(q^2) for the prime q at position pos of the
+    primes of the level, keyed by basis index.  A move target is found by
+    its rank tuple: that of row i with the rank at q raised."""
+    q, k = op.p, space.weight
     local = space.char.local(q)
-    rank = rho.rank_of(q)
+    rho, ranks = space.basis[i], space.rank_tuples[i]
+    rank = ranks[pos]
     c0, c1, c2 = rho.n0, rho.n1, rho.n2
+
+    def up(to: int) -> int:
+        return space.index_of_ranks[ranks[:pos] + (to,) + ranks[pos + 1:]]
 
     if rank == 2:
         if op.kind == "T":
             val = _chi_over(space, c0, q * q) * _chi_over(space, c1, q) * q ** (2 * k - 3)
         else:
             val = _chi_over(space, c0, q * q) * ((q + 1) * q ** (2 * k - 3))
-        return {rho: val}
+        return {i: val}
 
     if rank == 1:
         # q | N1 forces chi_q^2 = 1 (basis validity)
-        up = Partition(c0, c1 // q, c2 * q)
         if op.kind == "T":
             pref = _chi_over(space, c0 * c2, q)
-            row = {rho: pref * q ** (k - 1)}
+            row = {i: pref * q ** (k - 1)}
             if local.is_trivial:
-                row[up] = pref * Fraction(q ** (k - 3) * (q * q - 1))
+                row[up(2)] = pref * Fraction(q ** (k - 3) * (q * q - 1))
             return row
         diag = (
             _chi_over(space, c0, q * q) * q ** (2 * k - 2)
             + _chi_over(space, c2, q * q) * q
         )
-        row = {rho: diag}
+        row = {i: diag}
         if local.is_trivial:
             chi_rest = _chi_over(space, space.level // q, q)
-            row[up] = (
+            row[up(2)] = (
                 (chi_rest * q ** (k - 2) + _chi_over(space, c2, q * q))
                 * Fraction(q * q - 1, q)
             )
         return row
 
     # rank 0: q | N0
-    up1 = Partition(c0 // q, c1 * q, c2)
-    up2 = Partition(c0 // q, c1, c2 * q)
     if op.kind == "T":
         pref = _chi_over(space, c1, q) * _chi_over(space, c2, q * q)
-        row = {rho: pref}
+        row = {i: pref}
         if local.is_trivial:
-            row[up1] = pref * Fraction(q - 1, q)
-            row[up2] = pref * Fraction(q - 1, q)
+            row[up(1)] = pref * Fraction(q - 1, q)
+            row[up(2)] = pref * Fraction(q - 1, q)
         elif local.is_real:
-            row[up2] = pref * Fraction(legendre_epsilon(q) * (q - 1), q * q)
+            row[up(2)] = pref * Fraction(legendre_epsilon(q) * (q - 1), q * q)
         return row
     chi2 = _chi_over(space, c2, q * q)
-    row = {rho: chi2 * (q + 1)}
+    row = {i: chi2 * (q + 1)}
     if local.is_trivial:
         chi_rest = _chi_over(space, space.level // q, q)
-        row[up1] = (chi_rest * q ** (k - 1) + chi2) * Fraction(q - 1, q)
-        row[up2] = chi2 * Fraction(q * q - 1, q * q)
+        row[up(1)] = (chi_rest * q ** (k - 1) + chi2) * Fraction(q - 1, q)
+        row[up(2)] = chi2 * Fraction(q * q - 1, q * q)
     elif local.is_real:
-        row[up2] = chi2 * Fraction(legendre_epsilon(q) * (q * q - 1), q * q)
+        row[up(2)] = chi2 * Fraction(legendre_epsilon(q) * (q * q - 1), q * q)
     return row
 
 
@@ -203,12 +206,14 @@ def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
         raise ValueError(f"{op} is a relation operator; build it with s_operator")
     if space.level % op.p:
         return HeckeMatrix(space, op, _rows_prime_to_level(space, op))
+    pos = prime_factors(space.level).index(op.p)
     rows = []
-    for rho in space.basis:
-        entries = _row_at_level_prime(space, rho, op, op.p)
+    # the index objects of index_of_ranks, in basis order: the rows of all
+    # tables then share one int object per index, as the move targets do
+    for i in space.index_of_ranks.values():
+        entries = _row_at_level_prime(space, i, op, pos)
         rows.append(tuple(sorted(
-            ((space.index_of(target), as_cyc(val)) for target, val in entries.items()),
-            key=itemgetter(0),
+            ((j, as_cyc(val)) for j, val in entries.items()), key=itemgetter(0),
         )))
     return HeckeMatrix(space, op, tuple(rows))
 
@@ -325,24 +330,44 @@ class TensorVector:
         vectors of one output computes each product and each JSON once."""
         if memo is None:
             memo = _JsonMemo(self.space)
-        values, parts = memo.values, memo.partitions
-        out = []
-        for i, c in sorted(_expand(self, memo.products), key=itemgetter(0)):
-            hit = values.get(id(c))
-            if hit is None:
-                hit = values[id(c)] = (c, c.to_json())
-            out.append({"partition": parts[i], "coeff": hit[1]})
-        return out
+        value, parts = memo.value, memo.partitions
+        return [{"partition": parts[i], "coeff": value(c)}
+                for i, c in sorted(_expand(self, memo.products),
+                                   key=itemgetter(0))]
+
+
+def _plain(obj):
+    return obj
 
 
 class _JsonMemo:
-    """What the vectors of one JSON output share.  The values of `products`
-    and `values` keep their objects alive, so no id is reused meanwhile."""
+    """The JSON of the values in one output on `space`, each distinct value
+    encoded once and then shared.
 
-    def __init__(self, space: EisSpace):
+    `encode` maps the JSON of a value to what the output holds: the plain
+    dicts by default, or a form a writer can splice in as it stands.  A
+    CycNum is keyed by its stored form (m, n, d), not by equality, because
+    equal values at different conductors serialize differently.  The values
+    of `products` (the product memo of _expand) keep their objects alive,
+    so no id is reused meanwhile.
+    """
+
+    def __init__(self, space: EisSpace, encode=_plain):
+        self.space = space
+        self.encode = encode
         self.products: dict = {}  # (id(prefix), id(factor)) -> (factor, product)
-        self.values: dict = {}  # id(product) -> (product, its JSON)
-        self.partitions = [p.to_json() for p in space.basis]
+        self.values: dict = {}  # (m, n, d) -> encoded JSON
+        self.partitions = [encode(p.to_json()) for p in space.basis]
+
+    def value(self, c: CycNum):
+        key = (c.m, c.n, c.d)
+        hit = self.values.get(key)
+        if hit is None:
+            hit = self.values[key] = self.encode(c.to_json())
+        return hit
+
+    def partition(self, rho: Partition):
+        return self.partitions[self.space.index_of(rho)]
 
 
 def _expand(vec: TensorVector, products: dict) -> list[tuple[int, CycNum]]:
@@ -388,14 +413,18 @@ class EigenSystem:
     space: EisSpace
     entries: list[EigenVectorEntry]
 
-    def to_json(self):
-        memo = _JsonMemo(self.space)
+    def to_json(self, memo: _JsonMemo | None = None):
+        """The entries as JSON; pass the memo of the whole output to share
+        its values with the comparison rows."""
+        if memo is None:
+            memo = _JsonMemo(self.space)
+        value = memo.value
         return [
             {
-                "partition": e.partition.to_json(),
+                "partition": memo.partition(e.partition),
                 "vector": e.vector.to_json(memo),
                 "eigenvalues": {
-                    op.spec_string(): lam.to_json()
+                    op.spec_string(): value(lam)
                     for op, lam in sorted(
                         e.eigenvalues.items(), key=lambda t: (t[0].p, t[0].kind)
                     )
@@ -652,14 +681,19 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
     return out
 
 
-def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
-    """The rows of eigenvalue_comparisons as JSON."""
+def compare_eigenvalues(system: EigenSystem, op_list=None,
+                        memo: _JsonMemo | None = None) -> list[dict]:
+    """The rows of eigenvalue_comparisons as JSON, their values and
+    partitions from `memo` (a new plain one by default)."""
+    if memo is None:
+        memo = _JsonMemo(system.space)
+    value, partition = memo.value, memo.partition
     return [
         {
-            "partition": rho.to_json(),
+            "partition": partition(rho),
             "op": op.spec_string(),
-            "matrix_value": mval.to_json(),
-            "closed_form": cval.to_json(),
+            "matrix_value": value(mval),
+            "closed_form": value(cval),
             "match": match,
             "expected_mismatch": expected_mismatch,
         }

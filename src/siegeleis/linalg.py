@@ -146,15 +146,22 @@ class _Span:
         w = [x * inv for x in w]
         if self.track:
             combo = [c * inv for c in combo]
-        # keep stored rows reduced against the new pivot
+        # keep stored rows reduced against the new pivot; x - f*0 is x, so
+        # only the nonzero entries of the new row are subtracted
+        w_nz = [(j, y) for j, y in enumerate(w) if not y.is_zero()]
+        if self.track:
+            combo_nz = [(j, y) for j, y in enumerate(combo) if not y.is_zero()]
         for idx, (p2, u2, uc2) in enumerate(self.rows):
             f = u2[piv]
             if f.is_zero():
                 continue
-            u2 = [x - f * y for x, y in zip(u2, w)]
+            u2 = list(u2)
+            for j, y in w_nz:
+                u2[j] = u2[j] - f * y
             if self.track:
                 uc2 = uc2 + [_ZERO] * (len(combo) - len(uc2))
-                uc2 = [x - f * y for x, y in zip(uc2, combo)]
+                for j, y in combo_nz:
+                    uc2[j] = uc2[j] - f * y
             self.rows[idx] = (p2, u2, uc2)
         self.rows.append((piv, w, combo))
         self.count += 1

@@ -7,6 +7,7 @@ import pytest
 
 import siegeleis.hecke as hecke
 from siegeleis.characters import DirichletCharacter, legendre_epsilon
+from siegeleis.cli import encoded, write_json
 from siegeleis.cyclotomic import CycNum, as_cyc
 from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
@@ -230,14 +231,26 @@ SPARSE_SPACES = [(1, None), (6, None), (30, None), (10, "5:2"), (10, "5:1")]
 def _dense_reference(space, op):
     """The table written straight into dense rows from the row formulas."""
     rows = []
-    for rho in space.basis:
-        if space.level % op.p == 0:
-            entries = hecke._row_at_level_prime(space, rho, op, op.p)
+    q = op.p
+    primes = prime_factors(space.level)
+    for i, rho in enumerate(space.basis):
+        if q in primes:
+            entries = hecke._row_at_level_prime(space, i, op, primes.index(q))
+            # the targets, found by rank tuple, are rho or rho with q
+            # moved up, built here from the partition itself
+            c0, c1, c2 = rho.n0, rho.n1, rho.n2
+            moves = {rho}
+            if c0 % q == 0:
+                moves |= {Partition(c0 // q, c1 * q, c2),
+                          Partition(c0 // q, c1, c2 * q)}
+            if c1 % q == 0:
+                moves.add(Partition(c0, c1 // q, c2 * q))
+            assert {space.basis[j] for j in entries} <= moves and i in entries
         else:
-            entries = hecke._row_prime_to_level(space, rho, op)
+            entries = {i: hecke._row_prime_to_level(space, rho, op)[rho]}
         row = [CycNum.zero()] * space.dimension
-        for target, val in entries.items():
-            row[space.index_of(target)] = as_cyc(val)
+        for j, val in entries.items():
+            row[j] = as_cyc(val)
         rows.append(row)
     return rows
 
@@ -488,6 +501,46 @@ def test_expansion_views_agree_and_sharing_changes_no_byte():
         assert [(t["partition"], t["coeff"]) for t in alone] == sorted(
             ((p.to_json(), c.to_json()) for p, c in coeffs.items()),
             key=lambda t: space.index_of(Partition.from_json(t[0])))
+
+
+def test_json_memo_keys_values_by_stored_form():
+    # zeta_3 stored at conductor 3 and lifted to 12 are equal but print
+    # different JSON; the memo keeps one encoding per stored form
+    memo = hecke._JsonMemo(N2K4, encoded)
+    at3 = CycNum.root_of_unity(3)
+    at12 = CycNum(12, at3._lift(12))
+    assert at3 == at12 and at3.to_json() != at12.to_json()
+    for c in (at3, at12):
+        assert memo.value(c).text == encoded(c.to_json()).text
+    assert memo.value(CycNum(3, [0, 1])) is memo.value(at3)
+    assert memo.value(at12) is not memo.value(at3)
+    assert memo.partition(Partition(1, 2, 1)).text == encoded(
+        {"N0": 1, "N1": 2, "N2": 1}).text
+
+
+def test_memo_output_writes_the_plain_json():
+    # what the CLI writes through its encoding memo is the plain tree
+    ops = SpaceOperators(_space(55, "5:1,11:1"))
+    ops.matrix(HeckeOp("T", 3))
+    system = eigenbasis(ops)
+    op_list = [HeckeOp("T", 3), *ops.level_ops()]
+    memo = hecke._JsonMemo(system.space, encoded)
+    pieces = []
+    write_json([system.to_json(memo), compare_eigenvalues(system, op_list, memo)],
+               pieces.append)
+    plain = [system.to_json(), compare_eigenvalues(system, op_list)]
+    assert "".join(pieces) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+def test_level_tables_construct_no_partition(monkeypatch):
+    space = enumerate_partitions(2310, None, 4)
+    space.index_of_ranks  # built from the rank tuples, before counting
+    made = []
+    monkeypatch.setattr(Partition, "__post_init__",
+                        lambda self: made.append(self))
+    ops = SpaceOperators(space)
+    tables = [hecke_matrix(space, op) for op in ops.level_ops()]
+    assert len(tables) == 10 and made == []
 
 
 def _space(level, spec, k=4):

@@ -1,19 +1,20 @@
 """Property test of `cli.write_json` against its oracle, `json.dumps`.
 
 For every tree of the types the writer takes, the concatenated writes must
-equal json.dumps(tree, indent=2, sort_keys=True) plus a newline.
+equal json.dumps(tree, indent=2, sort_keys=True) plus a newline, also when
+random subtrees are handed to the writer pre-encoded (`cli.encoded`).
 """
 
 import json
 
 import pytest
 
-from siegeleis.cli import write_json
+from siegeleis.cli import encoded, write_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t '),
+text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t '),
                max_size=8)
 leaves = (st.none() | st.booleans() | st.integers()
           | st.integers(min_value=-2**200, max_value=2**200) | text)
@@ -27,9 +28,31 @@ trees = st.recursive(
 )
 
 
+def _written(tree) -> str:
+    pieces = []
+    write_json(tree, pieces.append)
+    return "".join(pieces)
+
+
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(trees)
 def test_write_json_matches_json_dumps(tree):
-    pieces = []
-    write_json(tree, pieces.append)
-    assert "".join(pieces) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    assert _written(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def _pre_encode(tree, draw):
+    """`tree` with each subtree, drawn at random, replaced by its encoded
+    form, its own subtrees first, so encoded values nest."""
+    if type(tree) is dict:
+        tree = {k: _pre_encode(v, draw) for k, v in tree.items()}
+    elif type(tree) in (list, tuple):
+        tree = type(tree)(_pre_encode(v, draw) for v in tree)
+    return encoded(tree) if draw(st.booleans()) else tree
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(trees, st.data())
+def test_pre_encoded_subtrees_splice_at_any_depth(tree, data):
+    spliced = _pre_encode(tree, data.draw)
+    assert _written(spliced) == json.dumps(tree, indent=2,
+                                           sort_keys=True) + "\n"

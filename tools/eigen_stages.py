@@ -2,12 +2,14 @@
 
     PYTHONPATH=src python tools/eigen_stages.py --level 2310 [--char 5:1,11:1]
 
-The stages are those of the JSON command:
+The stages are those of the JSON command, in its order:
   tables      the level tables T(q), T1(q^2) for q | N;
   eigenbasis  the verified eigenbasis;
-  comparison  the comparison rows against the closed forms, as JSON;
   to_json     the space descriptor and the eigenbasis as JSON, which
-              writes out every eigenvector coefficient;
+              writes out every eigenvector coefficient; it makes the memo
+              that encodes each distinct value and partition once;
+  comparison  the comparison rows against the closed forms, as JSON,
+              through the same memo;
   write_json  the exact indent-2 writer, into a sink that counts bytes.
 Each repeat starts from a new space and character, so no memo carries
 over.  Prints one JSON object with the best time of each stage.
@@ -21,9 +23,10 @@ import json
 import time
 
 from siegeleis.characters import DirichletCharacter
-from siegeleis.cli import write_json
+from siegeleis.cli import encoded, write_json
 from siegeleis.eisspace import enumerate_partitions
-from siegeleis.hecke import SpaceOperators, compare_eigenvalues, eigenbasis
+from siegeleis.hecke import (SpaceOperators, _JsonMemo, compare_eigenvalues,
+                             eigenbasis)
 
 
 def one_run(level: int, char: str, weight: int) -> dict:
@@ -44,11 +47,11 @@ def one_run(level: int, char: str, weight: int) -> dict:
     stage("tables")
     system = eigenbasis(ops)
     stage("eigenbasis")
-    comparison = compare_eigenvalues(system)
-    stage("comparison")
-    tree = {"space": space.descriptor(), "eigenbasis": system.to_json(),
-            "comparison": comparison}
+    memo = _JsonMemo(space, encoded)
+    tree = {"space": space.descriptor(), "eigenbasis": system.to_json(memo)}
     stage("to_json")
+    tree["comparison"] = compare_eigenvalues(system, ops.level_ops(), memo)
+    stage("comparison")
     size = 0
 
     def sink(chunk):
