@@ -13,15 +13,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
 
 from .characters import DirichletCharacter
 from .eisspace import enumerate_partitions, prime_factors
 from .fourier import (UOperator, apply_U, calibrate_normalization,
                       krylov_spectral, project_components, provider_load)
-from .hecke import (HeckeOp, SpaceOperators, _JsonMemo, compare_eigenvalues,
-                    eigenbasis, eigenvalue_comparisons, relation_defects,
-                    s_constant, word_matrix)
+from .hecke import (HeckeOp, SpaceOperators, eigen_json, eigenbasis,
+                    eigenvalue_comparisons, relation_defects, s_constant,
+                    word_matrix)
+from .jsonout import write_json
 from .verify import PRESETS, run_suite
 
 
@@ -59,110 +59,6 @@ def parse_op_word(text: str) -> list:
 def _space_from_args(args):
     char = DirichletCharacter.parse(args.level, args.char)
     return enumerate_partitions(args.level, char, args.weight)
-
-
-_FLUSH_PIECES = 1024  # about 60 KB of `eigen` output per write
-
-
-class JsonText:
-    """A value already written by write_json at the top level, spliced in
-    wherever it recurs.  Its only newlines are those of its indentation,
-    because an encoded string escapes every newline it holds."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-def encoded(obj) -> JsonText:
-    """`obj` written once, for write_json to splice in at any depth."""
-    pieces = []
-    write_json(obj, pieces.append)
-    return JsonText("".join(pieces)[:-1])
-
-
-def write_json(obj, write) -> None:
-    """Write `obj` as the bytes of json.dumps(obj, indent=2, sort_keys=True)
-    plus a newline, in chunks of about a thousand pieces through `write`.
-
-    Takes dict with str keys, list, tuple, str, int, bool and None, and
-    JsonText, which stands for the value it encodes: its text goes in with
-    every newline followed by the indentation of its depth.  Raises
-    TypeError naming the type of anything else: no `to_json` emits floats
-    or non-str keys, so they are rejected rather than emulated.
-    """
-    out = []
-    append = out.append
-
-    def emit(o, pad):
-        t = type(o)
-        if t is str:
-            append(_json_str(o))
-        elif t is JsonText:
-            append(o.text.replace("\n", pad))
-        elif t is dict:
-            if not o:
-                append("{}")
-                return
-            inner = pad + "  "
-            sep = "{" + inner
-            try:
-                keys = sorted(o)
-            except TypeError:  # a non-str key; the loop names its type
-                keys = o
-            for k in keys:
-                if type(k) is not str:
-                    raise TypeError(
-                        f"keys must be str, not {type(k).__name__}")
-                v = o[k]
-                head = sep + _json_str(k) + ": "
-                if type(v) is JsonText:  # the common leaves, inline
-                    append(head + v.text.replace("\n", inner))
-                elif type(v) is str:
-                    append(head + _json_str(v))
-                else:
-                    append(head)
-                    emit(v, inner)
-                sep = "," + inner
-            append(pad + "}")
-            if len(out) >= _FLUSH_PIECES:
-                write("".join(out))
-                out.clear()
-        elif t is list or t is tuple:
-            if not o:
-                append("[]")
-                return
-            inner = pad + "  "
-            try:  # all items str: one join; the escaper rejects anything else
-                append("[" + inner + ("," + inner).join(map(_json_str, o))
-                       + pad + "]")
-                return
-            except TypeError:
-                pass
-            sep = "[" + inner
-            for v in o:
-                append(sep)
-                emit(v, inner)
-                sep = "," + inner
-            append(pad + "]")
-            if len(out) >= _FLUSH_PIECES:
-                write("".join(out))
-                out.clear()
-        elif o is None:
-            append("null")
-        elif o is True:
-            append("true")
-        elif o is False:
-            append("false")
-        elif t is int:
-            append(int.__repr__(o))
-        else:
-            raise TypeError(f"cannot write {t.__name__} as JSON")
-
-    emit(obj, "\n")
-    append("\n")
-    write("".join(out))
 
 
 @contextlib.contextmanager
@@ -227,12 +123,8 @@ def cmd_eigen(args) -> int:
         with _writer(args) as write:
             write("\n".join(lines) + "\n")
         return 0
-    memo = _JsonMemo(space, encoded)  # each distinct value written once
-    _emit_json(args, {
-        "space": space.descriptor(),
-        "eigenbasis": system.to_json(memo),
-        "comparison": compare_eigenvalues(system, op_list, memo),
-    })
+    _emit_json(args, {"space": space.descriptor(),
+                      **eigen_json(system, op_list)})
     return 0
 
 

@@ -25,6 +25,7 @@ from operator import itemgetter
 from .characters import is_prime, legendre_epsilon
 from .cyclotomic import CycNum, as_cyc
 from .eisspace import EisSpace, Partition, prime_factors
+from .jsonout import encoded
 from .linalg import CycMatrix
 
 _ZERO = CycNum.zero()
@@ -414,8 +415,8 @@ class EigenSystem:
     entries: list[EigenVectorEntry]
 
     def to_json(self, memo: _JsonMemo | None = None):
-        """The entries as JSON; pass the memo of the whole output to share
-        its values with the comparison rows."""
+        """The entries as JSON; eigen_json passes the memo it shares with
+        the comparison rows."""
         if memo is None:
             memo = _JsonMemo(self.space)
         value = memo.value
@@ -700,6 +701,20 @@ def compare_eigenvalues(system: EigenSystem, op_list=None,
         for rho, op, mval, cval, match, expected_mismatch
         in eigenvalue_comparisons(system, op_list)
     ]
+
+
+def eigen_json(system: EigenSystem, op_list=None) -> dict:
+    """The eigenbasis and its comparison rows (keys "eigenbasis" and
+    "comparison") as the `eigen` command writes them.
+
+    One memo serves both, so each distinct value and each partition is
+    encoded once (jsonout.encoded) and the same JsonText stands wherever it
+    recurs; jsonout.write_json then prints the bytes of the plain
+    `system.to_json()` and `compare_eigenvalues(system, op_list)`.
+    """
+    memo = _JsonMemo(system.space, encoded)
+    return {"eigenbasis": system.to_json(memo),
+            "comparison": compare_eigenvalues(system, op_list, memo)}
 
 
 # -- relation operators (corner-to-basis words) --------------------------------

@@ -7,13 +7,13 @@ import pytest
 
 import siegeleis.hecke as hecke
 from siegeleis.characters import DirichletCharacter, legendre_epsilon
-from siegeleis.cli import encoded, write_json
 from siegeleis.cyclotomic import CycNum, as_cyc
 from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
-                             apply_word, compare_eigenvalues, eigen_vector, eigenbasis,
-                             eigenvalue_closed_form, hecke_matrix, s_constant,
-                             s_operator, s_word)
+                             apply_word, compare_eigenvalues, eigen_json,
+                             eigen_vector, eigenbasis, eigenvalue_closed_form,
+                             hecke_matrix, s_constant, s_operator, s_word)
+from siegeleis.jsonout import encoded, write_json
 from siegeleis.linalg import CycMatrix
 
 N2K4 = enumerate_partitions(2, None, 4)
@@ -518,17 +518,19 @@ def test_json_memo_keys_values_by_stored_form():
         {"N0": 1, "N1": 2, "N2": 1}).text
 
 
-def test_memo_output_writes_the_plain_json():
-    # what the CLI writes through its encoding memo is the plain tree
+def test_eigen_json_writes_the_plain_json():
+    # the CLI's tree, each value encoded once, writes as the plain tree
     ops = SpaceOperators(_space(55, "5:1,11:1"))
     ops.matrix(HeckeOp("T", 3))
     system = eigenbasis(ops)
     op_list = [HeckeOp("T", 3), *ops.level_ops()]
-    memo = hecke._JsonMemo(system.space, encoded)
+    tree = eigen_json(system, op_list)
+    coeffs = [c["coeff"] for e in tree["eigenbasis"] for c in e["vector"]]
+    assert len({id(c) for c in coeffs}) < len(coeffs)  # shared, not copied
     pieces = []
-    write_json([system.to_json(memo), compare_eigenvalues(system, op_list, memo)],
-               pieces.append)
-    plain = [system.to_json(), compare_eigenvalues(system, op_list)]
+    write_json(tree, pieces.append)
+    plain = {"eigenbasis": system.to_json(),
+             "comparison": compare_eigenvalues(system, op_list)}
     assert "".join(pieces) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 

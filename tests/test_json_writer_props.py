@@ -1,20 +1,20 @@
-"""Property test of `cli.write_json` against its oracle, `json.dumps`.
+"""Property test of `jsonout.write_json` against its oracle, `json.dumps`.
 
 For every tree of the types the writer takes, the concatenated writes must
 equal json.dumps(tree, indent=2, sort_keys=True) plus a newline, also when
-random subtrees are handed to the writer pre-encoded (`cli.encoded`).
+random subtrees are handed to the writer pre-encoded (`jsonout.encoded`).
 """
 
 import json
 
 import pytest
 
-from siegeleis.cli import encoded, write_json
+from siegeleis.jsonout import encoded, write_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t '),
+text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t '),
                max_size=8)
 leaves = (st.none() | st.booleans() | st.integers()
           | st.integers(min_value=-2**200, max_value=2**200) | text)

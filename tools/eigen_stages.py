@@ -2,14 +2,16 @@
 
     PYTHONPATH=src python tools/eigen_stages.py --level 2310 [--char 5:1,11:1]
 
-The stages are those of the JSON command, in its order:
+The stages are those of the JSON command, which builds its tree with
+hecke.eigen_json:
   tables      the level tables T(q), T1(q^2) for q | N;
   eigenbasis  the verified eigenbasis;
   to_json     the space descriptor and the eigenbasis as JSON, which
-              writes out every eigenvector coefficient; it makes the memo
-              that encodes each distinct value and partition once;
-  comparison  the comparison rows against the closed forms, as JSON,
-              through the same memo;
+              writes out every eigenvector coefficient, each distinct
+              value and partition encoded once (eigen_json less the time
+              inside compare_eigenvalues);
+  comparison  the comparison rows against the closed forms, as JSON, the
+              time eigen_json spends in compare_eigenvalues;
   write_json  the exact indent-2 writer, into a sink that counts bytes.
 Each repeat starts from a new space and character, so no memo carries
 over.  Prints one JSON object with the best time of each stage.
@@ -22,14 +24,25 @@ import gc
 import json
 import time
 
+import siegeleis.hecke as hecke
 from siegeleis.characters import DirichletCharacter
-from siegeleis.cli import encoded, write_json
 from siegeleis.eisspace import enumerate_partitions
-from siegeleis.hecke import (SpaceOperators, _JsonMemo, compare_eigenvalues,
-                             eigenbasis)
+from siegeleis.hecke import SpaceOperators, eigen_json, eigenbasis
+from siegeleis.jsonout import write_json
 
 
-def one_run(level: int, char: str, weight: int) -> dict:
+def _timed(fn, spent: list):
+    """fn, appending the seconds of each call to spent."""
+    def wrapper(*args, **kwargs):
+        t = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent.append(time.perf_counter() - t)
+    return wrapper
+
+
+def one_run(level: int, char: str, weight: int, compared: list) -> dict:
     times = {}
     t = time.perf_counter()
 
@@ -47,11 +60,11 @@ def one_run(level: int, char: str, weight: int) -> dict:
     stage("tables")
     system = eigenbasis(ops)
     stage("eigenbasis")
-    memo = _JsonMemo(space, encoded)
-    tree = {"space": space.descriptor(), "eigenbasis": system.to_json(memo)}
+    compared.clear()
+    tree = {"space": space.descriptor(), **eigen_json(system, ops.level_ops())}
     stage("to_json")
-    tree["comparison"] = compare_eigenvalues(system, ops.level_ops(), memo)
-    stage("comparison")
+    times["comparison"] = sum(compared)
+    times["to_json"] -= times["comparison"]
     size = 0
 
     def sink(chunk):
@@ -71,10 +84,13 @@ def main() -> None:
     parser.add_argument("--weight", type=int, default=4)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
+    compared: list = []  # eigen_json reads compare_eigenvalues from hecke
+    hecke.compare_eigenvalues = _timed(hecke.compare_eigenvalues, compared)
     best: dict = {}
     for _ in range(args.repeat):
         gc.collect()
-        for name, value in one_run(args.level, args.char, args.weight).items():
+        for name, value in one_run(args.level, args.char, args.weight,
+                                   compared).items():
             best[name] = min(best.get(name, value), value)
     out = {"level": args.level, "char": args.char, "weight": args.weight,
            "repeat": args.repeat}
