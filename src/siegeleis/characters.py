@@ -14,21 +14,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import CycNum, factorize, is_squarefree
+from .cyclotomic import CycNum, factorize, is_prime, is_squarefree
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -157,13 +146,7 @@ class DirichletCharacter:
         raise ValueError(f"{q} does not divide the modulus {self.modulus}")
 
     def __call__(self, n: int) -> CycNum:
-        val = _ONE
-        for lc in self.locals:
-            v = lc(n)
-            if v.is_zero():
-                return _ZERO
-            val = val * v
-        return val
+        return self.eval_over(tuple(lc.q for lc in self.locals), n)
 
     def eval_over(self, primes, n: int) -> CycNum:
         """Product of the local components at the given primes, at n,

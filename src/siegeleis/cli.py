@@ -164,29 +164,15 @@ def cmd_fourier(args) -> int:
         _emit_json(args, report)
         return 0
     if args.apply:
-        word = parse_op_word(args.apply)
-        if not all(isinstance(op, UOperator) for op in word):
-            raise ValueError("`fourier --apply` takes U:Q,P operators only")
         exp = provider.expansion
-        for u in word:
+        for u in _u_word(args.apply, "--apply"):
             exp = apply_U(exp, u)
         _emit_json(args, exp.to_json())
         return 0
     if args.ops:
-        word = parse_op_word(args.ops)
-        if not all(isinstance(op, UOperator) for op in word):
-            raise ValueError("`fourier --ops` takes U:Q,P operators only")
+        word = _u_word(args.ops, "--ops")
         comps = krylov_spectral(provider.expansion, word, args.sample_bound)
-        _emit_json(args, [
-            {
-                "eigenvalues": {
-                    u.spec_string(): lam.to_json()
-                    for u, lam in c.eigenvalues.items()
-                },
-                "expansion": c.expansion.to_json(),
-            }
-            for c in comps
-        ])
+        _emit_json(args, [_component_json(c) for c in comps])
         return 0
     labeled = project_components(
         provider, args.level, provider.weight, args.sample_bound
@@ -194,21 +180,26 @@ def cmd_fourier(args) -> int:
     _emit_json(args, {
         "level": args.level,
         "weight": provider.weight,
-        "components": [
-            {
-                "partition": rho.to_json(),
-                "eigenvalues": {
-                    u.spec_string(): lam.to_json()
-                    for u, lam in sorted(
-                        comp.eigenvalues.items(), key=lambda t: (t[0].Q, t[0].P)
-                    )
-                },
-                "expansion": comp.expansion.to_json(),
-            }
-            for rho, comp in labeled
-        ],
+        "components": [{"partition": rho.to_json(), **_component_json(comp)}
+                       for rho, comp in labeled],
     })
     return 0
+
+
+def _u_word(text: str, flag: str) -> list:
+    word = parse_op_word(text)
+    if not all(isinstance(op, UOperator) for op in word):
+        raise ValueError(f"`fourier {flag}` takes U:Q,P operators only")
+    return word
+
+
+def _component_json(comp) -> dict:
+    """A spectral component's U eigenvalues and expansion as JSON."""
+    return {
+        "eigenvalues": {u.spec_string(): lam.to_json()
+                        for u, lam in comp.eigenvalues.items()},
+        "expansion": comp.expansion.to_json(),
+    }
 
 
 def cmd_verify(args) -> int:

@@ -70,9 +70,21 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division, like factorize."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1 if d == 2 else 2
+    return True
+
+
 def primes_up_to(n: int) -> list[int]:
     """Primes p <= n, ascending."""
-    return [p for p in range(2, n + 1) if factorize(p) == {p: 1}]
+    return [p for p in range(2, n + 1) if is_prime(p)]
 
 
 def euler_phi(n: int) -> int:

@@ -24,14 +24,14 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum, as_cyc, is_squarefree
 from .eisspace import Partition, enumerate_partitions, prime_factors
-from .hecke import HeckeOp, eigenvalue_closed_form
+from .hecke import HeckeOp, SpaceOperators, eigenvalue_closed_form
 from .lattices import (
     GL2,
     SL2,
     GramForm,
     ZERO_FORM,
-    class_key,
     key_representative,
+    reduce_form,
     reduced_class_keys,
     restrict_and_scale,
     sublattices,
@@ -45,14 +45,19 @@ _ONE = CycNum.one()
 class CoverageError(ValueError):
     """A lookup or operation needs coefficients beyond the stored bounds."""
 
-    def __init__(self, message, missing_det=None, missing_content=None):
+    def __init__(self, message, missing_det=None):
         super().__init__(message)
         self.missing_det = missing_det
-        self.missing_content = missing_content
 
 
 class LabelingError(ValueError):
     """Joint eigenvalue data does not determine the partition labels."""
+
+
+def _key_form(key, mode: str) -> GramForm:
+    """The reduced form of a class key (an SL2 key also holds the
+    orientation bit)."""
+    return key if mode == GL2 else key[0]
 
 
 @dataclass(frozen=True)
@@ -103,16 +108,12 @@ class FourierExpansion:
     def domain_keys(self) -> list:
         return reduced_class_keys(self.det_bound, self.content_bound, self.mode)
 
-    def _key_form(self, key) -> GramForm:
-        return key if self.mode == GL2 else key[0]
-
     def value_of_key(self, key) -> CycNum:
-        form = self._key_form(key)
+        form = _key_form(key, self.mode)
         rank = form.rank()
         if rank == 1 and form.a > self.content_bound:
             raise CoverageError(
-                f"rank-1 content {form.a} exceeds coverage {self.content_bound}",
-                missing_content=form.a,
+                f"rank-1 content {form.a} exceeds coverage {self.content_bound}"
             )
         if rank == 2 and form.det > self.det_bound:
             raise CoverageError(
@@ -122,7 +123,7 @@ class FourierExpansion:
         return self.coeffs[key]
 
     def value(self, T: GramForm) -> CycNum:
-        return self.value_of_key(class_key(T, self.mode))
+        return self.value_of_key(reduce_form(T, self.mode))
 
     def scale(self, s) -> "FourierExpansion":
         s = as_cyc(s)
@@ -152,7 +153,7 @@ class FourierExpansion:
     def to_json(self):
         out = []
         for key in self.domain_keys():
-            form = self._key_form(key)
+            form = _key_form(key, self.mode)
             entry = {"form": form.to_json(), "value": self.coeffs[key].to_json()}
             if self.mode == SL2:
                 entry["orient"] = key[1]
@@ -198,19 +199,11 @@ def combine(terms) -> FourierExpansion:
     return FourierExpansion(mode, db, cb, coeffs, validate=False)
 
 
-def apply_U(f: FourierExpansion, u: UOperator, *,
-            min_det_bound: int | None = None) -> FourierExpansion:
+def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
     """Sublattice-sum action; output coverage shrinks by the operator's
-    determinant and content factors.  If min_det_bound is given and the
-    input cannot support it, the error names the first missing determinant."""
+    determinant and content factors."""
     db = f.det_bound // u.det_factor
     cb = f.content_bound // u.content_factor
-    if min_det_bound is not None and db < min_det_bound:
-        raise CoverageError(
-            f"need input determinant coverage {u.det_factor * min_det_bound}, "
-            f"have {f.det_bound}",
-            missing_det=u.det_factor * (db + 1),
-        )
     subs = sublattices(u.Q)
     coeffs = {}
     for key in reduced_class_keys(db, cb, f.mode):
@@ -268,10 +261,9 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
             raise ValueError(f"{source}:{lineno}: form {form} is not psd")
         if mode == SL2:
             orient = int(toks[4]) if len(toks) == 5 else 1
-            red = class_key(GramForm(a, b if orient > 0 else -b, c), SL2)
-            key = red
+            key = reduce_form(GramForm(a, b if orient > 0 else -b, c), SL2)
         else:
-            key = class_key(form, GL2)
+            key = reduce_form(form, GL2)
         if key in table and not (table[key] == val):
             raise ValueError(
                 f"{source}:{lineno}: inconsistent duplicate for class {key}"
@@ -279,27 +271,25 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
         table[key] = val
     if weight is None:
         raise ValueError(f"{source}: missing '!weight ...' header line")
-    zero_key = class_key(ZERO_FORM, mode)
+    zero_key = reduce_form(ZERO_FORM, mode)
     if zero_key not in table:
         raise ValueError(f"{source}: zero-form coefficient missing")
 
-    def form_of(key):
-        return key if mode == GL2 else key[0]
-
     # content bound: longest full prefix of rank-1 classes
     cb = 0
-    while class_key(GramForm(cb + 1, 0, 0), mode) in table:
+    while reduce_form(GramForm(cb + 1, 0, 0), mode) in table:
         cb += 1
     # det bound: largest D with every reduced positive definite class
     # covered.  [[1,0],[0,d]] is a reduced class of det d, so D is at most
     # the number of positive definite classes in the table, and the walk
     # stops there however large a det the file names.
-    posdef_dets = [form_of(k).det for k in table if form_of(k).rank() == 2]
+    forms = [_key_form(k, mode) for k in table]
+    posdef_dets = [form.det for form in forms if form.rank() == 2]
     walk = min(max(posdef_dets, default=0), len(posdef_dets))
     db = 0
     keys_by_det: dict[int, list] = {}
     for key in reduced_class_keys(walk, 0, mode):
-        d = form_of(key).det
+        d = _key_form(key, mode).det
         if d > 0:
             keys_by_det.setdefault(d, []).append(key)
     for d in range(1, walk + 1):
@@ -472,7 +462,7 @@ def project_components(provider: CoefficientProvider, N: int, k: int,
             f"expected {expected} joint components for N={N}, got {len(comps)}"
         )
     # corner detection by the zero-form coefficient
-    zk = class_key(ZERO_FORM, provider.expansion.mode)
+    zk = reduce_form(ZERO_FORM, provider.expansion.mode)
     nonzero = [i for i, c in enumerate(comps) if not c.expansion.coeffs[zk].is_zero()]
     if len(nonzero) != 1:
         raise LabelingError(
@@ -539,8 +529,6 @@ def calibrate_normalization(provider: CoefficientProvider, N: int, k: int,
     """Measured U eigenvalues per partition next to the closed-form tables,
     with the fitted rational relation when one exists.  The report documents
     the normalization empirically; nothing here is asserted."""
-    from .hecke import SpaceOperators
-
     labeled = project_components(provider, N, k, sample_bound)
     space = enumerate_partitions(N, None, k, forced=(k % 2 == 1))
     ops = SpaceOperators(space)

@@ -22,8 +22,8 @@ from itertools import product
 from math import gcd
 from operator import itemgetter
 
-from .characters import is_prime, legendre_epsilon
-from .cyclotomic import CycNum, as_cyc
+from .characters import legendre_epsilon
+from .cyclotomic import CycNum, as_cyc, is_prime
 from .eisspace import EisSpace, Partition, prime_factors
 from .jsonout import encoded
 from .linalg import CycMatrix
@@ -92,8 +92,8 @@ def _chi_over(space: EisSpace, part_value: int, n: int) -> CycNum:
     return space.char.eval_over(prime_factors(part_value), n)
 
 
-def _row_prime_to_level(space: EisSpace, rho: Partition, op: HeckeOp) -> dict:
-    """Diagonal action for p not dividing the level."""
+def _row_prime_to_level(space: EisSpace, rho: Partition, op: HeckeOp) -> CycNum:
+    """The diagonal entry at rho for p not dividing the level."""
     p, k = op.p, space.weight
     c0, c1, c2 = rho.n0, rho.n1, rho.n2
     if op.kind == "T":
@@ -108,7 +108,7 @@ def _row_prime_to_level(space: EisSpace, rho: Partition, op: HeckeOp) -> dict:
             + space.char(p) * Fraction(p ** (k - 3) * (p - 1))
             + _chi_over(space, c2, p * p)
         )
-    return {rho: val}
+    return val
 
 
 def _moved_by(space: EisSpace, p: int) -> list[int]:
@@ -133,15 +133,16 @@ def _rows_prime_to_level(space: EisSpace, op: HeckeOp) -> tuple:
         key = tuple(ranks[x] for x in moving)
         val = values.get(key)
         if val is None:
-            val = values[key] = as_cyc(_row_prime_to_level(space, rho, op)[rho])
+            val = values[key] = as_cyc(_row_prime_to_level(space, rho, op))
         rows.append(((i, val),))
     return tuple(rows)
 
 
-def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> dict:
+def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> tuple:
     """Row i of T(q) or T1(q^2) for the prime q at position pos of the
-    primes of the level, keyed by basis index.  A move target is found by
-    its rank tuple: that of row i with the rank at q raised."""
+    primes of the level, as (j, value) pairs in ascending j.  A move target
+    is found by its rank tuple: that of row i with the rank at q raised, so
+    i < up(1) < up(2) in the basis, which is sorted by total rank."""
     q, k = op.p, space.weight
     local = space.char.local(q)
     rho, ranks = space.basis[i], space.rank_tuples[i]
@@ -156,47 +157,45 @@ def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> dict:
             val = _chi_over(space, c0, q * q) * _chi_over(space, c1, q) * q ** (2 * k - 3)
         else:
             val = _chi_over(space, c0, q * q) * ((q + 1) * q ** (2 * k - 3))
-        return {i: val}
+        return ((i, val),)
 
     if rank == 1:
         # q | N1 forces chi_q^2 = 1 (basis validity)
         if op.kind == "T":
             pref = _chi_over(space, c0 * c2, q)
-            row = {i: pref * q ** (k - 1)}
+            row = ((i, pref * q ** (k - 1)),)
             if local.is_trivial:
-                row[up(2)] = pref * Fraction(q ** (k - 3) * (q * q - 1))
+                row += ((up(2), pref * Fraction(q ** (k - 3) * (q * q - 1))),)
             return row
         diag = (
             _chi_over(space, c0, q * q) * q ** (2 * k - 2)
             + _chi_over(space, c2, q * q) * q
         )
-        row = {i: diag}
+        row = ((i, diag),)
         if local.is_trivial:
             chi_rest = _chi_over(space, space.level // q, q)
-            row[up(2)] = (
-                (chi_rest * q ** (k - 2) + _chi_over(space, c2, q * q))
-                * Fraction(q * q - 1, q)
-            )
+            row += ((up(2), (chi_rest * q ** (k - 2) + _chi_over(space, c2, q * q))
+                     * Fraction(q * q - 1, q)),)
         return row
 
     # rank 0: q | N0
     if op.kind == "T":
         pref = _chi_over(space, c1, q) * _chi_over(space, c2, q * q)
-        row = {i: pref}
+        row = ((i, pref),)
         if local.is_trivial:
-            row[up(1)] = pref * Fraction(q - 1, q)
-            row[up(2)] = pref * Fraction(q - 1, q)
+            row += ((up(1), pref * Fraction(q - 1, q)),
+                    (up(2), pref * Fraction(q - 1, q)))
         elif local.is_real:
-            row[up(2)] = pref * Fraction(legendre_epsilon(q) * (q - 1), q * q)
+            row += ((up(2), pref * Fraction(legendre_epsilon(q) * (q - 1), q * q)),)
         return row
     chi2 = _chi_over(space, c2, q * q)
-    row = {i: chi2 * (q + 1)}
+    row = ((i, chi2 * (q + 1)),)
     if local.is_trivial:
         chi_rest = _chi_over(space, space.level // q, q)
-        row[up(1)] = (chi_rest * q ** (k - 1) + chi2) * Fraction(q - 1, q)
-        row[up(2)] = chi2 * Fraction(q * q - 1, q * q)
+        row += ((up(1), (chi_rest * q ** (k - 1) + chi2) * Fraction(q - 1, q)),
+                (up(2), chi2 * Fraction(q * q - 1, q * q)))
     elif local.is_real:
-        row[up(2)] = chi2 * Fraction(legendre_epsilon(q) * (q * q - 1), q * q)
+        row += ((up(2), chi2 * Fraction(legendre_epsilon(q) * (q * q - 1), q * q)),)
     return row
 
 
@@ -208,15 +207,12 @@ def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     if space.level % op.p:
         return HeckeMatrix(space, op, _rows_prime_to_level(space, op))
     pos = prime_factors(space.level).index(op.p)
-    rows = []
     # the index objects of index_of_ranks, in basis order: the rows of all
     # tables then share one int object per index, as the move targets do
-    for i in space.index_of_ranks.values():
-        entries = _row_at_level_prime(space, i, op, pos)
-        rows.append(tuple(sorted(
-            ((j, as_cyc(val)) for j, val in entries.items()), key=itemgetter(0),
-        )))
-    return HeckeMatrix(space, op, tuple(rows))
+    return HeckeMatrix(space, op, tuple(
+        _row_at_level_prime(space, i, op, pos)
+        for i in space.index_of_ranks.values()
+    ))
 
 
 class SpaceOperators:
@@ -424,12 +420,8 @@ class EigenSystem:
             {
                 "partition": memo.partition(e.partition),
                 "vector": e.vector.to_json(memo),
-                "eigenvalues": {
-                    op.spec_string(): value(lam)
-                    for op, lam in sorted(
-                        e.eigenvalues.items(), key=lambda t: (t[0].p, t[0].kind)
-                    )
-                },
+                "eigenvalues": {op.spec_string(): value(lam)
+                                for op, lam in e.eigenvalues.items()},
             }
             for e in self.entries
         ]

@@ -79,7 +79,8 @@ def reduce_form(T: GramForm, group: str = GL2):
     case), [[m,0],[0,0]] with m the minimal represented value (rank 1), or
     the zero form.  SL2 mode returns (GramForm, orient) where the form is the
     same b >= 0 representative and orient = -1 marks the proper class of the
-    b < 0 twin when the GL2 class splits.
+    b < 0 twin when the GL2 class splits.  Either result is hashable and
+    serves as the class key.
     """
     if group not in (GL2, SL2):
         raise ValueError(f"unknown reduction group {group!r}")
@@ -97,16 +98,6 @@ def reduce_form(T: GramForm, group: str = GL2):
     if group == GL2:
         return out
     return out, orient
-
-
-def class_key(T: GramForm, group: str = GL2):
-    """Hashable canonical key of the class of T (adds the orientation bit in
-    SL2 mode)."""
-    red = reduce_form(T, group)
-    if group == GL2:
-        return red
-    form, orient = red
-    return (form, orient)
 
 
 def key_representative(key, group: str = GL2) -> GramForm:
@@ -151,10 +142,8 @@ def restrict_and_scale(T: GramForm, H: SublatticeBasis, P: int) -> GramForm:
     """Gram matrix P * (H T H^t) of the form restricted to the sublattice
     and scaled by P (not reduced)."""
     (h11, h12), (h21, h22) = H.rows
-    a = T.value(h11, h12)
-    c = T.value(h21, h22)
-    b = h11 * (T.a * h21 + T.b * h22) + h12 * (T.b * h21 + T.c * h22)
-    return GramForm(P * a, P * b, P * c)
+    R = transform(T, (h11, h21, h12, h22))  # H T H^t = G^t T G for G = H^t
+    return GramForm(P * R.a, P * R.b, P * R.c)
 
 
 HYPERBOLIC = "hyperbolic"
@@ -212,9 +201,9 @@ def reduced_class_keys(det_bound: int, content_bound: int, group: str = GL2):
     """Canonical keys of every class in the standard sampling domain: the
     zero form, rank-1 forms with content <= content_bound, positive definite
     classes with det <= det_bound; ordered by (det, a, b[, orient])."""
-    keys = [class_key(ZERO_FORM, group)]
+    keys = [reduce_form(ZERO_FORM, group)]
     for m in range(1, content_bound + 1):
-        keys.append(class_key(GramForm(m, 0, 0), group))
+        keys.append(reduce_form(GramForm(m, 0, 0), group))
     for f in reduced_posdef_forms(det_bound):
         if group == GL2:
             keys.append(f)

@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import enumerate_characters
-from .cyclotomic import CycNum, as_cyc, is_squarefree, primes_up_to
+from .cyclotomic import CycNum, as_cyc, euler_phi, is_squarefree, primes_up_to
 from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
-from .hecke import EigenSystem, HeckeOp, SpaceOperators, eigenbasis, \
-    eigenvalue_closed_form, relation_defects
+from .hecke import EigenSystem, HeckeOp, SpaceOperators, _chi_over, \
+    eigenbasis, eigenvalue_closed_form, eigenvalue_comparisons, \
+    relation_defects
 from .lattices import GL2, GramForm, isotropic_lines, reduce_form, \
     sublattices, transform
 from .linalg import CycMatrix, _Span, left_null_space
@@ -141,8 +142,6 @@ def spaces_in_scope(config) -> list[EisSpace]:
 
 def _expected_mismatch_values(space, rho, q):
     """The two sides of the known T1 disagreement at q | N1."""
-    from .hecke import _chi_over
-
     k = space.weight
     matrix_side = (
         _chi_over(space, rho.n0, q * q) * q ** (2 * k - 2)
@@ -222,8 +221,6 @@ def _random_cyc(rng, base_m: int) -> CycNum:
     # a random divisor conductor keeps mixed-m arithmetic under the cap
     m = rng.choice([d for d in range(1, base_m + 1)
                     if base_m % d == 0 and d % 4 != 2])
-    from .cyclotomic import euler_phi
-
     coeffs = [
         Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         for _ in range(euler_phi(m))
@@ -351,31 +348,25 @@ def _check_closed_forms(config, run):
     out = []
     bad = 0
     matched = 0
-    for e in run.system.entries:
-        for op in run.ops.level_ops():
-            mval = e.eigenvalues[op]
-            cval = eigenvalue_closed_form(space, e.partition, op)
-            exempt = op.kind == "T1" and e.partition.rank_of(op.p) == 1
-            if exempt:
-                mwant, twant = _expected_mismatch_values(
-                    space, e.partition, op.p
-                )
-                if mval == mwant and cval == twant and not (mval == cval):
-                    out.append(CheckRecord(
-                        "hecke-closed-form-comparison",
-                        {**_space_params(space),
-                         "partition": str(e.partition),
-                         "op": op.spec_string()},
-                        DOCUMENTED,
-                        "table q^(2k-3) vs matrix q^(2k-2), both sides "
-                        "have the expected shape",
-                    ))
-                else:
-                    bad += 1
-            elif mval == cval:
-                matched += 1
+    for rho, op, mval, cval, match, exempt in eigenvalue_comparisons(
+            run.system, run.ops.level_ops()):
+        if exempt:
+            mwant, twant = _expected_mismatch_values(space, rho, op.p)
+            if mval == mwant and cval == twant and not match:
+                out.append(CheckRecord(
+                    "hecke-closed-form-comparison",
+                    {**_space_params(space), "partition": str(rho),
+                     "op": op.spec_string()},
+                    DOCUMENTED,
+                    "table q^(2k-3) vs matrix q^(2k-2), both sides "
+                    "have the expected shape",
+                ))
             else:
                 bad += 1
+        elif match:
+            matched += 1
+        else:
+            bad += 1
     out.append(CheckRecord(
         "hecke-closed-form-comparison", _space_params(space),
         PASS if bad == 0 else FAIL,

@@ -156,13 +156,13 @@ def test_desk_report_bytes(desk):
 def test_criterion_8_fourier_pipeline():
     from siegeleis.fourier import (calibrate_normalization, combine,
                                    project_components, provider_load)
-    from siegeleis.lattices import ZERO_FORM, class_key
+    from siegeleis.lattices import ZERO_FORM, reduce_form
 
     t0 = time.perf_counter()
     prov = provider_load(PROVIDER)
     comps = {rho: comp.expansion
              for rho, comp in project_components(prov, 2, 4, sample_bound=2)}
-    zk = class_key(ZERO_FORM)
+    zk = reduce_form(ZERO_FORM)
     ok = set(comps) == {Partition(2, 1, 1), Partition(1, 2, 1), Partition(1, 1, 2)}
     ok = ok and comps[Partition(2, 1, 1)].coeffs[zk] == 1
     ok = ok and comps[Partition(1, 2, 1)].coeffs[zk].is_zero()

@@ -12,7 +12,7 @@ from siegeleis.fourier import (CoefficientProvider, CoverageError,
                                krylov_spectral, project_components,
                                provider_load, provider_parse)
 from siegeleis.hecke import HeckeMatrix
-from siegeleis.lattices import GL2, SL2, GramForm, ZERO_FORM, class_key
+from siegeleis.lattices import GL2, SL2, GramForm, ZERO_FORM, reduce_form
 
 PROVIDER_PATH = Path(__file__).resolve().parent.parent / "data" / "e8_weight4_level1.coeffs"
 
@@ -38,8 +38,8 @@ def test_u_operator_validation():
 
 def test_expansion_totality_enforced():
     with pytest.raises(ValueError):
-        FourierExpansion(GL2, 1, 0, {class_key(ZERO_FORM): 1})
-    f = FourierExpansion(GL2, 0, 0, {class_key(ZERO_FORM): 5})
+        FourierExpansion(GL2, 1, 0, {reduce_form(ZERO_FORM): 1})
+    f = FourierExpansion(GL2, 0, 0, {reduce_form(ZERO_FORM): 5})
     assert f.value(ZERO_FORM) == 5
     with pytest.raises(CoverageError):
         f.value(GramForm(1, 0, 1))
@@ -117,12 +117,6 @@ def test_krylov_coverage_error_names_missing_det():
     assert exc.value.missing_det is not None
 
 
-def test_apply_u_min_bound_error():
-    with pytest.raises(CoverageError) as exc:
-        apply_U(constant_expansion(1, 10, 10), UOperator(2, 1), min_det_bound=5)
-    assert exc.value.missing_det == 12
-
-
 def test_sl2_mode_tracks_orientation():
     f = expansion_from_function(
         SL2, lambda key: key[0].det * key[1] if key[0].rank() == 2 else 1, 144, 4
@@ -145,7 +139,7 @@ def test_provider_parse_examples():
     assert p.expansion.det_bound == 0 and p.expansion.content_bound == 0
     lines = ["!weight 4 level 1 group GL2", "0 0 0 1", "2 3 6 11", "2 1 2 11"]
     p = provider_parse(lines)
-    assert p.expansion.coeffs[class_key(GramForm(2, 1, 2))] == 11
+    assert p.expansion.coeffs[reduce_form(GramForm(2, 1, 2))] == 11
     with pytest.raises(ValueError, match="inconsistent"):
         provider_parse(["!weight 4 level 1 group GL2", "0 0 0 1",
                         "2 3 6 11", "2 1 2 12"])
@@ -164,7 +158,7 @@ def test_provider_det_walk_is_bounded_by_the_class_count():
                         "1 0 100000 5"])
     assert time.perf_counter() - t0 < 1
     assert p.expansion.det_bound == 0
-    assert p.expansion.coeffs[class_key(GramForm(1, 0, 100000))] == 5
+    assert p.expansion.coeffs[reduce_form(GramForm(1, 0, 100000))] == 5
 
 
 def test_provider_lines_round_trip():
@@ -192,7 +186,7 @@ def test_projection_pipeline_on_shipped_data():
     comps = {rho: comp.expansion
              for rho, comp in project_components(prov, 2, 4, sample_bound=2)}
     assert set(comps) == {Partition(2, 1, 1), Partition(1, 2, 1), Partition(1, 1, 2)}
-    zk = class_key(ZERO_FORM)
+    zk = reduce_form(ZERO_FORM)
     assert comps[Partition(2, 1, 1)].coeffs[zk] == 1
     assert comps[Partition(1, 2, 1)].coeffs[zk].is_zero()
     assert comps[Partition(1, 1, 2)].coeffs[zk].is_zero()

@@ -235,7 +235,7 @@ def _dense_reference(space, op):
     primes = prime_factors(space.level)
     for i, rho in enumerate(space.basis):
         if q in primes:
-            entries = hecke._row_at_level_prime(space, i, op, primes.index(q))
+            entries = dict(hecke._row_at_level_prime(space, i, op, primes.index(q)))
             # the targets, found by rank tuple, are rho or rho with q
             # moved up, built here from the partition itself
             c0, c1, c2 = rho.n0, rho.n1, rho.n2
@@ -247,7 +247,7 @@ def _dense_reference(space, op):
                 moves.add(Partition(c0, c1 // q, c2 * q))
             assert {space.basis[j] for j in entries} <= moves and i in entries
         else:
-            entries = {i: hecke._row_prime_to_level(space, rho, op)[rho]}
+            entries = {i: hecke._row_prime_to_level(space, rho, op)}
         row = [CycNum.zero()] * space.dimension
         for j, val in entries.items():
             row[j] = as_cyc(val)

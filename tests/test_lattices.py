@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from siegeleis.lattices import (GL2, SL2, GramForm, ZERO_FORM, class_key,
+from siegeleis.lattices import (GL2, SL2, GramForm, ZERO_FORM,
                                 isotropic_lines, key_representative,
                                 reduce_form, reduced_class_keys,
                                 reduced_posdef_forms, restrict_and_scale,
@@ -67,7 +67,8 @@ def test_sl2_orientation():
         _, o1 = reduce_form(amb, SL2)
         _, o2 = reduce_form(GramForm(amb.a, -amb.b, amb.c), SL2)
         assert o1 == o2 == 1
-    assert key_representative(class_key(GramForm(3, -1, 5), SL2), SL2) == GramForm(3, -1, 5)
+    key = reduce_form(GramForm(3, -1, 5), SL2)
+    assert key_representative(key, SL2) == GramForm(3, -1, 5)
 
 
 def test_rank_one_reduction():

@@ -187,14 +187,18 @@ def test_oracle_misses_eigenvalues_off_the_diagonal():
     assert verify._oracle_joint_eigenspaces([CycMatrix([[0, 1], [1, 0]])]) == []
 
 
-def _doctored_oracle(change):
-    """The oracle record on N=2, k=4 after ``change`` edits the verified
+def _doctored_run(change):
+    """The space run of N=2, k=4 after ``change`` edits the verified
     entries of its eigenbasis."""
     run = space_run(enumerate_partitions(2, None, 4), QUICK_CONFIG)
     entries = list(run.system.entries)
     change(entries)
-    run = replace(run, system=replace(run.system, entries=entries))
-    return verify._check_eigen_oracle(QUICK_CONFIG, run)[0]
+    return replace(run, system=replace(run.system, entries=entries))
+
+
+def _doctored_oracle(change):
+    """The oracle record on the doctored run."""
+    return verify._check_eigen_oracle(QUICK_CONFIG, _doctored_run(change))[0]
 
 
 def test_eigen_oracle_fails_on_a_wrong_eigenvalue():
@@ -232,6 +236,29 @@ def test_eigen_oracle_fails_on_a_wrong_vector():
 
     assert _doctored_oracle(last_coefficient).details == (
         "span mismatch at (2,1,1)")
+
+
+def test_closed_form_check_fails_on_a_wrong_value():
+    def closed_forms(rho=None, op=None):
+        def bump(entries):
+            for i, e in enumerate(entries):
+                if e.partition == rho:
+                    entries[i] = replace(
+                        e, eigenvalues={**e.eigenvalues, op: e.eigenvalues[op] + 1})
+        recs = verify._check_closed_forms(QUICK_CONFIG, _doctored_run(bump))
+        return [(r.status, r.parameters.get("op"), r.details) for r in recs]
+
+    # the T1(2^2) row at (1,2,1) is the one documented mismatch of N=2
+    documented, summary = closed_forms()
+    assert documented[:2] == ("documented-mismatch", "T1:2")
+    assert summary == ("pass", None, "5 matches, 0 unexpected mismatches")
+    documented = [documented]
+    # a wrong value where the table must match
+    assert closed_forms(Partition(2, 1, 1), HeckeOp("T", 2)) == documented + [
+        ("fail", None, "4 matches, 1 unexpected mismatches")]
+    # the exempt row off the expected shape: no documented record
+    assert closed_forms(Partition(1, 2, 1), HeckeOp("T1", 2)) == [
+        ("fail", None, "5 matches, 1 unexpected mismatches")]
 
 
 def test_eigen_oracle_is_independent_of_the_fast_paths(monkeypatch):
