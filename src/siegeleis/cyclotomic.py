@@ -3,13 +3,14 @@
 Elements are stored reduced modulo the m-th cyclotomic polynomial in the
 power basis 1, z, ..., z^(phi(m)-1), as a tuple of integer numerators over
 one positive integer denominator (the layout of FLINT's fmpq_poly).  The
-stored form is canonical at its conductor: the denominator is coprime to the
-content of the numerators, a rational value is stored at m = 1, and zero is
-m = 1, numerators (0,), denominator 1.  Mixed-conductor arithmetic lifts both
-operands to the least common multiple conductor, which keeps equality testing
-exact.  Conductors m = 2 (mod 4) are rewritten into the equivalent
-odd-conductor field on construction.  Inverses are fraction-free: Bareiss
-elimination on the integer matrix of multiplication by the numerator.
+stored form is canonical across conductors, as GAP's cyclotomics are: m is
+the least conductor whose field holds the value (never 2 mod 4), the
+denominator is coprime to the content of the numerators, and zero is m = 1,
+numerators (0,), denominator 1.  So equality and hashing compare stored forms.
+Mixed-conductor arithmetic lifts both operands to the least common multiple
+conductor; a sum or product is then reduced into the least subfield that
+holds it.  Inverses are fraction-free: Bareiss elimination on the integer
+matrix of multiplication by the numerator.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import cmath
 import os
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 DEFAULT_CONDUCTOR_CAP = 120
@@ -40,6 +42,8 @@ def set_conductor_cap(cap: int) -> None:
 
 
 def _check_cap(m: int) -> None:
+    if m % 4 == 2:
+        m //= 2  # the field Q(zeta_m) is Q(zeta_{m/2})
     if m > _conductor_cap:
         raise ConductorCapError(
             f"conductor {m} exceeds the configured cap {_conductor_cap}"
@@ -176,29 +180,17 @@ class CycNum:
     """An element of Q(zeta_m), immutable: (sum n[i] z^i) / d."""
 
     __slots__ = ("m", "n", "d")
-    __hash__ = None  # cross-conductor equality makes a sound hash pointless here
 
-    def __init__(self, m: int, coeffs):
+    def __new__(cls, m: int, coeffs):
         if m < 1:
             raise ValueError("conductor must be positive")
-        # the field Q(zeta_m) is Q(zeta_{m/2}) for m = 2 (mod 4)
-        _check_cap(m // 2 if m % 4 == 2 else m)
+        _check_cap(m)
         phi = euler_phi(m)
         fracs = [Fraction(x) for x in coeffs]
         if len(fracs) != phi:
             raise ValueError("coefficient length must equal phi(m)")
         d = lcm(*(f.denominator for f in fracs))
-        num = [f.numerator * (d // f.denominator) for f in fracs]
-        if m % 4 == 2:
-            # rewrite into Q(zeta_{m/2}) via zeta_m = -zeta_{m/2}^{(m/2+1)/2}
-            m //= 2
-            step = (m + 1) // 2
-            num = _collect(m, ((i * step, -a if i % 2 else a)
-                               for i, a in enumerate(num)))
-        v = _make(m, num, d)
-        _set_m(self, v.m)
-        _set_n(self, v.n)
-        _set_d(self, v.d)
+        return _make(m, [f.numerator * (d // f.denominator) for f in fracs], d)
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
@@ -226,17 +218,6 @@ class CycNum:
         g = gcd(power, order)
         order //= g
         power //= g
-        if order == 1:
-            return _ONE
-        if order == 2:
-            return _raw(1, (-1,), 1)
-        if order % 4 == 2:
-            # zeta_{2n} = -zeta_n^{(n+1)/2} for odd n
-            n = order // 2
-            sign = -1 if power % 2 else 1
-            e = (power * ((n + 1) // 2)) % n
-            base = CycNum.root_of_unity(n, e)
-            return -base if sign < 0 else base
         _check_cap(order)
         return _make(order, _collect(order, ((power, 1),)), 1)
 
@@ -400,24 +381,17 @@ class CycNum:
         return out
 
     def __eq__(self, other):
-        if type(other) is int:
-            return self.m == 1 and self.d == 1 and self.n[0] == other
         if type(other) is not CycNum:
             other = as_cyc(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.m == other.m:
-            return self.d == other.d and self.n == other.n
-        if self.m == 1 or other.m == 1:
-            return False  # a value stored at m > 1 is not rational
-        m = _lcm_conductor(self.m, other.m)
-        da, db = self.d, other.d
-        return all(x * db == y * da
-                   for x, y in zip(self._lift(m), other._lift(m)))
+        return self.m == other.m and self.d == other.d and self.n == other.n
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+    def __hash__(self):
+        # a rational value hashes as the int or Fraction it equals
+        if self.m == 1:
+            return hash(self.n[0]) if self.d == 1 else hash(self.as_fraction())
+        return hash((self.m, self.n, self.d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -465,10 +439,48 @@ def _raw(m: int, n: tuple[int, ...], d: int) -> CycNum:
     return self
 
 
+@cache
+def _subfields(m: int) -> tuple:
+    """The maximal subfields Q(zeta_s) of Q(zeta_m), s = m/p for each prime
+    p | m, as (s, p, zeros, deg, trace).  zeta_s is z^p at m; zeros are the
+    numerator positions that are 0 for every element of Q(zeta_s) at m
+    (none for odd s = m/2: the whole field); deg = [Q(zeta_m) : Q(zeta_s)];
+    and the trace down to Q(zeta_s) maps z^i to w zeta_s^u, (u, w) =
+    trace[i].  For p | s the conjugates z^(i + k i s), k mod p, of z^i sum
+    to p z^i if p | i, else to 0; for p not dividing s, z^i = zeta_s^u
+    zeta_p^v, and zeta_p^(v t) over the units t mod p sums to p - 1 or -1."""
+    phi = euler_phi(m)
+    out = []
+    for p in factorize(m):
+        s = m // p
+        lifts = [_collect(m, ((i * p, 1),)) for i in range(euler_phi(s))]
+        zeros = tuple(j for j in range(phi) if not any(r[j] for r in lifts))
+        if s % p:
+            inv = pow(p, -1, s)
+            deg, trace = p - 1, tuple((i * inv % s, -1 if i % p else p - 1)
+                                      for i in range(phi))
+        else:
+            deg, trace = p, tuple((i // p, 0 if i % p else p) for i in range(phi))
+        out.append((s, p, zeros, deg, trace))
+    return tuple(out)
+
+
 def _make(m: int, n, d: int) -> CycNum:
-    """The canonical value of (sum n[i] z^i) / d at conductor m, for d > 0."""
-    if m == 1 or not any(n[1:]):
+    """The canonical value of (sum n[i] z^i) / d at conductor m, for d > 0.
+
+    x lies in Q(zeta_s) exactly when x = trace(x) / deg: the trace, written
+    at s, is lifted back (_collect) and compared, and a value that passes is
+    reduced again at s.  A nonzero numerator at one of the zeros rules the
+    subfield out first, and for most values the first zero does."""
+    if m == 1:
         return _rational(n[0], d)
+    for s, p, zeros, deg, trace in _subfields(m):
+        if zeros and (n[zeros[0]] or any(map(n.__getitem__, zeros))):
+            continue
+        y = _collect(s, ((u, w * a) for (u, w), a in zip(trace, n)))
+        if _collect(m, ((i * p, b) for i, b in enumerate(y))) == [
+                deg * a for a in n]:
+            return _make(s, y, d * deg)
     if d != 1:
         g = gcd(d, *n)
         if g != 1:

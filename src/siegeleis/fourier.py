@@ -245,8 +245,10 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
                     f"{source}:{lineno}: bad header; want "
                     f"'!weight k level 1 group GL2|SL2'"
                 )
-            weight = int(toks[1])
-            level = int(toks[3])
+            try:
+                weight, level = int(toks[1]), int(toks[3])
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: bad number in {line!r}") from None
             mode = toks[5]
             if mode not in (GL2, SL2):
                 raise ValueError(f"{source}:{lineno}: unknown group {mode!r}")
@@ -254,13 +256,16 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
         toks = line.split()
         if len(toks) not in (4, 5):
             raise ValueError(f"{source}:{lineno}: malformed line {line!r}")
-        a, b, c = int(toks[0]), int(toks[1]), int(toks[2])
-        val = as_cyc(Fraction(toks[3]))
+        try:
+            a, b, c = int(toks[0]), int(toks[1]), int(toks[2])
+            val = as_cyc(Fraction(toks[3]))
+            orient = int(toks[4]) if mode == SL2 and len(toks) == 5 else 1
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{source}:{lineno}: bad number in {line!r}") from None
         form = GramForm(a, b, c)
         if not form.is_psd():
             raise ValueError(f"{source}:{lineno}: form {form} is not psd")
         if mode == SL2:
-            orient = int(toks[4]) if len(toks) == 5 else 1
             key = reduce_form(GramForm(a, b if orient > 0 else -b, c), SL2)
         else:
             key = reduce_form(form, GL2)
@@ -344,7 +349,6 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
             krylov.append(nxt)
         else:
             rel = dep
-    d = len(krylov)
     minpoly = Poly([-c for c in rel] + [_ONE])
     found, rem = split_roots(minpoly)
     for lam, mult in found:
@@ -359,9 +363,6 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
             f"working field"
         )
     roots = [lam for lam, _ in found]
-    if d == 1:
-        # g itself is an eigenvector (relation x - lambda)
-        return [(roots[0], g)]
     out = []
     for lam in roots:
         numer = Poly.from_roots([r for r in roots if not (r == lam)])
@@ -548,10 +549,6 @@ def calibrate_normalization(provider: CoefficientProvider, N: int, k: int,
             ]
             hm = ops.matrix(hop)
             diag = [hm.diagonal(space.index_of(rho)) for rho, _ in labeled]
-            distinct_vals: list[CycNum] = []
-            for m in measured:
-                if all(not (m == seen) for seen in distinct_vals):
-                    distinct_vals.append(m)
             entry[hop.kind] = {
                 "op": u.spec_string(),
                 "measured": {
@@ -566,7 +563,7 @@ def calibrate_normalization(provider: CoefficientProvider, N: int, k: int,
                     str(rho): d.to_json()
                     for (rho, _), d in zip(labeled, diag)
                 },
-                "distinct_count": len(distinct_vals),
+                "distinct_count": len(set(measured)),
                 "relation_to_closed_form": _fit_relation(measured, closed),
                 "relation_to_matrix": _fit_relation(measured, diag),
             }

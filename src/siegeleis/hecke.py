@@ -298,9 +298,8 @@ class TensorVector:
     rank -> value that is 1 at the rank of the partition (eigenbasis checks
     this), shared with the other vectors of its key and so read only.  The
     coefficient at a rank tuple s is the product of the u_q[s_q]; the
-    factors at the partition's own ranks are 1 and left out.  ``coeffs``,
-    ``dense()`` and ``to_json()`` expand the vector on each call, through
-    _expand.
+    factors at the partition's own ranks are 1 and left out.  ``dense()``
+    and ``to_json()`` expand the vector on each call, through _expand.
     """
 
     __slots__ = ("space", "partition", "local")
@@ -310,11 +309,6 @@ class TensorVector:
         self.space = space
         self.partition = partition
         self.local = local
-
-    @property
-    def coeffs(self) -> dict[Partition, CycNum]:
-        basis = self.space.basis
-        return {basis[i]: c for i, c in _expand(self, {})}
 
     def dense(self) -> list[CycNum]:
         out = [_ZERO] * self.space.dimension
@@ -343,10 +337,9 @@ class _JsonMemo:
 
     `encode` maps the JSON of a value to what the output holds: the plain
     dicts by default, or a form a writer can splice in as it stands.  A
-    CycNum is keyed by its stored form (m, n, d), not by equality, because
-    equal values at different conductors serialize differently.  The values
-    of `products` (the product memo of _expand) keep their objects alive,
-    so no id is reused meanwhile.
+    CycNum is keyed by its canonical stored form (m, n, d), which hashes
+    faster than a rational CycNum.  The values of `products` (the product
+    memo of _expand) keep their objects alive, so no id is reused meanwhile.
     """
 
     def __init__(self, space: EisSpace, encode=_plain):
@@ -371,16 +364,14 @@ def _expand(vec: TensorVector, products: dict) -> list[tuple[int, CycNum]]:
     """The nonzero coefficients of vec as (basis index, value) pairs.
 
     Each value is the product, from 1, of its local entries off the
-    partition's ranks: the primes at rank 0 ascending, then those at rank 1
-    ascending.  A CycNum keeps the conductor its products reach, so this
-    fixed order keeps the JSON of every value the same.  A product already
-    in `products` (the same prefix object times the same factor object) is
+    partition's ranks, the primes in ascending order.  A product already in
+    `products` (the same prefix object times the same factor object) is
     reused, not recomputed.
     """
     space = vec.space
     ranks = space.rank_tuples[space.index_of(vec.partition)]
     terms = [(ranks, _ONE)]
-    for x in sorted(range(len(ranks)), key=lambda x: (ranks[x], x)):
+    for x in range(len(ranks)):
         moves = [(t, a) for t, a in vec.local[x].items()
                  if t != ranks[x] and not a.is_zero()]
         if not moves:
@@ -554,8 +545,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
        supports for p | N, and the diagonal value of the key equals lambda
        for p not dividing N.  Local vectors are shared between vectors, so
        each distinct (table, key, u_p, lambda) is checked once; the memo
-       keys u_p by identity and keeps it alive, and lambda by its exact
-       stored value.
+       keys u_p by identity and keeps it alive, and lambda by its value.
 
     Why this proves every coordinate: on a p-fiber s, v restricted to s is
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
@@ -584,9 +574,8 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
         for n, (op, hm, pos, at, blocks) in enumerate(tables):
             lam = hm.diagonal(i)
             u = None if pos is None else local[pos]
-            exact = (lam.m, lam.n, lam.d)
             for key in product(*(local[x] for x in at)):
-                seen = (n, key, id(u), exact)
+                seen = (n, key, id(u), lam)
                 if seen in checked:
                     continue
                 if not _is_local_eigen(blocks, key, u, lam):
@@ -725,7 +714,7 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
     S1 moves the corner prime q into rank 1 and needs chi_q = 1; S2 moves it
     into rank 2 and needs chi_q^2 = 1 (with a separate form when chi_q is
     quadratic).  Row i combines rows i of the cached T(q), T1(q^2) and the
-    identity, entry by entry with the operations of the dense expression.
+    identity, entry by entry.
     """
     space = ops.space
     if space.level % q != 0:
@@ -775,11 +764,9 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
 
 def apply_word(ops: SpaceOperators, word, v: dict[int, CycNum]) -> dict[int, CycNum]:
     """The row vector v.M1.M2... for a word of HeckeOps, keyed by basis
-    index (an absent index stands for 0).  Each product sums in ascending
-    index order, as the dense product does, so every entry serializes the
-    same way."""
+    index (an absent index stands for 0)."""
     for op in word:
-        v = ops.matrix(op).vec_mat(dict(sorted(v.items())))
+        v = ops.matrix(op).vec_mat(v)
     return v
 
 

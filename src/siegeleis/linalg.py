@@ -225,9 +225,8 @@ class CycMatrix:
         return isinstance(other, CycMatrix) and self.data == other.data
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
-        """The full dense product.  Each entry sums the nonzero terms in
-        ascending inner index, as the schoolbook loop does; the first term
-        is stored as is, which is the value _ZERO + term gives."""
+        """The full dense product, summing the nonzero terms of each entry;
+        the first term is stored as is, without adding it to _ZERO."""
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -289,13 +288,13 @@ def _root_candidates(p: Poly, extra):
     constant term of p with its power of x divided out); duplicates are
     dropped and the divisor search is skipped past |den*c0| > 10^9 or
     den > 10^6, so huge constant terms are never factored."""
-    seen: list[CycNum] = []
+    seen: set[CycNum] = set()
 
     def fresh(xs):
         for x in xs:
             x = as_cyc(x)
-            if all(not (x == y) for y in seen):
-                seen.append(x)
+            if x not in seen:
+                seen.add(x)
                 yield x
 
     yield from fresh([_ZERO, *extra])

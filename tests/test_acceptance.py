@@ -113,11 +113,12 @@ def test_criterion_5_worked_fixture():
         [[3, Fraction(9, 2), Fraction(3, 4)], [0, 66, Fraction(15, 2)], [0, 0, 96]]
     )
     entry = {e.partition: e for e in eigenbasis(ops).entries}
-    corner = entry[Partition(2, 1, 1)]
-    ok = ok and corner.vector.coeffs[Partition(1, 2, 1)] == Fraction(-1, 14)
-    ok = ok and corner.vector.coeffs[Partition(1, 1, 2)] == Fraction(-1, 434)
-    mid = entry[Partition(1, 2, 1)]
-    ok = ok and mid.vector.coeffs[Partition(1, 1, 2)] == Fraction(-1, 4)
+    at = space.index_of
+    corner = entry[Partition(2, 1, 1)].vector.dense()
+    ok = ok and corner[at(Partition(1, 2, 1))] == Fraction(-1, 14)
+    ok = ok and corner[at(Partition(1, 1, 2))] == Fraction(-1, 434)
+    mid = entry[Partition(1, 2, 1)].vector.dense()
+    ok = ok and mid[at(Partition(1, 1, 2))] == Fraction(-1, 4)
     t2, t1 = HeckeOp("T", 2), HeckeOp("T1", 2)
     ok = ok and [entry[r].eigenvalues[t2] for r in space.basis] == [1, 8, 32]
     ok = ok and [entry[r].eigenvalues[t1] for r in space.basis] == [3, 66, 96]

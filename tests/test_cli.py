@@ -86,6 +86,29 @@ def test_missing_provider_is_a_clean_error(capsys, tmp_path):
     assert err.startswith("error: ") and str(missing) in err
 
 
+@pytest.mark.parametrize("sample_bound", ["0", "-1"])
+def test_fourier_split_below_the_coverage_exit_code(capsys, sample_bound):
+    code, out, err = run(capsys, "fourier", "--provider", str(PROVIDER),
+                         "--ops", "U:1,2", "--sample-bound", sample_bound)
+    assert code == 1 and out == ""
+    assert err.startswith("error: component validation failed for U:1,2")
+
+
+@pytest.mark.parametrize("lines,lineno", [
+    (["!weight 4 level 1 group GL2", "0 0 0 1/0"], 2),
+    (["!weight 4 level 1 group GL2", "0 0 x 1"], 2),
+    (["!weight x level 1 group GL2", "0 0 0 1"], 1),
+], ids=["zero-denominator", "form-entry", "weight"])
+def test_bad_provider_number_exit_code(capsys, tmp_path, lines, lineno):
+    path = tmp_path / "bad.coeffs"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "fourier", "--provider", str(path),
+                         "--apply", "U:1,2")
+    assert code == 1 and out == ""
+    line = lines[lineno - 1]
+    assert err == f"error: {path}:{lineno}: bad number in {line!r}\n"
+
+
 def test_basis_examples(capsys):
     code, out, _ = run(capsys, "basis", "--level", "6", "--weight", "4", "--char", "1")
     assert code == 0

@@ -1,9 +1,9 @@
 """Property tests of the canonical CycNum form.
 
-Every value, however it was computed, must be stored as integer numerators
-over a positive denominator coprime to their content, with a rational value
-at m = 1 and zero as m = 1, (0,), 1.  At one conductor that form is unique,
-so two values there are equal exactly when their JSON is equal.
+Every value, however it was computed, must be stored at its least conductor
+as integer numerators over a positive denominator coprime to their content,
+with a rational value at m = 1 and zero as m = 1, (0,), 1.  That form is
+unique, so two values are equal exactly when their JSON is equal.
 """
 
 from fractions import Fraction
@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from siegeleis.cyclotomic import CycNum, euler_phi
+from siegeleis.cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -75,3 +75,70 @@ def test_equality_at_one_conductor_is_json_equality(xyz):
         assert CycNum.from_json(a.to_json()).to_json() == a.to_json()
     for a, b in pairs[1:]:
         assert a == b
+
+
+# the conductors M that values are carried to, m = 2 (mod 4) among them;
+# values(M) draws each value at a divisor of M
+LIFTS = (2, 6, 8, 9, 10, 12, 14, 15, 18, 20, 21, 24, 28, 30, 36, 40, 42, 60)
+
+
+def at_conductor(M: int, terms) -> list[Fraction]:
+    """Power-basis coordinates at M of sum c * z^e over (e, c) in terms:
+    the exponents taken mod M, then long division by Phi_M."""
+    poly = [Fraction(0)] * M
+    for e, c in terms:
+        poly[e % M] += c
+    phi_m = cyclotomic_polynomial(M)
+    top = len(phi_m) - 1
+    for e in range(M - 1, top - 1, -1):
+        c = poly[e]
+        if c:
+            for j, t in enumerate(phi_m):
+                poly[e - top + j] -= c * t
+    return poly[:top]
+
+
+def least_conductor(v: CycNum, M: int) -> int:
+    """The least d | M, d != 2 (mod 4), such that every z -> z^a with
+    a = 1 (mod d) fixes v, by substituting a*e for each exponent e of v
+    written at M."""
+    terms = [(i * (M // v.m), c) for i, c in enumerate(v.c)]
+    here = at_conductor(M, terms)
+    moved = {a for a in range(1, M + 1) if gcd(a, M) == 1
+             and at_conductor(M, [(a * e, c) for e, c in terms]) != here}
+    return min(d for d in range(1, M + 1) if M % d == 0 and d % 4 != 2
+               and not any(a % d == 1 % d for a in moved))
+
+
+@st.composite
+def routes(draw):
+    """(M, x, y): x drawn at a divisor d of M and y the same value reached
+    at M another way: lifted by exponent substitution and built as
+    CycNum(M, ...), multiplied by w and then by 1/w, or added to w and then
+    to -w, with w drawn at a divisor of M."""
+    M = draw(st.sampled_from(LIFTS))
+    x = draw(values(M))
+    w = draw(values(M))
+    route = draw(st.sampled_from(["lift", "mul", "add"]))
+    if route == "lift":
+        d = x.m
+        y = CycNum(M, at_conductor(M, [(i * (M // d), c)
+                                       for i, c in enumerate(x.c)]))
+    elif route == "mul" and w:
+        y = (x * w) * w.inverse()
+    else:
+        y = (x + w) + -w
+    return M, x, y
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(routes())
+def test_equal_values_share_one_stored_form(mxy):
+    M, x, y = mxy
+    assert x == y
+    assert x.to_json() == y.to_json() and hash(x) == hash(y)
+    if x.is_rational():
+        assert hash(x) == hash(x.as_fraction()) and x == x.as_fraction()
+    for v in (x, y):
+        assert M % v.m == 0
+        assert v.m == least_conductor(v, M)

@@ -195,6 +195,16 @@ def test_projection_pipeline_on_shipped_data():
 
 
 @needs_provider
+@pytest.mark.parametrize("sample_bound", [0, -1])
+def test_krylov_checks_a_single_component(sample_bound):
+    # on the zero form alone E8 looks like one U(1,2) eigenvector; the
+    # component check on the full coverage sees the three it has
+    prov = provider_load(PROVIDER_PATH)
+    with pytest.raises(CoverageError, match="component validation failed"):
+        krylov_spectral(prov.expansion, [UOperator(1, 2)], sample_bound)
+
+
+@needs_provider
 def test_projection_weight_mismatch():
     prov = provider_load(PROVIDER_PATH)
     with pytest.raises(ValueError, match="weight"):
