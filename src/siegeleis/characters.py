@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
 from .cyclotomic import CycNum, factorize, is_prime, is_squarefree
@@ -201,14 +202,5 @@ def enumerate_characters(N: int, orders) -> list[DirichletCharacter]:
         if not js:
             return []
         choices.append(js)
-    out = []
-
-    def rec(i, acc):
-        if i == len(primes):
-            out.append(DirichletCharacter.make(N, list(zip(primes, acc))))
-            return
-        for j in choices[i]:
-            rec(i + 1, acc + [j])
-
-    rec(0, [])
-    return out
+    return [DirichletCharacter.make(N, list(zip(primes, js)))
+            for js in product(*choices)]

@@ -156,6 +156,8 @@ def cmd_relations(args) -> int:
 
 
 def cmd_fourier(args) -> int:
+    if args.sample_bound < 1:  # a Krylov split would sample nothing
+        raise ValueError(f"--sample-bound must be at least 1, got {args.sample_bound}")
     provider = provider_load(args.provider)
     if args.calibrate:
         report = calibrate_normalization(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import os
+import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -24,6 +25,8 @@ from math import gcd, lcm
 DEFAULT_CONDUCTOR_CAP = 120
 
 _conductor_cap = int(os.environ.get("SIEGELEIS_CONDUCTOR_CAP", DEFAULT_CONDUCTOR_CAP))
+
+_HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf  # numeric hash
 
 
 class ConductorCapError(ValueError):
@@ -388,10 +391,14 @@ class CycNum:
         return self.m == other.m and self.d == other.d and self.n == other.n
 
     def __hash__(self):
-        # a rational value hashes as the int or Fraction it equals
-        if self.m == 1:
-            return hash(self.n[0]) if self.d == 1 else hash(self.as_fraction())
-        return hash((self.m, self.n, self.d))
+        if self.m > 1:
+            return hash((self.m, self.n, self.d))
+        # a rational hashes as the int or Fraction it equals, by Python's
+        # numeric hash of n / d
+        n, d = self.n[0], self.d
+        h = abs(n) * pow(d, -1, _HASH_P) % _HASH_P if d % _HASH_P else _HASH_INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return not self.is_zero()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .characters import DirichletCharacter
 from .cyclotomic import factorize, is_squarefree
@@ -147,18 +148,13 @@ def enumerate_partitions(N: int, char: DirichletCharacter | None = None,
             f"parity violation: chi(-1) = {char.parity()} != (-1)^{k}; "
             f"the space is identically zero (use forced=True to build anyway)"
         )
-    parts: list[Partition] = []
-
-    def rec(rest: tuple[int, ...], n0: int, n1: int, n2: int):
-        if not rest:
-            parts.append(Partition(n0, n1, n2))
-            return
-        q, tail = rest[0], rest[1:]
-        rec(tail, n0 * q, n1, n2)
-        if char.is_real_at(q):
-            rec(tail, n0, n1 * q, n2)
-        rec(tail, n0, n1, n2 * q)
-
-    rec(prime_factors(N), 1, 1, 1)
+    primes = prime_factors(N)
+    parts = []
+    for ranks in product(*[(0, 1, 2) if char.is_real_at(q) else (0, 2)
+                           for q in primes]):
+        n = [1, 1, 1]  # N0, N1, N2
+        for q, r in zip(primes, ranks):
+            n[r] *= q
+        parts.append(Partition(*n))
     parts.sort(key=Partition.sort_key)
     return EisSpace(N, k, char, tuple(parts), parity_ok)

@@ -52,37 +52,63 @@ class HeckeOp:
 
 @dataclass
 class HeckeMatrix:
-    """An action table stored as sparse rows.
+    """An action table at one prime p, stored factored over the primes of N.
 
-    ``rows[i]`` holds the nonzero entries of row i as (j, value) pairs in
-    ascending j; every table has at most 3 per row.  ``mat`` is the dense
-    view, built from the rows on first use and then kept.
+    ``pos`` is the position of p among the primes of N (None for p not
+    dividing N) and ``at`` is A_p, the positions of the primes q != p of N
+    with chi_q(p) != 1.  The key of a row is its ranks at ``places``: A_p,
+    then p for p | N.  ``local`` maps each key to its local row: for
+    p | N the entries (target rank at p, value) in ascending rank, the
+    target being the row with its rank at p replaced; for p not dividing N
+    the diagonal value.  ``diagonal`` and ``vec_mat`` read the local rows;
+    ``rows`` (nonzero entries of row i as (j, value) pairs in ascending j,
+    at most 3) and the dense ``mat`` are expanded on first read and kept.
+    The trade-off: the table factors by construction, and nothing checks
+    that at run time; verify's hecke-triangularity check and the tests
+    compare every expanded row with the per-row formulas.
     """
 
     space: EisSpace
     op: HeckeOp
-    rows: tuple[tuple[tuple[int, CycNum], ...], ...]
+    pos: int | None
+    at: tuple[int, ...]
+    local: dict
+
+    def __post_init__(self):
+        self.places = self.at if self.pos is None else self.at + (self.pos,)
+
+    def _row(self, i: int) -> tuple:
+        ranks = self.space.rank_tuples[i]
+        row = self.local[tuple([ranks[x] for x in self.places])]
+        if self.pos is None:
+            return ((i, row),)
+        index, pos = self.space.index_of_ranks, self.pos
+        return tuple((index[ranks[:pos] + (t,) + ranks[pos + 1:]], a)
+                     for t, a in row)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, CycNum], ...], ...]:
+        return tuple(map(self._row, range(self.space.dimension)))
 
     @cached_property
     def mat(self) -> CycMatrix:
-        dense = []
-        for row in self.rows:
-            out = [_ZERO] * self.space.dimension
+        n = self.space.dimension
+        dense = [[_ZERO] * n for _ in range(n)]
+        for out, row in zip(dense, self.rows):
             for j, a in row:
                 out[j] = a
-            dense.append(out)
         return CycMatrix(dense)
 
     def diagonal(self, i: int) -> CycNum:
-        """The entry (i, i), read off the sparse row without the dense view."""
-        return next((a for j, a in self.rows[i] if j == i), _ZERO)
+        """The entry (i, i), read off the local row of i's key."""
+        return dict(self._row(i)).get(i, _ZERO)
 
     def vec_mat(self, v: dict[int, CycNum]) -> dict[int, CycNum]:
         """The row vector v.M, with v and the image keyed by basis index;
         an absent index stands for 0."""
         out: dict[int, CycNum] = {}
         for i, x in v.items():
-            for j, a in self.rows[i]:
+            for j, a in self._row(i):
                 out[j] = out[j] + x * a if j in out else x * a
         return out
 
@@ -97,45 +123,37 @@ def _row_prime_to_level(space: EisSpace, rho: Partition, op: HeckeOp) -> CycNum:
     p, k = op.p, space.weight
     c0, c1, c2 = rho.n0, rho.n1, rho.n2
     if op.kind == "T":
-        val = (
+        return (
             _chi_over(space, c0, p * p) * _chi_over(space, c1, p) * p ** (2 * k - 3)
             + _chi_over(space, c0 * c2, p) * Fraction(p ** (k - 2) * (p + 1))
             + _chi_over(space, c1, p) * _chi_over(space, c2, p * p)
         )
-    else:
-        val = (p + 1) * (
-            _chi_over(space, c0, p * p) * p ** (2 * k - 3)
-            + space.char(p) * Fraction(p ** (k - 3) * (p - 1))
-            + _chi_over(space, c2, p * p)
-        )
-    return val
+    return (p + 1) * (
+        _chi_over(space, c0, p * p) * p ** (2 * k - 3)
+        + space.char(p) * Fraction(p ** (k - 3) * (p - 1))
+        + _chi_over(space, c2, p * p)
+    )
 
 
-def _moved_by(space: EisSpace, p: int) -> list[int]:
+def _moved_by(space: EisSpace, p: int) -> tuple[int, ...]:
     """A_p: the positions of the primes q != p of N with chi_q(p) != 1."""
-    return [x for x, q in enumerate(prime_factors(space.level))
-            if q != p and not space.char.local(q)(p).is_one()]
+    return tuple(x for x, q in enumerate(prime_factors(space.level))
+                 if q != p and not space.char.local(q)(p).is_one())
 
 
-def _rows_prime_to_level(space: EisSpace, op: HeckeOp) -> tuple:
-    """The diagonal rows of T(p) or T1(p^2) for p not dividing the level.
-
-    A prime q of N with chi_q(p) = 1 contributes the factor 1 to every
-    character value in the entry, wherever rho puts q, so the entry is a
-    function of the ranks at the other primes of N: it is computed once
-    for each of their rank patterns and shared (_local_blocks checks that
-    the rows agree on this key).
-    """
-    moving = _moved_by(space, op.p)
-    values: dict[tuple, CycNum] = {}
-    rows = []
-    for i, (rho, ranks) in enumerate(zip(space.basis, space.rank_tuples)):
-        key = tuple(ranks[x] for x in moving)
-        val = values.get(key)
-        if val is None:
-            val = values[key] = as_cyc(_row_prime_to_level(space, rho, op))
-        rows.append(((i, val),))
-    return tuple(rows)
+def _representatives(space: EisSpace, places: tuple[int, ...]) -> dict:
+    """Each pattern of ranks at the positions `places` that a basis element
+    has, mapped to the index of its representative row: the corner's rank
+    tuple (rank 0 everywhere) with the pattern put in."""
+    corner = [0] * len(prime_factors(space.level))
+    out = {}
+    for key in product(range(3), repeat=len(places)):
+        for x, r in zip(places, key):
+            corner[x] = r
+        i = space.index_of_ranks.get(tuple(corner))
+        if i is not None:
+            out[key] = i
+    return out
 
 
 def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> tuple:
@@ -201,18 +219,24 @@ def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> tuple
 
 def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     """Exact action table of T(p) or T1(p^2), rows indexed by the source
-    basis element."""
+    basis element, stored factored (HeckeMatrix): the per-row formula is
+    evaluated once per key, at the key's representative row.  A prime q of
+    N with chi_q(p) = 1 contributes the factor 1 to every character value
+    in an entry, wherever the row puts q, so a row depends on its key only.
+    """
     if op.kind not in ("T", "T1"):
         raise ValueError(f"{op} is a relation operator; build it with s_operator")
+    at = _moved_by(space, op.p)
     if space.level % op.p:
-        return HeckeMatrix(space, op, _rows_prime_to_level(space, op))
+        return HeckeMatrix(space, op, None, at, {
+            key: _row_prime_to_level(space, space.basis[i], op)
+            for key, i in _representatives(space, at).items()})
     pos = prime_factors(space.level).index(op.p)
-    # the index objects of index_of_ranks, in basis order: the rows of all
-    # tables then share one int object per index, as the move targets do
-    return HeckeMatrix(space, op, tuple(
-        _row_at_level_prime(space, i, op, pos)
-        for i in space.index_of_ranks.values()
-    ))
+    ranks = space.rank_tuples
+    return HeckeMatrix(space, op, pos, at, {
+        key: tuple((ranks[j][pos], a)
+                   for j, a in _row_at_level_prime(space, i, op, pos))
+        for key, i in _representatives(space, at + (pos,)).items()})
 
 
 class SpaceOperators:
@@ -241,11 +265,8 @@ class SpaceOperators:
         return dict(self._cache)
 
     def level_ops(self) -> list[HeckeOp]:
-        return [
-            HeckeOp(kind, q)
-            for q in prime_factors(self.space.level)
-            for kind in ("T", "T1")
-        ]
+        return [HeckeOp(kind, q) for q in prime_factors(self.space.level)
+                for kind in ("T", "T1")]
 
 
 # -- eigenbasis ---------------------------------------------------------------
@@ -439,18 +460,19 @@ def eigen_vector(space: EisSpace, rho: Partition,
 
     The character values in a, b, c at q are those of the primes in A_q, so
     u_q depends on rho only through its key (q, rank at q, ranks at A_q).
-    With a memo shared between calls on one space (it holds A_q under q and
-    u_q under its key), each u_q is computed once per key and shared.
+    With a memo shared between calls on one space (it holds the getter of
+    those ranks under q and u_q under its key), each u_q is computed once
+    per key and shared.
     """
     ranks = space.rank_tuples[space.index_of(rho)]
     if memo is None:
         memo = {}
     local = []
     for x, q in enumerate(prime_factors(space.level)):
-        at = memo.get(q)
-        if at is None:
-            at = memo[q] = _moved_by(space, q)
-        key = (q, ranks[x], *(ranks[y] for y in at))
+        pick = memo.get(q)
+        if pick is None:
+            pick = memo[q] = itemgetter(x, *_moved_by(space, q))
+        key = (q, pick(ranks))
         u = memo.get(key)
         if u is None:
             u = memo[key] = _local_vector(space, rho, q, ranks[x])
@@ -464,59 +486,16 @@ def _verification_failed(rho: Partition, op: HeckeOp, why: str) -> RuntimeError:
     )
 
 
-def _local_blocks(hm: HeckeMatrix):
-    """Check that the table at p is block-diagonal over the p-fibers and
-    that each block is a local block repeated over the other primes.
-
-    A p-fiber is the set of basis indices whose ranks agree off p.  Let A_p
-    be the positions of the primes q != p of N with chi_q(p) != 1.  For
-    p | N, every entry (i, j) may change only the rank at p, and row i must
-    have the same local row (its entries as (rank at p of j, value)) as
-    every other row with the same key (ranks at A_p, rank at p).  For p not
-    dividing N, every entry must be diagonal, and row i must have the same
-    diagonal value as every other row with the same key (ranks at A_p).
-    Returns (the position of p, or None for p not dividing N; A_p; the
-    local row or diagonal value of each key).
-    """
-    space = hm.space
-    primes = prime_factors(space.level)
-    p = hm.op.p
-    pos = primes.index(p) if p in primes else None
-    at = [x for x, q in enumerate(primes)
-          if q != p and not (space.char.eval_over((q,), p) == 1)]
-    ranks = space.rank_tuples
-    blocks: dict[tuple, tuple | CycNum] = {}
-    for i, row in enumerate(hm.rows):
-        r = ranks[i]
-        at_ranks = tuple(r[x] for x in at)
-        if pos is None:
-            in_fiber = all(j == i for j, _ in row)
-            key, local = at_ranks, hm.diagonal(i)
-        else:
-            rest = r[:pos] + r[pos + 1:]
-            in_fiber = all(ranks[j][:pos] + ranks[j][pos + 1:] == rest
-                           for j, _ in row)
-            key = (at_ranks, r[pos])
-            local = tuple((ranks[j][pos], a) for j, a in row)
-        if not in_fiber:
-            raise _verification_failed(space.basis[i], hm.op,
-                                       f"an entry leaves the {p}-fiber")
-        if not blocks.setdefault(key, local) == local:
-            raise _verification_failed(space.basis[i], hm.op,
-                                       "the table does not factor")
-    return pos, at, blocks
-
-
-def _is_local_eigen(blocks, key, u, lam: CycNum) -> bool:
-    """Check 3 at one key: for p not dividing N (u is None) the diagonal
-    value of the key is lam; for p | N, u.L_key == lam.u on the union of
-    the supports.  A key or rank with no rows in the table fails."""
+def _is_local_eigen(local, key, u, lam: CycNum) -> bool:
+    """Check 2 at one key (ranks at A_p) of a table's local rows: for p not
+    dividing N (u is None) the diagonal value of the key is lam; for p | N,
+    u.L_key == lam.u on the union of the supports, row s of L_key being the
+    local row of key + (s,).  A key or rank with no local row fails."""
     if u is None:
-        value = blocks.get(key)
-        return value is not None and value == lam
+        return key in local and local[key] == lam
     image: dict[int, CycNum] = {}
     for s, x in u.items():
-        row = blocks.get((key, s))
+        row = local.get(key + (s,))
         if row is None:
             return False
         for t, a in row:
@@ -533,56 +512,62 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     the diagonal entry at rho, against every stored table M at a prime p.
     Basis elements are indexed by their rank tuples over the primes of N,
     and v is by definition the tensor product of its local vectors u_q
-    (TensorVector).  The proof has three checks, each exact:
+    (TensorVector).  A table at p is stored factored (HeckeMatrix): it
+    moves only the rank at p, and its rows with the same key share one
+    local row, so its block over each p-fiber is a local block L_key.  The
+    proof has two checks, each exact:
 
-    1. Once per table (_local_blocks): M is block-diagonal over the
-       p-fibers, and rows with the same key (ranks at A_p, rank at p) have
-       the same local row, so each block is a local block L_key.
-    2. Once per vector: u_q[rank of rho at q] == 1 for every q, so v[rho]
+    1. Once per vector: u_q[rank of rho at q] == 1 for every q, so v[rho]
        == 1 and the factors that the expansion leaves out are 1.
-    3. Per vector and table: for each key in the product of the local
-       supports at A_p, u_p.L_key == lambda.u_p on the union of the
-       supports for p | N, and the diagonal value of the key equals lambda
-       for p not dividing N.  Local vectors are shared between vectors, so
-       each distinct (table, key, u_p, lambda) is checked once; the memo
-       keys u_p by identity and keeps it alive, and lambda by its value.
+    2. Per vector and table, with lambda read off the local row of rho's
+       key: for each key in the product of the local supports at A_p,
+       u_p.L_key == lambda.u_p on the union of the supports for p | N, and
+       the diagonal value of the key equals lambda for p not dividing N.
+       Local vectors are shared, so this is checked once per table, key of
+       rho (which fixes lambda) and local vectors at the key's primes; the
+       memo keys those vectors by identity and keeps them alive.
 
     Why this proves every coordinate: on a p-fiber s, v restricted to s is
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
     (v.M)[s] = lambda.v[s] on every fiber in the support of v; elsewhere
-    both sides are 0.  The proof reads only the local vectors and the
-    sparse rows, and no dense vector is built; a wrong A_p makes check 1
-    fail.  A verification failure is an internal error, not a data
-    condition.
+    both sides are 0.  The proof reads only local vectors and local rows.
+    The trade-off: that a table factors holds by construction and is not
+    checked here (see HeckeMatrix).  A verification failure is an internal
+    error, not a data condition.
     """
     space = ops.space
     for op in ops.level_ops():
         ops.matrix(op)
-    tables = [(op, hm, *_local_blocks(hm)) for op, hm in ops.stored().items()]
+    # the getter of the ranks (or local vector ids) at each table's places
+    tables = [(n, op, hm, itemgetter(*hm.places) if hm.places else lambda r: ())
+              for n, (op, hm) in enumerate(ops.stored().items())]
     vectors: dict = {}
-    checked: dict[tuple, dict | None] = {}
+    checked: dict[tuple, tuple] = {}
     entries = []
     for i, rho in enumerate(space.basis):
         vec = eigen_vector(space, rho, vectors)
         ranks, local = space.rank_tuples[i], vec.local
         if tables and not (vec.partition == rho and len(local) == len(ranks)
-                           and all(u.get(r, _ZERO) == 1
+                           and all(u.get(r, _ZERO).is_one()
                                    for u, r in zip(local, ranks))):
             raise _verification_failed(
-                rho, tables[0][0], "a local vector is not 1 at rho")
+                rho, tables[0][1], "a local vector is not 1 at rho")
         eigs: dict[HeckeOp, CycNum] = {}
-        for n, (op, hm, pos, at, blocks) in enumerate(tables):
-            lam = hm.diagonal(i)
-            u = None if pos is None else local[pos]
-            for key in product(*(local[x] for x in at)):
-                seen = (n, key, id(u), lam)
-                if seen in checked:
-                    continue
-                if not _is_local_eigen(blocks, key, u, lam):
+        ids = tuple(map(id, local))
+        for n, op, hm, pick in tables:
+            seen = (n, pick(ranks), pick(ids))
+            hit = checked.get(seen)
+            if hit is None:
+                near = [local[x] for x in hm.places]
+                lam = hm.diagonal(i)
+                u = None if hm.pos is None else near.pop()
+                if not all(_is_local_eigen(hm.local, k, u, lam)
+                           for k in product(*near)):
                     raise _verification_failed(
                         rho, op, f"wrong local eigenvector at {op.p}")
-                checked[seen] = u
-            eigs[op] = lam
+                # the vectors of seen stay alive, so no id in it is reused
+                hit = checked[seen] = (lam, u, near)
+            eigs[op] = hit[0]
         entries.append(EigenVectorEntry(rho, vec, eigs))
     return EigenSystem(space, entries)
 
@@ -595,38 +580,31 @@ def eigenvalue_closed_form(space: EisSpace, rho: Partition, op: HeckeOp) -> CycN
     of the T1 table that the matrices contradict; see compare_eigenvalues)."""
     p, k = op.p, space.weight
     c0, c1, c2 = rho.n0, rho.n1, rho.n2
-    N = space.level
-    if N % p != 0:
+    if space.level % p != 0:
         if op.kind == "T":
-            return as_cyc(
+            return (
                 (_chi_over(space, c0 * c1, p) * p ** (k - 1) + _chi_over(space, c2, p))
                 * (_chi_over(space, c0, p) * p ** (k - 2) + _chi_over(space, c1 * c2, p))
             )
-        return as_cyc(
-            (p + 1)
-            * (
-                _chi_over(space, c0, p * p) * p ** (2 * k - 3)
-                + space.char(p) * Fraction(p ** (k - 3) * (p - 1))
-                + _chi_over(space, c2, p * p)
-            )
+        return (p + 1) * (
+            _chi_over(space, c0, p * p) * p ** (2 * k - 3)
+            + space.char(p) * Fraction(p ** (k - 3) * (p - 1))
+            + _chi_over(space, c2, p * p)
         )
     rank = rho.rank_of(p)
     if op.kind == "T":
         if rank == 2:
-            return as_cyc(
-                _chi_over(space, c0, p * p) * _chi_over(space, c1, p) * p ** (2 * k - 3)
-            )
+            return (_chi_over(space, c0, p * p) * _chi_over(space, c1, p)
+                    * p ** (2 * k - 3))
         if rank == 1:
-            return as_cyc(_chi_over(space, c0 * c2, p) * p ** (k - 1))
-        return as_cyc(_chi_over(space, c1, p) * _chi_over(space, c2, p * p))
+            return _chi_over(space, c0 * c2, p) * p ** (k - 1)
+        return _chi_over(space, c1, p) * _chi_over(space, c2, p * p)
     if rank == 2:
-        return as_cyc(_chi_over(space, c0, p * p) * ((p + 1) * p ** (2 * k - 3)))
+        return _chi_over(space, c0, p * p) * ((p + 1) * p ** (2 * k - 3))
     if rank == 1:
-        return as_cyc(
-            _chi_over(space, c0, p * p) * p ** (2 * k - 3)
-            + _chi_over(space, c2, p * p) * p
-        )
-    return as_cyc(_chi_over(space, c2, p * p) * (p + 1))
+        return (_chi_over(space, c0, p * p) * p ** (2 * k - 3)
+                + _chi_over(space, c2, p * p) * p)
+    return _chi_over(space, c2, p * p) * (p + 1)
 
 
 def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
@@ -709,12 +687,13 @@ def s_constant(space: EisSpace, q: int) -> CycNum:
 
 
 def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
-    """The Hecke-algebra elements S1(q), S2(q) as exact sparse tables.
+    """The Hecke-algebra elements S1(q), S2(q) as exact tables, stored
+    factored like T(q).
 
     S1 moves the corner prime q into rank 1 and needs chi_q = 1; S2 moves it
     into rank 2 and needs chi_q^2 = 1 (with a separate form when chi_q is
-    quadratic).  Row i combines rows i of the cached T(q), T1(q^2) and the
-    identity, entry by entry.
+    quadratic).  The local row of each key combines the local rows of the
+    cached T(q), T1(q^2) and the identity at that key, entry by entry.
     """
     space = ops.space
     if space.level % q != 0:
@@ -747,19 +726,19 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
             raise ValueError(f"S2({q}) requires chi_{q}^2 = 1")
     else:
         raise ValueError(f"unknown relation operator {which!r}; want S1 or S2")
-    T = ops.matrix(HeckeOp("T", q)).rows
-    T1 = ops.matrix(HeckeOp("T1", q)).rows
-    rows = []
-    for i in range(space.dimension):
-        t, t1 = dict(T[i]), dict(T1[i])
-        row = []
-        for j in sorted(t.keys() | t1.keys() | {i}):
-            val = entry(t.get(j, _ZERO), t1.get(j, _ZERO),
-                        _ONE if j == i else _ZERO)
+    T = ops.matrix(HeckeOp("T", q))
+    T1 = ops.matrix(HeckeOp("T1", q)).local
+    rows = {}  # key -> local row
+    for key, row in T.local.items():
+        t, t1, rank = dict(row), dict(T1[key]), key[-1]
+        out = []
+        for s in sorted(t.keys() | t1.keys() | {rank}):
+            val = entry(t.get(s, _ZERO), t1.get(s, _ZERO),
+                        _ONE if s == rank else _ZERO)
             if not val.is_zero():
-                row.append((j, val))
-        rows.append(tuple(row))
-    return HeckeMatrix(space, HeckeOp(which, q), tuple(rows))
+                out.append((s, val))
+        rows[key] = tuple(out)
+    return HeckeMatrix(space, HeckeOp(which, q), T.pos, T.at, rows)
 
 
 def apply_word(ops: SpaceOperators, word, v: dict[int, CycNum]) -> dict[int, CycNum]:

@@ -1,9 +1,10 @@
 """The exact JSON writer of every JSON output.
 
 `write_json` writes the bytes of json.dumps(obj, indent=2, sort_keys=True)
-plus a newline in chunks as it encodes them.  `encoded` writes a value once
-as a `JsonText`, which write_json splices in wherever the value recurs, so
-an output that repeats a few values encodes each of them once.
+plus a newline in chunks as it encodes them.  `encoded` writes the JSON of
+a CycNum or a Partition once as a `JsonText`, which write_json splices in
+wherever the value recurs, so an output that repeats a few values encodes
+each of them once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ _FLUSH_PIECES = 1024
 
 
 class JsonText:
-    """A value already written by write_json at the top level, spliced in
+    """A value written as write_json writes it at the top level, spliced in
     wherever it recurs.  Its only newlines are those of its indentation,
     because an encoded string escapes every newline it holds."""
 
@@ -27,11 +28,22 @@ class JsonText:
         self.text = text
 
 
-def encoded(obj) -> JsonText:
-    """`obj` written once, for write_json to splice in at any depth."""
-    pieces = []
-    write_json(obj, pieces.append)
-    return JsonText("".join(pieces)[:-1])
+def encoded(obj: dict) -> JsonText:
+    """`obj` as write_json writes it at the top level, for write_json to
+    splice in at any depth.  It takes the JSON of a CycNum or a Partition
+    (str keys; int or list-of-str values) and writes it directly, without
+    write_json's walk; any other shape raises TypeError."""
+    items = []
+    for k in sorted(obj):
+        v = obj[k]
+        if type(v) is int:
+            v = int.__repr__(v)
+        elif type(v) is list:
+            v = "[\n    " + ",\n    ".join(map(_json_str, v)) + "\n  ]" if v else "[]"
+        else:
+            raise TypeError(f"cannot encode {type(v).__name__} directly")
+        items.append(_json_str(k) + ": " + v)
+    return JsonText("{\n  " + ",\n  ".join(items) + "\n}" if items else "{}")
 
 
 def write_json(obj, write) -> None:

@@ -36,8 +36,8 @@ from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
 from .hecke import EigenSystem, HeckeOp, SpaceOperators, _chi_over, \
-    eigenbasis, eigenvalue_closed_form, eigenvalue_comparisons, \
-    relation_defects
+    _row_at_level_prime, _row_prime_to_level, eigenbasis, \
+    eigenvalue_closed_form, eigenvalue_comparisons, relation_defects
 from .lattices import GL2, GramForm, isotropic_lines, reduce_form, \
     sublattices, transform
 from .linalg import CycMatrix, _Span, left_null_space
@@ -313,18 +313,29 @@ def _check_commutativity(config, run):
 
 
 def _check_triangularity(config, run):
-    ranks = run.space.rank_tuples
-    bad = 0
+    """Every entry of every sweep table keeps or raises each rank, and every
+    row equals the per-row formula at that row: the oracle of the factored
+    tables, which evaluate the formula once per key."""
+    space = run.space
+    ranks, primes = space.rank_tuples, prime_factors(space.level)
+    bad, off = 0, []
     for op in run.sweep:
-        for r_i, row in zip(ranks, run.ops.matrix(op).rows):
-            for j, _ in row:
-                if any(b < a for a, b in zip(r_i, ranks[j])):
-                    bad += 1
-    return [CheckRecord(
-        "hecke-triangularity", _space_params(run.space),
-        PASS if bad == 0 else FAIL,
-        f"{bad} rank-decreasing entries",
-    )]
+        rows = run.ops.matrix(op).rows
+        bad += sum(1 for r_i, row in zip(ranks, rows) for j, _ in row
+                   if any(b < a for a, b in zip(r_i, ranks[j])))
+        if op.p in primes:
+            pos = primes.index(op.p)
+            want = [_row_at_level_prime(space, i, op, pos) for i in range(len(rows))]
+        else:
+            want = [((i, _row_prime_to_level(space, rho, op)),)
+                    for i, rho in enumerate(space.basis)]
+        if list(rows) != want:
+            off.append(str(op))
+    detail = f"{bad} rank-decreasing entries"
+    if off:
+        detail += "; rows differ from the row formula in " + ", ".join(off)
+    return [CheckRecord("hecke-triangularity", _space_params(space),
+                        PASS if bad == 0 and not off else FAIL, detail)]
 
 
 def _check_eigen_exactness(config, run):

@@ -88,10 +88,24 @@ def test_missing_provider_is_a_clean_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("sample_bound", ["0", "-1"])
 def test_fourier_split_below_the_coverage_exit_code(capsys, sample_bound):
+    # a bound below 1 samples nothing: the split reported the symptom
+    # ("component validation failed ... raise coverage"); the bound is now
+    # refused up front, by name
     code, out, err = run(capsys, "fourier", "--provider", str(PROVIDER),
                          "--ops", "U:1,2", "--sample-bound", sample_bound)
     assert code == 1 and out == ""
-    assert err.startswith("error: component validation failed for U:1,2")
+    assert err == f"error: --sample-bound must be at least 1, got {sample_bound}\n"
+
+
+@pytest.mark.parametrize("sample_bound", ["0", "-1"])
+@pytest.mark.parametrize("mode", [("--level", "2"), ("--level", "2", "--calibrate"),
+                                  ("--apply", "U:1,2")],
+                         ids=["project", "calibrate", "apply"])
+def test_fourier_sample_bound_below_one_exit_code(capsys, mode, sample_bound):
+    code, out, err = run(capsys, "fourier", "--provider", str(PROVIDER),
+                         *mode, "--sample-bound", sample_bound)
+    assert code == 1 and out == ""
+    assert err == f"error: --sample-bound must be at least 1, got {sample_bound}\n"
 
 
 @pytest.mark.parametrize("lines,lineno", [

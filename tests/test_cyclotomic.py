@@ -2,6 +2,7 @@ import cmath
 import json
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,25 @@ def test_json_round_trip():
     for v in vals:
         blob = json.dumps(v.to_json())
         assert CycNum.from_json(json.loads(blob)) == v
+
+
+def test_rational_hash_is_the_fraction_hash():
+    # Python's numeric hash of n/d, computed from the stored (n, d): the
+    # sign, denominators divisible by the hash prime P (hash_info.inf) and
+    # -1, which is written as -2
+    P = sys.hash_info.modulus
+    rng = random.Random(20)
+    nums = [0, 1, 2, P - 1, P + 1, 2 * P + 3, 10**40 + 1]
+    dens = [1, 2, 3, 7, P, 3 * P, P * P, P + 2, 10**30 + 7]
+    values = [Fraction(s * n, d) for s in (1, -1) for n in nums for d in dens]
+    values += [Fraction(rng.choice((1, -1)) * rng.randint(0, 10**rng.randint(1, 40)),
+                        rng.randint(1, 10**rng.randint(1, 40)))
+               for _ in range(2000)]
+    values.append(Fraction(-(P + 2), 2))  # hashes to -1 before the rule
+    assert hash(values[-1]) == -2
+    for f in values:
+        assert hash(as_cyc(f)) == hash(f), f
+        assert hash(CycNum(4, [f, 0])) == hash(f), f  # stored at conductor 1
 
 
 def random_cyc(rng, base_m):

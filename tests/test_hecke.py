@@ -5,9 +5,11 @@ from itertools import combinations, permutations
 
 import pytest
 
+import siegeleis.cli as cli
 import siegeleis.hecke as hecke
+import siegeleis.verify as verify
 from siegeleis.characters import DirichletCharacter, legendre_epsilon
-from siegeleis.cyclotomic import CycNum, as_cyc
+from siegeleis.cyclotomic import CycNum, as_cyc, euler_phi
 from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
                              apply_word, compare_eigenvalues, eigen_json,
@@ -353,7 +355,9 @@ def test_apply_word_gives_the_same_bytes_in_any_order():
     # i + x - x pass through different conductors, and both store i at 4
     x, i = CycNum.root_of_unity(12), CycNum.root_of_unity(4)
     op = HeckeOp("T", 2)
-    hm = HeckeMatrix(N2K4, op, (((0, x),), ((0, -x),), ((0, i),)))
+    # the local rows at ranks 0, 1, 2 of the prime 2 all move to rank 2
+    hm = HeckeMatrix(N2K4, op, 0, (), {(0,): ((2, x),), (1,): ((2, -x),),
+                                       (2,): ((2, i),)})
 
     class Ops:
         def matrix(self, o):
@@ -362,7 +366,7 @@ def test_apply_word_gives_the_same_bytes_in_any_order():
     one = CycNum.one()
     for order in permutations(range(3)):
         image = apply_word(Ops(), [op], {j: one for j in order})
-        assert image[0].to_json() == i.to_json()
+        assert image[2].to_json() == i.to_json()
 
 
 # -- the sparse verifier proves every coordinate -------------------------------
@@ -516,6 +520,24 @@ def test_json_memo_keeps_one_entry_per_value():
         {"N0": 1, "N1": 2, "N2": 1}).text
 
 
+def test_encoded_writes_what_json_dumps_writes():
+    # the direct encoder of the two shapes the memo holds, against json.dumps
+    rng = random.Random(12)
+    values = [CycNum.zero(), CycNum.one(), as_cyc(Fraction(-7, 3))]
+    for m in (1, 4, 12, 20):
+        for _ in range(25):
+            values.append(CycNum(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                     for _ in range(euler_phi(m))]))
+    assert {v.m for v in values} == {1, 4, 12, 20}
+    shapes = ([v.to_json() for v in values] + [p.to_json() for p in N2K4.basis]
+              + [Partition(30, 1, 7).to_json(), {}, {"coeffs": [], "m": 1}])
+    for obj in shapes:
+        assert encoded(obj).text == json.dumps(obj, indent=2, sort_keys=True)
+    for bad in ({"m": True}, {"m": {"a": 1}}, {"coeffs": [1]}, {1: 2}):
+        with pytest.raises(TypeError):
+            encoded(bad)
+
+
 def test_eigen_json_writes_the_plain_json():
     # the CLI's tree, each value encoded once, writes as the plain tree
     ops = SpaceOperators(_space(55, "5:1,11:1"))
@@ -548,55 +570,63 @@ def _space(level, spec, k=4):
 
 
 def _with_table(monkeypatch, op, tamper):
-    """hecke_matrix with the rows of op, as lists of [j, value], altered by
-    tamper(space, rows)."""
+    """hecke_matrix with the table of op altered by tamper(space, hm): it
+    may change the local rows, given as a dict of lists of [rank, value]
+    (of one-item lists [value] off the level), or set the expanded rows."""
     real = hecke.hecke_matrix
 
     def fake(space, o):
         hm = real(space, o)
         if o == op:
-            rows = [[list(e) for e in row] for row in hm.rows]
-            tamper(space, rows)
-            hm = HeckeMatrix(space, o, tuple(
-                tuple(sorted((j, as_cyc(a)) for j, a in row)) for row in rows))
+            local = {key: [list(e) for e in row] if hm.pos is not None
+                     else [row] for key, row in hm.local.items()}
+            copy = HeckeMatrix(space, o, hm.pos, hm.at, local)
+            tamper(space, copy)
+            hm = HeckeMatrix(space, o, hm.pos, hm.at, {
+                key: tuple((t, as_cyc(a)) for t, a in row)
+                if hm.pos is not None else as_cyc(row[0])
+                for key, row in local.items()})
+            if "rows" in vars(copy):
+                hm.rows = copy.rows
         return hm
     monkeypatch.setattr(hecke, "hecke_matrix", fake)
 
 
-def _leave_fiber(space, rows):
-    # (6,1,1) -> (2,3,1) moves 3, which T(2) must not do
-    rows[0].append([space.index_of(Partition(2, 3, 1)), CycNum.one()])
-
-
-def _break_one_row(space, rows):
-    # (2,3,1) has the key of the corner (rank 0 at 2), but not its row
-    rows[space.index_of(Partition(2, 3, 1))][0][1] += 1
-
-
-def _shift_off_diagonal(space, rows):
-    for i, row in enumerate(rows):
+def _shift_off_diagonal(space, hm):
+    for key, row in hm.local.items():
         for entry in row:
-            if entry[0] != i:
+            if entry[0] != key[-1]:
                 entry[1] += 1
 
 
-def _wrong_diagonal(space, rows):
-    rows[5][0][1] += 1
+def _leave_fiber(space, hm):
+    # (6,1,1) -> (2,3,1) moves 3, which T(2) must not do
+    rows = [list(row) for row in hm.rows]
+    rows[0].append((space.index_of(Partition(2, 3, 1)), CycNum.one()))
+    hm.rows = tuple(tuple(row) for row in rows)
+
+
+def _break_one_row(space, hm):
+    # (2,3,1) has the key of the corner (rank 0 at 2), but not its row
+    rows = list(hm.rows)
+    i = space.index_of(Partition(2, 3, 1))
+    rows[i] = ((rows[i][0][0], rows[i][0][1] + 1),) + rows[i][1:]
+    hm.rows = tuple(rows)
+
+
+def _wrong_diagonal(space, hm):
+    # A_13 is empty at the trivial character: one diagonal value for all
+    # rows, so every eigenvector still checks against the shifted table
+    hm.local[()][0] += 1
 
 
 WRONG_TABLES = [
-    ("leave-fiber", 6, "1", 4, HeckeOp("T", 2), _leave_fiber,
-     r"rho=\(6,1,1\), op=T\(2\): an entry leaves the 2-fiber"),
-    ("one-row", 6, "1", 4, HeckeOp("T", 2), _break_one_row,
-     r"rho=\(2,3,1\), op=T\(2\): the table does not factor"),
-    # every rank-0 and rank-1 row at 3 shifts alike, so the table still
-    # factors and only the local eigenvector check sees the wrong block
+    # every rank-0 and rank-1 local row at 3 shifts, and only the local
+    # eigenvector check sees the wrong block
     ("local-block-trivial", 30, "1", 4, HeckeOp("T1", 3), _shift_off_diagonal,
      r"rho=\(30,1,1\), op=T1\(3\^2\): wrong local eigenvector at 3"),
     ("local-block-5:1", 30, "5:1", 5, HeckeOp("T1", 3), _shift_off_diagonal,
      r"rho=\(30,1,1\), op=T1\(3\^2\): wrong local eigenvector at 3"),
-    ("diagonal-T13", 30, "1", 4, HeckeOp("T", 13), _wrong_diagonal,
-     r"rho=\(10,1,3\), op=T\(13\): the table does not factor"),
 ]
 
 
@@ -615,12 +645,11 @@ def test_eigenbasis_rejects_a_wrong_table(monkeypatch, level, spec, k, op,
 
 def test_eigenbasis_checks_each_character_pattern_off_the_level(monkeypatch):
     # chi_5(3) = -1, so T(3) at level 10 has one diagonal value per rank at
-    # 5; a wrong value on all rank-2 rows still factors, and the corner
-    # vector, supported on ranks 0 and 2 at 5, must see it
-    def shift_rank_2(space, rows):
-        for i, row in enumerate(rows):
-            if space.rank_tuples[i][1] == 2:
-                row[0][1] += 1
+    # 5; a wrong value for rank 2 still factors, and the corner vector,
+    # supported on ranks 0 and 2 at 5, must see it
+    def shift_rank_2(space, hm):
+        assert hm.at == (1,)
+        hm.local[2,][0] += 1
 
     _with_table(monkeypatch, HeckeOp("T", 3), shift_rank_2)
     ops = SpaceOperators(_space(10, "5:2"))
@@ -628,6 +657,60 @@ def test_eigenbasis_checks_each_character_pattern_off_the_level(monkeypatch):
     with pytest.raises(RuntimeError, match=r"rho=\(10,1,1\), op=T\(3\): "
                                            r"wrong local eigenvector at 3"):
         eigenbasis(ops)
+
+
+# tables that eigenbasis, which reads only the local rows, accepts; the
+# row-formula oracle of verify's hecke-triangularity check names them
+ORACLE_TABLES = [
+    ("leave-fiber", 6, HeckeOp("T", 2), _leave_fiber),
+    ("one-row", 6, HeckeOp("T", 2), _break_one_row),
+    ("diagonal-T13", 30, HeckeOp("T", 13), _wrong_diagonal),
+]
+
+
+@pytest.mark.parametrize("level,op,tamper", [w[1:] for w in ORACLE_TABLES],
+                         ids=[w[0] for w in ORACLE_TABLES])
+def test_row_formula_oracle_rejects_a_wrong_table(monkeypatch, level, op,
+                                                  tamper):
+    _with_table(monkeypatch, op, tamper)
+    config = dict(verify.DESK_CONFIG)
+    run = verify.space_run(_space(level, "1"), config)
+    assert run.system is not None
+    (record,) = verify._check_triangularity(config, run)
+    assert record.status == verify.FAIL
+    assert record.details.endswith(
+        f"; rows differ from the row formula in {op}")
+
+
+@pytest.mark.parametrize("level,spec,k", [
+    (2310, "1", 4), (2310, "5:1,11:1", 4), (1155, "5:2,7:3,11:5", 4),
+    (70, "5:1,7:2", 5)], ids=["2310", "2310-5:1,11:1", "1155-3chars", "70"])
+def test_row_formula_oracle_passes_the_built_tables(level, spec, k):
+    # every row of the T(p), T1(p^2) tables for p <= 13, expanded from one
+    # local row per key, equals the per-row formula at that row
+    config = dict(verify.DESK_CONFIG)
+    (record,) = verify._check_triangularity(
+        config, verify.space_run(_space(level, spec, k), config))
+    assert (record.status, record.details) == (
+        verify.PASS, "0 rank-decreasing entries")
+
+
+def test_eigen_calls_the_row_formulas_once_per_key(monkeypatch, capsys):
+    # A_q is empty at the trivial character, so each of the 10 level
+    # tables at N=2310 has 3 keys, one per rank at q
+    calls = []
+    for name in ("_row_at_level_prime", "_row_prime_to_level"):
+        real = getattr(hecke, name)
+
+        def counted(space, *args, real=real):
+            calls.append(args[-2] if len(args) == 3 else args[-1])
+            return real(space, *args)
+        monkeypatch.setattr(hecke, name, counted)
+    assert cli.main(["eigen", "--level", "2310", "--weight", "4"]) == 0
+    capsys.readouterr()
+    ops = SpaceOperators(enumerate_partitions(2310, None, 4)).level_ops()
+    assert sorted(calls, key=str) == sorted(
+        [op for op in ops for _ in range(3)], key=str)
 
 
 # (level, character, weight, extra primes off the level)

@@ -2,14 +2,14 @@
 
 For every tree of the types the writer takes, the concatenated writes must
 equal json.dumps(tree, indent=2, sort_keys=True) plus a newline, also when
-random subtrees are handed to the writer pre-encoded (`jsonout.encoded`).
+random subtrees are handed to the writer pre-encoded as a `JsonText`.
 """
 
 import json
 
 import pytest
 
-from siegeleis.jsonout import encoded, write_json
+from siegeleis.jsonout import JsonText, write_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,7 +47,7 @@ def _pre_encode(tree, draw):
         tree = {k: _pre_encode(v, draw) for k, v in tree.items()}
     elif type(tree) in (list, tuple):
         tree = type(tree)(_pre_encode(v, draw) for v in tree)
-    return encoded(tree) if draw(st.booleans()) else tree
+    return JsonText(_written(tree)[:-1]) if draw(st.booleans()) else tree
 
 
 @hypothesis.settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Per-stage wall time of `siegeleis eigen --weight 4`, in one process.
 
     PYTHONPATH=src python tools/eigen_stages.py --level 2310 [--char 5:1,11:1]
+        [--through eigenbasis]
 
 The stages are those of the JSON command, which builds its tree with
 hecke.eigen_json:
@@ -13,6 +14,8 @@ hecke.eigen_json:
   comparison  the comparison rows against the closed forms, as JSON, the
               time eigen_json spends in compare_eigenvalues;
   write_json  the exact indent-2 writer, into a sink that counts bytes.
+--through eigenbasis stops after the first two stages, for levels whose
+JSON tree would not fit in memory.
 Each repeat starts from a new space and character, so no memo carries
 over.  Prints one JSON object with the best time of each stage.
 """
@@ -42,7 +45,8 @@ def _timed(fn, spent: list):
     return wrapper
 
 
-def one_run(level: int, char: str, weight: int, compared: list) -> dict:
+def one_run(level: int, char: str, weight: int, compared: list,
+            through: str) -> dict:
     times = {}
     t = time.perf_counter()
 
@@ -60,6 +64,8 @@ def one_run(level: int, char: str, weight: int, compared: list) -> dict:
     stage("tables")
     system = eigenbasis(ops)
     stage("eigenbasis")
+    if through == "eigenbasis":
+        return times
     compared.clear()
     tree = {"space": space.descriptor(), **eigen_json(system, ops.level_ops())}
     stage("to_json")
@@ -83,6 +89,8 @@ def main() -> None:
     parser.add_argument("--char", default="1")
     parser.add_argument("--weight", type=int, default=4)
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--through", choices=("eigenbasis", "write_json"),
+                        default="write_json", help="the last stage to run")
     args = parser.parse_args()
     compared: list = []  # eigen_json reads compare_eigenvalues from hecke
     hecke.compare_eigenvalues = _timed(hecke.compare_eigenvalues, compared)
@@ -90,10 +98,10 @@ def main() -> None:
     for _ in range(args.repeat):
         gc.collect()
         for name, value in one_run(args.level, args.char, args.weight,
-                                   compared).items():
+                                   compared, args.through).items():
             best[name] = min(best.get(name, value), value)
     out = {"level": args.level, "char": args.char, "weight": args.weight,
-           "repeat": args.repeat}
+           "repeat": args.repeat, "through": args.through}
     out.update({k: v if k == "bytes" else round(v, 4) for k, v in best.items()})
     print(json.dumps(out))
 
