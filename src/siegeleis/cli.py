@@ -123,8 +123,7 @@ def cmd_eigen(args) -> int:
         with _writer(args) as write:
             write("\n".join(lines) + "\n")
         return 0
-    _emit_json(args, {"space": space.descriptor(),
-                      **eigen_json(system, op_list)})
+    _emit_json(args, eigen_json(system, op_list))
     return 0
 
 

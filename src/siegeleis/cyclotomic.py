@@ -404,8 +404,8 @@ class CycNum:
         return not self.is_zero()
 
     def __repr__(self):
-        if self.m == 1:
-            return str(self.as_fraction())
+        if self.m == 1:  # (n, d) is reduced with d > 0, as Fraction prints it
+            return str(self.n[0]) if self.d == 1 else f"{self.n[0]}/{self.d}"
         parts = []
         for i, a in enumerate(self.c):
             if not a:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .characters import DirichletCharacter
 from .cyclotomic import factorize, is_squarefree
@@ -75,14 +76,17 @@ class Partition:
 
 
 class EisSpace:
-    """Ordered Eisenstein basis for (level, weight, character)."""
+    """Ordered Eisenstein basis for (level, weight, character); rank_tuples
+    holds the ranks of each basis element at the primes of N, ascending."""
 
     def __init__(self, level: int, weight: int, char: DirichletCharacter,
-                 basis: tuple[Partition, ...], parity_ok: bool):
+                 basis: tuple[Partition, ...],
+                 rank_tuples: tuple[tuple[int, ...], ...], parity_ok: bool):
         self.level = level
         self.weight = weight
         self.char = char
         self.basis = basis
+        self.rank_tuples = rank_tuples
         self.parity_ok = parity_ok
         self._index = {p: i for i, p in enumerate(basis)}
 
@@ -92,13 +96,6 @@ class EisSpace:
 
     def index_of(self, p: Partition) -> int:
         return self._index[p]
-
-    @cached_property
-    def rank_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """The ranks of each basis element at the primes of N, ascending,
-        by basis index."""
-        primes = prime_factors(self.level)
-        return tuple(tuple(p.rank_of(q) for q in primes) for p in self.basis)
 
     @cached_property
     def index_of_ranks(self) -> dict[tuple[int, ...], int]:
@@ -149,12 +146,13 @@ def enumerate_partitions(N: int, char: DirichletCharacter | None = None,
             f"the space is identically zero (use forced=True to build anyway)"
         )
     primes = prime_factors(N)
-    parts = []
+    rows = []  # (Partition.sort_key, ranks, partition), the key from the ranks
     for ranks in product(*[(0, 1, 2) if char.is_real_at(q) else (0, 2)
                            for q in primes]):
         n = [1, 1, 1]  # N0, N1, N2
         for q, r in zip(primes, ranks):
             n[r] *= q
-        parts.append(Partition(*n))
-    parts.sort(key=Partition.sort_key)
-    return EisSpace(N, k, char, tuple(parts), parity_ok)
+        rows.append(((sum(ranks), -n[2], -n[1]), ranks, Partition(*n)))
+    rows.sort(key=itemgetter(0))
+    return EisSpace(N, k, char, tuple(r[2] for r in rows),
+                    tuple(r[1] for r in rows), parity_ok)

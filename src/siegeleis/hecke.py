@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 from operator import itemgetter
 
 from .characters import legendre_epsilon
 from .cyclotomic import CycNum, as_cyc, is_prime
 from .eisspace import EisSpace, Partition, prime_factors
-from .jsonout import encoded
+from .jsonout import JsonText, encoded
 from .linalg import CycMatrix
 
 _ZERO = CycNum.zero()
@@ -320,7 +321,7 @@ class TensorVector:
     this), shared with the other vectors of its key and so read only.  The
     coefficient at a rank tuple s is the product of the u_q[s_q]; the
     factors at the partition's own ranks are 1 and left out.  ``dense()``
-    and ``to_json()`` expand the vector on each call, through _expand.
+    and eigen_json expand the vector, through _expand.
     """
 
     __slots__ = ("space", "partition", "local")
@@ -336,49 +337,6 @@ class TensorVector:
         for i, c in _expand(self, {}):
             out[i] = c
         return out
-
-    def to_json(self, memo: _JsonMemo | None = None):
-        """The nonzero coefficients in basis order; a memo shared by the
-        vectors of one output computes each product and each JSON once."""
-        if memo is None:
-            memo = _JsonMemo(self.space)
-        value, parts = memo.value, memo.partitions
-        return [{"partition": parts[i], "coeff": value(c)}
-                for i, c in sorted(_expand(self, memo.products),
-                                   key=itemgetter(0))]
-
-
-def _plain(obj):
-    return obj
-
-
-class _JsonMemo:
-    """The JSON of the values in one output on `space`, each distinct value
-    encoded once and then shared.
-
-    `encode` maps the JSON of a value to what the output holds: the plain
-    dicts by default, or a form a writer can splice in as it stands.  A
-    CycNum is keyed by its canonical stored form (m, n, d), which hashes
-    faster than a rational CycNum.  The values of `products` (the product
-    memo of _expand) keep their objects alive, so no id is reused meanwhile.
-    """
-
-    def __init__(self, space: EisSpace, encode=_plain):
-        self.space = space
-        self.encode = encode
-        self.products: dict = {}  # (id(prefix), id(factor)) -> (factor, product)
-        self.values: dict = {}  # (m, n, d) -> encoded JSON
-        self.partitions = [encode(p.to_json()) for p in space.basis]
-
-    def value(self, c: CycNum):
-        key = (c.m, c.n, c.d)
-        hit = self.values.get(key)
-        if hit is None:
-            hit = self.values[key] = self.encode(c.to_json())
-        return hit
-
-    def partition(self, rho: Partition):
-        return self.partitions[self.space.index_of(rho)]
 
 
 def _expand(vec: TensorVector, products: dict) -> list[tuple[int, CycNum]]:
@@ -421,22 +379,6 @@ class EigenVectorEntry:
 class EigenSystem:
     space: EisSpace
     entries: list[EigenVectorEntry]
-
-    def to_json(self, memo: _JsonMemo | None = None):
-        """The entries as JSON; eigen_json passes the memo it shares with
-        the comparison rows."""
-        if memo is None:
-            memo = _JsonMemo(self.space)
-        value = memo.value
-        return [
-            {
-                "partition": memo.partition(e.partition),
-                "vector": e.vector.to_json(memo),
-                "eigenvalues": {op.spec_string(): value(lam)
-                                for op, lam in e.eigenvalues.items()},
-            }
-            for e in self.entries
-        ]
 
 
 def _local_vector(space: EisSpace, rho: Partition, q: int,
@@ -609,7 +551,8 @@ def eigenvalue_closed_form(space: EisSpace, rho: Partition, op: HeckeOp) -> CycN
 
 def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
     """Verified eigenvalues vs the closed-form tables, per (rho, op), as
-    tuples (rho, op, matrix value, closed form, match, expected mismatch).
+    tuples (rho, op, matrix value, closed form, match, expected mismatch),
+    entries outer and ops inner.
 
     ``system`` comes from eigenbasis, so each value is the exactly checked
     diagonal entry of the action table; op_list defaults to the level
@@ -617,63 +560,117 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
     The matrices are authoritative.  The only expected disagreement is
     T1(q^2) at partitions with q | N1, where the table entry has q^{2k-3}
     in place of the matrices' q^{2k-2}; those rows come back match=False
-    with expected_mismatch=True.
+    with expected_mismatch=True.  The closed form and the expected mismatch
+    depend only on rho's key, its ranks at A_p and (for p | N) at p, like
+    a table row, so each is evaluated once per (op, key).
     """
     space = system.space
+    primes = prime_factors(space.level)
     if op_list is None:
         op_list = SpaceOperators(space).level_ops()
+    picks = []
+    for op in op_list:
+        if not all(op in e.eigenvalues for e in system.entries):
+            raise ValueError(
+                f"{op} was not verified; build its table before eigenbasis")
+        places = _moved_by(space, op.p)
+        if op.p in primes:
+            places += (primes.index(op.p),)
+        picks.append((op, itemgetter(*places) if places else lambda r: ()))
+    closed: dict = {}
     out = []
     for e in system.entries:
-        for op in op_list:
-            mval = e.eigenvalues.get(op)
-            if mval is None:
-                raise ValueError(
-                    f"{op} was not verified; build its table before eigenbasis"
-                )
-            cval = eigenvalue_closed_form(space, e.partition, op)
-            expected_mismatch = (
-                op.kind == "T1"
-                and space.level % op.p == 0
-                and e.partition.rank_of(op.p) == 1
-            )
-            out.append((e.partition, op, mval, cval, bool(mval == cval),
-                        expected_mismatch))
+        rho, ranks = e.partition, space.rank_tuples[space.index_of(e.partition)]
+        for op, pick in picks:
+            key = (op, pick(ranks))
+            hit = closed.get(key)
+            if hit is None:
+                hit = closed[key] = (
+                    eigenvalue_closed_form(space, rho, op),
+                    op.kind == "T1" and op.p in primes and rho.rank_of(op.p) == 1)
+            mval = e.eigenvalues[op]
+            out.append((rho, op, mval, hit[0], bool(mval == hit[0]), hit[1]))
     return out
 
 
-def compare_eigenvalues(system: EigenSystem, op_list=None,
-                        memo: _JsonMemo | None = None) -> list[dict]:
-    """The rows of eigenvalue_comparisons as JSON, their values and
-    partitions from `memo` (a new plain one by default)."""
-    if memo is None:
-        memo = _JsonMemo(system.space)
-    value, partition = memo.value, memo.partition
-    return [
-        {
-            "partition": partition(rho),
-            "op": op.spec_string(),
-            "matrix_value": value(mval),
-            "closed_form": value(cval),
-            "match": match,
-            "expected_mismatch": expected_mismatch,
-        }
-        for rho, op, mval, cval, match, expected_mismatch
-        in eigenvalue_comparisons(system, op_list)
-    ]
+def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
+    """The rows of eigenvalue_comparisons as plain JSON dicts."""
+    return [{"partition": rho.to_json(), "op": op.spec_string(),
+             "matrix_value": mval.to_json(), "closed_form": cval.to_json(),
+             "match": match, "expected_mismatch": expected}
+            for rho, op, mval, cval, match, expected
+            in eigenvalue_comparisons(system, op_list)]
+
+
+def _text(obj, depth: int) -> str:
+    """The JSON of a CycNum or a Partition, indented to stand at `depth`."""
+    return encoded(obj.to_json()).text.replace("\n", "\n" + "  " * depth)
 
 
 def eigen_json(system: EigenSystem, op_list=None) -> dict:
-    """The eigenbasis and its comparison rows (keys "eigenbasis" and
-    "comparison") as the `eigen` command writes them.
+    """The `eigen` command's output: the space descriptor, and the
+    comparison rows and eigenbasis entries as iterators of JsonText
+    records, each rendered at depth 0 when the writer reaches it.
+    jsonout.write_json streams them as the bytes of the plain tree, whose
+    rows are compare_eigenvalues(system, op_list).
 
-    One memo serves both, so each distinct value and each partition is
-    encoded once (jsonout.encoded) and the same JsonText stands wherever it
-    recurs; jsonout.write_json then prints the bytes of the plain
-    `system.to_json()` and `compare_eigenvalues(system, op_list)`.
+    Each distinct value and partition is encoded once per depth in its
+    record.  A row's text up to its partition (the last key) is rendered
+    once per (op, expected mismatch, closed form, matrix value), which
+    determine it.  Each vector is expanded once, through a product memo
+    shared by all vectors (_expand).  The comparison is made first, so an
+    op that eigenbasis did not verify raises ValueError before any record.
     """
-    memo = _JsonMemo(system.space, encoded)
-    return {"eigenbasis": system.to_json(memo),
-            "comparison": compare_eigenvalues(system, op_list, memo)}
+    space = system.space
+    rows = eigenvalue_comparisons(system, op_list)
+    part = {p: _text(p, 1) for p in space.basis}
+    item_end = [',\n      "partition": ' + _text(p, 3) + "\n    }"
+                for p in space.basis]
+    values: dict = {}  # (m, n, d, depth) -> text
+
+    def value(c: CycNum, depth: int) -> str:
+        key = (c.m, c.n, c.d, depth)
+        hit = values.get(key)
+        if hit is None:
+            hit = values[key] = _text(c, depth)
+        return hit
+
+    def comparison_records():
+        heads: dict = {}
+        for rho, op, mval, cval, match, expected in rows:
+            key = (op, expected, cval.m, cval.n, cval.d, mval.m, mval.n, mval.d)
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = (
+                    '{\n  "closed_form": ' + value(cval, 1)
+                    + ',\n  "expected_mismatch": ' + ("false", "true")[expected]
+                    + ',\n  "match": ' + ("false", "true")[match]
+                    + ',\n  "matrix_value": ' + value(mval, 1)
+                    + ',\n  "op": ' + _json_str(op.spec_string())
+                    + ',\n  "partition": ')
+            yield JsonText(head + part[rho] + "\n}")
+
+    def eigenbasis_records():
+        products: dict = {}
+        starts: dict = {}  # (m, n, d) -> a vector item up to its partition
+        for e in system.entries:
+            eigs = sorted((op.spec_string(), lam) for op, lam in e.eigenvalues.items())
+            items = []
+            for j, c in sorted(_expand(e.vector, products), key=itemgetter(0)):
+                start = starts.get((c.m, c.n, c.d))
+                if start is None:
+                    start = starts[c.m, c.n, c.d] = '{\n      "coeff": ' + value(c, 3)
+                items.append(start + item_end[j])
+            yield JsonText(
+                '{\n  "eigenvalues": '
+                + ("{\n    " + ",\n    ".join(_json_str(name) + ": " + value(lam, 2)
+                                             for name, lam in eigs) + "\n  }"
+                   if eigs else "{}")
+                + ',\n  "partition": ' + part[e.partition]
+                + ',\n  "vector": [\n    ' + ",\n    ".join(items) + "\n  ]\n}")
+
+    return {"comparison": comparison_records(),
+            "eigenbasis": eigenbasis_records(), "space": space.descriptor()}
 
 
 # -- relation operators (corner-to-basis words) --------------------------------

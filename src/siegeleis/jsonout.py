@@ -1,26 +1,25 @@
 """The exact JSON writer of every JSON output.
 
 `write_json` writes the bytes of json.dumps(obj, indent=2, sort_keys=True)
-plus a newline in chunks as it encodes them.  `encoded` writes the JSON of
-a CycNum or a Partition once as a `JsonText`, which write_json splices in
-wherever the value recurs, so an output that repeats a few values encodes
-each of them once.
+plus a newline in chunks as it encodes them; an iterator in list position
+is written item by item as it yields them.  `encoded` writes the JSON of a
+CycNum or a Partition once, for a caller that renders whole records as
+`JsonText`, which write_json splices in at the depth where it stands.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _json_str
 
-# Pieces per write.  A spliced JsonText is one long piece, so 1024 of them
-# make writes of about 60 KB in `eigen` output; 4096 raised the command's
-# own tracemalloc peak at N=2310 from 4.99 to 5.18 MiB.
+# Pieces per write, counted after each list item and each closed dict.
 _FLUSH_PIECES = 1024
 
 
 class JsonText:
-    """A value written as write_json writes it at the top level, spliced in
-    wherever it recurs.  Its only newlines are those of its indentation,
-    because an encoded string escapes every newline it holds."""
+    """A value as write_json writes it at the top level (a pre-rendered
+    record, say), spliced in at its depth.  Its only newlines are those of
+    its indentation: an encoded string escapes every newline it holds."""
 
     __slots__ = ("text",)
 
@@ -29,8 +28,8 @@ class JsonText:
 
 
 def encoded(obj: dict) -> JsonText:
-    """`obj` as write_json writes it at the top level, for write_json to
-    splice in at any depth.  It takes the JSON of a CycNum or a Partition
+    """`obj` as write_json writes it at the top level, for a renderer to
+    indent into its records.  It takes the JSON of a CycNum or a Partition
     (str keys; int or list-of-str values) and writes it directly, without
     write_json's walk; any other shape raises TypeError."""
     items = []
@@ -48,9 +47,11 @@ def encoded(obj: dict) -> JsonText:
 
 def write_json(obj, write) -> None:
     """Write `obj` as the bytes of json.dumps(obj, indent=2, sort_keys=True)
-    plus a newline, in chunks of about a thousand pieces through `write`.
+    plus a newline, through `write` in chunks of about a thousand pieces;
+    a JsonText ends its chunk, so a stream of large records is not held.
 
-    Takes dict with str keys, list, tuple, str, int, bool and None, and
+    Takes dict with str keys, list, tuple, str, int, bool and None; an
+    iterator, written as the list of its items, each as it comes; and
     JsonText, which stands for the value it encodes: its text goes in with
     every newline followed by the indentation of its depth.  Raises
     TypeError naming the type of anything else: no `to_json` emits floats
@@ -63,8 +64,10 @@ def write_json(obj, write) -> None:
         t = type(o)
         if t is str:
             append(_json_str(o))
-        elif t is JsonText:
+        elif t is JsonText:  # a whole record: written out with what precedes it
             append(o.text.replace("\n", pad))
+            write("".join(out))
+            out.clear()
         elif t is dict:
             if not o:
                 append("{}")
@@ -86,26 +89,6 @@ def write_json(obj, write) -> None:
             if len(out) >= _FLUSH_PIECES:
                 write("".join(out))
                 out.clear()
-        elif t is list or t is tuple:
-            if not o:
-                append("[]")
-                return
-            inner = pad + "  "
-            try:  # all items str: one join; the escaper rejects anything else
-                append("[" + inner + ("," + inner).join(map(_json_str, o))
-                       + pad + "]")
-                return
-            except TypeError:
-                pass
-            sep = "[" + inner
-            for v in o:
-                append(sep)
-                emit(v, inner)
-                sep = "," + inner
-            append(pad + "]")
-            if len(out) >= _FLUSH_PIECES:
-                write("".join(out))
-                out.clear()
         elif o is None:
             append("null")
         elif o is True:
@@ -114,9 +97,32 @@ def write_json(obj, write) -> None:
             append("false")
         elif t is int:
             append(int.__repr__(o))
+        elif t is list or t is tuple or isinstance(o, Iterator):
+            inner = pad + "  "
+            if (t is list or t is tuple) and o:
+                try:  # all items str: one join; the escaper rejects the rest
+                    append("[" + inner + ("," + inner).join(map(_json_str, o))
+                           + pad + "]")
+                    return
+                except TypeError:
+                    pass
+            sep = "[" + inner
+            for v in o:
+                append(sep)
+                emit(v, inner)
+                sep = "," + inner
+                if len(out) >= _FLUSH_PIECES:
+                    write("".join(out))
+                    out.clear()
+            append("[]" if sep[0] == "[" else pad + "]")
         else:
             raise TypeError(f"cannot write {t.__name__} as JSON")
 
-    emit(obj, "\n")
-    append("\n")
-    write("".join(out))
+    try:
+        emit(obj, "\n")
+        append("\n")
+        write("".join(out))
+    finally:
+        # break the cycle of emit with itself, which would keep `write` (the
+        # caller's stream) and the last pieces alive until a collection
+        emit = None

@@ -199,6 +199,20 @@ def test_immutability_and_repr():
     assert repr(as_cyc(Fraction(-3, 7))) == "-3/7"
 
 
+def test_rational_repr_is_the_fraction_str():
+    # a rational prints from its stored (n, d) as its Fraction would
+    rng = random.Random(3)
+    values = [CycNum.zero(), CycNum.one(), -CycNum.one(), as_cyc(-12)]
+    for _ in range(300):
+        a, b = rng.randint(-10**6, 10**6), rng.choice([1, 1, rng.randint(1, 10**4)])
+        values += [as_cyc(Fraction(a, b)), as_cyc(a) / b, (root(4) * a) * (root(4) * b)]
+    assert any(v.d == 1 and v.n[0] < 0 for v in values)
+    assert any(v.d > 1 and v.n[0] < 0 for v in values)
+    for v in values:
+        assert v.m == 1
+        assert repr(v) == str(v.as_fraction())
+
+
 @pytest.mark.parametrize("value,m", [
     (CycNum.one(), 1),
     (as_cyc(Fraction(-7, 3)), 1),

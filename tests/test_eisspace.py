@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from siegeleis.characters import DirichletCharacter
-from siegeleis.eisspace import Partition, enumerate_partitions
+from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 
 
 def brute_force_partitions(N):
@@ -54,6 +54,18 @@ def test_ordering_deterministic_and_triangular_friendly():
     assert again.basis == sp.basis
     ranks = [p.total_rank for p in sp.basis]
     assert ranks == sorted(ranks)
+
+
+@pytest.mark.parametrize("N,spec", [(30, "1"), (2310, "1"), (2310, "5:1,11:1"),
+                                    (1155, "5:2,7:3,11:5")])
+def test_basis_order_and_rank_tuples_from_the_enumerated_ranks(N, spec):
+    # the sort key and the rank tuples come from the ranks enumerate_partitions
+    # builds each partition from; both must equal what the partitions say
+    sp = enumerate_partitions(N, DirichletCharacter.parse(N, spec), 4)
+    assert list(sp.basis) == sorted(sp.basis, key=Partition.sort_key)
+    primes = prime_factors(N)
+    assert sp.rank_tuples == tuple(tuple(p.rank_of(q) for q in primes)
+                                   for p in sp.basis)
 
 
 def test_rank_vectors():

@@ -494,30 +494,49 @@ def test_local_vectors_are_computed_once_per_key(monkeypatch):
     assert sorted(calls) == [(q, r) for q in (2, 3, 5, 7, 11) for r in range(3)]
 
 
+def _plain_entry(e) -> dict:
+    """The JSON of an eigenbasis entry, built from dense() and to_json()."""
+    return {"partition": e.partition.to_json(),
+            "vector": [{"partition": p.to_json(), "coeff": c.to_json()}
+                       for p, c in _coeffs(e.vector).items()],
+            "eigenvalues": {op.spec_string(): lam.to_json()
+                            for op, lam in e.eigenvalues.items()}}
+
+
 def test_expansion_views_agree_and_sharing_changes_no_byte():
-    # dense() and to_json() read one expansion; the products and JSON that
-    # EigenSystem.to_json shares between vectors equal those of each vector
-    # expanded alone
+    # dense() and the eigen_json records read one expansion; the records,
+    # whose products and texts are shared between vectors, hold the JSON of
+    # each vector expanded alone
     system = eigenbasis(SpaceOperators(_space(2310, "5:1,11:1")))
-    shared = system.to_json()
-    for e, row in zip(system.entries, shared):
-        alone = e.vector.to_json()
-        assert alone == row["vector"]
-        assert alone == [{"partition": p.to_json(), "coeff": c.to_json()}
-                         for p, c in _coeffs(e.vector).items()]
+    records = list(eigen_json(system)["eigenbasis"])
+    assert len(records) == len(system.entries) == 108
+    for e, record in zip(system.entries, records):
+        assert record.text == json.dumps(_plain_entry(e), indent=2,
+                                         sort_keys=True)
 
 
-def test_json_memo_keeps_one_entry_per_value():
-    # zeta_3 built at conductor 3 and lifted to 12 is one value: one memo
-    # entry, one encoding
-    memo = hecke._JsonMemo(N2K4, encoded)
-    at3 = CycNum.root_of_unity(3)
-    at12 = CycNum(12, at3._lift(12))
-    assert memo.value(at12) is memo.value(at3) is memo.value(CycNum(3, [0, 1]))
-    assert len(memo.values) == 1
-    assert memo.value(at3).text == encoded(at3.to_json()).text
-    assert memo.partition(Partition(1, 2, 1)).text == encoded(
-        {"N0": 1, "N1": 2, "N2": 1}).text
+def test_json_memo_keeps_one_entry_per_value(monkeypatch):
+    # eigen_json encodes each distinct value and each partition once per
+    # depth it stands at in a record, however often it recurs
+    encoded_at = []
+    real = hecke._text
+
+    def counted(obj, depth):
+        encoded_at.append((json.dumps(obj.to_json(), sort_keys=True), depth))
+        return real(obj, depth)
+
+    monkeypatch.setattr(hecke, "_text", counted)
+    system = eigenbasis(SpaceOperators(_space(2310, "5:1,11:1")))
+    pieces = []
+    write_json(eigen_json(system), pieces.append)
+    assert len(encoded_at) == len(set(encoded_at))
+    basis = {json.dumps(p.to_json(), sort_keys=True) for p in system.space.basis}
+    assert {t for t, d in encoded_at if d in (1, 3) and t in basis} == basis
+    assert sum(1 for t, _ in encoded_at if t in basis) == 2 * len(basis)
+    # values stand at depth 1 (rows), 2 (eigenvalues) and 3 (coefficients)
+    values = {t for t, _ in encoded_at} - basis
+    assert {d for t, d in encoded_at if t in values} == {1, 2, 3}
+    assert len(values) < len(encoded_at) - 2 * len(basis)  # some at 2 depths
 
 
 def test_encoded_writes_what_json_dumps_writes():
@@ -539,19 +558,48 @@ def test_encoded_writes_what_json_dumps_writes():
 
 
 def test_eigen_json_writes_the_plain_json():
-    # the CLI's tree, each value encoded once, writes as the plain tree
-    ops = SpaceOperators(_space(55, "5:1,11:1"))
-    ops.matrix(HeckeOp("T", 3))
-    system = eigenbasis(ops)
-    op_list = [HeckeOp("T", 3), *ops.level_ops()]
-    tree = eigen_json(system, op_list)
-    coeffs = [c["coeff"] for e in tree["eigenbasis"] for c in e["vector"]]
-    assert len({id(c) for c in coeffs}) < len(coeffs)  # shared, not copied
+    # the CLI's streamed records write as the plain tree, built here from
+    # the entries and compare_eigenvalues
+    for level, char, extra in [(55, "5:1,11:1", [3]), (2310, "1", [])]:
+        ops = SpaceOperators(_space(level, char))
+        op_list = [HeckeOp("T", p) for p in extra] + ops.level_ops()
+        for op in op_list:
+            ops.matrix(op)
+        system = eigenbasis(ops)
+        out = eigen_json(system, op_list)
+        assert sorted(out) == ["comparison", "eigenbasis", "space"]
+        assert iter(out["comparison"]) is out["comparison"]  # streamed
+        assert iter(out["eigenbasis"]) is out["eigenbasis"]
+        pieces = []
+        write_json(out, pieces.append)
+        plain = {"space": system.space.descriptor(),
+                 "eigenbasis": [_plain_entry(e) for e in system.entries],
+                 "comparison": compare_eigenvalues(system, op_list)}
+        assert len(plain["comparison"]) == len(system.entries) * len(op_list)
+        assert "".join(pieces) == json.dumps(plain, indent=2,
+                                             sort_keys=True) + "\n"
+
+
+def test_eigen_json_prints_each_rows_own_matrix_value():
+    # rows that share an op and a closed form share their rendered text
+    # only while their matrix values agree: a changed value shows up in its
+    # own row, here (1,1,30) at T(2), whose key (rank 2 at 2) 8 rows share
+    system = eigenbasis(SpaceOperators(enumerate_partitions(30, None, 4)))
+    op = HeckeOp("T", 2)
+    entry = system.entries[-1]
+    entry.eigenvalues = {**entry.eigenvalues, op: entry.eigenvalues[op] + 1}
     pieces = []
-    write_json(tree, pieces.append)
-    plain = {"eigenbasis": system.to_json(),
-             "comparison": compare_eigenvalues(system, op_list)}
-    assert "".join(pieces) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    write_json(eigen_json(system), pieces.append)
+    rows = json.loads("".join(pieces))["comparison"]
+    assert rows == compare_eigenvalues(system)
+    changed = [r for r in rows if r["op"] == "T:2" and not r["match"]]
+    assert [r["partition"] for r in changed] == [entry.partition.to_json()]
+
+
+def test_eigen_json_refuses_an_unverified_op_before_it_renders():
+    system = eigenbasis(SpaceOperators(N2K4))
+    with pytest.raises(ValueError, match="not verified"):
+        eigen_json(system, [HeckeOp("T", 3)])
 
 
 def test_level_tables_construct_no_partition(monkeypatch):
@@ -742,3 +790,38 @@ def test_verified_vectors_pass_the_dense_check(level, spec, k, extra):
             image = hm.mat.vec_mat(dense)
             assert all(image[j] == lam * dense[j] for j in range(len(dense))), \
                 (level, e.partition, op)
+
+
+def _compared_spaces():
+    """(system, ops) of every desk space with its sweep and level operators,
+    and of N=70 with the character 5:1,7:2 at the good primes 3 and 11."""
+    for space in verify.spaces_in_scope(verify.DESK_CONFIG):
+        run = verify.space_run(space, verify.DESK_CONFIG)
+        yield run.system, run.sweep + run.ops.level_ops()
+    ops = SpaceOperators(enumerate_partitions(
+        70, DirichletCharacter.parse(70, "5:1,7:2"), 5))
+    op_list = ops.level_ops() + [HeckeOp(kind, p) for p in (3, 11)
+                                 for kind in ("T", "T1")]
+    for op in op_list:
+        ops.matrix(op)
+    yield eigenbasis(ops), op_list
+
+
+def test_closed_forms_once_per_key_equal_the_per_row_formula():
+    # eigenvalue_comparisons evaluates each closed form once per (op, key);
+    # every row must still hold the formula evaluated at that row
+    rows = 0
+    for system, op_list in _compared_spaces():
+        space = system.space
+        got = hecke.eigenvalue_comparisons(system, op_list)
+        assert len(got) == len(system.entries) * len(op_list)
+        want = [(e.partition, op) for e in system.entries for op in op_list]
+        for (rho, op, mval, cval, match, expected), (rho2, op2) in zip(got, want):
+            assert (rho, op) == (rho2, op2)
+            assert cval == eigenvalue_closed_form(space, rho, op), (space, rho, op)
+            assert mval is system.entries[space.index_of(rho)].eigenvalues[op]
+            assert match == (mval == cval)
+            assert expected == (op.kind == "T1" and space.level % op.p == 0
+                                and rho.rank_of(op.p) == 1)
+        rows += len(got)
+    assert rows > 10000

@@ -2,7 +2,8 @@
 
 For every tree of the types the writer takes, the concatenated writes must
 equal json.dumps(tree, indent=2, sort_keys=True) plus a newline, also when
-random subtrees are handed to the writer pre-encoded as a `JsonText`.
+random subtrees are handed to the writer pre-encoded as a `JsonText`, and
+when random lists, empty ones included, are handed to it as generators.
 """
 
 import json
@@ -56,3 +57,31 @@ def test_pre_encoded_subtrees_splice_at_any_depth(tree, data):
     spliced = _pre_encode(tree, data.draw)
     assert _written(spliced) == json.dumps(tree, indent=2,
                                            sort_keys=True) + "\n"
+
+
+def _as_generators(tree, draw):
+    """`tree` with each list or tuple, drawn at random, replaced by a
+    generator of its items, its own subtrees first."""
+    if type(tree) is dict:
+        return {k: _as_generators(v, draw) for k, v in tree.items()}
+    if type(tree) in (list, tuple):
+        items = [_as_generators(v, draw) for v in tree]
+        return (v for v in items) if draw(st.booleans()) else items
+    return tree
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(trees, st.data())
+def test_generators_write_as_lists(tree, data):
+    streamed = _as_generators(tree, data.draw)
+    assert _written(streamed) == json.dumps(tree, indent=2,
+                                            sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("make,plain", [
+    (lambda: iter([]), []),
+    (lambda: {"a": iter([]), "b": iter([[], iter([])])}, {"a": [], "b": [[], []]}),
+    (lambda: [iter([1]), iter(["x", "y"]), (v for v in ())], [[1], ["x", "y"], []]),
+], ids=["empty", "nested-empty", "mixed"])
+def test_generator_examples(make, plain):
+    assert _written(make()) == json.dumps(plain, indent=2, sort_keys=True) + "\n"

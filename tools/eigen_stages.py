@@ -3,21 +3,23 @@
     PYTHONPATH=src python tools/eigen_stages.py --level 2310 [--char 5:1,11:1]
         [--through eigenbasis]
 
-The stages are those of the JSON command, which builds its tree with
-hecke.eigen_json:
-  tables      the level tables T(q), T1(q^2) for q | N;
-  eigenbasis  the verified eigenbasis;
-  to_json     the space descriptor and the eigenbasis as JSON, which
-              writes out every eigenvector coefficient, each distinct
-              value and partition encoded once (eigen_json less the time
-              inside compare_eigenvalues);
-  comparison  the comparison rows against the closed forms, as JSON, the
-              time eigen_json spends in compare_eigenvalues;
-  write_json  the exact indent-2 writer, into a sink that counts bytes.
---through eigenbasis stops after the first two stages, for levels whose
-JSON tree would not fit in memory.
-Each repeat starts from a new space and character, so no memo carries
-over.  Prints one JSON object with the best time of each stage.
+The stages are those of the JSON command, whose output hecke.eigen_json
+renders record by record while jsonout.write_json streams it:
+  basis        enumerate_partitions: the ordered basis and its rank tuples;
+  tables       the level tables T(q), T1(q^2) for q | N;
+  eigenbasis   the verified eigenbasis;
+  comparison   the comparison rows, each closed form evaluated once per
+               (op, key) and each row rendered and written as it comes
+               (the writer takes the keys in sorted order, so they go
+               first; this stage also holds eigen_json's own set-up and
+               the space descriptor it builds);
+  vectors      the eigenbasis records, rendered and written as they come,
+               which expands every eigenvector coefficient;
+  descriptor   the space descriptor, written by the writer's walk.
+Output goes to a sink that counts bytes.  --through eigenbasis stops after
+the first three stages.  Each repeat starts from a new space and
+character, so no memo carries over.  Prints one JSON object with the best
+time of each stage.
 """
 
 from __future__ import annotations
@@ -27,26 +29,20 @@ import gc
 import json
 import time
 
-import siegeleis.hecke as hecke
 from siegeleis.characters import DirichletCharacter
 from siegeleis.eisspace import enumerate_partitions
 from siegeleis.hecke import SpaceOperators, eigen_json, eigenbasis
 from siegeleis.jsonout import write_json
 
 
-def _timed(fn, spent: list):
-    """fn, appending the seconds of each call to spent."""
-    def wrapper(*args, **kwargs):
-        t = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            spent.append(time.perf_counter() - t)
-    return wrapper
+def _then(items, stage, name: str):
+    """The items of `items`, then the end of stage `name` once they are
+    all written."""
+    yield from items
+    stage(name)
 
 
-def one_run(level: int, char: str, weight: int, compared: list,
-            through: str) -> dict:
+def one_run(level: int, char: str, weight: int, through: str) -> dict:
     times = {}
     t = time.perf_counter()
 
@@ -58,6 +54,7 @@ def one_run(level: int, char: str, weight: int, compared: list,
 
     space = enumerate_partitions(level, DirichletCharacter.parse(level, char),
                                  weight)
+    stage("basis")
     ops = SpaceOperators(space)
     for op in ops.level_ops():
         ops.matrix(op)
@@ -66,19 +63,17 @@ def one_run(level: int, char: str, weight: int, compared: list,
     stage("eigenbasis")
     if through == "eigenbasis":
         return times
-    compared.clear()
-    tree = {"space": space.descriptor(), **eigen_json(system, ops.level_ops())}
-    stage("to_json")
-    times["comparison"] = sum(compared)
-    times["to_json"] -= times["comparison"]
+    out = eigen_json(system, ops.level_ops())
+    out["comparison"] = _then(out["comparison"], stage, "comparison")
+    out["eigenbasis"] = _then(out["eigenbasis"], stage, "vectors")
     size = 0
 
     def sink(chunk):
         nonlocal size
         size += len(chunk)
 
-    write_json(tree, sink)
-    stage("write_json")
+    write_json(out, sink)
+    stage("descriptor")
     times["bytes"] = size
     return times
 
@@ -89,16 +84,14 @@ def main() -> None:
     parser.add_argument("--char", default="1")
     parser.add_argument("--weight", type=int, default=4)
     parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--through", choices=("eigenbasis", "write_json"),
-                        default="write_json", help="the last stage to run")
+    parser.add_argument("--through", choices=("eigenbasis", "descriptor"),
+                        default="descriptor", help="the last stage to run")
     args = parser.parse_args()
-    compared: list = []  # eigen_json reads compare_eigenvalues from hecke
-    hecke.compare_eigenvalues = _timed(hecke.compare_eigenvalues, compared)
     best: dict = {}
     for _ in range(args.repeat):
         gc.collect()
         for name, value in one_run(args.level, args.char, args.weight,
-                                   compared, args.through).items():
+                                   args.through).items():
             best[name] = min(best.get(name, value), value)
     out = {"level": args.level, "char": args.char, "weight": args.weight,
            "repeat": args.repeat, "through": args.through}
