@@ -19,6 +19,7 @@ by calibrate_normalization, never hard-coded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .lattices import (
     SL2,
     GramForm,
     ZERO_FORM,
+    class_counts,
     key_representative,
     reduce_form,
     reduced_class_keys,
@@ -88,10 +90,12 @@ class UOperator:
 
 
 class FourierExpansion:
-    """Class function on reduced Gram classes, total on a bounded domain."""
+    """Class function on reduced Gram classes, total on a bounded domain.
+    validate=False trusts the caller for CycNum values on the whole domain;
+    `keys` is that domain in `reduced_class_keys` order, if already known."""
 
     def __init__(self, mode: str, det_bound: int, content_bound: int,
-                 coeffs: dict, validate: bool = True):
+                 coeffs: dict, validate: bool = True, keys: list = None):
         if mode not in (GL2, SL2):
             raise ValueError(f"unknown group mode {mode!r}")
         if det_bound < 0 or content_bound < 0:
@@ -99,26 +103,30 @@ class FourierExpansion:
         self.mode = mode
         self.det_bound = det_bound
         self.content_bound = content_bound
-        self.coeffs = {k: as_cyc(v) for k, v in coeffs.items()}
+        self.coeffs = coeffs
+        self._keys = keys
         if validate:
+            self.coeffs = {k: as_cyc(v) for k, v in coeffs.items()}
             for key in self.domain_keys():
                 if key not in self.coeffs:
                     raise ValueError(f"missing coefficient for {key} within bounds")
 
     def domain_keys(self) -> list:
-        return reduced_class_keys(self.det_bound, self.content_bound, self.mode)
+        if self._keys is None:
+            self._keys = reduced_class_keys(self.det_bound, self.content_bound,
+                                            self.mode)
+        return self._keys
 
     def value_of_key(self, key) -> CycNum:
-        form = _key_form(key, self.mode)
-        rank = form.rank()
-        if rank == 1 and form.a > self.content_bound:
+        a, b, c = _key_form(key, self.mode)  # c = 0: the zero form or rank 1
+        if c == 0 and a > self.content_bound:
             raise CoverageError(
-                f"rank-1 content {form.a} exceeds coverage {self.content_bound}"
+                f"rank-1 content {a} exceeds coverage {self.content_bound}"
             )
-        if rank == 2 and form.det > self.det_bound:
+        if a * c - b * b > self.det_bound:
             raise CoverageError(
-                f"determinant {form.det} exceeds coverage {self.det_bound}",
-                missing_det=form.det,
+                f"determinant {a * c - b * b} exceeds coverage {self.det_bound}",
+                missing_det=a * c - b * b,
             )
         return self.coeffs[key]
 
@@ -143,12 +151,9 @@ class FourierExpansion:
         return [self.coeffs[k] for k in keys]
 
     def agrees_with(self, other: "FourierExpansion") -> bool:
-        db = min(self.det_bound, other.det_bound)
-        cb = min(self.content_bound, other.content_bound)
-        for key in reduced_class_keys(db, cb, self.mode):
-            if not (self.coeffs[key] == other.coeffs[key]):
-                return False
-        return True
+        mine, theirs = self.coeffs, other.coeffs
+        return all(mine[key] == theirs[key]
+                   for key in _common_domain([self, other])[2])
 
     def to_json(self):
         out = []
@@ -166,12 +171,22 @@ class FourierExpansion:
         }
 
 
+def _common_domain(expansions) -> tuple:
+    """(det bound, content bound, keys) of the largest domain that all the
+    expansions cover; one that covers exactly that domain lends its keys."""
+    db = min(f.det_bound for f in expansions)
+    cb = min(f.content_bound for f in expansions)
+    same = [f for f in expansions if (f.det_bound, f.content_bound) == (db, cb)]
+    return db, cb, (same[0].domain_keys() if same else
+                    reduced_class_keys(db, cb, expansions[0].mode))
+
+
 def expansion_from_function(mode: str, fn, det_bound: int, content_bound: int
                             ) -> FourierExpansion:
     keys = reduced_class_keys(det_bound, content_bound, mode)
     return FourierExpansion(
         mode, det_bound, content_bound, {k: as_cyc(fn(k)) for k in keys},
-        validate=False,
+        validate=False, keys=keys,
     )
 
 
@@ -188,15 +203,14 @@ def combine(terms) -> FourierExpansion:
     mode = terms[0][1].mode
     if any(f.mode != mode for _, f in terms):
         raise ValueError("mixed group modes")
-    db = min(f.det_bound for _, f in terms)
-    cb = min(f.content_bound for _, f in terms)
+    db, cb, keys = _common_domain([f for _, f in terms])
     coeffs = {}
-    for key in reduced_class_keys(db, cb, mode):
+    for key in keys:
         total = _ZERO
         for c, f in terms:
             total = total + c * f.coeffs[key]
         coeffs[key] = total
-    return FourierExpansion(mode, db, cb, coeffs, validate=False)
+    return FourierExpansion(mode, db, cb, coeffs, validate=False, keys=keys)
 
 
 def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
@@ -205,14 +219,15 @@ def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
     db = f.det_bound // u.det_factor
     cb = f.content_bound // u.content_factor
     subs = sublattices(u.Q)
+    keys = reduced_class_keys(db, cb, f.mode)
     coeffs = {}
-    for key in reduced_class_keys(db, cb, f.mode):
+    for key in keys:
         T = key_representative(key, f.mode)
         total = _ZERO
         for H in subs:
             total = total + f.value(restrict_and_scale(T, H, u.P))
         coeffs[key] = total
-    return FourierExpansion(f.mode, db, cb, coeffs, validate=False)
+    return FourierExpansion(f.mode, db, cb, coeffs, validate=False, keys=keys)
 
 
 # -- provider files -----------------------------------------------------------
@@ -233,6 +248,7 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
     level = None
     mode = GL2
     table: dict = {}
+    values: dict = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -258,22 +274,26 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
             raise ValueError(f"{source}:{lineno}: malformed line {line!r}")
         try:
             a, b, c = int(toks[0]), int(toks[1]), int(toks[2])
-            val = as_cyc(Fraction(toks[3]))
+            val = values.get(toks[3])
+            if val is None:
+                try:  # int reads a subset of what Fraction reads, without a regex
+                    val = as_cyc(int(toks[3]))
+                except ValueError:
+                    val = as_cyc(Fraction(toks[3]))
+                values[toks[3]] = val
             orient = int(toks[4]) if mode == SL2 and len(toks) == 5 else 1
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{source}:{lineno}: bad number in {line!r}") from None
-        form = GramForm(a, b, c)
-        if not form.is_psd():
-            raise ValueError(f"{source}:{lineno}: form {form} is not psd")
-        if mode == SL2:
-            key = reduce_form(GramForm(a, b if orient > 0 else -b, c), SL2)
-        else:
-            key = reduce_form(form, GL2)
-        if key in table and not (table[key] == val):
+        try:  # an SL2 line names the class of the b < 0 twin by orient <= 0
+            key = reduce_form(GramForm(a, b if orient > 0 else -b, c), mode)
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: form {GramForm(a, b, c)} "
+                             f"is not psd") from None
+        old = table.setdefault(key, val)
+        if old is not val and not (old == val):
             raise ValueError(
                 f"{source}:{lineno}: inconsistent duplicate for class {key}"
             )
-        table[key] = val
     if weight is None:
         raise ValueError(f"{source}: missing '!weight ...' header line")
     zero_key = reduce_form(ZERO_FORM, mode)
@@ -287,20 +307,14 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
     # det bound: largest D with every reduced positive definite class
     # covered.  [[1,0],[0,d]] is a reduced class of det d, so D is at most
     # the number of positive definite classes in the table, and the walk
-    # stops there however large a det the file names.
-    forms = [_key_form(k, mode) for k in table]
-    posdef_dets = [form.det for form in forms if form.rank() == 2]
-    walk = min(max(posdef_dets, default=0), len(posdef_dets))
-    db = 0
-    keys_by_det: dict[int, list] = {}
-    for key in reduced_class_keys(walk, 0, mode):
-        d = _key_form(key, mode).det
-        if d > 0:
-            keys_by_det.setdefault(d, []).append(key)
-    for d in range(1, walk + 1):
-        if not all(k in table for k in keys_by_det.get(d, [])):
-            break
-        db = d
+    # stops there however large a det the file names.  A reduced key has
+    # c = 0 exactly when it is the zero form or of rank 1, and a det is
+    # covered when the table holds as many of its keys as there are.
+    have = Counter(a * c - b * b for a, b, c in
+                   (_key_form(k, mode) for k in table) if c)
+    walk = min(max(have, default=0), sum(have.values()))
+    full = class_counts(walk, mode)  # table keys are canonical: a subset
+    db = next((d - 1 for d in range(1, walk + 1) if have[d] != full[d]), walk)
     exp = FourierExpansion(mode, db, cb, table, validate=False)
     return CoefficientProvider(source, weight, level, exp)
 

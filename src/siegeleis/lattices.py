@@ -12,8 +12,10 @@ orientation bit (+1 for every class that does not split).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import is_squarefree
 
@@ -21,8 +23,7 @@ GL2 = "GL2"
 SL2 = "SL2"
 
 
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(NamedTuple):
     a: int
     b: int
     c: int
@@ -32,12 +33,7 @@ class GramForm:
         return self.a * self.c - self.b * self.b
 
     def rank(self) -> int:
-        if self.a == 0 and self.b == 0 and self.c == 0:
-            return 0
-        return 2 if self.det != 0 else 1
-
-    def is_psd(self) -> bool:
-        return self.a >= 0 and self.c >= 0 and self.det >= 0
+        return 2 if self.det != 0 else (1 if any(self) else 0)
 
     def value(self, x: int, y: int) -> int:
         return self.a * x * x + 2 * self.b * x * y + self.c * y * y
@@ -84,17 +80,17 @@ def reduce_form(T: GramForm, group: str = GL2):
     """
     if group not in (GL2, SL2):
         raise ValueError(f"unknown reduction group {group!r}")
-    if not T.is_psd():
+    a, b, c = T
+    if 0 <= 2 * b <= a <= c and a > 0:  # already reduced (det > 0 follows)
+        return T if group == GL2 else (T, 1)
+    det = a * c - b * b
+    if a < 0 or c < 0 or det < 0:
         raise ValueError(f"{T} is indefinite or negative")
-    if T.rank() == 0:
-        out, orient = ZERO_FORM, 1
-    elif T.rank() == 1:
-        m = gcd(gcd(abs(T.a), abs(T.b)), abs(T.c))
-        out, orient = GramForm(m, 0, 0), 1
-    else:
-        a, b, c = _proper_reduce(T.a, T.b, T.c)
-        orient = -1 if b < 0 else 1
-        out = GramForm(a, abs(b), c)
+    if det:
+        a, b, c = _proper_reduce(a, b, c)
+        out, orient = GramForm(a, abs(b), c), (-1 if b < 0 else 1)
+    else:  # rank 1, or the zero form with gcd(0, 0, 0) = 0
+        out, orient = GramForm(gcd(a, b, c), 0, 0), 1
     if group == GL2:
         return out
     return out, orient
@@ -141,9 +137,10 @@ def sublattices(Q: int) -> list[SublatticeBasis]:
 def restrict_and_scale(T: GramForm, H: SublatticeBasis, P: int) -> GramForm:
     """Gram matrix P * (H T H^t) of the form restricted to the sublattice
     and scaled by P (not reduced)."""
-    (h11, h12), (h21, h22) = H.rows
-    R = transform(T, (h11, h21, h12, h22))  # H T H^t = G^t T G for G = H^t
-    return GramForm(P * R.a, P * R.b, P * R.c)
+    (d1, x), (_, d2) = H.rows
+    a, b, c = T
+    return GramForm(P * (a * d1 * d1 + 2 * b * d1 * x + c * x * x),
+                    P * d2 * (b * d1 + c * x), P * c * d2 * d2)
 
 
 HYPERBOLIC = "hyperbolic"
@@ -181,29 +178,38 @@ def isotropic_lines(T: GramForm, p: int) -> IsotropyReport:
     return IsotropyReport(count, kind)
 
 
-def reduced_posdef_forms(det_bound: int):
-    """All GL2-reduced positive definite forms with det <= det_bound,
-    ordered by (det, a, b)."""
-    out = []
+def _reduced_triples(det_bound: int):
+    """(det, a, b, c) for every GL2-reduced positive definite form with
+    det <= det_bound, unordered."""
     a = 1
     while 3 * a * a <= 4 * det_bound:
         for b in range(a // 2 + 1):
-            c_min = max(a, (b * b) // a + 1)
-            c_max = (det_bound + b * b) // a
-            for c in range(c_min, c_max + 1):
-                out.append(GramForm(a, b, c))
+            bb = b * b
+            for c in range(max(a, bb // a + 1), (det_bound + bb) // a + 1):
+                yield a * c - bb, a, b, c
         a += 1
-    out.sort(key=lambda f: (f.det, f.a, f.b))
-    return out
+
+
+def reduced_posdef_forms(det_bound: int):
+    """All GL2-reduced positive definite forms with det <= det_bound,
+    ordered by (det, a, b)."""
+    return [GramForm(a, b, c) for _, a, b, c in sorted(_reduced_triples(det_bound))]
+
+
+def class_counts(det_bound: int, group: str = GL2) -> Counter:
+    """Number of positive definite class keys of each det <= det_bound."""
+    counts = Counter()
+    for det, a, b, c in _reduced_triples(det_bound):
+        counts[det] += 2 if group == SL2 and 0 < 2 * b < a < c else 1
+    return counts
 
 
 def reduced_class_keys(det_bound: int, content_bound: int, group: str = GL2):
     """Canonical keys of every class in the standard sampling domain: the
     zero form, rank-1 forms with content <= content_bound, positive definite
     classes with det <= det_bound; ordered by (det, a, b[, orient])."""
-    keys = [reduce_form(ZERO_FORM, group)]
-    for m in range(1, content_bound + 1):
-        keys.append(reduce_form(GramForm(m, 0, 0), group))
+    keys = [reduce_form(GramForm(m, 0, 0), group)  # m = 0: the zero form
+            for m in range(content_bound + 1)]
     for f in reduced_posdef_forms(det_bound):
         if group == GL2:
             keys.append(f)
@@ -215,7 +221,7 @@ def reduced_class_keys(det_bound: int, content_bound: int, group: str = GL2):
 
 
 def _unimodular_entries_bounded(bound: int):
-    """All G in GL2(Z) with |entries| <= bound (brute force, test oracle)."""
+    """All G in GL2(Z) with |entries| <= bound, by brute force."""
     out = []
     for g11 in range(-bound, bound + 1):
         for g12 in range(-bound, bound + 1):

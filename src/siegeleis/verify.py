@@ -38,8 +38,8 @@ from .fourier import UOperator, apply_U, combine, constant_expansion, \
 from .hecke import EigenSystem, HeckeOp, SpaceOperators, _chi_over, \
     _row_at_level_prime, _row_prime_to_level, eigenbasis, \
     eigenvalue_closed_form, eigenvalue_comparisons, relation_defects
-from .lattices import GL2, GramForm, isotropic_lines, reduce_form, \
-    sublattices, transform
+from .lattices import GL2, GramForm, _unimodular_entries_bounded, \
+    isotropic_lines, reduce_form, sublattices, transform
 from .linalg import CycMatrix, _Span, left_null_space
 
 PASS = "pass"
@@ -535,32 +535,12 @@ def _check_sublattice_counts(config, rng):
     return out
 
 
-def _symmetric_draws(rng, bound: int, count: int) -> list[int]:
-    """`count` values of rng.randint(-bound, bound), drawn as CPython's
-    randint draws them (getrandbits(k) redrawn while >= 2*bound + 1), so the
-    random stream is the same, at about half the cost per value."""
-    span = 2 * bound + 1
-    k = span.bit_length()
-    draw = rng.getrandbits
-    out = []
-    for _ in range(count):
-        x = draw(k)
-        while x >= span:
-            x = draw(k)
-        out.append(x - bound)
-    return out
-
-
-def _random_unimodular(rng, bound: int, special: bool = False):
-    while True:
-        g = tuple(_symmetric_draws(rng, bound, 4))
-        det = g[0] * g[3] - g[1] * g[2]
-        if det == 1 or (det == -1 and not special):
-            return g
-
-
 def _check_reduction_invariance(config, rng):
     trials = config["trials"]
+    # transforms are drawn uniformly from all unimodular G with |entries|
+    # <= 10, and from those with det 1 for the SL2 classes
+    gl2 = _unimodular_entries_bounded(10)
+    sl2 = [g for g in gl2 if g[0] * g[3] - g[1] * g[2] == 1]
     bad = 0
     done = 0
     while done < trials:
@@ -571,10 +551,10 @@ def _check_reduction_invariance(config, rng):
         if T.det <= 0:
             continue
         done += 1
-        G = _random_unimodular(rng, 10)
+        G = rng.choice(gl2)
         if reduce_form(transform(T, G)) != reduce_form(T):
             bad += 1
-        G = _random_unimodular(rng, 10, special=True)
+        G = rng.choice(sl2)
         if reduce_form(transform(T, G), "SL2") != reduce_form(T, "SL2"):
             bad += 1
         if reduce_form(reduce_form(T)) != reduce_form(T):

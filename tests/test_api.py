@@ -33,7 +33,6 @@ UNUSED_ON_PURPOSE = {
     # oracles the tests compare against
     "cyclotomic.CycNum.approx",
     "linalg.CycMatrix.vec_mat",
-    "lattices._unimodular_entries_bounded",
     # decoders of what the CLI prints
     "cyclotomic.CycNum.from_json",
     "eisspace.Partition.from_json",

@@ -13,7 +13,10 @@ whose local blocks differ by character pattern; the level-2310 trivial
 eigen, the largest rational tree, before JSON output was streamed through
 `cli.write_json`; the level-55 csv eigen, which prints values at conductor
 20, before eigenvectors were stored factored and csv cells were formatted
-from the values instead of a JSON round trip).
+from the values instead of a JSON round trip; the fourier `--apply` words
+U:1,5, U:6,1 and U:1,2;U:2,1 before provider parsing, reduction and class
+keys were made cheap: they apply U(Q,1), U(1,P) and a two-letter word to the
+parsed E8 table).
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -89,6 +92,12 @@ GOLDEN = [
      "009fd983aaa5980930dde3d2b26b326e23eb9b2a3b317ff32151bb44a07a6edd"),
     (("fourier", "--provider", PROVIDER, "--apply", "U:1,3"),
      "0a519d27d6a5422a7671ecf71b2270e247a797f8b02eb244ccb288f8fda0f5df"),
+    (("fourier", "--provider", PROVIDER, "--apply", "U:1,5"),
+     "32ed83eddf3df6645821cc50e8ee2220f0fb36b893e0bf35db88bef661dd7745"),
+    (("fourier", "--provider", PROVIDER, "--apply", "U:6,1"),
+     "d41dd7e15b8aeb746c26cdd611b233dc2f83f118a1d4dd6d6ff12c72685ba1c3"),
+    (("fourier", "--provider", PROVIDER, "--apply", "U:1,2;U:2,1"),
+     "b58d09d969e88cf3e0ccee725e55847bccba2f5d1c0c3fa75c75254e5a199fec"),
     (("verify", "--preset", "quick"),
      "b4f091bfc548201b2357800dd41757d15614680f86d1c7ddf7f2a6bb59e8afd5"),
 ]

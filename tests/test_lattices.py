@@ -49,6 +49,48 @@ def test_reduce_invariance_randomized():
         assert reduce_form(reduce_form(T)) == reduce_form(T)
 
 
+def _least_reduced_image(T, group):
+    """Oracle: the lexicographically least image of T under the unimodular
+    matrices with entries in [-3, 3] (det 1 only for SL2) that satisfies the
+    definition of a reduced form ([[m,0],[0,0]] at rank <= 1), as a class
+    key."""
+    if group == GL2:
+        mats = _unimodular_entries_bounded(3)
+        reduced = lambda a, b, c: 0 < a and 0 <= 2 * b <= a <= c
+    else:
+        mats = [g for g in _unimodular_entries_bounded(3)
+                if g[0] * g[3] - g[1] * g[2] == 1]
+        reduced = lambda a, b, c: (0 < a and -a < 2 * b <= a <= c
+                                   and (b >= 0 or (2 * b != a and a != c)))
+    a, b, c = min((S.a, S.b, S.c) for S in (transform(T, G) for G in mats)
+                  if (S.b, S.c) == (0, 0) or reduced(S.a, S.b, S.c))
+    if group == GL2:
+        return GramForm(a, b, c)
+    return GramForm(a, abs(b), c), -1 if b < 0 else 1
+
+
+def test_reduce_form_matches_the_least_reduced_image():
+    rng = random.Random(18)
+    forms = [ZERO_FORM]
+    while len(forms) < 400:
+        rank = rng.choice((1, 2, 2, 2))
+        if rank == 1:  # m (p x + q y)^2
+            m, p, q = rng.randint(1, 3), rng.randint(-2, 2), rng.randint(-2, 2)
+            T = GramForm(m * p * p, m * p * q, m * q * q)
+        else:
+            T = GramForm(rng.randint(1, 12), rng.randint(-12, 12), rng.randint(1, 12))
+        if T.det >= 0 and T != ZERO_FORM:
+            forms.append(T)
+    assert {T.rank() for T in forms} == {0, 1, 2}
+    assert any(T.b < 0 for T in forms) and any(T.a > T.c for T in forms)
+    assert any(0 < 2 * T.b < T.a < T.c for T in forms)  # hits the early return
+    for T in forms:
+        assert reduce_form(T) == _least_reduced_image(T, GL2), T
+        assert reduce_form(T, SL2) == _least_reduced_image(T, SL2), T
+        if T.a > 0 and 0 <= 2 * T.b <= T.a <= T.c:  # already reduced: kept
+            assert reduce_form(T) is T and reduce_form(T, SL2) == (T, 1)
+
+
 def test_reduced_form_shape():
     for f in reduced_posdef_forms(60):
         assert 0 <= 2 * f.b <= f.a <= f.c and 1 <= f.det <= 60

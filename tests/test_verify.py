@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 from siegeleis import hecke, verify
@@ -26,11 +27,24 @@ def test_subgroup_count_oracle():
         assert subgroup_count_oracle(q) == q + 1
 
 
-def test_symmetric_draws_follow_randint():
-    fast, slow = random.Random(31), random.Random(31)
-    assert verify._symmetric_draws(fast, 10, 10**5) == [
-        slow.randint(-10, 10) for _ in range(10**5)]
-    assert fast.random() == slow.random()
+def test_reduction_invariance_draws_from_all_unimodular_matrices():
+    tables = []
+
+    class Recording(random.Random):
+        def choice(self, seq):
+            tables.append(seq)
+            return super().choice(seq)
+
+    (record,) = verify._check_reduction_invariance({"trials": 2},
+                                                   Recording(31))
+    assert record.status == "pass"
+    box = list(product(range(-10, 11), repeat=4))
+    gl2 = {g for g in box if g[0] * g[3] - g[1] * g[2] in (1, -1)}
+    sl2 = {g for g in gl2 if g[0] * g[3] - g[1] * g[2] == 1}
+    assert (len(gl2), len(sl2)) == (2024, 1012)
+    # two trials, each one GL2 and one SL2 draw, from duplicate-free tables
+    assert [len(t) for t in tables] == [2024, 1012] * 2
+    assert [set(t) for t in tables] == [gl2, sl2] * 2
 
 
 def test_small_config_report():
