@@ -281,11 +281,16 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
                 except ValueError:
                     val = as_cyc(Fraction(toks[3]))
                 values[toks[3]] = val
-            orient = int(toks[4]) if mode == SL2 and len(toks) == 5 else 1
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{source}:{lineno}: bad number in {line!r}") from None
-        try:  # an SL2 line names the class of the b < 0 twin by orient <= 0
-            key = reduce_form(GramForm(a, b if orient > 0 else -b, c), mode)
+        orient = toks[4] if len(toks) == 5 else "1"
+        if orient not in ("1", "-1"):
+            raise ValueError(f"{source}:{lineno}: bad orientation {orient!r} "
+                             f"in {line!r}; want 1 or -1")
+        # an SL2 line names the class of the b < 0 twin by orient -1
+        neg = mode == SL2 and orient == "-1"
+        try:
+            key = reduce_form(GramForm(a, -b if neg else b, c), mode)
         except ValueError:
             raise ValueError(f"{source}:{lineno}: form {GramForm(a, b, c)} "
                              f"is not psd") from None

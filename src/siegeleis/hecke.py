@@ -27,7 +27,7 @@ from .characters import legendre_epsilon
 from .cyclotomic import CycNum, as_cyc, is_prime
 from .eisspace import EisSpace, Partition, prime_factors
 from .jsonout import JsonText, encoded
-from .linalg import CycMatrix
+from .linalg import CycMatrix, _matrix
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -98,7 +98,7 @@ class HeckeMatrix:
         for out, row in zip(dense, self.rows):
             for j, a in row:
                 out[j] = a
-        return CycMatrix(dense)
+        return _matrix(dense)
 
     def diagonal(self, i: int) -> CycNum:
         """The entry (i, i), read off the local row of i's key."""

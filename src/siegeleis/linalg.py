@@ -214,7 +214,9 @@ class CycMatrix:
     def _nonzeros(self) -> tuple[tuple[tuple[int, CycNum], ...], ...]:
         nz = self._nonzero
         if nz is None:
-            nz = tuple(tuple((j, a) for j, a in enumerate(row) if not a.is_zero())
+            # most zero cells are the shared _ZERO, settled by identity
+            nz = tuple(tuple((j, a) for j, a in enumerate(row)
+                             if a is not _ZERO and not a.is_zero())
                        for row in self.data)
             object.__setattr__(self, "_nonzero", nz)
         return nz

@@ -40,7 +40,7 @@ from .hecke import EigenSystem, HeckeOp, SpaceOperators, _chi_over, \
     eigenvalue_closed_form, eigenvalue_comparisons, relation_defects
 from .lattices import GL2, GramForm, _unimodular_entries_bounded, \
     isotropic_lines, reduce_form, sublattices, transform
-from .linalg import CycMatrix, _Span, left_null_space
+from .linalg import CycMatrix, _matrix, _Span, left_null_space
 
 PASS = "pass"
 FAIL = "fail"
@@ -296,13 +296,45 @@ def _check_eisspace(config, run):
     )]
 
 
+def _diagonal_and_off(m: CycMatrix):
+    """The diagonal of m, and the (row, column) positions of the nonzero
+    entries of m off its diagonal, read off m's nonzero entries."""
+    diag, off = [], []
+    for i, row in enumerate(m._nonzeros()):
+        d = CycNum.zero()
+        for j, a in row:
+            if j == i:
+                d = a
+            else:
+                off.append((i, j))
+        diag.append(d)
+    return diag, off
+
+
 def _check_commutativity(config, run):
-    # both full dense products of every pair of sweep tables, every entry
+    """Every pair of sweep tables commutes, read off the dense views.
+
+    When one factor D of a pair is diagonal, entry (i, l) of D.A - A.D is
+    (d_i - d_l).a_il, which over a field is zero exactly when a_il = 0 or
+    d_i == d_l.  It is zero on the diagonal, so such a pair is settled by
+    comparing d_i with d_l at every nonzero a_il of the other factor off
+    its diagonal, without a product.  Whether a table is diagonal is read
+    from its dense view, not assumed from its operator.  A pair with no
+    diagonal factor forms both full dense products and compares every
+    entry."""
     mats = [run.ops.matrix(op).mat for op in run.sweep]
+    parts = [_diagonal_and_off(m) for m in mats]
     bad = 0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if not (mats[i] @ mats[j]) == (mats[j] @ mats[i]):
+            (di, off_i), (dj, off_j) = parts[i], parts[j]
+            if not off_i:
+                ok = all(di[r] == di[l] for r, l in off_j)
+            elif not off_j:
+                ok = all(dj[r] == dj[l] for r, l in off_i)
+            else:
+                ok = (mats[i] @ mats[j]) == (mats[j] @ mats[i])
+            if not ok:
                 bad += 1
     return [CheckRecord(
         "hecke-commutativity",
@@ -462,10 +494,10 @@ def _oracle_joint_eigenspaces(mats):
             span = _Span()
             for v in basis:
                 span.insert(v)
-            b = CycMatrix([u for _, u, _ in span.rows])
+            b = _matrix([u for _, u, _ in span.rows])
             w = b @ m
             r = [[row[p] for p, _, _ in span.rows] for row in w.data]
-            if not w == CycMatrix(r) @ b:
+            if not w == _matrix(r) @ b:
                 continue
             lams = []
             for i, row in enumerate(r):
@@ -476,7 +508,7 @@ def _oracle_joint_eigenspaces(mats):
                                        for j, a in enumerate(row)]
                                       for i, row in enumerate(r)])
                 if xs:
-                    nxt.append((tags + (lam,), (CycMatrix(xs) @ b).data))
+                    nxt.append((tags + (lam,), (_matrix(xs) @ b).data))
         pieces = nxt
     return pieces
 
@@ -494,15 +526,15 @@ def _check_eigen_oracle(config, run):
     if len(pieces) != space.dimension:
         bad.append(f"{len(pieces)} joint pieces for dim {space.dimension}")
     else:
+        # stored forms are canonical, so equal eigenvalues hash alike
+        by_tags = defaultdict(list)
+        for e in system.entries:
+            by_tags[tuple(e.eigenvalues[op] for op in op_list)].append(e)
         for tags, basis in pieces:
             if len(basis) != 1:
                 bad.append("joint eigenspace not 1-dimensional")
                 continue
-            hits = [
-                e for e in system.entries
-                if all(e.eigenvalues[op] == lam
-                       for op, lam in zip(op_list, tags))
-            ]
+            hits = by_tags.get(tags, [])
             if len(hits) != 1:
                 bad.append(f"eigenvalue tags match {len(hits)} vectors")
                 continue

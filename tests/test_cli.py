@@ -123,6 +123,20 @@ def test_bad_provider_number_exit_code(capsys, tmp_path, lines, lineno):
     assert err == f"error: {path}:{lineno}: bad number in {line!r}\n"
 
 
+@pytest.mark.parametrize("group,orient", [("GL2", "garbage"), ("GL2", "2"),
+                                          ("SL2", "0"), ("SL2", "+1")])
+def test_bad_provider_orientation_exit_code(capsys, tmp_path, group, orient):
+    lines = [f"!weight 4 level 1 group {group}", "0 0 0 1 -1",
+             f"1 0 1 5 {orient}"]
+    path = tmp_path / "bad.coeffs"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "fourier", "--provider", str(path),
+                         "--apply", "U:1,2")
+    assert code == 1 and out == ""
+    assert err == (f"error: {path}:3: bad orientation {orient!r} in "
+                   f"{lines[2]!r}; want 1 or -1\n")
+
+
 def test_basis_examples(capsys):
     code, out, _ = run(capsys, "basis", "--level", "6", "--weight", "4", "--char", "1")
     assert code == 0

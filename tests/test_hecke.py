@@ -279,6 +279,9 @@ def test_sparse_rows_match_dense_view(level, spec):
         ref = _dense_reference(space, op)
         n = space.dimension
         assert all(hm.mat[i, j] == ref[i][j] for i in range(n) for j in range(n))
+        # the dense view skips the constructor's as_cyc pass, and an int
+        # entry would still compare equal above
+        assert all(type(x) is CycNum for row in hm.mat.data for x in row)
         for _ in range(3):
             dense = [rng.choice(field) * Fraction(rng.randint(-9, 9),
                                                   rng.randint(1, 9))

@@ -6,7 +6,8 @@ values as int or p/q tokens, comments, blank lines and agreeing duplicates,
 in shuffled order.  Both coverage bounds equal a brute-force computation
 over the reduced-form definition done here.
 (b) One bad line makes the parser raise a plain ValueError that names
-`source:lineno` of that line.
+`source:lineno` of that line; a fifth token other than `1` or `-1` is one,
+in GL2 and SL2 tables alike.
 (c) A value token is accepted exactly when `fractions.Fraction` accepts it,
 with Fraction's value, and refused with the parser's "bad number" text.
 """
@@ -75,11 +76,12 @@ def form_line(draw, key, mode: str) -> str:
     T = transform(key_representative(key, mode), G)
     a, b, c = T.a, T.b, T.c
     if mode == SL2:
-        # a det -1 image lies in the twin proper class; orient <= 0 names it
+        # a det -1 image lies in the twin proper class; orient -1 names it
         if G[0] * G[3] - G[1] * G[2] == 1:
-            return f"{a} {b} {c} {{}}" + draw(st.sampled_from(["", " 1", " 2"]))
-        return f"{a} {b} {c} {{}} " + draw(st.sampled_from(["-1", "0"]))
-    return f"{a} {b} {c} {{}}" + draw(st.sampled_from(["", " 7"]))  # GL2 ignores it
+            return f"{a} {b} {c} {{}}" + draw(st.sampled_from(["", " 1"]))
+        return f"{a} {b} {c} {{}} -1"
+    # GL2 ignores the sign
+    return f"{a} {b} {c} {{}}" + draw(st.sampled_from(["", " 1", " -1"]))
 
 
 @st.composite
@@ -133,8 +135,9 @@ def test_whole_dets_are_covered_and_a_gap_ends_coverage(mode):
 
 
 BAD_NUMBERS = ["x", "1.2.3", "1/", "/2", "--1", "1_", "0x10", "nan", "1e", "²"]
+BAD_ORIENTS = ["7", "2", "0", "+1", "01", "-2", "x"]
 MUTATIONS = ["token-count", "non-number", "zero-denominator", "indefinite",
-             "inconsistent-duplicate", "bad-header"]
+             "bad-orient", "inconsistent-duplicate", "bad-header"]
 
 
 @st.composite
@@ -157,10 +160,11 @@ def mutated_tables(draw, kind):
         toks = toks[:draw(st.integers(1, 3))] if draw(st.booleans()) \
             else toks + ["1"] * (6 - len(toks))
     elif kind == "non-number":
-        slots = 5 if mode == SL2 and len(toks) == 5 else 4  # GL2 skips a 5th
-        toks[draw(st.integers(0, slots - 1))] = draw(st.sampled_from(BAD_NUMBERS))
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(BAD_NUMBERS))
     elif kind == "zero-denominator":
         toks[3] = "1/0"
+    elif kind == "bad-orient":  # in either mode, in place of or after 1/-1
+        toks[4:] = [draw(st.sampled_from(BAD_ORIENTS))]
     elif kind == "indefinite":
         toks[:3] = draw(st.sampled_from([["1", "2", "1"], ["-1", "0", "0"],
                                          ["0", "1", "0"], ["2", "0", "-3"]]))

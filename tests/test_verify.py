@@ -3,10 +3,13 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
+import pytest
+
 from siegeleis import hecke, verify
+from siegeleis.characters import DirichletCharacter
 from siegeleis.cyclotomic import as_cyc
 from siegeleis.eisspace import Partition, enumerate_partitions
 from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators, TensorVector
@@ -96,18 +99,27 @@ def test_eigen_oracle_fails_on_a_wrong_table(monkeypatch):
     assert rec.details == "2 joint pieces for dim 3"
 
 
-def _swap_row_0_of_t1_2(monkeypatch):
-    """Make the dense view of T1(2^2) swap the two off-diagonal entries of
-    its row 0; the sparse rows, which eigenbasis reads, stay right."""
+def _doctor_dense_view(monkeypatch, op, edit):
+    """Make the dense view of the table of ``op`` the one ``edit`` makes of
+    its rows, a list of lists edited in place; the sparse rows, which
+    eigenbasis reads, stay right."""
     dense_view = HeckeMatrix.mat.func
 
-    def wrong(hm):
+    def doctored(hm):
         dense = [list(row) for row in dense_view(hm).data]
-        if hm.op == HeckeOp("T1", 2):
-            dense[0][1], dense[0][2] = dense[0][2], dense[0][1]
+        if hm.op == op:
+            edit(dense)
         return CycMatrix(dense)
 
-    monkeypatch.setattr(HeckeMatrix, "mat", property(wrong))
+    monkeypatch.setattr(HeckeMatrix, "mat", property(doctored))
+
+
+def _swap_row_0_of_t1_2(monkeypatch):
+    """Swap the two off-diagonal entries of row 0 of T1(2^2)'s dense view."""
+    def swap(dense):
+        dense[0][1], dense[0][2] = dense[0][2], dense[0][1]
+
+    _doctor_dense_view(monkeypatch, HeckeOp("T1", 2), swap)
 
 
 def test_commutativity_fails_on_a_wrong_table(monkeypatch):
@@ -121,6 +133,60 @@ def test_commutativity_fails_on_a_wrong_table(monkeypatch):
     _swap_row_0_of_t1_2(monkeypatch)
     rec = verify._check_commutativity(QUICK_CONFIG, space_run(space, QUICK_CONFIG))[0]
     assert (rec.status, rec.details) == ("fail", "6 operators, 1 non-commuting pairs")
+
+
+def _set_diagonal_entry(dense):
+    dense[4][4] = dense[4][4] + 1
+
+
+def _add_off_diagonal_entry(dense):
+    dense[0][8] = as_cyc(Fraction(1, 3))
+
+
+def _swap_into_row_1(dense):
+    nz = [j for j, a in enumerate(dense[1]) if not a.is_zero()]
+    dense[1][nz[0]], dense[1][nz[-1]] = dense[1][nz[-1]], dense[1][nz[0]]
+
+
+@pytest.mark.parametrize("op,edit", [
+    (HeckeOp("T1", 5), _set_diagonal_entry),
+    (HeckeOp("T", 5), _add_off_diagonal_entry),
+    (HeckeOp("T1", 2), _swap_into_row_1),
+], ids=["diagonal-entry", "off-diagonal-entry", "level-prime-swap"])
+def test_commutativity_agrees_with_both_dense_products(monkeypatch, op, edit):
+    # At N=6, chi = 3:1, k=5 the tables at 2 and 3 are not diagonal, T(5)
+    # is diagonal with two distinct entries and T1(5^2) is scalar.  Each
+    # edit makes some pair fail; the record must count exactly the pairs
+    # whose two dense products differ.
+    space = enumerate_partitions(6, DirichletCharacter.parse(6, "3:1"), 5)
+    _doctor_dense_view(monkeypatch, op, edit)
+    run = space_run(space, QUICK_CONFIG)
+    mats = [run.ops.matrix(o).mat for o in run.sweep]
+    want = sum(1 for a, b in combinations(mats, 2) if not a @ b == b @ a)
+    assert want > 0
+    rec = verify._check_commutativity(QUICK_CONFIG, run)[0]
+    assert (rec.status, rec.details) == (
+        "fail", f"6 operators, {want} non-commuting pairs")
+
+
+def test_commutativity_multiplies_only_pairs_without_a_diagonal_table(
+        monkeypatch):
+    # at N=30 the sweep tables at 2, 3, 5 are at level primes and the six
+    # at 7, 11, 13 are diagonal, so only the C(6,2) pairs of the former
+    # form both products
+    run = space_run(enumerate_partitions(30, None, 4), DESK_CONFIG)
+    products = []
+    real = CycMatrix.__matmul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(CycMatrix, "__matmul__", counted)
+    rec = verify._check_commutativity(DESK_CONFIG, run)[0]
+    assert (rec.status, rec.details) == (
+        "pass", "12 operators, 0 non-commuting pairs")
+    assert len(products) == 2 * 15
 
 
 def test_run_suite_builds_each_table_and_eigenbasis_once(monkeypatch):
