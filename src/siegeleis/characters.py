@@ -108,7 +108,7 @@ class DirichletCharacter:
         primes = sorted(factorize(N))
         given = {}
         for q, j in spec:
-            if N % q != 0 or not is_prime(q):
+            if q < 1 or N % q != 0 or not is_prime(q):
                 raise ValueError(f"prime {q} does not divide the modulus {N}")
             if q in given:
                 raise ValueError(f"prime {q} specified twice")

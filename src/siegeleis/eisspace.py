@@ -24,6 +24,11 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(sorted(factorize(n)))
 
 
+def rank_code(ranks: tuple[int, ...]) -> int:
+    """The mixed-radix code sum r_x 3^x of a rank tuple."""
+    return sum(r * 3 ** x for x, r in enumerate(ranks))
+
+
 @dataclass(frozen=True)
 class Partition:
     """Multiplicative partition rho = (N0, N1, N2), pairwise coprime and
@@ -34,12 +39,14 @@ class Partition:
     n2: int
 
     def __post_init__(self):
-        for n in (self.n0, self.n1, self.n2):
-            if n < 1 or not is_squarefree(n):
-                raise ValueError(f"partition parts must be square-free positive: {self}")
-        ps = prime_factors(self.n0) + prime_factors(self.n1) + prime_factors(self.n2)
-        if len(set(ps)) != len(ps):
-            raise ValueError(f"partition parts must be pairwise coprime: {self}")
+        # for positive parts, a square-free product says exactly that each
+        # part is square-free and that the parts are pairwise coprime
+        parts = (self.n0, self.n1, self.n2)
+        if min(parts) >= 1 and is_squarefree(self.n0 * self.n1 * self.n2):
+            return
+        if min(parts) < 1 or not all(map(is_squarefree, parts)):
+            raise ValueError(f"partition parts must be square-free positive: {self}")
+        raise ValueError(f"partition parts must be pairwise coprime: {self}")
 
     @property
     def level(self) -> int:
@@ -101,6 +108,15 @@ class EisSpace:
     def index_of_ranks(self) -> dict[tuple[int, ...], int]:
         """The basis index of each rank tuple: the inverse of rank_tuples."""
         return {r: i for i, r in enumerate(self.rank_tuples)}
+
+    @cached_property
+    def index_of_code(self) -> list[int | None]:
+        """The basis index at the rank_code of each rank tuple; None at the
+        codes of rank tuples outside the basis."""
+        out: list[int | None] = [None] * 3 ** len(prime_factors(self.level))
+        for i, r in enumerate(self.rank_tuples):
+            out[rank_code(r)] = i
+        return out
 
     def descriptor(self) -> dict:
         return {

@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from .characters import legendre_epsilon
 from .cyclotomic import CycNum, as_cyc, is_prime
-from .eisspace import EisSpace, Partition, prime_factors
+from .eisspace import EisSpace, Partition, prime_factors, rank_code
 from .jsonout import JsonText, encoded
 from .linalg import CycMatrix, _matrix
 
@@ -345,26 +345,27 @@ def _expand(vec: TensorVector, products: dict) -> list[tuple[int, CycNum]]:
     Each value is the product, from 1, of its local entries off the
     partition's ranks, the primes in ascending order.  A product already in
     `products` (the same prefix object times the same factor object) is
-    reused, not recomputed.
+    reused, not recomputed.  A rank tuple is carried as its mixed-radix
+    code (eisspace.rank_code), so a move at position x adds (t - r) 3^x.
     """
     space = vec.space
     ranks = space.rank_tuples[space.index_of(vec.partition)]
-    terms = [(ranks, _ONE)]
-    for x in range(len(ranks)):
-        moves = [(t, a) for t, a in vec.local[x].items()
-                 if t != ranks[x] and not a.is_zero()]
+    terms = [(rank_code(ranks), _ONE)]
+    for x, r in enumerate(ranks):
+        moves = [((t - r) * 3 ** x, a) for t, a in vec.local[x].items()
+                 if t != r and not a.is_zero()]
         if not moves:
             continue
         grown = []
         for s, coeff in terms:
             grown.append((s, coeff))
-            for t, a in moves:
+            for shift, a in moves:
                 hit = products.get((id(coeff), id(a)))
                 if hit is None:
                     hit = products[id(coeff), id(a)] = (a, coeff * a)
-                grown.append((s[:x] + (t,) + s[x + 1:], hit[1]))
+                grown.append((s + shift, hit[1]))
         terms = grown
-    index = space.index_of_ranks
+    index = space.index_of_code
     return [(index[s], coeff) for s, coeff in terms]
 
 

@@ -1,12 +1,14 @@
-"""Dense exact linear algebra over cyclotomic-rational fields.
+"""Exact linear algebra over cyclotomic-rational fields.
 
-Matrices carry CycNum entries; vectors are plain lists.  Row spaces are kept
-in reduced row echelon form, and a tracked insertion reports each dependent
-row's expression over the rows before it, which gives left null spaces
-exactly.  Polynomial roots are found only by trial candidates (given extras,
-then a bounded rational-root search) in split_roots; whatever does not split
-inside the working field is returned as a leftover factor rather than
-approximated.
+Matrices are dense and carry CycNum entries; their products walk the
+nonzero entries only.  Row spaces are kept in reduced row echelon form with
+each row stored sparse, as its nonzero entries, so elimination touches
+nothing else; a tracked insertion also reports each dependent row's
+expression over the rows before it.  The left null space is read off the
+RREF of a matrix's columns, with no tracking.  Polynomial roots are found
+only by trial candidates (given extras, then a bounded rational-root
+search) in split_roots; whatever does not split inside the working field is
+returned as a leftover factor rather than approximated.
 """
 
 from __future__ import annotations
@@ -108,78 +110,106 @@ class Poly:
 
 
 class _Span:
-    """Row space kept fully reduced (RREF); optionally tracks, for every
-    stored row, its expression over the raw vectors inserted so far."""
+    """Row space kept fully reduced (RREF), each row stored sparse.
+
+    ``rows`` holds (pivot column, tail, combo) per stored row, in insertion
+    order.  The row is 1 at its pivot; the tail maps each other column where
+    the row is nonzero to its value.  With track=True, combo maps raw-vector
+    index -> value over the nonzero coefficients of the row's expression in
+    the raw vectors inserted so far; otherwise it is None.  Reduction, pivot
+    scaling and the back-reduction of stored rows walk only these nonzero
+    entries, and a pivot entry cancels by dropping it, so no zero operand
+    and no pivot 1 is ever multiplied."""
 
     def __init__(self, track=False):
-        self.rows: list[tuple[int, list[CycNum], list[CycNum] | None]] = []
+        self.rows: list[tuple[int, dict[int, CycNum],
+                              dict[int, CycNum] | None]] = []
         self.track = track
         self.count = 0  # raw vectors inserted so far
-
-    def _reduce(self, v):
-        w = list(v)
-        combo = [_ZERO] * self.count + [_ONE] if self.track else None
-        for piv, u, uc in self.rows:
-            f = w[piv]
-            if f.is_zero():
-                continue
-            for j, x in enumerate(u):
-                if not x.is_zero():
-                    w[j] = w[j] - f * x
-            if self.track:
-                for j, x in enumerate(uc):
-                    if not x.is_zero():
-                        combo[j] = combo[j] - f * x
-        return w, combo
 
     def insert(self, v):
         """Insert a raw vector; return None if independent, else coefficients
         expressing it over the previously inserted raw vectors."""
-        w, combo = self._reduce(v)
-        piv = next((j for j, x in enumerate(w) if not x.is_zero()), None)
-        if piv is None:
-            self.count += 1
-            if self.track:
-                return [-c for c in combo[:-1]]
-            return []
-        inv = w[piv].inverse()
-        w = [x * inv for x in w]
-        if self.track:
-            combo = [c * inv for c in combo]
-        # keep stored rows reduced against the new pivot; x - f*0 is x, so
-        # only the nonzero entries of the new row are subtracted
-        w_nz = [(j, y) for j, y in enumerate(w) if not y.is_zero()]
-        if self.track:
-            combo_nz = [(j, y) for j, y in enumerate(combo) if not y.is_zero()]
-        for idx, (p2, u2, uc2) in enumerate(self.rows):
-            f = u2[piv]
-            if f.is_zero():
-                continue
-            u2 = list(u2)
-            for j, y in w_nz:
-                u2[j] = u2[j] - f * y
-            if self.track:
-                uc2 = uc2 + [_ZERO] * (len(combo) - len(uc2))
-                for j, y in combo_nz:
-                    uc2[j] = uc2[j] - f * y
-            self.rows[idx] = (p2, u2, uc2)
-        self.rows.append((piv, w, combo))
+        track = self.track
+        w = {j: x for j, x in enumerate(v) if x is not _ZERO and not x.is_zero()}
+        combo = {self.count: _ONE} if track else None
         self.count += 1
+        for piv, tail, uc in self.rows:
+            f = w.pop(piv, None)
+            if f is not None:
+                f = -f
+                _axpy(w, f, tail.items())
+                if track:
+                    _axpy(combo, f, uc.items())
+        if not w:
+            # combo is still 1 at this vector's own index, count - 1
+            return [-combo[j] if j in combo else _ZERO
+                    for j in range(self.count - 1)] if track else []
+        piv = min(w)
+        lead = w.pop(piv)
+        if not lead.is_one():
+            inv = lead.inverse()
+            w = {j: x * inv for j, x in w.items()}
+            if track:
+                combo = {j: c * inv for j, c in combo.items()}
+        # keep the stored rows reduced against the new pivot
+        for _, tail2, uc2 in self.rows:
+            f = tail2.pop(piv, None)
+            if f is not None:
+                f = -f
+                _axpy(tail2, f, w.items())
+                if track:
+                    _axpy(uc2, f, combo.items())
+        self.rows.append((piv, w, combo))
         return None
+
+
+def _axpy(w: dict, a: CycNum, u) -> None:
+    """w += a * u in place, for a nonzero a and u given as (column, value)
+    pairs of nonzero values; a = 1 multiplies nothing, and an entry that
+    cancels is removed, so w keeps only nonzero values."""
+    one = a.is_one()
+    for j, x in u:
+        if not one:
+            x = a * x
+        y = w.get(j)
+        if y is None:
+            w[j] = x
+        else:
+            y = y + x
+            if y.is_zero():
+                del w[j]
+            else:
+                w[j] = y
 
 
 def left_null_space(rows) -> list[list[CycNum]]:
     """Basis of {x : x.A = 0} for the matrix A with the given rows.
 
-    Row i that depends on the rows before it gives the vector of its
-    dependency with -1 at i.  The last nonzero entries of these vectors sit
-    at distinct rows, so the n - rank of them are independent."""
-    span = _Span(track=True)
+    x.A = 0 says x lies in the kernel of the matrix whose rows are the
+    columns of A, so the basis is read off the RREF of A's columns with no
+    dependency tracking: the Gaussian-elimination kernel of Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 2.3.1.  The pivots of
+    that RREF are row indices of A; each other (free) index f gives one
+    vector, 1 at f and -u[f] at the pivot of each reduced row u.  Each of
+    these n - rank vectors is the only one nonzero at its f, so they are
+    independent."""
+    n = len(rows)
+    span = _Span()
+    for col in zip(*rows):
+        span.insert(col)
+    pivots = {piv for piv, _, _ in span.rows}
     out = []
-    for i, row in enumerate(rows):
-        dep = span.insert(row)
-        if dep is not None:
-            out.append(dep + [-_ONE] + [_ZERO] * (len(rows) - i - 1))
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [_ZERO] * n
+        x[f] = _ONE
+        for piv, tail, _ in span.rows:
+            a = tail.get(f)
+            if a is not None:
+                x[piv] = -a
+        out.append(x)
     return out
 
 

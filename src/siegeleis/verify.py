@@ -29,9 +29,11 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .characters import enumerate_characters
-from .cyclotomic import CycNum, as_cyc, euler_phi, is_squarefree, primes_up_to
+from .cyclotomic import CycNum, _check_cap, _make, as_cyc, euler_phi, \
+    is_squarefree, primes_up_to
 from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
@@ -40,7 +42,10 @@ from .hecke import EigenSystem, HeckeOp, SpaceOperators, _chi_over, \
     eigenvalue_closed_form, eigenvalue_comparisons, relation_defects
 from .lattices import GL2, GramForm, _unimodular_entries_bounded, \
     isotropic_lines, reduce_form, sublattices, transform
-from .linalg import CycMatrix, _matrix, _Span, left_null_space
+from .linalg import CycMatrix, _axpy, _Span, left_null_space
+
+_ZERO = CycNum.zero()
+_ONE = CycNum.one()
 
 PASS = "pass"
 FAIL = "fail"
@@ -221,11 +226,11 @@ def _random_cyc(rng, base_m: int) -> CycNum:
     # a random divisor conductor keeps mixed-m arithmetic under the cap
     m = rng.choice([d for d in range(1, base_m + 1)
                     if base_m % d == 0 and d % 4 != 2])
-    coeffs = [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for _ in range(euler_phi(m))
-    ]
-    return CycNum(m, coeffs)
+    # numerator and denominator of each coordinate, drawn in that order
+    pairs = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(euler_phi(m))]
+    d = lcm(*(q for _, q in pairs))
+    _check_cap(m)
+    return _make(m, [a * (d // q) for a, q in pairs], d)
 
 
 def _check_field_axioms(config, rng):
@@ -486,18 +491,25 @@ def _oracle_joint_eigenspaces(mats):
     eigenvalue, a non-diagonalizable R or a dropped piece can only leave
     fewer pieces than the dimension, never more, so every such failure
     reads as ``fail``.  Returns (eigenvalue tags, row basis) pairs.
+
+    The bases are dense lists.  The rows of B, W and R.B are held as their
+    nonzero entries (_combine), so the products touch nothing else, and two
+    such rows are equal exactly when they agree on every entry.
     """
-    pieces = [((), CycMatrix.identity(mats[0].rows).data)]
+    n = mats[0].rows
+    pieces = [((), CycMatrix.identity(n).data)]
     for m in mats:
+        mrows = m._nonzeros()
         nxt = []
         for tags, basis in pieces:
             span = _Span()
             for v in basis:
                 span.insert(v)
-            b = _matrix([u for _, u, _ in span.rows])
-            w = b @ m
-            r = [[row[p] for p, _, _ in span.rows] for row in w.data]
-            if not w == _matrix(r) @ b:
+            # B's rows as the (column, value) pairs of their nonzero entries
+            b = [((piv, _ONE), *tail.items()) for piv, tail, _ in span.rows]
+            w = [_combine(row, mrows) for row in b]
+            r = [[wi.get(p, _ZERO) for p, _, _ in span.rows] for wi in w]
+            if any(wi != _combine(enumerate(ri), b) for wi, ri in zip(w, r)):
                 continue
             lams = []
             for i, row in enumerate(r):
@@ -508,9 +520,29 @@ def _oracle_joint_eigenspaces(mats):
                                        for j, a in enumerate(row)]
                                       for i, row in enumerate(r)])
                 if xs:
-                    nxt.append((tags + (lam,), (_matrix(xs) @ b).data))
+                    nxt.append((tags + (lam,),
+                                [_dense(_combine(enumerate(x), b), n) for x in xs]))
         pieces = nxt
     return pieces
+
+
+def _combine(coeffs, rows) -> dict:
+    """The row sum of a * rows[k] over the (k, a) pairs of coeffs, as a map
+    column -> value of its nonzero entries; rows[k] lists its nonzero
+    entries as (column, value) pairs."""
+    out: dict = {}
+    for k, a in coeffs:
+        if not a.is_zero():
+            _axpy(out, a, rows[k])
+    return out
+
+
+def _dense(row: dict, n: int) -> list:
+    """The length-n list of a row held as a map column -> nonzero value."""
+    out = [_ZERO] * n
+    for j, a in row.items():
+        out[j] = a
+    return out
 
 
 def _check_eigen_oracle(config, run):

@@ -21,6 +21,7 @@ from siegeleis.cyclotomic import CycNum
 from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 from siegeleis.hecke import (HeckeOp, SpaceOperators, compare_eigenvalues,
                              eigenbasis, s_constant, s_operator, s_word)
+from siegeleis.jsonout import write_json
 from siegeleis.linalg import CycMatrix
 from siegeleis.verify import DESK_CONFIG, run_suite, spaces_in_scope
 
@@ -144,9 +145,13 @@ def test_criterion_7_fourier_properties(desk):
 
 
 def test_desk_report_bytes(desk):
-    # the report as `verify --preset desk` prints it; the digest was
+    # the report as `verify --preset desk` prints it, through the CLI's
+    # writer, and as json.dumps prints the same tree; the digest was
     # recorded before the checks shared one pass over the spaces
-    text = json.dumps(desk.to_json(), indent=2, sort_keys=True) + "\n"
+    parts = []
+    write_json(desk.to_json(), parts.append)
+    text = "".join(parts)
+    assert text == json.dumps(desk.to_json(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "de6a2d89a7ce05254f4986971c023c67280f4592b1a03370d8b8ad98a2c2e86d")
     assert desk.counts() == {"pass": 789, "fail": 0, "documented-mismatch": 598}

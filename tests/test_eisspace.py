@@ -75,12 +75,18 @@ def test_rank_vectors():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(2, 2, 1)  # not coprime
-    with pytest.raises(ValueError):
-        Partition(4, 1, 1)  # not square-free
-    with pytest.raises(ValueError):
-        Partition(0, 1, 1)
+    # one square-free test of the product settles every valid partition;
+    # the message names the first rule broken: positive square-free parts,
+    # then coprimality
+    square_free = "partition parts must be square-free positive"
+    coprime = "partition parts must be pairwise coprime"
+    for parts, message in [((2, 2, 1), coprime), ((1, 6, 3), coprime),
+                           ((4, 1, 1), square_free), ((4, 2, 1), square_free),
+                           ((0, 1, 1), square_free), ((-2, 3, 1), square_free),
+                           ((-2, -3, 1), square_free)]:
+        with pytest.raises(ValueError, match=f"^{message}: "):
+            Partition(*parts)
+    assert Partition(10, 3, 7).level == 210
 
 
 def test_space_errors_and_forced_mode():

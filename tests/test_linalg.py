@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from siegeleis import linalg
-from siegeleis.cyclotomic import CycNum
+from siegeleis.cyclotomic import CycNum, as_cyc
 from siegeleis.linalg import CycMatrix, Poly, left_null_space, split_roots
 
 
@@ -209,6 +209,34 @@ def test_left_null_space_against_vec_mat(conductor):
                 assert all(e.is_zero() for e in shifted.vec_mat(x))
             # n - rank vectors, independent: their span has full rank
             assert len(basis) == n - _rank(rows) == _rank(basis)
+
+
+def test_elimination_never_multiplies_a_zero_operand(monkeypatch):
+    # the sparse rows of _Span keep only nonzero entries, and the kernel is
+    # read off the RREF of the columns, so no product has a zero operand
+    rng = random.Random(5)
+    cases = [_random_matrix(rng, r, c, [1, 4, 12])
+             for r, c in [(1, 1), (3, 3), (4, 6), (6, 4), (7, 7)]]
+    cases += [_random_triangular(rng, 6, m) for m in (1, 20)]
+    real = CycNum.__mul__
+    made = []
+
+    def checked(a, b):
+        assert not (a.is_zero() or as_cyc(b).is_zero()), "multiplied a zero"
+        made.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(CycNum, "__mul__", checked)
+    monkeypatch.setattr(CycNum, "__rmul__", checked)
+    for a in cases:
+        for track in (False, True):
+            span = linalg._Span(track=track)
+            for row in a.data:
+                span.insert(row)
+        for i in range(min(a.rows, a.cols)):
+            left_null_space(_shifted(a, a[i, i]))
+        left_null_space(a.data)
+    assert made  # the elimination did multiply
 
 
 def _rank(rows):
