@@ -113,22 +113,31 @@ def cmd_eigen(args) -> int:
                 op_list.append(op)
     system = eigenbasis(ops)
     if args.format == "csv":
-        lines = ["partition,op,eigenvalue,closed_form,match"]
-        for rho, op, mval, cval, match, _ in eigenvalue_comparisons(
-                system, op_list):
-            lines.append(
-                f"({rho.n0};{rho.n1};{rho.n2}),{op.spec_string()},"
-                f"{_cyc_str(mval)},{_cyc_str(cval)},{str(match).lower()}"
-            )
         with _writer(args) as write:
-            write("\n".join(lines) + "\n")
-        return 0
-    _emit_json(args, eigen_json(system, op_list))
+            write(eigen_csv(system, op_list))
+    else:
+        _emit_json(args, eigen_json(system, op_list))
     return 0
 
 
-def _cyc_str(value) -> str:
-    return repr(value).replace(" ", "")
+def eigen_csv(system, op_list) -> str:
+    """The csv output of `eigen`, a line per row of eigenvalue_comparisons:
+    its partition's prefix, built once per entry (the rows come entry by
+    entry), then the rest, built once per (op, matrix value, closed form)
+    object, which the rows keep alive."""
+    lines = ["partition,op,eigenvalue,closed_form,match"]
+    tails, last = {}, None
+    for rho, op, mval, cval, match, _ in eigenvalue_comparisons(system, op_list):
+        if rho is not last:
+            last, head = rho, f"({rho.n0};{rho.n1};{rho.n2}),"
+        key = (id(op), id(mval), id(cval))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f"{op.spec_string()},{repr(mval).replace(' ', '')},"
+                f"{repr(cval).replace(' ', '')},{str(match).lower()}")
+        lines.append(head + tail)
+    return "\n".join(lines) + "\n"
 
 
 def cmd_relations(args) -> int:

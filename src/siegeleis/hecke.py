@@ -343,27 +343,28 @@ def _expand(vec: TensorVector, products: dict) -> list[tuple[int, CycNum]]:
     """The nonzero coefficients of vec as (basis index, value) pairs.
 
     Each value is the product, from 1, of its local entries off the
-    partition's ranks, the primes in ascending order.  A product already in
-    `products` (the same prefix object times the same factor object) is
-    reused, not recomputed.  A rank tuple is carried as its mixed-radix
-    code (eisspace.rank_code), so a move at position x adds (t - r) 3^x.
+    partition's ranks, the primes in ascending order.  `products` maps
+    id(a), for each local factor a, to (a, {id(prefix): prefix * a}): a
+    product found there is reused, and as every prefix is 1 or held there,
+    no id in it is reused while it lives.  A rank tuple is carried as its
+    mixed-radix code (eisspace.rank_code): a move at x adds (t - r) 3^x.
     """
     space = vec.space
     ranks = space.rank_tuples[space.index_of(vec.partition)]
     terms = [(rank_code(ranks), _ONE)]
     for x, r in enumerate(ranks):
-        moves = [((t - r) * 3 ** x, a) for t, a in vec.local[x].items()
-                 if t != r and not a.is_zero()]
+        moves = [((t - r) * 3 ** x, a, products.setdefault(id(a), (a, {}))[1])
+                 for t, a in vec.local[x].items() if t != r and not a.is_zero()]
         if not moves:
             continue
         grown = []
         for s, coeff in terms:
             grown.append((s, coeff))
-            for shift, a in moves:
-                hit = products.get((id(coeff), id(a)))
-                if hit is None:
-                    hit = products[id(coeff), id(a)] = (a, coeff * a)
-                grown.append((s + shift, hit[1]))
+            for shift, a, memo in moves:
+                c = memo.get(id(coeff))
+                if c is None:
+                    c = memo[id(coeff)] = coeff * a
+                grown.append((s + shift, c))
         terms = grown
     index = space.index_of_code
     return [(index[s], coeff) for s, coeff in terms]
@@ -569,21 +570,22 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
     primes = prime_factors(space.level)
     if op_list is None:
         op_list = SpaceOperators(space).level_ops()
+    # eigenbasis gives every entry the same ops
+    verified = system.entries[0].eigenvalues if system.entries else {}
     picks = []
     for op in op_list:
-        if not all(op in e.eigenvalues for e in system.entries):
+        if op not in verified:
             raise ValueError(
                 f"{op} was not verified; build its table before eigenbasis")
         places = _moved_by(space, op.p)
         if op.p in primes:
             places += (primes.index(op.p),)
-        picks.append((op, itemgetter(*places) if places else lambda r: ()))
-    closed: dict = {}
+        picks.append((op, itemgetter(*places) if places else lambda r: (), {}))
     out = []
     for e in system.entries:
         rho, ranks = e.partition, space.rank_tuples[space.index_of(e.partition)]
-        for op, pick in picks:
-            key = (op, pick(ranks))
+        for op, pick, closed in picks:
+            key = pick(ranks)
             hit = closed.get(key)
             if hit is None:
                 hit = closed[key] = (
@@ -604,71 +606,81 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
 
 
 def _text(obj, depth: int) -> str:
-    """The JSON of a CycNum or a Partition, indented to stand at `depth`."""
-    return encoded(obj.to_json()).text.replace("\n", "\n" + "  " * depth)
+    """The JSON of a CycNum or a Partition, standing at `depth`."""
+    return encoded(obj.to_json(), "\n" + "  " * depth).text
 
 
 def eigen_json(system: EigenSystem, op_list=None) -> dict:
     """The `eigen` command's output: the space descriptor, and the
     comparison rows and eigenbasis entries as iterators of JsonText
-    records, each rendered at depth 0 when the writer reaches it.
-    jsonout.write_json streams them as the bytes of the plain tree, whose
-    rows are compare_eigenvalues(system, op_list).
+    records, each rendered when the writer reaches it at the depth of a
+    top-level list item, where jsonout.write_json writes it as it is.  The
+    bytes are those of the plain tree, whose rows are
+    compare_eigenvalues(system, op_list).
 
-    Each distinct value and partition is encoded once per depth in its
-    record.  A row's text up to its partition (the last key) is rendered
-    once per (op, expected mismatch, closed form, matrix value), which
-    determine it.  Each vector is expanded once, through a product memo
-    shared by all vectors (_expand).  The comparison is made first, so an
-    op that eigenbasis did not verify raises ValueError before any record.
+    Each distinct value and partition is encoded once per depth.  Texts are
+    memoized by object identity, every keyed object held until the render
+    ends: a row's text up to its partition (the last key) per (op, closed
+    form, matrix value, expected mismatch), the closed form being one per
+    (op, key) (eigenvalue_comparisons), held by the rows; an eigenvalue
+    line per (op, value), held by its memo; and a vector item's text up to
+    its partition per coefficient, each 1 or held by the product memo that
+    all vectors share (_expand).  The comparison is made first, so an op
+    that eigenbasis did not verify raises ValueError before any record.
     """
     space = system.space
     rows = eigenvalue_comparisons(system, op_list)
-    part = {p: _text(p, 1) for p in space.basis}
-    item_end = [',\n      "partition": ' + _text(p, 3) + "\n    }"
-                for p in space.basis]
+    pad, pad3, pad4, pad5 = ("\n" + "  " * d for d in (2, 3, 4, 5))
+    part = {p: _text(p, 3) for p in space.basis}
+    item_end = [f',{pad5}"partition": {_text(p, 5)}{pad4}}}' for p in space.basis]
     values: dict = {}  # (m, n, d, depth) -> text
 
     def value(c: CycNum, depth: int) -> str:
         key = (c.m, c.n, c.d, depth)
-        hit = values.get(key)
-        if hit is None:
-            hit = values[key] = _text(c, depth)
-        return hit
+        return values.get(key) or values.setdefault(key, _text(c, depth))
 
     def comparison_records():
         heads: dict = {}
         for rho, op, mval, cval, match, expected in rows:
-            key = (op, expected, cval.m, cval.n, cval.d, mval.m, mval.n, mval.d)
+            key = (id(op), id(cval), id(mval), expected)
             head = heads.get(key)
             if head is None:
                 head = heads[key] = (
-                    '{\n  "closed_form": ' + value(cval, 1)
-                    + ',\n  "expected_mismatch": ' + ("false", "true")[expected]
-                    + ',\n  "match": ' + ("false", "true")[match]
-                    + ',\n  "matrix_value": ' + value(mval, 1)
-                    + ',\n  "op": ' + _json_str(op.spec_string())
-                    + ',\n  "partition": ')
-            yield JsonText(head + part[rho] + "\n}")
+                    f'{{{pad3}"closed_form": {value(cval, 3)}'
+                    f',{pad3}"expected_mismatch": {("false", "true")[expected]}'
+                    f',{pad3}"match": {("false", "true")[match]}'
+                    f',{pad3}"matrix_value": {value(mval, 3)}'
+                    f',{pad3}"op": {_json_str(op.spec_string())}'
+                    f',{pad3}"partition": ')
+            yield JsonText(head + part[rho] + pad + "}", pad)
 
     def eigenbasis_records():
         products: dict = {}
-        starts: dict = {}  # (m, n, d) -> a vector item up to its partition
+        starts: dict = {}  # id(c) -> a vector item up to its partition
+        lines: dict = {}  # (id(op), id(lam)) -> (name, its line, op, lam)
+        sep = "," + pad4
+
+        def line(op, lam):
+            name = op.spec_string()
+            return lines.setdefault((id(op), id(lam)), (
+                name, _json_str(name) + ": " + value(lam, 4), op, lam))
+
         for e in system.entries:
-            eigs = sorted((op.spec_string(), lam) for op, lam in e.eigenvalues.items())
+            eigs = sorted(lines.get((id(op), id(lam))) or line(op, lam)
+                          for op, lam in e.eigenvalues.items())
             items = []
             for j, c in sorted(_expand(e.vector, products), key=itemgetter(0)):
-                start = starts.get((c.m, c.n, c.d))
+                start = starts.get(id(c))
                 if start is None:
-                    start = starts[c.m, c.n, c.d] = '{\n      "coeff": ' + value(c, 3)
+                    start = starts[id(c)] = f'{{{pad5}"coeff": {value(c, 5)}'
                 items.append(start + item_end[j])
             yield JsonText(
-                '{\n  "eigenvalues": '
-                + ("{\n    " + ",\n    ".join(_json_str(name) + ": " + value(lam, 2)
-                                             for name, lam in eigs) + "\n  }"
+                f'{{{pad3}"eigenvalues": '
+                + (f"{{{pad4}" + f",{pad4}".join(map(itemgetter(1), eigs)) + pad3 + "}"
                    if eigs else "{}")
-                + ',\n  "partition": ' + part[e.partition]
-                + ',\n  "vector": [\n    ' + ",\n    ".join(items) + "\n  ]\n}")
+                + f',{pad3}"partition": ' + part[e.partition]
+                + f',{pad3}"vector": [{pad4}' + sep.join(items) + pad3 + "]" + pad + "}",
+                pad)
 
     return {"comparison": comparison_records(),
             "eigenbasis": eigenbasis_records(), "space": space.descriptor()}

@@ -4,7 +4,11 @@
 plus a newline in chunks as it encodes them; an iterator in list position
 is written item by item as it yields them.  `encoded` writes the JSON of a
 CycNum or a Partition once, for a caller that renders whole records as
-`JsonText`, which write_json splices in at the depth where it stands.
+`JsonText`, which write_json splices in at the depth where it stands.  A
+JsonText records its pad, the newline and indentation of the depth it was
+rendered for ("\n" is the top level), and each of its newlines is followed
+by at least that pad: where its pad is the place's it goes in as it is,
+elsewhere with its pad replaced by the place's.
 """
 
 from __future__ import annotations
@@ -17,32 +21,35 @@ _FLUSH_PIECES = 1024
 
 
 class JsonText:
-    """A value as write_json writes it at the top level (a pre-rendered
-    record, say), spliced in at its depth.  Its only newlines are those of
-    its indentation: an encoded string escapes every newline it holds."""
+    """A value (a pre-rendered record, say) as write_json writes it where
+    `pad` stands.  Its only newlines are those of its indentation: an
+    encoded string escapes every newline it holds."""
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "pad")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pad: str = "\n"):
         self.text = text
+        self.pad = pad
 
 
-def encoded(obj: dict) -> JsonText:
-    """`obj` as write_json writes it at the top level, for a renderer to
-    indent into its records.  It takes the JSON of a CycNum or a Partition
+def encoded(obj: dict, pad: str = "\n") -> JsonText:
+    """`obj` as write_json writes it where `pad` stands, for a renderer to
+    put into its records.  It takes the JSON of a CycNum or a Partition
     (str keys; int or list-of-str values) and writes it directly, without
     write_json's walk; any other shape raises TypeError."""
+    inner, deep = pad + "  ", pad + "    "
     items = []
     for k in sorted(obj):
         v = obj[k]
         if type(v) is int:
             v = int.__repr__(v)
         elif type(v) is list:
-            v = "[\n    " + ",\n    ".join(map(_json_str, v)) + "\n  ]" if v else "[]"
+            v = "[" + deep + ("," + deep).join(map(_json_str, v)) + inner + "]" if v else "[]"
         else:
             raise TypeError(f"cannot encode {type(v).__name__} directly")
         items.append(_json_str(k) + ": " + v)
-    return JsonText("{\n  " + ",\n  ".join(items) + "\n}" if items else "{}")
+    return JsonText("{" + inner + ("," + inner).join(items) + pad + "}"
+                    if items else "{}", pad)
 
 
 def write_json(obj, write) -> None:
@@ -52,10 +59,9 @@ def write_json(obj, write) -> None:
 
     Takes dict with str keys, list, tuple, str, int, bool and None; an
     iterator, written as the list of its items, each as it comes; and
-    JsonText, which stands for the value it encodes: its text goes in with
-    every newline followed by the indentation of its depth.  Raises
-    TypeError naming the type of anything else: no `to_json` emits floats
-    or non-str keys, so they are rejected rather than emulated.
+    JsonText, which stands for the value it encodes.  Raises TypeError
+    naming the type of anything else: no `to_json` emits floats or non-str
+    keys, so they are rejected rather than emulated.
     """
     out = []
     append = out.append
@@ -65,7 +71,7 @@ def write_json(obj, write) -> None:
         if t is str:
             append(_json_str(o))
         elif t is JsonText:  # a whole record: written out with what precedes it
-            append(o.text.replace("\n", pad))
+            append(o.text if o.pad == pad else o.text.replace(o.pad, pad))
             write("".join(out))
             out.clear()
         elif t is dict:

@@ -115,7 +115,8 @@ class VerificationReport:
 
 def subgroup_count_oracle(q: int) -> int:
     """Count the index-q subgroups of Z^2 by enumerating the kernels of the
-    surjections Z^2 -> Z/qZ and deduplicating them as point sets."""
+    surjections Z^2 -> Z/qZ and deduplicating them as point sets, the
+    point (t, y) of (Z/qZ)^2 encoded as the int t*q + y."""
     if q > 50:
         raise ValueError("oracle is intended for primes q <= 50")
     kernels = set()
@@ -125,9 +126,9 @@ def subgroup_count_oracle(q: int) -> int:
                 continue
             if b % q:
                 binv = pow(b, -1, q)
-                pts = frozenset((t, (-a * t * binv) % q) for t in range(q))
+                pts = frozenset(t * q + (-a * t * binv) % q for t in range(q))
             else:
-                pts = frozenset((0, t) for t in range(q))
+                pts = frozenset(range(q))  # the points (0, t)
             kernels.add(pts)
     return len(kernels)
 
@@ -702,14 +703,15 @@ def _check_fourier_properties(config, rng):
             GL2, lambda key: key.a**s if key.rank() == 1 else 0, 400, 400
         )
 
-    mix = combine([(3, h_s(0)), (5, h_s(1))])
+    h0, h1 = h_s(0), h_s(1)
+    mix = combine([(3, h0), (5, h1)])
     comps = krylov_spectral(mix, [UOperator(2, 1)], sample_bound=2)
     if len(comps) != 2:
         bad.append(f"expected 2 components, got {len(comps)}")
     else:
         for comp in comps:
             lam = comp.eigenvalues[UOperator(2, 1)]
-            want = h_s(0).scale(3) if lam == 3 else h_s(1).scale(5)
+            want = h0.scale(3) if lam == 3 else h1.scale(5)
             if not (lam == 3 or lam == 6) or not comp.expansion.agrees_with(want):
                 bad.append("component reconstruction failed")
         total = combine([(1, c.expansion) for c in comps])

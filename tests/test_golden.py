@@ -16,7 +16,8 @@ eigen, the largest rational tree, before JSON output was streamed through
 from the values instead of a JSON round trip; the fourier `--apply` words
 U:1,5, U:6,1 and U:1,2;U:2,1 before provider parsing, reduction and class
 keys were made cheap: they apply U(Q,1), U(1,P) and a two-letter word to the
-parsed E8 table).
+parsed E8 table; the level-2310 csv eigen, trivial and with a conductor-20
+character, before each csv prefix and suffix was built once).
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -32,12 +33,14 @@ import pytest
 import siegeleis.cli as cli
 import siegeleis.hecke as hecke
 from siegeleis.cli import main
+from siegeleis.cyclotomic import CycNum
 
 PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
                / "e8_weight4_level1.coeffs")
 
 EIGEN_30_PRIMES_7 = ("eigen", "--level", "30", "--weight", "4", "--primes", "7")
 RELATIONS_210 = ("relations", "--level", "210", "--weight", "4")
+EIGEN_2310_CSV = ("eigen", "--level", "2310", "--weight", "4", "--format", "csv")
 EIGEN_55_CSV = ("eigen", "--level", "55", "--weight", "4", "--char",
                 "5:1,11:1", "--format", "csv")
 
@@ -69,6 +72,11 @@ GOLDEN = [
      "83787407a0c7766556e731b3a4f5871de2aabdfcdc05b0076b05dba55d5c5a47"),
     (("eigen", "--level", "2310", "--weight", "4", "--char", "5:1,11:1"),
      "dc58e53b85bbb68f5d3a412c77fb8fe0b989908bfacb151c2ddaa08571d136cb"),
+    (EIGEN_2310_CSV,
+     "7d62c702dfd3408b516ce6808e81ea5d1f1e8f81dc73dfc9aa3d7e54ba6c6c9a"),
+    (("eigen", "--level", "2310", "--weight", "4", "--char", "5:1,11:1",
+      "--format", "csv"),
+     "09c73d81279802f2aad191933ee39785372e1b011e98f6ee7bea102805973169"),
     (("eigen", "--level", "70", "--weight", "5", "--char", "5:1,7:2",
       "--primes", "3,11"),
      "0568553e32059e25126095223ef76c866298c5e01b1b7363e4435778146ba1e4"),
@@ -153,6 +161,22 @@ def test_csv_eigen_expands_no_vector(capsys, monkeypatch):
 
     monkeypatch.setattr(hecke, "_expand", forbidden)
     assert stdout_digest(capsys, EIGEN_55_CSV) == dict(GOLDEN)[EIGEN_55_CSV]
+
+
+def test_csv_eigen_formats_each_row_tail_once(capsys, monkeypatch):
+    # at the trivial character a level table's value and closed form depend
+    # only on the rank at p: the 2430 rows at N=2310 share 10 x 3 tails,
+    # each formatting its two values once
+    shown = []
+    real = CycNum.__repr__
+
+    def counted(self):
+        shown.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycNum, "__repr__", counted)
+    assert stdout_digest(capsys, EIGEN_2310_CSV) == dict(GOLDEN)[EIGEN_2310_CSV]
+    assert len(shown) == 2 * 10 * 3
 
 
 def test_json_eigen_expands_each_vector_once(capsys, monkeypatch):

@@ -509,18 +509,20 @@ def _plain_entry(e) -> dict:
 def test_expansion_views_agree_and_sharing_changes_no_byte():
     # dense() and the eigen_json records read one expansion; the records,
     # whose products and texts are shared between vectors, hold the JSON of
-    # each vector expanded alone
+    # each vector expanded alone, at the depth of a top-level list item
     system = eigenbasis(SpaceOperators(_space(2310, "5:1,11:1")))
     records = list(eigen_json(system)["eigenbasis"])
     assert len(records) == len(system.entries) == 108
     for e, record in zip(system.entries, records):
-        assert record.text == json.dumps(_plain_entry(e), indent=2,
-                                         sort_keys=True)
+        assert record.pad == "\n    "
+        assert record.text.replace(record.pad, "\n") == json.dumps(
+            _plain_entry(e), indent=2, sort_keys=True)
 
 
 def test_json_memo_keeps_one_entry_per_value(monkeypatch):
     # eigen_json encodes each distinct value and each partition once per
-    # depth it stands at in a record, however often it recurs
+    # depth it stands at, however often it recurs; its records stand at
+    # depth 2, so their keys' values stand at 3 and deeper
     encoded_at = []
     real = hecke._text
 
@@ -534,11 +536,11 @@ def test_json_memo_keeps_one_entry_per_value(monkeypatch):
     write_json(eigen_json(system), pieces.append)
     assert len(encoded_at) == len(set(encoded_at))
     basis = {json.dumps(p.to_json(), sort_keys=True) for p in system.space.basis}
-    assert {t for t, d in encoded_at if d in (1, 3) and t in basis} == basis
+    assert {t for t, d in encoded_at if d in (3, 5) and t in basis} == basis
     assert sum(1 for t, _ in encoded_at if t in basis) == 2 * len(basis)
-    # values stand at depth 1 (rows), 2 (eigenvalues) and 3 (coefficients)
+    # values stand at depth 3 (rows), 4 (eigenvalues) and 5 (coefficients)
     values = {t for t, _ in encoded_at} - basis
-    assert {d for t, d in encoded_at if t in values} == {1, 2, 3}
+    assert {d for t, d in encoded_at if t in values} == {3, 4, 5}
     assert len(values) < len(encoded_at) - 2 * len(basis)  # some at 2 depths
 
 
@@ -555,6 +557,11 @@ def test_encoded_writes_what_json_dumps_writes():
               + [Partition(30, 1, 7).to_json(), {}, {"coeffs": [], "m": 1}])
     for obj in shapes:
         assert encoded(obj).text == json.dumps(obj, indent=2, sort_keys=True)
+        for pad in ("\n  ", "\n          "):  # rendered for a deeper depth
+            text = encoded(obj, pad)
+            assert text.pad == pad
+            assert text.text == json.dumps(obj, indent=2,
+                                           sort_keys=True).replace("\n", pad)
     for bad in ({"m": True}, {"m": {"a": 1}}, {"coeffs": [1]}, {1: 2}):
         with pytest.raises(TypeError):
             encoded(bad)

@@ -2,8 +2,10 @@
 
 For every tree of the types the writer takes, the concatenated writes must
 equal json.dumps(tree, indent=2, sort_keys=True) plus a newline, also when
-random subtrees are handed to the writer pre-encoded as a `JsonText`, and
-when random lists, empty ones included, are handed to it as generators.
+random subtrees are handed to the writer pre-encoded as a `JsonText`, each
+rendered for a random depth's pad, which need not be the depth where it
+stands, and when random lists, empty ones included, are handed to it as
+generators.
 """
 
 import json
@@ -43,12 +45,16 @@ def test_write_json_matches_json_dumps(tree):
 
 def _pre_encode(tree, draw):
     """`tree` with each subtree, drawn at random, replaced by its encoded
-    form, its own subtrees first, so encoded values nest."""
+    form rendered for the pad of a random depth, its own subtrees first, so
+    encoded values nest."""
     if type(tree) is dict:
         tree = {k: _pre_encode(v, draw) for k, v in tree.items()}
     elif type(tree) in (list, tuple):
         tree = type(tree)(_pre_encode(v, draw) for v in tree)
-    return JsonText(_written(tree)[:-1]) if draw(st.booleans()) else tree
+    if not draw(st.booleans()):
+        return tree
+    pad = "\n" + "  " * draw(st.integers(0, 4))
+    return JsonText(_written(tree)[:-1].replace("\n", pad), pad)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)

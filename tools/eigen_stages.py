@@ -1,10 +1,11 @@
 """Per-stage wall time of `siegeleis eigen --weight 4`, in one process.
 
     PYTHONPATH=src python tools/eigen_stages.py --level 2310 [--char 5:1,11:1]
-        [--through eigenbasis]
+        [--through eigenbasis] [--format csv]
 
 The stages are those of the JSON command, whose output hecke.eigen_json
-renders record by record while jsonout.write_json streams it:
+renders record by record, each at the depth where it stands, while
+jsonout.write_json streams it:
   basis        enumerate_partitions: the ordered basis and its rank tuples;
   tables       the level tables T(q), T1(q^2) for q | N;
   eigenbasis   the verified eigenbasis;
@@ -16,6 +17,9 @@ renders record by record while jsonout.write_json streams it:
   vectors      the eigenbasis records, rendered and written as they come,
                which expands every eigenvector coefficient;
   descriptor   the space descriptor, written by the writer's walk.
+With --format csv the stages after eigenbasis are those of the csv command
+(cli.eigen_csv):
+  rows         the comparison rows, their closed forms and their lines.
 Output goes to a sink that counts bytes.  --through eigenbasis stops after
 the first three stages.  Each repeat starts from a new space and
 character, so no memo carries over.  Prints one JSON object with the best
@@ -30,6 +34,7 @@ import json
 import time
 
 from siegeleis.characters import DirichletCharacter
+from siegeleis.cli import eigen_csv
 from siegeleis.eisspace import enumerate_partitions
 from siegeleis.hecke import SpaceOperators, eigen_json, eigenbasis
 from siegeleis.jsonout import write_json
@@ -42,7 +47,8 @@ def _then(items, stage, name: str):
     stage(name)
 
 
-def one_run(level: int, char: str, weight: int, through: str) -> dict:
+def one_run(level: int, char: str, weight: int, through: str,
+            fmt: str) -> dict:
     times = {}
     t = time.perf_counter()
 
@@ -63,17 +69,21 @@ def one_run(level: int, char: str, weight: int, through: str) -> dict:
     stage("eigenbasis")
     if through == "eigenbasis":
         return times
-    out = eigen_json(system, ops.level_ops())
-    out["comparison"] = _then(out["comparison"], stage, "comparison")
-    out["eigenbasis"] = _then(out["eigenbasis"], stage, "vectors")
     size = 0
 
     def sink(chunk):
         nonlocal size
         size += len(chunk)
 
-    write_json(out, sink)
-    stage("descriptor")
+    if fmt == "csv":
+        sink(eigen_csv(system, ops.level_ops()))
+        stage("rows")
+    else:
+        out = eigen_json(system, ops.level_ops())
+        out["comparison"] = _then(out["comparison"], stage, "comparison")
+        out["eigenbasis"] = _then(out["eigenbasis"], stage, "vectors")
+        write_json(out, sink)
+        stage("descriptor")
     times["bytes"] = size
     return times
 
@@ -86,15 +96,17 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--through", choices=("eigenbasis", "descriptor"),
                         default="descriptor", help="the last stage to run")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args()
     best: dict = {}
     for _ in range(args.repeat):
         gc.collect()
         for name, value in one_run(args.level, args.char, args.weight,
-                                   args.through).items():
+                                   args.through, args.format).items():
             best[name] = min(best.get(name, value), value)
     out = {"level": args.level, "char": args.char, "weight": args.weight,
-           "repeat": args.repeat, "through": args.through}
+           "repeat": args.repeat, "through": args.through,
+           "format": args.format}
     out.update({k: v if k == "bytes" else round(v, 4) for k, v in best.items()})
     print(json.dumps(out))
 
