@@ -77,15 +77,33 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base above (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+PRIMALITY_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division, like factorize."""
+    """Primality of n < PRIMALITY_BOUND (about 3.2e23): trial division by
+    the primes 2 to 37, then the strong probable-prime test (Miller-Rabin)
+    to those bases, which no composite below the bound passes.  A larger n
+    raises ValueError."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"{n} is too large to test for primality; "
+                         f"the bound is {PRIMALITY_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        # for prime n, a^d = 1 or a^(d 2^i) = -1 for some i < s
+        xs = [pow(a, d << i, n) for i in range(s)]
+        if xs[0] != 1 and n - 1 not in xs:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 

@@ -27,7 +27,7 @@ from .characters import legendre_epsilon
 from .cyclotomic import CycNum, as_cyc, is_prime
 from .eisspace import EisSpace, Partition, prime_factors, rank_code
 from .jsonout import JsonText, encoded
-from .linalg import CycMatrix, _matrix
+from .linalg import CycMatrix
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -58,15 +58,17 @@ class HeckeMatrix:
     ``pos`` is the position of p among the primes of N (None for p not
     dividing N) and ``at`` is A_p, the positions of the primes q != p of N
     with chi_q(p) != 1.  The key of a row is its ranks at ``places``: A_p,
-    then p for p | N.  ``local`` maps each key to its local row: for
-    p | N the entries (target rank at p, value) in ascending rank, the
-    target being the row with its rank at p replaced; for p not dividing N
-    the diagonal value.  ``diagonal`` and ``vec_mat`` read the local rows;
-    ``rows`` (nonzero entries of row i as (j, value) pairs in ascending j,
-    at most 3) and the dense ``mat`` are expanded on first read and kept.
-    The trade-off: the table factors by construction, and nothing checks
-    that at run time; verify's hecke-triangularity check and the tests
-    compare every expanded row with the per-row formulas.
+    then p for p | N; every reader of keys uses ``key``, which reads that
+    tuple off any sequence indexed like a rank tuple.  ``local`` maps each
+    key to its local row: for p | N the entries (target rank at p, value)
+    in ascending rank, the target being the row with its rank at p
+    replaced; for p not dividing N the diagonal value.  ``diagonal`` and
+    ``vec_mat`` read the local rows; ``rows``, the only expansion (nonzero
+    entries of row i as (j, value) pairs in ascending j, at most 3), is
+    built on first read and kept.  The trade-off: the table factors by
+    construction, and nothing checks that at run time; verify's
+    hecke-triangularity check and the tests compare every expanded row with
+    the per-row formulas.
     """
 
     space: EisSpace
@@ -76,11 +78,16 @@ class HeckeMatrix:
     local: dict
 
     def __post_init__(self):
-        self.places = self.at if self.pos is None else self.at + (self.pos,)
+        places = self.places = self.at if self.pos is None else self.at + (self.pos,)
+        if len(places) == 1:
+            (x,) = places
+            self.key = lambda ranks: (ranks[x],)
+        else:
+            self.key = itemgetter(*places) if places else lambda ranks: ()
 
     def _row(self, i: int) -> tuple:
         ranks = self.space.rank_tuples[i]
-        row = self.local[tuple([ranks[x] for x in self.places])]
+        row = self.local[self.key(ranks)]
         if self.pos is None:
             return ((i, row),)
         index, pos = self.space.index_of_ranks, self.pos
@@ -90,15 +97,6 @@ class HeckeMatrix:
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, CycNum], ...], ...]:
         return tuple(map(self._row, range(self.space.dimension)))
-
-    @cached_property
-    def mat(self) -> CycMatrix:
-        n = self.space.dimension
-        dense = [[_ZERO] * n for _ in range(n)]
-        for out, row in zip(dense, self.rows):
-            for j, a in row:
-                out[j] = a
-        return _matrix(dense)
 
     def diagonal(self, i: int) -> CycNum:
         """The entry (i, i), read off the local row of i's key."""
@@ -227,17 +225,15 @@ def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     """
     if op.kind not in ("T", "T1"):
         raise ValueError(f"{op} is a relation operator; build it with s_operator")
-    at = _moved_by(space, op.p)
-    if space.level % op.p:
-        return HeckeMatrix(space, op, None, at, {
-            key: _row_prime_to_level(space, space.basis[i], op)
-            for key, i in _representatives(space, at).items()})
-    pos = prime_factors(space.level).index(op.p)
-    ranks = space.rank_tuples
-    return HeckeMatrix(space, op, pos, at, {
-        key: tuple((ranks[j][pos], a)
-                   for j, a in _row_at_level_prime(space, i, op, pos))
-        for key, i in _representatives(space, at + (pos,)).items()})
+    primes, ranks = prime_factors(space.level), space.rank_tuples
+    pos = primes.index(op.p) if op.p in primes else None
+    hm = HeckeMatrix(space, op, pos, _moved_by(space, op.p), {})
+    for key, i in _representatives(space, hm.places).items():
+        hm.local[key] = (
+            _row_prime_to_level(space, space.basis[i], op) if pos is None
+            else tuple((ranks[j][pos], a)
+                       for j, a in _row_at_level_prime(space, i, op, pos)))
+    return hm
 
 
 class SpaceOperators:
@@ -379,8 +375,23 @@ class EigenVectorEntry:
 
 @dataclass
 class EigenSystem:
+    """The verified eigenvectors, and the tables they were verified against,
+    keyed by the op objects that key every entry's eigenvalues."""
+
     space: EisSpace
     entries: list[EigenVectorEntry]
+    tables: dict[HeckeOp, HeckeMatrix]
+
+    def keyed(self, op_list) -> list[HeckeOp]:
+        """The op of ``tables`` equal to each op of op_list, so that a lookup
+        in an entry's eigenvalues hits by identity; an op without a
+        verified table raises ValueError."""
+        own = {op: op for op in self.tables}
+        for op in op_list:
+            if op not in own:
+                raise ValueError(
+                    f"{op} was not verified; build its table before eigenbasis")
+        return [own[op] for op in op_list]
 
 
 def _local_vector(space: EisSpace, rho: Partition, q: int,
@@ -396,18 +407,19 @@ def _local_vector(space: EisSpace, rho: Partition, q: int,
     return {t: a for t, a in u.items() if not a.is_zero()}
 
 
-def eigen_vector(space: EisSpace, rho: Partition,
+def eigen_vector(ops: SpaceOperators, rho: Partition,
                  memo: dict | None = None) -> TensorVector:
-    """The simultaneous eigenvector attached to rho: the tensor product over
-    the primes q of N of local vectors u_q, built from the coefficients
-    a, b, c of the moves out of N0 and N1.
+    """The simultaneous eigenvector attached to rho in the space of ops: the
+    tensor product over the primes q of N of local vectors u_q, built from
+    the coefficients a, b, c of the moves out of N0 and N1.
 
     The character values in a, b, c at q are those of the primes in A_q, so
-    u_q depends on rho only through its key (q, rank at q, ranks at A_q).
-    With a memo shared between calls on one space (it holds the getter of
-    those ranks under q and u_q under its key), each u_q is computed once
-    per key and shared.
+    u_q depends on rho only through q and rho's key in the table of T(q)
+    (its ranks at A_q and at q).  With a memo shared between calls on one
+    space (it holds that table's key getter under q and u_q under (q, key)),
+    each u_q is computed once per key and shared.
     """
+    space = ops.space
     ranks = space.rank_tuples[space.index_of(rho)]
     if memo is None:
         memo = {}
@@ -415,7 +427,7 @@ def eigen_vector(space: EisSpace, rho: Partition,
     for x, q in enumerate(prime_factors(space.level)):
         pick = memo.get(q)
         if pick is None:
-            pick = memo[q] = itemgetter(x, *_moved_by(space, q))
+            pick = memo[q] = ops.matrix(HeckeOp("T", q)).key
         key = (q, pick(ranks))
         u = memo.get(key)
         if u is None:
@@ -482,27 +494,27 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     space = ops.space
     for op in ops.level_ops():
         ops.matrix(op)
-    # the getter of the ranks (or local vector ids) at each table's places
-    tables = [(n, op, hm, itemgetter(*hm.places) if hm.places else lambda r: ())
-              for n, (op, hm) in enumerate(ops.stored().items())]
+    tables = ops.stored()
     vectors: dict = {}
     checked: dict[tuple, tuple] = {}
     entries = []
     for i, rho in enumerate(space.basis):
-        vec = eigen_vector(space, rho, vectors)
+        vec = eigen_vector(ops, rho, vectors)
         ranks, local = space.rank_tuples[i], vec.local
         if tables and not (vec.partition == rho and len(local) == len(ranks)
                            and all(u.get(r, _ZERO).is_one()
                                    for u, r in zip(local, ranks))):
             raise _verification_failed(
-                rho, tables[0][1], "a local vector is not 1 at rho")
+                rho, next(iter(tables)), "a local vector is not 1 at rho")
         eigs: dict[HeckeOp, CycNum] = {}
         ids = tuple(map(id, local))
-        for n, op, hm, pick in tables:
-            seen = (n, pick(ranks), pick(ids))
+        for op, hm in tables.items():
+            # the ranks, and the local vector ids, at the table's places;
+            # the tables stay alive, so no id(hm) is reused
+            seen = (id(hm), hm.key(ranks), hm.key(ids))
             hit = checked.get(seen)
             if hit is None:
-                near = [local[x] for x in hm.places]
+                near = list(hm.key(local))
                 lam = hm.diagonal(i)
                 u = None if hm.pos is None else near.pop()
                 if not all(_is_local_eigen(hm.local, k, u, lam)
@@ -513,7 +525,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
                 hit = checked[seen] = (lam, u, near)
             eigs[op] = hit[0]
         entries.append(EigenVectorEntry(rho, vec, eigs))
-    return EigenSystem(space, entries)
+    return EigenSystem(space, entries, tables)
 
 
 # -- closed forms and comparison ----------------------------------------------
@@ -563,24 +575,14 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
     T1(q^2) at partitions with q | N1, where the table entry has q^{2k-3}
     in place of the matrices' q^{2k-2}; those rows come back match=False
     with expected_mismatch=True.  The closed form and the expected mismatch
-    depend only on rho's key, its ranks at A_p and (for p | N) at p, like
-    a table row, so each is evaluated once per (op, key).
+    depend only on rho's key in the op's table (its ranks at A_p and, for
+    p | N, at p), so each is evaluated once per (op, key).
     """
     space = system.space
     primes = prime_factors(space.level)
     if op_list is None:
         op_list = SpaceOperators(space).level_ops()
-    # eigenbasis gives every entry the same ops
-    verified = system.entries[0].eigenvalues if system.entries else {}
-    picks = []
-    for op in op_list:
-        if op not in verified:
-            raise ValueError(
-                f"{op} was not verified; build its table before eigenbasis")
-        places = _moved_by(space, op.p)
-        if op.p in primes:
-            places += (primes.index(op.p),)
-        picks.append((op, itemgetter(*places) if places else lambda r: (), {}))
+    picks = [(op, system.tables[op].key, {}) for op in system.keyed(op_list)]
     out = []
     for e in system.entries:
         rho, ranks = e.partition, space.rank_tuples[space.index_of(e.partition)]

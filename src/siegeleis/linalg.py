@@ -1,14 +1,15 @@
 """Exact linear algebra over cyclotomic-rational fields.
 
-Matrices are dense and carry CycNum entries; their products walk the
-nonzero entries only.  Row spaces are kept in reduced row echelon form with
-each row stored sparse, as its nonzero entries, so elimination touches
-nothing else; a tracked insertion also reports each dependent row's
-expression over the rows before it.  The left null space is read off the
-RREF of a matrix's columns, with no tracking.  Polynomial roots are found
-only by trial candidates (given extras, then a bounded rational-root
-search) in split_roots; whatever does not split inside the working field is
-returned as a leftover factor rather than approximated.
+Matrices are dense and carry CycNum entries; they hold output and test
+oracles, while the Hecke tables keep their own sparse rows.  Row spaces are
+kept in reduced row echelon form with each row stored sparse, as its
+nonzero entries, so elimination touches nothing else; a tracked insertion
+also reports each dependent row's expression over the rows before it.  The
+left null space is read off the RREF of a matrix's columns, with no
+tracking.  Polynomial roots are found only by trial candidates (0, then a
+bounded rational-root search) in split_roots; whatever does not split
+inside the working field is returned as a leftover factor rather than
+approximated.
 """
 
 from __future__ import annotations
@@ -214,65 +215,30 @@ def left_null_space(rows) -> list[list[CycNum]]:
 
 
 class CycMatrix:
-    """Immutable dense matrix of CycNum entries, row-major.
+    """Immutable dense matrix of CycNum entries, row-major: the dense
+    matrix of an operator word (hecke.word_matrix) and decoded CLI output."""
 
-    The nonzero pattern (per row, the (column, entry) pairs of the nonzero
-    entries) is computed on first use and kept; products walk it.
-    """
-
-    __slots__ = ("rows", "cols", "data", "_nonzero")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows_data):
         data = tuple(tuple(as_cyc(e) for e in row) for row in rows_data)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
-        _fill(self, data)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", len(data[0]) if data else 0)
+        object.__setattr__(self, "data", data)
 
     def __setattr__(self, *a):
         raise AttributeError("CycMatrix is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "CycMatrix":
-        return _matrix(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
 
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
 
-    def _nonzeros(self) -> tuple[tuple[tuple[int, CycNum], ...], ...]:
-        nz = self._nonzero
-        if nz is None:
-            # most zero cells are the shared _ZERO, settled by identity
-            nz = tuple(tuple((j, a) for j, a in enumerate(row)
-                             if a is not _ZERO and not a.is_zero())
-                       for row in self.data)
-            object.__setattr__(self, "_nonzero", nz)
-        return nz
-
     def __eq__(self, other):
         # equal row tuples have equal shapes; zero cells are mostly the
         # shared _ZERO, which the tuple comparison settles by identity
         return isinstance(other, CycMatrix) and self.data == other.data
-
-    def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
-        """The full dense product, summing the nonzero terms of each entry;
-        the first term is stored as is, without adding it to _ZERO."""
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        brows = other._nonzeros()
-        out = []
-        for row in self._nonzeros():
-            acc = [_ZERO] * other.cols
-            for j, a in row:
-                for l, b in brows[j]:
-                    c = acc[l]
-                    acc[l] = a * b if c is _ZERO else c + a * b
-            out.append(acc)
-        return _matrix(out)
 
     def vec_mat(self, v) -> list[CycNum]:
         if self.rows != len(v):
@@ -299,37 +265,13 @@ class CycMatrix:
         return f"CycMatrix {self.rows}x{self.cols}\n{body}"
 
 
-def _fill(m: CycMatrix, data: tuple) -> None:
-    object.__setattr__(m, "rows", len(data))
-    object.__setattr__(m, "cols", len(data[0]) if data else 0)
-    object.__setattr__(m, "data", data)
-    object.__setattr__(m, "_nonzero", None)
-
-
-def _matrix(rows) -> CycMatrix:
-    """A CycMatrix over rectangular rows that already hold CycNum entries,
-    without the per-entry as_cyc pass of the constructor."""
-    m = object.__new__(CycMatrix)
-    _fill(m, tuple(map(tuple, rows)))
-    return m
-
-
-def _root_candidates(p: Poly, extra):
-    """0, then ``extra``, then +-d/q for d | den*c0 and q | den ascending
-    (den the common denominator of the rational polynomial p, c0 the
-    constant term of p with its power of x divided out); duplicates are
-    dropped and the divisor search is skipped past |den*c0| > 10^9 or
-    den > 10^6, so huge constant terms are never factored."""
-    seen: set[CycNum] = set()
-
-    def fresh(xs):
-        for x in xs:
-            x = as_cyc(x)
-            if x not in seen:
-                seen.add(x)
-                yield x
-
-    yield from fresh([_ZERO, *extra])
+def _root_candidates(p: Poly):
+    """0, then +-d/q for d | den*c0 and q | den ascending (den the common
+    denominator of the rational polynomial p, c0 the constant term of p
+    with its power of x divided out); duplicates are dropped and the
+    divisor search is skipped past |den*c0| > 10^9 or den > 10^6, so huge
+    constant terms are never factored."""
+    yield _ZERO
     if not all(c.is_rational() for c in p.coeffs):
         return
     den = _int_lcm(*(c.as_fraction().denominator for c in p.coeffs))
@@ -337,20 +279,24 @@ def _root_candidates(p: Poly, extra):
     c0 = abs((low.as_fraction() * den).numerator)
     if c0 > 10**9 or den > 10**6:
         return
-    yield from fresh(
-        Fraction(s * d, q) for d in divisors(c0) for q in divisors(den)
-        for s in (1, -1)
-    )
+    seen: set[Fraction] = set()
+    for d in divisors(c0):
+        for q in divisors(den):
+            for s in (1, -1):
+                x = Fraction(s * d, q)
+                if x not in seen:
+                    seen.add(x)
+                    yield as_cyc(x)
 
 
-def split_roots(p: Poly, extra=()) -> tuple[list[tuple[CycNum, int]], Poly]:
+def split_roots(p: Poly) -> tuple[list[tuple[CycNum, int]], Poly]:
     """Divide the monic polynomial p by its roots among _root_candidates.
 
     Returns (root, multiplicity) pairs in candidate order and the leftover
     factor, which has degree < 1 exactly when p split completely."""
     rem = p
     found: list[tuple[CycNum, int]] = []
-    for cand in _root_candidates(p, extra):
+    for cand in _root_candidates(p):
         if rem.degree < 1:
             break
         mult = 0

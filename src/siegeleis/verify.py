@@ -42,7 +42,7 @@ from .hecke import EigenSystem, HeckeOp, SpaceOperators, _chi_over, \
     eigenvalue_closed_form, eigenvalue_comparisons, relation_defects
 from .lattices import GL2, GramForm, _unimodular_entries_bounded, \
     isotropic_lines, reduce_form, sublattices, transform
-from .linalg import CycMatrix, _axpy, _Span, left_null_space
+from .linalg import _axpy, _Span, left_null_space
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -302,12 +302,12 @@ def _check_eisspace(config, run):
     )]
 
 
-def _diagonal_and_off(m: CycMatrix):
-    """The diagonal of m, and the (row, column) positions of the nonzero
-    entries of m off its diagonal, read off m's nonzero entries."""
+def _diagonal_and_off(rows):
+    """The diagonal of a table, and the (row, column) positions of its
+    nonzero entries off the diagonal, read off its sparse rows."""
     diag, off = [], []
-    for i, row in enumerate(m._nonzeros()):
-        d = CycNum.zero()
+    for i, row in enumerate(rows):
+        d = _ZERO
         for j, a in row:
             if j == i:
                 d = a
@@ -318,35 +318,37 @@ def _diagonal_and_off(m: CycMatrix):
 
 
 def _check_commutativity(config, run):
-    """Every pair of sweep tables commutes, read off the dense views.
+    """Every pair of sweep tables commutes, read off their sparse rows.
 
     When one factor D of a pair is diagonal, entry (i, l) of D.A - A.D is
     (d_i - d_l).a_il, which over a field is zero exactly when a_il = 0 or
     d_i == d_l.  It is zero on the diagonal, so such a pair is settled by
     comparing d_i with d_l at every nonzero a_il of the other factor off
     its diagonal, without a product.  Whether a table is diagonal is read
-    from its dense view, not assumed from its operator.  A pair with no
-    diagonal factor forms both full dense products and compares every
-    entry."""
-    mats = [run.ops.matrix(op).mat for op in run.sweep]
-    parts = [_diagonal_and_off(m) for m in mats]
+    from its rows, not assumed from its operator.  A pair with no diagonal
+    factor forms both products one row at a time (_combine) and compares
+    each pair of rows as maps column -> nonzero value."""
+    tables = [run.ops.matrix(op).rows for op in run.sweep]
+    parts = [_diagonal_and_off(rows) for rows in tables]
     bad = 0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
+    for i in range(len(tables)):
+        for j in range(i + 1, len(tables)):
             (di, off_i), (dj, off_j) = parts[i], parts[j]
             if not off_i:
                 ok = all(di[r] == di[l] for r, l in off_j)
             elif not off_j:
                 ok = all(dj[r] == dj[l] for r, l in off_i)
             else:
-                ok = (mats[i] @ mats[j]) == (mats[j] @ mats[i])
+                a, b = tables[i], tables[j]
+                ok = all(_combine(ra, b) == _combine(rb, a)
+                         for ra, rb in zip(a, b))
             if not ok:
                 bad += 1
     return [CheckRecord(
         "hecke-commutativity",
         {**_space_params(run.space), "prime_max": config["prime_max"]},
         PASS if bad == 0 else FAIL,
-        f"{len(mats)} operators, {bad} non-commuting pairs",
+        f"{len(tables)} operators, {bad} non-commuting pairs",
     )]
 
 
@@ -473,9 +475,10 @@ def _check_level_one_specialization(config, rng):
     return out
 
 
-def _oracle_joint_eigenspaces(mats):
-    """Joint row eigenspaces of ``mats`` by dense refinement, independent of
-    the closed-form eigenvector construction.
+def _oracle_joint_eigenspaces(tables):
+    """Joint row eigenspaces of ``tables``, given by their sparse rows like
+    HeckeMatrix.rows, by dense refinement, independent of the closed-form
+    eigenvector construction.
 
     Starting from the whole space, every piece is split inside itself by
     each matrix M in turn.  The piece's basis B is brought to reduced row
@@ -497,10 +500,10 @@ def _oracle_joint_eigenspaces(mats):
     nonzero entries (_combine), so the products touch nothing else, and two
     such rows are equal exactly when they agree on every entry.
     """
-    n = mats[0].rows
-    pieces = [((), CycMatrix.identity(n).data)]
-    for m in mats:
-        mrows = m._nonzeros()
+    n = len(tables[0])
+    pieces = [((), [[_ONE if i == j else _ZERO for j in range(n)]
+                     for i in range(n)])]
+    for mrows in tables:
         nxt = []
         for tags, basis in pieces:
             span = _Span()
@@ -554,15 +557,16 @@ def _check_eigen_oracle(config, run):
     params = {**_space_params(space), "operators": len(op_list)}
     if system is None:
         return [CheckRecord("hecke-eigen-oracle", params, FAIL, run.error)]
-    pieces = _oracle_joint_eigenspaces([ops.matrix(op).mat for op in op_list])
+    pieces = _oracle_joint_eigenspaces([ops.matrix(op).rows for op in op_list])
     bad = []
     if len(pieces) != space.dimension:
         bad.append(f"{len(pieces)} joint pieces for dim {space.dimension}")
     else:
         # stored forms are canonical, so equal eigenvalues hash alike
+        keyed = system.keyed(op_list)
         by_tags = defaultdict(list)
         for e in system.entries:
-            by_tags[tuple(e.eigenvalues[op] for op in op_list)].append(e)
+            by_tags[tuple(e.eigenvalues[op] for op in keyed)].append(e)
         for tags, basis in pieces:
             if len(basis) != 1:
                 bad.append("joint eigenspace not 1-dimensional")

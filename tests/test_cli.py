@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 from siegeleis import cli
 from siegeleis.cli import main, parse_op_word
-from siegeleis.cyclotomic import conductor_cap, set_conductor_cap
+from siegeleis.cyclotomic import (PRIMALITY_BOUND, conductor_cap,
+                                  set_conductor_cap)
 from siegeleis.fourier import UOperator
 from siegeleis.hecke import HeckeOp
 from siegeleis.linalg import CycMatrix
@@ -40,6 +42,25 @@ def test_bad_operator_argument_exit_code(capsys):
                          "--op", "T:x")
     assert code == 1 and out == ""
     assert err == "error: bad operator spec 'T:x'\n"
+
+
+def test_large_prime_operator_runs_in_bounded_time(capsys):
+    # trial division would take about 10^9 steps on the prime 2^61 - 1
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "hecke", "--level", "6", "--weight", "4",
+                         "--op", f"T:{2**61 - 1}")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["matrix"]) == 9
+
+
+def test_prime_past_the_primality_bound_exit_code(capsys):
+    big = 2**89 - 1  # a prime above cyclotomic.PRIMALITY_BOUND
+    code, out, err = run(capsys, "hecke", "--level", "6", "--weight", "4",
+                         "--op", f"T:{big}")
+    assert code == 1 and out == ""
+    assert err == (f"error: {big} is too large to test for primality; "
+                   f"the bound is {PRIMALITY_BOUND}\n")
 
 
 def test_bad_prime_list_exit_code(capsys):

@@ -10,8 +10,9 @@ import pytest
 import siegeleis.cyclotomic as cyclotomic
 from siegeleis.cyclotomic import (ConductorCapError, CycNum, as_cyc,
                                   conductor_cap, cyclotomic_polynomial,
-                                  euler_phi, factorize, is_squarefree,
-                                  primes_up_to, set_conductor_cap)
+                                  euler_phi, factorize, is_prime,
+                                  is_squarefree, primes_up_to,
+                                  set_conductor_cap)
 
 
 def root(m, e=1):
@@ -189,6 +190,26 @@ def test_small_helpers():
     assert primes_up_to(1) == [] and primes_up_to(13) == [2, 3, 5, 7, 11, 13]
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_is_prime_agrees_with_trial_division_below_its_bound():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [
+        n for n in range(-3, 20000) if trial(n)]
+    # Carmichael numbers, and strong pseudoprimes to the prime bases up to
+    # 7 and up to 23: only the later bases expose the last two
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+    # the least strong pseudoprime to the bases 2 to 37 is the bound itself
+    p, q = 399165290221, 798330580441
+    assert is_prime(p) and is_prime(q)
+    assert p * q == cyclotomic.PRIMALITY_BOUND
+    for n in (p * q, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large to test"):
+            is_prime(n)
 
 
 def test_immutability_and_repr():

@@ -227,10 +227,12 @@ def test_calibration_report_on_shipped_data():
 
 @needs_provider
 def test_calibration_builds_no_dense_view(monkeypatch):
-    def dense_view(hm):
-        raise AssertionError(f"dense view of {hm.op} built")
+    # the diagonal is read off the local rows; the expanded rows are the
+    # only other view of a table
+    def expanded(hm):
+        raise AssertionError(f"rows of {hm.op} expanded")
 
-    monkeypatch.setattr(HeckeMatrix, "mat", property(dense_view))
+    monkeypatch.setattr(HeckeMatrix, "rows", property(expanded))
     rep = calibrate_normalization(provider_load(PROVIDER_PATH), 2, 4)
     assert rep["primes"]["2"]["T"]["relation_to_matrix"]["type"] == "scalar"
 

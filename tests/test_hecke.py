@@ -9,12 +9,13 @@ import siegeleis.cli as cli
 import siegeleis.hecke as hecke
 import siegeleis.verify as verify
 from siegeleis.characters import DirichletCharacter, legendre_epsilon
-from siegeleis.cyclotomic import CycNum, as_cyc, euler_phi
+from siegeleis.cyclotomic import CycNum, as_cyc, euler_phi, primes_up_to
 from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
                              apply_word, compare_eigenvalues, eigen_json,
                              eigen_vector, eigenbasis, eigenvalue_closed_form,
-                             hecke_matrix, s_constant, s_operator, s_word)
+                             hecke_matrix, s_constant, s_operator, s_word,
+                             word_matrix)
 from siegeleis.jsonout import encoded, write_json
 from siegeleis.linalg import CycMatrix
 
@@ -29,15 +30,15 @@ def _coeffs(vec: TensorVector) -> dict:
 def test_worked_fixture_matrices():
     ops = SpaceOperators(N2K4)
     assert N2K4.basis == (Partition(2, 1, 1), Partition(1, 2, 1), Partition(1, 1, 2))
-    T2 = ops.matrix(HeckeOp("T", 2)).mat
+    T2 = word_matrix(ops, [HeckeOp("T", 2)])
     assert T2 == CycMatrix(
         [[1, Fraction(1, 2), Fraction(1, 2)], [0, 8, 6], [0, 0, 32]]
     )
-    T1 = ops.matrix(HeckeOp("T1", 2)).mat
+    T1 = word_matrix(ops, [HeckeOp("T1", 2)])
     assert T1 == CycMatrix(
         [[3, Fraction(9, 2), Fraction(3, 4)], [0, 66, Fraction(15, 2)], [0, 0, 96]]
     )
-    T3 = ops.matrix(HeckeOp("T", 3)).mat
+    T3 = word_matrix(ops, [HeckeOp("T", 3)])
     assert T3 == CycMatrix([[280, 0, 0], [0, 280, 0], [0, 0, 280]])
 
 
@@ -61,7 +62,7 @@ def test_worked_fixture_eigenbasis():
 
 def test_trivial_level_one_eigenvector():
     sp = enumerate_partitions(1, None, 4)
-    v = eigen_vector(sp, Partition(1, 1, 1))
+    v = eigen_vector(SpaceOperators(sp), Partition(1, 1, 1))
     assert _coeffs(v) == {Partition(1, 1, 1): CycNum.one()}
 
 
@@ -111,9 +112,9 @@ def test_higher_order_character_rows_are_diagonal():
     sp = enumerate_partitions(5, chi, 5)
     assert sp.basis == (Partition(5, 1, 1), Partition(1, 1, 5))
     ops = SpaceOperators(sp)
-    T = ops.matrix(HeckeOp("T", 5)).mat
+    T = word_matrix(ops, [HeckeOp("T", 5)])
     assert T == CycMatrix([[1, 0], [0, 5**7]])
-    T1 = ops.matrix(HeckeOp("T1", 5)).mat
+    T1 = word_matrix(ops, [HeckeOp("T1", 5)])
     assert T1 == CycMatrix([[6, 0], [0, 6 * 5**7]])
     system = eigenbasis(ops)
     for entry in system.entries:
@@ -128,12 +129,12 @@ def test_quadratic_character_epsilon_branch():
     i0 = sp.index_of(Partition(3, 1, 1))
     i1 = sp.index_of(Partition(1, 3, 1))
     i2 = sp.index_of(Partition(1, 1, 3))
-    T = ops.matrix(HeckeOp("T", 3)).mat
+    T = word_matrix(ops, [HeckeOp("T", 3)])
     assert T[i0, i0] == 1 and T[i0, i2] == Fraction(-2, 9)
     assert T[i0, i1].is_zero()  # the rank-1 move needs trivial chi_q
     assert T[i1, i1] == 81 and T[i1, i2].is_zero()
     assert T[i2, i2] == 3**7
-    T1 = ops.matrix(HeckeOp("T1", 3)).mat
+    T1 = word_matrix(ops, [HeckeOp("T1", 3)])
     assert T1[i0, i0] == 4 and T1[i0, i2] == Fraction(-8, 9)
     assert T1[i0, i1].is_zero()
     assert T1[i1, i1] == 3**8 + 3
@@ -147,11 +148,11 @@ def test_character_twisted_entries():
     chi = DirichletCharacter.make(10, [(5, 2)])
     sp = enumerate_partitions(10, chi, 4)
     ops = SpaceOperators(sp)
-    T2 = ops.matrix(HeckeOp("T", 2)).mat
+    T2 = word_matrix(ops, [HeckeOp("T", 2)])
     src = sp.index_of(Partition(5, 2, 1))
     assert T2[src, src] == -8
     assert T2[src, sp.index_of(Partition(5, 1, 2))] == -6
-    T1 = ops.matrix(HeckeOp("T1", 2)).mat
+    T1 = word_matrix(ops, [HeckeOp("T1", 2)])
     assert T1[src, src] == 66  # chi_5(2^2) = +1 on the diagonal
     row = compare_eigenvalues(eigenbasis(ops), [HeckeOp("T1", 2)])
     bad = [r for r in row if not r["match"]]
@@ -163,21 +164,18 @@ def test_commutativity_with_characters():
     k = 4 if chi.valid_for_weight(4) else 5
     sp = enumerate_partitions(15, chi, k)
     ops = SpaceOperators(sp)
-    mats = [ops.matrix(HeckeOp(kind, p)).mat
-            for p in (2, 3, 5) for kind in ("T", "T1")]
-    for A, B in combinations(mats, 2):
-        assert A @ B == B @ A
+    gens = [HeckeOp(kind, p) for p in (2, 3, 5) for kind in ("T", "T1")]
+    for A, B in combinations(gens, 2):
+        assert word_matrix(ops, [A, B]) == word_matrix(ops, [B, A])
     eigenbasis(ops)  # exact verification against all six tables
 
 
 def test_s_operator_fixture():
     ops = SpaceOperators(N2K4)
     assert s_constant(N2K4, 2) == Fraction(4, 15)
-    S1 = s_operator(ops, 2, "S1").mat
-    assert [v for v in S1.data[0]] == [0, 1, 0]
-    S2 = s_operator(ops, 2, "S2").mat
-    assert [v for v in S2.data[0]] == [0, 0, 1]
-    assert s_word(ops, 1, 1) == CycMatrix.identity(3)
+    assert s_operator(ops, 2, "S1").rows[0] == ((1, 1),)
+    assert s_operator(ops, 2, "S2").rows[0] == ((2, 1),)
+    assert s_word(ops, 1, 1) == CycMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_s_word_full_identity_small_levels():
@@ -197,9 +195,9 @@ def test_s_operator_character_conditions():
     ops = SpaceOperators(sp)
     with pytest.raises(ValueError):
         s_operator(ops, 3, "S1")  # S1 needs trivial chi_q
-    S2 = s_operator(ops, 3, "S2").mat  # quadratic branch is fine
+    S2 = s_operator(ops, 3, "S2")  # quadratic branch is fine
     corner = sp.index_of(Partition(3, 1, 1))
-    assert [v for v in S2.data[corner]] == [0, 0, 1]
+    assert S2.rows[corner] == ((2, 1),)
     chi4 = DirichletCharacter.make(5, [(5, 1)])
     sp4 = enumerate_partitions(5, chi4, 5)
     with pytest.raises(ValueError):
@@ -225,12 +223,13 @@ def test_hecke_op_validation_and_cache():
 
 def test_matrix_json_round_trip():
     hm = hecke_matrix(N2K4, HeckeOp("T1", 2))
-    blob = json.dumps(hm.mat.to_json())
-    assert CycMatrix.from_json(json.loads(blob)) == hm.mat
+    mat = word_matrix(SpaceOperators(N2K4), [hm.op])
+    blob = json.dumps(mat.to_json())
+    assert CycMatrix.from_json(json.loads(blob)) == mat
     assert hm.op.spec_string() == "T1:2"
 
 
-# -- sparse rows against the dense view ----------------------------------------
+# -- sparse rows against dense references --------------------------------------
 
 SPARSE_SPACES = [(1, None), (6, None), (30, None), (10, "5:2"), (10, "5:1")]
 
@@ -278,17 +277,17 @@ def test_sparse_rows_match_dense_view(level, spec):
             assert all(j >= i and not a.is_zero() for j, a in row)
         ref = _dense_reference(space, op)
         n = space.dimension
-        assert all(hm.mat[i, j] == ref[i][j] for i in range(n) for j in range(n))
-        # the dense view skips the constructor's as_cyc pass, and an int
-        # entry would still compare equal above
-        assert all(type(x) is CycNum for row in hm.mat.data for x in row)
+        assert [dict(row) for row in hm.rows] == [
+            {j: a for j, a in enumerate(row) if not a.is_zero()} for row in ref]
+        # an int entry would still compare equal above
+        assert all(type(a) is CycNum for row in hm.rows for _, a in row)
         for _ in range(3):
             dense = [rng.choice(field) * Fraction(rng.randint(-9, 9),
                                                   rng.randint(1, 9))
                      for _ in range(n)]
             image = hm.vec_mat({i: x for i, x in enumerate(dense)
                                 if not x.is_zero()})
-            want = hm.mat.vec_mat(dense)
+            want = CycMatrix(ref).vec_mat(dense)
             assert all(image.get(j, CycNum.zero()) == want[j] for j in range(n))
 
 
@@ -296,8 +295,10 @@ def _dense_s(ops, q, which):
     """S1(q), S2(q) as expressions in T(q), T1(q^2) and I, evaluated on the
     dense entries one position at a time."""
     space, k = ops.space, ops.space.weight
-    mats = (ops.matrix(HeckeOp("T", q)).mat, ops.matrix(HeckeOp("T1", q)).mat,
-            CycMatrix.identity(space.dimension))
+    mats = (word_matrix(ops, [HeckeOp("T", q)]),
+            word_matrix(ops, [HeckeOp("T1", q)]),
+            CycMatrix([[int(i == j) for j in range(space.dimension)]
+                       for i in range(space.dimension)]))
     chi_rest = space.char.eval_over(
         [r for r in prime_factors(space.level) if r != q], q)
     c = s_constant(space, q)
@@ -336,10 +337,12 @@ def test_s_operator_rows_match_its_dense_product():
             assert all(len(row) <= 3 for row in hm.rows)
             dense = _dense_s(ops, q, which)
             for i in range(n):
+                row = dict(hm.rows[i])
                 for j in range(n):
                     # equal values, and equal serialized forms
-                    assert hm.mat[i, j] == dense[i, j], (level, q, which, i, j)
-                    assert hm.mat[i, j].to_json() == dense[i, j].to_json()
+                    got = row.get(j, CycNum.zero())
+                    assert got == dense[i, j], (level, q, which, i, j)
+                    assert got.to_json() == dense[i, j].to_json()
 
 
 def test_s_operators_are_cached_hecke_ops():
@@ -380,12 +383,12 @@ def _tampered(change, target=Partition(2, 1, 1)):
     which gets copies of them, one rank -> value dict per prime of N."""
     real = hecke.eigen_vector
 
-    def fake(space, rho, memo=None):
-        vec = real(space, rho, memo)
+    def fake(ops, rho, memo=None):
+        vec = real(ops, rho, memo)
         if rho == target:
             local = [dict(u) for u in vec.local]
             change(local)
-            vec = TensorVector(space, rho, tuple(local))
+            vec = TensorVector(ops.space, rho, tuple(local))
         return vec
     return fake
 
@@ -471,9 +474,9 @@ def test_eigenbasis_checks_a_shared_local_vector_per_object(monkeypatch):
     # pass it
     space = enumerate_partitions(6, None, 4)
     first, second = Partition(6, 1, 1), Partition(2, 3, 1)
-    memo = {}
-    assert (eigen_vector(space, first, memo).local[0]
-            is eigen_vector(space, second, memo).local[0])
+    memo, ops = {}, SpaceOperators(space)
+    assert (eigen_vector(ops, first, memo).local[0]
+            is eigen_vector(ops, second, memo).local[0])
     assert space.index_of(first) < space.index_of(second)
     monkeypatch.setattr(hecke, "eigen_vector", _tampered(_change_coeff, second))
     with pytest.raises(RuntimeError, match=r"rho=\(2,3,1\), op=T\(2\): "
@@ -771,6 +774,33 @@ def test_eigen_calls_the_row_formulas_once_per_key(monkeypatch, capsys):
         [op for op in ops for _ in range(3)], key=str)
 
 
+def _dense(hm: HeckeMatrix) -> CycMatrix:
+    """The dense table written from the expanded rows of hm."""
+    n = hm.space.dimension
+    dense = [[CycNum.zero()] * n for _ in range(n)]
+    for out, row in zip(dense, hm.rows):
+        for j, a in row:
+            out[j] = a
+    return CycMatrix(dense)
+
+
+def test_expanded_rows_hold_no_zero_entry_on_the_desk():
+    # the products of hecke-commutativity and the oracle's W == R.B read
+    # the rows as the nonzero entries of the table
+    tables = 0
+    for space in verify.spaces_in_scope(verify.DESK_CONFIG):
+        ops = SpaceOperators(space)
+        sweep = [HeckeOp(kind, p)
+                 for p in primes_up_to(verify.DESK_CONFIG["prime_max"])
+                 for kind in ("T", "T1")]
+        for op in sweep + ops.level_ops():
+            rows = ops.matrix(op).rows
+            assert not any(a.is_zero() for row in rows for _, a in row), (
+                space.level, space.char.spec_string(), space.weight, op)
+        tables += len(ops.stored())
+    assert tables > 1000
+
+
 # (level, character, weight, extra primes off the level)
 ORACLE_SPACES = [
     (1, "1", 4, (2, 3, 5)),
@@ -783,8 +813,8 @@ ORACLE_SPACES = [
 @pytest.mark.parametrize("level,spec,k,extra", ORACLE_SPACES,
                          ids=[f"{n}-{s}-k{k}" for n, s, k, _ in ORACLE_SPACES])
 def test_verified_vectors_pass_the_dense_check(level, spec, k, extra):
-    # the per-coordinate check v.M == lambda.v on the dense view, which
-    # shares nothing with the factored proof
+    # the per-coordinate check v.M == lambda.v on the dense table written
+    # from the expanded rows, which shares nothing with the factored proof
     ops = SpaceOperators(_space(level, spec, k))
     for p in extra:
         ops.matrix(HeckeOp("T", p))
@@ -797,9 +827,29 @@ def test_verified_vectors_pass_the_dense_check(level, spec, k, extra):
         assert e.eigenvalues.keys() == stored.keys()
         for op, hm in stored.items():
             lam = e.eigenvalues[op]
-            image = hm.mat.vec_mat(dense)
+            image = _dense(hm).vec_mat(dense)
             assert all(image[j] == lam * dense[j] for j in range(len(dense))), \
                 (level, e.partition, op)
+
+
+def test_comparison_looks_ops_up_by_identity(monkeypatch):
+    # the ops of op_list are new objects equal to those that key the
+    # entries; each is mapped to its key once, not compared per row
+    ops = SpaceOperators(enumerate_partitions(2310, None, 4))
+    system = eigenbasis(ops)
+    op_list = ops.level_ops()  # equal to the stored keys, not the same
+    assert not {id(op) for op in op_list} & {id(op) for op in system.tables}
+    calls = []
+    real = HeckeOp.__eq__
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(HeckeOp, "__eq__", counted)
+    rows = hecke.eigenvalue_comparisons(system, op_list)
+    assert len(rows) == 243 * 10
+    assert len(calls) <= 2 * len(op_list)
 
 
 def _compared_spaces():

@@ -10,10 +10,9 @@ import pytest
 
 from siegeleis import hecke, verify
 from siegeleis.characters import DirichletCharacter
-from siegeleis.cyclotomic import as_cyc
+from siegeleis.cyclotomic import CycNum, as_cyc
 from siegeleis.eisspace import Partition, enumerate_partitions
 from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators, TensorVector
-from siegeleis.linalg import CycMatrix
 from siegeleis.verify import (DESK_CONFIG, PRESETS, QUICK_CONFIG,
                               run_suite, space_run, spaces_in_scope,
                               subgroup_count_oracle)
@@ -99,27 +98,52 @@ def test_eigen_oracle_fails_on_a_wrong_table(monkeypatch):
     assert rec.details == "2 joint pieces for dim 3"
 
 
-def _doctor_dense_view(monkeypatch, op, edit):
-    """Make the dense view of the table of ``op`` the one ``edit`` makes of
-    its rows, a list of lists edited in place; the sparse rows, which
+def _dense(rows) -> list[list[CycNum]]:
+    """The dense lists of a table given by its expanded rows."""
+    dense = [[CycNum.zero()] * len(rows) for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, a in row:
+            out[j] = a
+    return dense
+
+
+def _triple_loop(a, b) -> list[list[CycNum]]:
+    """The product of two dense lists, every term summed from 0."""
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), CycNum.zero())
+             for j in range(n)] for i in range(n)]
+
+
+def _sparse(dense) -> tuple:
+    """The expanded rows of a table given by dense lists: the (column,
+    value) pairs of each row's nonzero entries."""
+    return tuple(tuple((j, as_cyc(a)) for j, a in enumerate(row)
+                       if not as_cyc(a).is_zero()) for row in dense)
+
+
+def _doctor_rows(monkeypatch, op, edit):
+    """Make the expanded rows of the table of ``op`` the ones ``edit``
+    makes of its dense lists, edited in place; the local rows, which
     eigenbasis reads, stay right."""
-    dense_view = HeckeMatrix.mat.func
+    expand = HeckeMatrix.rows.func
 
     def doctored(hm):
-        dense = [list(row) for row in dense_view(hm).data]
-        if hm.op == op:
-            edit(dense)
-        return CycMatrix(dense)
+        rows = expand(hm)
+        if hm.op != op:
+            return rows
+        dense = _dense(rows)
+        edit(dense)
+        return _sparse(dense)
 
-    monkeypatch.setattr(HeckeMatrix, "mat", property(doctored))
+    monkeypatch.setattr(HeckeMatrix, "rows", property(doctored))
 
 
 def _swap_row_0_of_t1_2(monkeypatch):
-    """Swap the two off-diagonal entries of row 0 of T1(2^2)'s dense view."""
+    """Swap the two off-diagonal entries of row 0 of T1(2^2)'s rows."""
     def swap(dense):
         dense[0][1], dense[0][2] = dense[0][2], dense[0][1]
 
-    _doctor_dense_view(monkeypatch, HeckeOp("T1", 2), swap)
+    _doctor_rows(monkeypatch, HeckeOp("T1", 2), swap)
 
 
 def test_commutativity_fails_on_a_wrong_table(monkeypatch):
@@ -157,12 +181,13 @@ def test_commutativity_agrees_with_both_dense_products(monkeypatch, op, edit):
     # At N=6, chi = 3:1, k=5 the tables at 2 and 3 are not diagonal, T(5)
     # is diagonal with two distinct entries and T1(5^2) is scalar.  Each
     # edit makes some pair fail; the record must count exactly the pairs
-    # whose two dense products differ.
+    # whose two dense products, by the triple loop, differ.
     space = enumerate_partitions(6, DirichletCharacter.parse(6, "3:1"), 5)
-    _doctor_dense_view(monkeypatch, op, edit)
+    _doctor_rows(monkeypatch, op, edit)
     run = space_run(space, QUICK_CONFIG)
-    mats = [run.ops.matrix(o).mat for o in run.sweep]
-    want = sum(1 for a, b in combinations(mats, 2) if not a @ b == b @ a)
+    mats = [_dense(run.ops.matrix(o).rows) for o in run.sweep]
+    want = sum(1 for a, b in combinations(mats, 2)
+               if not _triple_loop(a, b) == _triple_loop(b, a))
     assert want > 0
     rec = verify._check_commutativity(QUICK_CONFIG, run)[0]
     assert (rec.status, rec.details) == (
@@ -173,20 +198,20 @@ def test_commutativity_multiplies_only_pairs_without_a_diagonal_table(
         monkeypatch):
     # at N=30 the sweep tables at 2, 3, 5 are at level primes and the six
     # at 7, 11, 13 are diagonal, so only the C(6,2) pairs of the former
-    # form both products
+    # form both products, each one row at a time
     run = space_run(enumerate_partitions(30, None, 4), DESK_CONFIG)
-    products = []
-    real = CycMatrix.__matmul__
+    product_rows = []
+    real = verify._combine
 
-    def counted(a, b):
-        products.append((a, b))
-        return real(a, b)
+    def counted(coeffs, table):
+        product_rows.append(coeffs)
+        return real(coeffs, table)
 
-    monkeypatch.setattr(CycMatrix, "__matmul__", counted)
+    monkeypatch.setattr(verify, "_combine", counted)
     rec = verify._check_commutativity(DESK_CONFIG, run)[0]
     assert (rec.status, rec.details) == (
         "pass", "12 operators, 0 non-commuting pairs")
-    assert len(products) == 2 * 15
+    assert len(product_rows) == 2 * 15 * run.space.dimension
 
 
 def test_run_suite_builds_each_table_and_eigenbasis_once(monkeypatch):
@@ -224,12 +249,12 @@ def test_run_suite_builds_each_table_and_eigenbasis_once(monkeypatch):
 def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
     real = hecke.eigen_vector
 
-    def wrong(space, rho, memo=None):
-        vec = real(space, rho, memo)
-        if space.level == 2 and rho == Partition(2, 1, 1):
+    def wrong(ops, rho, memo=None):
+        vec = real(ops, rho, memo)
+        if ops.space.level == 2 and rho == Partition(2, 1, 1):
             # u_2 is {0: 1, 1: -1/14, 2: -1/434}
             u = {**vec.local[0], 1: as_cyc(Fraction(-1, 13))}
-            vec = TensorVector(space, rho, (u,))
+            vec = TensorVector(ops.space, rho, (u,))
         return vec
 
     monkeypatch.setattr(hecke, "eigen_vector", wrong)
@@ -250,21 +275,21 @@ def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
 def test_eigen_oracle_drops_a_non_invariant_piece():
     # the eigenlines of diag(1, 2) are not invariant under the swap matrix
     pieces = verify._oracle_joint_eigenspaces(
-        [CycMatrix([[1, 0], [0, 2]]), CycMatrix([[0, 1], [1, 0]])]
+        [_sparse([[1, 0], [0, 2]]), _sparse([[0, 1], [1, 0]])]
     )
     assert len(pieces) < 2
 
 
 def test_oracle_leaves_a_jordan_block_short():
     # one eigenline for the double eigenvalue 2
-    pieces = verify._oracle_joint_eigenspaces([CycMatrix([[2, 1], [0, 2]])])
+    pieces = verify._oracle_joint_eigenspaces([_sparse([[2, 1], [0, 2]])])
     assert [(tags, len(basis)) for tags, basis in pieces] == [((2,), 1)]
 
 
 def test_oracle_misses_eigenvalues_off_the_diagonal():
     # the eigenvalues +-1 of the swap matrix are not on its diagonal, so no
     # piece comes out; a triangular table never has that shape
-    assert verify._oracle_joint_eigenspaces([CycMatrix([[0, 1], [1, 0]])]) == []
+    assert verify._oracle_joint_eigenspaces([_sparse([[0, 1], [1, 0]])]) == []
 
 
 def _doctored_run(change):
@@ -344,7 +369,7 @@ def test_closed_form_check_fails_on_a_wrong_value():
 def test_eigen_oracle_is_independent_of_the_fast_paths(monkeypatch):
     space = enumerate_partitions(30, None, 4)
     ops = SpaceOperators(space)
-    mats = [ops.matrix(op).mat for op in ops.level_ops() + [HeckeOp("T", 7)]]
+    tables = [ops.matrix(op).rows for op in ops.level_ops() + [HeckeOp("T", 7)]]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called a fast path")
@@ -354,6 +379,6 @@ def test_eigen_oracle_is_independent_of_the_fast_paths(monkeypatch):
     monkeypatch.setattr(verify, "eigenvalue_closed_form", forbidden)
     monkeypatch.setattr(HeckeMatrix, "vec_mat", forbidden)
     monkeypatch.setattr(HeckeMatrix, "diagonal", forbidden)
-    pieces = verify._oracle_joint_eigenspaces(mats)
+    pieces = verify._oracle_joint_eigenspaces(tables)
     assert len(pieces) == space.dimension == 27
     assert all(len(basis) == 1 for _, basis in pieces)
