@@ -53,17 +53,29 @@ def _check_cap(m: int) -> None:
         )
 
 
+# the largest trial divisor of factorize (about 0.08 s of it in CPython 3.11)
+TRIAL_BOUND = 10**6
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs here are desk-scale)."""
+    """Prime factorization by trial division by d <= TRIAL_BOUND.  A
+    cofactor with no divisor up to the bound is prime below TRIAL_BOUND^2;
+    past that it is kept only if is_prime accepts it, and otherwise n is
+    refused with ValueError, so no input is trial-divided further (the
+    desk and benchmark levels never reach is_prime)."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    n0, d = n, 2
+    while d * d <= n and d <= TRIAL_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if d * d <= n and not (n < PRIMALITY_BOUND and is_prime(n)):
+        raise ValueError(f"cannot factor {n0}: its cofactor {n} has no prime "
+                         f"factor up to {TRIAL_BOUND} and is not a prime below "
+                         f"{PRIMALITY_BOUND}")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

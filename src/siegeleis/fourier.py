@@ -38,7 +38,7 @@ from .lattices import (
     restrict_and_scale,
     sublattices,
 )
-from .linalg import _Span, Poly, split_roots
+from .linalg import _Span, Poly, left_null_space, split_roots
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -46,10 +46,6 @@ _ONE = CycNum.one()
 
 class CoverageError(ValueError):
     """A lookup or operation needs coefficients beyond the stored bounds."""
-
-    def __init__(self, message, missing_det=None):
-        super().__init__(message)
-        self.missing_det = missing_det
 
 
 class LabelingError(ValueError):
@@ -91,11 +87,11 @@ class UOperator:
 
 class FourierExpansion:
     """Class function on reduced Gram classes, total on a bounded domain.
-    validate=False trusts the caller for CycNum values on the whole domain;
-    `keys` is that domain in `reduced_class_keys` order, if already known."""
+    validate=False trusts the caller for CycNum values on the whole domain,
+    whose keys `domain_keys` reads from the memoized `reduced_class_keys`."""
 
     def __init__(self, mode: str, det_bound: int, content_bound: int,
-                 coeffs: dict, validate: bool = True, keys: list = None):
+                 coeffs: dict, validate: bool = True):
         if mode not in (GL2, SL2):
             raise ValueError(f"unknown group mode {mode!r}")
         if det_bound < 0 or content_bound < 0:
@@ -104,18 +100,14 @@ class FourierExpansion:
         self.det_bound = det_bound
         self.content_bound = content_bound
         self.coeffs = coeffs
-        self._keys = keys
         if validate:
             self.coeffs = {k: as_cyc(v) for k, v in coeffs.items()}
             for key in self.domain_keys():
                 if key not in self.coeffs:
                     raise ValueError(f"missing coefficient for {key} within bounds")
 
-    def domain_keys(self) -> list:
-        if self._keys is None:
-            self._keys = reduced_class_keys(self.det_bound, self.content_bound,
-                                            self.mode)
-        return self._keys
+    def domain_keys(self) -> tuple:
+        return reduced_class_keys(self.det_bound, self.content_bound, self.mode)
 
     def value_of_key(self, key) -> CycNum:
         a, b, c = _key_form(key, self.mode)  # c = 0: the zero form or rank 1
@@ -125,8 +117,7 @@ class FourierExpansion:
             )
         if a * c - b * b > self.det_bound:
             raise CoverageError(
-                f"determinant {a * c - b * b} exceeds coverage {self.det_bound}",
-                missing_det=a * c - b * b,
+                f"determinant {a * c - b * b} exceeds coverage {self.det_bound}"
             )
         return self.coeffs[key]
 
@@ -144,11 +135,10 @@ class FourierExpansion:
         if det_bound > self.det_bound or content_bound > self.content_bound:
             raise CoverageError(
                 f"sample domain (det<={det_bound}, content<={content_bound}) "
-                f"exceeds coverage (det<={self.det_bound}, content<={self.content_bound})",
-                missing_det=det_bound if det_bound > self.det_bound else None,
+                f"exceeds coverage (det<={self.det_bound}, content<={self.content_bound})"
             )
-        keys = reduced_class_keys(det_bound, content_bound, self.mode)
-        return [self.coeffs[k] for k in keys]
+        return [self.coeffs[k] for k in
+                reduced_class_keys(det_bound, content_bound, self.mode)]
 
     def agrees_with(self, other: "FourierExpansion") -> bool:
         mine, theirs = self.coeffs, other.coeffs
@@ -173,12 +163,10 @@ class FourierExpansion:
 
 def _common_domain(expansions) -> tuple:
     """(det bound, content bound, keys) of the largest domain that all the
-    expansions cover; one that covers exactly that domain lends its keys."""
+    expansions cover."""
     db = min(f.det_bound for f in expansions)
     cb = min(f.content_bound for f in expansions)
-    same = [f for f in expansions if (f.det_bound, f.content_bound) == (db, cb)]
-    return db, cb, (same[0].domain_keys() if same else
-                    reduced_class_keys(db, cb, expansions[0].mode))
+    return db, cb, reduced_class_keys(db, cb, expansions[0].mode)
 
 
 def expansion_from_function(mode: str, fn, det_bound: int, content_bound: int
@@ -186,7 +174,7 @@ def expansion_from_function(mode: str, fn, det_bound: int, content_bound: int
     keys = reduced_class_keys(det_bound, content_bound, mode)
     return FourierExpansion(
         mode, det_bound, content_bound, {k: as_cyc(fn(k)) for k in keys},
-        validate=False, keys=keys,
+        validate=False,
     )
 
 
@@ -210,7 +198,7 @@ def combine(terms) -> FourierExpansion:
         for c, f in terms:
             total = total + c * f.coeffs[key]
         coeffs[key] = total
-    return FourierExpansion(mode, db, cb, coeffs, validate=False, keys=keys)
+    return FourierExpansion(mode, db, cb, coeffs, validate=False)
 
 
 def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
@@ -219,15 +207,14 @@ def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
     db = f.det_bound // u.det_factor
     cb = f.content_bound // u.content_factor
     subs = sublattices(u.Q)
-    keys = reduced_class_keys(db, cb, f.mode)
     coeffs = {}
-    for key in keys:
+    for key in reduced_class_keys(db, cb, f.mode):
         T = key_representative(key, f.mode)
         total = _ZERO
         for H in subs:
             total = total + f.value(restrict_and_scale(T, H, u.P))
         coeffs[key] = total
-    return FourierExpansion(f.mode, db, cb, coeffs, validate=False, keys=keys)
+    return FourierExpansion(f.mode, db, cb, coeffs, validate=False)
 
 
 # -- provider files -----------------------------------------------------------
@@ -342,33 +329,33 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
               ) -> list[tuple[CycNum, FourierExpansion]]:
     """Split g into exact eigencomponents of u via a sampled Krylov space.
 
-    The minimal monic relation among g, g|u, g|u^2, ... is detected on the
-    sample domain (rank stabilization = first repeated rank); Lagrange
-    projectors then rebuild the components on the largest common domain, and
-    each component is re-checked to be an exact eigenvector on its full
-    remaining coverage.  Insufficient coverage raises CoverageError; a
-    relation that split_roots cannot split into distinct roots raises
-    LabelingError."""
+    The samples of g, g|u, g|u^2, ... on the sample domain are inserted
+    until the first one that depends on those before it (rank
+    stabilization).  The newest sample's index is then free in the
+    samples' left null space, so the last null vector is 1 there: it is
+    the minimal monic relation, in ascending order (also when g samples to
+    zero).  Lagrange projectors then rebuild the components on the largest common
+    domain, and each component is checked to be an exact eigenvector on its
+    full remaining coverage, its image taken from the Krylov images already
+    built.  Insufficient coverage raises CoverageError; a relation that
+    split_roots cannot split into distinct roots raises LabelingError."""
     krylov = [g]
-    span = _Span(track=True)
-    span.insert(g.sample_vector(sample_bound, sample_bound))
-    rel = None
-    while rel is None:
+    samples = [g.sample_vector(sample_bound, sample_bound)]
+    span = _Span()
+    span.insert(samples[0])
+    while True:
         try:
             nxt = apply_U(krylov[-1], u)
-            sample = nxt.sample_vector(sample_bound, sample_bound)
+            samples.append(nxt.sample_vector(sample_bound, sample_bound))
         except CoverageError as exc:
             raise CoverageError(
                 f"Krylov rank not stabilized for {u} within coverage; raise "
-                f"determinant coverage (depth {len(krylov)}): {exc}",
-                missing_det=exc.missing_det,
+                f"determinant coverage (depth {len(krylov)}): {exc}"
             ) from exc
-        dep = span.insert(sample)
-        if dep is None:
-            krylov.append(nxt)
-        else:
-            rel = dep
-    minpoly = Poly([-c for c in rel] + [_ONE])
+        if not span.insert(samples[-1]):
+            break
+        krylov.append(nxt)
+    minpoly = Poly(left_null_space(samples)[-1])
     found, rem = split_roots(minpoly)
     for lam, mult in found:
         if mult > 1:
@@ -387,8 +374,9 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
         numer = Poly.from_roots([r for r in roots if not (r == lam)])
         denom = numer(lam)
         coeffs = [c / denom for c in numer.coeffs]
-        comp = combine(list(zip(coeffs, krylov)))
-        image = apply_U(comp, u)
+        comp = combine(zip(coeffs, krylov))
+        # comp|u by linearity, from the images apply_U already built
+        image = combine(zip(coeffs, krylov[1:] + [nxt]))
         if not image.agrees_with(comp.scale(lam)):
             raise CoverageError(
                 f"component validation failed for {u}; the sample domain "

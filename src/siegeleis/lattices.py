@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import NamedTuple
 
@@ -204,10 +205,12 @@ def class_counts(det_bound: int, group: str = GL2) -> Counter:
     return counts
 
 
+@cache
 def reduced_class_keys(det_bound: int, content_bound: int, group: str = GL2):
     """Canonical keys of every class in the standard sampling domain: the
     zero form, rank-1 forms with content <= content_bound, positive definite
-    classes with det <= det_bound; ordered by (det, a, b[, orient])."""
+    classes with det <= det_bound; ordered by (det, a, b[, orient]).  The
+    tuple is memoized: it is the one copy of a domain's keys."""
     keys = [reduce_form(GramForm(m, 0, 0), group)  # m = 0: the zero form
             for m in range(content_bound + 1)]
     for f in reduced_posdef_forms(det_bound):
@@ -217,7 +220,7 @@ def reduced_class_keys(det_bound: int, content_bound: int, group: str = GL2):
             keys.append((f, 1))
             if 0 < 2 * f.b < f.a < f.c:
                 keys.append((f, -1))  # the class genuinely splits
-    return keys
+    return tuple(keys)
 
 
 def _unimodular_entries_bounded(bound: int):

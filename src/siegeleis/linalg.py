@@ -3,13 +3,12 @@
 Matrices are dense and carry CycNum entries; they hold output and test
 oracles, while the Hecke tables keep their own sparse rows.  Row spaces are
 kept in reduced row echelon form with each row stored sparse, as its
-nonzero entries, so elimination touches nothing else; a tracked insertion
-also reports each dependent row's expression over the rows before it.  The
-left null space is read off the RREF of a matrix's columns, with no
-tracking.  Polynomial roots are found only by trial candidates (0, then a
-bounded rational-root search) in split_roots; whatever does not split
-inside the working field is returned as a leftover factor rather than
-approximated.
+nonzero entries, so elimination touches nothing else; an insertion reports
+only whether the row was independent.  Dependencies among rows are read
+off the left null space, the RREF of a matrix's columns.  Polynomial roots
+are found only by trial candidates (0, then a bounded rational-root
+search) in split_roots; whatever does not split inside the working field
+is returned as a leftover factor rather than approximated.
 """
 
 from __future__ import annotations
@@ -113,56 +112,37 @@ class Poly:
 class _Span:
     """Row space kept fully reduced (RREF), each row stored sparse.
 
-    ``rows`` holds (pivot column, tail, combo) per stored row, in insertion
-    order.  The row is 1 at its pivot; the tail maps each other column where
-    the row is nonzero to its value.  With track=True, combo maps raw-vector
-    index -> value over the nonzero coefficients of the row's expression in
-    the raw vectors inserted so far; otherwise it is None.  Reduction, pivot
-    scaling and the back-reduction of stored rows walk only these nonzero
-    entries, and a pivot entry cancels by dropping it, so no zero operand
-    and no pivot 1 is ever multiplied."""
+    ``rows`` holds (pivot column, tail) per stored row, in insertion order.
+    The row is 1 at its pivot; the tail maps each other column where the
+    row is nonzero to its value.  Reduction, pivot scaling and the
+    back-reduction of stored rows walk only these nonzero entries, and a
+    pivot entry cancels by dropping it, so no zero operand and no pivot 1
+    is ever multiplied."""
 
-    def __init__(self, track=False):
-        self.rows: list[tuple[int, dict[int, CycNum],
-                              dict[int, CycNum] | None]] = []
-        self.track = track
-        self.count = 0  # raw vectors inserted so far
+    def __init__(self):
+        self.rows: list[tuple[int, dict[int, CycNum]]] = []
 
-    def insert(self, v):
-        """Insert a raw vector; return None if independent, else coefficients
-        expressing it over the previously inserted raw vectors."""
-        track = self.track
+    def insert(self, v) -> bool:
+        """Insert a vector; return whether it was independent of the rows."""
         w = {j: x for j, x in enumerate(v) if x is not _ZERO and not x.is_zero()}
-        combo = {self.count: _ONE} if track else None
-        self.count += 1
-        for piv, tail, uc in self.rows:
+        for piv, tail in self.rows:
             f = w.pop(piv, None)
             if f is not None:
-                f = -f
-                _axpy(w, f, tail.items())
-                if track:
-                    _axpy(combo, f, uc.items())
+                _axpy(w, -f, tail.items())
         if not w:
-            # combo is still 1 at this vector's own index, count - 1
-            return [-combo[j] if j in combo else _ZERO
-                    for j in range(self.count - 1)] if track else []
+            return False
         piv = min(w)
         lead = w.pop(piv)
         if not lead.is_one():
             inv = lead.inverse()
             w = {j: x * inv for j, x in w.items()}
-            if track:
-                combo = {j: c * inv for j, c in combo.items()}
         # keep the stored rows reduced against the new pivot
-        for _, tail2, uc2 in self.rows:
+        for _, tail2 in self.rows:
             f = tail2.pop(piv, None)
             if f is not None:
-                f = -f
-                _axpy(tail2, f, w.items())
-                if track:
-                    _axpy(uc2, f, combo.items())
-        self.rows.append((piv, w, combo))
-        return None
+                _axpy(tail2, -f, w.items())
+        self.rows.append((piv, w))
+        return True
 
 
 def _axpy(w: dict, a: CycNum, u) -> None:
@@ -199,14 +179,14 @@ def left_null_space(rows) -> list[list[CycNum]]:
     span = _Span()
     for col in zip(*rows):
         span.insert(col)
-    pivots = {piv for piv, _, _ in span.rows}
+    pivots = {piv for piv, _ in span.rows}
     out = []
     for f in range(n):
         if f in pivots:
             continue
         x = [_ZERO] * n
         x[f] = _ONE
-        for piv, tail, _ in span.rows:
+        for piv, tail in span.rows:
             a = tail.get(f)
             if a is not None:
                 x[piv] = -a

@@ -510,9 +510,9 @@ def _oracle_joint_eigenspaces(tables):
             for v in basis:
                 span.insert(v)
             # B's rows as the (column, value) pairs of their nonzero entries
-            b = [((piv, _ONE), *tail.items()) for piv, tail, _ in span.rows]
+            b = [((piv, _ONE), *tail.items()) for piv, tail in span.rows]
             w = [_combine(row, mrows) for row in b]
-            r = [[wi.get(p, _ZERO) for p, _, _ in span.rows] for wi in w]
+            r = [[wi.get(p, _ZERO) for p, _ in span.rows] for wi in w]
             if any(wi != _combine(enumerate(ri), b) for wi, ri in zip(w, r)):
                 continue
             lams = []

@@ -8,8 +8,8 @@ import pytest
 
 from siegeleis import cli
 from siegeleis.cli import main, parse_op_word
-from siegeleis.cyclotomic import (PRIMALITY_BOUND, conductor_cap,
-                                  set_conductor_cap)
+from siegeleis.cyclotomic import (PRIMALITY_BOUND, TRIAL_BOUND,
+                                  conductor_cap, set_conductor_cap)
 from siegeleis.fourier import UOperator
 from siegeleis.hecke import HeckeOp
 from siegeleis.linalg import CycMatrix
@@ -61,6 +61,28 @@ def test_prime_past_the_primality_bound_exit_code(capsys):
     assert code == 1 and out == ""
     assert err == (f"error: {big} is too large to test for primality; "
                    f"the bound is {PRIMALITY_BOUND}\n")
+
+
+def test_level_with_a_large_prime_factor_runs_in_bounded_time(capsys):
+    # trial division stops at TRIAL_BOUND; the prime cofactor 2^61 - 1 is
+    # then accepted by is_prime
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "basis", "--level", str(2**61 - 1),
+                         "--weight", "4")
+    assert time.perf_counter() - t0 < 3
+    assert code == 0 and err == ""
+    assert json.loads(out)["dimension"] == 3
+
+
+def test_level_with_two_factors_past_the_trial_bound_exit_code(capsys):
+    n = 1000003 * 1000033  # both primes exceed TRIAL_BOUND
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "basis", "--level", str(n), "--weight", "4")
+    assert time.perf_counter() - t0 < 3
+    assert code == 1 and out == ""
+    assert err == (f"error: cannot factor {n}: its cofactor {n} has no prime "
+                   f"factor up to {TRIAL_BOUND} and is not a prime below "
+                   f"{PRIMALITY_BOUND}\n")
 
 
 def test_bad_prime_list_exit_code(capsys):

@@ -212,6 +212,27 @@ def test_is_prime_agrees_with_trial_division_below_its_bound():
             is_prime(n)
 
 
+def test_factorize_trial_divides_only_up_to_its_bound(monkeypatch):
+    bound, m61 = cyclotomic.TRIAL_BOUND, 2**61 - 1
+    # largest prime below the bound, and the least prime above it
+    below, above = 999983, 1000003
+    assert factorize(below * below * 6) == {2: 1, 3: 1, below: 2}
+    assert factorize(above * 10) == {2: 1, 5: 1, above: 1}  # under bound^2
+    tested = []
+    real = cyclotomic.is_prime
+    monkeypatch.setattr(cyclotomic, "is_prime",
+                        lambda n: tested.append(n) or real(n))
+    assert factorize(2 * m61) == {2: 1, m61: 1}
+    assert tested == [m61]  # only a cofactor past bound^2 is tested
+    for n in (above * above, above * 1000033, 2**67 - 1, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"no prime factor up to {bound}"):
+            factorize(3 * n)
+    tested.clear()
+    for n in (2310, 9699690, 6469693230, below * 7):
+        factorize(n)
+    assert tested == []
+
+
 def test_immutability_and_repr():
     v = root(4) / 2
     with pytest.raises(AttributeError):

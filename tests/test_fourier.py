@@ -108,13 +108,36 @@ def test_krylov_mixture_recovery():
     assert total.agrees_with(mix)
 
 
-def test_krylov_coverage_error_names_missing_det():
+def test_krylov_coverage_error_names_depth_and_sample_domain():
     shallow = combine([(3, rank1_power(0, 20, 20)), (5, rank1_power(1, 20, 20)),
                        (1, expansion_from_function(
                            GL2, lambda k: k.det**2 if k.rank() == 2 else 0, 20, 20))])
-    with pytest.raises(CoverageError) as exc:
+    with pytest.raises(CoverageError, match=(
+            r"Krylov rank not stabilized for U:2,1 .*\(depth 2\): sample "
+            r"domain \(det<=2, content<=2\) exceeds coverage "
+            r"\(det<=1, content<=1\)$")):
         krylov_spectral(shallow, [UOperator(2, 1)], sample_bound=2)
-    assert exc.value.missing_det is not None
+
+
+def test_krylov_split_of_the_zero_expansion():
+    # every sample is zero, so the relation is x: one component, itself
+    zero = constant_expansion(0, 400, 400)
+    comps = krylov_spectral(zero, [UOperator(2, 1)], sample_bound=2)
+    assert len(comps) == 1
+    assert comps[0].eigenvalues == {UOperator(2, 1): 0}
+    assert comps[0].expansion.agrees_with(zero)
+    assert comps[0].expansion.det_bound == 400
+
+
+def test_krylov_input_zero_only_on_the_sample_domain():
+    # the first sample is zero but g|U(2,1) is not, so the relation has a
+    # zero first coefficient; its components fail on the full coverage
+    hidden = expansion_from_function(
+        GL2, lambda k: k.a if k.rank() == 1 and k.a > 2 else 0, 400, 400)
+    assert not any(v for v in hidden.sample_vector(2, 2))
+    with pytest.raises(CoverageError, match="^component validation failed "
+                                            "for U:2,1; the sample domain"):
+        krylov_spectral(hidden, [UOperator(2, 1)], sample_bound=2)
 
 
 def test_sl2_mode_tracks_orientation():

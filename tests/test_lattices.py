@@ -184,7 +184,7 @@ def test_reduced_class_keys_ordering():
     keys = reduced_class_keys(2, 2, GL2)
     assert keys[0] == ZERO_FORM
     assert keys[1] == GramForm(1, 0, 0) and keys[2] == GramForm(2, 0, 0)
-    assert keys[3:] == [GramForm(1, 0, 1), GramForm(1, 0, 2)]
+    assert keys[3:] == (GramForm(1, 0, 1), GramForm(1, 0, 2))
     sl2_keys = reduced_class_keys(30, 2, SL2)
     split = [k for k in sl2_keys if k[1] == -1]
     assert split and all(0 < 2 * f.b < f.a < f.c for f, _ in split)

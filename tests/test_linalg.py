@@ -235,14 +235,28 @@ def test_elimination_never_multiplies_a_zero_operand(monkeypatch):
     monkeypatch.setattr(CycNum, "__mul__", checked)
     monkeypatch.setattr(CycNum, "__rmul__", checked)
     for a in cases:
-        for track in (False, True):
-            span = linalg._Span(track=track)
-            for row in a.data:
-                span.insert(row)
+        span = linalg._Span()
+        for row in a.data:
+            span.insert(row)
         for i in range(min(a.rows, a.cols)):
             left_null_space(_shifted(a, a[i, i]))
         left_null_space(a.data)
     assert made  # the elimination did multiply
+
+
+def test_span_insert_reports_independence():
+    # a zero row and a sum of earlier rows are dependent; the count of
+    # independent insertions is the rank
+    rng = random.Random(6)
+    for m in (1, 12):
+        a = _random_matrix(rng, 4, 5, [m])
+        rows = list(a.data)
+        rows[1:1] = [[CycNum.zero()] * a.cols]
+        rows.append([x + y for x, y in zip(rows[0], rows[-1])])
+        span = linalg._Span()
+        got = [span.insert(row) for row in rows]
+        assert got[1] is False and got[-1] is False
+        assert sum(got) == len(span.rows) == _rank(rows)
 
 
 def _rank(rows):
