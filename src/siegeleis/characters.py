@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .cyclotomic import CycNum, factorize, is_prime, is_squarefree
+from .cyclotomic import (CycNum, factorize, is_prime, is_squarefree,
+                         prime_factors)
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -105,7 +106,7 @@ class DirichletCharacter:
     def make(N: int, spec=()) -> "DirichletCharacter":
         if N < 1 or not is_squarefree(N):
             raise ValueError(f"modulus {N} is not square-free")
-        primes = sorted(factorize(N))
+        primes = prime_factors(N)
         given = {}
         for q, j in spec:
             if q < 1 or N % q != 0 or not is_prime(q):
@@ -195,7 +196,7 @@ def enumerate_characters(N: int, orders) -> list[DirichletCharacter]:
     """All characters mod N whose local orders lie in `orders`, deterministic
     order (lexicographic in the local exponent labels)."""
     orders = set(orders)
-    primes = sorted(factorize(N))
+    primes = prime_factors(N)
     choices: list[list[int]] = []
     for q in primes:
         js = [j for j in range(max(q - 1, 1)) if LocalCharacter(q, j).order in orders]

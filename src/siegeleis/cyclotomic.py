@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 DEFAULT_CONDUCTOR_CAP = 120
 
@@ -131,8 +131,17 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+@cache
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes of n >= 1, ascending.  The one memo of a
+    factorization: a level is factored once however many callers ask, and
+    the tuple cannot be changed by any of them."""
+    return tuple(sorted(factorize(n)))
+
+
 def is_squarefree(n: int) -> bool:
-    return n >= 1 and all(e == 1 for e in factorize(n).values())
+    # n is square-free exactly when it is the product of its primes
+    return n >= 1 and prod(prime_factors(n)) == n
 
 
 def _poly_int_divexact(num: list[int], den: list[int]) -> list[int]:

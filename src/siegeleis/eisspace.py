@@ -11,17 +11,12 @@ it exists so JSON output and test fixtures are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 
 from .characters import DirichletCharacter
-from .cyclotomic import factorize, is_squarefree
-
-
-@lru_cache(maxsize=None)
-def prime_factors(n: int) -> tuple[int, ...]:
-    return tuple(sorted(factorize(n)))
+from .cyclotomic import is_squarefree, prime_factors
 
 
 def rank_code(ranks: tuple[int, ...]) -> int:

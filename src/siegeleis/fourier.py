@@ -19,7 +19,6 @@ by calibrate_normalization, never hard-coded.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,17 +30,17 @@ from .lattices import (
     SL2,
     GramForm,
     ZERO_FORM,
-    class_counts,
+    _reduced_triples,
     key_representative,
     reduce_form,
     reduced_class_keys,
-    restrict_and_scale,
     sublattices,
 )
 from .linalg import _Span, Poly, left_null_space, split_roots
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
+_new_tuple = tuple.__new__
 
 
 class CoverageError(ValueError):
@@ -109,7 +108,8 @@ class FourierExpansion:
     def domain_keys(self) -> tuple:
         return reduced_class_keys(self.det_bound, self.content_bound, self.mode)
 
-    def value_of_key(self, key) -> CycNum:
+    def value(self, T: GramForm) -> CycNum:
+        key = reduce_form(T, self.mode)
         a, b, c = _key_form(key, self.mode)  # c = 0: the zero form or rank 1
         if c == 0 and a > self.content_bound:
             raise CoverageError(
@@ -120,9 +120,6 @@ class FourierExpansion:
                 f"determinant {a * c - b * b} exceeds coverage {self.det_bound}"
             )
         return self.coeffs[key]
-
-    def value(self, T: GramForm) -> CycNum:
-        return self.value_of_key(reduce_form(T, self.mode))
 
     def scale(self, s) -> "FourierExpansion":
         s = as_cyc(s)
@@ -203,18 +200,33 @@ def combine(terms) -> FourierExpansion:
 
 def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
     """Sublattice-sum action; output coverage shrinks by the operator's
-    determinant and content factors."""
+    determinant and content factors, so every image P * (H T H^t) of an
+    output class lies inside f's coverage and its coefficient is read
+    straight from the table."""
     db = f.det_bound // u.det_factor
     cb = f.content_bound // u.content_factor
-    subs = sublattices(u.Q)
+    P, mode, table = u.P, f.mode, f.coeffs
+    sl2 = mode == SL2
+    # P * (H T H^t) = (a*ra + b*rb + c*rc, b*sb + c*sc, c*tc) for the
+    # sublattice H = [[d1, x], [0, d2]] and T = [[a, b], [b, c]]
+    subs = [(P * H.d1 * H.d1, 2 * P * H.d1 * H.x, P * H.x * H.x,
+             P * H.d2 * H.d1, P * H.d2 * H.x, P * H.d2 * H.d2)
+            for H in sublattices(u.Q)]
     coeffs = {}
-    for key in reduced_class_keys(db, cb, f.mode):
-        T = key_representative(key, f.mode)
+    for key in reduced_class_keys(db, cb, mode):
+        a, b, c = key_representative(key, mode)
         total = _ZERO
-        for H in subs:
-            total = total + f.value(restrict_and_scale(T, H, u.P))
+        for ra, rb, rc, sb, sc, tc in subs:
+            A, B, C = a * ra + b * rb + c * rc, b * sb + c * sc, c * tc
+            # an image of rank <= 1 (C = 0 forces B = 0) or a reduced one is
+            # its own key; a GramForm hashes and compares as its plain tuple
+            if C == 0 or 0 <= 2 * B <= A <= C:
+                img = ((A, B, C), 1) if sl2 else (A, B, C)
+            else:
+                img = reduce_form(GramForm(A, B, C), mode)
+            total = total + table[img]
         coeffs[key] = total
-    return FourierExpansion(f.mode, db, cb, coeffs, validate=False)
+    return FourierExpansion(mode, db, cb, coeffs, validate=False)
 
 
 # -- provider files -----------------------------------------------------------
@@ -230,17 +242,25 @@ class CoefficientProvider:
     expansion: FourierExpansion
 
 
+def _text(raw: str) -> str:
+    """A provider line without its comment and outer whitespace."""
+    return raw.split("#", 1)[0].strip()
+
+
 def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
     weight = None
     level = None
     mode = GL2
+    sl2 = False
     table: dict = {}
     values: dict = {}
+    top = pd = 0  # the largest det and the number of positive definite keys
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not toks:
             continue
-        if line.startswith("!"):
+        if toks[0][0] == "!":
+            line = _text(raw)
             toks = line[1:].split()
             if (len(toks) != 6 or toks[0] != "weight" or toks[2] != "level"
                     or toks[4] != "group"):
@@ -255,10 +275,10 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
             mode = toks[5]
             if mode not in (GL2, SL2):
                 raise ValueError(f"{source}:{lineno}: unknown group {mode!r}")
+            sl2 = mode == SL2
             continue
-        toks = line.split()
         if len(toks) not in (4, 5):
-            raise ValueError(f"{source}:{lineno}: malformed line {line!r}")
+            raise ValueError(f"{source}:{lineno}: malformed line {_text(raw)!r}")
         try:
             a, b, c = int(toks[0]), int(toks[1]), int(toks[2])
             val = values.get(toks[3])
@@ -269,44 +289,64 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
                     val = as_cyc(Fraction(toks[3]))
                 values[toks[3]] = val
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{source}:{lineno}: bad number in {line!r}") from None
+            raise ValueError(f"{source}:{lineno}: bad number in "
+                             f"{_text(raw)!r}") from None
         orient = toks[4] if len(toks) == 5 else "1"
         if orient not in ("1", "-1"):
             raise ValueError(f"{source}:{lineno}: bad orientation {orient!r} "
-                             f"in {line!r}; want 1 or -1")
+                             f"in {_text(raw)!r}; want 1 or -1")
         # an SL2 line names the class of the b < 0 twin by orient -1
-        neg = mode == SL2 and orient == "-1"
-        try:
-            key = reduce_form(GramForm(a, -b if neg else b, c), mode)
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: form {GramForm(a, b, c)} "
-                             f"is not psd") from None
-        old = table.setdefault(key, val)
-        if old is not val and not (old == val):
+        s = -b if sl2 and orient == "-1" else b
+        if (0 <= 2 * s <= a <= c and a > 0) or s == c == 0 <= a:
+            # already reduced: its own key (GramForm(a, s, c), built without
+            # the Python frame of the generated NamedTuple __new__)
+            key = _new_tuple(GramForm, (a, s, c))
+            if sl2:
+                key = (key, 1)
+        else:
+            try:
+                key = reduce_form(GramForm(a, s, c), mode)
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: form {GramForm(a, b, c)} "
+                                 f"is not psd") from None
+            a, s, c = key[0] if sl2 else key
+        old = table.get(key)
+        if old is None:
+            table[key] = val
+            if c:  # a new positive definite key
+                pd += 1
+                if a * c - s * s > top:
+                    top = a * c - s * s
+        elif old is not val and not (old == val):
             raise ValueError(
                 f"{source}:{lineno}: inconsistent duplicate for class {key}"
             )
     if weight is None:
         raise ValueError(f"{source}: missing '!weight ...' header line")
-    zero_key = reduce_form(ZERO_FORM, mode)
-    if zero_key not in table:
-        raise ValueError(f"{source}: zero-form coefficient missing")
 
+    def own(form):  # the key of the class of a reduced form with b >= 0
+        return (form, 1) if sl2 else form
+
+    if own(ZERO_FORM) not in table:
+        raise ValueError(f"{source}: zero-form coefficient missing")
     # content bound: longest full prefix of rank-1 classes
     cb = 0
-    while reduce_form(GramForm(cb + 1, 0, 0), mode) in table:
+    while own(GramForm(cb + 1, 0, 0)) in table:
         cb += 1
-    # det bound: largest D with every reduced positive definite class
-    # covered.  [[1,0],[0,d]] is a reduced class of det d, so D is at most
-    # the number of positive definite classes in the table, and the walk
-    # stops there however large a det the file names.  A reduced key has
-    # c = 0 exactly when it is the zero form or of rank 1, and a det is
-    # covered when the table holds as many of its keys as there are.
-    have = Counter(a * c - b * b for a, b, c in
-                   (_key_form(k, mode) for k in table) if c)
-    walk = min(max(have, default=0), sum(have.values()))
-    full = class_counts(walk, mode)  # table keys are canonical: a subset
-    db = next((d - 1 for d in range(1, walk + 1) if have[d] != full[d]), walk)
+    # det bound: largest D with every reduced positive definite class of
+    # det <= D in the table.  [[1,0],[0,d]] is a reduced class of det d, so
+    # D is at most the number of positive definite keys, and the walk stops
+    # there however large a det the file names.  A reduced form is looked up
+    # as its plain tuple, which hashes and compares as the GramForm key; in
+    # SL2 a form with 0 < 2b < a < c has a second, orient -1 key.
+    walk = min(top, pd)
+    db = walk
+    for det, a, b, c in _reduced_triples(walk):
+        form = (a, b, c)
+        if det <= db and ((form, 1) not in table or 0 < 2 * b < a < c
+                          and (form, -1) not in table if sl2
+                          else form not in table):
+            db = det - 1
     exp = FourierExpansion(mode, db, cb, table, validate=False)
     return CoefficientProvider(source, weight, level, exp)
 
@@ -325,9 +365,11 @@ class SpectralComponent:
     expansion: FourierExpansion
 
 
-def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
+def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int,
+              image: FourierExpansion | None = None
               ) -> list[tuple[CycNum, FourierExpansion]]:
-    """Split g into exact eigencomponents of u via a sampled Krylov space.
+    """Split g into exact eigencomponents of u via a sampled Krylov space;
+    `image` is g|u when the caller has it already.
 
     The samples of g, g|u, g|u^2, ... on the sample domain are inserted
     until the first one that depends on those before it (rank
@@ -343,9 +385,9 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
     samples = [g.sample_vector(sample_bound, sample_bound)]
     span = _Span()
     span.insert(samples[0])
+    nxt = apply_U(g, u) if image is None else image
     while True:
         try:
-            nxt = apply_U(krylov[-1], u)
             samples.append(nxt.sample_vector(sample_bound, sample_bound))
         except CoverageError as exc:
             raise CoverageError(
@@ -355,6 +397,7 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int
         if not span.insert(samples[-1]):
             break
         krylov.append(nxt)
+        nxt = apply_U(nxt, u)
     minpoly = Poly(left_null_space(samples)[-1])
     found, rem = split_roots(minpoly)
     for lam, mult in found:
@@ -393,12 +436,15 @@ def krylov_spectral(f: FourierExpansion, ops, sample_bound: int
     Components always sum to f coefficientwise on the common domain; the
     caller is responsible for interpreting the eigenvalue tags."""
     ops = list(ops)
-    _check_commuting(f, ops)
+    images = {u: apply_U(f, u) for u in ops}  # f|u once per op
+    _check_commuting(images, ops)
     comps = [SpectralComponent({}, f)]
     for u in ops:
         nxt = []
         for comp in comps:
-            for lam, piece in _split_by(comp.expansion, u, sample_bound):
+            # the first op splits f itself, whose image is known
+            image = images[u] if comp.expansion is f else None
+            for lam, piece in _split_by(comp.expansion, u, sample_bound, image):
                 tags = dict(comp.eigenvalues)
                 tags[u] = lam
                 nxt.append(SpectralComponent(tags, piece))
@@ -409,11 +455,12 @@ def krylov_spectral(f: FourierExpansion, ops, sample_bound: int
     return comps
 
 
-def _check_commuting(f: FourierExpansion, ops) -> None:
+def _check_commuting(images: dict, ops) -> None:
+    """Check (f|u)|v = (f|v)|u for each pair of ops, from images[u] = f|u."""
     for i, u in enumerate(ops):
         for v in ops[i + 1 :]:
-            a = apply_U(apply_U(f, u), v)
-            b = apply_U(apply_U(f, v), u)
+            a = apply_U(images[u], v)
+            b = apply_U(images[v], u)
             if not a.agrees_with(b):
                 raise ValueError(f"sampled operators {u} and {v} do not commute")
 

@@ -12,13 +12,12 @@ orientation bit (+1 for every class that does not split).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
-from .cyclotomic import is_squarefree
+from .cyclotomic import is_squarefree, prime_factors
 
 GL2 = "GL2"
 SL2 = "SL2"
@@ -122,11 +121,21 @@ class SublatticeBasis:
         return f"[[{self.d1},{self.x}],[0,{self.d2}]]"
 
 
+# the most index-Q sublattices that `sublattices` lists; U(Q,P) sums over
+# every one of them for each class, so a larger count is refused up front
+MAX_SUBLATTICES = 10**4
+
+
 def sublattices(Q: int) -> list[SublatticeBasis]:
     """All index-Q sublattices of Z^2 (each contains Q*Z^2); for square-free
-    Q the count is prod_{q | Q} (q + 1)."""
+    Q the count is prod_{q | Q} (q + 1).  A count above MAX_SUBLATTICES
+    raises ValueError before any is listed."""
     if Q < 1 or not is_squarefree(Q):
         raise ValueError(f"index {Q} is not square-free")
+    count = prod(q + 1 for q in prime_factors(Q))
+    if count > MAX_SUBLATTICES:
+        raise ValueError(f"index {Q} has {count} sublattices, more than the "
+                         f"{MAX_SUBLATTICES} allowed")
     out = []
     for d1 in sorted(d for d in range(1, Q + 1) if Q % d == 0):
         d2 = Q // d1
@@ -195,14 +204,6 @@ def reduced_posdef_forms(det_bound: int):
     """All GL2-reduced positive definite forms with det <= det_bound,
     ordered by (det, a, b)."""
     return [GramForm(a, b, c) for _, a, b, c in sorted(_reduced_triples(det_bound))]
-
-
-def class_counts(det_bound: int, group: str = GL2) -> Counter:
-    """Number of positive definite class keys of each det <= det_bound."""
-    counts = Counter()
-    for det, a, b, c in _reduced_triples(det_bound):
-        counts[det] += 2 if group == SL2 and 0 < 2 * b < a < c else 1
-    return counts
 
 
 @cache

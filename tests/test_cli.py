@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from siegeleis import cli
+from siegeleis import cli, cyclotomic
 from siegeleis.cli import main, parse_op_word
 from siegeleis.cyclotomic import (PRIMALITY_BOUND, TRIAL_BOUND,
                                   conductor_cap, set_conductor_cap)
 from siegeleis.fourier import UOperator
 from siegeleis.hecke import HeckeOp
+from siegeleis.lattices import MAX_SUBLATTICES
 from siegeleis.linalg import CycMatrix
 from siegeleis.verify import PRESETS, run_suite
 
@@ -72,6 +73,32 @@ def test_level_with_a_large_prime_factor_runs_in_bounded_time(capsys):
     assert time.perf_counter() - t0 < 3
     assert code == 0 and err == ""
     assert json.loads(out)["dimension"] == 3
+
+
+def test_a_level_is_factored_once(capsys, monkeypatch):
+    # each factorization of 2^61 - 1 trial-divides up to TRIAL_BOUND
+    level = 2**61 - 1
+    calls = []
+    factorize = cyclotomic.factorize
+    monkeypatch.setattr(cyclotomic, "factorize",
+                        lambda n: calls.append(n) or factorize(n))
+    cyclotomic.prime_factors.cache_clear()
+    code, out, err = run(capsys, "basis", "--level", str(level),
+                         "--weight", "4")
+    assert code == 0 and err == ""
+    assert calls == [level]
+    assert isinstance(cyclotomic.prime_factors(level), tuple)
+
+
+def test_sublattice_count_past_the_cap_exit_code(capsys):
+    q = 2**61 - 1  # U(q,1) sums over q + 1 sublattices per class
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "fourier", "--provider", str(PROVIDER),
+                         "--apply", f"U:{q},1")
+    assert time.perf_counter() - t0 < 3
+    assert code == 1 and out == ""
+    assert err == (f"error: index {q} has {q + 1} sublattices, more than "
+                   f"the {MAX_SUBLATTICES} allowed\n")
 
 
 def test_level_with_two_factors_past_the_trial_bound_exit_code(capsys):
