@@ -11,39 +11,28 @@ runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 
-from .cyclotomic import (CycNum, factorize, is_prime, is_squarefree,
+from .cyclotomic import (CycNum, _check_cap, is_prime, is_squarefree,
                          prime_factors)
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
 
 
-@lru_cache(maxsize=None)
+@cache
 def smallest_primitive_root(q: int) -> int:
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q == 2:
         return 1
-    order_factors = factorize(q - 1)
+    order_factors = prime_factors(q - 1)
     for g in range(2, q):
         if all(pow(g, (q - 1) // p, q) != 1 for p in order_factors):
             return g
     raise AssertionError("no primitive root found")
-
-
-@lru_cache(maxsize=None)
-def _dlog_table(q: int) -> dict[int, int]:
-    g = smallest_primitive_root(q)
-    table = {}
-    x = 1
-    for t in range(q - 1):
-        table[x] = t
-        x = x * g % q
-    return table
 
 
 def legendre_epsilon(q: int) -> int:
@@ -87,8 +76,22 @@ class LocalCharacter:
             return _ZERO
         if self.j == 0:
             return _ONE
-        t = _dlog_table(self.q)[n]
-        return CycNum.root_of_unity(self.q - 1, self.j * t)
+        # For n = g^t, chi(n) = zeta_{q-1}^(j t) has the order m of
+        # z = n^j mod q.  The cap is checked on m before the search for the
+        # s < m with z = h^s, h = g^((q-1)/m), and then chi(n) = zeta_m^s.
+        q = self.q
+        z = pow(n, self.j, q)
+        m = q - 1
+        for p in prime_factors(q - 1):
+            while m % p == 0 and pow(z, m // p, q) == 1:
+                m //= p
+        _check_cap(m)
+        h = pow(smallest_primitive_root(q), (q - 1) // m, q)
+        s, x = 0, 1
+        while x != z:
+            x = x * h % q
+            s += 1
+        return CycNum.root_of_unity(m, s)
 
 
 @dataclass(frozen=True)

@@ -159,31 +159,23 @@ def _poly_int_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-_cyclo_cache: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending degree."""
-    if m in _cyclo_cache:
-        return _cyclo_cache[m]
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
             poly = _poly_int_divexact(poly, list(cyclotomic_polynomial(d)))
-    out = tuple(poly)
-    _cyclo_cache[m] = out
-    return out
+    return tuple(poly)
 
 
 _Rows = list[tuple[tuple[int, int], ...]]
-_red_cache: dict[int, tuple[int, _Rows]] = {}
 
 
+@cache
 def _reduction_rows(m: int) -> tuple[int, _Rows]:
     """phi(m) and, for e in range(m), row e = the nonzero (j, c) coordinates
     of z^e in the power basis."""
-    if m in _red_cache:
-        return _red_cache[m]
     phi = euler_phi(m)
     top = cyclotomic_polynomial(m)
     rows: _Rows = []
@@ -200,7 +192,6 @@ def _reduction_rows(m: int) -> tuple[int, _Rows]:
                 for j in range(phi):
                     cur[j] -= lead * top[j]
         rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
-    _red_cache[m] = (phi, rows)
     return phi, rows
 
 

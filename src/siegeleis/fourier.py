@@ -36,7 +36,7 @@ from .lattices import (
     reduced_class_keys,
     sublattices,
 )
-from .linalg import _Span, Poly, left_null_space, split_roots
+from .linalg import _Span, left_null_space, split_roots
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -398,25 +398,28 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int,
             break
         krylov.append(nxt)
         nxt = apply_U(nxt, u)
-    minpoly = Poly(left_null_space(samples)[-1])
-    found, rem = split_roots(minpoly)
+    found, rem = split_roots(left_null_space(samples)[-1])
     for lam, mult in found:
         if mult > 1:
             raise LabelingError(
                 f"minimal polynomial has the repeated root {lam!r}; "
                 f"components are not separable"
             )
-    if rem.degree >= 1:
+    if len(rem) > 1:
         raise LabelingError(
             f"minimal polynomial factor {rem!r} does not split over the "
             f"working field"
         )
     roots = [lam for lam, _ in found]
     out = []
-    for lam in roots:
-        numer = Poly.from_roots([r for r in roots if not (r == lam)])
-        denom = numer(lam)
-        coeffs = [c / denom for c in numer.coeffs]
+    for i, lam in enumerate(roots):
+        # the Lagrange numerator prod (x - r) over the other roots, one
+        # linear factor at a time, and its value prod (lam - r) at lam
+        numer, denom = [_ONE], _ONE
+        for r in roots[:i] + roots[i + 1:]:
+            numer = [a - r * b for a, b in zip([_ZERO] + numer, numer + [_ZERO])]
+            denom = denom * (lam - r)
+        coeffs = [c / denom for c in numer]
         comp = combine(zip(coeffs, krylov))
         # comp|u by linearity, from the images apply_U already built
         image = combine(zip(coeffs, krylov[1:] + [nxt]))

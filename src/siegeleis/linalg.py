@@ -5,10 +5,12 @@ oracles, while the Hecke tables keep their own sparse rows.  Row spaces are
 kept in reduced row echelon form with each row stored sparse, as its
 nonzero entries, so elimination touches nothing else; an insertion reports
 only whether the row was independent.  Dependencies among rows are read
-off the left null space, the RREF of a matrix's columns.  Polynomial roots
-are found only by trial candidates (0, then a bounded rational-root
-search) in split_roots; whatever does not split inside the working field
-is returned as a leftover factor rather than approximated.
+off the left null space, the RREF of a matrix's columns.  A polynomial is
+the list of its CycNum coefficients in ascending degree.  Its roots are
+found only by trial candidates (0, then a bounded rational-root search) in
+split_roots, each tried by one Horner deflation; whatever does not split
+inside the working field is returned as a leftover factor rather than
+approximated.
 """
 
 from __future__ import annotations
@@ -20,93 +22,6 @@ from .cyclotomic import CycNum, as_cyc, divisors
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
-
-
-class Poly:
-    """Polynomial with CycNum coefficients, ascending order."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [as_cyc(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @staticmethod
-    def one() -> "Poly":
-        return Poly([_ONE])
-
-    @staticmethod
-    def from_roots(roots) -> "Poly":
-        p = Poly.one()
-        for r in roots:
-            p = p * Poly([-as_cyc(r), _ONE])
-        return p
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Poly(out)
-
-    def divmod(self, den: "Poly"):
-        if den.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        dd = den.degree
-        lead_inv = den.coeffs[-1].inverse()
-        q = [_ZERO] * max(len(r) - dd, 1)
-        for i in range(len(r) - dd - 1, -1, -1):
-            c = r[i + dd] * lead_inv
-            if not c.is_zero():
-                q[i] = c
-                for j, d in enumerate(den.coeffs):
-                    r[i + j] = r[i + j] - c * d
-        return Poly(q), Poly(r)
-
-    def __floordiv__(self, den):
-        return self.divmod(den)[0]
-
-    def __call__(self, x):
-        x = as_cyc(x)
-        val = _ZERO
-        for c in reversed(self.coeffs):
-            val = val * x + c
-        return val
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            t = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i == 0:
-                parts.append(f"{c!r}")
-            elif c.is_one():
-                parts.append(t)
-            else:
-                parts.append(f"({c!r})*{t}")
-        return "Poly(" + " + ".join(parts) + ")"
 
 
 class _Span:
@@ -245,17 +160,30 @@ class CycMatrix:
         return f"CycMatrix {self.rows}x{self.cols}\n{body}"
 
 
-def _root_candidates(p: Poly):
+def deflate(coeffs, c: CycNum) -> tuple[list[CycNum], CycNum]:
+    """Divide the polynomial with ascending coefficients `coeffs` by x - c
+    by Horner's rule: the quotient's coefficients and the remainder, which
+    is the value at c."""
+    acc = _ZERO
+    out = []
+    for a in reversed(coeffs):
+        acc = acc * c + a
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def _root_candidates(coeffs):
     """0, then +-d/q for d | den*c0 and q | den ascending (den the common
-    denominator of the rational polynomial p, c0 the constant term of p
-    with its power of x divided out); duplicates are dropped and the
-    divisor search is skipped past |den*c0| > 10^9 or den > 10^6, so huge
-    constant terms are never factored."""
+    denominator of the rational coefficients, c0 the constant term with
+    its power of x divided out); duplicates are dropped and the divisor
+    search is skipped past |den*c0| > 10^9 or den > 10^6, so huge constant
+    terms are never factored."""
     yield _ZERO
-    if not all(c.is_rational() for c in p.coeffs):
+    if not all(c.is_rational() for c in coeffs):
         return
-    den = _int_lcm(*(c.as_fraction().denominator for c in p.coeffs))
-    low = next(c for c in p.coeffs if not c.is_zero())
+    den = _int_lcm(*(c.as_fraction().denominator for c in coeffs))
+    low = next(c for c in coeffs if not c.is_zero())
     c0 = abs((low.as_fraction() * den).numerator)
     if c0 > 10**9 or den > 10**6:
         return
@@ -269,20 +197,25 @@ def _root_candidates(p: Poly):
                     yield as_cyc(x)
 
 
-def split_roots(p: Poly) -> tuple[list[tuple[CycNum, int]], Poly]:
-    """Divide the monic polynomial p by its roots among _root_candidates.
+def split_roots(coeffs) -> tuple[list[tuple[CycNum, int]], list[CycNum]]:
+    """Deflate the monic polynomial with ascending coefficients `coeffs` by
+    its roots among _root_candidates.
 
     Returns (root, multiplicity) pairs in candidate order and the leftover
-    factor, which has degree < 1 exactly when p split completely."""
-    rem = p
+    factor's coefficients, which are a single constant exactly when the
+    polynomial split completely."""
+    rem = coeffs
     found: list[tuple[CycNum, int]] = []
-    for cand in _root_candidates(p):
-        if rem.degree < 1:
-            break
+    for cand in _root_candidates(coeffs):
         mult = 0
-        while rem.degree >= 1 and rem(cand).is_zero():
-            rem = rem // Poly([-cand, _ONE])
+        while len(rem) > 1:
+            quo, val = deflate(rem, cand)
+            if not val.is_zero():
+                break
+            rem = quo
             mult += 1
         if mult:
             found.append((cand, mult))
+        if len(rem) == 1:
+            break
     return found, rem

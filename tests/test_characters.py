@@ -1,7 +1,12 @@
+import os
 import pickle
 import random
+import subprocess
+import sys
+import time
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +49,55 @@ def test_eval_examples():
     assert chi6(3).is_zero()
     chi5 = DirichletCharacter.make(5, [(5, 1)])
     assert chi5(4) == -1  # 4 = 2^2, so chi(4) = i^2
+
+
+def test_eval_matches_a_discrete_log_table():
+    # chi(g^t) = zeta_{q-1}^(j t), read off a table of every power of g
+    for q in (3, 5, 7, 11, 13, 31, 37, 41):
+        g = smallest_primitive_root(q)
+        dlog = {pow(g, t, q): t for t in range(q - 1)}
+        for j in range(q - 1):
+            chi = LocalCharacter(q, j)
+            for n in range(1, q):
+                want = CycNum.root_of_unity(q - 1, j * dlog[n])
+                assert chi(n) == want and chi(n).m == want.m, (q, j, n)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*argv, bound):
+    """The CLI in a child process, which must finish within `bound`
+    seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("SIEGELEIS_CONDUCTOR_CAP", None)  # the default cap, 120
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "siegeleis.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert time.perf_counter() - t0 < bound
+    return proc
+
+
+def test_character_at_a_huge_prime_level_runs_in_bounded_time():
+    # a discrete-log table would hold q - 1 entries; chi(-1) = -1 is
+    # odd, so weight 4 exits on parity
+    proc = run_cli("basis", "--level", "10000019", "--weight", "4",
+                   "--char", "10000019:1", bound=5)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "parity violation" in proc.stderr
+    # q - 1 = 2 * 500000003, so this character is quadratic and odd
+    q = 1000000007
+    proc = run_cli("eigen", "--level", str(q), "--weight", "5",
+                   "--char", f"{q}:500000003", bound=5)
+    assert proc.returncode == 0 and proc.stderr == ""
+    # chi(2) has order (q - 1) / 2 = 500000003, refused before any search
+    proc = run_cli("eigen", "--level", str(q), "--weight", "5",
+                   "--char", f"{q}:1", "--primes", "2", bound=5)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: conductor 500000003 exceeds the "
+                           "configured cap 120\n")
 
 
 def test_eval_matches_euler_criterion():

@@ -288,3 +288,14 @@ def test_krylov_leftover_factor_is_a_labeling_error():
     mix = combine([(1, rank1_power(15)), (1, rank1_power(16))])
     with pytest.raises(LabelingError, match="does not split"):
         krylov_spectral(mix, [UOperator(1, 2)], sample_bound=2)
+
+
+def test_krylov_leftover_factor_is_named_by_its_coefficients():
+    # x^2 - x - 1 in ascending order
+    fib = [0, 1]
+    while len(fib) < 12:
+        fib.append(fib[-1] + fib[-2])
+    g = rank1_valuation_sequence(fib.__getitem__)
+    with pytest.raises(LabelingError,
+                       match=r"factor \[-1, -1, 1\] does not split"):
+        krylov_spectral(g, [UOperator(1, 2)], sample_bound=2)

@@ -6,7 +6,7 @@ import pytest
 
 from siegeleis import linalg
 from siegeleis.cyclotomic import CycNum, as_cyc
-from siegeleis.linalg import CycMatrix, Poly, left_null_space, split_roots
+from siegeleis.linalg import CycMatrix, deflate, left_null_space, split_roots
 from siegeleis.verify import _combine
 
 
@@ -41,13 +41,27 @@ def test_eigen_jordan_dimension():
     assert len(left_null_space(_shifted(B, 2))) == 1  # geometric multiplicity 1
 
 
+def times_x_minus(p, c):
+    """Ascending coefficients of p * (x - c)."""
+    zero = CycNum.zero()
+    return [a - c * b for a, b in zip([zero] + p, p + [zero])]
+
+
+def from_roots(roots):
+    """Ascending coefficients of prod (x - r), one linear factor at a time."""
+    p = [CycNum.one()]
+    for r in roots:
+        p = times_x_minus(p, as_cyc(r))
+    return p
+
+
 def test_split_roots_past_a_zero_root():
     # x^2 - x/2: 0 is a root, and only the divisor search on x - 1/2 finds
     # the other one
-    found, rem = split_roots(Poly([0, Fraction(-1, 2), 1]))
+    found, rem = split_roots([as_cyc(c) for c in (0, Fraction(-1, 2), 1)])
     assert [(r.as_fraction(), m) for r, m in found] == [
         (0, 1), (Fraction(1, 2), 1)]
-    assert rem.degree == 0
+    assert len(rem) == 1
 
 
 def test_matrix_shapes_and_errors():
@@ -55,12 +69,27 @@ def test_matrix_shapes_and_errors():
         CycMatrix([[1, 2], [3]])
 
 
-def test_poly_arithmetic():
-    p = Poly.from_roots([1, 2])
-    q = Poly.from_roots([2, 3])
-    quo, rem = (p * q).divmod(q)
-    assert quo == p and rem.is_zero()
-    assert p(2).is_zero() and p(5) == 12
+def _value(coeffs, x):
+    # the sum of c * x^i, term by term
+    return sum((c * x ** i for i, c in enumerate(coeffs)), CycNum.zero())
+
+
+@pytest.mark.parametrize("coeffs, c", [
+    ([Fraction(-3, 2), 0, 5, Fraction(1, 3), 1], Fraction(-2, 3)),
+    ([7, 1], 4),
+    ([Fraction(5, 2)], 3),
+    ([CycNum.root_of_unity(4), Fraction(1, 2), 0, CycNum.root_of_unity(4, 3)],
+     1 + CycNum.root_of_unity(4)),
+])
+def test_deflate_is_division_by_a_linear_factor(coeffs, c):
+    coeffs, c = [as_cyc(a) for a in coeffs], as_cyc(c)
+    quo, rem = deflate(coeffs, c)
+    assert len(quo) == len(coeffs) - 1
+    # quo * (x - c) + rem gives back the input, and rem is its value at c
+    back = times_x_minus(quo, c)
+    back[0] = back[0] + rem
+    assert back == coeffs
+    assert rem == _value(coeffs, c)
 
 
 def _random_matrix(rng, rows, cols, conductors):
@@ -165,16 +194,16 @@ def test_matrix_json_round_trip():
 def test_split_roots_candidate_order():
     # x^3 - 2x^2 - 15/4 x + 9/4: den 4, c0 9; candidates +-d/q run over
     # d in 1, 3, 9 and q in 1, 2, 4, so 1/2 is met before 3 and -3/2
-    p = Poly.from_roots([3, Fraction(-3, 2), Fraction(1, 2)])
+    p = from_roots([3, Fraction(-3, 2), Fraction(1, 2)])
     found, rem = split_roots(p)
     assert [(r.as_fraction(), m) for r, m in found] == [
         (Fraction(1, 2), 1), (3, 1), (Fraction(-3, 2), 1)]
-    assert rem.degree == 0
+    assert len(rem) == 1
 
 
 def test_split_roots_huge_constant_term_is_not_factored(monkeypatch):
     # (x - 2)(x - 500000001): constant term 1000000002 > 10^9
-    p = Poly.from_roots([2, 500000001])
+    p = from_roots([2, 500000001])
 
     def refuse(n):
         raise AssertionError(f"factored {n}")
@@ -184,9 +213,9 @@ def test_split_roots_huge_constant_term_is_not_factored(monkeypatch):
     assert found == [] and rem == p
     # inside the gate the same search finds both roots
     monkeypatch.undo()
-    found, rem = split_roots(Poly.from_roots([2, 500000]))
+    found, rem = split_roots(from_roots([2, 500000]))
     assert [(r.as_fraction(), m) for r, m in found] == [(2, 1), (500000, 1)]
-    assert rem.degree == 0
+    assert len(rem) == 1
 
 
 def _random_triangular(rng, n, conductor):
