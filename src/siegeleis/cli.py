@@ -6,6 +6,9 @@ with ';'.  Output is JSON (eigenvalue tables may also be CSV); identical
 inputs produce byte-identical output.  Usage errors exit 2, domain errors
 exit 1, internal errors (a failed internal check) exit 3.  The environment
 variable SIEGELEIS_CONDUCTOR_CAP overrides the cyclotomic conductor cap.
+
+Each command imports what it runs, so building the parser loads no library
+module and `fourier --apply` loads no Hecke table code.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ import argparse
 import contextlib
 import sys
 
-from .characters import DirichletCharacter
-from .eisspace import enumerate_partitions, prime_factors
-from .fourier import (UOperator, apply_U, calibrate_normalization,
-                      krylov_spectral, project_components, provider_load)
-from .hecke import (HeckeOp, SpaceOperators, eigen_json, eigenbasis,
-                    eigenvalue_comparisons, relation_defects, s_constant,
-                    word_matrix)
 from .jsonout import write_json
-from .verify import PRESETS, run_suite
 
 
 def _spec_int(text: str, what: str) -> int:
@@ -43,11 +38,13 @@ def _parse_op_token(tok: str):
     if not rest:
         raise ValueError(f"bad {spec}")
     if kind in ("T", "T1", "S1", "S2"):
+        from .hecke import HeckeOp
         return HeckeOp(kind, _spec_int(rest, spec))
     if kind == "U":
         q_s, _, p_s = rest.partition(",")
         if not p_s:
             raise ValueError(f"bad U operator spec {tok!r}; want U:Q,P")
+        from .fourier import UOperator
         return UOperator(_spec_int(q_s, spec), _spec_int(p_s, spec))
     raise ValueError(f"unknown operator kind {kind!r} in {tok!r}")
 
@@ -57,6 +54,8 @@ def parse_op_word(text: str) -> list:
 
 
 def _space_from_args(args):
+    from .characters import DirichletCharacter
+    from .eisspace import enumerate_partitions
     char = DirichletCharacter.parse(args.level, args.char)
     return enumerate_partitions(args.level, char, args.weight)
 
@@ -83,11 +82,12 @@ def cmd_basis(args) -> int:
 
 
 def cmd_hecke(args) -> int:
+    from .hecke import HeckeOp, SpaceOperators, word_matrix
     space = _space_from_args(args)
     word = parse_op_word(args.op)
     if not word:
         raise ValueError("empty operator word")
-    if any(isinstance(op, UOperator) for op in word):
+    if not all(isinstance(op, HeckeOp) for op in word):
         raise ValueError("U operators act on Fourier expansions; use `fourier`")
     mat = word_matrix(SpaceOperators(space), word)
     _emit_json(args, {
@@ -102,6 +102,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from .hecke import HeckeOp, SpaceOperators, eigen_json, eigenbasis
     space = _space_from_args(args)
     ops = SpaceOperators(space)
     op_list = ops.level_ops()
@@ -125,6 +126,7 @@ def eigen_csv(system, op_list) -> str:
     its partition's prefix, built once per entry (the rows come entry by
     entry), then the rest, built once per (op, matrix value, closed form)
     object, which the rows keep alive."""
+    from .hecke import eigenvalue_comparisons
     lines = ["partition,op,eigenvalue,closed_form,match"]
     tails, last = {}, None
     for rho, op, mval, cval, match, _ in eigenvalue_comparisons(system, op_list):
@@ -141,6 +143,10 @@ def eigen_csv(system, op_list) -> str:
 
 
 def cmd_relations(args) -> int:
+    from .characters import DirichletCharacter
+    from .cyclotomic import prime_factors
+    from .eisspace import enumerate_partitions
+    from .hecke import SpaceOperators, relation_defects, s_constant
     char = DirichletCharacter.trivial(args.level)
     space = enumerate_partitions(args.level, char, args.weight)
     defects = relation_defects(SpaceOperators(space))
@@ -164,6 +170,8 @@ def cmd_relations(args) -> int:
 
 
 def cmd_fourier(args) -> int:
+    from .fourier import (apply_U, calibrate_normalization, krylov_spectral,
+                          project_components, provider_load)
     if args.sample_bound < 1:  # a Krylov split would sample nothing
         raise ValueError(f"--sample-bound must be at least 1, got {args.sample_bound}")
     provider = provider_load(args.provider)
@@ -197,6 +205,7 @@ def cmd_fourier(args) -> int:
 
 
 def _u_word(text: str, flag: str) -> list:
+    from .fourier import UOperator
     word = parse_op_word(text)
     if not all(isinstance(op, UOperator) for op in word):
         raise ValueError(f"`fourier {flag}` takes U:Q,P operators only")
@@ -213,6 +222,7 @@ def _component_json(comp) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .verify import PRESETS, run_suite
     if args.preset:
         config = dict(PRESETS[args.preset])
     else:
@@ -283,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fourier)
 
     p = sub.add_parser("verify", help="run the oracle suite")
-    p.add_argument("--preset", choices=sorted(PRESETS))
+    # the names of verify.PRESETS, spelled here so the parser loads no verify
+    p.add_argument("--preset", choices=("desk", "quick"))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--k-set", default="4,5")
     p.add_argument("--prime-max", type=int, default=5)

@@ -22,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNum, as_cyc, is_squarefree
-from .eisspace import Partition, enumerate_partitions, prime_factors
-from .hecke import HeckeOp, SpaceOperators, eigenvalue_closed_form
+from .cyclotomic import CycNum, as_cyc, is_squarefree, prime_factors
 from .lattices import (
     GL2,
     SL2,
@@ -500,6 +498,7 @@ def project_components(provider: CoefficientProvider, N: int, k: int,
     prime, the eigenvalues of U(1,q) sorted ascending give the rank of q; and
     the U(q,1) eigenvalues must induce the same rank order.  Disagreement or
     ambiguity raises LabelingError rather than guessing."""
+    from .eisspace import Partition
     if provider.weight != k:
         raise ValueError(
             f"provider weight {provider.weight} does not match k={k}"
@@ -587,6 +586,8 @@ def calibrate_normalization(provider: CoefficientProvider, N: int, k: int,
     """Measured U eigenvalues per partition next to the closed-form tables,
     with the fitted rational relation when one exists.  The report documents
     the normalization empirically; nothing here is asserted."""
+    from .eisspace import enumerate_partitions
+    from .hecke import HeckeOp, SpaceOperators, eigenvalue_closed_form
     labeled = project_components(provider, N, k, sample_bound)
     space = enumerate_partitions(N, None, k, forced=(k % 2 == 1))
     ops = SpaceOperators(space)

@@ -9,7 +9,10 @@ method shares its uses with every method of the same name.
 """
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 import siegeleis
 
@@ -81,6 +84,25 @@ def test_all_is_the_decided_set():
     assert len(siegeleis.__all__) == len(PUBLIC)
     for name in PUBLIC:
         assert getattr(siegeleis, name, None) is not None, name
+
+
+def test_each_public_name_is_its_home_modules_object():
+    for name in siegeleis.__all__:
+        obj = getattr(siegeleis, name)
+        assert obj.__module__.startswith("siegeleis."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_the_lazy_namespace():
+    assert set(siegeleis.__all__) <= set(dir(siegeleis))
+    assert "__version__" in dir(siegeleis)
+    for name in ("no_such_name", "_no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(siegeleis, name)
+    star = {}
+    exec("from siegeleis import *", star)
+    for name in siegeleis.__all__:
+        assert star[name] is getattr(siegeleis, name), name
 
 
 def test_no_library_definition_is_used_only_by_tests():

@@ -10,6 +10,7 @@ import pytest
 
 from siegeleis import hecke, verify
 from siegeleis.characters import DirichletCharacter
+from siegeleis.cli import main
 from siegeleis.cyclotomic import CycNum, as_cyc
 from siegeleis.eisspace import Partition, enumerate_partitions
 from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators, TensorVector
@@ -80,6 +81,15 @@ def test_presets():
     assert PRESETS["desk"] is DESK_CONFIG
     assert PRESETS["quick"] is QUICK_CONFIG
     assert DESK_CONFIG["N_max"] == 30 and DESK_CONFIG["seed"] == 7
+
+
+def test_the_cli_offers_every_preset(capsys):
+    # the parser spells the preset names itself, so it need not load verify
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    choices = "{" + ",".join(sorted(PRESETS)) + "}"
+    assert f"--preset {choices}" in capsys.readouterr().out
 
 
 def test_eigen_oracle_fails_on_a_wrong_table(monkeypatch):
