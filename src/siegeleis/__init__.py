@@ -22,10 +22,9 @@ _PUBLIC = {
                 "krylov_spectral", "project_components", "provider_load"),
     "hecke": ("HeckeMatrix", "HeckeOp", "SpaceOperators", "compare_eigenvalues",
               "eigenbasis", "eigenvalue_closed_form", "hecke_matrix",
-              "s_operator", "s_word"),
+              "s_operator"),
     "lattices": ("GramForm", "SublatticeBasis", "isotropic_lines",
                  "reduce_form", "restrict_and_scale", "sublattices"),
-    "linalg": ("CycMatrix",),
     "verify": ("run_suite", "subgroup_count_oracle"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -82,21 +82,23 @@ def cmd_basis(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    from .hecke import HeckeOp, SpaceOperators, word_matrix
+    from .hecke import HeckeOp, SpaceOperators, word_rows
     space = _space_from_args(args)
     word = parse_op_word(args.op)
     if not word:
         raise ValueError("empty operator word")
     if not all(isinstance(op, HeckeOp) for op in word):
         raise ValueError("U operators act on Fourier expansions; use `fourier`")
-    mat = word_matrix(SpaceOperators(space), word)
+    ops = SpaceOperators(space)
+    for op in word:  # every table before the first byte: a bad word writes none
+        ops.matrix(op)
     _emit_json(args, {
         "level": space.level,
         "weight": space.weight,
         "char": space.char.spec_string(),
         "op": args.op,
         "basis": [p.to_json() for p in space.basis],
-        "matrix": mat.to_json(),
+        "matrix": word_rows(ops, word),
     })
     return 0
 
@@ -241,8 +243,21 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads `--flag=--` as the value "--", which the spec parsers then
+    refuse; Python 3.11's argparse strips it and passes an empty list on."""
+
+    def _get_values(self, action, arg_strings):
+        if (action.option_strings and action.nargs is None
+                and arg_strings == ["--"]):
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siegeleis",
         description="Exact Hecke computations on degree-2 Siegel Eisenstein "
         "series of square-free level",

@@ -27,7 +27,6 @@ from .characters import legendre_epsilon
 from .cyclotomic import CycNum, as_cyc, is_prime
 from .eisspace import EisSpace, Partition, prime_factors, rank_code
 from .jsonout import JsonText, encoded
-from .linalg import CycMatrix
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -761,33 +760,33 @@ def apply_word(ops: SpaceOperators, word, v: dict[int, CycNum]) -> dict[int, Cyc
     return v
 
 
-def word_matrix(ops: SpaceOperators, word) -> CycMatrix:
-    """The dense product of a word of HeckeOps, one unit-vector row at a
-    time."""
+def word_rows(ops: SpaceOperators, word):
+    """The rows of a word of HeckeOps as the `hecke` command prints them:
+    row i is apply_word on the unit vector e_i, yielded as the JsonText of
+    its dense list at the depth of a list item under a top-level key, so
+    no n x n matrix is ever held.  Each distinct value is encoded once,
+    keyed by its form (m, n, d); the zero cell is encoded once for all."""
     n = ops.space.dimension
-    rows = []
+    pad, pad3 = "\n    ", "\n      "
+    zero = _text(_ZERO, 3)
+    cells: dict = {}  # (m, n, d) -> text
     for i in range(n):
-        v = apply_word(ops, word, {i: _ONE})
-        rows.append([v.get(j, _ZERO) for j in range(n)])
-    return CycMatrix(rows)
+        row = [zero] * n
+        for j, c in apply_word(ops, word, {i: _ONE}).items():
+            key = (c.m, c.n, c.d)
+            row[j] = cells.get(key) or cells.setdefault(key, _text(c, 3))
+        yield JsonText("[" + pad3 + ("," + pad3).join(row) + pad + "]", pad)
 
 
 def _s_word_ops(space: EisSpace, n1: int, n2: int) -> list[HeckeOp]:
-    """The word S1(n1)S2(n2), primes ascending, S1 factors first;
-    s_operator checks the character at each prime."""
+    """The word S1(n1)S2(n2), primes ascending, S1 factors first; the
+    factors commute, so the order is a determinism convention only.
+    Needs n1*n2 | N coprime; s_operator checks the character at each prime
+    (chi trivial on n1, chi^2 trivial on n2)."""
     if gcd(n1, n2) != 1 or space.level % (n1 * n2) != 0:
         raise ValueError("need coprime n1*n2 dividing the level")
     return ([HeckeOp("S1", q) for q in prime_factors(n1)]
             + [HeckeOp("S2", q) for q in prime_factors(n2)])
-
-
-def s_word(ops: SpaceOperators, n1: int, n2: int) -> CycMatrix:
-    """Dense product S1(n1)S2(n2), primes ascending, S1 factors first.
-
-    The factors commute, so the order is a determinism convention only.
-    Requires chi trivial on n1, chi^2 trivial on n2, and n1*n2 | N coprime.
-    """
-    return word_matrix(ops, _s_word_ops(ops.space, n1, n2))
 
 
 def relation_defects(ops: SpaceOperators) -> list[int]:

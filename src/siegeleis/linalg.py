@@ -1,7 +1,7 @@
 """Exact linear algebra over cyclotomic-rational fields.
 
-Matrices are dense and carry CycNum entries; they hold output and test
-oracles, while the Hecke tables keep their own sparse rows.  Row spaces are
+There is no matrix type: a matrix is the sequence of its rows of CycNum
+entries, and the Hecke tables keep their own sparse rows.  Row spaces are
 kept in reduced row echelon form with each row stored sparse, as its
 nonzero entries, so elimination touches nothing else; an insertion reports
 only whether the row was independent.  Dependencies among rows are read
@@ -107,57 +107,6 @@ def left_null_space(rows) -> list[list[CycNum]]:
                 x[piv] = -a
         out.append(x)
     return out
-
-
-class CycMatrix:
-    """Immutable dense matrix of CycNum entries, row-major: the dense
-    matrix of an operator word (hecke.word_matrix) and decoded CLI output."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows_data):
-        data = tuple(tuple(as_cyc(e) for e in row) for row in rows_data)
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]) if data else 0)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CycMatrix is immutable")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def __eq__(self, other):
-        # equal row tuples have equal shapes; zero cells are mostly the
-        # shared _ZERO, which the tuple comparison settles by identity
-        return isinstance(other, CycMatrix) and self.data == other.data
-
-    def vec_mat(self, v) -> list[CycNum]:
-        if self.rows != len(v):
-            raise ValueError("dimension mismatch")
-        acc = [_ZERO] * self.cols
-        for x, row in zip(v, self.data):
-            x = as_cyc(x)
-            if x.is_zero():
-                continue
-            for j, a in enumerate(row):
-                if not a.is_zero():
-                    acc[j] = acc[j] + x * a
-        return acc
-
-    def to_json(self):
-        return [[e.to_json() for e in row] for row in self.data]
-
-    @staticmethod
-    def from_json(obj) -> "CycMatrix":
-        return CycMatrix([[CycNum.from_json(e) for e in row] for row in obj])
-
-    def __repr__(self):
-        body = "\n".join("  [" + ", ".join(repr(e) for e in row) + "]" for row in self.data)
-        return f"CycMatrix {self.rows}x{self.cols}\n{body}"
 
 
 def deflate(coeffs, c: CycNum) -> tuple[list[CycNum], CycNum]:

@@ -19,15 +19,14 @@ import siegeleis
 PACKAGE = Path(siegeleis.__file__).resolve().parent
 
 PUBLIC = {
-    "CoefficientProvider", "ConductorCapError", "CoverageError", "CycMatrix",
-    "CycNum", "DirichletCharacter", "EisSpace", "FourierExpansion", "GramForm",
+    "CoefficientProvider", "ConductorCapError", "CoverageError", "CycNum", "DirichletCharacter", "EisSpace", "FourierExpansion", "GramForm",
     "HeckeMatrix", "HeckeOp", "LocalCharacter", "Partition", "SpaceOperators",
     "SublatticeBasis", "UOperator", "apply_U", "calibrate_normalization",
     "compare_eigenvalues", "conductor_cap", "eigenbasis",
     "eigenvalue_closed_form", "enumerate_partitions", "hecke_matrix",
     "isotropic_lines", "krylov_spectral", "legendre_epsilon",
     "project_components", "provider_load", "reduce_form", "restrict_and_scale",
-    "run_suite", "s_operator", "s_word", "set_conductor_cap",
+    "run_suite", "s_operator", "set_conductor_cap",
     "subgroup_count_oracle", "sublattices",
 }
 
@@ -36,12 +35,10 @@ UNUSED_ON_PURPOSE = {
     # oracles the tests compare against
     "cyclotomic.CycNum.approx",
     "fourier.FourierExpansion.value",
-    "linalg.CycMatrix.vec_mat",
     # decoders of what the CLI prints
     "cyclotomic.CycNum.from_json",
     "eisspace.Partition.from_json",
     "lattices.GramForm.from_json",
-    "linalg.CycMatrix.from_json",
 }
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,12 +11,11 @@ import pytest
 
 from siegeleis import cli, cyclotomic
 from siegeleis.cli import main, parse_op_word
-from siegeleis.cyclotomic import (PRIMALITY_BOUND, TRIAL_BOUND,
+from siegeleis.cyclotomic import (PRIMALITY_BOUND, TRIAL_BOUND, CycNum,
                                   conductor_cap, set_conductor_cap)
 from siegeleis.fourier import UOperator
 from siegeleis.hecke import HeckeOp
 from siegeleis.lattices import MAX_SUBLATTICES
-from siegeleis.linalg import CycMatrix
 from siegeleis.verify import PRESETS, run_suite
 
 PROVIDER = Path(__file__).resolve().parent.parent / "data" / "e8_weight4_level1.coeffs"
@@ -229,6 +231,23 @@ def test_usage_error_exit_code(capsys):
         main(["nonsense"])
 
 
+def test_double_dash_is_read_as_a_value(capsys):
+    # `--char=--` gives the spec "--", refused as a bad spec (exit 1), not an
+    # empty list that reaches the parser as a traceback
+    code, out, err = run(capsys, "basis", "--level", "15", "--weight", "4",
+                         "--char=--")
+    assert (code, out) == (1, "")
+    assert err == "error: bad character component '--'; want q:j\n"
+    code, out, err = run(capsys, "hecke", "--level", "6", "--weight", "4",
+                         "--op=--")
+    assert (code, out, err) == (1, "", "error: bad operator spec '--'\n")
+    for argv in (["basis", "--level=--", "--weight", "4"],
+                 ["verify", "--preset=--"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("exc", [
     RuntimeError("eigenvector verification failed"),
     AssertionError("chi(-1) must be +-1"),
@@ -278,22 +297,67 @@ def test_hecke_matrix_and_round_trip(capsys):
                        "--char", "1", "--op", "T:2")
     assert code == 0
     obj = json.loads(out)
-    mat = CycMatrix.from_json(obj["matrix"])
-    assert mat == CycMatrix(
-        [[1, Fraction(1, 2), Fraction(1, 2)], [0, 8, 6], [0, 0, 32]]
-    )
+    mat = [[CycNum.from_json(e) for e in row] for row in obj["matrix"]]
+    assert mat == [[1, Fraction(1, 2), Fraction(1, 2)], [0, 8, 6], [0, 0, 32]]
     # byte stability
     code2, out2, _ = run(capsys, "hecke", "--level", "2", "--weight", "4",
                          "--char", "1", "--op", "T:2")
     assert out2 == out
 
 
+# chi_3 is nontrivial, so the S1(3) table cannot be built; at level 2310
+# the basis alone fills more than one chunk of the writer, so a table built
+# mid-output would leave the header behind
+BAD_WORD = ("hecke", "--level", "2310", "--weight", "5", "--char", "3:1",
+            "--op", "T:2;S1:3")
+
+
+def test_hecke_word_without_a_table_writes_nothing(capsys, tmp_path):
+    code, out, err = run(capsys, *BAD_WORD)
+    assert code == 1 and out == ""
+    assert err == "error: S1(3) requires trivial chi_3\n"
+    path = tmp_path / "word.json"
+    code, out, err = run(capsys, *BAD_WORD, "--output", str(path))
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert not path.exists()
+
+
+# Runs argv[1:] and prints its exit code and peak RSS in KiB.  A child's
+# ru_maxrss starts at the RSS of the process that forked it, so the
+# measured command is forked from this small probe, not from pytest.
+RSS_PROBE = """import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def test_hecke_streams_rows_in_bounded_memory(tmp_path):
+    # dimension 729: a dense matrix of the word would hold 531,441 cells
+    # (204 MiB as a child process); the streamed rows hold one at a time
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "t2.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "siegeleis.cli",
+         "hecke", "--level", "30030", "--weight", "4", "--op", "T:2",
+         "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak_kib < 64 * 1024
+    assert out.stat().st_size == 40974926  # the whole output
+
+
 def test_hecke_word_and_errors(capsys):
     code, out, _ = run(capsys, "hecke", "--level", "2", "--weight", "4",
                        "--op", "S1:2;S2:2")
     assert code == 0
-    mat = CycMatrix.from_json(json.loads(out)["matrix"])
-    assert mat.rows == 3
+    mat = [[CycNum.from_json(e) for e in row]
+           for row in json.loads(out)["matrix"]]
+    assert len(mat) == 3 and all(len(row) == 3 for row in mat)
     code, _, err = run(capsys, "hecke", "--level", "2", "--weight", "4",
                        "--op", "U:2,1")
     assert code == 1 and "fourier" in err

@@ -5,9 +5,9 @@ the command either parses it and runs (exit 0), or exits 1 with one line
 `error: ...` on stderr, and no traceback reaches the user.  The text goes
 in as `--flag=TEXT`, so argparse takes any of it and exit 2 (a usage error)
 cannot occur.  The texts mix the grammar's pieces (kinds, ':', ',', ';',
-signs, spaces, integers up to 10^6) with arbitrary text.  Each command runs
-in-process on a small space, or on the shipped E8 table at sample bound 1,
-so a property costs a few seconds.
+signs, spaces, integers up to 10^25, past the primality bound) with
+arbitrary text.  Each command runs in-process on a small space, or on the
+shipped E8 table at sample bound 1, so a property costs a few seconds.
 """
 
 import contextlib
@@ -25,7 +25,8 @@ PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
                / "e8_weight4_level1.coeffs")
 SETTINGS = hypothesis.settings(max_examples=80, deadline=2000)
 
-INTS = st.one_of(st.integers(-3, 40), st.integers(-10**6, 10**6)).map(str)
+INTS = st.one_of(st.integers(-3, 40), st.integers(-10**6, 10**6),
+                 st.integers(-10**25, 10**25)).map(str)
 SEPS = st.sampled_from(["", ":", ",", ";", " ", "-", ":-"])
 NOISE = st.one_of(st.text(max_size=8),
                   st.text(alphabet="TUS1:,;- 0x9", max_size=8))

@@ -21,7 +21,9 @@ character, before each csv prefix and suffix was built once; the other five
 fourier `--apply` words U:1,2, U:2,1, U:3,1, U:5,1 and U:2,3 before an
 expansion's domain keys moved into the memoized `reduced_class_keys` and the
 Krylov relation was read off `left_null_space`: with them every command of
-the perfbench fourier-e8 workload is pinned).
+the perfbench fourier-e8 workload is pinned; the level-30030 hecke T:2,
+dimension 729, before its rows were streamed from `apply_word` instead of
+held as a dense matrix).
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -91,6 +93,8 @@ GOLDEN = [
      "47774f21320d095edf9b9632f8ea3b8de7a3a6512c6a92fa2cee016ba36dd0e0"),
     (("hecke", "--level", "210", "--weight", "4", "--op", "T:2;S1:3;S2:5"),
      "85ae3aee8e6ed0569afea0dd17c09ee68be57308cc9e74b3e5efa25dea0473cf"),
+    (("hecke", "--level", "30030", "--weight", "4", "--op", "T:2"),
+     "40c62763d6acee2e79935bc128b710a5c82706a155c9c4a27dc37e55c643b7a8"),
     (("relations", "--level", "30", "--weight", "4"),
      "854f8d584076800e83d528f449ef0fd6776d617dda134547667a36efbabdc014"),
     (RELATIONS_210,

@@ -14,12 +14,28 @@ from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
                              apply_word, compare_eigenvalues, eigen_json,
                              eigen_vector, eigenbasis, eigenvalue_closed_form,
-                             hecke_matrix, s_constant, s_operator, s_word,
-                             word_matrix)
+                             hecke_matrix, s_constant, s_operator)
 from siegeleis.jsonout import encoded, write_json
-from siegeleis.linalg import CycMatrix
 
 N2K4 = enumerate_partitions(2, None, 4)
+
+
+def _word_dense(ops, word):
+    """The dense matrix of a word as lists of CycNum, one unit-vector row
+    at a time: the test-side oracle of products and the `hecke` output."""
+    n = ops.space.dimension
+    rows = (apply_word(ops, word, {i: CycNum.one()}) for i in range(n))
+    return [[v.get(j, CycNum.zero()) for j in range(n)] for v in rows]
+
+
+def _vec_mat(v, rows):
+    """The dense row vector v.A for the matrix A given by its rows."""
+    acc = [CycNum.zero()] * len(rows[0])
+    for x, row in zip(v, rows):
+        if not x.is_zero():
+            for j, a in enumerate(row):
+                acc[j] = acc[j] + x * a
+    return acc
 
 
 def _coeffs(vec: TensorVector) -> dict:
@@ -30,16 +46,13 @@ def _coeffs(vec: TensorVector) -> dict:
 def test_worked_fixture_matrices():
     ops = SpaceOperators(N2K4)
     assert N2K4.basis == (Partition(2, 1, 1), Partition(1, 2, 1), Partition(1, 1, 2))
-    T2 = word_matrix(ops, [HeckeOp("T", 2)])
-    assert T2 == CycMatrix(
-        [[1, Fraction(1, 2), Fraction(1, 2)], [0, 8, 6], [0, 0, 32]]
-    )
-    T1 = word_matrix(ops, [HeckeOp("T1", 2)])
-    assert T1 == CycMatrix(
-        [[3, Fraction(9, 2), Fraction(3, 4)], [0, 66, Fraction(15, 2)], [0, 0, 96]]
-    )
-    T3 = word_matrix(ops, [HeckeOp("T", 3)])
-    assert T3 == CycMatrix([[280, 0, 0], [0, 280, 0], [0, 0, 280]])
+    T2 = _word_dense(ops, [HeckeOp("T", 2)])
+    assert T2 == [[1, Fraction(1, 2), Fraction(1, 2)], [0, 8, 6], [0, 0, 32]]
+    T1 = _word_dense(ops, [HeckeOp("T1", 2)])
+    assert T1 == [
+        [3, Fraction(9, 2), Fraction(3, 4)], [0, 66, Fraction(15, 2)], [0, 0, 96]]
+    T3 = _word_dense(ops, [HeckeOp("T", 3)])
+    assert T3 == [[280, 0, 0], [0, 280, 0], [0, 0, 280]]
 
 
 def test_worked_fixture_eigenbasis():
@@ -112,10 +125,10 @@ def test_higher_order_character_rows_are_diagonal():
     sp = enumerate_partitions(5, chi, 5)
     assert sp.basis == (Partition(5, 1, 1), Partition(1, 1, 5))
     ops = SpaceOperators(sp)
-    T = word_matrix(ops, [HeckeOp("T", 5)])
-    assert T == CycMatrix([[1, 0], [0, 5**7]])
-    T1 = word_matrix(ops, [HeckeOp("T1", 5)])
-    assert T1 == CycMatrix([[6, 0], [0, 6 * 5**7]])
+    T = _word_dense(ops, [HeckeOp("T", 5)])
+    assert T == [[1, 0], [0, 5**7]]
+    T1 = _word_dense(ops, [HeckeOp("T1", 5)])
+    assert T1 == [[6, 0], [0, 6 * 5**7]]
     system = eigenbasis(ops)
     for entry in system.entries:
         assert list(_coeffs(entry.vector)) == [entry.partition]
@@ -129,15 +142,15 @@ def test_quadratic_character_epsilon_branch():
     i0 = sp.index_of(Partition(3, 1, 1))
     i1 = sp.index_of(Partition(1, 3, 1))
     i2 = sp.index_of(Partition(1, 1, 3))
-    T = word_matrix(ops, [HeckeOp("T", 3)])
-    assert T[i0, i0] == 1 and T[i0, i2] == Fraction(-2, 9)
-    assert T[i0, i1].is_zero()  # the rank-1 move needs trivial chi_q
-    assert T[i1, i1] == 81 and T[i1, i2].is_zero()
-    assert T[i2, i2] == 3**7
-    T1 = word_matrix(ops, [HeckeOp("T1", 3)])
-    assert T1[i0, i0] == 4 and T1[i0, i2] == Fraction(-8, 9)
-    assert T1[i0, i1].is_zero()
-    assert T1[i1, i1] == 3**8 + 3
+    T = _word_dense(ops, [HeckeOp("T", 3)])
+    assert T[i0][i0] == 1 and T[i0][i2] == Fraction(-2, 9)
+    assert T[i0][i1].is_zero()  # the rank-1 move needs trivial chi_q
+    assert T[i1][i1] == 81 and T[i1][i2].is_zero()
+    assert T[i2][i2] == 3**7
+    T1 = _word_dense(ops, [HeckeOp("T1", 3)])
+    assert T1[i0][i0] == 4 and T1[i0][i2] == Fraction(-8, 9)
+    assert T1[i0][i1].is_zero()
+    assert T1[i1][i1] == 3**8 + 3
     entry = {e.partition: e for e in eigenbasis(ops).entries}
     corner = entry[Partition(3, 1, 1)]
     assert _coeffs(corner.vector)[Partition(1, 1, 3)] == Fraction(1, 9837)
@@ -148,12 +161,12 @@ def test_character_twisted_entries():
     chi = DirichletCharacter.make(10, [(5, 2)])
     sp = enumerate_partitions(10, chi, 4)
     ops = SpaceOperators(sp)
-    T2 = word_matrix(ops, [HeckeOp("T", 2)])
+    T2 = _word_dense(ops, [HeckeOp("T", 2)])
     src = sp.index_of(Partition(5, 2, 1))
-    assert T2[src, src] == -8
-    assert T2[src, sp.index_of(Partition(5, 1, 2))] == -6
-    T1 = word_matrix(ops, [HeckeOp("T1", 2)])
-    assert T1[src, src] == 66  # chi_5(2^2) = +1 on the diagonal
+    assert T2[src][src] == -8
+    assert T2[src][sp.index_of(Partition(5, 1, 2))] == -6
+    T1 = _word_dense(ops, [HeckeOp("T1", 2)])
+    assert T1[src][src] == 66  # chi_5(2^2) = +1 on the diagonal
     row = compare_eigenvalues(eigenbasis(ops), [HeckeOp("T1", 2)])
     bad = [r for r in row if not r["match"]]
     assert all(r["expected_mismatch"] for r in bad)
@@ -166,7 +179,7 @@ def test_commutativity_with_characters():
     ops = SpaceOperators(sp)
     gens = [HeckeOp(kind, p) for p in (2, 3, 5) for kind in ("T", "T1")]
     for A, B in combinations(gens, 2):
-        assert word_matrix(ops, [A, B]) == word_matrix(ops, [B, A])
+        assert _word_dense(ops, [A, B]) == _word_dense(ops, [B, A])
     eigenbasis(ops)  # exact verification against all six tables
 
 
@@ -175,7 +188,8 @@ def test_s_operator_fixture():
     assert s_constant(N2K4, 2) == Fraction(4, 15)
     assert s_operator(ops, 2, "S1").rows[0] == ((1, 1),)
     assert s_operator(ops, 2, "S2").rows[0] == ((2, 1),)
-    assert s_word(ops, 1, 1) == CycMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert _word_dense(ops, hecke._s_word_ops(N2K4, 1, 1)) == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_s_word_full_identity_small_levels():
@@ -184,7 +198,7 @@ def test_s_word_full_identity_small_levels():
         ops = SpaceOperators(sp)
         corner = sp.index_of(Partition(N, 1, 1))
         for rho in sp.basis:
-            row = s_word(ops, rho.n1, rho.n2).data[corner]
+            row = _word_dense(ops, hecke._s_word_ops(sp, rho.n1, rho.n2))[corner]
             for j, v in enumerate(row):
                 assert v == (1 if j == sp.index_of(rho) else 0), (N, rho)
 
@@ -205,7 +219,7 @@ def test_s_operator_character_conditions():
     with pytest.raises(ValueError):
         s_operator(ops, 2, "S1")  # 2 does not divide 3
     with pytest.raises(ValueError):
-        s_word(SpaceOperators(N2K4), 2, 2)  # parts not coprime
+        hecke._s_word_ops(N2K4, 2, 2)  # parts not coprime
 
 
 def test_hecke_op_validation_and_cache():
@@ -219,14 +233,6 @@ def test_hecke_op_validation_and_cache():
     assert a is b
     assert set(ops.stored()) == {HeckeOp("T", 2)}
     assert set(ops.level_ops()) == {HeckeOp("T", 2), HeckeOp("T1", 2)}
-
-
-def test_matrix_json_round_trip():
-    hm = hecke_matrix(N2K4, HeckeOp("T1", 2))
-    mat = word_matrix(SpaceOperators(N2K4), [hm.op])
-    blob = json.dumps(mat.to_json())
-    assert CycMatrix.from_json(json.loads(blob)) == mat
-    assert hm.op.spec_string() == "T1:2"
 
 
 # -- sparse rows against dense references --------------------------------------
@@ -287,7 +293,7 @@ def test_sparse_rows_match_dense_view(level, spec):
                      for _ in range(n)]
             image = hm.vec_mat({i: x for i, x in enumerate(dense)
                                 if not x.is_zero()})
-            want = CycMatrix(ref).vec_mat(dense)
+            want = _vec_mat(dense, ref)
             assert all(image.get(j, CycNum.zero()) == want[j] for j in range(n))
 
 
@@ -295,10 +301,9 @@ def _dense_s(ops, q, which):
     """S1(q), S2(q) as expressions in T(q), T1(q^2) and I, evaluated on the
     dense entries one position at a time."""
     space, k = ops.space, ops.space.weight
-    mats = (word_matrix(ops, [HeckeOp("T", q)]),
-            word_matrix(ops, [HeckeOp("T1", q)]),
-            CycMatrix([[int(i == j) for j in range(space.dimension)]
-                       for i in range(space.dimension)]))
+    mats = (_word_dense(ops, [HeckeOp("T", q)]),
+            _word_dense(ops, [HeckeOp("T1", q)]),
+            _word_dense(ops, []))
     chi_rest = space.char.eval_over(
         [r for r in prime_factors(space.level) if r != q], q)
     c = s_constant(space, q)
@@ -313,8 +318,8 @@ def _dense_s(ops, q, which):
         def f(t, t1, e):
             return (t - e) * Fraction(legendre_epsilon(q) * q * q, q - 1)
     n = space.dimension
-    return CycMatrix([[f(*(m[i, j] for m in mats)) for j in range(n)]
-                      for i in range(n)])
+    return [[as_cyc(f(*(m[i][j] for m in mats))) for j in range(n)]
+            for i in range(n)]
 
 
 # (level, character, weight, the S operators the character allows)
@@ -341,8 +346,8 @@ def test_s_operator_rows_match_its_dense_product():
                 for j in range(n):
                     # equal values, and equal serialized forms
                     got = row.get(j, CycNum.zero())
-                    assert got == dense[i, j], (level, q, which, i, j)
-                    assert got.to_json() == dense[i, j].to_json()
+                    assert got == dense[i][j], (level, q, which, i, j)
+                    assert got.to_json() == dense[i][j].to_json()
 
 
 def test_s_operators_are_cached_hecke_ops():
@@ -373,6 +378,31 @@ def test_apply_word_gives_the_same_bytes_in_any_order():
     for order in permutations(range(3)):
         image = apply_word(Ops(), [op], {j: one for j in order})
         assert image[2].to_json() == i.to_json()
+
+
+def test_word_rows_are_the_dense_rows_each_value_encoded_once(monkeypatch):
+    # T(2)T(3) at level 70 holds 24 nonzero cells of 20 values, some
+    # off Q; a value is encoded once however many cells hold it, and the
+    # zero cell once
+    space = enumerate_partitions(
+        70, DirichletCharacter.parse(70, "5:1,7:2"), 5)
+    ops = SpaceOperators(space)
+    word = [HeckeOp("T", 2), HeckeOp("T", 3)]
+    made = []
+    real = hecke._text
+
+    def counted(obj, depth):
+        made.append(((obj.m, obj.n, obj.d), depth))
+        return real(obj, depth)
+    monkeypatch.setattr(hecke, "_text", counted)
+    rows = list(hecke.word_rows(ops, word))
+    dense = _word_dense(ops, word)
+    assert all(row.pad == "\n    " for row in rows)
+    assert [json.loads(row.text) for row in rows] == [
+        [c.to_json() for c in row] for row in dense]
+    distinct = {(c.m, c.n, c.d) for row in dense for c in row}
+    assert max(m for m, _, _ in distinct) > 1
+    assert sorted(made) == sorted((key, 3) for key in distinct)
 
 
 # -- the sparse verifier proves every coordinate -------------------------------
@@ -774,14 +804,14 @@ def test_eigen_calls_the_row_formulas_once_per_key(monkeypatch, capsys):
         [op for op in ops for _ in range(3)], key=str)
 
 
-def _dense(hm: HeckeMatrix) -> CycMatrix:
+def _dense(hm: HeckeMatrix) -> list[list[CycNum]]:
     """The dense table written from the expanded rows of hm."""
     n = hm.space.dimension
     dense = [[CycNum.zero()] * n for _ in range(n)]
     for out, row in zip(dense, hm.rows):
         for j, a in row:
             out[j] = a
-    return CycMatrix(dense)
+    return dense
 
 
 def test_expanded_rows_hold_no_zero_entry_on_the_desk():
@@ -827,7 +857,7 @@ def test_verified_vectors_pass_the_dense_check(level, spec, k, extra):
         assert e.eigenvalues.keys() == stored.keys()
         for op, hm in stored.items():
             lam = e.eigenvalues[op]
-            image = _dense(hm).vec_mat(dense)
+            image = _vec_mat(dense, _dense(hm))
             assert all(image[j] == lam * dense[j] for j in range(len(dense))), \
                 (level, e.partition, op)
 
