@@ -23,7 +23,9 @@ expansion's domain keys moved into the memoized `reduced_class_keys` and the
 Krylov relation was read off `left_null_space`: with them every command of
 the perfbench fourier-e8 workload is pinned; the level-30030 hecke T:2,
 dimension 729, before its rows were streamed from `apply_word` instead of
-held as a dense matrix).
+held as a dense matrix).  `SL2_APPLY` pins four fourier `--apply` words on a
+generated SL2 table, whose twin proper classes carry different values,
+before an SL2 class was keyed by its proper reduced form alone.
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -39,6 +41,7 @@ import pytest
 import siegeleis.hecke as hecke
 from siegeleis.cli import main
 from siegeleis.cyclotomic import CycNum
+from siegeleis.lattices import reduced_posdef_forms
 
 PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
                / "e8_weight4_level1.coeffs")
@@ -128,6 +131,18 @@ GOLDEN = [
 ]
 
 
+SL2_APPLY = [
+    ("U:1,1",
+     "afefb099eea3231234446b9d9e8825742f9ff3002cd82608140c5c01977fa242"),
+    ("U:1,2",
+     "9b6635752cbb972c05a76fd2bb8e8220a013061237df22488b85246d9b748095"),
+    ("U:2,1",
+     "e1c2c1b7654ecb61bbc7d33f9a19a1555b20d4c925630bbd2c5c52ee55f2d203"),
+    ("U:1,3;U:2,1",
+     "af596292c9fddad547b870b81a888d17d834b78ba6971156e4eaa4d87a7041df"),
+]
+
+
 def stdout_digest(capsys, argv) -> str:
     code = main(list(argv))
     assert code == 0
@@ -207,3 +222,36 @@ def test_json_eigen_expands_each_vector_once(capsys, monkeypatch):
     digest = stdout_digest(capsys, EIGEN_30_PRIMES_7)
     assert len(calls) == 27 and set(calls.values()) == {1}
     assert digest == dict(GOLDEN)[EIGEN_30_PRIMES_7]
+
+
+def write_sl2_table(path) -> str:
+    """A weight-5 SL2 table on det <= 108 and content <= 36.  Each proper
+    class (a, s, c) holds (a + 3c - 2s)/(det + 1), so the twins (a, +-b, c)
+    of a class that splits differ.  Every third class is written as its
+    image under the shear [[1,1],[0,1]], and any other class with s < 0 as
+    the b > 0 form with orient -1."""
+    lines = ["!weight 5 level 1 group SL2", "0 0 0 1"]
+    lines += [f"{m} 0 0 {3 * m - 1}" for m in range(1, 37)]
+    classes = []
+    for f in reduced_posdef_forms(108):
+        classes.append(f)
+        if 0 < 2 * f.b < f.a < f.c:
+            classes.append((f.a, -f.b, f.c))
+    for i, (a, s, c) in enumerate(classes):
+        value = f"{a + 3 * c - 2 * s}/{a * c - s * s + 1}"
+        if i % 3 == 1:
+            lines.append(f"{a} {a + s} {a + 2 * s + c} {value}")
+        elif s < 0:
+            lines.append(f"{a} {-s} {c} {value} -1")
+        else:
+            lines.append(f"{a} {s} {c} {value}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("word,digest", SL2_APPLY,
+                         ids=[w for w, _ in SL2_APPLY])
+def test_golden_sl2_apply(capsys, tmp_path, word, digest):
+    table = write_sl2_table(tmp_path / "sl2.coeffs")
+    argv = ("fourier", "--provider", table, "--apply", word)
+    assert stdout_digest(capsys, argv) == digest
