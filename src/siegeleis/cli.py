@@ -298,12 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provider", required=True)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--sample-bound", type=int, default=2)
-    p.add_argument("--apply", default="", help="apply a word of U:Q,P operators")
-    p.add_argument("--ops", default="",
-                   help="split by these U:Q,P operators instead of the "
-                        "default level projection")
-    p.add_argument("--calibrate", action="store_true",
-                   help="emit the normalization calibration report")
+    task = p.add_mutually_exclusive_group()  # else the level projection
+    task.add_argument("--apply", default="",
+                      help="apply a word of U:Q,P operators")
+    task.add_argument("--ops", default="",
+                      help="split by these U:Q,P operators instead of the "
+                           "default level projection")
+    task.add_argument("--calibrate", action="store_true",
+                      help="emit the normalization calibration report")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_fourier)
 

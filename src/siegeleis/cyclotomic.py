@@ -24,7 +24,7 @@ from math import gcd, lcm, prod
 
 DEFAULT_CONDUCTOR_CAP = 120
 
-_conductor_cap = int(os.environ.get("SIEGELEIS_CONDUCTOR_CAP", DEFAULT_CONDUCTOR_CAP))
+_conductor_cap = DEFAULT_CONDUCTOR_CAP
 
 _HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf  # numeric hash
 
@@ -42,6 +42,20 @@ def set_conductor_cap(cap: int) -> None:
     if cap < 1:
         raise ValueError("conductor cap must be positive")
     _conductor_cap = cap
+
+
+def _cap_from_environment() -> None:
+    """Apply SIEGELEIS_CONDUCTOR_CAP, if set, by set_conductor_cap's rule."""
+    text = os.environ.get("SIEGELEIS_CONDUCTOR_CAP")
+    if text is not None:
+        try:
+            set_conductor_cap(int(text))
+        except ValueError:
+            raise ValueError(f"SIEGELEIS_CONDUCTOR_CAP={text!r} is not a "
+                             f"positive integer") from None
+
+
+_cap_from_environment()
 
 
 def _check_cap(m: int) -> None:

@@ -7,7 +7,10 @@ An expansion stores a total coefficient table on a bounded domain: the zero
 form, rank-1 classes [[m,0],[0,0]] with m <= content_bound, and positive
 definite classes with det <= det_bound.  Lookups outside the bounds raise
 CoverageError ("unknown"), missing keys inside the bounds are rejected at
-construction time.
+construction time.  A class is keyed by its reduced form in the expansion's
+group (`lattices.reduce_form`), in GL2 and SL2 mode alike.  `to_json` prints
+an SL2 key (a, -b, c) with b > 0 as the form (a, b, c) with orient -1, any
+other SL2 key with orient 1, and a GL2 key with no orient.
 
 The sublattice-sum operator U(Q,P) maps the coefficient at a class T to the
 sum of the coefficients at P * (H T H^t) over the index-Q sublattices H, so
@@ -29,7 +32,6 @@ from .lattices import (
     GramForm,
     ZERO_FORM,
     _reduced_triples,
-    key_representative,
     reduce_form,
     reduced_class_keys,
     sublattices,
@@ -47,12 +49,6 @@ class CoverageError(ValueError):
 
 class LabelingError(ValueError):
     """Joint eigenvalue data does not determine the partition labels."""
-
-
-def _key_form(key, mode: str) -> GramForm:
-    """The reduced form of a class key (an SL2 key also holds the
-    orientation bit)."""
-    return key if mode == GL2 else key[0]
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,7 @@ class FourierExpansion:
 
     def value(self, T: GramForm) -> CycNum:
         key = reduce_form(T, self.mode)
-        a, b, c = _key_form(key, self.mode)  # c = 0: the zero form or rank 1
+        a, b, c = key  # c = 0: the zero form or rank 1
         if c == 0 and a > self.content_bound:
             raise CoverageError(
                 f"rank-1 content {a} exceeds coverage {self.content_bound}"
@@ -143,10 +139,11 @@ class FourierExpansion:
     def to_json(self):
         out = []
         for key in self.domain_keys():
-            form = _key_form(key, self.mode)
-            entry = {"form": form.to_json(), "value": self.coeffs[key].to_json()}
+            a, b, c = key  # an SL2 key (a, -b, c) prints (a, b, c), orient -1
+            entry = {"form": {"a": a, "b": abs(b), "c": c},
+                     "value": self.coeffs[key].to_json()}
             if self.mode == SL2:
-                entry["orient"] = key[1]
+                entry["orient"] = -1 if b < 0 else 1
             out.append(entry)
         return {
             "group": self.mode,
@@ -204,7 +201,6 @@ def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
     db = f.det_bound // u.det_factor
     cb = f.content_bound // u.content_factor
     P, mode, table = u.P, f.mode, f.coeffs
-    sl2 = mode == SL2
     # P * (H T H^t) = (a*ra + b*rb + c*rc, b*sb + c*sc, c*tc) for the
     # sublattice H = [[d1, x], [0, d2]] and T = [[a, b], [b, c]]
     subs = [(P * H.d1 * H.d1, 2 * P * H.d1 * H.x, P * H.x * H.x,
@@ -212,14 +208,14 @@ def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
             for H in sublattices(u.Q)]
     coeffs = {}
     for key in reduced_class_keys(db, cb, mode):
-        a, b, c = key_representative(key, mode)
+        a, b, c = key
         total = _ZERO
         for ra, rb, rc, sb, sc, tc in subs:
             A, B, C = a * ra + b * rb + c * rc, b * sb + c * sc, c * tc
             # an image of rank <= 1 (C = 0 forces B = 0) or a reduced one is
             # its own key; a GramForm hashes and compares as its plain tuple
             if C == 0 or 0 <= 2 * B <= A <= C:
-                img = ((A, B, C), 1) if sl2 else (A, B, C)
+                img = (A, B, C)
             else:
                 img = reduce_form(GramForm(A, B, C), mode)
             total = total + table[img]
@@ -299,15 +295,13 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
             # already reduced: its own key (GramForm(a, s, c), built without
             # the Python frame of the generated NamedTuple __new__)
             key = _new_tuple(GramForm, (a, s, c))
-            if sl2:
-                key = (key, 1)
         else:
             try:
                 key = reduce_form(GramForm(a, s, c), mode)
             except ValueError:
                 raise ValueError(f"{source}:{lineno}: form {GramForm(a, b, c)} "
                                  f"is not psd") from None
-            a, s, c = key[0] if sl2 else key
+            a, s, c = key
         old = table.get(key)
         if old is None:
             table[key] = val
@@ -322,28 +316,23 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
     if weight is None:
         raise ValueError(f"{source}: missing '!weight ...' header line")
 
-    def own(form):  # the key of the class of a reduced form with b >= 0
-        return (form, 1) if sl2 else form
-
-    if own(ZERO_FORM) not in table:
+    if ZERO_FORM not in table:
         raise ValueError(f"{source}: zero-form coefficient missing")
     # content bound: longest full prefix of rank-1 classes
     cb = 0
-    while own(GramForm(cb + 1, 0, 0)) in table:
+    while (cb + 1, 0, 0) in table:
         cb += 1
     # det bound: largest D with every reduced positive definite class of
     # det <= D in the table.  [[1,0],[0,d]] is a reduced class of det d, so
     # D is at most the number of positive definite keys, and the walk stops
     # there however large a det the file names.  A reduced form is looked up
     # as its plain tuple, which hashes and compares as the GramForm key; in
-    # SL2 a form with 0 < 2b < a < c has a second, orient -1 key.
+    # SL2 a form with 0 < 2b < a < c has the twin key (a, -b, c).
     walk = min(top, pd)
     db = walk
     for det, a, b, c in _reduced_triples(walk):
-        form = (a, b, c)
-        if det <= db and ((form, 1) not in table or 0 < 2 * b < a < c
-                          and (form, -1) not in table if sl2
-                          else form not in table):
+        if det <= db and ((a, b, c) not in table or sl2 and 0 < 2 * b < a < c
+                          and (a, -b, c) not in table):
             db = det - 1
     exp = FourierExpansion(mode, db, cb, table, validate=False)
     return CoefficientProvider(source, weight, level, exp)
@@ -519,8 +508,8 @@ def project_components(provider: CoefficientProvider, N: int, k: int,
             f"expected {expected} joint components for N={N}, got {len(comps)}"
         )
     # corner detection by the zero-form coefficient
-    zk = reduce_form(ZERO_FORM, provider.expansion.mode)
-    nonzero = [i for i, c in enumerate(comps) if not c.expansion.coeffs[zk].is_zero()]
+    nonzero = [i for i, c in enumerate(comps)
+               if not c.expansion.coeffs[ZERO_FORM].is_zero()]
     if len(nonzero) != 1:
         raise LabelingError(
             f"expected exactly one component with nonzero zero-form "

@@ -5,9 +5,10 @@ enumeration, form scaling, and the finite-field isotropy classifier.
 Gram convention: [[a, b], [b, c]] with integer b, form value a*x^2 + 2*b*x*y
 + c*y^2 (no half-integral convention).  Reduction works on positive
 semi-definite forms only.  GL2(Z) classes are used for even weight; for odd
-weight the class may split into two proper (SL2) classes, distinguished here
-by keeping the b >= 0 twin as the labeled representative plus a +-1
-orientation bit (+1 for every class that does not split).
+weight a class may split into two proper (SL2) classes.  Either way the class
+key is one GramForm, the reduced form of its group: the GL2 key has b >= 0,
+and the SL2 key is the proper reduced form, so the twin of a class that
+splits is keyed (a, -b, c).
 """
 
 from __future__ import annotations
@@ -68,40 +69,28 @@ def _proper_reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
             return a, b, c
 
 
-def reduce_form(T: GramForm, group: str = GL2):
-    """Canonical class representative of a positive semi-definite form.
+def reduce_form(T: GramForm, group: str = GL2) -> GramForm:
+    """Canonical class representative of a positive semi-definite form, and
+    the key of its class.
 
-    GL2 mode returns a GramForm with 0 <= 2b <= a <= c (positive definite
-    case), [[m,0],[0,0]] with m the minimal represented value (rank 1), or
-    the zero form.  SL2 mode returns (GramForm, orient) where the form is the
-    same b >= 0 representative and orient = -1 marks the proper class of the
-    b < 0 twin when the GL2 class splits.  Either result is hashable and
-    serves as the class key.
+    A positive definite form reduces to 0 <= 2b <= a <= c in GL2 mode, and
+    to the proper reduced form (-a < 2b <= a <= c, b >= 0 if 2b = a or
+    a = c) in SL2 mode; the two differ only in the sign of b.  A rank-1 form
+    reduces to [[m,0],[0,0]] with m the minimal represented value, and the
+    zero form to itself.
     """
     if group not in (GL2, SL2):
         raise ValueError(f"unknown reduction group {group!r}")
     a, b, c = T
     if 0 <= 2 * b <= a <= c and a > 0:  # already reduced (det > 0 follows)
-        return T if group == GL2 else (T, 1)
+        return T
     det = a * c - b * b
     if a < 0 or c < 0 or det < 0:
         raise ValueError(f"{T} is indefinite or negative")
     if det:
         a, b, c = _proper_reduce(a, b, c)
-        out, orient = GramForm(a, abs(b), c), (-1 if b < 0 else 1)
-    else:  # rank 1, or the zero form with gcd(0, 0, 0) = 0
-        out, orient = GramForm(gcd(a, b, c), 0, 0), 1
-    if group == GL2:
-        return out
-    return out, orient
-
-
-def key_representative(key, group: str = GL2) -> GramForm:
-    """A Gram matrix representing the class behind a canonical key."""
-    if group == GL2:
-        return key
-    form, orient = key
-    return GramForm(form.a, -form.b, form.c) if orient < 0 else form
+        return GramForm(a, abs(b) if group == GL2 else b, c)
+    return GramForm(gcd(a, b, c), 0, 0)  # gcd(0, 0, 0) = 0: the zero form
 
 
 @dataclass(frozen=True)
@@ -210,17 +199,15 @@ def reduced_posdef_forms(det_bound: int):
 def reduced_class_keys(det_bound: int, content_bound: int, group: str = GL2):
     """Canonical keys of every class in the standard sampling domain: the
     zero form, rank-1 forms with content <= content_bound, positive definite
-    classes with det <= det_bound; ordered by (det, a, b[, orient]).  The
-    tuple is memoized: it is the one copy of a domain's keys."""
+    classes with det <= det_bound; ordered by (det, a, b), an SL2 twin
+    (a, -b, c) right after (a, b, c).  The tuple is memoized: it is the one
+    copy of a domain's keys."""
     keys = [reduce_form(GramForm(m, 0, 0), group)  # m = 0: the zero form
             for m in range(content_bound + 1)]
     for f in reduced_posdef_forms(det_bound):
-        if group == GL2:
-            keys.append(f)
-        else:
-            keys.append((f, 1))
-            if 0 < 2 * f.b < f.a < f.c:
-                keys.append((f, -1))  # the class genuinely splits
+        keys.append(f)
+        if group == SL2 and 0 < 2 * f.b < f.a < f.c:
+            keys.append(GramForm(f.a, -f.b, f.c))  # the class splits
     return tuple(keys)
 
 

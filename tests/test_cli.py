@@ -150,6 +150,25 @@ def test_conductor_over_the_cap_exit_code(capsys):
     assert err == "error: conductor 4 exceeds the configured cap 3\n"
 
 
+@pytest.mark.parametrize("value,message", [
+    ("0", "SIEGELEIS_CONDUCTOR_CAP='0' is not a positive integer"),
+    ("-7", "SIEGELEIS_CONDUCTOR_CAP='-7' is not a positive integer"),
+    ("x", "SIEGELEIS_CONDUCTOR_CAP='x' is not a positive integer"),
+    ("3", "conductor 4 exceeds the configured cap 3"),
+])
+def test_conductor_cap_from_the_environment(value, message):
+    # read when the library loads, in a child process with the variable set
+    env = dict(os.environ, SIEGELEIS_CONDUCTOR_CAP=value)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "siegeleis.cli", "hecke", "--level", "10",
+         "--weight", "5", "--char", "5:1", "--op", "T:2"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_missing_provider_is_a_clean_error(capsys, tmp_path):
     missing = tmp_path / "missing.coeffs"
     code, out, err = run(capsys, "fourier", "--provider", str(missing),
@@ -426,6 +445,21 @@ def test_fourier_commands(capsys, tmp_path):
     code, _, err = run(capsys, "fourier", "--provider", str(PROVIDER),
                        "--level", "2", "--apply", "T:2")
     assert code == 1 and "U:Q,P" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--apply", "U:1,2", "--ops", "U:1,2"),
+    ("--apply", "U:1,2", "--calibrate"),
+    ("--ops", "U:1,2", "--calibrate"),
+    ("--apply", "U:1,2", "--ops", "U:1,2", "--calibrate"),
+], ids=["apply-ops", "apply-calibrate", "ops-calibrate", "all-three"])
+def test_fourier_tasks_are_mutually_exclusive(capsys, flags):
+    # each flag picks what fourier prints, so two of them are a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["fourier", "--provider", str(PROVIDER), "--level", "2", *flags])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "not allowed with argument" in out.err
 
 
 def test_output_file(capsys, tmp_path):

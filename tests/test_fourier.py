@@ -142,19 +142,30 @@ def test_krylov_input_zero_only_on_the_sample_domain():
 
 def test_sl2_mode_tracks_orientation():
     f = expansion_from_function(
-        SL2, lambda key: key[0].det * key[1] if key[0].rank() == 2 else 1, 144, 4
+        SL2, lambda key: key.det * (-1 if key.b < 0 else 1) if key.rank() == 2
+        else 1, 144, 4
     )
     g = apply_U(f, UOperator(1, 2))  # det coverage 36 includes split classes
-    split_keys = [k for k in g.domain_keys() if k[1] == -1]
+    split_keys = [k for k in g.domain_keys() if k.b < 0]
     assert split_keys
-    for form, orient in split_keys:
-        rep = GramForm(form.a, -form.b, form.c)  # the class behind orient -1
-        assert g.coeffs[(form, orient)] == f.value(
-            GramForm(2 * rep.a, 2 * rep.b, 2 * rep.c))
+    for key in split_keys:  # the key (a, -b, c) of the b < 0 twin class
+        assert g.coeffs[key] == f.value(
+            GramForm(2 * key.a, 2 * key.b, 2 * key.c))
         # scaling preserves orientation, so the +- values stay separated
-        plus = g.coeffs[(form, 1)]
-        minus = g.coeffs[(form, -1)]
+        plus = g.coeffs[GramForm(key.a, -key.b, key.c)]
+        minus = g.coeffs[key]
         assert plus == -minus and not plus.is_zero()
+
+
+def test_sl2_twins_are_keyed_apart_and_named_by_their_key():
+    header = "!weight 5 level 1 group SL2"
+    p = provider_parse([header, "0 0 0 1", "3 1 4 2", "3 1 4 5 -1"])
+    assert p.expansion.coeffs[GramForm(3, 1, 4)] == 2
+    assert p.expansion.coeffs[GramForm(3, -1, 4)] == 5
+    # orient -1 and a b < 0 form name the same class, keyed [3,-1;4]
+    with pytest.raises(ValueError, match=r"^<memory>:4: inconsistent "
+                                         r"duplicate for class \[3,-1;4\]$"):
+        provider_parse([header, "0 0 0 1", "3 1 4 2 -1", "3 -1 4 3"])
 
 
 def test_provider_parse_examples():

@@ -19,8 +19,8 @@ from siegeleis import lattices
 from siegeleis.cyclotomic import as_cyc
 from siegeleis.fourier import (UOperator, apply_U, expansion_from_function,
                                provider_parse)
-from siegeleis.lattices import (GL2, SL2, GramForm, key_representative,
-                                reduce_form, reduced_class_keys,
+from siegeleis.lattices import (GL2, SL2, GramForm, reduce_form,
+                                reduced_class_keys,
                                 reduced_posdef_forms, restrict_and_scale,
                                 sublattices, transform)
 
@@ -48,8 +48,7 @@ def oracle_parse(lines):
             b = -b
         table.setdefault(reduce_form(GramForm(a, b, c), mode),
                          as_cyc(Fraction(toks[3])))
-    forms = [key if mode == GL2 else key[0] for key in table]
-    have = Counter(f.det for f in forms if f.c)
+    have = Counter(f.det for f in table if f.c)
     walk = min(max(have, default=0), sum(have.values()))
     full = Counter()
     for f in reduced_posdef_forms(walk):
@@ -63,14 +62,12 @@ def oracle_parse(lines):
 
 def table_lines(mode, det_bound, content_bound, drop=(), image=None):
     """A provider table of every class up to the bounds except `drop`; each
-    class is written as image(representative) when `image` is given."""
+    class is written as its key, or as image(key) when `image` is given."""
     lines = [f"!weight 4 level 1 group {mode}"]
     for key in reduced_class_keys(det_bound, content_bound, mode):
         if key in drop:
             continue
-        T = key_representative(key, mode)
-        if image is not None:
-            T = image(T)
+        T = key if image is None else image(key)
         orient = " 1" if mode == SL2 else ""
         lines.append(f"{T.a} {T.b} {T.c} {T.a * 7 - T.c + 2 * T.b}/3{orient}")
     return lines
@@ -85,7 +82,7 @@ def orient_minus_one(lines):
     return out
 
 
-SPLIT = (GramForm(3, 1, 4), -1)  # det 11: the first class that splits in SL2
+SPLIT = GramForm(3, -1, 4)  # det 11: the twin of the first class that splits
 
 
 def ingestion_inputs():
@@ -135,10 +132,9 @@ def oracle_apply(f, u):
                               f.content_bound // u.content_factor, f.mode)
     out = {}
     for key in keys:
-        T = key_representative(key, f.mode)
         total = as_cyc(0)
         for H in sublattices(u.Q):
-            total = total + f.value(restrict_and_scale(T, H, u.P))
+            total = total + f.value(restrict_and_scale(key, H, u.P))
         out[key] = total
     return out
 
@@ -150,10 +146,10 @@ def gl2_expansion():
 
 
 def sl2_expansion():
-    # the two orientations of a split class carry different values
+    # the twins (a, +-b, c) of a split class carry different values
     return expansion_from_function(
-        SL2, lambda k: Fraction(7919 * k[0].a + 104729 * k[0].b * k[1]
-                                + k[0].c, 1 + k[0].det % 7), 400, 120)
+        SL2, lambda k: Fraction(7919 * k.a + 104729 * k.b + k.c,
+                                1 + k.det % 7), 400, 120)
 
 
 OPS = [(1, 2), (2, 1), (3, 1), (6, 1), (2, 3)]

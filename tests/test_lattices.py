@@ -3,8 +3,8 @@ import random
 import pytest
 
 from siegeleis.lattices import (GL2, SL2, GramForm, ZERO_FORM,
-                                isotropic_lines, key_representative,
-                                reduce_form, reduced_class_keys,
+                                isotropic_lines, reduce_form,
+                                reduced_class_keys,
                                 reduced_posdef_forms, restrict_and_scale,
                                 sublattices, transform,
                                 _unimodular_entries_bounded)
@@ -52,7 +52,7 @@ def test_reduce_invariance_randomized():
 def _least_reduced_image(T, group):
     """Oracle: the lexicographically least image of T under the unimodular
     matrices with entries in [-3, 3] (det 1 only for SL2) that satisfies the
-    definition of a reduced form ([[m,0],[0,0]] at rank <= 1), as a class
+    definition of a reduced form ([[m,0],[0,0]] at rank <= 1): the class
     key."""
     if group == GL2:
         mats = _unimodular_entries_bounded(3)
@@ -62,11 +62,8 @@ def _least_reduced_image(T, group):
                 if g[0] * g[3] - g[1] * g[2] == 1]
         reduced = lambda a, b, c: (0 < a and -a < 2 * b <= a <= c
                                    and (b >= 0 or (2 * b != a and a != c)))
-    a, b, c = min((S.a, S.b, S.c) for S in (transform(T, G) for G in mats)
-                  if (S.b, S.c) == (0, 0) or reduced(S.a, S.b, S.c))
-    if group == GL2:
-        return GramForm(a, b, c)
-    return GramForm(a, abs(b), c), -1 if b < 0 else 1
+    return min(S for S in (transform(T, G) for G in mats)
+               if (S.b, S.c) == (0, 0) or reduced(S.a, S.b, S.c))
 
 
 def test_reduce_form_matches_the_least_reduced_image():
@@ -87,8 +84,11 @@ def test_reduce_form_matches_the_least_reduced_image():
     for T in forms:
         assert reduce_form(T) == _least_reduced_image(T, GL2), T
         assert reduce_form(T, SL2) == _least_reduced_image(T, SL2), T
+        # the GL2 key is the SL2 key with |b|
+        a, b, c = reduce_form(T, SL2)
+        assert reduce_form(T) == GramForm(a, abs(b), c), T
         if T.a > 0 and 0 <= 2 * T.b <= T.a <= T.c:  # already reduced: kept
-            assert reduce_form(T) is T and reduce_form(T, SL2) == (T, 1)
+            assert reduce_form(T) is T and reduce_form(T, SL2) is T
 
 
 def test_reduced_form_shape():
@@ -100,17 +100,31 @@ def test_reduced_form_shape():
 
 
 def test_sl2_orientation():
-    # an interior form splits into two proper classes
-    f, o = reduce_form(GramForm(3, 1, 5), SL2)
-    g, p = reduce_form(GramForm(3, -1, 5), SL2)
-    assert f == g == GramForm(3, 1, 5) and {o, p} == {1, -1}
+    # an interior form splits into two proper classes, keyed by the twins
+    f = reduce_form(GramForm(3, 1, 5), SL2)
+    g = reduce_form(GramForm(3, -1, 5), SL2)
+    assert (f, g) == (GramForm(3, 1, 5), GramForm(3, -1, 5))
+    assert reduce_form(f) == reduce_form(g) == f
+    # a key represents its class: a proper image of it reduces back to it
+    assert reduce_form(transform(g, (2, 1, 1, 1)), SL2) == g
     # ambiguous forms (b = 0, 2b = a, or a = c) do not split
     for amb in (GramForm(2, 0, 5), GramForm(2, 1, 5), GramForm(3, 1, 3)):
-        _, o1 = reduce_form(amb, SL2)
-        _, o2 = reduce_form(GramForm(amb.a, -amb.b, amb.c), SL2)
-        assert o1 == o2 == 1
-    key = reduce_form(GramForm(3, -1, 5), SL2)
-    assert key_representative(key, SL2) == GramForm(3, -1, 5)
+        assert reduce_form(amb, SL2) == amb
+        assert reduce_form(GramForm(amb.a, -amb.b, amb.c), SL2) == amb
+
+
+def test_det_minus_one_swaps_only_split_twins():
+    # a transform of det -1 maps a proper class to its twin, so it moves the
+    # SL2 key of a class that splits to (a, -b, c) and fixes every other key
+    flips = [g for g in _unimodular_entries_bounded(2)
+             if g[0] * g[3] - g[1] * g[2] == -1]
+    keys = reduced_class_keys(40, 3, SL2)
+    split = {k for k in keys if 0 < 2 * abs(k.b) < k.a < k.c}
+    assert split and ZERO_FORM in keys and len(split) < len(keys) - 4
+    for key in keys:
+        twin = GramForm(key.a, -key.b, key.c) if key in split else key
+        for G in flips:
+            assert reduce_form(transform(key, G), SL2) == twin, (key, G)
 
 
 def test_rank_one_reduction():
@@ -186,8 +200,14 @@ def test_reduced_class_keys_ordering():
     assert keys[1] == GramForm(1, 0, 0) and keys[2] == GramForm(2, 0, 0)
     assert keys[3:] == (GramForm(1, 0, 1), GramForm(1, 0, 2))
     sl2_keys = reduced_class_keys(30, 2, SL2)
-    split = [k for k in sl2_keys if k[1] == -1]
-    assert split and all(0 < 2 * f.b < f.a < f.c for f, _ in split)
+    split = [k for k in sl2_keys if k.b < 0]
+    assert split and all(0 < -2 * f.b < f.a < f.c for f in split)
+    # each twin (a, -b, c) comes right after (a, b, c); without the twins
+    # the SL2 keys are the GL2 keys
+    for f in split:
+        assert sl2_keys[sl2_keys.index(f) - 1] == (f.a, -f.b, f.c)
+    gl2_keys = reduced_class_keys(30, 2, GL2)
+    assert tuple(k for k in sl2_keys if k.b >= 0) == gl2_keys
 
 
 def test_gram_json():

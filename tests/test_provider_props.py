@@ -18,8 +18,8 @@ import pytest
 
 from siegeleis.cyclotomic import as_cyc
 from siegeleis.fourier import provider_parse
-from siegeleis.lattices import (GL2, SL2, GramForm, key_representative,
-                                transform, _unimodular_entries_bounded)
+from siegeleis.lattices import (GL2, SL2, GramForm, transform,
+                                _unimodular_entries_bounded)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -30,25 +30,19 @@ UNIMODULAR = _unimodular_entries_bounded(2)
 
 def classes_of_det(d: int, mode: str) -> list:
     """Class keys of det d > 0, straight from the definition of a reduced
-    form: 0 <= 2b <= a <= c, a*c - b*b = d; an SL2 class splits in two
-    (orientations +-1) when 0 < 2b < a < c."""
+    form: 0 <= 2b <= a <= c, a*c - b*b = d; an SL2 class splits in two,
+    keyed (a, b, c) and (a, -b, c), when 0 < 2b < a < c."""
     out = []
     a = 1
     while 3 * a * a <= 4 * d:
         for b in range(a // 2 + 1):
             c, r = divmod(d + b * b, a)
             if r == 0 and c >= a:
-                f = GramForm(a, b, c)
-                out.append(f if mode == GL2 else (f, 1))
+                out.append(GramForm(a, b, c))
                 if mode == SL2 and 0 < 2 * b < a < c:
-                    out.append((f, -1))
+                    out.append(GramForm(a, -b, c))
         a += 1
     return out
-
-
-def rank_le_one_key(m: int, mode: str):
-    f = GramForm(m, 0, 0)
-    return f if mode == GL2 else (f, 1)
 
 
 def brute_bounds(keys, mode: str) -> tuple[int, int]:
@@ -58,7 +52,7 @@ def brute_bounds(keys, mode: str) -> tuple[int, int]:
     while all(k in keys for k in classes_of_det(d, mode)):
         d += 1
     m = 1
-    while rank_le_one_key(m, mode) in keys:
+    while GramForm(m, 0, 0) in keys:
         m += 1
     return d - 1, m - 1
 
@@ -73,7 +67,7 @@ def value_token(draw, value: Fraction) -> str:
 def form_line(draw, key, mode: str) -> str:
     """A line naming the class of `key` by a random unimodular image."""
     G = draw(st.sampled_from(UNIMODULAR))
-    T = transform(key_representative(key, mode), G)
+    T = transform(key, G)
     a, b, c = T.a, T.b, T.c
     if mode == SL2:
         # a det -1 image lies in the twin proper class; orient -1 names it
@@ -89,7 +83,7 @@ def tables(draw):
     mode = draw(st.sampled_from([GL2, SL2]))
     det_full = draw(st.integers(0, 12))
     content_full = draw(st.integers(0, 5))
-    keys = [rank_le_one_key(m, mode) for m in range(content_full + 1)]
+    keys = [GramForm(m, 0, 0) for m in range(content_full + 1)]
     for d in range(1, det_full + 1):
         keys += classes_of_det(d, mode)
     # drop some classes (never the zero form) and add a far one
@@ -125,11 +119,11 @@ def test_tables_parse_back_to_their_class_map(table):
 @pytest.mark.parametrize("mode", [GL2, SL2])
 def test_whole_dets_are_covered_and_a_gap_ends_coverage(mode):
     # det 11 holds the first class that splits under SL2, [[3,1],[1,4]]
-    keys = [rank_le_one_key(0, mode)]
+    keys = [GramForm(0, 0, 0)]
     for d in range(1, 25):
         keys += classes_of_det(d, mode)
         lines = [f"!weight 4 level 1 group {mode}"] + [
-            "{} {} {} 1 1".format(*key_representative(k, mode)) for k in keys]
+            "{} {} {} 1 1".format(*k) for k in keys]
         assert provider_parse(lines).expansion.det_bound == d
         assert provider_parse(lines[:-1]).expansion.det_bound == d - 1
 
@@ -143,7 +137,7 @@ MUTATIONS = ["token-count", "non-number", "zero-denominator", "indefinite",
 @st.composite
 def mutated_tables(draw, kind):
     mode = draw(st.sampled_from([GL2, SL2]))
-    keys = [rank_le_one_key(m, mode) for m in range(3)]
+    keys = [GramForm(m, 0, 0) for m in range(3)]
     for d in range(1, 9):
         keys += classes_of_det(d, mode)
     lines = [form_line(draw, k, mode).format(i) for i, k in enumerate(keys)]
