@@ -5,7 +5,8 @@ specs use the grammar T:p, T1:p, S1:q, S2:q, U:Q,P and compose into words
 with ';'.  Output is JSON (eigenvalue tables may also be CSV); identical
 inputs produce byte-identical output.  Usage errors exit 2, domain errors
 exit 1, internal errors (a failed internal check) exit 3.  The environment
-variable SIEGELEIS_CONDUCTOR_CAP overrides the cyclotomic conductor cap.
+variable SIEGELEIS_CONDUCTOR_CAP, a positive integer, overrides the
+cyclotomic conductor cap.
 
 Each command imports what it runs, so building the parser loads no library
 module and `fourier --apply` loads no Hecke table code.

@@ -202,8 +202,7 @@ def reduced_class_keys(det_bound: int, content_bound: int, group: str = GL2):
     classes with det <= det_bound; ordered by (det, a, b), an SL2 twin
     (a, -b, c) right after (a, b, c).  The tuple is memoized: it is the one
     copy of a domain's keys."""
-    keys = [reduce_form(GramForm(m, 0, 0), group)  # m = 0: the zero form
-            for m in range(content_bound + 1)]
+    keys = [GramForm(m, 0, 0) for m in range(content_bound + 1)]
     for f in reduced_posdef_forms(det_bound):
         keys.append(f)
         if group == SL2 and 0 < 2 * f.b < f.a < f.c:

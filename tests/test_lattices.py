@@ -81,14 +81,24 @@ def test_reduce_form_matches_the_least_reduced_image():
     assert {T.rank() for T in forms} == {0, 1, 2}
     assert any(T.b < 0 for T in forms) and any(T.a > T.c for T in forms)
     assert any(0 < 2 * T.b < T.a < T.c for T in forms)  # hits the early return
-    for T in forms:
+    flips = [g for g in _unimodular_entries_bounded(2)
+             if g[0] * g[3] - g[1] * g[2] == -1]
+    splits = 0
+    for i, T in enumerate(forms):
         assert reduce_form(T) == _least_reduced_image(T, GL2), T
         assert reduce_form(T, SL2) == _least_reduced_image(T, SL2), T
         # the GL2 key is the SL2 key with |b|
-        a, b, c = reduce_form(T, SL2)
+        key = a, b, c = reduce_form(T, SL2)
         assert reduce_form(T) == GramForm(a, abs(b), c), T
+        # a det -1 transform maps a proper class to its twin: it moves the
+        # key of a class that splits to (a, -b, c) and fixes every other key
+        twin = GramForm(a, -b, c) if 0 < 2 * abs(b) < a < c else key
+        splits += twin != key
+        G = flips[i % len(flips)]
+        assert reduce_form(transform(T, G), SL2) == twin, (T, G)
         if T.a > 0 and 0 <= 2 * T.b <= T.a <= T.c:  # already reduced: kept
             assert reduce_form(T) is T and reduce_form(T, SL2) is T
+    assert 0 < splits < len(forms)
 
 
 def test_reduced_form_shape():
@@ -111,20 +121,6 @@ def test_sl2_orientation():
     for amb in (GramForm(2, 0, 5), GramForm(2, 1, 5), GramForm(3, 1, 3)):
         assert reduce_form(amb, SL2) == amb
         assert reduce_form(GramForm(amb.a, -amb.b, amb.c), SL2) == amb
-
-
-def test_det_minus_one_swaps_only_split_twins():
-    # a transform of det -1 maps a proper class to its twin, so it moves the
-    # SL2 key of a class that splits to (a, -b, c) and fixes every other key
-    flips = [g for g in _unimodular_entries_bounded(2)
-             if g[0] * g[3] - g[1] * g[2] == -1]
-    keys = reduced_class_keys(40, 3, SL2)
-    split = {k for k in keys if 0 < 2 * abs(k.b) < k.a < k.c}
-    assert split and ZERO_FORM in keys and len(split) < len(keys) - 4
-    for key in keys:
-        twin = GramForm(key.a, -key.b, key.c) if key in split else key
-        for G in flips:
-            assert reduce_form(transform(key, G), SL2) == twin, (key, G)
 
 
 def test_rank_one_reduction():
