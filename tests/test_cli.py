@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -513,3 +514,65 @@ def test_write_json_across_flush_chunks():
 def test_write_json_rejects_what_no_output_holds(obj, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         _written(obj)
+
+
+# every usage, help and error text argparse prints, at a fixed 80 columns:
+# (exit code, sha256 of stdout, sha256 of stderr), recorded before the parser
+# was built from the command table for the invoked command alone
+EMPTY = hashlib.sha256(b"").hexdigest()
+MESSAGES = {
+    "help": (["--help"], 0,
+        "7abc3d0e5526b89a80005ca1e1eadb45c70e0ac9be7f621150f0af2bf4d3597f",
+        EMPTY),
+    "basis-help": (["basis", "--help"], 0,
+        "4658663ae82033c871188a7f7e9132ba61eadab3eab704a8ee9c18bd1b0919c1",
+        EMPTY),
+    "hecke-help": (["hecke", "--help"], 0,
+        "8590c8eb8d7d904ada430b39fad1382d321f97d8f485ef8ba7e2544f7f63a155",
+        EMPTY),
+    "eigen-help": (["eigen", "--help"], 0,
+        "dede312c1925eacfbc2e19679ee193c435c90823d3d75456f3b667a37befd2f3",
+        EMPTY),
+    "relations-help": (["relations", "--help"], 0,
+        "235e4bf73611aea4c9dc5ebb5d8d9f80345cea31af8a118224e908a81726c3c5",
+        EMPTY),
+    "fourier-help": (["fourier", "--help"], 0,
+        "59e668a99da05f959c8f124016168e9eba59387367b535ed130b5cc8fe9f6d3d",
+        EMPTY),
+    "verify-help": (["verify", "--help"], 0,
+        "332388d210b631b992da4b611e142515a818bcb2d7cd5fb604eea6dc690ec5fd",
+        EMPTY),
+    "no-arguments": ([], 2,
+        EMPTY,
+        "6dcf78f11c43a196170ab10101c0a1b7210e0a63dcab8387ec76ec3ae676e5b2"),
+    "bogus": (["bogus"], 2,
+        EMPTY,
+        "7fa25ad3957cd29336e6bc56a1b19102365ce351d645f477814b2ece20a3882c"),
+    "unrecognized": (["fourier", "--provider", "P", "--level", "2", "extra"], 2,
+        EMPTY,
+        "46aa80be24f8dc9fd0d8bf8b7105f302e4672385bcec88a30afa4e54bdc70b97"),
+    "missing-weight": (["eigen", "--level", "6"], 2,
+        EMPTY,
+        "a121a76fa23511efb11380e2c6bba32260adbc247d04e99eff9d1d6dc92848e9"),
+    "exclusive": (["fourier", "--apply", "U:1,2", "--ops", "U:1,2"], 2,
+        EMPTY,
+        "9889a423e8bb4232aa3d8a3bb28f5782afc68064d054738d9a95f4458d568313"),
+    "invalid-choice": (["verify", "--preset", "nope"], 2,
+        EMPTY,
+        "73acd81e9b0793701eb73975b35cf9679555de902ce7b32083fb4255fc514a90"),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(MESSAGES))
+def test_cli_messages_are_pinned(capsys, monkeypatch, case):
+    argv, code, out_sha, err_sha = MESSAGES[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, _sha(out.out), _sha(out.err)) == (
+        code, out_sha, err_sha)
