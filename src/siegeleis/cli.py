@@ -8,14 +8,17 @@ exit 1, internal errors (a failed internal check) exit 3.  The environment
 variable SIEGELEIS_CONDUCTOR_CAP, a positive integer, overrides the
 cyclotomic conductor cap.
 
-Each command imports what it runs, so building the parser loads no library
-module and `fourier --apply` loads no Hecke table code.
+The command table `_COMMANDS` drives the parser and the dispatch; `main`
+builds the parser of the invoked command alone.  Each command imports what
+it runs, so building the parser loads no library module and `fourier
+--apply` loads no Hecke table code.  A closed stdout (`| head`) exits 141.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .jsonout import write_json
@@ -69,6 +72,7 @@ def _writer(args):
             yield fh.write
     else:
         yield sys.stdout.write
+        sys.stdout.flush()  # a closed pipe is met here, not at exit
 
 
 def _emit_json(args, obj) -> None:
@@ -175,31 +179,36 @@ def cmd_relations(args) -> int:
 def cmd_fourier(args) -> int:
     from .fourier import (apply_U, calibrate_normalization, krylov_spectral,
                           project_components, provider_load)
-    if args.sample_bound < 1:  # a Krylov split would sample nothing
-        raise ValueError(f"--sample-bound must be at least 1, got {args.sample_bound}")
+    # values first (exit 1), then flags the task would ignore (exit 2)
+    bound = 2 if args.sample_bound is None else args.sample_bound
+    if bound < 1:  # a Krylov split would sample nothing
+        raise ValueError(f"--sample-bound must be at least 1, got {bound}")
+    task = "--apply" if args.apply else "--ops" if args.ops else None
+    word = _u_word(args.apply or args.ops, task) if task else None
+    if task and args.level is not None:
+        args.usage_error(f"argument --level: not allowed with argument {task}")
+    if task == "--apply" and args.sample_bound is not None:
+        args.usage_error("argument --sample-bound: not allowed with argument "
+                         "--apply")
+    level = 1 if args.level is None else args.level
     provider = provider_load(args.provider)
     if args.calibrate:
-        report = calibrate_normalization(
-            provider, args.level, provider.weight, args.sample_bound
-        )
+        report = calibrate_normalization(provider, level, provider.weight, bound)
         _emit_json(args, report)
         return 0
     if args.apply:
         exp = provider.expansion
-        for u in _u_word(args.apply, "--apply"):
+        for u in word:
             exp = apply_U(exp, u)
         _emit_json(args, exp.to_json())
         return 0
     if args.ops:
-        word = _u_word(args.ops, "--ops")
-        comps = krylov_spectral(provider.expansion, word, args.sample_bound)
+        comps = krylov_spectral(provider.expansion, word, bound)
         _emit_json(args, [_component_json(c) for c in comps])
         return 0
-    labeled = project_components(
-        provider, args.level, provider.weight, args.sample_bound
-    )
+    labeled = project_components(provider, level, provider.weight, bound)
     _emit_json(args, {
-        "level": args.level,
+        "level": level,
         "weight": provider.weight,
         "components": [{"partition": rho.to_json(), **_component_json(comp)}
                        for rho, comp in labeled],
@@ -257,48 +266,34 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="siegeleis",
-        description="Exact Hecke computations on degree-2 Siegel Eisenstein "
-        "series of square-free level",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _space_args(p, char=True) -> None:
+    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--weight", type=int, required=True)
+    if char:
+        p.add_argument("--char", default="1",
+                       help="character spec 'q1:j1,q2:j2' or '1'")
+    p.add_argument("--output", default=None, help="write to file")
 
-    def common(p, char=True):
-        p.add_argument("--level", type=int, required=True)
-        p.add_argument("--weight", type=int, required=True)
-        if char:
-            p.add_argument("--char", default="1",
-                           help="character spec 'q1:j1,q2:j2' or '1'")
-        p.add_argument("--output", default=None, help="write to file")
 
-    p = sub.add_parser("basis", help="list the valid partitions")
-    common(p)
-    p.set_defaults(fn=cmd_basis)
-
-    p = sub.add_parser("hecke", help="action table of an operator word")
-    common(p)
+def _hecke_args(p) -> None:
+    _space_args(p)
     p.add_argument("--op", required=True,
                    help="word over T:p, T1:p, S1:q, S2:q joined by ';'")
-    p.set_defaults(fn=cmd_hecke)
 
-    p = sub.add_parser("eigen", help="eigenbasis and eigenvalue comparison")
-    common(p)
+
+def _eigen_args(p) -> None:
+    _space_args(p)
     p.add_argument("--primes", default="",
                    help="extra primes p (comma separated) for T(p), T1(p^2)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_eigen)
 
-    p = sub.add_parser("relations",
-                       help="corner-to-basis word identities (trivial char)")
-    common(p, char=False)
-    p.set_defaults(fn=cmd_relations)
 
-    p = sub.add_parser("fourier", help="coefficient pipelines on a provider")
+def _fourier_args(p) -> None:
     p.add_argument("--provider", required=True)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--sample-bound", type=int, default=2)
+    # no default, so that a task which reads no level or bound can refuse
+    # one given at all; cmd_fourier reads level 1 and bound 2 in their place
+    p.add_argument("--level", type=int)
+    p.add_argument("--sample-bound", type=int)
     task = p.add_mutually_exclusive_group()  # else the level projection
     task.add_argument("--apply", default="",
                       help="apply a word of U:Q,P operators")
@@ -308,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     task.add_argument("--calibrate", action="store_true",
                       help="emit the normalization calibration report")
     p.add_argument("--output", default=None)
-    p.set_defaults(fn=cmd_fourier)
+    p.set_defaults(usage_error=p.error)
 
-    p = sub.add_parser("verify", help="run the oracle suite")
+
+def _verify_args(p) -> None:
     # the names of verify.PRESETS, spelled here so the parser loads no verify
     p.add_argument("--preset", choices=("desk", "quick"))
     p.add_argument("--n-max", type=int, default=6)
@@ -320,16 +316,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--output", default=None)
-    p.set_defaults(fn=cmd_verify)
 
+
+# name: (help, the function that adds its arguments, handler), in help order
+_COMMANDS = {
+    "basis": ("list the valid partitions", _space_args, cmd_basis),
+    "hecke": ("action table of an operator word", _hecke_args, cmd_hecke),
+    "eigen": ("eigenbasis and eigenvalue comparison", _eigen_args, cmd_eigen),
+    "relations": ("corner-to-basis word identities (trivial char)",
+                  lambda p: _space_args(p, char=False), cmd_relations),
+    "fourier": ("coefficient pipelines on a provider", _fourier_args,
+                cmd_fourier),
+    "verify": ("run the oracle suite", _verify_args, cmd_verify),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of `argv`: only its command's, when its first token names
+    one, else every command's (for `--help`, a typo or nothing at all)."""
+    parser = _Parser(
+        prog="siegeleis",
+        description="Exact Hecke computations on degree-2 Siegel Eisenstein "
+        "series of square-free level",
+    )
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        # the usage that later errors print names every command; the full
+        # build leaves metavar unset, which names `command` in its errors
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(names) + "}")
+        names = [argv[0]]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][2](args)
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: stop without a word,
+        # and point stdout at devnull so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer it stopped
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

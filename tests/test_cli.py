@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -279,7 +281,9 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def broken(args):
         raise exc
 
-    monkeypatch.setattr(cli, "cmd_basis", broken)
+    help_text, add_arguments, _ = cli._COMMANDS["basis"]
+    monkeypatch.setitem(cli._COMMANDS, "basis",
+                        (help_text, add_arguments, broken))
     code, out, err = run(capsys, "basis", "--level", "2", "--weight", "4")
     assert code == 3 and out == ""
     assert err == f"internal error: {exc}\n"
@@ -463,6 +467,51 @@ def test_fourier_tasks_are_mutually_exclusive(capsys, flags):
     assert "not allowed with argument" in out.err
 
 
+@pytest.mark.parametrize("flags,refused,task", [
+    (("--level", "4", "--ops", "U:1,2"), "--level", "--ops"),
+    (("--level", "1", "--apply", "U:1,2"), "--level", "--apply"),
+    (("--apply", "U:1,2", "--level", "7"), "--level", "--apply"),
+    (("--sample-bound", "3", "--apply", "U:1,2"), "--sample-bound", "--apply"),
+    (("--sample-bound", "2", "--apply", "U:1,2"), "--sample-bound", "--apply"),
+], ids=["level-ops", "level-1-apply", "apply-level", "bound-apply",
+        "bound-2-apply"])
+def test_fourier_refuses_a_flag_its_task_ignores(capsys, flags, refused, task):
+    # --apply reads no level and no sample bound, --ops no level: such a flag
+    # was ignored (even --level 4, which is not square-free), so given at
+    # all, even at its default value, it is a usage error naming both flags
+    with pytest.raises(SystemExit) as exc:
+        main(["fourier", "--provider", str(PROVIDER), *flags])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith("usage: siegeleis fourier ")
+    assert out.err.endswith(f"\nsiegeleis fourier: error: argument {refused}: "
+                            f"not allowed with argument {task}\n")
+
+
+@pytest.mark.skipif(shutil.which("head") is None, reason="no head command")
+def test_a_closed_stdout_stops_quietly():
+    # the 155 kB output overfills the pipe, so the writer meets the closed
+    # pipe once `head` has read its 10 bytes and gone
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    writer = subprocess.Popen(
+        [sys.executable, "-m", "siegeleis.cli", "fourier", "--provider",
+         str(PROVIDER), "--apply", "U:1,1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        head = subprocess.run(["head", "-c", "10"], stdin=writer.stdout,
+                              capture_output=True, timeout=60)
+        writer.stdout.close()  # head held the only other reading end
+        err = writer.stderr.read()
+        code = writer.wait(timeout=60)
+    finally:
+        writer.kill()
+        writer.stderr.close()
+    assert (head.returncode, head.stdout) == (0, b"{\n  \"coeff")
+    assert (code, err) == (141, b"")
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "basis.json"
     code = main(["basis", "--level", "2", "--weight", "4",
@@ -576,3 +625,25 @@ def test_cli_messages_are_pinned(capsys, monkeypatch, case):
     out = capsys.readouterr()
     assert (exc.value.code, _sha(out.out), _sha(out.err)) == (
         code, out_sha, err_sha)
+
+
+def _registered(parser) -> list[str]:
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+ALL_COMMANDS = ["basis", "hecke", "eigen", "relations", "fourier", "verify"]
+
+
+@pytest.mark.parametrize("argv,names", [
+    (None, ALL_COMMANDS),
+    ([], ALL_COMMANDS),
+    (["--help"], ALL_COMMANDS),
+    (["bogus", "--level", "6"], ALL_COMMANDS),
+    (["--", "eigen"], ALL_COMMANDS),
+    (["eigen", "--level", "6", "--weight", "4"], ["eigen"]),
+    (["fourier", "--help"], ["fourier"]),
+], ids=["none", "empty", "help", "bogus", "dashdash", "eigen", "fourier-help"])
+def test_the_parser_registers_the_invoked_command_alone(argv, names):
+    assert _registered(cli.build_parser(argv)) == names

@@ -48,9 +48,12 @@ def test_every_submodule_resolves_without_its_own_import():
 
 
 def test_building_the_parser_loads_only_the_cli():
-    code = "import siegeleis.cli\nsiegeleis.cli.build_parser()"
-    assert loaded_after(code) == {"siegeleis", "siegeleis.cli",
-                                  "siegeleis.jsonout"}
+    # the parser of every command, and those of one command alone
+    for argv in (None, ["eigen", "--level", "6"],
+                 ["fourier", "--provider", PROVIDER], ["verify", "--preset", "desk"]):
+        code = f"import siegeleis.cli\nsiegeleis.cli.build_parser({argv!r})"
+        assert loaded_after(code) == {"siegeleis", "siegeleis.cli",
+                                      "siegeleis.jsonout"}, argv
 
 
 def test_eigen_loads_no_fourier_side(tmp_path):
