@@ -183,8 +183,10 @@ def cmd_fourier(args) -> int:
     bound = 2 if args.sample_bound is None else args.sample_bound
     if bound < 1:  # a Krylov split would sample nothing
         raise ValueError(f"--sample-bound must be at least 1, got {bound}")
-    task = "--apply" if args.apply else "--ops" if args.ops else None
-    word = _u_word(args.apply or args.ops, task) if task else None
+    task = ("--apply" if args.apply is not None
+            else "--ops" if args.ops is not None else None)
+    text = args.apply if task == "--apply" else args.ops
+    word = _u_word(text, task) if task else None
     if task and args.level is not None:
         args.usage_error(f"argument --level: not allowed with argument {task}")
     if task == "--apply" and args.sample_bound is not None:
@@ -196,13 +198,13 @@ def cmd_fourier(args) -> int:
         report = calibrate_normalization(provider, level, provider.weight, bound)
         _emit_json(args, report)
         return 0
-    if args.apply:
+    if task == "--apply":
         exp = provider.expansion
         for u in word:
             exp = apply_U(exp, u)
         _emit_json(args, exp.to_json())
         return 0
-    if args.ops:
+    if task == "--ops":
         comps = krylov_spectral(provider.expansion, word, bound)
         _emit_json(args, [_component_json(c) for c in comps])
         return 0
@@ -219,6 +221,8 @@ def cmd_fourier(args) -> int:
 def _u_word(text: str, flag: str) -> list:
     from .fourier import UOperator
     word = parse_op_word(text)
+    if not word:
+        raise ValueError("empty operator word")
     if not all(isinstance(op, UOperator) for op in word):
         raise ValueError(f"`fourier {flag}` takes U:Q,P operators only")
     return word
@@ -295,9 +299,10 @@ def _fourier_args(p) -> None:
     p.add_argument("--level", type=int)
     p.add_argument("--sample-bound", type=int)
     task = p.add_mutually_exclusive_group()  # else the level projection
-    task.add_argument("--apply", default="",
-                      help="apply a word of U:Q,P operators")
-    task.add_argument("--ops", default="",
+    # no default either, so that an explicit empty word is seen: argparse
+    # counts it against the other task flags, and cmd_fourier refuses it
+    task.add_argument("--apply", help="apply a word of U:Q,P operators")
+    task.add_argument("--ops",
                       help="split by these U:Q,P operators instead of the "
                            "default level projection")
     task.add_argument("--calibrate", action="store_true",

@@ -26,7 +26,7 @@ from operator import itemgetter
 from .characters import legendre_epsilon
 from .cyclotomic import CycNum, as_cyc, is_prime
 from .eisspace import EisSpace, Partition, prime_factors, rank_code
-from .jsonout import JsonText, encoded
+from .jsonout import JsonText
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -58,7 +58,7 @@ class HeckeMatrix:
     dividing N) and ``at`` is A_p, the positions of the primes q != p of N
     with chi_q(p) != 1.  The key of a row is its ranks at ``places``: A_p,
     then p for p | N; every reader of keys uses ``key``, which reads that
-    tuple off any sequence indexed like a rank tuple.  ``local`` maps each
+    tuple off any tuple indexed like a rank tuple.  ``local`` maps each
     key to its local row: for p | N the entries (target rank at p, value)
     in ascending rank, the target being the row with its rank at p
     replaced; for p not dividing N the diagonal value.  ``diagonal`` and
@@ -78,11 +78,11 @@ class HeckeMatrix:
 
     def __post_init__(self):
         places = self.places = self.at if self.pos is None else self.at + (self.pos,)
-        if len(places) == 1:
-            (x,) = places
-            self.key = lambda ranks: (ranks[x],)
-        else:
-            self.key = itemgetter(*places) if places else lambda ranks: ()
+        if len(places) > 1:
+            self.key = itemgetter(*places)
+        else:  # a slice of the tuple, to keep the key a tuple
+            x = places[0] if places else 0
+            self.key = itemgetter(slice(x, x + len(places)))
 
     def _row(self, i: int) -> tuple:
         ranks = self.space.rank_tuples[i]
@@ -334,8 +334,9 @@ class TensorVector:
         return out
 
 
-def _expand(vec: TensorVector, products: dict) -> list[tuple[int, CycNum]]:
-    """The nonzero coefficients of vec as (basis index, value) pairs.
+def _expand(vec: TensorVector, products: dict) -> zip:
+    """The nonzero coefficients of vec as (basis index, value) pairs, in
+    no particular order.
 
     Each value is the product, from 1, of its local entries off the
     partition's ranks, the primes in ascending order.  `products` maps
@@ -343,26 +344,28 @@ def _expand(vec: TensorVector, products: dict) -> list[tuple[int, CycNum]]:
     product found there is reused, and as every prefix is 1 or held there,
     no id in it is reused while it lives.  A rank tuple is carried as its
     mixed-radix code (eisspace.rank_code): a move at x adds (t - r) 3^x.
+    Codes and values are two parallel lists, grown once per move by the
+    terms so far, shifted and multiplied; the codes become basis indices
+    at the end.
     """
     space = vec.space
     ranks = space.rank_tuples[space.index_of(vec.partition)]
-    terms = [(rank_code(ranks), _ONE)]
+    codes, coeffs = [rank_code(ranks)], [_ONE]
     for x, r in enumerate(ranks):
-        moves = [((t - r) * 3 ** x, a, products.setdefault(id(a), (a, {}))[1])
-                 for t, a in vec.local[x].items() if t != r and not a.is_zero()]
+        moves = [((t - r) * 3 ** x, a) for t, a in vec.local[x].items()
+                 if t != r and not a.is_zero()]
         if not moves:
             continue
-        grown = []
-        for s, coeff in terms:
-            grown.append((s, coeff))
-            for shift, a, memo in moves:
-                c = memo.get(id(coeff))
-                if c is None:
-                    c = memo[id(coeff)] = coeff * a
-                grown.append((s + shift, c))
-        terms = grown
-    index = space.index_of_code
-    return [(index[s], coeff) for s, coeff in terms]
+        base_codes, base = codes[:], coeffs[:]
+        for shift, a in moves:
+            memo = products.setdefault(id(a), (a, {}))[1]
+            for c in base:
+                p = memo.get(id(c))
+                if p is None:
+                    p = memo[id(c)] = c * a
+                coeffs.append(p)
+            codes += [s + shift for s in base_codes]
+    return zip(map(space.index_of_code.__getitem__, codes), coeffs)
 
 
 @dataclass
@@ -441,6 +444,14 @@ def _verification_failed(rho: Partition, op: HeckeOp, why: str) -> RuntimeError:
     )
 
 
+def _is_normalized(vec: TensorVector, rho: Partition, ranks: tuple) -> bool:
+    """Check 1 at one vector: it is rho's, with one local vector per prime
+    of N, each 1 at rho's rank there."""
+    local = vec.local
+    return (vec.partition == rho and len(local) == len(ranks)
+            and all(u.get(r, _ZERO).is_one() for u, r in zip(local, ranks)))
+
+
 def _is_local_eigen(local, key, u, lam: CycNum) -> bool:
     """Check 2 at one key (ranks at A_p) of a table's local rows: for p not
     dividing N (u is None) the diagonal value of the key is lam; for p | N,
@@ -478,9 +489,12 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
        key: for each key in the product of the local supports at A_p,
        u_p.L_key == lambda.u_p on the union of the supports for p | N, and
        the diagonal value of the key equals lambda for p not dividing N.
-       Local vectors are shared, so this is checked once per table, key of
-       rho (which fixes lambda) and local vectors at the key's primes; the
-       memo keys those vectors by identity and keeps them alive.
+       The check reads only rho's key (which fixes lambda) and its local
+       vectors at the table's places, so it runs once per distinct pair of
+       them: each table maps its key getter over the rank tuples and over
+       the tuples of local vector ids (the vectors stay alive, so no id is
+       reused), and reads each vector's eigenvalue off the column of its
+       key's lambda.
 
     Why this proves every coordinate: on a p-fiber s, v restricted to s is
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
@@ -488,42 +502,58 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     both sides are 0.  The proof reads only local vectors and local rows.
     The trade-off: that a table factors holds by construction and is not
     checked here (see HeckeMatrix).  A verification failure is an internal
-    error, not a data condition.
+    error, not a data condition; it names the first failing vector in
+    basis order, and at that vector check 1 before check 2 and then the
+    first failing table in stored order.
     """
     space = ops.space
     for op in ops.level_ops():
         ops.matrix(op)
     tables = ops.stored()
-    vectors: dict = {}
-    checked: dict[tuple, tuple] = {}
-    entries = []
-    for i, rho in enumerate(space.basis):
-        vec = eigen_vector(ops, rho, vectors)
-        ranks, local = space.rank_tuples[i], vec.local
-        if tables and not (vec.partition == rho and len(local) == len(ranks)
-                           and all(u.get(r, _ZERO).is_one()
-                                   for u, r in zip(local, ranks))):
-            raise _verification_failed(
-                rho, next(iter(tables)), "a local vector is not 1 at rho")
-        eigs: dict[HeckeOp, CycNum] = {}
-        ids = tuple(map(id, local))
-        for op, hm in tables.items():
-            # the ranks, and the local vector ids, at the table's places;
-            # the tables stay alive, so no id(hm) is reused
-            seen = (id(hm), hm.key(ranks), hm.key(ids))
-            hit = checked.get(seen)
-            if hit is None:
-                near = list(hm.key(local))
-                lam = hm.diagonal(i)
-                u = None if hm.pos is None else near.pop()
-                if not all(_is_local_eigen(hm.local, k, u, lam)
-                           for k in product(*near)):
-                    raise _verification_failed(
-                        rho, op, f"wrong local eigenvector at {op.p}")
-                # the vectors of seen stay alive, so no id in it is reused
-                hit = checked[seen] = (lam, u, near)
-            eigs[op] = hit[0]
-        entries.append(EigenVectorEntry(rho, vec, eigs))
+    memo: dict = {}
+    vectors = [eigen_vector(ops, rho, memo) for rho in space.basis]
+    # the first failure names the smallest basis index, and at it check 1
+    # before check 2 and then the first table: `end` is the index of the
+    # first failure found so far, and only pairs met before it are checked,
+    # so a later table replaces a failure only with an earlier one
+    end, failure = len(vectors), None
+    if tables:
+        end = next((i for i, (vec, rho, ranks) in enumerate(zip(
+            vectors, space.basis, space.rank_tuples))
+            if not _is_normalized(vec, rho, ranks)), end)
+        if end < len(vectors):
+            failure = (end, next(iter(tables)),
+                       "a local vector is not 1 at rho")
+    ranks = space.rank_tuples[:end]
+    # every vector stays alive, so no id in these tuples is reused
+    ids = [tuple(map(id, vec.local)) for vec in vectors[:end]]
+    columns = []
+    for op, hm in tables.items():
+        keys = list(map(hm.key, ranks))
+        lams: dict = {}  # key -> lambda, the diagonal value of its rows
+        # each distinct (key, local vectors at the table's places), in the
+        # order they first occur, with an index that has it
+        pairs = dict(zip(zip(keys, map(hm.key, ids)), range(end)))
+        for (key, held), i in pairs.items():
+            lam = lams.get(key)
+            if lam is None:
+                lam = lams[key] = hm.diagonal(i)
+            near = list(hm.key(vectors[i].local))
+            u = None if hm.pos is None else near.pop()
+            if not all(_is_local_eigen(hm.local, k, u, lam)
+                       for k in product(*near)):
+                # the table's first failure, as the pairs come in the
+                # order they first occur; like every pair here, it occurs
+                # before `end`
+                end = list(zip(keys, map(hm.key, ids))).index((key, held))
+                failure = (end, op, f"wrong local eigenvector at {op.p}")
+                break
+        columns.append(list(map(lams.get, keys)))
+    if failure is not None:
+        i, op, why = failure
+        raise _verification_failed(space.basis[i], op, why)
+    entries = [EigenVectorEntry(rho, vec, dict(zip(tables, lams)))
+               for rho, vec, *lams in zip(space.basis, vectors, *columns)]
     return EigenSystem(space, entries, tables)
 
 
@@ -575,7 +605,9 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
     in place of the matrices' q^{2k-2}; those rows come back match=False
     with expected_mismatch=True.  The closed form and the expected mismatch
     depend only on rho's key in the op's table (its ranks at A_p and, for
-    p | N, at p), so each is evaluated once per (op, key).
+    p | N, at p), so each is evaluated once per (op, key); the match is
+    compared again only when a row's matrix value is another object than
+    the last one at its (op, key), and eigenbasis gives each key one.
     """
     space = system.space
     primes = prime_factors(space.level)
@@ -588,12 +620,15 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
         for op, pick, closed in picks:
             key = pick(ranks)
             hit = closed.get(key)
-            if hit is None:
-                hit = closed[key] = (
+            if hit is None:  # closed form, expected mismatch, value, match
+                hit = closed[key] = [
                     eigenvalue_closed_form(space, rho, op),
-                    op.kind == "T1" and op.p in primes and rho.rank_of(op.p) == 1)
+                    op.kind == "T1" and op.p in primes and rho.rank_of(op.p) == 1,
+                    None, False]
             mval = e.eigenvalues[op]
-            out.append((rho, op, mval, hit[0], bool(mval == hit[0]), hit[1]))
+            if mval is not hit[2]:
+                hit[2:] = mval, bool(mval == hit[0])
+            out.append((rho, op, mval, hit[0], hit[3], hit[1]))
     return out
 
 
@@ -607,8 +642,24 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
 
 
 def _text(obj, depth: int) -> str:
-    """The JSON of a CycNum or a Partition, standing at `depth`."""
-    return encoded(obj.to_json(), "\n" + "  " * depth).text
+    """The JSON of a CycNum or a Partition, standing at `depth`: the bytes
+    of json.dumps(obj.to_json(), indent=2, sort_keys=True) with each
+    newline indented to that depth, written from the stored form.  A
+    partition is (N0, N1, N2); a CycNum (sum n[i] z^i) / d writes each
+    coordinate n[i] / d reduced by their gcd, as CycNum.to_json does."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if type(obj) is Partition:
+        return (f'{{{inner}"N0": {obj.n0},{inner}"N1": {obj.n1}'
+                f',{inner}"N2": {obj.n2}{pad}}}')
+    d = obj.d
+    coeffs = []
+    for a in obj.n:
+        g = gcd(a, d)
+        coeffs.append(str(a // g) if g == d else f"{a // g}/{d // g}")
+    sep = '",' + inner + '  "'
+    return (f'{{{inner}"coeffs": [{inner}  "{sep.join(coeffs)}"{inner}]'
+            f',{inner}"m": {obj.m}{pad}}}')
 
 
 def eigen_json(system: EigenSystem, op_list=None) -> dict:
@@ -619,15 +670,18 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
     bytes are those of the plain tree, whose rows are
     compare_eigenvalues(system, op_list).
 
-    Each distinct value and partition is encoded once per depth.  Texts are
-    memoized by object identity, every keyed object held until the render
-    ends: a row's text up to its partition (the last key) per (op, closed
-    form, matrix value, expected mismatch), the closed form being one per
-    (op, key) (eigenvalue_comparisons), held by the rows; an eigenvalue
-    line per (op, value), held by its memo; and a vector item's text up to
-    its partition per coefficient, each 1 or held by the product memo that
-    all vectors share (_expand).  The comparison is made first, so an op
-    that eigenbasis did not verify raises ValueError before any record.
+    Each distinct value and partition is encoded once per depth, by _text,
+    which writes it from its stored form (no to_json dict and no writer
+    walk); the matrix value of a row is its key's lambda, one object per
+    (table, key) (eigenbasis).  Texts are memoized by object identity,
+    every keyed object held until the render ends: a row's text up to its
+    partition (the last key) per (op, closed form, matrix value, expected
+    mismatch), the closed form being one per (op, key)
+    (eigenvalue_comparisons), held by the rows; an eigenvalue line per
+    (op, value), held by its memo; and a vector item's text up to its
+    partition per coefficient, each 1 or held by the product memo that all
+    vectors share (_expand).  The comparison is made first, so an op that
+    eigenbasis did not verify raises ValueError before any record.
     """
     space = system.space
     rows = eigenvalue_comparisons(system, op_list)
@@ -642,7 +696,10 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
 
     def comparison_records():
         heads: dict = {}
+        last = None  # the rows of an entry are consecutive: one tail each
         for rho, op, mval, cval, match, expected in rows:
+            if rho is not last:
+                last, tail = rho, part[rho] + pad + "}"
             key = (id(op), id(cval), id(mval), expected)
             head = heads.get(key)
             if head is None:
@@ -653,7 +710,7 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
                     f',{pad3}"matrix_value": {value(mval, 3)}'
                     f',{pad3}"op": {_json_str(op.spec_string())}'
                     f',{pad3}"partition": ')
-            yield JsonText(head + part[rho] + pad + "}", pad)
+            yield JsonText(head + tail, pad)
 
     def eigenbasis_records():
         products: dict = {}
@@ -675,13 +732,12 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
                 if start is None:
                     start = starts[id(c)] = f'{{{pad5}"coeff": {value(c, 5)}'
                 items.append(start + item_end[j])
+            eig_text = (f"{{{pad4}" + sep.join(map(itemgetter(1), eigs))
+                        + pad3 + "}" if eigs else "{}")
             yield JsonText(
-                f'{{{pad3}"eigenvalues": '
-                + (f"{{{pad4}" + f",{pad4}".join(map(itemgetter(1), eigs)) + pad3 + "}"
-                   if eigs else "{}")
-                + f',{pad3}"partition": ' + part[e.partition]
-                + f',{pad3}"vector": [{pad4}' + sep.join(items) + pad3 + "]" + pad + "}",
-                pad)
+                f'{{{pad3}"eigenvalues": {eig_text},{pad3}"partition": '
+                f'{part[e.partition]},{pad3}"vector": [{pad4}{sep.join(items)}'
+                f'{pad3}]{pad}}}', pad)
 
     return {"comparison": comparison_records(),
             "eigenbasis": eigenbasis_records(), "space": space.descriptor()}

@@ -2,8 +2,8 @@
 
 `write_json` writes the bytes of json.dumps(obj, indent=2, sort_keys=True)
 plus a newline in chunks as it encodes them; an iterator in list position
-is written item by item as it yields them.  `encoded` writes the JSON of a
-CycNum or a Partition once, for a caller that renders whole records as
+is written item by item as it yields them.  A caller that renders whole
+records itself (hecke.eigen_json and hecke.word_rows) hands them over as
 `JsonText`, which write_json splices in at the depth where it stands.  A
 JsonText records its pad, the newline and indentation of the depth it was
 rendered for ("\n" is the top level), and each of its newlines is followed
@@ -30,26 +30,6 @@ class JsonText:
     def __init__(self, text: str, pad: str = "\n"):
         self.text = text
         self.pad = pad
-
-
-def encoded(obj: dict, pad: str = "\n") -> JsonText:
-    """`obj` as write_json writes it where `pad` stands, for a renderer to
-    put into its records.  It takes the JSON of a CycNum or a Partition
-    (str keys; int or list-of-str values) and writes it directly, without
-    write_json's walk; any other shape raises TypeError."""
-    inner, deep = pad + "  ", pad + "    "
-    items = []
-    for k in sorted(obj):
-        v = obj[k]
-        if type(v) is int:
-            v = int.__repr__(v)
-        elif type(v) is list:
-            v = "[" + deep + ("," + deep).join(map(_json_str, v)) + inner + "]" if v else "[]"
-        else:
-            raise TypeError(f"cannot encode {type(v).__name__} directly")
-        items.append(_json_str(k) + ": " + v)
-    return JsonText("{" + inner + ("," + inner).join(items) + pad + "}"
-                    if items else "{}", pad)
 
 
 def write_json(obj, write) -> None:

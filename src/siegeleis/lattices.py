@@ -211,13 +211,25 @@ def reduced_class_keys(det_bound: int, content_bound: int, group: str = GL2):
 
 
 def _unimodular_entries_bounded(bound: int):
-    """All G in GL2(Z) with |entries| <= bound, by brute force."""
+    """All G in GL2(Z) with |entries| <= bound, as (g11, g12, g21, g22) in
+    lexicographic order.  Each (g11, g12, g21) fixes the g22 that make
+    g11 g22 - g12 g21 = +-1: for g11 != 0 the integral (g12 g21 +- 1) / g11,
+    and for g11 = 0 every g22 once g12 g21 = +-1."""
+    span = range(-bound, bound + 1)
     out = []
-    for g11 in range(-bound, bound + 1):
-        for g12 in range(-bound, bound + 1):
-            for g21 in range(-bound, bound + 1):
-                for g22 in range(-bound, bound + 1):
-                    if g11 * g22 - g12 * g21 in (1, -1):
+    for g11 in span:
+        # the signs s in the order of the quotients (g12 g21 + s) / g11
+        signs = (-1, 1) if g11 > 0 else (1, -1)
+        for g12 in span:
+            for g21 in span:
+                m = g12 * g21
+                if g11 == 0:
+                    if m in (1, -1):
+                        out.extend((0, g12, g21, g22) for g22 in span)
+                    continue
+                for s in signs:
+                    g22, r = divmod(m + s, g11)
+                    if r == 0 and -bound <= g22 <= bound:
                         out.append((g11, g12, g21, g22))
     return out
 

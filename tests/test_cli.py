@@ -488,6 +488,20 @@ def test_fourier_refuses_a_flag_its_task_ignores(capsys, flags, refused, task):
                             f"not allowed with argument {task}\n")
 
 
+@pytest.mark.parametrize("flags", [
+    ("--apply", ""), ("--ops", ""), ("--apply", "  "), ("--ops", ";"),
+    ("--apply", "", "--level", "2"), ("--ops", "", "--level", "2"),
+    ("--apply", "", "--sample-bound", "3"),
+], ids=["apply", "ops", "apply-blank", "ops-separator", "apply-level",
+        "ops-level", "apply-bound"])
+def test_fourier_refuses_an_empty_word(capsys, flags):
+    # an empty word was read as no task (the E8 expansion or the level
+    # projection came out); it is a bad value, refused before any flag the
+    # task would not read, as `hecke --op ""` is
+    code, out, err = run(capsys, "fourier", "--provider", str(PROVIDER), *flags)
+    assert (code, out, err) == (1, "", "error: empty operator word\n")
+
+
 @pytest.mark.skipif(shutil.which("head") is None, reason="no head command")
 def test_a_closed_stdout_stops_quietly():
     # the 155 kB output overfills the pipe, so the writer meets the closed
@@ -604,6 +618,11 @@ MESSAGES = {
         EMPTY,
         "a121a76fa23511efb11380e2c6bba32260adbc247d04e99eff9d1d6dc92848e9"),
     "exclusive": (["fourier", "--apply", "U:1,2", "--ops", "U:1,2"], 2,
+        EMPTY,
+        "9889a423e8bb4232aa3d8a3bb28f5782afc68064d054738d9a95f4458d568313"),
+    # an explicit empty word counts as given: the same message as above
+    "exclusive-empty-word": (["fourier", "--provider", "P", "--apply", "",
+                              "--ops", "U:1,2"], 2,
         EMPTY,
         "9889a423e8bb4232aa3d8a3bb28f5782afc68064d054738d9a95f4458d568313"),
     "invalid-choice": (["verify", "--preset", "nope"], 2,

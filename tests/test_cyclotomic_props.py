@@ -6,12 +6,14 @@ with a rational value at m = 1 and zero as m = 1, (0,), 1.  That form is
 unique, so two values are equal exactly when their JSON is equal.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from siegeleis.cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
+from siegeleis.hecke import _text
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -142,3 +144,14 @@ def test_equal_values_share_one_stored_form(mxy):
     for v in (x, y):
         assert M % v.m == 0
         assert v.m == least_conductor(v, M)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(triples(), st.integers(min_value=0, max_value=6))
+def test_text_is_the_json_of_the_stored_form(xyz, depth):
+    # the eigen and hecke outputs write a value from its stored form, each
+    # coordinate reduced by its own gcd with d, as json.dumps writes to_json
+    pad = "\n" + "  " * depth
+    for v in (*xyz, xyz[0] * xyz[1], xyz[0] + xyz[2]):
+        plain = json.dumps(v.to_json(), indent=2, sort_keys=True)
+        assert _text(v, depth) == plain.replace("\n", pad)

@@ -15,7 +15,7 @@ from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
                              apply_word, compare_eigenvalues, eigen_json,
                              eigen_vector, eigenbasis, eigenvalue_closed_form,
                              hecke_matrix, s_constant, s_operator)
-from siegeleis.jsonout import encoded, write_json
+from siegeleis.jsonout import write_json
 
 N2K4 = enumerate_partitions(2, None, 4)
 
@@ -577,27 +577,31 @@ def test_json_memo_keeps_one_entry_per_value(monkeypatch):
     assert len(values) < len(encoded_at) - 2 * len(basis)  # some at 2 depths
 
 
-def test_encoded_writes_what_json_dumps_writes():
-    # the direct encoder of the two shapes the memo holds, against json.dumps
+def test_text_writes_what_json_dumps_writes():
+    # the direct renderer of the values and partitions the memos hold,
+    # against json.dumps of their to_json at every depth eigen_json and
+    # word_rows render them for
     rng = random.Random(12)
-    values = [CycNum.zero(), CycNum.one(), as_cyc(Fraction(-7, 3))]
-    for m in (1, 4, 12, 20):
+    values = [CycNum.zero(), CycNum.one(), as_cyc(-1), as_cyc(Fraction(-7, 3)),
+              # d > 1: a coordinate in lowest terms, one reduced by part of
+              # d, one reduced to an integer, and a zero coordinate
+              CycNum(4, [Fraction(1, 6), Fraction(1, 3)]),
+              CycNum(4, [Fraction(1, 2), 3]),
+              CycNum(12, [Fraction(1, 5), 0, Fraction(-4, 15), 2])]
+    for m in (1, 4, 12, 20, 24):
         for _ in range(25):
             values.append(CycNum(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                                      for _ in range(euler_phi(m))]))
-    assert {v.m for v in values} == {1, 4, 12, 20}
-    shapes = ([v.to_json() for v in values] + [p.to_json() for p in N2K4.basis]
-              + [Partition(30, 1, 7).to_json(), {}, {"coeffs": [], "m": 1}])
-    for obj in shapes:
-        assert encoded(obj).text == json.dumps(obj, indent=2, sort_keys=True)
-        for pad in ("\n  ", "\n          "):  # rendered for a deeper depth
-            text = encoded(obj, pad)
-            assert text.pad == pad
-            assert text.text == json.dumps(obj, indent=2,
-                                           sort_keys=True).replace("\n", pad)
-    for bad in ({"m": True}, {"m": {"a": 1}}, {"coeffs": [1]}, {1: 2}):
-        with pytest.raises(TypeError):
-            encoded(bad)
+    assert {v.m for v in values} == {1, 4, 12, 20, 24}
+    assert any(len({Fraction(a, v.d).denominator for a in v.n}) > 1
+               for v in values if v.d > 1)
+    partitions = enumerate_partitions(30, None, 4).basis
+    assert len(partitions) == 27  # every partition of 30
+    for obj in [*values, *partitions]:
+        plain = json.dumps(obj.to_json(), indent=2, sort_keys=True)
+        for depth in (0, 3, 4, 5):
+            pad = "\n" + "  " * depth
+            assert hecke._text(obj, depth) == plain.replace("\n", pad)
 
 
 def test_eigen_json_writes_the_plain_json():
@@ -729,6 +733,80 @@ def test_eigenbasis_rejects_a_wrong_table(monkeypatch, level, spec, k, op,
     _with_table(monkeypatch, op, tamper)
     ops = SpaceOperators(_space(level, spec, k))
     ops.matrix(op)
+    with pytest.raises(RuntimeError,
+                       match="eigenvector verification failed for " + want):
+        eigenbasis(ops)
+
+
+def _put(x, t, value):
+    """A change for _tampered: the local vector at the x-th prime of N
+    takes `value` at rank t."""
+    def change(local):
+        local[x][t] = as_cyc(value)
+    return change
+
+
+def _shift_key(key):
+    """A tamper for _with_table: every entry of the local row of key
+    shifts by 1."""
+    def tamper(space, hm):
+        for entry in hm.local[key]:
+            entry[1] += 1
+    return tamper
+
+
+def _normalize_wrong_and_change(local):
+    _put(0, 0, 2)(local)
+    _put(2, 1, Fraction(-1, 13))(local)
+
+
+# (vectors changed, tables changed, tables built first in this order, the
+# message); each case is wrong for two (rho, op) pairs or more, and the
+# message names the smallest basis index that fails, and at it check 1 before
+# check 2, then the first failing table in stored order.  At level 30 the
+# basis starts (30,1,1), (6,5,1), (10,3,1), (15,2,1); at level 10 with chi_5
+# of order 4 it starts (10,1,1), (5,2,1), (2,1,5), and T(2) and T1(2^2) are
+# keyed by (rank at 5, rank at 2)
+T2, T1_2 = HeckeOp("T", 2), HeckeOp("T1", 2)
+FIRST_FAILURES = [
+    ("vectors-later-table-first",
+     [(_put(2, 1, Fraction(-1, 13)), Partition(30, 1, 1)),
+      (_put(0, 2, Fraction(-1, 13)), Partition(15, 2, 1))], [], [],
+     r"rho=\(30,1,1\), op=T\(5\): wrong local eigenvector at 5"),
+    ("normalization-before-table",
+     [(_normalize_wrong_and_change, Partition(30, 1, 1))], [], [],
+     r"rho=\(30,1,1\), op=T\(2\): a local vector is not 1 at rho"),
+    ("table-before-later-normalization",
+     [(_put(0, 1, 2), Partition(15, 2, 1)),
+      (_put(0, 1, Fraction(-1, 13)), Partition(10, 3, 1))], [], [],
+     r"rho=\(10,3,1\), op=T\(2\): wrong local eigenvector at 2"),
+    ("tables-smallest-index",
+     [], [(T2, _shift_key((2, 0))), (T1_2, _shift_key((0, 0)))], [T2, T1_2],
+     r"rho=\(10,1,1\), op=T1\(2\^2\): wrong local eigenvector at 2"),
+    ("tables-tie-level-order",
+     [], [(T2, _shift_key((0, 0))), (T1_2, _shift_key((0, 0)))], [T2, T1_2],
+     r"rho=\(10,1,1\), op=T\(2\): wrong local eigenvector at 2"),
+    ("tables-tie-stored-order",
+     [], [(T2, _shift_key((0, 0))), (T1_2, _shift_key((0, 0)))], [T1_2, T2],
+     r"rho=\(10,1,1\), op=T1\(2\^2\): wrong local eigenvector at 2"),
+    ("tables-smallest-index-stored-second",
+     [], [(T2, _shift_key((0, 0))), (T1_2, _shift_key((2, 0)))], [T1_2, T2],
+     r"rho=\(10,1,1\), op=T\(2\): wrong local eigenvector at 2"),
+]
+
+
+@pytest.mark.parametrize("vectors,tables,built,want",
+                         [f[1:] for f in FIRST_FAILURES],
+                         ids=[f[0] for f in FIRST_FAILURES])
+def test_eigenbasis_names_the_first_failure(monkeypatch, vectors, tables,
+                                            built, want):
+    for change, rho in vectors:
+        monkeypatch.setattr(hecke, "eigen_vector", _tampered(change, rho))
+    for op, tamper in tables:
+        _with_table(monkeypatch, op, tamper)
+    ops = SpaceOperators(_space(10, "5:1", 5) if tables else _space(30, "1"))
+    for op in built:
+        ops.matrix(op)
     with pytest.raises(RuntimeError,
                        match="eigenvector verification failed for " + want):
         eigenbasis(ops)

@@ -25,6 +25,18 @@ def test_reduce_examples():
     assert reduce_form(T) == GramForm(1, 0, 0)
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 10])
+def test_unimodular_entries_are_the_brute_force_list(bound):
+    # the same matrices in the same order: the desk draws its transforms
+    # from the list at bound 10 by index, so its report rests on the order
+    span = range(-bound, bound + 1)
+    brute = [(g11, g12, g21, g22) for g11 in span for g12 in span
+             for g21 in span for g22 in span if g11 * g22 - g12 * g21 in (1, -1)]
+    assert _unimodular_entries_bounded(bound) == brute
+    if bound == 10:
+        assert len(brute) == 2024
+
+
 def test_reduce_validation():
     with pytest.raises(ValueError):
         reduce_form(GramForm(1, 2, 1))  # indefinite
