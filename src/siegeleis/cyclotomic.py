@@ -9,8 +9,10 @@ denominator is coprime to the content of the numerators, and zero is m = 1,
 numerators (0,), denominator 1.  So equality and hashing compare stored forms.
 Mixed-conductor arithmetic lifts both operands to the least common multiple
 conductor; a sum or product is then reduced into the least subfield that
-holds it.  Inverses are fraction-free: Bareiss elimination on the integer
-matrix of multiplication by the numerator.
+holds it.  The inverse is x^-1 = N(x)^-1 * prod_{sigma != 1} sigma(x), the
+product of the other Galois conjugates over the norm, formed on integer
+numerators over a basis of cyclic subgroups of (Z/m)^x by doubling; x^-1
+keeps the least conductor of x.
 """
 
 from __future__ import annotations
@@ -356,6 +358,11 @@ class CycNum:
             other = as_cyc(other)
             if other is NotImplemented:
                 return NotImplemented
+        # the shared one is a common factor of table and basis entries
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return other
         if other.m == 1:
             if self.m == 1:
                 return _rational(self.n[0] * other.n[0], self.d * other.d)
@@ -363,21 +370,8 @@ class CycNum:
         if self.m == 1:
             return other._scale(self.n[0], self.d)
         m = self.m if self.m == other.m else _lcm_conductor(self.m, other.m)
-        a, b = self._lift(m), other._lift(m)
-        phi, rows = _reduction_rows(m)
-        prod = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    if y:
-                        prod[k] += x * y
-        out = prod[:phi]
-        for e in range(phi, 2 * phi - 1):
-            c = prod[e]
-            if c:
-                for j, r in rows[e % m]:
-                    out[j] += c * r
-        return _make(m, out, self.d * other.d)
+        return _make(m, _mul_poly(m, self._lift(m), other._lift(m)),
+                     self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -388,11 +382,16 @@ class CycNum:
             if not a:
                 raise ZeroDivisionError("inverse of zero")
             return _raw(1, (d,), a) if a > 0 else _raw(1, (-d,), -a)
-        # (num / d)^-1 = d * A^-1 e_0 = d * y / det, A = multiplication by num
-        y, det = _solve_unit(m, self.n)
-        if det < 0:
-            det, d = -det, -d
-        return _make(m, [d * a for a in y], det)
+        # (num / d)^-1 = d * c / N(num), c the product of the other conjugates
+        c, norm = _norm_cofactor(m, self.n)
+        if norm < 0:
+            norm, d = -norm, -d
+        # x and 1/x generate the same field, so m stays the least conductor
+        out = [d * a for a in c]
+        g = gcd(norm, *out)
+        if g != 1:
+            return _raw(m, tuple(a // g for a in out), norm // g)
+        return _raw(m, tuple(out), norm)
 
     def __truediv__(self, other):
         other = as_cyc(other)
@@ -551,44 +550,79 @@ def _rational(a: int, d: int) -> CycNum:
     return _raw(1, (a,), d)
 
 
-def _solve_unit(m: int, num) -> tuple[list[int], int]:
-    """(y, det) with A y = det * e_0, A the integer matrix of multiplication
-    by num(z) in Q(zeta_m) and det = +-det(A): Bareiss elimination, so every
-    intermediate is an integer minor."""
-    top = cyclotomic_polynomial(m)
-    phi = len(num)
-    cols = [list(num)]
-    for _ in range(phi - 1):
-        # column j + 1 = z * column j, reduced by Phi_m (monic)
-        prev = cols[-1]
-        lead = prev[-1]
-        col = [0] + prev[:-1]
-        if lead:
-            for j in range(phi):
-                col[j] -= lead * top[j]
-        cols.append(col)
-    a = [[col[r] for col in cols] + [int(r == 0)] for r in range(phi)]
-    prev_pivot = 1
-    for k in range(phi):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, phi) if a[i][k]), None)
-            if swap is None:
-                raise ZeroDivisionError("element is not invertible")
-            a[k], a[swap] = a[swap], a[k]
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, phi + 1):
-                row[j] = (row[j] * pivot - f * row_k[j]) // prev_pivot
-        prev_pivot = pivot
-    det = a[-1][-2]
-    # back substitution on det * x, which is integral by Cramer's rule
-    y = [0] * phi
-    for i in range(phi - 1, -1, -1):
-        row = a[i]
-        s = det * row[phi] - sum(row[j] * y[j] for j in range(i + 1, phi))
-        y[i] = s // row[i]
-    return y, det
+def _mul_poly(m: int, a, b) -> list[int]:
+    """Power-basis numerators of a(z) * b(z) in Q(zeta_m), for numerators
+    a and b at m."""
+    phi, rows = _reduction_rows(m)
+    prod = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                if y:
+                    prod[k] += x * y
+    out = prod[:phi]
+    for e in range(phi, 2 * phi - 1):
+        c = prod[e]
+        if c:
+            for j, r in rows[e % m]:
+                out[j] += c * r
+    return out
+
+
+@cache
+def _galois_generators(m: int) -> tuple[tuple[int, int], ...]:
+    """(g, k) pairs, g in (Z/m)^x of order k, such that (Z/m)^x is the
+    direct product of the cyclic groups <g>: per prime power p^e of m, a
+    primitive root mod p^e for odd p, -1 and 5 mod 2^e, each lifted to 1
+    mod the rest of m (Chinese remaindering)."""
+    out = []
+    for p, e in factorize(m).items():
+        q = p**e
+        rest = m // q
+        if p == 2:  # e >= 2, as m is never 2 mod 4
+            gens = [(q - 1, 2)] + ([(5, q // 4)] if e >= 3 else [])
+        else:
+            phi_p = p - 1
+            r = next(r for r in range(2, p) if all(
+                pow(r, phi_p // f, p) != 1 for f in factorize(phi_p)))
+            if e >= 2 and pow(r, phi_p, p * p) == 1:
+                r += p  # a primitive root mod p^2 is one mod every p^e
+            gens = [(r, phi_p * q // p)]
+        for g, k in gens:
+            # g mod q and 1 mod rest
+            out.append((((g - 1) * rest * pow(rest, -1, q) + 1) % m, k))
+    return tuple(out)
+
+
+def _conjugate(m: int, h: int, a) -> list[int]:
+    """Numerators of sigma_h(a), for sigma_h: z -> z^h."""
+    return _collect(m, ((h * i, c) for i, c in enumerate(a)))
+
+
+def _norm_cofactor(m: int, a) -> tuple[list[int], int]:
+    """(c, N) for integer numerators a at m: c the product of sigma(a) over
+    the Galois automorphisms sigma != 1 of Q(zeta_m), and N = a c the norm,
+    an integer (Cohen, A Course in Computational Algebraic Number Theory,
+    Ch. 4).  With (Z/m)^x the direct product of cyclic groups <g> of order k
+    (_galois_generators), and w the product of a's conjugates under the
+    groups taken so far, the new conjugates multiply c and w by
+    f = prod_{0 < i < k} sigma_{g^i}(w), which doubling forms in O(log k)
+    products.  Nothing is canonicalised on the way."""
+    gens = _galois_generators(m)
+    c, w = None, a
+    for n, (g, k) in enumerate(gens, 1):
+        # f = prod_{1 <= i <= j} sigma_{g^i}(w), from j = 1 up to k - 1
+        f, j = _conjugate(m, g, w), 1
+        for bit in bin(k - 1)[3:]:
+            f = _mul_poly(m, f, _conjugate(m, pow(g, j, m), f))
+            j *= 2
+            if bit == "1":
+                j += 1
+                f = _mul_poly(m, f, _conjugate(m, pow(g, j, m), w))
+        c = f if c is None else _mul_poly(m, c, f)
+        if n == len(gens):
+            return c, _mul_poly(m, w, f)[0]
+        w = _mul_poly(m, w, f)
 
 
 def _lcm_conductor(a: int, b: int) -> int:

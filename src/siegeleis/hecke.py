@@ -32,16 +32,25 @@ _ZERO = CycNum.zero()
 _ONE = CycNum.one()
 
 
+_KINDS = ("T", "T1", "S1", "S2")
+
+
 @dataclass(frozen=True)
 class HeckeOp:
     kind: str  # "T" (degree p), "T1" (degree p^2), or "S1"/"S2" (relations)
     p: int
 
     def __post_init__(self):
-        if self.kind not in ("T", "T1", "S1", "S2"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        # ops key the tables and eigenvalue maps, so the hash is read, not
+        # formed per lookup; from ints, it is the same in every process
+        object.__setattr__(self, "_hash", 4 * self.p + _KINDS.index(self.kind))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return f"T1({self.p}^2)" if self.kind == "T1" else f"{self.kind}({self.p})"

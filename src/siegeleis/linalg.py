@@ -62,12 +62,10 @@ class _Span:
 
 def _axpy(w: dict, a: CycNum, u) -> None:
     """w += a * u in place, for a nonzero a and u given as (column, value)
-    pairs of nonzero values; a = 1 multiplies nothing, and an entry that
-    cancels is removed, so w keeps only nonzero values."""
-    one = a.is_one()
+    pairs of nonzero values; an entry that cancels is removed, so w keeps
+    only nonzero values."""
     for j, x in u:
-        if not one:
-            x = a * x
+        x = a * x
         y = w.get(j)
         if y is None:
             w[j] = x

@@ -115,21 +115,23 @@ class VerificationReport:
 
 def subgroup_count_oracle(q: int) -> int:
     """Count the index-q subgroups of Z^2 by enumerating the kernels of the
-    surjections Z^2 -> Z/qZ and deduplicating them as point sets, the
-    point (t, y) of (Z/qZ)^2 encoded as the int t*q + y."""
+    surjections (x, y) -> a x + b y onto Z/qZ, one per (a, b) != (0, 0),
+    and deduplicating them by equality.  For b != 0 the kernel mod q is the
+    graph {(t, c t)}, c = -a b^-1 mod q, compared as the bytes of c t mod q
+    over t = 0, ..., q - 1 (read off the progression 0, c, 2c, ...); for
+    b = 0 it is {(0, t)}, no graph over t, and gets a token of its own."""
     if q > 50:
         raise ValueError("oracle is intended for primes q <= 50")
     kernels = set()
+    mod_q = q.__rmod__
     for a in range(q):
         for b in range(q):
-            if a == 0 and b == 0:
-                continue
-            if b % q:
-                binv = pow(b, -1, q)
-                pts = frozenset(t * q + (-a * t * binv) % q for t in range(q))
-            else:
-                pts = frozenset(range(q))  # the points (0, t)
-            kernels.add(pts)
+            if b:
+                c = -a * pow(b, -1, q) % q
+                kernels.add(bytes(map(mod_q, range(0, c * q, c))) if c
+                            else bytes(q))
+            elif a:
+                kernels.add(None)  # the points (0, t)
     return len(kernels)
 
 

@@ -7,12 +7,14 @@ unique, so two values are equal exactly when their JSON is equal.
 """
 
 import json
+import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from siegeleis.cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
+from siegeleis.cyclotomic import (CycNum, as_cyc, cyclotomic_polynomial,
+                                  euler_phi)
 from siegeleis.hecke import _text
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -155,3 +157,37 @@ def test_text_is_the_json_of_the_stored_form(xyz, depth):
     for v in (*xyz, xyz[0] * xyz[1], xyz[0] + xyz[2]):
         plain = json.dumps(v.to_json(), indent=2, sort_keys=True)
         assert _text(v, depth) == plain.replace("\n", pad)
+
+
+# the rational operands of CycNum arithmetic: ints, Fractions and CycNums
+# at m = 1
+scalars = (st.integers(min_value=-30, max_value=30) | small
+           | small.map(lambda f: CycNum(1, [f])))
+
+
+def general_path(op, x, y) -> CycNum:
+    """op(x, y) for op add, sub or mul: both operands made CycNums by
+    as_cyc and written at their common conductor M by at_conductor, the
+    coordinates combined here and canonicalised by CycNum(M, ...)."""
+    x, y = as_cyc(x), as_cyc(y)
+    M = lcm(x.m, y.m)
+    a, b = ([(i * (M // v.m), c) for i, c in enumerate(v.c)] for v in (x, y))
+    if op is operator.mul:
+        terms = [(e + f, c * g) for e, c in a for f, g in b]
+    else:
+        sign = 1 if op is operator.add else -1
+        terms = a + [(f, sign * g) for f, g in b]
+    return CycNum(M, at_conductor(M, terms))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(triples(), scalars)
+def test_scalar_operands_give_the_general_paths_stored_form(xyz, s):
+    x, y, _ = xyz
+    # s - x and x give sums that cancel to a rational or to zero, y - x one
+    # that cancels to the conductor of y, and s = 0 zero products
+    for other in (s, as_cyc(s), y, s - x, y - x, x):
+        for op in (operator.add, operator.sub, operator.mul):
+            for a, b in ((x, other), (other, x)):
+                got, want = op(a, b), general_path(op, a, b)
+                assert (got.m, got.n, got.d) == (want.m, want.n, want.d)

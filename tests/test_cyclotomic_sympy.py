@@ -18,7 +18,9 @@ from siegeleis.cyclotomic import CycNum, as_cyc, euler_phi
 sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
-CONDUCTORS = (3, 4, 5, 12, 15, 20, 24)
+# every conductor m > 1 that the desk's field-axioms check draws (m <= 24,
+# m != 2 mod 4), so the norm inverse is checked wherever it runs there
+CONDUCTORS = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20, 21, 23, 24)
 # same-conductor pairs plus mixed pairs that meet at 12, 15, 20, 24, 60, 120
 PAIRS = [(m, m) for m in CONDUCTORS] + [
     (3, 4), (3, 5), (4, 5), (4, 24), (3, 20), (5, 12), (12, 15), (20, 24),

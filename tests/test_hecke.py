@@ -235,6 +235,23 @@ def test_hecke_op_validation_and_cache():
     assert set(ops.level_ops()) == {HeckeOp("T", 2), HeckeOp("T1", 2)}
 
 
+def test_hecke_op_hash_follows_equality():
+    # equal ops hash alike, also through a pickle; the ops of a sweep hash
+    # apart; the stored hash is not a field
+    import pickle
+
+    ops = [HeckeOp(kind, p) for p in primes_up_to(50)
+           for kind in ("T", "T1", "S1", "S2")]
+    assert len({hash(op) for op in ops}) == len(ops)
+    for op in ops:
+        twin = HeckeOp(op.kind, op.p)
+        back = pickle.loads(pickle.dumps(op))
+        assert twin == op == back and hash(twin) == hash(op) == hash(back)
+        assert {twin: 1}[op] == 1
+    assert repr(HeckeOp("T1", 3)) == "HeckeOp(kind='T1', p=3)"
+    assert str(HeckeOp("T1", 3)) == "T1(3^2)"
+
+
 # -- sparse rows against dense references --------------------------------------
 
 SPARSE_SPACES = [(1, None), (6, None), (30, None), (10, "5:2"), (10, "5:1")]
