@@ -129,23 +129,20 @@ def cmd_eigen(args) -> int:
 
 
 def eigen_csv(system, op_list) -> str:
-    """The csv output of `eigen`, a line per row of eigenvalue_comparisons:
-    its partition's prefix, built once per entry (the rows come entry by
-    entry), then the rest, built once per (op, matrix value, closed form)
-    object, which the rows keep alive."""
+    """The csv output of `eigen`, a line per (partition, op) of
+    eigenvalue_comparisons, partitions outer; the rest of a line after its
+    partition is built once per case of its op."""
     from .hecke import eigenvalue_comparisons
+    tails = []
+    for c in eigenvalue_comparisons(system, op_list):
+        texts = [f"{c.op.spec_string()},{repr(mval).replace(' ', '')},"
+                 f"{repr(cval).replace(' ', '')},{str(match).lower()}"
+                 for mval, cval, match, _ in c.cases]
+        tails.append(list(map(texts.__getitem__, c.case)))
     lines = ["partition,op,eigenvalue,closed_form,match"]
-    tails, last = {}, None
-    for rho, op, mval, cval, match, _ in eigenvalue_comparisons(system, op_list):
-        if rho is not last:
-            last, head = rho, f"({rho.n0};{rho.n1};{rho.n2}),"
-        key = (id(op), id(mval), id(cval))
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = (
-                f"{op.spec_string()},{repr(mval).replace(' ', '')},"
-                f"{repr(cval).replace(' ', '')},{str(match).lower()}")
-        lines.append(head + tail)
+    for rho, row_tails in zip(system.space.basis, zip(*tails)):
+        head = f"({rho.n0};{rho.n1};{rho.n2}),"
+        lines.append(head + ("\n" + head).join(row_tails))
     return "\n".join(lines) + "\n"
 
 

@@ -154,7 +154,9 @@ def enumerate_partitions(N: int, char: DirichletCharacter | None = None,
     if not parity_ok and not forced:
         raise ValueError(
             f"parity violation: chi(-1) = {char.parity()} != (-1)^{k}; "
-            f"the space is identically zero (use forced=True to build anyway)"
+            f"the space is identically zero (use an "
+            f"{('even', 'odd')[k % 2 == 0]} weight, or a character with "
+            f"chi(-1) = {(-1) ** k})"
         )
     primes = prime_factors(N)
     rows = []  # (Partition.sort_key, ranks, partition), the key from the ranks

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 from operator import itemgetter
@@ -387,15 +387,25 @@ class EigenVectorEntry:
 @dataclass
 class EigenSystem:
     """The verified eigenvectors, and the tables they were verified against,
-    keyed by the op objects that key every entry's eigenvalues."""
+    stored as columns over the basis: ``vectors[i]`` is the eigenvector of
+    the i-th basis partition, and ``columns[op][i]`` its eigenvalue for the
+    table of op, one object per (table, key) (eigenbasis).  ``columns`` has
+    the keys of ``tables``, in their order.  ``entries`` is a view of the
+    same data as one object per basis element, built on each access."""
 
     space: EisSpace
-    entries: list[EigenVectorEntry]
     tables: dict[HeckeOp, HeckeMatrix]
+    vectors: list[TensorVector]
+    columns: dict[HeckeOp, list[CycNum]]
+
+    @property
+    def entries(self) -> list[EigenVectorEntry]:
+        return [EigenVectorEntry(rho, vec, dict(zip(self.columns, lams)))
+                for rho, vec, *lams in zip(self.space.basis, self.vectors,
+                                           *self.columns.values())]
 
     def keyed(self, op_list) -> list[HeckeOp]:
-        """The op of ``tables`` equal to each op of op_list, so that a lookup
-        in an entry's eigenvalues hits by identity; an op without a
+        """The op of ``tables`` equal to each op of op_list; an op without a
         verified table raises ValueError."""
         own = {op: op for op in self.tables}
         for op in op_list:
@@ -480,7 +490,8 @@ def _is_local_eigen(local, key, u, lam: CycNum) -> bool:
 
 
 def eigenbasis(ops: SpaceOperators) -> EigenSystem:
-    """One verified eigenvector per basis partition, in factored form.
+    """One verified eigenvector per basis partition, in factored form, and
+    one column of eigenvalues per stored table (EigenSystem).
 
     The level operators T(q), T1(q^2) for q | N are constructed if absent;
     each eigenvector v is then proved to satisfy v.M = lambda.v, with lambda
@@ -502,8 +513,8 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
        vectors at the table's places, so it runs once per distinct pair of
        them: each table maps its key getter over the rank tuples and over
        the tuples of local vector ids (the vectors stay alive, so no id is
-       reused), and reads each vector's eigenvalue off the column of its
-       key's lambda.
+       reused), and its column of eigenvalues is its keys' lambdas mapped
+       over those keys, one object per key.
 
     Why this proves every coordinate: on a p-fiber s, v restricted to s is
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
@@ -536,7 +547,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     ranks = space.rank_tuples[:end]
     # every vector stays alive, so no id in these tuples is reused
     ids = [tuple(map(id, vec.local)) for vec in vectors[:end]]
-    columns = []
+    columns = {}
     for op, hm in tables.items():
         keys = list(map(hm.key, ranks))
         lams: dict = {}  # key -> lambda, the diagonal value of its rows
@@ -557,13 +568,11 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
                 end = list(zip(keys, map(hm.key, ids))).index((key, held))
                 failure = (end, op, f"wrong local eigenvector at {op.p}")
                 break
-        columns.append(list(map(lams.get, keys)))
+        columns[op] = list(map(lams.get, keys))
     if failure is not None:
         i, op, why = failure
         raise _verification_failed(space.basis[i], op, why)
-    entries = [EigenVectorEntry(rho, vec, dict(zip(tables, lams)))
-               for rho, vec, *lams in zip(space.basis, vectors, *columns)]
-    return EigenSystem(space, entries, tables)
+    return EigenSystem(space, tables, vectors, columns)
 
 
 # -- closed forms and comparison ----------------------------------------------
@@ -601,10 +610,24 @@ def eigenvalue_closed_form(space: EisSpace, rho: Partition, op: HeckeOp) -> CycN
     return _chi_over(space, c2, p * p) * (p + 1)
 
 
-def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
-    """Verified eigenvalues vs the closed-form tables, per (rho, op), as
-    tuples (rho, op, matrix value, closed form, match, expected mismatch),
-    entries outer and ops inner.
+@dataclass
+class Comparison:
+    """The eigenvalue column of one op against the closed-form tables.
+
+    ``cases`` lists the distinct rows, as tuples (matrix value, closed
+    form, match, expected mismatch), one per (key, matrix value object)
+    of the op's table; ``case[i]`` is the index in ``cases`` of the row of
+    the i-th basis partition.
+    """
+
+    op: HeckeOp
+    case: list[int]
+    cases: list[tuple]
+
+
+def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison]:
+    """Verified eigenvalues vs the closed-form tables, one Comparison per
+    op of op_list, in its order.
 
     ``system`` comes from eigenbasis, so each value is the exactly checked
     diagonal entry of the action table; op_list defaults to the level
@@ -615,39 +638,45 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[tuple]:
     with expected_mismatch=True.  The closed form and the expected mismatch
     depend only on rho's key in the op's table (its ranks at A_p and, for
     p | N, at p), so each is evaluated once per (op, key); the match is
-    compared again only when a row's matrix value is another object than
-    the last one at its (op, key), and eigenbasis gives each key one.
+    compared once per (op, key, matrix value object), and eigenbasis gives
+    each key one such object.
     """
     space = system.space
     primes = prime_factors(space.level)
     if op_list is None:
         op_list = SpaceOperators(space).level_ops()
-    picks = [(op, system.tables[op].key, {}) for op in system.keyed(op_list)]
     out = []
-    for e in system.entries:
-        rho, ranks = e.partition, space.rank_tuples[space.index_of(e.partition)]
-        for op, pick, closed in picks:
-            key = pick(ranks)
+    for op in system.keyed(op_list):
+        values = system.columns[op]
+        pairs = list(zip(map(system.tables[op].key, space.rank_tuples),
+                         map(id, values)))
+        # each distinct (key, value object), in the order they first occur,
+        # with an index that has it; the column keeps every id alive
+        seen = dict(zip(pairs, range(len(pairs))))
+        closed: dict = {}  # key -> (closed form, expected mismatch)
+        cases = []
+        for (key, _), i in seen.items():
+            rho, mval = space.basis[i], values[i]
             hit = closed.get(key)
-            if hit is None:  # closed form, expected mismatch, value, match
-                hit = closed[key] = [
+            if hit is None:
+                hit = closed[key] = (
                     eigenvalue_closed_form(space, rho, op),
-                    op.kind == "T1" and op.p in primes and rho.rank_of(op.p) == 1,
-                    None, False]
-            mval = e.eigenvalues[op]
-            if mval is not hit[2]:
-                hit[2:] = mval, bool(mval == hit[0])
-            out.append((rho, op, mval, hit[0], hit[3], hit[1]))
+                    op.kind == "T1" and op.p in primes and rho.rank_of(op.p) == 1)
+            cases.append((mval, hit[0], bool(mval == hit[0]), hit[1]))
+        index = dict(zip(seen, range(len(cases))))
+        out.append(Comparison(op, list(map(index.__getitem__, pairs)), cases))
     return out
 
 
 def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
-    """The rows of eigenvalue_comparisons as plain JSON dicts."""
-    return [{"partition": rho.to_json(), "op": op.spec_string(),
+    """The rows of eigenvalue_comparisons as plain JSON dicts, one per
+    (rho, op), partitions outer and ops inner."""
+    comparisons = eigenvalue_comparisons(system, op_list)
+    return [{"partition": rho.to_json(), "op": c.op.spec_string(),
              "matrix_value": mval.to_json(), "closed_form": cval.to_json(),
              "match": match, "expected_mismatch": expected}
-            for rho, op, mval, cval, match, expected
-            in eigenvalue_comparisons(system, op_list)]
+            for i, rho in enumerate(system.space.basis) for c in comparisons
+            for mval, cval, match, expected in (c.cases[c.case[i]],)]
 
 
 def _text(obj, depth: int) -> str:
@@ -672,31 +701,32 @@ def _text(obj, depth: int) -> str:
 
 
 def eigen_json(system: EigenSystem, op_list=None) -> dict:
-    """The `eigen` command's output: the space descriptor, and the
-    comparison rows and eigenbasis entries as iterators of JsonText
-    records, each rendered when the writer reaches it at the depth of a
-    top-level list item, where jsonout.write_json writes it as it is.  The
-    bytes are those of the plain tree, whose rows are
-    compare_eigenvalues(system, op_list).
+    """The `eigen` command's output: the space descriptor, the comparison
+    rows and the eigenbasis entries.  The bytes are those of the plain
+    tree, whose rows are compare_eigenvalues(system, op_list), written by
+    jsonout.write_json; the lists hold JsonText records, rendered at the
+    depth where they stand, which write_json writes as they are.  The rows
+    and entries are iterators that yield one record per basis partition
+    (its rows, several list items in one record, and its entry), rendered
+    when the writer reaches it; the descriptor's basis is one record.
 
-    Each distinct value and partition is encoded once per depth, by _text,
-    which writes it from its stored form (no to_json dict and no writer
-    walk); the matrix value of a row is its key's lambda, one object per
-    (table, key) (eigenbasis).  Texts are memoized by object identity,
-    every keyed object held until the render ends: a row's text up to its
-    partition (the last key) per (op, closed form, matrix value, expected
-    mismatch), the closed form being one per (op, key)
-    (eigenvalue_comparisons), held by the rows; an eigenvalue line per
-    (op, value), held by its memo; and a vector item's text up to its
-    partition per coefficient, each 1 or held by the product memo that all
-    vectors share (_expand).  The comparison is made first, so an op that
-    eigenbasis did not verify raises ValueError before any record.
+    The records are read off columns, with no object per row or entry.
+    Each distinct value and partition is encoded once per depth, by
+    _text, which writes it from its stored form (no to_json dict and no
+    writer walk).  Per op, a row's text up to its partition (the last key)
+    is built once per case of eigenvalue_comparisons, one per (key, matrix
+    value object), and an eigenvalue line once per value object of the
+    op's column; a record takes them by basis index from the op's column
+    of texts, the ops being sorted by name once.  A vector item's text up
+    to its partition is memoized per coefficient object, each 1 or held
+    by the product memo that all vectors share (_expand).  The comparison
+    is made first, so an op that eigenbasis did not verify raises
+    ValueError before any record.
     """
     space = system.space
-    rows = eigenvalue_comparisons(system, op_list)
+    comparisons = eigenvalue_comparisons(system, op_list)
     pad, pad3, pad4, pad5 = ("\n" + "  " * d for d in (2, 3, 4, 5))
-    part = {p: _text(p, 3) for p in space.basis}
-    item_end = [f',{pad5}"partition": {_text(p, 5)}{pad4}}}' for p in space.basis]
+    part = [_text(p, 3) for p in space.basis]
     values: dict = {}  # (m, n, d, depth) -> text
 
     def value(c: CycNum, depth: int) -> str:
@@ -704,52 +734,58 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
         return values.get(key) or values.setdefault(key, _text(c, depth))
 
     def comparison_records():
-        heads: dict = {}
-        last = None  # the rows of an entry are consecutive: one tail each
-        for rho, op, mval, cval, match, expected in rows:
-            if rho is not last:
-                last, tail = rho, part[rho] + pad + "}"
-            key = (id(op), id(cval), id(mval), expected)
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = (
-                    f'{{{pad3}"closed_form": {value(cval, 3)}'
-                    f',{pad3}"expected_mismatch": {("false", "true")[expected]}'
-                    f',{pad3}"match": {("false", "true")[match]}'
-                    f',{pad3}"matrix_value": {value(mval, 3)}'
-                    f',{pad3}"op": {_json_str(op.spec_string())}'
-                    f',{pad3}"partition": ')
-            yield JsonText(head + tail, pad)
+        heads = []  # per op, the text of each row up to its partition
+        for c in comparisons:
+            name = _json_str(c.op.spec_string())
+            texts = [f'{{{pad3}"closed_form": {value(cval, 3)}'
+                     f',{pad3}"expected_mismatch": {("false", "true")[expected]}'
+                     f',{pad3}"match": {("false", "true")[match]}'
+                     f',{pad3}"matrix_value": {value(mval, 3)}'
+                     f',{pad3}"op": {name},{pad3}"partition": '
+                     for mval, cval, match, expected in c.cases]
+            heads.append(list(map(texts.__getitem__, c.case)))
+        sep = "," + pad
+        for p, row_heads in zip(part, zip(*heads)):
+            tail = p + pad + "}"  # each row ends with its partition
+            yield JsonText((tail + sep).join(row_heads) + tail, pad)
 
     def eigenbasis_records():
         products: dict = {}
         starts: dict = {}  # id(c) -> a vector item up to its partition
-        lines: dict = {}  # (id(op), id(lam)) -> (name, its line, op, lam)
+        lines = []  # per op, by name, each entry's eigenvalue line
+        for op in sorted(system.columns, key=HeckeOp.spec_string):
+            col = system.columns[op]
+            name = _json_str(op.spec_string()) + ": "
+            text = {i: name + value(lam, 4)
+                    for i, lam in dict(zip(map(id, col), col)).items()}
+            lines.append(list(map(text.__getitem__, map(id, col))))
+        item_end = [f',{pad5}"partition": {_text(p, 5)}{pad4}}}'
+                    for p in space.basis]
         sep = "," + pad4
-
-        def line(op, lam):
-            name = op.spec_string()
-            return lines.setdefault((id(op), id(lam)), (
-                name, _json_str(name) + ": " + value(lam, 4), op, lam))
-
-        for e in system.entries:
-            eigs = sorted(lines.get((id(op), id(lam))) or line(op, lam)
-                          for op, lam in e.eigenvalues.items())
+        for p, vec, eigs in zip(part, system.vectors,
+                                zip(*lines) if lines else repeat(())):
             items = []
-            for j, c in sorted(_expand(e.vector, products), key=itemgetter(0)):
+            for j, c in sorted(_expand(vec, products), key=itemgetter(0)):
                 start = starts.get(id(c))
                 if start is None:
                     start = starts[id(c)] = f'{{{pad5}"coeff": {value(c, 5)}'
                 items.append(start + item_end[j])
-            eig_text = (f"{{{pad4}" + sep.join(map(itemgetter(1), eigs))
-                        + pad3 + "}" if eigs else "{}")
+            eig_text = (f"{{{pad4}" + sep.join(eigs) + pad3 + "}"
+                        if eigs else "{}")
             yield JsonText(
                 f'{{{pad3}"eigenvalues": {eig_text},{pad3}"partition": '
-                f'{part[e.partition]},{pad3}"vector": [{pad4}{sep.join(items)}'
+                f'{p},{pad3}"vector": [{pad4}{sep.join(items)}'
                 f'{pad3}]{pad}}}', pad)
 
+    basis = ("," + pad3).join(
+        f'{{{pad4}"N0": {p.n0},{pad4}"N1": {p.n1},{pad4}"N2": {p.n2}'
+        f',{pad4}"index": {i}{pad3}}}' for i, p in enumerate(space.basis))
     return {"comparison": comparison_records(),
-            "eigenbasis": eigenbasis_records(), "space": space.descriptor()}
+            "eigenbasis": eigenbasis_records(),
+            "space": {"level": space.level, "weight": space.weight,
+                      "char": space.char.spec_string(),
+                      "dimension": space.dimension,
+                      "basis": [JsonText(basis, pad3)]}}
 
 
 # -- relation operators (corner-to-basis words) --------------------------------

@@ -21,9 +21,10 @@ _FLUSH_PIECES = 1024
 
 
 class JsonText:
-    """A value (a pre-rendered record, say) as write_json writes it where
-    `pad` stands.  Its only newlines are those of its indentation: an
-    encoded string escapes every newline it holds."""
+    """A value (a pre-rendered record, say; in a list, several items joined
+    by "," and the pad) as write_json writes it where `pad` stands.  Its
+    only newlines are those of its indentation: an encoded string escapes
+    every newline it holds."""
 
     __slots__ = ("text", "pad")
 

@@ -401,25 +401,27 @@ def _check_closed_forms(config, run):
     out = []
     bad = 0
     matched = 0
-    for rho, op, mval, cval, match, exempt in eigenvalue_comparisons(
-            run.system, run.ops.level_ops()):
-        if exempt:
-            mwant, twant = _expected_mismatch_values(space, rho, op.p)
-            if mval == mwant and cval == twant and not match:
-                out.append(CheckRecord(
-                    "hecke-closed-form-comparison",
-                    {**_space_params(space), "partition": str(rho),
-                     "op": op.spec_string()},
-                    DOCUMENTED,
-                    "table q^(2k-3) vs matrix q^(2k-2), both sides "
-                    "have the expected shape",
-                ))
+    comparisons = eigenvalue_comparisons(run.system, run.ops.level_ops())
+    for i, rho in enumerate(space.basis):
+        for c in comparisons:
+            mval, cval, match, exempt = c.cases[c.case[i]]
+            if exempt:
+                mwant, twant = _expected_mismatch_values(space, rho, c.op.p)
+                if mval == mwant and cval == twant and not match:
+                    out.append(CheckRecord(
+                        "hecke-closed-form-comparison",
+                        {**_space_params(space), "partition": str(rho),
+                         "op": c.op.spec_string()},
+                        DOCUMENTED,
+                        "table q^(2k-3) vs matrix q^(2k-2), both sides "
+                        "have the expected shape",
+                    ))
+                else:
+                    bad += 1
+            elif match:
+                matched += 1
             else:
                 bad += 1
-        elif match:
-            matched += 1
-        else:
-            bad += 1
     out.append(CheckRecord(
         "hecke-closed-form-comparison", _space_params(space),
         PASS if bad == 0 else FAIL,
@@ -565,10 +567,11 @@ def _check_eigen_oracle(config, run):
         bad.append(f"{len(pieces)} joint pieces for dim {space.dimension}")
     else:
         # stored forms are canonical, so equal eigenvalues hash alike
-        keyed = system.keyed(op_list)
+        # each basis index under the tuple of its eigenvalues for op_list
         by_tags = defaultdict(list)
-        for e in system.entries:
-            by_tags[tuple(e.eigenvalues[op] for op in keyed)].append(e)
+        for i, tags in enumerate(zip(*map(system.columns.__getitem__,
+                                          system.keyed(op_list)))):
+            by_tags[tags].append(i)
         for tags, basis in pieces:
             if len(basis) != 1:
                 bad.append("joint eigenspace not 1-dimensional")
@@ -577,12 +580,12 @@ def _check_eigen_oracle(config, run):
             if len(hits) != 1:
                 bad.append(f"eigenvalue tags match {len(hits)} vectors")
                 continue
-            dense = hits[0].vector.dense()
+            dense = system.vectors[hits[0]].dense()
             v = basis[0]
             p = next(i for i, y in enumerate(dense) if not y.is_zero())
             if v[p].is_zero() or any(not (x * dense[p] == y * v[p])
                                      for x, y in zip(v, dense)):
-                bad.append(f"span mismatch at {hits[0].partition}")
+                bad.append(f"span mismatch at {space.basis[hits[0]]}")
     return [CheckRecord(
         "hecke-eigen-oracle", params,
         PASS if not bad else FAIL,

@@ -245,6 +245,21 @@ def test_basis_examples(capsys):
     assert code == 0 and json.loads(out)["dimension"] == 1
 
 
+def test_parity_error_says_what_to_change(capsys):
+    # a CLI user cannot pass the library's forced=True: the message names
+    # the weight's parity and the character instead
+    code, out, err = run(capsys, "eigen", "--level", "6", "--weight", "4",
+                         "--char", "3:1")
+    assert (code, out) == (1, "")
+    assert err == ("error: parity violation: chi(-1) = -1 != (-1)^4; the "
+                   "space is identically zero (use an odd weight, or a "
+                   "character with chi(-1) = 1)\n")
+    code, _, err = run(capsys, "basis", "--level", "5", "--weight", "5",
+                       "--char", "5:2")
+    assert code == 1 and err.endswith(
+        "(use an even weight, or a character with chi(-1) = -1)\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--level", "5"])

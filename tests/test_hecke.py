@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -623,8 +624,10 @@ def test_text_writes_what_json_dumps_writes():
 
 def test_eigen_json_writes_the_plain_json():
     # the CLI's streamed records write as the plain tree, built here from
-    # the entries and compare_eigenvalues
-    for level, char, extra in [(55, "5:1,11:1", [3]), (2310, "1", [])]:
+    # the entries and compare_eigenvalues; level 1 has no table at all, so
+    # no comparison row and no eigenvalue
+    for level, char, extra in [(55, "5:1,11:1", [3]), (2310, "1", []),
+                               (1, "1", [])]:
         ops = SpaceOperators(_space(level, char))
         op_list = [HeckeOp("T", p) for p in extra] + ops.level_ops()
         for op in op_list:
@@ -649,15 +652,53 @@ def test_eigen_json_prints_each_rows_own_matrix_value():
     # only while their matrix values agree: a changed value shows up in its
     # own row, here (1,1,30) at T(2), whose key (rank 2 at 2) 8 rows share
     system = eigenbasis(SpaceOperators(enumerate_partitions(30, None, 4)))
-    op = HeckeOp("T", 2)
-    entry = system.entries[-1]
-    entry.eigenvalues = {**entry.eigenvalues, op: entry.eigenvalues[op] + 1}
+    column = system.columns[HeckeOp("T", 2)]
+    column[-1] = column[-1] + 1
     pieces = []
     write_json(eigen_json(system), pieces.append)
-    rows = json.loads("".join(pieces))["comparison"]
+    doc = json.loads("".join(pieces))
+    rows = doc["comparison"]
     assert rows == compare_eigenvalues(system)
+    assert doc["eigenbasis"][-1]["eigenvalues"]["T:2"] == column[-1].to_json()
     changed = [r for r in rows if r["op"] == "T:2" and not r["match"]]
-    assert [r["partition"] for r in changed] == [entry.partition.to_json()]
+    assert [r["partition"] for r in changed] == [
+        system.space.basis[-1].to_json()]
+    assert changed == [r for r in rows
+                       if not r["match"] and not r["expected_mismatch"]]
+
+
+def test_eigen_outputs_build_no_entry_and_no_row_tuple(monkeypatch):
+    # eigenbasis and the JSON and csv outputs read the eigenvalue columns:
+    # no entry object is made, and when the comparison is made no tuple
+    # holds both a partition and an op, as a (rho, op, ...) row would
+    made = []
+    real_init = hecke.EigenVectorEntry.__init__
+
+    def counted_init(self, *args):
+        made.append(args[0])
+        real_init(self, *args)
+
+    alive = []
+    real_comparisons = hecke.eigenvalue_comparisons
+
+    def counted_comparisons(*args):
+        out = real_comparisons(*args)
+        alive.append(sum(1 for o in gc.get_objects() if type(o) is tuple
+                         and any(type(x) is Partition for x in o)
+                         and any(type(x) is HeckeOp for x in o)))
+        return out
+
+    monkeypatch.setattr(hecke.EigenVectorEntry, "__init__", counted_init)
+    monkeypatch.setattr(hecke, "eigenvalue_comparisons", counted_comparisons)
+    ops = SpaceOperators(enumerate_partitions(2310, None, 4))
+    system = eigenbasis(ops)
+    pieces = []
+    write_json(eigen_json(system, ops.level_ops()), pieces.append)
+    lines = cli.eigen_csv(system, ops.level_ops()).splitlines()
+    assert len(lines) == 1 + 243 * 10 and len("".join(pieces)) > 10**6
+    assert made == [] and alive == [0, 0]
+    # the entry view is built on access, from the same columns
+    assert len(system.entries) == len(made) == 243
 
 
 def test_eigen_json_refuses_an_unverified_op_before_it_renders():
@@ -972,8 +1013,8 @@ def test_comparison_looks_ops_up_by_identity(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(HeckeOp, "__eq__", counted)
-    rows = hecke.eigenvalue_comparisons(system, op_list)
-    assert len(rows) == 243 * 10
+    comparisons = hecke.eigenvalue_comparisons(system, op_list)
+    assert [len(c.case) for c in comparisons] == [243] * 10
     assert len(calls) <= 2 * len(op_list)
 
 
@@ -999,14 +1040,18 @@ def test_closed_forms_once_per_key_equal_the_per_row_formula():
     for system, op_list in _compared_spaces():
         space = system.space
         got = hecke.eigenvalue_comparisons(system, op_list)
-        assert len(got) == len(system.entries) * len(op_list)
-        want = [(e.partition, op) for e in system.entries for op in op_list]
-        for (rho, op, mval, cval, match, expected), (rho2, op2) in zip(got, want):
-            assert (rho, op) == (rho2, op2)
-            assert cval == eigenvalue_closed_form(space, rho, op), (space, rho, op)
-            assert mval is system.entries[space.index_of(rho)].eigenvalues[op]
-            assert match == (mval == cval)
-            assert expected == (op.kind == "T1" and space.level % op.p == 0
-                                and rho.rank_of(op.p) == 1)
-        rows += len(got)
+        assert [c.op for c in got] == op_list
+        for c in got:
+            op = c.op
+            assert len(c.case) == space.dimension
+            for rho, case, mval in zip(space.basis, c.case,
+                                       system.columns[op]):
+                assert c.cases[case][0] is mval
+                cval, match, expected = c.cases[case][1:]
+                assert cval == eigenvalue_closed_form(space, rho, op), (
+                    space, rho, op)
+                assert match == (mval == cval)
+                assert expected == (op.kind == "T1" and space.level % op.p == 0
+                                    and rho.rank_of(op.p) == 1)
+            rows += len(c.case)
     assert rows > 10000

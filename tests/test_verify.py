@@ -303,12 +303,15 @@ def test_oracle_misses_eigenvalues_off_the_diagonal():
 
 
 def _doctored_run(change):
-    """The space run of N=2, k=4 after ``change`` edits the verified
-    entries of its eigenbasis."""
+    """The space run of N=2, k=4 after ``change`` edits copies of the
+    eigenvalue columns and the vectors of its eigenbasis."""
     run = space_run(enumerate_partitions(2, None, 4), QUICK_CONFIG)
-    entries = list(run.system.entries)
-    change(entries)
-    return replace(run, system=replace(run.system, entries=entries))
+    system = run.system
+    columns = {op: list(col) for op, col in system.columns.items()}
+    vectors = list(system.vectors)
+    change(columns, vectors)
+    return replace(run, system=replace(system, columns=columns,
+                                       vectors=vectors))
 
 
 def _doctored_oracle(change):
@@ -317,12 +320,9 @@ def _doctored_oracle(change):
 
 
 def test_eigen_oracle_fails_on_a_wrong_eigenvalue():
-    def wrong(entries):
-        e = entries[0]
-        lams = dict(e.eigenvalues)
-        op = next(iter(lams))
-        lams[op] = lams[op] + 1
-        entries[0] = replace(e, eigenvalues=lams)
+    def wrong(columns, vectors):
+        column = next(iter(columns.values()))
+        column[0] = column[0] + 1
 
     rec = _doctored_oracle(wrong)
     assert rec.status == "fail"
@@ -330,24 +330,22 @@ def test_eigen_oracle_fails_on_a_wrong_eigenvalue():
 
 
 def test_eigen_oracle_fails_on_a_wrong_vector():
-    def swap(entries):
-        a, b = entries[0], entries[1]
-        entries[0] = replace(a, vector=b.vector)
-        entries[1] = replace(b, vector=a.vector)
+    def swap(columns, vectors):
+        vectors[0], vectors[1] = vectors[1], vectors[0]
 
     rec = _doctored_oracle(swap)
     assert rec.status == "fail"
     assert sorted(rec.details.split("; ")) == [
         "span mismatch at (1,2,1)", "span mismatch at (2,1,1)"]
 
-    def last_coefficient(entries):
+    def last_coefficient(columns, vectors):
         # (2,1,1) has coefficient -1/434 at (1,1,2); the oracle reads a
         # vector only through dense()
-        e = entries[0]
-        dense = e.vector.dense()
-        dense[e.vector.space.index_of(Partition(1, 1, 2))] = as_cyc(
+        vec = vectors[0]
+        dense = vec.dense()
+        dense[vec.space.index_of(Partition(1, 1, 2))] = as_cyc(
             Fraction(-1, 433))
-        entries[0] = replace(e, vector=SimpleNamespace(dense=lambda: dense))
+        vectors[0] = SimpleNamespace(dense=lambda: dense)
 
     assert _doctored_oracle(last_coefficient).details == (
         "span mismatch at (2,1,1)")
@@ -355,11 +353,10 @@ def test_eigen_oracle_fails_on_a_wrong_vector():
 
 def test_closed_form_check_fails_on_a_wrong_value():
     def closed_forms(rho=None, op=None):
-        def bump(entries):
-            for i, e in enumerate(entries):
-                if e.partition == rho:
-                    entries[i] = replace(
-                        e, eigenvalues={**e.eigenvalues, op: e.eigenvalues[op] + 1})
+        def bump(columns, vectors):
+            if rho is not None:
+                i = vectors[0].space.index_of(rho)
+                columns[op][i] = columns[op][i] + 1
         recs = verify._check_closed_forms(QUICK_CONFIG, _doctored_run(bump))
         return [(r.status, r.parameters.get("op"), r.details) for r in recs]
 

@@ -9,17 +9,19 @@ jsonout.write_json streams it:
   basis        enumerate_partitions: the ordered basis and its rank tuples;
   tables       the level tables T(q), T1(q^2) for q | N;
   eigenbasis   the verified eigenbasis;
-  comparison   the comparison rows, each closed form evaluated once per
-               (op, key) and each row rendered and written as it comes
-               (the writer takes the keys in sorted order, so they go
-               first; this stage also holds eigen_json's own set-up and
-               the space descriptor it builds);
+  comparison   the comparison records, one per partition, each closed
+               form evaluated once per (op, key) and each row's text up
+               to its partition built once per (op, key, matrix value),
+               written as they come (the writer takes the keys in sorted
+               order, so they go first; this stage also holds
+               eigen_json's own set-up: the comparison columns, the
+               partition texts and the descriptor's basis record);
   vectors      the eigenbasis records, rendered and written as they come,
                which expands every eigenvector coefficient;
-  descriptor   the space descriptor, written by the writer's walk.
+  descriptor   the rest of the space descriptor, written by the writer.
 With --format csv the stages after eigenbasis are those of the csv command
 (cli.eigen_csv):
-  rows         the comparison rows, their closed forms and their lines.
+  rows         the comparison columns, their closed forms and their lines.
 Output goes to a sink that counts bytes.  --through eigenbasis stops after
 the first three stages.  Each repeat starts from a new space and
 character, so no memo carries over.  Prints one JSON object with the best
