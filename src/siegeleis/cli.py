@@ -122,16 +122,19 @@ def cmd_eigen(args) -> int:
     system = eigenbasis(ops)
     if args.format == "csv":
         with _writer(args) as write:
-            write(eigen_csv(system, op_list))
+            for chunk in eigen_csv(system, op_list):
+                write(chunk)
     else:
         _emit_json(args, eigen_json(system, op_list))
     return 0
 
 
-def eigen_csv(system, op_list) -> str:
+def eigen_csv(system, op_list):
     """The csv output of `eigen`, a line per (partition, op) of
-    eigenvalue_comparisons, partitions outer; the rest of a line after its
-    partition is built once per case of its op."""
+    eigenvalue_comparisons, partitions outer, yielded as the header line
+    and then one chunk of lines per partition, so that no more than one
+    partition's text is held; the rest of a line after its partition is
+    built once per case of its op."""
     from .hecke import eigenvalue_comparisons
     tails = []
     for c in eigenvalue_comparisons(system, op_list):
@@ -139,11 +142,10 @@ def eigen_csv(system, op_list) -> str:
                  f"{repr(cval).replace(' ', '')},{str(match).lower()}"
                  for mval, cval, match, _ in c.cases]
         tails.append(list(map(texts.__getitem__, c.case)))
-    lines = ["partition,op,eigenvalue,closed_form,match"]
+    yield "partition,op,eigenvalue,closed_form,match\n"
     for rho, row_tails in zip(system.space.basis, zip(*tails)):
         head = f"({rho.n0};{rho.n1};{rho.n2}),"
-        lines.append(head + ("\n" + head).join(row_tails))
-    return "\n".join(lines) + "\n"
+        yield head + ("\n" + head).join(row_tails) + "\n"
 
 
 def cmd_relations(args) -> int:

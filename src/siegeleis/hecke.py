@@ -321,11 +321,11 @@ class TensorVector:
     its local vectors.
 
     ``local[x]`` is the local vector u_q at the x-th prime q of N: a map
-    rank -> value that is 1 at the rank of the partition (eigenbasis checks
-    this), shared with the other vectors of its key and so read only.  The
-    coefficient at a rank tuple s is the product of the u_q[s_q]; the
-    factors at the partition's own ranks are 1 and left out.  ``dense()``
-    and eigen_json expand the vector, through _expand.
+    rank -> value, 1 at the partition's rank, that eigenbasis builds and
+    checks once per key of T(q) and shares with that key's vectors, so it
+    is read only.  The coefficient at a rank tuple s is the product of the
+    u_q[s_q]; the factors at the partition's own ranks are 1 and left out.
+    ``dense()`` and eigen_json expand the vector, through _expand.
     """
 
     __slots__ = ("space", "partition", "local")
@@ -367,7 +367,10 @@ def _expand(vec: TensorVector, products: dict) -> zip:
             continue
         base_codes, base = codes[:], coeffs[:]
         for shift, a in moves:
-            memo = products.setdefault(id(a), (a, {}))[1]
+            entry = products.get(id(a))
+            if entry is None:
+                entry = products[id(a)] = (a, {})
+            memo = entry[1]
             for c in base:
                 p = memo.get(id(c))
                 if p is None:
@@ -428,49 +431,6 @@ def _local_vector(space: EisSpace, rho: Partition, q: int,
     return {t: a for t, a in u.items() if not a.is_zero()}
 
 
-def eigen_vector(ops: SpaceOperators, rho: Partition,
-                 memo: dict | None = None) -> TensorVector:
-    """The simultaneous eigenvector attached to rho in the space of ops: the
-    tensor product over the primes q of N of local vectors u_q, built from
-    the coefficients a, b, c of the moves out of N0 and N1.
-
-    The character values in a, b, c at q are those of the primes in A_q, so
-    u_q depends on rho only through q and rho's key in the table of T(q)
-    (its ranks at A_q and at q).  With a memo shared between calls on one
-    space (it holds that table's key getter under q and u_q under (q, key)),
-    each u_q is computed once per key and shared.
-    """
-    space = ops.space
-    ranks = space.rank_tuples[space.index_of(rho)]
-    if memo is None:
-        memo = {}
-    local = []
-    for x, q in enumerate(prime_factors(space.level)):
-        pick = memo.get(q)
-        if pick is None:
-            pick = memo[q] = ops.matrix(HeckeOp("T", q)).key
-        key = (q, pick(ranks))
-        u = memo.get(key)
-        if u is None:
-            u = memo[key] = _local_vector(space, rho, q, ranks[x])
-        local.append(u)
-    return TensorVector(space, rho, tuple(local))
-
-
-def _verification_failed(rho: Partition, op: HeckeOp, why: str) -> RuntimeError:
-    return RuntimeError(
-        f"eigenvector verification failed for rho={rho}, op={op}: {why}"
-    )
-
-
-def _is_normalized(vec: TensorVector, rho: Partition, ranks: tuple) -> bool:
-    """Check 1 at one vector: it is rho's, with one local vector per prime
-    of N, each 1 at rho's rank there."""
-    local = vec.local
-    return (vec.partition == rho and len(local) == len(ranks)
-            and all(u.get(r, _ZERO).is_one() for u, r in zip(local, ranks)))
-
-
 def _is_local_eigen(local, key, u, lam: CycNum) -> bool:
     """Check 2 at one key (ranks at A_p) of a table's local rows: for p not
     dividing N (u is None) the diagonal value of the key is lam; for p | N,
@@ -498,13 +458,16 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     the diagonal entry at rho, against every stored table M at a prime p.
     Basis elements are indexed by their rank tuples over the primes of N,
     and v is by definition the tensor product of its local vectors u_q
-    (TensorVector).  A table at p is stored factored (HeckeMatrix): it
-    moves only the rank at p, and its rows with the same key share one
-    local row, so its block over each p-fiber is a local block L_key.  The
-    proof has two checks, each exact:
+    (TensorVector).  The character values in u_q are those of the primes in
+    A_q, so u_q depends on rho only through its key in the table of T(q)
+    (ranks at A_q, then at q): it is built once per key, at the key's first
+    basis index, and shared by the key's vectors.  A table at p is stored
+    factored (HeckeMatrix): it moves only the rank at p, and its rows with
+    the same key share one local row, so its block over each p-fiber is a
+    local block L_key.  The proof has two checks, each exact:
 
-    1. Once per vector: u_q[rank of rho at q] == 1 for every q, so v[rho]
-       == 1 and the factors that the expansion leaves out are 1.
+    1. Once per (prime, key): u_q[rank at q] == 1, so v[rho] == 1 for
+       every vector and the factors that the expansion leaves out are 1.
     2. Per vector and table, with lambda read off the local row of rho's
        key: for each key in the product of the local supports at A_p,
        u_p.L_key == lambda.u_p on the union of the supports for p | N, and
@@ -530,20 +493,26 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     for op in ops.level_ops():
         ops.matrix(op)
     tables = ops.stored()
-    memo: dict = {}
-    vectors = [eigen_vector(ops, rho, memo) for rho in space.basis]
     # the first failure names the smallest basis index, and at it check 1
     # before check 2 and then the first table: `end` is the index of the
     # first failure found so far, and only pairs met before it are checked,
     # so a later table replaces a failure only with an earlier one
-    end, failure = len(vectors), None
-    if tables:
-        end = next((i for i, (vec, rho, ranks) in enumerate(zip(
-            vectors, space.basis, space.rank_tuples))
-            if not _is_normalized(vec, rho, ranks)), end)
-        if end < len(vectors):
-            failure = (end, next(iter(tables)),
-                       "a local vector is not 1 at rho")
+    end, failure = space.dimension, None
+    per_prime = []  # per prime q of N, the u_q of each basis element
+    for q in prime_factors(space.level):
+        keys = list(map(ops.matrix(HeckeOp("T", q)).key, space.rank_tuples))
+        # key -> its first index, which is written last in reverse
+        first = dict(zip(reversed(keys), reversed(range(len(keys)))))
+        local = {}  # key -> u_q; a key ends with the rank at q
+        for key, i in first.items():
+            u = local[key] = _local_vector(space, space.basis[i], q, key[-1])
+            if i < end and not u.get(key[-1], _ZERO).is_one():
+                end, failure = i, (i, next(iter(tables)),
+                                   "a local vector is not 1 at rho")
+        per_prime.append(list(map(local.__getitem__, keys)))
+    # at level 1 there is no prime, and the one vector has no local vector
+    vectors = [TensorVector(space, rho, tuple(us))
+               for rho, *us in zip(space.basis, *per_prime)]
     ranks = space.rank_tuples[:end]
     # every vector stays alive, so no id in these tuples is reused
     ids = [tuple(map(id, vec.local)) for vec in vectors[:end]]
@@ -571,7 +540,8 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
         columns[op] = list(map(lams.get, keys))
     if failure is not None:
         i, op, why = failure
-        raise _verification_failed(space.basis[i], op, why)
+        raise RuntimeError("eigenvector verification failed for "
+                           f"rho={space.basis[i]}, op={op}: {why}")
     return EigenSystem(space, tables, vectors, columns)
 
 

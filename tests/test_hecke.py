@@ -14,8 +14,8 @@ from siegeleis.cyclotomic import CycNum, as_cyc, euler_phi, primes_up_to
 from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
                              apply_word, compare_eigenvalues, eigen_json,
-                             eigen_vector, eigenbasis, eigenvalue_closed_form,
-                             hecke_matrix, s_constant, s_operator)
+                             eigenbasis, eigenvalue_closed_form, hecke_matrix,
+                             s_constant, s_operator)
 from siegeleis.jsonout import write_json
 
 N2K4 = enumerate_partitions(2, None, 4)
@@ -75,8 +75,11 @@ def test_worked_fixture_eigenbasis():
 
 
 def test_trivial_level_one_eigenvector():
+    # level 1 has no prime: the one vector is the empty tensor product
     sp = enumerate_partitions(1, None, 4)
-    v = eigen_vector(SpaceOperators(sp), Partition(1, 1, 1))
+    (v,) = eigenbasis(SpaceOperators(sp)).vectors
+    assert v.partition == Partition(1, 1, 1) and v.local == ()
+    assert v.dense() == [1]
     assert _coeffs(v) == {Partition(1, 1, 1): CycNum.one()}
 
 
@@ -426,18 +429,28 @@ def test_word_rows_are_the_dense_rows_each_value_encoded_once(monkeypatch):
 # -- the sparse verifier proves every coordinate -------------------------------
 
 
-def _tampered(change, target=Partition(2, 1, 1)):
-    """eigen_vector with the local vectors of target altered by change(),
-    which gets copies of them, one rank -> value dict per prime of N."""
-    real = hecke.eigen_vector
+def _same_key(space, q, rho, target) -> bool:
+    """Whether rho and target have the same key in the table of T(q)."""
+    key, ranks = hecke_matrix(space, HeckeOp("T", q)).key, space.rank_tuples
+    return key(ranks[space.index_of(rho)]) == key(ranks[space.index_of(target)])
 
-    def fake(ops, rho, memo=None):
-        vec = real(ops, rho, memo)
-        if rho == target:
-            local = [dict(u) for u in vec.local]
-            change(local)
-            vec = TensorVector(ops.space, rho, tuple(local))
-        return vec
+
+def _tampered(change, target=Partition(2, 1, 1)):
+    """_local_vector with the local vectors of target's keys altered by
+    change(), which gets copies of target's local vectors, one rank ->
+    value dict per prime of N.  eigenbasis builds u_q once per key of T(q),
+    at the key's first basis index, so every vector of a key that target
+    has gets the altered u_q, and a failure names that first index."""
+    real = hecke._local_vector
+
+    def fake(space, rho, q, rank):
+        if not _same_key(space, q, rho, target):
+            return real(space, rho, q, rank)
+        primes = prime_factors(space.level)
+        ranks = space.rank_tuples[space.index_of(target)]
+        local = [dict(real(space, target, p, r)) for p, r in zip(primes, ranks)]
+        change(local)
+        return local[primes.index(q)]
     return fake
 
 
@@ -465,7 +478,8 @@ def _scale_vector(local):
 
 
 def _extra_local_coeff(local):
-    # (1,6,1) has rank 1 at 2; an entry at rank 0 moves down, which no
+    # (1,6,1) has rank 1 at 2 and shares u_2 with (3,2,1), the first
+    # partition of that key; an entry at rank 0 moves down, which no
     # eigenvector of the upper triangular local block does
     local[0][0] = CycNum.one()
 
@@ -485,7 +499,7 @@ WRONG_AT = r"op=T\({0}\): wrong local eigenvector at {0}"
     (_drop_coeff, (2, "1", 4), Partition(2, 1, 1),
      r"rho=\(2,1,1\), " + WRONG_AT.format(2)),
     (_extra_local_coeff, (6, "1", 4), Partition(1, 6, 1),
-     r"rho=\(1,6,1\), " + WRONG_AT.format(2)),
+     r"rho=\(3,2,1\), " + WRONG_AT.format(2)),
     (_off_basis_coeff, (5, "5:1", 5), Partition(5, 1, 1),
      r"rho=\(5,1,1\), " + WRONG_AT.format(5)),
     (_wrong_normalization, (6, "1", 4), Partition(6, 1, 1),
@@ -494,7 +508,7 @@ WRONG_AT = r"op=T\({0}\): wrong local eigenvector at {0}"
 ], ids=["changed", "dropped", "extra-local", "off-basis", "normalization",
         "scaled"])
 def test_eigenbasis_rejects_a_wrong_vector(monkeypatch, change, space, rho, want):
-    monkeypatch.setattr(hecke, "eigen_vector", _tampered(change, rho))
+    monkeypatch.setattr(hecke, "_local_vector", _tampered(change, rho))
     with pytest.raises(RuntimeError, match="verification failed for " + want):
         eigenbasis(SpaceOperators(_space(*space)))
 
@@ -516,20 +530,30 @@ def test_expansion_gives_the_same_bytes_in_any_order():
 
 
 def test_eigenbasis_checks_a_shared_local_vector_per_object(monkeypatch):
-    # (6,1,1) and (2,3,1) share u_2 (rank 0 at 2, and A_2 is empty at the
-    # trivial character) and every eigenvalue at 2; only the second is
-    # tampered, so a memo keyed on the local key or the basis index would
-    # pass it
-    space = enumerate_partitions(6, None, 4)
-    first, second = Partition(6, 1, 1), Partition(2, 3, 1)
-    memo, ops = {}, SpaceOperators(space)
-    assert (eigen_vector(ops, first, memo).local[0]
-            is eigen_vector(ops, second, memo).local[0])
-    assert space.index_of(first) < space.index_of(second)
-    monkeypatch.setattr(hecke, "eigen_vector", _tampered(_change_coeff, second))
-    with pytest.raises(RuntimeError, match=r"rho=\(2,3,1\), op=T\(2\): "
-                                           r"wrong local eigenvector at 2"):
-        eigenbasis(SpaceOperators(space))
+    # two partitions hold the same u_q object exactly when they have the
+    # same key in T(q) (ranks at A_q, then at q), and check 2 runs once per
+    # object, so a wrong u_q fails at the first partition of its key
+    for level, spec, k in [(30, "1", 4), (30, "5:1", 5), (70, "5:1,7:2", 5)]:
+        space = _space(level, spec, k)
+        ops = SpaceOperators(space)
+        vectors = eigenbasis(ops).vectors
+        for x, q in enumerate(prime_factors(level)):
+            key = ops.matrix(HeckeOp("T", q)).key
+            held = {}  # key -> u_q
+            for vec, ranks in zip(vectors, space.rank_tuples):
+                assert held.setdefault(key(ranks), vec.local[x]) is vec.local[x]
+            assert len(set(map(id, held.values()))) == len(held)
+        # chi_2 is trivial, so 2 is in no A_q: the partition with rank 1 at
+        # 2 and 0 elsewhere holds every u_q, q != 2, of the corner (N,1,1),
+        # so a wrong u_q at the second prime of that partition fails at the
+        # corner
+        later = space.rank_tuples.index((1,) + space.rank_tuples[0][1:])
+        with monkeypatch.context() as m:
+            m.setattr(hecke, "_local_vector",
+                      _tampered(_put(1, 1, 7), space.basis[later]))
+            with pytest.raises(RuntimeError,
+                               match=rf"rho=\({level},1,1\), op="):
+                eigenbasis(SpaceOperators(space))
 
 
 def test_local_vectors_are_computed_once_per_key(monkeypatch):
@@ -694,7 +718,9 @@ def test_eigen_outputs_build_no_entry_and_no_row_tuple(monkeypatch):
     system = eigenbasis(ops)
     pieces = []
     write_json(eigen_json(system, ops.level_ops()), pieces.append)
-    lines = cli.eigen_csv(system, ops.level_ops()).splitlines()
+    chunks = list(cli.eigen_csv(system, ops.level_ops()))
+    assert len(chunks) == 1 + 243  # the header, then one per partition
+    lines = "".join(chunks).splitlines()
     assert len(lines) == 1 + 243 * 10 and len("".join(pieces)) > 10**6
     assert made == [] and alive == [0, 0]
     # the entry view is built on access, from the same columns
@@ -834,10 +860,11 @@ FIRST_FAILURES = [
     ("normalization-before-table",
      [(_normalize_wrong_and_change, Partition(30, 1, 1))], [], [],
      r"rho=\(30,1,1\), op=T\(2\): a local vector is not 1 at rho"),
+    # (10,3,1) has the key of (30,1,1) at 2, whose u_2 it alters
     ("table-before-later-normalization",
      [(_put(0, 1, 2), Partition(15, 2, 1)),
       (_put(0, 1, Fraction(-1, 13)), Partition(10, 3, 1))], [], [],
-     r"rho=\(10,3,1\), op=T\(2\): wrong local eigenvector at 2"),
+     r"rho=\(30,1,1\), op=T\(2\): wrong local eigenvector at 2"),
     ("tables-smallest-index",
      [], [(T2, _shift_key((2, 0))), (T1_2, _shift_key((0, 0)))], [T2, T1_2],
      r"rho=\(10,1,1\), op=T1\(2\^2\): wrong local eigenvector at 2"),
@@ -859,7 +886,7 @@ FIRST_FAILURES = [
 def test_eigenbasis_names_the_first_failure(monkeypatch, vectors, tables,
                                             built, want):
     for change, rho in vectors:
-        monkeypatch.setattr(hecke, "eigen_vector", _tampered(change, rho))
+        monkeypatch.setattr(hecke, "_local_vector", _tampered(change, rho))
     for op, tamper in tables:
         _with_table(monkeypatch, op, tamper)
     ops = SpaceOperators(_space(10, "5:1", 5) if tables else _space(30, "1"))

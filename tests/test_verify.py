@@ -13,7 +13,7 @@ from siegeleis.characters import DirichletCharacter
 from siegeleis.cli import main
 from siegeleis.cyclotomic import CycNum, as_cyc
 from siegeleis.eisspace import Partition, enumerate_partitions
-from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators, TensorVector
+from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators
 from siegeleis.verify import (DESK_CONFIG, PRESETS, QUICK_CONFIG,
                               run_suite, space_run, spaces_in_scope,
                               subgroup_count_oracle)
@@ -257,17 +257,16 @@ def test_run_suite_builds_each_table_and_eigenbasis_once(monkeypatch):
 
 
 def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
-    real = hecke.eigen_vector
+    real = hecke._local_vector
 
-    def wrong(ops, rho, memo=None):
-        vec = real(ops, rho, memo)
-        if ops.space.level == 2 and rho == Partition(2, 1, 1):
+    def wrong(space, rho, q, rank):
+        u = real(space, rho, q, rank)
+        if space.level == 2 and rho == Partition(2, 1, 1):
             # u_2 is {0: 1, 1: -1/14, 2: -1/434}
-            u = {**vec.local[0], 1: as_cyc(Fraction(-1, 13))}
-            vec = TensorVector(ops.space, rho, (u,))
-        return vec
+            u = {**u, 1: as_cyc(Fraction(-1, 13))}
+        return u
 
-    monkeypatch.setattr(hecke, "eigen_vector", wrong)
+    monkeypatch.setattr(hecke, "_local_vector", wrong)
     report = run_suite(QUICK_CONFIG)  # no exception escapes
     assert not report.ok
     for name in ("hecke-eigen-exactness", "hecke-closed-form-comparison",
@@ -381,7 +380,7 @@ def test_eigen_oracle_is_independent_of_the_fast_paths(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called a fast path")
 
-    monkeypatch.setattr(hecke, "eigen_vector", forbidden)
+    monkeypatch.setattr(hecke, "_local_vector", forbidden)
     monkeypatch.setattr(hecke, "eigenvalue_closed_form", forbidden)
     monkeypatch.setattr(verify, "eigenvalue_closed_form", forbidden)
     monkeypatch.setattr(HeckeMatrix, "vec_mat", forbidden)

@@ -21,7 +21,8 @@ jsonout.write_json streams it:
   descriptor   the rest of the space descriptor, written by the writer.
 With --format csv the stages after eigenbasis are those of the csv command
 (cli.eigen_csv):
-  rows         the comparison columns, their closed forms and their lines.
+  rows         the comparison columns, their closed forms and their lines,
+               written one partition at a time.
 Output goes to a sink that counts bytes.  --through eigenbasis stops after
 the first three stages.  Each repeat starts from a new space and
 character, so no memo carries over.  Prints one JSON object with the best
@@ -78,7 +79,8 @@ def one_run(level: int, char: str, weight: int, through: str,
         size += len(chunk)
 
     if fmt == "csv":
-        sink(eigen_csv(system, ops.level_ops()))
+        for chunk in eigen_csv(system, ops.level_ops()):
+            sink(chunk)
         stage("rows")
     else:
         out = eigen_json(system, ops.level_ops())
