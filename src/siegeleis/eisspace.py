@@ -83,13 +83,12 @@ class EisSpace:
 
     def __init__(self, level: int, weight: int, char: DirichletCharacter,
                  basis: tuple[Partition, ...],
-                 rank_tuples: tuple[tuple[int, ...], ...], parity_ok: bool):
+                 rank_tuples: tuple[tuple[int, ...], ...]):
         self.level = level
         self.weight = weight
         self.char = char
         self.basis = basis
         self.rank_tuples = rank_tuples
-        self.parity_ok = parity_ok
         self._index = {p: i for i, p in enumerate(basis)}
 
     @property
@@ -139,8 +138,8 @@ def enumerate_partitions(N: int, char: DirichletCharacter | None = None,
     well-defined there), so the dimension is 3^a * 2^b with a the number of
     primes where chi_q^2 = 1 and b the rest.  A parity violation
     chi(-1) != (-1)^k means the series all vanish identically; by default
-    that is an error, with forced=True the space is still built (the action
-    tables remain formally defined) and flagged parity_ok=False.
+    that is an error; with forced=True the space is still built (the action
+    tables remain formally defined).
     """
     if N < 1 or not is_squarefree(N):
         raise ValueError(f"level {N} is not square-free")
@@ -150,8 +149,7 @@ def enumerate_partitions(N: int, char: DirichletCharacter | None = None,
         char = DirichletCharacter.trivial(N)
     if char.modulus != N:
         raise ValueError("character modulus must equal the level")
-    parity_ok = char.valid_for_weight(k)
-    if not parity_ok and not forced:
+    if not forced and not char.valid_for_weight(k):
         raise ValueError(
             f"parity violation: chi(-1) = {char.parity()} != (-1)^{k}; "
             f"the space is identically zero (use an "
@@ -168,4 +166,4 @@ def enumerate_partitions(N: int, char: DirichletCharacter | None = None,
         rows.append(((sum(ranks), -n[2], -n[1]), ranks, Partition(*n)))
     rows.sort(key=itemgetter(0))
     return EisSpace(N, k, char, tuple(r[2] for r in rows),
-                    tuple(r[1] for r in rows), parity_ok)
+                    tuple(r[1] for r in rows))

@@ -460,8 +460,9 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     and v is by definition the tensor product of its local vectors u_q
     (TensorVector).  The character values in u_q are those of the primes in
     A_q, so u_q depends on rho only through its key in the table of T(q)
-    (ranks at A_q, then at q): it is built once per key, at the key's first
-    basis index, and shared by the key's vectors.  A table at p is stored
+    (ranks at A_q, then at q): it is built once per key, at the key's
+    representative row (_representatives, the key's first basis index), and
+    shared by the key's vectors.  A table at p is stored
     factored (HeckeMatrix): it moves only the rank at p, and its rows with
     the same key share one local row, so its block over each p-fiber is a
     local block L_key.  The proof has two checks, each exact:
@@ -493,37 +494,33 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     for op in ops.level_ops():
         ops.matrix(op)
     tables = ops.stored()
-    # the first failure names the smallest basis index, and at it check 1
-    # before check 2 and then the first table: `end` is the index of the
-    # first failure found so far, and only pairs met before it are checked,
-    # so a later table replaces a failure only with an earlier one
-    end, failure = space.dimension, None
+    # (first failing index, check 1 before the tables in stored order, op,
+    # why) for each failure found; the least one is raised
+    failures = []
     per_prime = []  # per prime q of N, the u_q of each basis element
     for q in prime_factors(space.level):
-        keys = list(map(ops.matrix(HeckeOp("T", q)).key, space.rank_tuples))
-        # key -> its first index, which is written last in reverse
-        first = dict(zip(reversed(keys), reversed(range(len(keys)))))
+        hm = ops.matrix(HeckeOp("T", q))
         local = {}  # key -> u_q; a key ends with the rank at q
-        for key, i in first.items():
+        for key, i in _representatives(space, hm.places).items():
             u = local[key] = _local_vector(space, space.basis[i], q, key[-1])
-            if i < end and not u.get(key[-1], _ZERO).is_one():
-                end, failure = i, (i, next(iter(tables)),
-                                   "a local vector is not 1 at rho")
-        per_prime.append(list(map(local.__getitem__, keys)))
+            if not u.get(key[-1], _ZERO).is_one():
+                failures.append((i, -1, next(iter(tables)),
+                                 "a local vector is not 1 at rho"))
+        per_prime.append(list(map(local.__getitem__,
+                                  map(hm.key, space.rank_tuples))))
     # at level 1 there is no prime, and the one vector has no local vector
     vectors = [TensorVector(space, rho, tuple(us))
                for rho, *us in zip(space.basis, *per_prime)]
-    ranks = space.rank_tuples[:end]
     # every vector stays alive, so no id in these tuples is reused
-    ids = [tuple(map(id, vec.local)) for vec in vectors[:end]]
+    ids = [tuple(map(id, vec.local)) for vec in vectors]
     columns = {}
-    for op, hm in tables.items():
-        keys = list(map(hm.key, ranks))
+    for t, (op, hm) in enumerate(tables.items()):
+        keys = list(map(hm.key, space.rank_tuples))
         lams: dict = {}  # key -> lambda, the diagonal value of its rows
-        # each distinct (key, local vectors at the table's places), in the
-        # order they first occur, with an index that has it
-        pairs = dict(zip(zip(keys, map(hm.key, ids)), range(end)))
-        for (key, held), i in pairs.items():
+        # (key, local vectors at the table's places) of each index; each
+        # distinct pair is checked once, in the order they first occur
+        pairs = list(zip(keys, map(hm.key, ids)))
+        for (key, held), i in dict(zip(pairs, range(len(pairs)))).items():
             lam = lams.get(key)
             if lam is None:
                 lam = lams[key] = hm.diagonal(i)
@@ -531,15 +528,12 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
             u = None if hm.pos is None else near.pop()
             if not all(_is_local_eigen(hm.local, k, u, lam)
                        for k in product(*near)):
-                # the table's first failure, as the pairs come in the
-                # order they first occur; like every pair here, it occurs
-                # before `end`
-                end = list(zip(keys, map(hm.key, ids))).index((key, held))
-                failure = (end, op, f"wrong local eigenvector at {op.p}")
+                failures.append((pairs.index((key, held)), t, op,
+                                 f"wrong local eigenvector at {op.p}"))
                 break
         columns[op] = list(map(lams.get, keys))
-    if failure is not None:
-        i, op, why = failure
+    if failures:
+        i, _, op, why = min(failures, key=itemgetter(0, 1))
         raise RuntimeError("eigenvector verification failed for "
                            f"rho={space.basis[i]}, op={op}: {why}")
     return EigenSystem(space, tables, vectors, columns)
@@ -849,26 +843,30 @@ def word_rows(ops: SpaceOperators, word):
         yield JsonText("[" + pad3 + ("," + pad3).join(row) + pad + "]", pad)
 
 
-def _s_word_ops(space: EisSpace, n1: int, n2: int) -> list[HeckeOp]:
-    """The word S1(n1)S2(n2), primes ascending, S1 factors first; the
-    factors commute, so the order is a determinism convention only.
-    Needs n1*n2 | N coprime; s_operator checks the character at each prime
-    (chi trivial on n1, chi^2 trivial on n2)."""
-    if gcd(n1, n2) != 1 or space.level % (n1 * n2) != 0:
-        raise ValueError("need coprime n1*n2 dividing the level")
-    return ([HeckeOp("S1", q) for q in prime_factors(n1)]
-            + [HeckeOp("S2", q) for q in prime_factors(n2)])
-
-
 def relation_defects(ops: SpaceOperators) -> list[int]:
     """For each basis partition rho, in basis order, the number of entries
     where e_corner.S1(N1)S2(N2) differs from e_rho (0 when the relation
-    holds); the corner is (N,1,1)."""
+    holds); the corner is (N,1,1), and chi must be trivial.  Then each S
+    table is keyed by (rank at q,), and the corner has rank 0 at every q,
+    so the image is the tensor product over q | N of w_q[rank of rho at q]:
+    e_0, e_0.S1(q) or e_0.S2(q), the latter two the local rows at (0,).  A
+    product of nonzero values is nonzero, so the count is the product of
+    the local support sizes, less 1 if v != 0, plus 1 if v != 1, with v
+    the image's entry at rho: 3 omega local vectors prove every word.
+    """
     space = ops.space
-    corner = space.index_of(Partition(space.level, 1, 1))
+    if space.char.order != 1:
+        raise ValueError("relation words need the trivial character")
+    local = []  # per prime q of N, w_q[r] for r = 0, 1, 2, zeros dropped
+    for q in prime_factors(space.level):
+        rows = (ops.matrix(HeckeOp(w, q)).local[0,] for w in ("S1", "S2"))
+        local.append([{0: _ONE}] + [{t: a for t, a in row if not a.is_zero()}
+                                    for row in rows])
     out = []
-    for i, rho in enumerate(space.basis):
-        v = apply_word(ops, _s_word_ops(space, rho.n1, rho.n2), {corner: _ONE})
-        out.append(sum(1 for j in v.keys() | {i}
-                       if not (v.get(j, _ZERO) == (1 if j == i else 0))))
+    for ranks in space.rank_tuples:
+        size, v = 1, _ONE
+        for w, r in zip(local, ranks):
+            size *= len(w[r])
+            v = v * w[r].get(r, _ZERO)
+        out.append(size - (not v.is_zero()) + (not v.is_one()))
     return out

@@ -94,7 +94,7 @@ def test_space_errors_and_forced_mode():
     with pytest.raises(ValueError):
         enumerate_partitions(3, chi, 4)  # chi(-1) = -1 != (+1)^4
     forced = enumerate_partitions(3, chi, 4, forced=True)
-    assert not forced.parity_ok and forced.dimension == 3
+    assert forced.dimension == 3
     with pytest.raises(ValueError):
         enumerate_partitions(12, None, 4)  # not square-free
     with pytest.raises(ValueError):

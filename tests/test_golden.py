@@ -186,6 +186,16 @@ def test_relations_build_each_s_table_once(capsys, monkeypatch):
     assert digest == dict(GOLDEN)[RELATIONS_210]
 
 
+def test_relations_apply_no_word(capsys, monkeypatch):
+    # the 81 words are proved from the S tables' local rows, prime by prime
+    def forbidden(*args):
+        raise AssertionError("relations applied a table to a vector")
+
+    monkeypatch.setattr(hecke.HeckeMatrix, "vec_mat", forbidden)
+    monkeypatch.setattr(hecke, "apply_word", forbidden)
+    assert stdout_digest(capsys, RELATIONS_210) == dict(GOLDEN)[RELATIONS_210]
+
+
 def test_csv_eigen_expands_no_vector(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("csv output expanded an eigenvector")

@@ -15,7 +15,7 @@ from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
 from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
                              apply_word, compare_eigenvalues, eigen_json,
                              eigenbasis, eigenvalue_closed_form, hecke_matrix,
-                             s_constant, s_operator)
+                             relation_defects, s_constant, s_operator)
 from siegeleis.jsonout import write_json
 
 N2K4 = enumerate_partitions(2, None, 4)
@@ -27,6 +27,13 @@ def _word_dense(ops, word):
     n = ops.space.dimension
     rows = (apply_word(ops, word, {i: CycNum.one()}) for i in range(n))
     return [[v.get(j, CycNum.zero()) for j in range(n)] for v in rows]
+
+
+def _s_word(rho):
+    """The relation word S1(N1)S2(N2) of rho, primes ascending, S1 factors
+    first."""
+    return ([HeckeOp("S1", q) for q in prime_factors(rho.n1)]
+            + [HeckeOp("S2", q) for q in prime_factors(rho.n2)])
 
 
 def _vec_mat(v, rows):
@@ -192,7 +199,7 @@ def test_s_operator_fixture():
     assert s_constant(N2K4, 2) == Fraction(4, 15)
     assert s_operator(ops, 2, "S1").rows[0] == ((1, 1),)
     assert s_operator(ops, 2, "S2").rows[0] == ((2, 1),)
-    assert _word_dense(ops, hecke._s_word_ops(N2K4, 1, 1)) == [
+    assert _word_dense(ops, _s_word(Partition(2, 1, 1))) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -202,7 +209,7 @@ def test_s_word_full_identity_small_levels():
         ops = SpaceOperators(sp)
         corner = sp.index_of(Partition(N, 1, 1))
         for rho in sp.basis:
-            row = _word_dense(ops, hecke._s_word_ops(sp, rho.n1, rho.n2))[corner]
+            row = _word_dense(ops, _s_word(rho))[corner]
             for j, v in enumerate(row):
                 assert v == (1 if j == sp.index_of(rho) else 0), (N, rho)
 
@@ -222,8 +229,60 @@ def test_s_operator_character_conditions():
         s_operator(SpaceOperators(sp4), 5, "S2")  # chi_q^2 != 1
     with pytest.raises(ValueError):
         s_operator(ops, 2, "S1")  # 2 does not divide 3
-    with pytest.raises(ValueError):
-        hecke._s_word_ops(N2K4, 2, 2)  # parts not coprime
+
+
+def _dense_defects(ops):
+    """relation_defects by the dense oracle: per basis partition, the
+    entries where the corner row of its word's dense matrix differs from
+    the unit vector at the partition."""
+    space = ops.space
+    corner = space.index_of(Partition(space.level, 1, 1))
+    return [sum(1 for j, x in enumerate(_word_dense(ops, _s_word(rho))[corner])
+                if x != (1 if j == i else 0))
+            for i, rho in enumerate(space.basis)]
+
+
+# (S table, prime, its local row at the corner's key (0,), whether a word
+# fails); untampered, S1(q) and S2(q) send rank 0 to rank 1 and 2 with
+# value 1
+S_ROW_TAMPERS = [
+    ("scaled", "S1", 3, ((1, Fraction(2)),), True),
+    ("extra-target", "S2", 5, ((1, Fraction(1, 3)), (2, Fraction(1))), True),
+    ("empty", "S2", 2, (), True),
+    ("own-entry-removed", "S1", 5, ((2, Fraction(7)),), True),
+    ("explicit-zero", "S1", 2, ((0, Fraction(0)), (1, Fraction(1))), False),
+    ("explicit-zero-own", "S2", 3, ((0, Fraction(4)), (2, Fraction(0))), True),
+]
+
+
+@pytest.mark.parametrize("which,q,row,fails", [t[1:] for t in S_ROW_TAMPERS],
+                         ids=[t[0] for t in S_ROW_TAMPERS])
+def test_relation_defects_match_the_dense_word(which, q, row, fails):
+    ops = SpaceOperators(enumerate_partitions(30, None, 4))
+    assert relation_defects(ops) == [0] * 27
+    ops.matrix(HeckeOp(which, q)).local[0,] = tuple(
+        (t, as_cyc(a)) for t, a in row)
+    defects = relation_defects(ops)
+    assert defects == _dense_defects(ops)
+    # a word fails only if it holds the tampered factor
+    ranks = {rho.rank_of(q) for rho, d in zip(ops.space.basis, defects) if d}
+    assert ranks == ({1 if which == "S1" else 2} if fails else set())
+
+
+def test_relation_defects_at_level_one():
+    assert relation_defects(SpaceOperators(enumerate_partitions(1, None, 4))) == [0]
+
+
+def test_relation_defects_refuse_a_nontrivial_character(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an S table was built")
+
+    monkeypatch.setattr(hecke, "s_operator", forbidden)
+    ops = SpaceOperators(enumerate_partitions(
+        30, DirichletCharacter.parse(30, "3:1"), 5))
+    with pytest.raises(ValueError, match="trivial character"):
+        relation_defects(ops)
+    assert ops.stored() == {}
 
 
 def test_hecke_op_validation_and_cache():
