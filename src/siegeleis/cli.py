@@ -12,6 +12,11 @@ The command table `_COMMANDS` drives the parser and the dispatch; `main`
 builds the parser of the invoked command alone.  Each command imports what
 it runs, so building the parser loads no library module and `fourier
 --apply` loads no Hecke table code.  A closed stdout (`| head`) exits 141.
+
+`main(argv, stage=f)` calls f(name, value) as each stage ends, with what it
+built (EisSpace, SpaceOperators, EigenSystem, provider) or None.  Stages are
+basis, tables (hecke, eigen), eigenbasis (eigen), relations, render; fourier
+load, apply|ops|project|calibrate, render; verify suite, render.
 """
 
 from __future__ import annotations
@@ -82,13 +87,16 @@ def _emit_json(args, obj) -> None:
 
 def cmd_basis(args) -> int:
     space = _space_from_args(args)
+    args.stage("basis", space)
     _emit_json(args, space.descriptor())
+    args.stage("render", None)
     return 0
 
 
 def cmd_hecke(args) -> int:
     from .hecke import HeckeOp, SpaceOperators, word_rows
     space = _space_from_args(args)
+    args.stage("basis", space)
     word = parse_op_word(args.op)
     if not word:
         raise ValueError("empty operator word")
@@ -97,6 +105,7 @@ def cmd_hecke(args) -> int:
     ops = SpaceOperators(space)
     for op in word:  # every table before the first byte: a bad word writes none
         ops.matrix(op)
+    args.stage("tables", ops)
     _emit_json(args, {
         "level": space.level,
         "weight": space.weight,
@@ -105,27 +114,30 @@ def cmd_hecke(args) -> int:
         "basis": [p.to_json() for p in space.basis],
         "matrix": word_rows(ops, word),
     })
+    args.stage("render", None)
     return 0
 
 
 def cmd_eigen(args) -> int:
     from .hecke import HeckeOp, SpaceOperators, eigen_json, eigenbasis
     space = _space_from_args(args)
+    args.stage("basis", space)
     ops = SpaceOperators(space)
-    op_list = ops.level_ops()
-    for p in _int_list(args.primes, "prime list") if args.primes.strip() else []:
-        for kind in ("T", "T1"):
-            op = HeckeOp(kind, p)
-            ops.matrix(op)
-            if op not in op_list:
-                op_list.append(op)
+    primes = _int_list(args.primes, "prime list") if args.primes.strip() else []
+    extra = [HeckeOp(kind, p) for p in primes for kind in ("T", "T1")]
+    op_list = list(dict.fromkeys(ops.level_ops() + extra))
+    for op in extra + op_list:  # eigenbasis ranks failures in this order
+        ops.matrix(op)
+    args.stage("tables", ops)
     system = eigenbasis(ops)
+    args.stage("eigenbasis", system)
     if args.format == "csv":
         with _writer(args) as write:
             for chunk in eigen_csv(system, op_list):
                 write(chunk)
     else:
         _emit_json(args, eigen_json(system, op_list))
+    args.stage("render", None)
     return 0
 
 
@@ -154,8 +166,13 @@ def cmd_relations(args) -> int:
     from .eisspace import enumerate_partitions
     from .hecke import SpaceOperators, relation_defects, s_constant
     char = DirichletCharacter.trivial(args.level)
+    if args.weight % 2:  # the trivial character is even: the space is zero
+        raise ValueError(f"relation words need an even weight, got {args.weight}")
     space = enumerate_partitions(args.level, char, args.weight)
-    defects = relation_defects(SpaceOperators(space))
+    args.stage("basis", space)
+    ops = SpaceOperators(space)
+    defects = relation_defects(ops)
+    args.stage("relations", ops)
     results = [
         {"target": rho.to_json(), "word": f"S1:{rho.n1};S2:{rho.n2}",
          "holds": bad == 0}
@@ -172,6 +189,7 @@ def cmd_relations(args) -> int:
         "identities": results,
         "all_hold": all_ok,
     })
+    args.stage("render", None)
     return 0 if all_ok else 1
 
 
@@ -193,27 +211,31 @@ def cmd_fourier(args) -> int:
                          "--apply")
     level = 1 if args.level is None else args.level
     provider = provider_load(args.provider)
+    args.stage("load", provider)
     if args.calibrate:
-        report = calibrate_normalization(provider, level, provider.weight, bound)
-        _emit_json(args, report)
-        return 0
-    if task == "--apply":
+        out = calibrate_normalization(provider, level, provider.weight, bound)
+        args.stage("calibrate", None)
+    elif task == "--apply":
         exp = provider.expansion
         for u in word:
             exp = apply_U(exp, u)
-        _emit_json(args, exp.to_json())
-        return 0
-    if task == "--ops":
+        args.stage("apply", None)
+        out = exp.to_json()
+    elif task == "--ops":
         comps = krylov_spectral(provider.expansion, word, bound)
-        _emit_json(args, [_component_json(c) for c in comps])
-        return 0
-    labeled = project_components(provider, level, provider.weight, bound)
-    _emit_json(args, {
-        "level": level,
-        "weight": provider.weight,
-        "components": [{"partition": rho.to_json(), **_component_json(comp)}
-                       for rho, comp in labeled],
-    })
+        args.stage("ops", None)
+        out = [_component_json(c) for c in comps]
+    else:
+        labeled = project_components(provider, level, provider.weight, bound)
+        args.stage("project", None)
+        out = {
+            "level": level,
+            "weight": provider.weight,
+            "components": [{"partition": rho.to_json(), **_component_json(comp)}
+                           for rho, comp in labeled],
+        }
+    _emit_json(args, out)
+    args.stage("render", None)
     return 0
 
 
@@ -250,9 +272,11 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
         }
     report = run_suite(config)
+    args.stage("suite", None)
     _emit_json(args, report.to_json())
     for name, dt in report.timings.items():
         print(f"# {name}: {dt:.2f}s", file=sys.stderr)
+    args.stage("render", None)
     return 0 if report.ok else 1
 
 
@@ -358,10 +382,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, *, stage=lambda name, value: None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser(argv).parse_args(argv, argparse.Namespace(stage=stage))
     try:
         return _COMMANDS[args.command][2](args)
     except BrokenPipeError:

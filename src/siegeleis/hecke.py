@@ -860,8 +860,9 @@ def relation_defects(ops: SpaceOperators) -> list[int]:
     local = []  # per prime q of N, w_q[r] for r = 0, 1, 2, zeros dropped
     for q in prime_factors(space.level):
         rows = (ops.matrix(HeckeOp(w, q)).local[0,] for w in ("S1", "S2"))
-        local.append([{0: _ONE}] + [{t: a for t, a in row if not a.is_zero()}
-                                    for row in rows])
+        local.append([{0: _ONE}] + [  # each 1 as _ONE, which products keep
+            {t: _ONE if a.is_one() else a for t, a in row if not a.is_zero()}
+            for row in rows])
     out = []
     for ranks in space.rank_tuples:
         size, v = 1, _ONE

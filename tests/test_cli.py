@@ -260,6 +260,13 @@ def test_parity_error_says_what_to_change(capsys):
         "(use an even weight, or a character with chi(-1) = -1)\n")
 
 
+def test_relations_refuse_an_odd_weight_by_the_weight_alone(capsys):
+    # relations takes no --char, so the message suggests no character
+    code, out, err = run(capsys, "relations", "--level", "6", "--weight", "5")
+    assert (code, out, err) == (
+        1, "", "error: relation words need an even weight, got 5\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--level", "5"])

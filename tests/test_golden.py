@@ -29,7 +29,8 @@ before an SL2 class was keyed by its proper reduced form alone.
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
-CHANGES.md.
+CHANGES.md.  Every golden command runs with a recording `stage` callback
+installed, which must see the command's stages in order and change no byte.
 """
 
 import hashlib
@@ -41,6 +42,8 @@ import pytest
 import siegeleis.hecke as hecke
 from siegeleis.cli import main
 from siegeleis.cyclotomic import CycNum
+from siegeleis.eisspace import EisSpace
+from siegeleis.fourier import CoefficientProvider
 from siegeleis.lattices import reduced_posdef_forms
 
 PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
@@ -129,6 +132,7 @@ GOLDEN = [
     (("verify", "--preset", "quick"),
      "b4f091bfc548201b2357800dd41757d15614680f86d1c7ddf7f2a6bb59e8afd5"),
 ]
+GOLDEN_IDS = [" ".join(a).replace(PROVIDER, "E8") for a, _ in GOLDEN]
 
 
 SL2_APPLY = [
@@ -143,17 +147,47 @@ SL2_APPLY = [
 ]
 
 
+# the stages each command reports to cli.main's callback, in order, and the
+# type of what each hands over (None where a stage is not named here)
+STAGES = {"basis": ["basis", "render"],
+          "hecke": ["basis", "tables", "render"],
+          "eigen": ["basis", "tables", "eigenbasis", "render"],
+          "relations": ["basis", "relations", "render"],
+          "verify": ["suite", "render"]}
+BUILT = {"basis": EisSpace, "tables": hecke.SpaceOperators,
+         "eigenbasis": hecke.EigenSystem, "relations": hecke.SpaceOperators,
+         "load": CoefficientProvider}
+
+
 def stdout_digest(capsys, argv) -> str:
     code = main(list(argv))
     assert code == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN,
-                         ids=[" ".join(a).replace(PROVIDER, "E8")
-                              for a, _ in GOLDEN])
+def staged_digest(capsys, argv) -> str:
+    """stdout_digest with a recording stage callback, after checking what
+    the callback saw."""
+    seen = []
+    code = main(list(argv), stage=lambda name, value: seen.append((name, value)))
+    assert code == 0
+    task = next((a[2:] for a in argv if a in ("--apply", "--ops", "--calibrate")),
+                "project")
+    assert [name for name, _ in seen] == STAGES.get(argv[0],
+                                                    ["load", task, "render"])
+    for name, value in seen:
+        assert isinstance(value, BUILT.get(name, type(None))), name
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_stdout(capsys, argv, digest):
     assert stdout_digest(capsys, argv) == digest
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=GOLDEN_IDS)
+def test_golden_stdout_with_stages_recorded(capsys, argv, digest):
+    assert staged_digest(capsys, argv) == digest
 
 
 def test_eigen_builds_one_eigenbasis(capsys, monkeypatch):
@@ -265,3 +299,4 @@ def test_golden_sl2_apply(capsys, tmp_path, word, digest):
     table = write_sl2_table(tmp_path / "sl2.coeffs")
     argv = ("fourier", "--provider", table, "--apply", word)
     assert stdout_digest(capsys, argv) == digest
+    assert staged_digest(capsys, argv) == digest

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 import siegeleis.cli as cli
+import siegeleis.cyclotomic as cyclotomic
 import siegeleis.hecke as hecke
 import siegeleis.verify as verify
 from siegeleis.characters import DirichletCharacter, legendre_epsilon
@@ -271,6 +272,22 @@ def test_relation_defects_match_the_dense_word(which, q, row, fails):
 
 def test_relation_defects_at_level_one():
     assert relation_defects(SpaceOperators(enumerate_partitions(1, None, 4))) == [0]
+
+
+def test_relation_defects_build_no_rational(monkeypatch):
+    # the S tables' entries equal to 1 are read as the shared one, which a
+    # product returns as it is: once the tables exist, the 81 words at
+    # N=210 are proved without building a rational
+    ops = SpaceOperators(enumerate_partitions(210, None, 4))
+    for q in prime_factors(210):
+        for which in ("S1", "S2"):
+            ops.matrix(HeckeOp(which, q))
+
+    def forbidden(*args):
+        raise AssertionError("relation_defects built a rational")
+
+    monkeypatch.setattr(cyclotomic, "_rational", forbidden)
+    assert relation_defects(ops) == [0] * 81
 
 
 def test_relation_defects_refuse_a_nontrivial_character(monkeypatch):

@@ -1,0 +1,60 @@
+"""Smoke test of tools/stages.py, the per-stage timer of one command."""
+
+import ast
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from siegeleis.cli import main
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "stages.py"
+PROVIDER = str(TOOL.parent.parent / "data" / "e8_weight4_level1.coeffs")
+EIGEN_30 = ["eigen", "--level", "30", "--weight", "4"]
+EIGEN_STAGES = ["basis", "tables", "eigenbasis", "render"]
+
+
+def run_tool(capsys, *argv) -> dict:
+    spec = importlib.util.spec_from_file_location("stages", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(["--repeat", "1", *argv])
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["basis", "--level", "30", "--weight", "4"], ["basis", "render"]),
+    (["hecke", "--level", "30", "--weight", "4", "--op", "T:2;S1:3"],
+     ["basis", "tables", "render"]),
+    (EIGEN_30, EIGEN_STAGES),
+    (EIGEN_30 + ["--format", "csv"], EIGEN_STAGES),
+    (["relations", "--level", "30", "--weight", "4"],
+     ["basis", "relations", "render"]),
+    (["fourier", "--provider", PROVIDER, "--level", "2"],
+     ["load", "project", "render"]),
+    (["verify", "--preset", "quick"], ["suite", "render"]),
+], ids=["basis", "hecke", "eigen-json", "eigen-csv", "relations", "fourier",
+        "verify"])
+def test_each_stage_is_timed_and_the_bytes_are_the_clis(capsys, argv, names):
+    out = run_tool(capsys, "--", *argv)
+    assert list(out["seconds"]) == names and out["code"] == 0
+    assert all(t >= 0 for t in out["seconds"].values())
+    assert main(argv) == 0
+    assert out["bytes"] == len(capsys.readouterr().out.encode())
+
+
+def test_through_stops_after_the_named_stage(capsys):
+    out = run_tool(capsys, "--through", "eigenbasis", "--", *EIGEN_30)
+    assert list(out["seconds"]) == EIGEN_STAGES[:3]
+    assert (out["code"], out["bytes"]) == (None, 0)
+    assert (out["dimension"], out["tables"], out["local_rows"]) == (27, 6, 18)
+
+
+def test_the_tool_imports_only_the_cli():
+    nodes = list(ast.walk(ast.parse(TOOL.read_text())))
+    names = [a.name for n in nodes if isinstance(n, ast.Import)
+             for a in n.names]
+    names += [f"{n.module}.{a.name}" for n in nodes
+              if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert [m for m in names if "siegeleis" in m] == ["siegeleis.cli.main"]
