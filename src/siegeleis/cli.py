@@ -26,7 +26,7 @@ import contextlib
 import os
 import sys
 
-from .jsonout import write_json
+from .jsonout import JsonText, write_json
 
 
 def _spec_int(text: str, what: str) -> int:
@@ -173,12 +173,13 @@ def cmd_relations(args) -> int:
     ops = SpaceOperators(space)
     defects = relation_defects(ops)
     args.stage("relations", ops)
-    results = [
-        {"target": rho.to_json(), "word": f"S1:{rho.n1};S2:{rho.n2}",
-         "holds": bad == 0}
-        for rho, bad in zip(space.basis, defects)
-    ]
     all_ok = not any(defects)
+    pad, pad3, pad4 = ("\n" + "  " * d for d in (2, 3, 4))
+    identities = (JsonText(  # a record per identity, at a list item's depth
+        f'{{{pad3}"holds": {("false", "true")[bad == 0]},{pad3}"target": '
+        f'{{{pad4}"N0": {rho.n0},{pad4}"N1": {rho.n1},{pad4}"N2": {rho.n2}'
+        f'{pad3}}},{pad3}"word": "S1:{rho.n1};S2:{rho.n2}"{pad}}}', pad)
+        for rho, bad in zip(space.basis, defects))
     _emit_json(args, {
         "level": space.level,
         "weight": space.weight,
@@ -186,7 +187,7 @@ def cmd_relations(args) -> int:
             str(q): s_constant(space, q).to_json()
             for q in prime_factors(space.level)
         },
-        "identities": results,
+        "identities": identities,
         "all_hold": all_ok,
     })
     args.stage("render", None)

@@ -19,11 +19,6 @@ from .characters import DirichletCharacter
 from .cyclotomic import is_squarefree, prime_factors
 
 
-def rank_code(ranks: tuple[int, ...]) -> int:
-    """The mixed-radix code sum r_x 3^x of a rank tuple."""
-    return sum(r * 3 ** x for x, r in enumerate(ranks))
-
-
 @dataclass(frozen=True)
 class Partition:
     """Multiplicative partition rho = (N0, N1, N2), pairwise coprime and
@@ -79,16 +74,20 @@ class Partition:
 
 class EisSpace:
     """Ordered Eisenstein basis for (level, weight, character); rank_tuples
-    holds the ranks of each basis element at the primes of N, ascending."""
+    holds the ranks of each basis element at the primes of N, ascending, and
+    codes their mixed-radix codes sum r_x 3^x, by which index_of_code finds
+    it: a move at x from rank r to t adds (t - r) 3^x to the code."""
 
     def __init__(self, level: int, weight: int, char: DirichletCharacter,
                  basis: tuple[Partition, ...],
-                 rank_tuples: tuple[tuple[int, ...], ...]):
+                 rank_tuples: tuple[tuple[int, ...], ...],
+                 codes: tuple[int, ...]):
         self.level = level
         self.weight = weight
         self.char = char
         self.basis = basis
         self.rank_tuples = rank_tuples
+        self.codes = codes
         self._index = {p: i for i, p in enumerate(basis)}
 
     @property
@@ -99,17 +98,12 @@ class EisSpace:
         return self._index[p]
 
     @cached_property
-    def index_of_ranks(self) -> dict[tuple[int, ...], int]:
-        """The basis index of each rank tuple: the inverse of rank_tuples."""
-        return {r: i for i, r in enumerate(self.rank_tuples)}
-
-    @cached_property
     def index_of_code(self) -> list[int | None]:
-        """The basis index at the rank_code of each rank tuple; None at the
+        """The basis index at each code, the inverse of codes; None at the
         codes of rank tuples outside the basis."""
         out: list[int | None] = [None] * 3 ** len(prime_factors(self.level))
-        for i, r in enumerate(self.rank_tuples):
-            out[rank_code(r)] = i
+        for i, c in enumerate(self.codes):
+            out[c] = i
         return out
 
     def descriptor(self) -> dict:
@@ -157,13 +151,16 @@ def enumerate_partitions(N: int, char: DirichletCharacter | None = None,
             f"chi(-1) = {(-1) ** k})"
         )
     primes = prime_factors(N)
-    rows = []  # (Partition.sort_key, ranks, partition), the key from the ranks
-    for ranks in product(*[(0, 1, 2) if char.is_real_at(q) else (0, 2)
-                           for q in primes]):
+    allowed = [(0, 1, 2) if char.is_real_at(q) else (0, 2) for q in primes]
+    # the codes, enumerated in step with the rank tuples
+    codes = map(sum, product(*[[r * 3 ** x for r in rs]
+                               for x, rs in enumerate(allowed)]))
+    rows = []  # (Partition.sort_key, partition, ranks, code), all from the ranks
+    for ranks, code in zip(product(*allowed), codes):
         n = [1, 1, 1]  # N0, N1, N2
         for q, r in zip(primes, ranks):
             n[r] *= q
-        rows.append(((sum(ranks), -n[2], -n[1]), ranks, Partition(*n)))
+        rows.append(((sum(ranks), -n[2], -n[1]), Partition(*n), ranks, code))
     rows.sort(key=itemgetter(0))
-    return EisSpace(N, k, char, tuple(r[2] for r in rows),
-                    tuple(r[1] for r in rows))
+    _, basis, rank_tuples, codes = zip(*rows)
+    return EisSpace(N, k, char, basis, rank_tuples, codes)

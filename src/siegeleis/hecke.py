@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from .characters import legendre_epsilon
 from .cyclotomic import CycNum, as_cyc, is_prime
-from .eisspace import EisSpace, Partition, prime_factors, rank_code
+from .eisspace import EisSpace, Partition, prime_factors
 from .jsonout import JsonText
 
 _ZERO = CycNum.zero()
@@ -94,13 +94,13 @@ class HeckeMatrix:
             self.key = itemgetter(slice(x, x + len(places)))
 
     def _row(self, i: int) -> tuple:
-        ranks = self.space.rank_tuples[i]
+        space, ranks = self.space, self.space.rank_tuples[i]
         row = self.local[self.key(ranks)]
         if self.pos is None:
             return ((i, row),)
-        index, pos = self.space.index_of_ranks, self.pos
-        return tuple((index[ranks[:pos] + (t,) + ranks[pos + 1:]], a)
-                     for t, a in row)
+        step = 3 ** self.pos  # a move from rank r to t adds (t - r) step
+        code = space.codes[i] - ranks[self.pos] * step
+        return tuple((space.index_of_code[code + t * step], a) for t, a in row)
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, CycNum], ...], ...]:
@@ -151,13 +151,11 @@ def _moved_by(space: EisSpace, p: int) -> tuple[int, ...]:
 def _representatives(space: EisSpace, places: tuple[int, ...]) -> dict:
     """Each pattern of ranks at the positions `places` that a basis element
     has, mapped to the index of its representative row: the corner's rank
-    tuple (rank 0 everywhere) with the pattern put in."""
-    corner = [0] * len(prime_factors(space.level))
+    tuple (rank 0 everywhere) with the pattern put in, which is the first
+    basis index with the pattern."""
     out = {}
     for key in product(range(3), repeat=len(places)):
-        for x, r in zip(places, key):
-            corner[x] = r
-        i = space.index_of_ranks.get(tuple(corner))
+        i = space.index_of_code[sum(r * 3 ** x for x, r in zip(places, key))]
         if i is not None:
             out[key] = i
     return out
@@ -166,16 +164,15 @@ def _representatives(space: EisSpace, places: tuple[int, ...]) -> dict:
 def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> tuple:
     """Row i of T(q) or T1(q^2) for the prime q at position pos of the
     primes of the level, as (j, value) pairs in ascending j.  A move target
-    is found by its rank tuple: that of row i with the rank at q raised, so
+    is found by its code: that of row i with the rank at q raised, so
     i < up(1) < up(2) in the basis, which is sorted by total rank."""
     q, k = op.p, space.weight
     local = space.char.local(q)
-    rho, ranks = space.basis[i], space.rank_tuples[i]
-    rank = ranks[pos]
+    rho, rank = space.basis[i], space.rank_tuples[i][pos]
     c0, c1, c2 = rho.n0, rho.n1, rho.n2
 
     def up(to: int) -> int:
-        return space.index_of_ranks[ranks[:pos] + (to,) + ranks[pos + 1:]]
+        return space.index_of_code[space.codes[i] + (to - rank) * 3 ** pos]
 
     if rank == 2:
         if op.kind == "T":
@@ -352,14 +349,14 @@ def _expand(vec: TensorVector, products: dict) -> zip:
     id(a), for each local factor a, to (a, {id(prefix): prefix * a}): a
     product found there is reused, and as every prefix is 1 or held there,
     no id in it is reused while it lives.  A rank tuple is carried as its
-    mixed-radix code (eisspace.rank_code): a move at x adds (t - r) 3^x.
+    mixed-radix code (EisSpace.codes): a move at x adds (t - r) 3^x.
     Codes and values are two parallel lists, grown once per move by the
     terms so far, shifted and multiplied; the codes become basis indices
     at the end.
     """
     space = vec.space
-    ranks = space.rank_tuples[space.index_of(vec.partition)]
-    codes, coeffs = [rank_code(ranks)], [_ONE]
+    i = space.index_of(vec.partition)
+    ranks, codes, coeffs = space.rank_tuples[i], [space.codes[i]], [_ONE]
     for x, r in enumerate(ranks):
         moves = [((t - r) * 3 ** x, a) for t, a in vec.local[x].items()
                  if t != r and not a.is_zero()]
@@ -474,11 +471,10 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
        u_p.L_key == lambda.u_p on the union of the supports for p | N, and
        the diagonal value of the key equals lambda for p not dividing N.
        The check reads only rho's key (which fixes lambda) and its local
-       vectors at the table's places, so it runs once per distinct pair of
-       them: each table maps its key getter over the rank tuples and over
-       the tuples of local vector ids (the vectors stay alive, so no id is
-       reused), and its column of eigenvalues is its keys' lambdas mapped
-       over those keys, one object per key.
+       vectors u_q at the table's places, which rho's ranks at the places
+       of those T(q) fix; so it runs once per pattern of these ranks, at its
+       first basis index (_representatives), in basis order.  The table's
+       column is its keys' lambdas over the rank tuples, one object per key.
 
     Why this proves every coordinate: on a p-fiber s, v restricted to s is
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
@@ -497,8 +493,9 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     # (first failing index, check 1 before the tables in stored order, op,
     # why) for each failure found; the least one is raised
     failures = []
+    primes = prime_factors(space.level)
     per_prime = []  # per prime q of N, the u_q of each basis element
-    for q in prime_factors(space.level):
+    for q in primes:
         hm = ops.matrix(HeckeOp("T", q))
         local = {}  # key -> u_q; a key ends with the rank at q
         for key, i in _representatives(space, hm.places).items():
@@ -511,27 +508,21 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     # at level 1 there is no prime, and the one vector has no local vector
     vectors = [TensorVector(space, rho, tuple(us))
                for rho, *us in zip(space.basis, *per_prime)]
-    # every vector stays alive, so no id in these tuples is reused
-    ids = [tuple(map(id, vec.local)) for vec in vectors]
     columns = {}
     for t, (op, hm) in enumerate(tables.items()):
-        keys = list(map(hm.key, space.rank_tuples))
         lams: dict = {}  # key -> lambda, the diagonal value of its rows
-        # (key, local vectors at the table's places) of each index; each
-        # distinct pair is checked once, in the order they first occur
-        pairs = list(zip(keys, map(hm.key, ids)))
-        for (key, held), i in dict(zip(pairs, range(len(pairs)))).items():
-            lam = lams.get(key)
-            if lam is None:
-                lam = lams[key] = hm.diagonal(i)
+        # rho's ranks that fix its key and its local vectors at the places
+        read = tuple(sorted({x for y in hm.places for x in
+                             ops.matrix(HeckeOp("T", primes[y])).places}))
+        for i in sorted(_representatives(space, read).values()):
+            lam = lams.setdefault(hm.key(space.rank_tuples[i]), hm.diagonal(i))
             near = list(hm.key(vectors[i].local))
             u = None if hm.pos is None else near.pop()
             if not all(_is_local_eigen(hm.local, k, u, lam)
                        for k in product(*near)):
-                failures.append((pairs.index((key, held)), t, op,
-                                 f"wrong local eigenvector at {op.p}"))
+                failures.append((i, t, op, f"wrong local eigenvector at {op.p}"))
                 break
-        columns[op] = list(map(lams.get, keys))
+        columns[op] = list(map(lams.get, map(hm.key, space.rank_tuples)))
     if failures:
         i, _, op, why = min(failures, key=itemgetter(0, 1))
         raise RuntimeError("eigenvector verification failed for "

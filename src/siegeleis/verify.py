@@ -38,8 +38,8 @@ from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
 from .hecke import EigenSystem, HeckeOp, SpaceOperators, _chi_over, \
-    _row_at_level_prime, _row_prime_to_level, eigenbasis, \
-    eigenvalue_closed_form, eigenvalue_comparisons, relation_defects
+    _row_at_level_prime, _row_prime_to_level, apply_word, eigenbasis, \
+    eigenvalue_closed_form, eigenvalue_comparisons
 from .lattices import GL2, GramForm, _unimodular_entries_bounded, \
     isotropic_lines, reduce_form, sublattices, transform
 from .linalg import _axpy, _Span, left_null_space
@@ -431,13 +431,21 @@ def _check_closed_forms(config, run):
 
 
 def _check_relation_words(config, rng):
+    # e_corner.S1(N1)S2(N2) by the chained product, entry by entry against
+    # e_rho: the oracle of relation_defects, the path `relations` prints
     out = []
     for N in range(1, config["N_max"] + 1):
         if not is_squarefree(N):
             continue
         for k in [k for k in config["k_set"] if k % 2 == 0]:
             space = enumerate_partitions(N, None, k)
-            bad = sum(relation_defects(SpaceOperators(space)))
+            ops, bad = SpaceOperators(space), 0
+            for i, rho in enumerate(space.basis):
+                word = ([HeckeOp("S1", q) for q in prime_factors(rho.n1)]
+                        + [HeckeOp("S2", q) for q in prime_factors(rho.n2)])
+                image = apply_word(ops, word, {0: _ONE})  # 0: the corner
+                bad += (not image.pop(i, _ZERO).is_one()) + sum(
+                    not x.is_zero() for x in image.values())
             out.append(CheckRecord(
                 "hecke-relation-words",
                 {"level": N, "weight": k, "char": "1"},

@@ -437,6 +437,29 @@ def test_relations(capsys):
     assert len(obj["identities"]) == 3
 
 
+def test_relations_write_the_plain_tree_from_records(capsys, monkeypatch):
+    # each identity is rendered as a record, with no dict per identity; the
+    # bytes are those of the plain tree, a failing identity included
+    import siegeleis.hecke as hecke
+    from siegeleis.eisspace import Partition, enumerate_partitions
+    defects = [0, 2, 0, 0, 1, 0, 0, 0, 0]
+    monkeypatch.setattr(hecke, "relation_defects", lambda ops: defects)
+    monkeypatch.setattr(Partition, "to_json", None)
+    code, out, _ = run(capsys, "relations", "--level", "6", "--weight", "4")
+    space = enumerate_partitions(6, None, 4)
+    plain = {
+        "level": 6, "weight": 4, "all_hold": False,
+        "constants": {str(q): hecke.s_constant(space, q).to_json()
+                      for q in (2, 3)},
+        "identities": [
+            {"holds": bad == 0, "word": f"S1:{rho.n1};S2:{rho.n2}",
+             "target": {"N0": rho.n0, "N1": rho.n1, "N2": rho.n2}}
+            for rho, bad in zip(space.basis, defects)],
+    }
+    assert code == 1
+    assert out == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_quick(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code = main(["verify", "--preset", "quick", "--output", str(out_path)])

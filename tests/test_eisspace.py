@@ -68,6 +68,24 @@ def test_basis_order_and_rank_tuples_from_the_enumerated_ranks(N, spec):
                                    for p in sp.basis)
 
 
+@pytest.mark.parametrize("spec", ["1", "5:1,11:1"])
+def test_index_of_code_finds_each_basis_element(spec):
+    # the codes are sum r_x 3^x over the ranks; index_of_code inverts them
+    # and is None exactly at the rank tuples that no basis element has
+    sp = enumerate_partitions(2310, DirichletCharacter.parse(2310, spec), 4)
+    primes = prime_factors(2310)
+    assert sp.codes == tuple(sum(p.rank_of(q) * 3 ** x
+                                 for x, q in enumerate(primes))
+                             for p in sp.basis)
+    for i, (p, c) in enumerate(zip(sp.basis, sp.codes)):
+        assert sp.index_of(p) == i and sp.index_of_code[c] == i
+    off = {c for c, i in enumerate(sp.index_of_code) if i is None}
+    assert len(sp.index_of_code) == 3 ** 5
+    assert off == set(range(3 ** 5)) - set(sp.codes)
+    # rank 1 at 5 or 11 is off the basis when chi_5 and chi_11 are not real
+    assert len(off) == (0 if spec == "1" else 3 ** 5 - 3 ** 3 * 2 ** 2)
+
+
 def test_rank_vectors():
     assert Partition(6, 1, 1).rank_vector() == {2: 0, 3: 0}
     assert Partition(2, 3, 1).rank_vector() == {2: 0, 3: 1}

@@ -23,7 +23,8 @@ expansion's domain keys moved into the memoized `reduced_class_keys` and the
 Krylov relation was read off `left_null_space`: with them every command of
 the perfbench fourier-e8 workload is pinned; the level-30030 hecke T:2,
 dimension 729, before its rows were streamed from `apply_word` instead of
-held as a dense matrix).  `SL2_APPLY` pins four fourier `--apply` words on a
+held as a dense matrix; the level-2310 relations before its identities were
+streamed as rendered records instead of one dict each).  `SL2_APPLY` pins four fourier `--apply` words on a
 generated SL2 table, whose twin proper classes carry different values,
 before an SL2 class was keyed by its proper reduced form alone.
 
@@ -51,6 +52,7 @@ PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
 
 EIGEN_30_PRIMES_7 = ("eigen", "--level", "30", "--weight", "4", "--primes", "7")
 RELATIONS_210 = ("relations", "--level", "210", "--weight", "4")
+RELATIONS_2310 = ("relations", "--level", "2310", "--weight", "4")
 EIGEN_2310_CSV = ("eigen", "--level", "2310", "--weight", "4", "--format", "csv")
 EIGEN_55_CSV = ("eigen", "--level", "55", "--weight", "4", "--char",
                 "5:1,11:1", "--format", "csv")
@@ -105,6 +107,8 @@ GOLDEN = [
      "854f8d584076800e83d528f449ef0fd6776d617dda134547667a36efbabdc014"),
     (RELATIONS_210,
      "cb949c95a6865b98fcc76af3a4a3add4dd65548d6d9a44dcb509e57a82512d64"),
+    (RELATIONS_2310,
+     "eb7e3e94599c083c2400392acc5c34427bff2296d672e43a2f5704e57dc9d6ef"),
     (("fourier", "--provider", PROVIDER, "--level", "2"),
      "22dc2d83c0157c0851aaca1f231d78deef188fe7452a8f936a845b77e03233b3"),
     (("fourier", "--provider", PROVIDER, "--level", "2", "--calibrate"),

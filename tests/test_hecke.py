@@ -1,6 +1,8 @@
 import gc
 import json
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -632,6 +634,86 @@ def test_eigenbasis_checks_a_shared_local_vector_per_object(monkeypatch):
                 eigenbasis(SpaceOperators(space))
 
 
+def _put(x, t, value):
+    """A change for _tampered: the local vector at the x-th prime of N
+    takes `value` at rank t."""
+    def change(local):
+        local[x][t] = as_cyc(value)
+    return change
+
+
+def _eigen_ops(level, spec, k, primes):
+    """The SpaceOperators that `eigen --primes` hands to eigenbasis: the
+    tables of the extra primes stored first."""
+    ops = SpaceOperators(_space(level, spec, k))
+    for op in [HeckeOp(kind, p) for p in primes for kind in ("T", "T1")]:
+        ops.matrix(op)
+    return ops
+
+
+# (level, character, weight, --primes, _is_local_eigen calls per table in
+# stored order, as counted before check 2 ran per rank pattern)
+PATTERN_PROOFS = [
+    (2310, "5:1,11:1", 4, [], [12, 12, 12, 12, 4, 4, 12, 12, 2, 2]),
+    (70, "5:1,7:2", 5, [3, 11], [4, 4, 4, 4, 12, 12, 4, 4, 4, 4]),
+]
+
+
+@pytest.mark.parametrize("level,spec,k,primes,want", PATTERN_PROOFS,
+                         ids=["2310-5:1,11:1", "70-5:1,7:2-primes-3,11"])
+def test_check_2_runs_once_per_key_and_local_vectors(monkeypatch, level, spec,
+                                                     k, primes, want):
+    # check 2 reads a row's key and its local vectors at the table's places,
+    # so it must run once per distinct pair of them, and on each key of
+    # the product of the local supports at A_p
+    ops = _eigen_ops(level, spec, k, primes)
+    calls = Counter()
+    real = hecke._is_local_eigen
+
+    def counted(local, key, u, lam):
+        calls[id(local)] += 1
+        return real(local, key, u, lam)
+
+    monkeypatch.setattr(hecke, "_is_local_eigen", counted)
+    system = eigenbasis(ops)
+    got, expected = [], []
+    for hm in system.tables.values():
+        got.append(calls[id(hm.local)])
+        pairs = {}  # (key, ids of the local vectors at the places) -> them
+        for ranks, vec in zip(ops.space.rank_tuples, system.vectors):
+            held = hm.key(vec.local)
+            pairs[hm.key(ranks), tuple(map(id, held))] = held
+        size = 0
+        for held in pairs.values():
+            size += math.prod(map(len, held[:len(hm.at)]))  # those at A_p
+        expected.append(size)
+    assert got == expected == want
+
+
+# (level, character, weight, --primes, change, a partition whose local
+# vectors it changes, the failure named before check 2 ran per rank
+# pattern); each u_q changed sits at some A_p.  In the last case the table
+# of T(11) is first, 11 moves only 7 (A_11), but u_7 is keyed by the ranks
+# at 5 and 7, so the first partition with the wrong u_7 has rank 2 at 5
+WRONG_AT_A_P = [
+    (2310, "5:1,11:1", 4, [], _put(2, 1, 1), Partition(15, 14, 11),
+     r"rho=\(210,1,11\), " + WRONG_AT.format(2)),
+    (70, "5:1,7:2", 5, [3, 11], _put(1, 1, 1), Partition(7, 2, 5),
+     r"rho=\(14,1,5\), " + WRONG_AT.format(3)),
+    (70, "5:1,7:2", 5, [11], _put(2, 2, 1), Partition(7, 2, 5),
+     r"rho=\(14,1,5\), " + WRONG_AT.format(11)),
+]
+
+
+@pytest.mark.parametrize("level,spec,k,primes,change,rho,want", WRONG_AT_A_P,
+                         ids=["2310-u5", "70-primes-3,11-u5", "70-primes-11-u7"])
+def test_a_wrong_local_vector_at_a_p_fails_at_its_first_partition(
+        monkeypatch, level, spec, k, primes, change, rho, want):
+    monkeypatch.setattr(hecke, "_local_vector", _tampered(change, rho))
+    with pytest.raises(RuntimeError, match="verification failed for " + want):
+        eigenbasis(_eigen_ops(level, spec, k, primes))
+
+
 def test_local_vectors_are_computed_once_per_key(monkeypatch):
     # at the trivial character A_q is empty, so the key is (q, rank at q):
     # 3 per prime for the 243 vectors at N=2310
@@ -811,7 +893,7 @@ def test_eigen_json_refuses_an_unverified_op_before_it_renders():
 
 def test_level_tables_construct_no_partition(monkeypatch):
     space = enumerate_partitions(2310, None, 4)
-    space.index_of_ranks  # built from the rank tuples, before counting
+    space.index_of_code  # built from the codes, before counting
     made = []
     monkeypatch.setattr(Partition, "__post_init__",
                         lambda self: made.append(self))
@@ -896,14 +978,6 @@ def test_eigenbasis_rejects_a_wrong_table(monkeypatch, level, spec, k, op,
     with pytest.raises(RuntimeError,
                        match="eigenvector verification failed for " + want):
         eigenbasis(ops)
-
-
-def _put(x, t, value):
-    """A change for _tampered: the local vector at the x-th prime of N
-    takes `value` at rank t."""
-    def change(local):
-        local[x][t] = as_cyc(value)
-    return change
 
 
 def _shift_key(key):

@@ -388,3 +388,45 @@ def test_eigen_oracle_is_independent_of_the_fast_paths(monkeypatch):
     pieces = verify._oracle_joint_eigenspaces(tables)
     assert len(pieces) == space.dimension == 27
     assert all(len(basis) == 1 for _, basis in pieces)
+
+
+def test_relation_words_are_counted_by_the_chained_product(monkeypatch):
+    # the record applies each word with apply_word, which shares no code
+    # with relation_defects, the per-prime path that `relations` prints;
+    # both count the same defects, with a wrong S table too
+    real = hecke.s_operator
+
+    def scaled(ops, q, which):  # S1(3) sends rank 0 to rank 1 times 2
+        hm = real(ops, q, which)
+        if (q, which) == (3, "S1"):
+            hm.local[0,] = tuple((t, a * 2) for t, a in hm.local[0,])
+        return hm
+
+    def forbidden(ops):
+        raise AssertionError("the record used the path it checks")
+
+    monkeypatch.setattr(hecke, "s_operator", scaled)
+    words = Counter()
+    real_word = verify.apply_word
+
+    def counted(ops, word, v):
+        words[ops.space.level] += 1
+        return real_word(ops, word, v)
+
+    monkeypatch.setattr(verify, "apply_word", counted)
+    with monkeypatch.context() as m:
+        m.setattr(hecke, "relation_defects", forbidden)
+        recs = verify._check_relation_words({"N_max": 30, "k_set": [4, 5]},
+                                            None)
+    assert [r.parameters["level"] for r in recs] == [
+        N for N in range(1, 31) if N % 4 and N % 9 and N % 25]
+    failing = 0
+    for rec in recs:
+        space = enumerate_partitions(rec.parameters["level"], None, 4)
+        bad = sum(hecke.relation_defects(SpaceOperators(space)))
+        assert words[space.level] == space.dimension
+        assert rec.details == (f"{space.dimension} words checked, "
+                               f"{bad} bad entries")
+        assert rec.status == ("pass" if bad == 0 else "fail")
+        failing += bad > 0
+    assert failing == sum(1 for r in recs if r.parameters["level"] % 3 == 0)
