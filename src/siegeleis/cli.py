@@ -94,7 +94,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    from .hecke import HeckeOp, SpaceOperators, word_rows
+    from .hecke import HeckeOp, SpaceOperators, check_word_printable, word_rows
     space = _space_from_args(args)
     args.stage("basis", space)
     word = parse_op_word(args.op)
@@ -106,6 +106,7 @@ def cmd_hecke(args) -> int:
     for op in word:  # every table before the first byte: a bad word writes none
         ops.matrix(op)
     args.stage("tables", ops)
+    check_word_printable(ops, word)
     _emit_json(args, {
         "level": space.level,
         "weight": space.weight,
@@ -147,9 +148,11 @@ def eigen_csv(system, op_list):
     and then one chunk of lines per partition, so that no more than one
     partition's text is held; the rest of a line after its partition is
     built once per case of its op."""
-    from .hecke import eigenvalue_comparisons
+    from .hecke import check_eigen_printable, eigenvalue_comparisons
+    comparisons = eigenvalue_comparisons(system, op_list)
+    check_eigen_printable(system, comparisons, False)
     tails = []
-    for c in eigenvalue_comparisons(system, op_list):
+    for c in comparisons:
         texts = [f"{c.op.spec_string()},{repr(mval).replace(' ', '')},"
                  f"{repr(cval).replace(' ', '')},{str(match).lower()}"
                  for mval, cval, match, _ in c.cases]
@@ -164,7 +167,8 @@ def cmd_relations(args) -> int:
     from .characters import DirichletCharacter
     from .cyclotomic import prime_factors
     from .eisspace import enumerate_partitions
-    from .hecke import SpaceOperators, relation_defects, s_constant
+    from .hecke import (SpaceOperators, _text, check_printable,
+                        relation_defects, s_constant)
     char = DirichletCharacter.trivial(args.level)
     if args.weight % 2:  # the trivial character is even: the space is zero
         raise ValueError(f"relation words need an even weight, got {args.weight}")
@@ -173,20 +177,18 @@ def cmd_relations(args) -> int:
     ops = SpaceOperators(space)
     defects = relation_defects(ops)
     args.stage("relations", ops)
+    constants = {str(q): s_constant(space, q) for q in prime_factors(space.level)}
+    check_printable(constants.values())
     all_ok = not any(defects)
-    pad, pad3, pad4 = ("\n" + "  " * d for d in (2, 3, 4))
+    pad, pad3 = "\n    ", "\n      "
     identities = (JsonText(  # a record per identity, at a list item's depth
         f'{{{pad3}"holds": {("false", "true")[bad == 0]},{pad3}"target": '
-        f'{{{pad4}"N0": {rho.n0},{pad4}"N1": {rho.n1},{pad4}"N2": {rho.n2}'
-        f'{pad3}}},{pad3}"word": "S1:{rho.n1};S2:{rho.n2}"{pad}}}', pad)
+        f'{_text(rho, 3)},{pad3}"word": "S1:{rho.n1};S2:{rho.n2}"{pad}}}')
         for rho, bad in zip(space.basis, defects))
     _emit_json(args, {
         "level": space.level,
         "weight": space.weight,
-        "constants": {
-            str(q): s_constant(space, q).to_json()
-            for q in prime_factors(space.level)
-        },
+        "constants": {q: c.to_json() for q, c in constants.items()},
         "identities": identities,
         "all_hold": all_ok,
     })

@@ -222,6 +222,15 @@ def _collect(m: int, terms) -> list[int]:
     return out
 
 
+def root_sum_growth(m: int) -> int:
+    """The largest absolute coordinate sum of a root of unity in Q(zeta_k),
+    k | m: a value of Q(zeta_m) that is a sum of roots of unity with weights
+    of absolute sum W has coordinates of absolute sum at most W times this
+    (the trace down to its field, over the degree, keeps W: _subfields)."""
+    return max(sum(abs(c) for _, c in row)
+               for k in divisors(m) for row in _reduction_rows(k)[1])
+
+
 _new = object.__new__
 
 

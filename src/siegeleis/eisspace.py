@@ -51,15 +51,10 @@ class Partition:
             return 2
         raise ValueError(f"{q} does not divide the level {self.level}")
 
-    def rank_vector(self) -> dict[int, int]:
-        return {q: self.rank_of(q) for q in prime_factors(self.level)}
-
-    @property
-    def total_rank(self) -> int:
-        return sum(self.rank_vector().values())
-
     def sort_key(self):
-        return (self.total_rank, -self.n2, -self.n1)
+        """(total rank, -N2, -N1), read off the parts: the basis order."""
+        return (len(prime_factors(self.n1)) + 2 * len(prime_factors(self.n2)),
+                -self.n2, -self.n1)
 
     def to_json(self):
         return {"N0": self.n0, "N1": self.n1, "N2": self.n2}

@@ -15,16 +15,17 @@ off-diagonal terms vanish).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from math import gcd
+from math import gcd, lcm, log10, prod
 from operator import itemgetter
 
 from .characters import legendre_epsilon
-from .cyclotomic import CycNum, as_cyc, is_prime
+from .cyclotomic import CycNum, as_cyc, is_prime, root_sum_growth
 from .eisspace import EisSpace, Partition, prime_factors
 from .jsonout import JsonText
 
@@ -634,6 +635,48 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
             for mval, cval, match, expected in (c.cases[c.case[i]],)]
 
 
+def _height(c: CycNum) -> int:
+    return max(c.d, sum(map(abs, c.n)))
+
+
+def check_printable(values, factors=()) -> None:
+    """Refuse, with ValueError, an output that prints `values` and integers
+    of at most rho times the product of `factors` (rho the root_sum_growth
+    of the values' fields), where one may pass sys.get_int_max_str_digits()
+    digits, the most that str() writes.  A value c = (sum n_i z^i) / d
+    prints integers of at most H(c) = max(d, sum |n_i|); a product of
+    values f_j, whose denominator divides the product of the d(f_j), at
+    most rho times the product of the H(f_j)."""
+    limit = sys.get_int_max_str_digits()
+    bound = (max([prod(factors), *map(_height, values)])
+             * root_sum_growth(lcm(*{v.m for v in values})))
+    # below 2^(3 limit), which is below 10^limit, no power need be formed
+    if limit and bound.bit_length() > 3 * limit and bound >= 10 ** limit:
+        raise ValueError(f"the output would print integers of up to "
+                         f"{int(log10(bound)) + 1} digits; at most {limit} "
+                         f"can be printed")
+
+
+def check_eigen_printable(system: EigenSystem, comparisons,
+                          vectors: bool) -> None:
+    """check_printable for `eigen`: the comparison cases and, in JSON, the
+    eigenvalue columns and the vector coefficients, each a product of one
+    local entry per prime."""
+    values = [v for c in comparisons for case in c.cases for v in case[:2]]
+    factors = []
+    if vectors:  # the distinct local vectors at each prime
+        for us in zip(*(v.local for v in system.vectors)):
+            entries = [a for u in dict(zip(map(id, us), us)).values()
+                       for a in u.values()]
+            factors.append(max(map(_height, entries)))
+            values += entries
+        compared = {c.op for c in comparisons}  # their values are cases
+        for op, col in system.columns.items():
+            if op not in compared:
+                values += dict(zip(map(id, col), col)).values()
+    check_printable(values, factors)
+
+
 def _text(obj, depth: int) -> str:
     """The JSON of a CycNum or a Partition, standing at `depth`: the bytes
     of json.dumps(obj.to_json(), indent=2, sort_keys=True) with each
@@ -655,38 +698,45 @@ def _text(obj, depth: int) -> str:
             f',{inner}"m": {obj.m}{pad}}}')
 
 
-def eigen_json(system: EigenSystem, op_list=None) -> dict:
-    """The `eigen` command's output: the space descriptor, the comparison
-    rows and the eigenbasis entries.  The bytes are those of the plain
-    tree, whose rows are compare_eigenvalues(system, op_list), written by
-    jsonout.write_json; the lists hold JsonText records, rendered at the
-    depth where they stand, which write_json writes as they are.  The rows
-    and entries are iterators that yield one record per basis partition
-    (its rows, several list items in one record, and its entry), rendered
-    when the writer reaches it; the descriptor's basis is one record.
-
-    The records are read off columns, with no object per row or entry.
-    Each distinct value and partition is encoded once per depth, by
-    _text, which writes it from its stored form (no to_json dict and no
-    writer walk).  Per op, a row's text up to its partition (the last key)
-    is built once per case of eigenvalue_comparisons, one per (key, matrix
-    value object), and an eigenvalue line once per value object of the
-    op's column; a record takes them by basis index from the op's column
-    of texts, the ops being sorted by name once.  A vector item's text up
-    to its partition is memoized per coefficient object, each 1 or held
-    by the product memo that all vectors share (_expand).  The comparison
-    is made first, so an op that eigenbasis did not verify raises
-    ValueError before any record.
-    """
-    space = system.space
-    comparisons = eigenvalue_comparisons(system, op_list)
-    pad, pad3, pad4, pad5 = ("\n" + "  " * d for d in (2, 3, 4, 5))
-    part = [_text(p, 3) for p in space.basis]
-    values: dict = {}  # (m, n, d, depth) -> text
+def _value_texts():
+    """_text of a CycNum at a depth, memoized by its stored form and the
+    depth, so that each distinct value is encoded once per depth."""
+    memo: dict = {}
 
     def value(c: CycNum, depth: int) -> str:
         key = (c.m, c.n, c.d, depth)
-        return values.get(key) or values.setdefault(key, _text(c, depth))
+        return memo.get(key) or memo.setdefault(key, _text(c, depth))
+    return value
+
+
+def eigen_json(system: EigenSystem, op_list=None) -> dict:
+    """The `eigen` command's output: the space descriptor, the comparison
+    rows and the eigenbasis entries, as the bytes of the plain tree (rows
+    compare_eigenvalues(system, op_list)) written by jsonout.write_json.
+    Its lists are iterators of JsonText records, each rendered for the
+    depth where it stands when the writer reaches it: per basis partition
+    its rows (several list items in one record) and its entry; the
+    descriptor's basis is one record.
+
+    The records are read off columns, with no object per row or entry.
+    Each distinct value and partition is encoded once per depth, by _text
+    (values through _value_texts).  Per op, a row's text up to its
+    partition is built once per case of eigenvalue_comparisons, one per
+    (key, matrix value object), and an eigenvalue line once per value
+    object of the op's column; a record takes them by basis index, the
+    ops being sorted by name once.  A vector item's text up to its
+    partition is memoized per coefficient object, each 1 or held by the
+    product memo that all vectors share (_expand).  The comparison and
+    check_eigen_printable run first, so an op that eigenbasis did not
+    verify, or an integer too long for str(), raises ValueError before any
+    record.
+    """
+    space = system.space
+    comparisons = eigenvalue_comparisons(system, op_list)
+    check_eigen_printable(system, comparisons, True)
+    pad, pad3, pad4, pad5 = ("\n" + "  " * d for d in (2, 3, 4, 5))
+    part = [_text(p, 3) for p in space.basis]
+    value = _value_texts()
 
     def comparison_records():
         heads = []  # per op, the text of each row up to its partition
@@ -702,7 +752,7 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
         sep = "," + pad
         for p, row_heads in zip(part, zip(*heads)):
             tail = p + pad + "}"  # each row ends with its partition
-            yield JsonText((tail + sep).join(row_heads) + tail, pad)
+            yield JsonText((tail + sep).join(row_heads) + tail)
 
     def eigenbasis_records():
         products: dict = {}
@@ -730,7 +780,7 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
             yield JsonText(
                 f'{{{pad3}"eigenvalues": {eig_text},{pad3}"partition": '
                 f'{p},{pad3}"vector": [{pad4}{sep.join(items)}'
-                f'{pad3}]{pad}}}', pad)
+                f'{pad3}]{pad}}}')
 
     basis = ("," + pad3).join(
         f'{{{pad4}"N0": {p.n0},{pad4}"N1": {p.n1},{pad4}"N2": {p.n2}'
@@ -740,7 +790,7 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
             "space": {"level": space.level, "weight": space.weight,
                       "char": space.char.spec_string(),
                       "dimension": space.dimension,
-                      "basis": [JsonText(basis, pad3)]}}
+                      "basis": [JsonText(basis)]}}
 
 
 # -- relation operators (corner-to-basis words) --------------------------------
@@ -820,18 +870,34 @@ def word_rows(ops: SpaceOperators, word):
     """The rows of a word of HeckeOps as the `hecke` command prints them:
     row i is apply_word on the unit vector e_i, yielded as the JsonText of
     its dense list at the depth of a list item under a top-level key, so
-    no n x n matrix is ever held.  Each distinct value is encoded once,
-    keyed by its form (m, n, d); the zero cell is encoded once for all."""
+    no n x n matrix is ever held.  Each distinct value is encoded once
+    (_value_texts), the zero cell included."""
     n = ops.space.dimension
     pad, pad3 = "\n    ", "\n      "
-    zero = _text(_ZERO, 3)
-    cells: dict = {}  # (m, n, d) -> text
+    value = _value_texts()
+    zero = value(_ZERO, 3)
     for i in range(n):
         row = [zero] * n
         for j, c in apply_word(ops, word, {i: _ONE}).items():
-            key = (c.m, c.n, c.d)
-            row[j] = cells.get(key) or cells.setdefault(key, _text(c, 3))
-        yield JsonText("[" + pad3 + ("," + pad3).join(row) + pad + "]", pad)
+            row[j] = value(c, 3)
+        yield JsonText("[" + pad3 + ("," + pad3).join(row) + pad + "]")
+
+
+def check_word_printable(ops: SpaceOperators, word) -> None:
+    """check_printable for the rows of a word of tables M_l, each entry a
+    sum of products of one entry per table.  With D_l the lcm of M_l's
+    denominators, D_1 D_2... times it is a sum of roots of unity whose
+    weights' absolute sum is at most the product of the S_l, the largest
+    row sums of D_l |n_i| / d; so its factor of M_l is max(D_l, S_l)."""
+    factors, values = [], []
+    for op in word:
+        rows = [row if type(row) is tuple else ((0, row),)  # p not | N
+                for row in ops.matrix(op).local.values()]
+        d = lcm(*(a.d for row in rows for _, a in row))
+        factors.append(max(d, *(sum(d // a.d * sum(map(abs, a.n))
+                                    for _, a in row) for row in rows)))
+        values += [a for row in rows for _, a in row]
+    check_printable(values, factors)
 
 
 def relation_defects(ops: SpaceOperators) -> list[int]:

@@ -3,12 +3,9 @@
 `write_json` writes the bytes of json.dumps(obj, indent=2, sort_keys=True)
 plus a newline in chunks as it encodes them; an iterator in list position
 is written item by item as it yields them.  A caller that renders whole
-records itself (hecke.eigen_json and hecke.word_rows) hands them over as
-`JsonText`, which write_json splices in at the depth where it stands.  A
-JsonText records its pad, the newline and indentation of the depth it was
-rendered for ("\n" is the top level), and each of its newlines is followed
-by at least that pad: where its pad is the place's it goes in as it is,
-elsewhere with its pad replaced by the place's.
+records itself (hecke.eigen_json, hecke.word_rows and cli.cmd_relations)
+hands them over as `JsonText`, rendered for the depth where it stands,
+which write_json writes as it is.
 """
 
 from __future__ import annotations
@@ -22,15 +19,13 @@ _FLUSH_PIECES = 1024
 
 class JsonText:
     """A value (a pre-rendered record, say; in a list, several items joined
-    by "," and the pad) as write_json writes it where `pad` stands.  Its
-    only newlines are those of its indentation: an encoded string escapes
-    every newline it holds."""
+    by "," and the indentation) as write_json writes it where it stands:
+    its caller indents it for that depth."""
 
-    __slots__ = ("text", "pad")
+    __slots__ = ("text",)
 
-    def __init__(self, text: str, pad: str = "\n"):
+    def __init__(self, text: str):
         self.text = text
-        self.pad = pad
 
 
 def write_json(obj, write) -> None:
@@ -38,7 +33,7 @@ def write_json(obj, write) -> None:
     plus a newline, through `write` in chunks of about a thousand pieces;
     a JsonText ends its chunk, so a stream of large records is not held.
 
-    Takes dict with str keys, list, tuple, str, int, bool and None; an
+    Takes dict with str keys, list, str, int, bool and None; an
     iterator, written as the list of its items, each as it comes; and
     JsonText, which stands for the value it encodes.  Raises TypeError
     naming the type of anything else: no `to_json` emits floats or non-str
@@ -52,7 +47,7 @@ def write_json(obj, write) -> None:
         if t is str:
             append(_json_str(o))
         elif t is JsonText:  # a whole record: written out with what precedes it
-            append(o.text if o.pad == pad else o.text.replace(o.pad, pad))
+            append(o.text)
             write("".join(out))
             out.clear()
         elif t is dict:
@@ -84,9 +79,9 @@ def write_json(obj, write) -> None:
             append("false")
         elif t is int:
             append(int.__repr__(o))
-        elif t is list or t is tuple or isinstance(o, Iterator):
+        elif t is list or isinstance(o, Iterator):
             inner = pad + "  "
-            if (t is list or t is tuple) and o:
+            if t is list and o:
                 try:  # all items str: one join; the escaper rejects the rest
                     append("[" + inner + ("," + inner).join(map(_json_str, o))
                            + pad + "]")

@@ -599,13 +599,13 @@ def test_write_json_across_flush_chunks():
     def tree(depth):
         if depth == 0:
             return rng.choice([rng.randint(-10**30, 10**30), "x\"\\\né",
-                               None, True, False, [], {}, ()])
+                               None, True, False, [], {}])
         kind = rng.randrange(3)
         if kind == 0:
             return {f"k{rng.randint(0, 99)}": tree(depth - 1) for _ in range(4)}
         if kind == 1:
             return [tree(depth - 1) for _ in range(4)]
-        return tuple(str(rng.random()) for _ in range(3))
+        return [str(rng.random()) for _ in range(3)]
 
     obj = [tree(6) for _ in range(10)]
     pieces = _written(obj)
@@ -618,6 +618,7 @@ def test_write_json_across_flush_chunks():
     ({"a": [1, {"b": {3}}]}, "cannot write set as JSON"),
     (["a", 0.5], "cannot write float as JSON"),
     ({"a": 1, 2: "b"}, "keys must be str, not int"),
+    ({"a": [(1, 2)]}, "cannot write tuple as JSON"),
 ])
 def test_write_json_rejects_what_no_output_holds(obj, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
@@ -689,6 +690,61 @@ def test_cli_messages_are_pinned(capsys, monkeypatch, case):
     out = capsys.readouterr()
     assert (exc.value.code, _sha(out.out), _sha(out.err)) == (
         code, out_sha, err_sha)
+
+
+@pytest.fixture
+def str_digits():
+    """sys.set_int_max_str_digits for one test, restored after it."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv,digits", [
+    (["eigen", "--level", "30", "--weight", "1800"], 7967),
+    (["hecke", "--level", "30", "--weight", "3200", "--op", "T1:5"], 4474),
+    (["eigen", "--level", "6", "--weight", "5000"], 11670),
+    (["eigen", "--level", "6", "--weight", "5000", "--format", "csv"], 4771),
+    (["relations", "--level", "30", "--weight", "7000"], 4894),
+], ids=["eigen-json", "hecke", "eigen-level-6", "eigen-csv", "relations"])
+def test_integers_past_the_str_digit_limit_are_refused_first(
+        capsys, str_digits, argv, digits):
+    # the command would have stopped part way, in str(), after up to
+    # 391,734 bytes; it now refuses before the first one
+    str_digits(4300)
+    assert run(capsys, *argv) == (1, "", (
+        f"error: the output would print integers of up to {digits} digits; "
+        f"at most 4300 can be printed\n"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--level", "30", "--weight", "200"],
+    ["eigen", "--level", "35", "--weight", "301", "--char", "5:1"],
+    ["eigen", "--level", "105", "--weight", "200", "--char", "5:1,7:1"],
+    ["eigen", "--level", "1155", "--weight", "320", "--char", "5:2,7:3,11:5",
+     "--primes", "2", "--format", "csv"],
+    ["hecke", "--level", "15", "--weight", "301", "--char", "5:1",
+     "--op", "T:2;T1:3;T:5"],
+    ["hecke", "--level", "30", "--weight", "400", "--op", "T:2;T1:3;S1:5"],
+    ["relations", "--level", "30", "--weight", "1000"],
+])
+def test_the_digit_bound_holds_where_the_output_is_printed(
+        capsys, str_digits, argv):
+    # at the least limit above the bound the whole output is written, and
+    # no integer in it has more digits than the bound; a limit one below
+    # the bound refuses the output
+    str_digits(640)  # the least limit there is
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    bound = int(err.split("up to ")[1].split()[0])
+    str_digits(bound)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    longest = max(map(len, "".join(c if c.isdigit() else " "
+                                   for c in out).split()))
+    assert bound - 3 <= longest <= bound
+    str_digits(bound - 1)
+    assert run(capsys, *argv)[:2] == (1, "")
 
 
 def _registered(parser) -> list[str]:

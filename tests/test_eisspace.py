@@ -52,7 +52,7 @@ def test_ordering_deterministic_and_triangular_friendly():
     ]
     again = enumerate_partitions(6, None, 4)
     assert again.basis == sp.basis
-    ranks = [p.total_rank for p in sp.basis]
+    ranks = [p.rank_of(2) + p.rank_of(3) for p in sp.basis]
     assert ranks == sorted(ranks)
 
 
@@ -84,12 +84,6 @@ def test_index_of_code_finds_each_basis_element(spec):
     assert off == set(range(3 ** 5)) - set(sp.codes)
     # rank 1 at 5 or 11 is off the basis when chi_5 and chi_11 are not real
     assert len(off) == (0 if spec == "1" else 3 ** 5 - 3 ** 3 * 2 ** 2)
-
-
-def test_rank_vectors():
-    assert Partition(6, 1, 1).rank_vector() == {2: 0, 3: 0}
-    assert Partition(2, 3, 1).rank_vector() == {2: 0, 3: 1}
-    assert Partition(1, 2, 3).rank_vector() == {2: 1, 3: 2}
 
 
 def test_partition_validation():

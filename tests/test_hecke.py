@@ -496,7 +496,7 @@ def test_word_rows_are_the_dense_rows_each_value_encoded_once(monkeypatch):
     monkeypatch.setattr(hecke, "_text", counted)
     rows = list(hecke.word_rows(ops, word))
     dense = _word_dense(ops, word)
-    assert all(row.pad == "\n    " for row in rows)
+    assert all(row.text.endswith("\n    ]") for row in rows)  # at depth 2
     assert [json.loads(row.text) for row in rows] == [
         [c.to_json() for c in row] for row in dense]
     distinct = {(c.m, c.n, c.d) for row in dense for c in row}
@@ -747,8 +747,7 @@ def test_expansion_views_agree_and_sharing_changes_no_byte():
     records = list(eigen_json(system)["eigenbasis"])
     assert len(records) == len(system.entries) == 108
     for e, record in zip(system.entries, records):
-        assert record.pad == "\n    "
-        assert record.text.replace(record.pad, "\n") == json.dumps(
+        assert record.text.replace("\n    ", "\n") == json.dumps(
             _plain_entry(e), indent=2, sort_keys=True)
 
 

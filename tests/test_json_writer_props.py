@@ -3,9 +3,8 @@
 For every tree of the types the writer takes, the concatenated writes must
 equal json.dumps(tree, indent=2, sort_keys=True) plus a newline, also when
 random subtrees are handed to the writer pre-encoded as a `JsonText`, each
-rendered for a random depth's pad, which need not be the depth where it
-stands, and when random lists, empty ones included, are handed to it as
-generators.
+rendered for the depth where it stands, and when random lists, empty ones
+included, are handed to it as generators.
 """
 
 import json
@@ -25,7 +24,6 @@ trees = st.recursive(
     leaves,
     lambda kids: (st.lists(text, min_size=2, max_size=4)  # the all-str join
                   | st.lists(kids, max_size=5)
-                  | st.lists(kids, max_size=5).map(tuple)
                   | st.dictionaries(text, kids, max_size=5)),
     max_leaves=40,
 )
@@ -43,18 +41,19 @@ def test_write_json_matches_json_dumps(tree):
     assert _written(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
-def _pre_encode(tree, draw):
+def _pre_encode(tree, draw, depth=0):
     """`tree` with each subtree, drawn at random, replaced by its encoded
-    form rendered for the pad of a random depth, its own subtrees first, so
-    encoded values nest."""
+    form (json.dumps) rendered for the depth where it stands."""
     if type(tree) is dict:
-        tree = {k: _pre_encode(v, draw) for k, v in tree.items()}
-    elif type(tree) in (list, tuple):
-        tree = type(tree)(_pre_encode(v, draw) for v in tree)
+        spliced = {k: _pre_encode(v, draw, depth + 1) for k, v in tree.items()}
+    elif type(tree) is list:
+        spliced = [_pre_encode(v, draw, depth + 1) for v in tree]
+    else:
+        spliced = tree
     if not draw(st.booleans()):
-        return tree
-    pad = "\n" + "  " * draw(st.integers(0, 4))
-    return JsonText(_written(tree)[:-1].replace("\n", pad), pad)
+        return spliced
+    text = json.dumps(tree, indent=2, sort_keys=True)
+    return JsonText(text.replace("\n", "\n" + "  " * depth))
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
@@ -66,11 +65,11 @@ def test_pre_encoded_subtrees_splice_at_any_depth(tree, data):
 
 
 def _as_generators(tree, draw):
-    """`tree` with each list or tuple, drawn at random, replaced by a
-    generator of its items, its own subtrees first."""
+    """`tree` with each list, drawn at random, replaced by a generator of
+    its items, its own subtrees first."""
     if type(tree) is dict:
         return {k: _as_generators(v, draw) for k, v in tree.items()}
-    if type(tree) in (list, tuple):
+    if type(tree) is list:
         items = [_as_generators(v, draw) for v in tree]
         return (v for v in items) if draw(st.booleans()) else items
     return tree

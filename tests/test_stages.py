@@ -51,6 +51,13 @@ def test_through_stops_after_the_named_stage(capsys):
     assert (out["dimension"], out["tables"], out["local_rows"]) == (27, 6, 18)
 
 
+@pytest.mark.parametrize("char, conductor", [("1", 1), ("5:1,11:1", 20)])
+def test_the_largest_conductor_is_counted(capsys, char, conductor):
+    out = run_tool(capsys, "--through", "eigenbasis", "--", "eigen", "--level",
+                   "2310", "--weight", "4", "--char", char)
+    assert out["max_conductor"] == conductor
+
+
 def test_the_tool_imports_only_the_cli():
     nodes = list(ast.walk(ast.parse(TOOL.read_text())))
     names = [a.name for n in nodes if isinstance(n, ast.Import)

@@ -8,7 +8,10 @@ that counts bytes, and times the gaps between its `stage` callbacks (the
 stages of each command are listed in the `siegeleis.cli` docstring).  The
 first stage also holds the argument parsing (and, on the first repeat, the
 imports).  The counts (dimension, tables and local rows of the stored
-tables) are read off what the stages hand over, with the clock stopped.
+tables, and max_conductor, the largest conductor m of the values in the
+tables' local rows, the eigenvalue columns and local vectors, and a
+provider's coefficients) are read off what the stages hand over, with the
+clock stopped.
 `--through STAGE` stops after that stage.  Prints one JSON line: the
 command, its exit code (null when stopped), the best time of each stage over
 the repeats, and the counts.
@@ -42,10 +45,22 @@ def _count(value, counts: dict) -> None:
     space = getattr(value, "space", value)
     if hasattr(space, "dimension"):
         counts["dimension"] = space.dimension
-    if hasattr(value, "stored"):
+    values = []  # the exact values the stage hands over
+    if hasattr(value, "stored"):  # the tables' local rows
         tables = value.stored().values()
         counts["tables"] = len(tables)
         counts["local_rows"] = sum(len(t.local) for t in tables)
+        values = [a for t in tables for row in t.local.values()
+                  for _, a in (row if type(row) is tuple else ((0, row),))]
+    if hasattr(value, "columns"):  # eigenvalues and local vectors
+        values = [a for col in value.columns.values() for a in col]
+        values += [a for v in value.vectors for u in v.local
+                   for a in u.values()]
+    if hasattr(value, "expansion"):  # a provider's coefficients
+        values = value.expansion.coeffs.values()
+    if values:
+        counts["max_conductor"] = max(counts.get("max_conductor", 1),
+                                      *(a.m for a in values))
 
 
 def one_run(argv: list[str], through: str | None):
