@@ -165,10 +165,9 @@ def eigen_csv(system, op_list):
 
 def cmd_relations(args) -> int:
     from .characters import DirichletCharacter
-    from .cyclotomic import prime_factors
+    from .cyclotomic import check_printable, prime_factors
     from .eisspace import enumerate_partitions
-    from .hecke import (SpaceOperators, _text, check_printable,
-                        relation_defects, s_constant)
+    from .hecke import SpaceOperators, _text, relation_defects, s_constant
     char = DirichletCharacter.trivial(args.level)
     if args.weight % 2:  # the trivial character is even: the space is zero
         raise ValueError(f"relation words need an even weight, got {args.weight}")
@@ -223,14 +222,17 @@ def cmd_fourier(args) -> int:
         for u in word:
             exp = apply_U(exp, u)
         args.stage("apply", None)
+        _check_fourier_printable([exp])
         out = exp.to_json()
     elif task == "--ops":
         comps = krylov_spectral(provider.expansion, word, bound)
         args.stage("ops", None)
+        _check_fourier_printable([], comps)
         out = [_component_json(c) for c in comps]
     else:
         labeled = project_components(provider, level, provider.weight, bound)
         args.stage("project", None)
+        _check_fourier_printable([], [comp for _, comp in labeled])
         out = {
             "level": level,
             "weight": provider.weight,
@@ -250,6 +252,15 @@ def _u_word(text: str, flag: str) -> list:
     if not all(isinstance(op, UOperator) for op in word):
         raise ValueError(f"`fourier {flag}` takes U:Q,P operators only")
     return word
+
+
+def _check_fourier_printable(expansions, comps=()) -> None:
+    """check_printable for what `fourier` prints: the coefficients of each
+    expansion on its domain, and each component's eigenvalues and expansion."""
+    from .cyclotomic import check_printable
+    expansions = [*expansions, *(c.expansion for c in comps)]
+    check_printable([*(lam for c in comps for lam in c.eigenvalues.values()),
+                     *(e.coeffs[k] for e in expansions for k in e.domain_keys())])
 
 
 def _component_json(comp) -> dict:

@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, lcm, log10, prod
 
 DEFAULT_CONDUCTOR_CAP = 120
 
@@ -229,6 +229,28 @@ def root_sum_growth(m: int) -> int:
     (the trace down to its field, over the degree, keeps W: _subfields)."""
     return max(sum(abs(c) for _, c in row)
                for k in divisors(m) for row in _reduction_rows(k)[1])
+
+
+def _height(c: CycNum) -> int:
+    return max(c.d, sum(map(abs, c.n)))
+
+
+def check_printable(values, factors=()) -> None:
+    """Refuse, with ValueError, an output that prints `values` and integers
+    of at most rho times the product of `factors` (rho the root_sum_growth
+    of the values' fields), where one may pass sys.get_int_max_str_digits()
+    digits, the most that str() writes.  A value c = (sum n_i z^i) / d
+    prints integers of at most H(c) = max(d, sum |n_i|); a product of
+    values f_j, whose denominator divides the product of the d(f_j), at
+    most rho times the product of the H(f_j)."""
+    limit = sys.get_int_max_str_digits()
+    bound = (max([prod(factors), *map(_height, values)])
+             * root_sum_growth(lcm(*{v.m for v in values})))
+    # below 2^(3 limit), which is below 10^limit, no power need be formed
+    if limit and bound.bit_length() > 3 * limit and bound >= 10 ** limit:
+        raise ValueError(f"the output would print integers of up to "
+                         f"{int(log10(bound)) + 1} digits; at most {limit} "
+                         f"can be printed")
 
 
 _new = object.__new__

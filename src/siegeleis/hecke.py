@@ -15,17 +15,16 @@ off-diagonal terms vanish).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from math import gcd, lcm, log10, prod
+from math import gcd, lcm
 from operator import itemgetter
 
 from .characters import legendre_epsilon
-from .cyclotomic import CycNum, as_cyc, is_prime, root_sum_growth
+from .cyclotomic import CycNum, _height, as_cyc, check_printable, is_prime
 from .eisspace import EisSpace, Partition, prime_factors
 from .jsonout import JsonText
 
@@ -314,36 +313,58 @@ def _coeff_c(space: EisSpace, rho: Partition, q: int) -> CycNum:
     return -(chi2 * Fraction(q * q - 1, q * q)) / (chi01 * q ** (k - 2) - chi2)
 
 
-class TensorVector:
-    """The eigenvector of a basis partition, stored as the tensor product of
-    its local vectors.
+@dataclass
+class EigenVectorEntry:
+    partition: Partition
+    local: tuple[dict[int, CycNum], ...]  # u_q at each prime q of N
+    eigenvalues: dict[HeckeOp, CycNum]
 
-    ``local[x]`` is the local vector u_q at the x-th prime q of N: a map
-    rank -> value, 1 at the partition's rank, that eigenbasis builds and
-    checks once per key of T(q) and shares with that key's vectors, so it
-    is read only.  The coefficient at a rank tuple s is the product of the
-    u_q[s_q]; the factors at the partition's own ranks are 1 and left out.
-    ``dense()`` and eigen_json expand the vector, through _expand.
-    """
 
-    __slots__ = ("space", "partition", "local")
+@dataclass
+class EigenSystem:
+    """The verified eigenvectors and eigenvalues, and the tables they were
+    verified against, stored as columns over the basis (eigenbasis).  The
+    i-th eigenvector is the tensor product of its local vectors
+    ``local[x][i]``, u_q at the x-th prime q of N: a map rank -> value, 1
+    at the i-th partition's rank, one shared, read-only object per key of
+    T(q).  ``dense(i)`` and eigen_json expand it, through _expand.
+    ``columns[op][i]`` is its eigenvalue for the table of op, one object
+    per (table, key); ``columns`` has the keys of ``tables``, in order.
+    ``entries`` is a view as one object per basis element, built on each
+    access."""
 
-    def __init__(self, space: EisSpace, partition: Partition,
-                 local: tuple[dict[int, CycNum], ...]):
-        self.space = space
-        self.partition = partition
-        self.local = local
+    space: EisSpace
+    tables: dict[HeckeOp, HeckeMatrix]
+    local: tuple[list[dict[int, CycNum]], ...]
+    columns: dict[HeckeOp, list[CycNum]]
 
-    def dense(self) -> list[CycNum]:
+    @property
+    def entries(self) -> list[EigenVectorEntry]:
+        return [EigenVectorEntry(rho, tuple(col[i] for col in self.local),
+                                 {op: col[i] for op, col in self.columns.items()})
+                for i, rho in enumerate(self.space.basis)]
+
+    def dense(self, i: int) -> list[CycNum]:
+        """The i-th eigenvector, as a list over the basis."""
         out = [_ZERO] * self.space.dimension
-        for i, c in _expand(self, {}):
-            out[i] = c
+        for j, c in _expand(self, i, {}):
+            out[j] = c
         return out
 
+    def keyed(self, op_list) -> list[HeckeOp]:
+        """The op of ``tables`` equal to each op of op_list; an op without a
+        verified table raises ValueError."""
+        own = {op: op for op in self.tables}
+        for op in op_list:
+            if op not in own:
+                raise ValueError(
+                    f"{op} was not verified; build its table before eigenbasis")
+        return [own[op] for op in op_list]
 
-def _expand(vec: TensorVector, products: dict) -> zip:
-    """The nonzero coefficients of vec as (basis index, value) pairs, in
-    no particular order.
+
+def _expand(system: EigenSystem, i: int, products: dict) -> zip:
+    """The nonzero coefficients of the i-th eigenvector of system as (basis
+    index, value) pairs, in no particular order.
 
     Each value is the product, from 1, of its local entries off the
     partition's ranks, the primes in ascending order.  `products` maps
@@ -355,11 +376,10 @@ def _expand(vec: TensorVector, products: dict) -> zip:
     terms so far, shifted and multiplied; the codes become basis indices
     at the end.
     """
-    space = vec.space
-    i = space.index_of(vec.partition)
-    ranks, codes, coeffs = space.rank_tuples[i], [space.codes[i]], [_ONE]
-    for x, r in enumerate(ranks):
-        moves = [((t - r) * 3 ** x, a) for t, a in vec.local[x].items()
+    space = system.space
+    codes, coeffs = [space.codes[i]], [_ONE]
+    for x, (r, col) in enumerate(zip(space.rank_tuples[i], system.local)):
+        moves = [((t - r) * 3 ** x, a) for t, a in col[i].items()
                  if t != r and not a.is_zero()]
         if not moves:
             continue
@@ -376,44 +396,6 @@ def _expand(vec: TensorVector, products: dict) -> zip:
                 coeffs.append(p)
             codes += [s + shift for s in base_codes]
     return zip(map(space.index_of_code.__getitem__, codes), coeffs)
-
-
-@dataclass
-class EigenVectorEntry:
-    partition: Partition
-    vector: TensorVector
-    eigenvalues: dict[HeckeOp, CycNum]
-
-
-@dataclass
-class EigenSystem:
-    """The verified eigenvectors, and the tables they were verified against,
-    stored as columns over the basis: ``vectors[i]`` is the eigenvector of
-    the i-th basis partition, and ``columns[op][i]`` its eigenvalue for the
-    table of op, one object per (table, key) (eigenbasis).  ``columns`` has
-    the keys of ``tables``, in their order.  ``entries`` is a view of the
-    same data as one object per basis element, built on each access."""
-
-    space: EisSpace
-    tables: dict[HeckeOp, HeckeMatrix]
-    vectors: list[TensorVector]
-    columns: dict[HeckeOp, list[CycNum]]
-
-    @property
-    def entries(self) -> list[EigenVectorEntry]:
-        return [EigenVectorEntry(rho, vec, dict(zip(self.columns, lams)))
-                for rho, vec, *lams in zip(self.space.basis, self.vectors,
-                                           *self.columns.values())]
-
-    def keyed(self, op_list) -> list[HeckeOp]:
-        """The op of ``tables`` equal to each op of op_list; an op without a
-        verified table raises ValueError."""
-        own = {op: op for op in self.tables}
-        for op in op_list:
-            if op not in own:
-                raise ValueError(
-                    f"{op} was not verified; build its table before eigenbasis")
-        return [own[op] for op in op_list]
 
 
 def _local_vector(space: EisSpace, rho: Partition, q: int,
@@ -455,15 +437,16 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     each eigenvector v is then proved to satisfy v.M = lambda.v, with lambda
     the diagonal entry at rho, against every stored table M at a prime p.
     Basis elements are indexed by their rank tuples over the primes of N,
-    and v is by definition the tensor product of its local vectors u_q
-    (TensorVector).  The character values in u_q are those of the primes in
-    A_q, so u_q depends on rho only through its key in the table of T(q)
-    (ranks at A_q, then at q): it is built once per key, at the key's
-    representative row (_representatives, the key's first basis index), and
-    shared by the key's vectors.  A table at p is stored
-    factored (HeckeMatrix): it moves only the rank at p, and its rows with
-    the same key share one local row, so its block over each p-fiber is a
-    local block L_key.  The proof has two checks, each exact:
+    and v is by definition the tensor product of its local vectors u_q.
+    The character values in u_q are those of the primes in A_q, so u_q
+    depends on rho only through its key in the table of T(q) (ranks at
+    A_q, then at q): it is built once per key, at the key's representative
+    row (_representatives, the key's first basis index), and the column of
+    q (EigenSystem.local) holds that one object at each of the key's basis
+    indices.  A table at p is stored factored (HeckeMatrix): it moves only
+    the rank at p, and its rows with the same key share one local row, so
+    its block over each p-fiber is a local block L_key.  The proof has two
+    checks, each exact:
 
     1. Once per (prime, key): u_q[rank at q] == 1, so v[rho] == 1 for
        every vector and the factors that the expansion leaves out are 1.
@@ -495,20 +478,17 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     # why) for each failure found; the least one is raised
     failures = []
     primes = prime_factors(space.level)
-    per_prime = []  # per prime q of N, the u_q of each basis element
+    local = []  # per prime q of N, the u_q of each basis element
     for q in primes:
         hm = ops.matrix(HeckeOp("T", q))
-        local = {}  # key -> u_q; a key ends with the rank at q
+        by_key = {}  # key -> u_q; a key ends with the rank at q
         for key, i in _representatives(space, hm.places).items():
-            u = local[key] = _local_vector(space, space.basis[i], q, key[-1])
+            u = by_key[key] = _local_vector(space, space.basis[i], q, key[-1])
             if not u.get(key[-1], _ZERO).is_one():
                 failures.append((i, -1, next(iter(tables)),
                                  "a local vector is not 1 at rho"))
-        per_prime.append(list(map(local.__getitem__,
-                                  map(hm.key, space.rank_tuples))))
-    # at level 1 there is no prime, and the one vector has no local vector
-    vectors = [TensorVector(space, rho, tuple(us))
-               for rho, *us in zip(space.basis, *per_prime)]
+        local.append(list(map(by_key.__getitem__,
+                              map(hm.key, space.rank_tuples))))
     columns = {}
     for t, (op, hm) in enumerate(tables.items()):
         lams: dict = {}  # key -> lambda, the diagonal value of its rows
@@ -517,7 +497,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
                              ops.matrix(HeckeOp("T", primes[y])).places}))
         for i in sorted(_representatives(space, read).values()):
             lam = lams.setdefault(hm.key(space.rank_tuples[i]), hm.diagonal(i))
-            near = list(hm.key(vectors[i].local))
+            near = [local[x][i] for x in hm.places]
             u = None if hm.pos is None else near.pop()
             if not all(_is_local_eigen(hm.local, k, u, lam)
                        for k in product(*near)):
@@ -528,7 +508,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
         i, _, op, why = min(failures, key=itemgetter(0, 1))
         raise RuntimeError("eigenvector verification failed for "
                            f"rho={space.basis[i]}, op={op}: {why}")
-    return EigenSystem(space, tables, vectors, columns)
+    return EigenSystem(space, tables, tuple(local), columns)
 
 
 # -- closed forms and comparison ----------------------------------------------
@@ -603,12 +583,13 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison
         op_list = SpaceOperators(space).level_ops()
     out = []
     for op in system.keyed(op_list):
-        values = system.columns[op]
-        pairs = list(zip(map(system.tables[op].key, space.rank_tuples),
-                         map(id, values)))
-        # each distinct (key, value object), in the order they first occur,
-        # with an index that has it; the column keeps every id alive
-        seen = dict(zip(pairs, range(len(pairs))))
+        values, key_of = system.columns[op], system.tables[op].key
+
+        def pairs():  # (key, id of the value) per row, made once per pass
+            return zip(map(key_of, space.rank_tuples), map(id, values))
+        # each distinct pair, in the order they first occur, with an index
+        # that has it; the column keeps every id alive, and no pair is held
+        seen = dict(zip(pairs(), range(len(values))))
         closed: dict = {}  # key -> (closed form, expected mismatch)
         cases = []
         for (key, _), i in seen.items():
@@ -620,7 +601,8 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison
                     op.kind == "T1" and op.p in primes and rho.rank_of(op.p) == 1)
             cases.append((mval, hit[0], bool(mval == hit[0]), hit[1]))
         index = dict(zip(seen, range(len(cases))))
-        out.append(Comparison(op, list(map(index.__getitem__, pairs)), cases))
+        case = list(map(index.__getitem__, pairs()))
+        out.append(Comparison(op, case, cases))
     return out
 
 
@@ -635,38 +617,17 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
             for mval, cval, match, expected in (c.cases[c.case[i]],)]
 
 
-def _height(c: CycNum) -> int:
-    return max(c.d, sum(map(abs, c.n)))
-
-
-def check_printable(values, factors=()) -> None:
-    """Refuse, with ValueError, an output that prints `values` and integers
-    of at most rho times the product of `factors` (rho the root_sum_growth
-    of the values' fields), where one may pass sys.get_int_max_str_digits()
-    digits, the most that str() writes.  A value c = (sum n_i z^i) / d
-    prints integers of at most H(c) = max(d, sum |n_i|); a product of
-    values f_j, whose denominator divides the product of the d(f_j), at
-    most rho times the product of the H(f_j)."""
-    limit = sys.get_int_max_str_digits()
-    bound = (max([prod(factors), *map(_height, values)])
-             * root_sum_growth(lcm(*{v.m for v in values})))
-    # below 2^(3 limit), which is below 10^limit, no power need be formed
-    if limit and bound.bit_length() > 3 * limit and bound >= 10 ** limit:
-        raise ValueError(f"the output would print integers of up to "
-                         f"{int(log10(bound)) + 1} digits; at most {limit} "
-                         f"can be printed")
-
-
 def check_eigen_printable(system: EigenSystem, comparisons,
                           vectors: bool) -> None:
     """check_printable for `eigen`: the comparison cases and, in JSON, the
     eigenvalue columns and the vector coefficients, each a product of one
-    local entry per prime."""
+    local entry per prime, read off the distinct objects of each column of
+    system.local."""
     values = [v for c in comparisons for case in c.cases for v in case[:2]]
     factors = []
-    if vectors:  # the distinct local vectors at each prime
-        for us in zip(*(v.local for v in system.vectors)):
-            entries = [a for u in dict(zip(map(id, us), us)).values()
+    if vectors:
+        for col in system.local:
+            entries = [a for u in dict(zip(map(id, col), col)).values()
                        for a in u.values()]
             factors.append(max(map(_height, entries)))
             values += entries
@@ -718,15 +679,16 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
     its rows (several list items in one record) and its entry; the
     descriptor's basis is one record.
 
-    The records are read off columns, with no object per row or entry.
-    Each distinct value and partition is encoded once per depth, by _text
-    (values through _value_texts).  Per op, a row's text up to its
+    The records are read off columns, with no object per row, entry or
+    vector.  Each distinct value and partition is encoded once per depth,
+    by _text (values through _value_texts).  Per op, a row's text up to its
     partition is built once per case of eigenvalue_comparisons, one per
     (key, matrix value object), and an eigenvalue line once per value
     object of the op's column; a record takes them by basis index, the
-    ops being sorted by name once.  A vector item's text up to its
-    partition is memoized per coefficient object, each 1 or held by the
-    product memo that all vectors share (_expand).  The comparison and
+    ops being sorted by name once.  Each vector is expanded by its basis
+    index from the columns of local vectors (_expand), and a vector item's
+    text up to its partition is memoized per coefficient object, each 1 or
+    held by the product memo that all vectors share.  The comparison and
     check_eigen_printable run first, so an op that eigenbasis did not
     verify, or an integer too long for str(), raises ValueError before any
     record.
@@ -767,10 +729,11 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
         item_end = [f',{pad5}"partition": {_text(p, 5)}{pad4}}}'
                     for p in space.basis]
         sep = "," + pad4
-        for p, vec, eigs in zip(part, system.vectors,
-                                zip(*lines) if lines else repeat(())):
+        eigen_lines = zip(*lines) if lines else repeat(())
+        for i, (p, eigs) in enumerate(zip(part, eigen_lines)):
             items = []
-            for j, c in sorted(_expand(vec, products), key=itemgetter(0)):
+            for j, c in sorted(_expand(system, i, products),
+                               key=itemgetter(0)):
                 start = starts.get(id(c))
                 if start is None:
                     start = starts[id(c)] = f'{{{pad5}"coeff": {value(c, 5)}'

@@ -588,7 +588,7 @@ def _check_eigen_oracle(config, run):
             if len(hits) != 1:
                 bad.append(f"eigenvalue tags match {len(hits)} vectors")
                 continue
-            dense = system.vectors[hits[0]].dense()
+            dense = system.dense(hits[0])
             v = basis[0]
             p = next(i for i, y in enumerate(dense) if not y.is_zero())
             if v[p].is_zero() or any(not (x * dense[p] == y * v[p])

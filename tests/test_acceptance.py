@@ -115,12 +115,13 @@ def test_criterion_5_worked_fixture():
     ok = T2 == [[1, Fraction(1, 2), Fraction(1, 2)], [0, 8, 6], [0, 0, 32]]
     ok = ok and T1 == [
         [3, Fraction(9, 2), Fraction(3, 4)], [0, 66, Fraction(15, 2)], [0, 0, 96]]
-    entry = {e.partition: e for e in eigenbasis(ops).entries}
+    system = eigenbasis(ops)
+    entry = {e.partition: e for e in system.entries}
     at = space.index_of
-    corner = entry[Partition(2, 1, 1)].vector.dense()
+    corner = system.dense(at(Partition(2, 1, 1)))
     ok = ok and corner[at(Partition(1, 2, 1))] == Fraction(-1, 14)
     ok = ok and corner[at(Partition(1, 1, 2))] == Fraction(-1, 434)
-    mid = entry[Partition(1, 2, 1)].vector.dense()
+    mid = system.dense(at(Partition(1, 2, 1)))
     ok = ok and mid[at(Partition(1, 1, 2))] == Fraction(-1, 4)
     t2, t1 = HeckeOp("T", 2), HeckeOp("T1", 2)
     ok = ok and [entry[r].eigenvalues[t2] for r in space.basis] == [1, 8, 32]

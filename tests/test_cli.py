@@ -700,18 +700,45 @@ def str_digits():
     sys.set_int_max_str_digits(before)
 
 
+def _nines_provider(path) -> str:
+    """The E8 table with every value but the zero form's set to the
+    4300-digit integer 9...9, the longest that str() writes by default."""
+    lines = []
+    for line in PROVIDER.read_text().splitlines():
+        words = line.split()
+        if len(words) == 4 and words[0][0].isdigit() and words[:3] != ["0"] * 3:
+            line = " ".join(words[:3] + ["9" * 4300])
+        lines.append(line)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+NINES = "the 4300-digit provider"  # stands for _nines_provider's file
+
+
 @pytest.mark.parametrize("argv,digits", [
     (["eigen", "--level", "30", "--weight", "1800"], 7967),
     (["hecke", "--level", "30", "--weight", "3200", "--op", "T1:5"], 4474),
     (["eigen", "--level", "6", "--weight", "5000"], 11670),
     (["eigen", "--level", "6", "--weight", "5000", "--format", "csv"], 4771),
     (["relations", "--level", "30", "--weight", "7000"], 4894),
-], ids=["eigen-json", "hecke", "eigen-level-6", "eigen-csv", "relations"])
+    # U(2,1) sums values, past 4300 digits; U(1,2) keeps them, and prints
+    (["fourier", "--provider", NINES, "--apply", "U:2,1"], 4301),
+    (["fourier", "--provider", NINES, "--apply", "U:1,2"], None),
+], ids=["eigen-json", "hecke", "eigen-level-6", "eigen-csv", "relations",
+        "fourier-apply-sum", "fourier-apply-printable"])
 def test_integers_past_the_str_digit_limit_are_refused_first(
-        capsys, str_digits, argv, digits):
+        capsys, tmp_path, str_digits, argv, digits):
     # the command would have stopped part way, in str(), after up to
     # 391,734 bytes; it now refuses before the first one
     str_digits(4300)
+    if NINES in argv:
+        nines = _nines_provider(tmp_path / "nines.coeffs")
+        argv = [nines if word == NINES else word for word in argv]
+    if digits is None:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and "9" * 4300 in out
+        return
     assert run(capsys, *argv) == (1, "", (
         f"error: the output would print integers of up to {digits} digits; "
         f"at most 4300 can be printed\n"))

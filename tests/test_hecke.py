@@ -15,7 +15,7 @@ import siegeleis.verify as verify
 from siegeleis.characters import DirichletCharacter, legendre_epsilon
 from siegeleis.cyclotomic import CycNum, as_cyc, euler_phi, primes_up_to
 from siegeleis.eisspace import Partition, enumerate_partitions, prime_factors
-from siegeleis.hecke import (HeckeMatrix, HeckeOp, SpaceOperators, TensorVector,
+from siegeleis.hecke import (EigenSystem, HeckeMatrix, HeckeOp, SpaceOperators,
                              apply_word, compare_eigenvalues, eigen_json,
                              eigenbasis, eigenvalue_closed_form, hecke_matrix,
                              relation_defects, s_constant, s_operator)
@@ -49,9 +49,11 @@ def _vec_mat(v, rows):
     return acc
 
 
-def _coeffs(vec: TensorVector) -> dict:
-    """The nonzero coefficients of vec by partition, read off dense()."""
-    return {vec.space.basis[i]: c for i, c in enumerate(vec.dense()) if c}
+def _coeffs(system: EigenSystem, i: int) -> dict:
+    """The nonzero coefficients of the i-th eigenvector of system by
+    partition, read off dense(i)."""
+    return {system.space.basis[j]: c
+            for j, c in enumerate(system.dense(i)) if c}
 
 
 def test_worked_fixture_matrices():
@@ -71,13 +73,14 @@ def test_worked_fixture_eigenbasis():
     for p in (2, 3):
         ops.matrix(HeckeOp("T", p))
         ops.matrix(HeckeOp("T1", p))
-    entry = {e.partition: e for e in eigenbasis(ops).entries}
-    corner = entry[Partition(2, 1, 1)]
-    assert _coeffs(corner.vector)[Partition(2, 1, 1)] == 1
-    assert _coeffs(corner.vector)[Partition(1, 2, 1)] == Fraction(-1, 14)
-    assert _coeffs(corner.vector)[Partition(1, 1, 2)] == Fraction(-1, 434)
-    mid = entry[Partition(1, 2, 1)]
-    assert _coeffs(mid.vector)[Partition(1, 1, 2)] == Fraction(-1, 4)
+    system = eigenbasis(ops)
+    entry = {e.partition: e for e in system.entries}
+    corner = _coeffs(system, N2K4.index_of(Partition(2, 1, 1)))
+    assert corner[Partition(2, 1, 1)] == 1
+    assert corner[Partition(1, 2, 1)] == Fraction(-1, 14)
+    assert corner[Partition(1, 1, 2)] == Fraction(-1, 434)
+    mid = _coeffs(system, N2K4.index_of(Partition(1, 2, 1)))
+    assert mid[Partition(1, 1, 2)] == Fraction(-1, 4)
     t2 = HeckeOp("T", 2)
     t1 = HeckeOp("T1", 2)
     assert [entry[r].eigenvalues[t2] for r in N2K4.basis] == [1, 8, 32]
@@ -85,12 +88,15 @@ def test_worked_fixture_eigenbasis():
 
 
 def test_trivial_level_one_eigenvector():
-    # level 1 has no prime: the one vector is the empty tensor product
+    # level 1 has no prime: no column of local vectors, and the one vector
+    # is the empty tensor product
     sp = enumerate_partitions(1, None, 4)
-    (v,) = eigenbasis(SpaceOperators(sp)).vectors
-    assert v.partition == Partition(1, 1, 1) and v.local == ()
-    assert v.dense() == [1]
-    assert _coeffs(v) == {Partition(1, 1, 1): CycNum.one()}
+    system = eigenbasis(SpaceOperators(sp))
+    assert system.local == ()
+    (e,) = system.entries
+    assert e.partition == Partition(1, 1, 1) and e.local == ()
+    assert system.dense(0) == [1]
+    assert _coeffs(system, 0) == {Partition(1, 1, 1): CycNum.one()}
 
 
 def test_closed_form_examples():
@@ -144,8 +150,8 @@ def test_higher_order_character_rows_are_diagonal():
     T1 = _word_dense(ops, [HeckeOp("T1", 5)])
     assert T1 == [[6, 0], [0, 6 * 5**7]]
     system = eigenbasis(ops)
-    for entry in system.entries:
-        assert list(_coeffs(entry.vector)) == [entry.partition]
+    for i, rho in enumerate(sp.basis):
+        assert list(_coeffs(system, i)) == [rho]
 
 
 def test_quadratic_character_epsilon_branch():
@@ -165,9 +171,8 @@ def test_quadratic_character_epsilon_branch():
     assert T1[i0][i0] == 4 and T1[i0][i2] == Fraction(-8, 9)
     assert T1[i0][i1].is_zero()
     assert T1[i1][i1] == 3**8 + 3
-    entry = {e.partition: e for e in eigenbasis(ops).entries}
-    corner = entry[Partition(3, 1, 1)]
-    assert _coeffs(corner.vector)[Partition(1, 1, 3)] == Fraction(1, 9837)
+    corner = _coeffs(eigenbasis(ops), i0)
+    assert corner[Partition(1, 1, 3)] == Fraction(1, 9837)
 
 
 def test_character_twisted_entries():
@@ -597,10 +602,10 @@ def test_expansion_gives_the_same_bytes_in_any_order():
     i, z3 = CycNum.root_of_unity(4), CycNum.root_of_unity(3)
     space = enumerate_partitions(30, None, 4)
     rho = Partition(10, 3, 1)  # ranks 0, 1, 0 at 2, 3, 5
-    vec = TensorVector(space, rho, ({0: CycNum.one(), 1: i},
-                                    {1: CycNum.one(), 2: z3},
-                                    {0: CycNum.one(), 2: -i}))
-    coeffs = _coeffs(vec)
+    local = tuple([u] * space.dimension for u in ({0: CycNum.one(), 1: i},
+                                                  {1: CycNum.one(), 2: z3},
+                                                  {0: CycNum.one(), 2: -i}))
+    coeffs = _coeffs(EigenSystem(space, {}, local, {}), space.index_of(rho))
     assert coeffs[Partition(1, 2, 15)].to_json() == z3.to_json()
     for a, b, c in permutations((i, z3, -i)):
         assert (a * b * c).to_json() == z3.to_json()
@@ -614,12 +619,12 @@ def test_eigenbasis_checks_a_shared_local_vector_per_object(monkeypatch):
     for level, spec, k in [(30, "1", 4), (30, "5:1", 5), (70, "5:1,7:2", 5)]:
         space = _space(level, spec, k)
         ops = SpaceOperators(space)
-        vectors = eigenbasis(ops).vectors
-        for x, q in enumerate(prime_factors(level)):
+        local = eigenbasis(ops).local
+        for q, col in zip(prime_factors(level), local, strict=True):
             key = ops.matrix(HeckeOp("T", q)).key
             held = {}  # key -> u_q
-            for vec, ranks in zip(vectors, space.rank_tuples):
-                assert held.setdefault(key(ranks), vec.local[x]) is vec.local[x]
+            for u, ranks in zip(col, space.rank_tuples, strict=True):
+                assert held.setdefault(key(ranks), u) is u
             assert len(set(map(id, held.values()))) == len(held)
         # chi_2 is trivial, so 2 is in no A_q: the partition with rank 1 at
         # 2 and 0 elsewhere holds every u_q, q != 2, of the corner (N,1,1),
@@ -680,8 +685,8 @@ def test_check_2_runs_once_per_key_and_local_vectors(monkeypatch, level, spec,
     for hm in system.tables.values():
         got.append(calls[id(hm.local)])
         pairs = {}  # (key, ids of the local vectors at the places) -> them
-        for ranks, vec in zip(ops.space.rank_tuples, system.vectors):
-            held = hm.key(vec.local)
+        for i, ranks in enumerate(ops.space.rank_tuples):
+            held = tuple(system.local[x][i] for x in hm.places)
             pairs[hm.key(ranks), tuple(map(id, held))] = held
         size = 0
         for held in pairs.values():
@@ -714,6 +719,28 @@ def test_a_wrong_local_vector_at_a_p_fails_at_its_first_partition(
         eigenbasis(_eigen_ops(level, spec, k, primes))
 
 
+def test_eigenvectors_are_stored_as_one_column_per_prime():
+    # system.local holds, per prime q of N, the u_q of each basis element,
+    # one object per key of T(q), and dense(i) is their tensor product:
+    # the coefficient at the rank tuple s is the product of the u_q[s_q]
+    space = _space(70, "5:1,7:2", 5)
+    ops = SpaceOperators(space)
+    system = eigenbasis(ops)
+    primes = prime_factors(70)
+    assert len(system.local) == len(primes) == 3
+    for q, col in zip(primes, system.local):
+        hm = ops.matrix(HeckeOp("T", q))
+        assert len(col) == space.dimension
+        pairs = set(zip(map(hm.key, space.rank_tuples), map(id, col)))
+        assert len(pairs) == len(set(map(id, col))) == len(hm.local)
+    for i in range(space.dimension):
+        us = [col[i] for col in system.local]
+        want = [math.prod((u.get(r, CycNum.zero()) for u, r in zip(us, s)),
+                          start=CycNum.one())
+                for s in space.rank_tuples]
+        assert system.dense(i) == want
+
+
 def test_local_vectors_are_computed_once_per_key(monkeypatch):
     # at the trivial character A_q is empty, so the key is (q, rank at q):
     # 3 per prime for the 243 vectors at N=2310
@@ -730,13 +757,14 @@ def test_local_vectors_are_computed_once_per_key(monkeypatch):
     assert sorted(calls) == [(q, r) for q in (2, 3, 5, 7, 11) for r in range(3)]
 
 
-def _plain_entry(e) -> dict:
-    """The JSON of an eigenbasis entry, built from dense() and to_json()."""
-    return {"partition": e.partition.to_json(),
+def _plain_entry(system, i: int) -> dict:
+    """The JSON of the i-th eigenbasis entry, built from dense(i), the
+    eigenvalue columns and to_json()."""
+    return {"partition": system.space.basis[i].to_json(),
             "vector": [{"partition": p.to_json(), "coeff": c.to_json()}
-                       for p, c in _coeffs(e.vector).items()],
-            "eigenvalues": {op.spec_string(): lam.to_json()
-                            for op, lam in e.eigenvalues.items()}}
+                       for p, c in _coeffs(system, i).items()],
+            "eigenvalues": {op.spec_string(): col[i].to_json()
+                            for op, col in system.columns.items()}}
 
 
 def test_expansion_views_agree_and_sharing_changes_no_byte():
@@ -746,9 +774,9 @@ def test_expansion_views_agree_and_sharing_changes_no_byte():
     system = eigenbasis(SpaceOperators(_space(2310, "5:1,11:1")))
     records = list(eigen_json(system)["eigenbasis"])
     assert len(records) == len(system.entries) == 108
-    for e, record in zip(system.entries, records):
+    for i, record in enumerate(records):
         assert record.text.replace("\n    ", "\n") == json.dumps(
-            _plain_entry(e), indent=2, sort_keys=True)
+            _plain_entry(system, i), indent=2, sort_keys=True)
 
 
 def test_json_memo_keeps_one_entry_per_value(monkeypatch):
@@ -821,7 +849,8 @@ def test_eigen_json_writes_the_plain_json():
         pieces = []
         write_json(out, pieces.append)
         plain = {"space": system.space.descriptor(),
-                 "eigenbasis": [_plain_entry(e) for e in system.entries],
+                 "eigenbasis": [_plain_entry(system, i) for i
+                                in range(system.space.dimension)],
                  "comparison": compare_eigenvalues(system, op_list)}
         assert len(plain["comparison"]) == len(system.entries) * len(op_list)
         assert "".join(pieces) == json.dumps(plain, indent=2,
@@ -1164,8 +1193,8 @@ def test_verified_vectors_pass_the_dense_check(level, spec, k, extra):
     system = eigenbasis(ops)
     stored = ops.stored()
     assert len(stored) == 2 * (len(prime_factors(level)) + len(extra))
-    for e in system.entries:
-        dense = e.vector.dense()
+    for i, e in enumerate(system.entries):
+        dense = system.dense(i)
         assert e.eigenvalues.keys() == stored.keys()
         for op, hm in stored.items():
             lam = e.eigenvalues[op]

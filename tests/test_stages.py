@@ -58,6 +58,15 @@ def test_the_largest_conductor_is_counted(capsys, char, conductor):
     assert out["max_conductor"] == conductor
 
 
+@pytest.mark.parametrize("char, count", [("1", 15), ("5:1,11:1", 42)])
+def test_the_distinct_local_vectors_are_counted(capsys, char, count):
+    # one per key of T(q): 3 per prime at the trivial character, and
+    # 12, 12, 4, 12 and 2 at 2, 3, 5, 7 and 11 at the conductor-20 one
+    out = run_tool(capsys, "--through", "eigenbasis", "--", "eigen", "--level",
+                   "2310", "--weight", "4", "--char", char)
+    assert out["local_vectors"] == count
+
+
 def test_the_tool_imports_only_the_cli():
     nodes = list(ast.walk(ast.parse(TOOL.read_text())))
     names = [a.name for n in nodes if isinstance(n, ast.Import)

@@ -4,7 +4,6 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import pytest
 
@@ -303,14 +302,16 @@ def test_oracle_misses_eigenvalues_off_the_diagonal():
 
 def _doctored_run(change):
     """The space run of N=2, k=4 after ``change`` edits copies of the
-    eigenvalue columns and the vectors of its eigenbasis."""
+    eigenvalue columns and of the dense vectors of its eigenbasis, which
+    the doctored system's dense(i) reads by basis index."""
     run = space_run(enumerate_partitions(2, None, 4), QUICK_CONFIG)
     system = run.system
     columns = {op: list(col) for op, col in system.columns.items()}
-    vectors = list(system.vectors)
+    vectors = [system.dense(i) for i in range(system.space.dimension)]
     change(columns, vectors)
-    return replace(run, system=replace(system, columns=columns,
-                                       vectors=vectors))
+    doctored = replace(system, columns=columns)
+    doctored.dense = vectors.__getitem__
+    return replace(run, system=doctored)
 
 
 def _doctored_oracle(change):
@@ -338,13 +339,10 @@ def test_eigen_oracle_fails_on_a_wrong_vector():
         "span mismatch at (1,2,1)", "span mismatch at (2,1,1)"]
 
     def last_coefficient(columns, vectors):
-        # (2,1,1) has coefficient -1/434 at (1,1,2); the oracle reads a
-        # vector only through dense()
-        vec = vectors[0]
-        dense = vec.dense()
-        dense[vec.space.index_of(Partition(1, 1, 2))] = as_cyc(
-            Fraction(-1, 433))
-        vectors[0] = SimpleNamespace(dense=lambda: dense)
+        # (2,1,1) has coefficient -1/434 at (1,1,2), the last basis index;
+        # the oracle reads a vector only through dense(i)
+        assert vectors[0][2] == Fraction(-1, 434)
+        vectors[0][2] = as_cyc(Fraction(-1, 433))
 
     assert _doctored_oracle(last_coefficient).details == (
         "span mismatch at (2,1,1)")
@@ -354,7 +352,7 @@ def test_closed_form_check_fails_on_a_wrong_value():
     def closed_forms(rho=None, op=None):
         def bump(columns, vectors):
             if rho is not None:
-                i = vectors[0].space.index_of(rho)
+                i = enumerate_partitions(2, None, 4).index_of(rho)
                 columns[op][i] = columns[op][i] + 1
         recs = verify._check_closed_forms(QUICK_CONFIG, _doctored_run(bump))
         return [(r.status, r.parameters.get("op"), r.details) for r in recs]

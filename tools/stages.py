@@ -8,10 +8,11 @@ that counts bytes, and times the gaps between its `stage` callbacks (the
 stages of each command are listed in the `siegeleis.cli` docstring).  The
 first stage also holds the argument parsing (and, on the first repeat, the
 imports).  The counts (dimension, tables and local rows of the stored
-tables, and max_conductor, the largest conductor m of the values in the
-tables' local rows, the eigenvalue columns and local vectors, and a
-provider's coefficients) are read off what the stages hand over, with the
-clock stopped.
+tables, local_vectors, the distinct objects in the eigen system's columns
+of local vectors, and max_conductor, the largest conductor m of the values
+in the tables' local rows, the eigenvalue columns and those local vectors,
+and a provider's coefficients) are read off what the stages hand over,
+with the clock stopped.
 `--through STAGE` stops after that stage.  Prints one JSON line: the
 command, its exit code (null when stopped), the best time of each stage over
 the repeats, and the counts.
@@ -54,8 +55,9 @@ def _count(value, counts: dict) -> None:
                   for _, a in (row if type(row) is tuple else ((0, row),))]
     if hasattr(value, "columns"):  # eigenvalues and local vectors
         values = [a for col in value.columns.values() for a in col]
-        values += [a for v in value.vectors for u in v.local
-                   for a in u.values()]
+        local = {id(u): u for col in value.local for u in col}
+        counts["local_vectors"] = len(local)
+        values += [a for u in local.values() for a in u.values()]
     if hasattr(value, "expansion"):  # a provider's coefficients
         values = value.expansion.coeffs.values()
     if values:
