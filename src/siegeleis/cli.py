@@ -147,20 +147,20 @@ def eigen_csv(system, op_list):
     eigenvalue_comparisons, partitions outer, yielded as the header line
     and then one chunk of lines per partition, so that no more than one
     partition's text is held; the rest of a line after its partition is
-    built once per case of its op."""
+    built once per key of its op's cases."""
     from .hecke import check_eigen_printable, eigenvalue_comparisons
     comparisons = eigenvalue_comparisons(system, op_list)
     check_eigen_printable(system, comparisons, False)
-    tails = []
-    for c in comparisons:
-        texts = [f"{c.op.spec_string()},{repr(mval).replace(' ', '')},"
-                 f"{repr(cval).replace(' ', '')},{str(match).lower()}"
-                 for mval, cval, match, _ in c.cases]
-        tails.append(list(map(texts.__getitem__, c.case)))
+    tails = [(c.key, {key: f"{c.op.spec_string()},{repr(mval).replace(' ', '')},"
+                           f"{repr(cval).replace(' ', '')},{str(match).lower()}"
+                      for key, (mval, cval, match, _) in c.cases.items()})
+             for c in comparisons]
     yield "partition,op,eigenvalue,closed_form,match\n"
-    for rho, row_tails in zip(system.space.basis, zip(*tails)):
+    space = system.space
+    for rho, ranks in zip(space.basis, space.rank_tuples) if tails else ():
         head = f"({rho.n0};{rho.n1};{rho.n2}),"
-        yield head + ("\n" + head).join(row_tails) + "\n"
+        yield head + ("\n" + head).join(
+            [texts[key(ranks)] for key, texts in tails]) + "\n"
 
 
 def cmd_relations(args) -> int:

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNum, as_cyc, is_squarefree, prime_factors
+from .cyclotomic import (CycNum, as_cyc, check_printable, is_squarefree,
+                         prime_factors)
 from .lattices import (
     GL2,
     SL2,
@@ -546,13 +547,14 @@ def project_components(provider: CoefficientProvider, N: int, k: int,
 
 def _fit_relation(measured: list[CycNum], closed: list[CycNum]) -> dict:
     """Describe measured = alpha*closed (+ beta) over the rationals if such a
-    relation exists; descriptive only."""
+    relation exists, alpha as "factor" and beta as "offset"; descriptive
+    only."""
     pairs = list(zip(measured, closed))
     for mu, lam in pairs:
         if not lam.is_zero():
             alpha = mu / lam
             if all(m == alpha * l for m, l in pairs):
-                return {"type": "scalar", "factor": alpha.to_json()}
+                return {"type": "scalar", "factor": alpha}
             break
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
@@ -562,57 +564,55 @@ def _fit_relation(measured: list[CycNum], closed: list[CycNum]) -> dict:
             alpha = (pairs[i][0] - pairs[j][0]) / dl
             beta = pairs[i][0] - alpha * pairs[i][1]
             if all(m == alpha * l + beta for m, l in pairs):
-                return {
-                    "type": "affine",
-                    "factor": alpha.to_json(),
-                    "offset": beta.to_json(),
-                }
+                return {"type": "affine", "factor": alpha, "offset": beta}
     return {"type": "none"}
+
+
+def _to_json(tree):
+    """A tree of dicts with each CycNum leaf replaced by its to_json()."""
+    if type(tree) is dict:
+        return {k: _to_json(v) for k, v in tree.items()}
+    return tree.to_json() if type(tree) is CycNum else tree
 
 
 def calibrate_normalization(provider: CoefficientProvider, N: int, k: int,
                             sample_bound: int = 2) -> dict:
     """Measured U eigenvalues per partition next to the closed-form tables,
     with the fitted rational relation when one exists.  The report documents
-    the normalization empirically; nothing here is asserted."""
+    the normalization empirically; nothing here is asserted.  Every value
+    it holds is bounded by check_printable before any is written as JSON,
+    so a report with an integer that str() cannot write raises ValueError
+    first."""
     from .eisspace import enumerate_partitions
     from .hecke import HeckeOp, SpaceOperators, eigenvalue_closed_form
     labeled = project_components(provider, N, k, sample_bound)
     space = enumerate_partitions(N, None, k, forced=(k % 2 == 1))
     ops = SpaceOperators(space)
-    report = {
-        "level": N,
-        "weight": k,
-        "sample_bound": sample_bound,
-        "primes": {},
-    }
+    names = [str(rho) for rho, _ in labeled]
+    report = {"level": N, "weight": k, "sample_bound": sample_bound,
+              "primes": {}}
+    values = []  # every CycNum of the report
     for q in prime_factors(N):
         entry = {}
         for u, hop in ((UOperator(1, q), HeckeOp("T", q)),
                        (UOperator(q, 1), HeckeOp("T1", q))):
             measured = [comp.eigenvalues[u] for _, comp in labeled]
-            closed = [
-                eigenvalue_closed_form(space, rho, hop) for rho, _ in labeled
-            ]
+            closed = [eigenvalue_closed_form(space, rho, hop)
+                      for rho, _ in labeled]
             hm = ops.matrix(hop)
             diag = [hm.diagonal(space.index_of(rho)) for rho, _ in labeled]
+            fits = _fit_relation(measured, closed), _fit_relation(measured, diag)
+            values += [*measured, *closed, *diag, *(
+                v for fit in fits for v in fit.values() if type(v) is CycNum)]
             entry[hop.kind] = {
                 "op": u.spec_string(),
-                "measured": {
-                    str(rho): comp.eigenvalues[u].to_json()
-                    for rho, comp in labeled
-                },
-                "closed_form": {
-                    str(rho): c.to_json()
-                    for (rho, _), c in zip(labeled, closed)
-                },
-                "matrix_diagonal": {
-                    str(rho): d.to_json()
-                    for (rho, _), d in zip(labeled, diag)
-                },
+                "measured": dict(zip(names, measured)),
+                "closed_form": dict(zip(names, closed)),
+                "matrix_diagonal": dict(zip(names, diag)),
                 "distinct_count": len(set(measured)),
-                "relation_to_closed_form": _fit_relation(measured, closed),
-                "relation_to_matrix": _fit_relation(measured, diag),
+                "relation_to_closed_form": fits[0],
+                "relation_to_matrix": fits[1],
             }
         report["primes"][str(q)] = entry
-    return report
+    check_printable(values)
+    return _to_json(report)

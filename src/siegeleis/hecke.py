@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, repeat
+from itertools import product
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 from operator import itemgetter
@@ -323,25 +323,37 @@ class EigenVectorEntry:
 @dataclass
 class EigenSystem:
     """The verified eigenvectors and eigenvalues, and the tables they were
-    verified against, stored as columns over the basis (eigenbasis).  The
-    i-th eigenvector is the tensor product of its local vectors
-    ``local[x][i]``, u_q at the x-th prime q of N: a map rank -> value, 1
-    at the i-th partition's rank, one shared, read-only object per key of
-    T(q).  ``dense(i)`` and eigen_json expand it, through _expand.
-    ``columns[op][i]`` is its eigenvalue for the table of op, one object
-    per (table, key); ``columns`` has the keys of ``tables``, in order.
-    ``entries`` is a view as one object per basis element, built on each
-    access."""
+    verified against, stored per key (eigenbasis).  ``local[x]`` maps each
+    key of T(q), q the x-th prime of N, to u_q: a map rank -> value, 1 at
+    the key's rank at q.  The i-th eigenvector is the tensor product of the
+    u_q at the i-th partition's keys; ``dense(i)`` and eigen_json expand
+    it, through _expand.  ``columns[op]`` maps each key of the table of op
+    to its eigenvalue; ``columns`` has the keys of ``tables``, in order.
+    ``at`` reads either kind of map by basis index.  ``entries`` is a view
+    as one object per basis element, built on each access."""
 
     space: EisSpace
     tables: dict[HeckeOp, HeckeMatrix]
-    local: tuple[list[dict[int, CycNum]], ...]
-    columns: dict[HeckeOp, list[CycNum]]
+    local: tuple[dict[tuple, dict[int, CycNum]], ...]
+    columns: dict[HeckeOp, dict[tuple, CycNum]]
+
+    @cached_property
+    def vector_ops(self) -> tuple[HeckeOp, ...]:
+        """T(q) for each prime q of N, whose table's keys key ``local``."""
+        return tuple(HeckeOp("T", q) for q in prime_factors(self.space.level))
+
+    def at(self, i: int, ops, maps) -> list:
+        """The i-th basis element's entry in each map of maps, read at its
+        key in the table of the op beside the map."""
+        ranks = self.space.rank_tuples[i]
+        return [m[self.tables[op].key(ranks)] for op, m in zip(ops, maps)]
 
     @property
     def entries(self) -> list[EigenVectorEntry]:
-        return [EigenVectorEntry(rho, tuple(col[i] for col in self.local),
-                                 {op: col[i] for op, col in self.columns.items()})
+        ops = list(self.columns)
+        return [EigenVectorEntry(
+                    rho, tuple(self.at(i, self.vector_ops, self.local)),
+                    dict(zip(ops, self.at(i, ops, self.columns.values()))))
                 for i, rho in enumerate(self.space.basis)]
 
     def dense(self, i: int) -> list[CycNum]:
@@ -378,8 +390,9 @@ def _expand(system: EigenSystem, i: int, products: dict) -> zip:
     """
     space = system.space
     codes, coeffs = [space.codes[i]], [_ONE]
-    for x, (r, col) in enumerate(zip(space.rank_tuples[i], system.local)):
-        moves = [((t - r) * 3 ** x, a) for t, a in col[i].items()
+    us = system.at(i, system.vector_ops, system.local)
+    for x, (r, u) in enumerate(zip(space.rank_tuples[i], us)):
+        moves = [((t - r) * 3 ** x, a) for t, a in u.items()
                  if t != r and not a.is_zero()]
         if not moves:
             continue
@@ -431,7 +444,7 @@ def _is_local_eigen(local, key, u, lam: CycNum) -> bool:
 
 def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     """One verified eigenvector per basis partition, in factored form, and
-    one column of eigenvalues per stored table (EigenSystem).
+    one map key -> eigenvalue per stored table (EigenSystem).
 
     The level operators T(q), T1(q^2) for q | N are constructed if absent;
     each eigenvector v is then proved to satisfy v.M = lambda.v, with lambda
@@ -441,12 +454,12 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     The character values in u_q are those of the primes in A_q, so u_q
     depends on rho only through its key in the table of T(q) (ranks at
     A_q, then at q): it is built once per key, at the key's representative
-    row (_representatives, the key's first basis index), and the column of
-    q (EigenSystem.local) holds that one object at each of the key's basis
-    indices.  A table at p is stored factored (HeckeMatrix): it moves only
-    the rank at p, and its rows with the same key share one local row, so
-    its block over each p-fiber is a local block L_key.  The proof has two
-    checks, each exact:
+    row (_representatives, the key's first basis index), and stored under
+    that key (EigenSystem.local); nothing is mapped over the basis.  A
+    table at p is stored factored (HeckeMatrix): it moves only the rank at
+    p, and its rows with the same key share one local row, so its block
+    over each p-fiber is a local block L_key.  The proof has two checks,
+    each exact:
 
     1. Once per (prime, key): u_q[rank at q] == 1, so v[rho] == 1 for
        every vector and the factors that the expansion leaves out are 1.
@@ -457,8 +470,8 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
        The check reads only rho's key (which fixes lambda) and its local
        vectors u_q at the table's places, which rho's ranks at the places
        of those T(q) fix; so it runs once per pattern of these ranks, at its
-       first basis index (_representatives), in basis order.  The table's
-       column is its keys' lambdas over the rank tuples, one object per key.
+       first basis index (_representatives), in basis order, and stores
+       lambda under the table's key (EigenSystem.columns).
 
     Why this proves every coordinate: on a p-fiber s, v restricted to s is
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
@@ -477,38 +490,36 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     # (first failing index, check 1 before the tables in stored order, op,
     # why) for each failure found; the least one is raised
     failures = []
-    primes = prime_factors(space.level)
-    local = []  # per prime q of N, the u_q of each basis element
-    for q in primes:
+    local = []  # per prime q of N, the map key -> u_q of T(q)
+    for q in prime_factors(space.level):
         hm = ops.matrix(HeckeOp("T", q))
-        by_key = {}  # key -> u_q; a key ends with the rank at q
+        by_key = {}  # a key ends with the rank at q
         for key, i in _representatives(space, hm.places).items():
             u = by_key[key] = _local_vector(space, space.basis[i], q, key[-1])
             if not u.get(key[-1], _ZERO).is_one():
                 failures.append((i, -1, next(iter(tables)),
                                  "a local vector is not 1 at rho"))
-        local.append(list(map(by_key.__getitem__,
-                              map(hm.key, space.rank_tuples))))
-    columns = {}
+        local.append(by_key)
+    system = EigenSystem(space, tables, tuple(local), {})
     for t, (op, hm) in enumerate(tables.items()):
-        lams: dict = {}  # key -> lambda, the diagonal value of its rows
+        lams = system.columns[op] = {}  # key -> lambda, its rows' diagonal
+        near_ops = [system.vector_ops[x] for x in hm.places]
+        near_maps = [local[x] for x in hm.places]
         # rho's ranks that fix its key and its local vectors at the places
-        read = tuple(sorted({x for y in hm.places for x in
-                             ops.matrix(HeckeOp("T", primes[y])).places}))
+        read = tuple(sorted({x for v in near_ops for x in tables[v].places}))
         for i in sorted(_representatives(space, read).values()):
             lam = lams.setdefault(hm.key(space.rank_tuples[i]), hm.diagonal(i))
-            near = [local[x][i] for x in hm.places]
+            near = system.at(i, near_ops, near_maps)
             u = None if hm.pos is None else near.pop()
             if not all(_is_local_eigen(hm.local, k, u, lam)
                        for k in product(*near)):
                 failures.append((i, t, op, f"wrong local eigenvector at {op.p}"))
                 break
-        columns[op] = list(map(lams.get, map(hm.key, space.rank_tuples)))
     if failures:
         i, _, op, why = min(failures, key=itemgetter(0, 1))
         raise RuntimeError("eigenvector verification failed for "
                            f"rho={space.basis[i]}, op={op}: {why}")
-    return EigenSystem(space, tables, tuple(local), columns)
+    return system
 
 
 # -- closed forms and comparison ----------------------------------------------
@@ -548,17 +559,16 @@ def eigenvalue_closed_form(space: EisSpace, rho: Partition, op: HeckeOp) -> CycN
 
 @dataclass
 class Comparison:
-    """The eigenvalue column of one op against the closed-form tables.
+    """The eigenvalues of one op against the closed-form tables.
 
-    ``cases`` lists the distinct rows, as tuples (matrix value, closed
-    form, match, expected mismatch), one per (key, matrix value object)
-    of the op's table; ``case[i]`` is the index in ``cases`` of the row of
-    the i-th basis partition.
+    ``cases`` maps each key of the op's table to (matrix value, closed
+    form, match, expected mismatch); ``key``, the table's key getter, reads
+    a basis element's key off its rank tuple.
     """
 
     op: HeckeOp
-    case: list[int]
-    cases: list[tuple]
+    key: itemgetter
+    cases: dict[tuple, tuple]
 
 
 def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison]:
@@ -573,9 +583,8 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison
     in place of the matrices' q^{2k-2}; those rows come back match=False
     with expected_mismatch=True.  The closed form and the expected mismatch
     depend only on rho's key in the op's table (its ranks at A_p and, for
-    p | N, at p), so each is evaluated once per (op, key); the match is
-    compared once per (op, key, matrix value object), and eigenbasis gives
-    each key one such object.
+    p | N, at p), as the eigenvalue does; so each case is evaluated once
+    per (op, key), at the key's first basis element (_representatives).
     """
     space = system.space
     primes = prime_factors(space.level)
@@ -583,26 +592,14 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison
         op_list = SpaceOperators(space).level_ops()
     out = []
     for op in system.keyed(op_list):
-        values, key_of = system.columns[op], system.tables[op].key
-
-        def pairs():  # (key, id of the value) per row, made once per pass
-            return zip(map(key_of, space.rank_tuples), map(id, values))
-        # each distinct pair, in the order they first occur, with an index
-        # that has it; the column keeps every id alive, and no pair is held
-        seen = dict(zip(pairs(), range(len(values))))
-        closed: dict = {}  # key -> (closed form, expected mismatch)
-        cases = []
-        for (key, _), i in seen.items():
-            rho, mval = space.basis[i], values[i]
-            hit = closed.get(key)
-            if hit is None:
-                hit = closed[key] = (
-                    eigenvalue_closed_form(space, rho, op),
-                    op.kind == "T1" and op.p in primes and rho.rank_of(op.p) == 1)
-            cases.append((mval, hit[0], bool(mval == hit[0]), hit[1]))
-        index = dict(zip(seen, range(len(cases))))
-        case = list(map(index.__getitem__, pairs()))
-        out.append(Comparison(op, case, cases))
+        hm, lams = system.tables[op], system.columns[op]
+        cases = {}
+        for key, i in _representatives(space, hm.places).items():
+            rho, mval = space.basis[i], lams[key]
+            cval = eigenvalue_closed_form(space, rho, op)
+            cases[key] = (mval, cval, bool(mval == cval), op.kind == "T1"
+                          and op.p in primes and rho.rank_of(op.p) == 1)
+        out.append(Comparison(op, hm.key, cases))
     return out
 
 
@@ -610,31 +607,32 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
     """The rows of eigenvalue_comparisons as plain JSON dicts, one per
     (rho, op), partitions outer and ops inner."""
     comparisons = eigenvalue_comparisons(system, op_list)
+    space = system.space
     return [{"partition": rho.to_json(), "op": c.op.spec_string(),
              "matrix_value": mval.to_json(), "closed_form": cval.to_json(),
              "match": match, "expected_mismatch": expected}
-            for i, rho in enumerate(system.space.basis) for c in comparisons
-            for mval, cval, match, expected in (c.cases[c.case[i]],)]
+            for rho, ranks in zip(space.basis, space.rank_tuples)
+            for c in comparisons
+            for mval, cval, match, expected in (c.cases[c.key(ranks)],)]
 
 
 def check_eigen_printable(system: EigenSystem, comparisons,
                           vectors: bool) -> None:
     """check_printable for `eigen`: the comparison cases and, in JSON, the
-    eigenvalue columns and the vector coefficients, each a product of one
-    local entry per prime, read off the distinct objects of each column of
-    system.local."""
-    values = [v for c in comparisons for case in c.cases for v in case[:2]]
+    eigenvalues and the vector coefficients, each a product of one local
+    entry per prime, read off the maps of system.local."""
+    values = [v for c in comparisons for case in c.cases.values()
+              for v in case[:2]]
     factors = []
     if vectors:
-        for col in system.local:
-            entries = [a for u in dict(zip(map(id, col), col)).values()
-                       for a in u.values()]
+        for us in system.local:
+            entries = [a for u in us.values() for a in u.values()]
             factors.append(max(map(_height, entries)))
             values += entries
         compared = {c.op for c in comparisons}  # their values are cases
-        for op, col in system.columns.items():
+        for op, lams in system.columns.items():
             if op not in compared:
-                values += dict(zip(map(id, col), col)).values()
+                values += lams.values()
     check_printable(values, factors)
 
 
@@ -679,19 +677,18 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
     its rows (several list items in one record) and its entry; the
     descriptor's basis is one record.
 
-    The records are read off columns, with no object per row, entry or
-    vector.  Each distinct value and partition is encoded once per depth,
-    by _text (values through _value_texts).  Per op, a row's text up to its
-    partition is built once per case of eigenvalue_comparisons, one per
-    (key, matrix value object), and an eigenvalue line once per value
-    object of the op's column; a record takes them by basis index, the
-    ops being sorted by name once.  Each vector is expanded by its basis
-    index from the columns of local vectors (_expand), and a vector item's
-    text up to its partition is memoized per coefficient object, each 1 or
-    held by the product memo that all vectors share.  The comparison and
-    check_eigen_printable run first, so an op that eigenbasis did not
-    verify, or an integer too long for str(), raises ValueError before any
-    record.
+    The records are read off the per-key maps, with no object per row,
+    entry or vector.  Each distinct value and partition is encoded once per
+    depth, by _text (values through _value_texts).  Per op, a row's text up
+    to its partition is built once per key of eigenvalue_comparisons'
+    cases, and an eigenvalue line once per key of the op's eigenvalues; a
+    record reads them at its partition's keys, the ops being sorted by name
+    once.  Each vector is expanded by its basis index from the maps of
+    local vectors (_expand), and a vector item's text up to its partition
+    is memoized per coefficient object, each 1 or held by the product memo
+    that all vectors share.  The comparison and check_eigen_printable run
+    first, so an op that eigenbasis did not verify, or an integer too long
+    for str(), raises ValueError before any record.
     """
     space = system.space
     comparisons = eigenvalue_comparisons(system, op_list)
@@ -701,36 +698,32 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
     value = _value_texts()
 
     def comparison_records():
-        heads = []  # per op, the text of each row up to its partition
+        heads = []  # per op, its key getter and each key's row up to rho
         for c in comparisons:
             name = _json_str(c.op.spec_string())
-            texts = [f'{{{pad3}"closed_form": {value(cval, 3)}'
+            heads.append((c.key, {
+                key: f'{{{pad3}"closed_form": {value(cval, 3)}'
                      f',{pad3}"expected_mismatch": {("false", "true")[expected]}'
                      f',{pad3}"match": {("false", "true")[match]}'
                      f',{pad3}"matrix_value": {value(mval, 3)}'
                      f',{pad3}"op": {name},{pad3}"partition": '
-                     for mval, cval, match, expected in c.cases]
-            heads.append(list(map(texts.__getitem__, c.case)))
+                for key, (mval, cval, match, expected) in c.cases.items()}))
         sep = "," + pad
-        for p, row_heads in zip(part, zip(*heads)):
+        for p, ranks in zip(part, space.rank_tuples) if heads else ():
             tail = p + pad + "}"  # each row ends with its partition
-            yield JsonText((tail + sep).join(row_heads) + tail)
+            yield JsonText((tail + sep).join(
+                [texts[key(ranks)] for key, texts in heads]) + tail)
 
     def eigenbasis_records():
         products: dict = {}
         starts: dict = {}  # id(c) -> a vector item up to its partition
-        lines = []  # per op, by name, each entry's eigenvalue line
-        for op in sorted(system.columns, key=HeckeOp.spec_string):
-            col = system.columns[op]
-            name = _json_str(op.spec_string()) + ": "
-            text = {i: name + value(lam, 4)
-                    for i, lam in dict(zip(map(id, col), col)).items()}
-            lines.append(list(map(text.__getitem__, map(id, col))))
+        ops = sorted(system.columns, key=HeckeOp.spec_string)
+        lines = [{key: _json_str(op.spec_string()) + ": " + value(lam, 4)
+                  for key, lam in system.columns[op].items()} for op in ops]
         item_end = [f',{pad5}"partition": {_text(p, 5)}{pad4}}}'
                     for p in space.basis]
         sep = "," + pad4
-        eigen_lines = zip(*lines) if lines else repeat(())
-        for i, (p, eigs) in enumerate(zip(part, eigen_lines)):
+        for i, p in enumerate(part):
             items = []
             for j, c in sorted(_expand(system, i, products),
                                key=itemgetter(0)):
@@ -738,6 +731,7 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
                 if start is None:
                     start = starts[id(c)] = f'{{{pad5}"coeff": {value(c, 5)}'
                 items.append(start + item_end[j])
+            eigs = system.at(i, ops, lines)
             eig_text = (f"{{{pad4}" + sep.join(eigs) + pad3 + "}"
                         if eigs else "{}")
             yield JsonText(

@@ -402,9 +402,9 @@ def _check_closed_forms(config, run):
     bad = 0
     matched = 0
     comparisons = eigenvalue_comparisons(run.system, run.ops.level_ops())
-    for i, rho in enumerate(space.basis):
+    for rho, ranks in zip(space.basis, space.rank_tuples):
         for c in comparisons:
-            mval, cval, match, exempt = c.cases[c.case[i]]
+            mval, cval, match, exempt = c.cases[c.key(ranks)]
             if exempt:
                 mwant, twant = _expected_mismatch_values(space, rho, c.op.p)
                 if mval == mwant and cval == twant and not match:
@@ -577,9 +577,10 @@ def _check_eigen_oracle(config, run):
         # stored forms are canonical, so equal eigenvalues hash alike
         # each basis index under the tuple of its eigenvalues for op_list
         by_tags = defaultdict(list)
-        for i, tags in enumerate(zip(*map(system.columns.__getitem__,
-                                          system.keyed(op_list)))):
-            by_tags[tags].append(i)
+        keyed = system.keyed(op_list)
+        lams = [system.columns[op] for op in keyed]
+        for i in range(space.dimension):
+            by_tags[tuple(system.at(i, keyed, lams))].append(i)
         for tags, basis in pieces:
             if len(basis) != 1:
                 bad.append("joint eigenspace not 1-dimensional")

@@ -713,7 +713,18 @@ def _nines_provider(path) -> str:
     return str(path)
 
 
-NINES = "the 4300-digit provider"  # stands for _nines_provider's file
+def _weight_8000_provider(path) -> str:
+    """The E8 table with its header's weight set to 8000, so that the
+    closed forms of `--calibrate` pass 4300 digits."""
+    path.write_text(PROVIDER.read_text().replace(
+        "!weight 4 level 1 group GL2", "!weight 8000 level 1 group GL2"))
+    return str(path)
+
+
+# each stands for a provider file that the test writes
+NINES = "the 4300-digit provider"
+WEIGHT_8000 = "the weight-8000 provider"
+PROVIDERS = {NINES: _nines_provider, WEIGHT_8000: _weight_8000_provider}
 
 
 @pytest.mark.parametrize("argv,digits", [
@@ -725,16 +736,18 @@ NINES = "the 4300-digit provider"  # stands for _nines_provider's file
     # U(2,1) sums values, past 4300 digits; U(1,2) keeps them, and prints
     (["fourier", "--provider", NINES, "--apply", "U:2,1"], 4301),
     (["fourier", "--provider", NINES, "--apply", "U:1,2"], None),
+    # the closed forms and the matrix diagonal hold 3 * 2^15997
+    (["fourier", "--provider", WEIGHT_8000, "--level", "2", "--calibrate"],
+     4817),
 ], ids=["eigen-json", "hecke", "eigen-level-6", "eigen-csv", "relations",
-        "fourier-apply-sum", "fourier-apply-printable"])
+        "fourier-apply-sum", "fourier-apply-printable", "fourier-calibrate"])
 def test_integers_past_the_str_digit_limit_are_refused_first(
         capsys, tmp_path, str_digits, argv, digits):
     # the command would have stopped part way, in str(), after up to
     # 391,734 bytes; it now refuses before the first one
     str_digits(4300)
-    if NINES in argv:
-        nines = _nines_provider(tmp_path / "nines.coeffs")
-        argv = [nines if word == NINES else word for word in argv]
+    argv = [PROVIDERS[word](tmp_path / "table.coeffs") if word in PROVIDERS
+            else word for word in argv]
     if digits is None:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "") and "9" * 4300 in out

@@ -602,10 +602,13 @@ def test_expansion_gives_the_same_bytes_in_any_order():
     i, z3 = CycNum.root_of_unity(4), CycNum.root_of_unity(3)
     space = enumerate_partitions(30, None, 4)
     rho = Partition(10, 3, 1)  # ranks 0, 1, 0 at 2, 3, 5
-    local = tuple([u] * space.dimension for u in ({0: CycNum.one(), 1: i},
-                                                  {1: CycNum.one(), 2: z3},
-                                                  {0: CycNum.one(), 2: -i}))
-    coeffs = _coeffs(EigenSystem(space, {}, local, {}), space.index_of(rho))
+    ops = SpaceOperators(space)
+    tables = {op: ops.matrix(op) for op in [HeckeOp("T", q) for q in (2, 3, 5)]}
+    local = tuple(dict.fromkeys(hm.local, u) for hm, u in zip(
+        tables.values(), ({0: CycNum.one(), 1: i}, {1: CycNum.one(), 2: z3},
+                          {0: CycNum.one(), 2: -i})))
+    coeffs = _coeffs(EigenSystem(space, tables, local, {}),
+                     space.index_of(rho))
     assert coeffs[Partition(1, 2, 15)].to_json() == z3.to_json()
     for a, b, c in permutations((i, z3, -i)):
         assert (a * b * c).to_json() == z3.to_json()
@@ -613,19 +616,16 @@ def test_expansion_gives_the_same_bytes_in_any_order():
 
 
 def test_eigenbasis_checks_a_shared_local_vector_per_object(monkeypatch):
-    # two partitions hold the same u_q object exactly when they have the
-    # same key in T(q) (ranks at A_q, then at q), and check 2 runs once per
+    # two partitions share one u_q object exactly when they have the same
+    # key in T(q) (ranks at A_q, then at q), and check 2 runs once per
     # object, so a wrong u_q fails at the first partition of its key
     for level, spec, k in [(30, "1", 4), (30, "5:1", 5), (70, "5:1,7:2", 5)]:
         space = _space(level, spec, k)
         ops = SpaceOperators(space)
-        local = eigenbasis(ops).local
-        for q, col in zip(prime_factors(level), local, strict=True):
-            key = ops.matrix(HeckeOp("T", q)).key
-            held = {}  # key -> u_q
-            for u, ranks in zip(col, space.rank_tuples, strict=True):
-                assert held.setdefault(key(ranks), u) is u
-            assert len(set(map(id, held.values()))) == len(held)
+        system = eigenbasis(ops)
+        for q, us in zip(prime_factors(level), system.local, strict=True):
+            assert list(us) == list(ops.matrix(HeckeOp("T", q)).local)
+            assert len(set(map(id, us.values()))) == len(us)
         # chi_2 is trivial, so 2 is in no A_q: the partition with rank 1 at
         # 2 and 0 elsewhere holds every u_q, q != 2, of the corner (N,1,1),
         # so a wrong u_q at the second prime of that partition fails at the
@@ -684,9 +684,11 @@ def test_check_2_runs_once_per_key_and_local_vectors(monkeypatch, level, spec,
     got, expected = [], []
     for hm in system.tables.values():
         got.append(calls[id(hm.local)])
+        near = ([system.vector_ops[x] for x in hm.places],
+                [system.local[x] for x in hm.places])
         pairs = {}  # (key, ids of the local vectors at the places) -> them
         for i, ranks in enumerate(ops.space.rank_tuples):
-            held = tuple(system.local[x][i] for x in hm.places)
+            held = tuple(system.at(i, *near))
             pairs[hm.key(ranks), tuple(map(id, held))] = held
         size = 0
         for held in pairs.values():
@@ -720,25 +722,39 @@ def test_a_wrong_local_vector_at_a_p_fails_at_its_first_partition(
 
 
 def test_eigenvectors_are_stored_as_one_column_per_prime():
-    # system.local holds, per prime q of N, the u_q of each basis element,
-    # one object per key of T(q), and dense(i) is their tensor product:
-    # the coefficient at the rank tuple s is the product of the u_q[s_q]
+    # system.local maps, per prime q of N, each key of T(q) to its u_q, and
+    # dense(i) is the tensor product of the u_q at the i-th partition's
+    # keys: the coefficient at the rank tuple s is the product of u_q[s_q]
     space = _space(70, "5:1,7:2", 5)
     ops = SpaceOperators(space)
     system = eigenbasis(ops)
     primes = prime_factors(70)
     assert len(system.local) == len(primes) == 3
-    for q, col in zip(primes, system.local):
-        hm = ops.matrix(HeckeOp("T", q))
-        assert len(col) == space.dimension
-        pairs = set(zip(map(hm.key, space.rank_tuples), map(id, col)))
-        assert len(pairs) == len(set(map(id, col))) == len(hm.local)
-    for i in range(space.dimension):
-        us = [col[i] for col in system.local]
+    keys = [ops.matrix(HeckeOp("T", q)).key for q in primes]
+    for q, us in zip(primes, system.local):
+        assert list(us) == list(ops.matrix(HeckeOp("T", q)).local)
+    for i, ranks in enumerate(space.rank_tuples):
+        us = [m[key(ranks)] for key, m in zip(keys, system.local)]
         want = [math.prod((u.get(r, CycNum.zero()) for u, r in zip(us, s)),
                           start=CycNum.one())
                 for s in space.rank_tuples]
         assert system.dense(i) == want
+
+
+@pytest.mark.parametrize("level,spec,k,primes", [
+    (2310, "1", 4, []), (2310, "5:1,11:1", 4, []), (70, "5:1,7:2", 5, [3, 11]),
+], ids=["2310", "2310-5:1,11:1", "70-5:1,7:2-primes-3,11"])
+def test_the_eigen_system_holds_one_entry_per_key(level, spec, k, primes):
+    # each map of the eigen system has the keys of its table, with nothing
+    # spread over the basis: u_q per key of T(q), lambda per key of op's
+    ops = _eigen_ops(level, spec, k, primes)
+    system = eigenbasis(ops)
+    assert len(system.local) == len(prime_factors(level))
+    for q, us in zip(prime_factors(level), system.local):
+        assert len(us) == len(ops.matrix(HeckeOp("T", q)).local)
+    assert list(system.columns) == list(system.tables)
+    for op, lams in system.columns.items():
+        assert len(lams) == len(system.tables[op].local)
 
 
 def test_local_vectors_are_computed_once_per_key(monkeypatch):
@@ -759,12 +775,14 @@ def test_local_vectors_are_computed_once_per_key(monkeypatch):
 
 def _plain_entry(system, i: int) -> dict:
     """The JSON of the i-th eigenbasis entry, built from dense(i), the
-    eigenvalue columns and to_json()."""
+    eigenvalues at its keys and to_json()."""
+    ops = list(system.columns)
+    lams = system.at(i, ops, system.columns.values())
     return {"partition": system.space.basis[i].to_json(),
             "vector": [{"partition": p.to_json(), "coeff": c.to_json()}
                        for p, c in _coeffs(system, i).items()],
-            "eigenvalues": {op.spec_string(): col[i].to_json()
-                            for op, col in system.columns.items()}}
+            "eigenvalues": {op.spec_string(): lam.to_json()
+                            for op, lam in zip(ops, lams)}}
 
 
 def test_expansion_views_agree_and_sharing_changes_no_byte():
@@ -858,21 +876,27 @@ def test_eigen_json_writes_the_plain_json():
 
 
 def test_eigen_json_prints_each_rows_own_matrix_value():
-    # rows that share an op and a closed form share their rendered text
-    # only while their matrix values agree: a changed value shows up in its
-    # own row, here (1,1,30) at T(2), whose key (rank 2 at 2) 8 rows share
+    # a row's matrix value is its key's eigenvalue: a changed eigenvalue
+    # shows up in every row of its key, here that of (1,1,30) at T(2),
+    # rank 2 at 2, which 9 rows share, and in no other row
     system = eigenbasis(SpaceOperators(enumerate_partitions(30, None, 4)))
-    column = system.columns[HeckeOp("T", 2)]
-    column[-1] = column[-1] + 1
+    space, op = system.space, HeckeOp("T", 2)
+    lams, key = system.columns[op], system.tables[op].key
+    at = key(space.rank_tuples[-1])
+    lams[at] = lams[at] + 1
     pieces = []
     write_json(eigen_json(system), pieces.append)
     doc = json.loads("".join(pieces))
     rows = doc["comparison"]
     assert rows == compare_eigenvalues(system)
-    assert doc["eigenbasis"][-1]["eigenvalues"]["T:2"] == column[-1].to_json()
+    ours = [i for i, ranks in enumerate(space.rank_tuples) if key(ranks) == at]
+    assert len(ours) == 9 and ours[-1] == space.dimension - 1
+    for i in ours:
+        assert (doc["eigenbasis"][i]["eigenvalues"]["T:2"]
+                == lams[at].to_json())
     changed = [r for r in rows if r["op"] == "T:2" and not r["match"]]
     assert [r["partition"] for r in changed] == [
-        system.space.basis[-1].to_json()]
+        space.basis[i].to_json() for i in ours]
     assert changed == [r for r in rows
                        if not r["match"] and not r["expected_mismatch"]]
 
@@ -1219,7 +1243,7 @@ def test_comparison_looks_ops_up_by_identity(monkeypatch):
 
     monkeypatch.setattr(HeckeOp, "__eq__", counted)
     comparisons = hecke.eigenvalue_comparisons(system, op_list)
-    assert [len(c.case) for c in comparisons] == [243] * 10
+    assert [len(c.cases) for c in comparisons] == [3] * 10
     assert len(calls) <= 2 * len(op_list)
 
 
@@ -1248,15 +1272,14 @@ def test_closed_forms_once_per_key_equal_the_per_row_formula():
         assert [c.op for c in got] == op_list
         for c in got:
             op = c.op
-            assert len(c.case) == space.dimension
-            for rho, case, mval in zip(space.basis, c.case,
-                                       system.columns[op]):
-                assert c.cases[case][0] is mval
-                cval, match, expected = c.cases[case][1:]
+            assert c.cases.keys() == system.columns[op].keys()
+            for rho, ranks in zip(space.basis, space.rank_tuples):
+                mval, cval, match, expected = c.cases[c.key(ranks)]
+                assert mval is system.columns[op][c.key(ranks)]
                 assert cval == eigenvalue_closed_form(space, rho, op), (
                     space, rho, op)
                 assert match == (mval == cval)
                 assert expected == (op.kind == "T1" and space.level % op.p == 0
                                     and rho.rank_of(op.p) == 1)
-            rows += len(c.case)
+            rows += space.dimension
     assert rows > 10000

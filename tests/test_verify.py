@@ -302,16 +302,26 @@ def test_oracle_misses_eigenvalues_off_the_diagonal():
 
 def _doctored_run(change):
     """The space run of N=2, k=4 after ``change`` edits copies of the
-    eigenvalue columns and of the dense vectors of its eigenbasis, which
-    the doctored system's dense(i) reads by basis index."""
+    eigenvalue maps (key -> value) and of the dense vectors of its
+    eigenbasis, which the doctored system's dense(i) reads by basis index."""
     run = space_run(enumerate_partitions(2, None, 4), QUICK_CONFIG)
     system = run.system
-    columns = {op: list(col) for op, col in system.columns.items()}
+    columns = {op: dict(lams) for op, lams in system.columns.items()}
     vectors = [system.dense(i) for i in range(system.space.dimension)]
     change(columns, vectors)
     doctored = replace(system, columns=columns)
     doctored.dense = vectors.__getitem__
     return replace(run, system=doctored)
+
+
+def _bump(columns, op, rho):
+    """Add 1 to the eigenvalue of op at the key of rho, in N=2, k=4.  The
+    level tables there key a partition by its rank at 2, so this changes
+    the eigenvalue of rho alone."""
+    space = enumerate_partitions(2, None, 4)
+    key = SpaceOperators(space).matrix(op).key(
+        space.rank_tuples[space.index_of(rho)])
+    columns[op][key] = columns[op][key] + 1
 
 
 def _doctored_oracle(change):
@@ -321,8 +331,7 @@ def _doctored_oracle(change):
 
 def test_eigen_oracle_fails_on_a_wrong_eigenvalue():
     def wrong(columns, vectors):
-        column = next(iter(columns.values()))
-        column[0] = column[0] + 1
+        _bump(columns, HeckeOp("T", 2), Partition(2, 1, 1))
 
     rec = _doctored_oracle(wrong)
     assert rec.status == "fail"
@@ -352,8 +361,7 @@ def test_closed_form_check_fails_on_a_wrong_value():
     def closed_forms(rho=None, op=None):
         def bump(columns, vectors):
             if rho is not None:
-                i = enumerate_partitions(2, None, 4).index_of(rho)
-                columns[op][i] = columns[op][i] + 1
+                _bump(columns, op, rho)
         recs = verify._check_closed_forms(QUICK_CONFIG, _doctored_run(bump))
         return [(r.status, r.parameters.get("op"), r.details) for r in recs]
 

@@ -8,10 +8,10 @@ that counts bytes, and times the gaps between its `stage` callbacks (the
 stages of each command are listed in the `siegeleis.cli` docstring).  The
 first stage also holds the argument parsing (and, on the first repeat, the
 imports).  The counts (dimension, tables and local rows of the stored
-tables, local_vectors, the distinct objects in the eigen system's columns
-of local vectors, and max_conductor, the largest conductor m of the values
-in the tables' local rows, the eigenvalue columns and those local vectors,
-and a provider's coefficients) are read off what the stages hand over,
+tables, local_vectors, the keys of the eigen system's maps of local
+vectors, and max_conductor, the largest conductor m of the values in the
+tables' local rows, the eigenvalue maps and those local vectors, and a
+provider's coefficients) are read off what the stages hand over,
 with the clock stopped.
 `--through STAGE` stops after that stage.  Prints one JSON line: the
 command, its exit code (null when stopped), the best time of each stage over
@@ -54,10 +54,10 @@ def _count(value, counts: dict) -> None:
         values = [a for t in tables for row in t.local.values()
                   for _, a in (row if type(row) is tuple else ((0, row),))]
     if hasattr(value, "columns"):  # eigenvalues and local vectors
-        values = [a for col in value.columns.values() for a in col]
-        local = {id(u): u for col in value.local for u in col}
-        counts["local_vectors"] = len(local)
-        values += [a for u in local.values() for a in u.values()]
+        values = [a for lams in value.columns.values() for a in lams.values()]
+        counts["local_vectors"] = sum(map(len, value.local))
+        values += [a for us in value.local for u in us.values()
+                   for a in u.values()]
     if hasattr(value, "expansion"):  # a provider's coefficients
         values = value.expansion.coeffs.values()
     if values:
