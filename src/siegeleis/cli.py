@@ -112,7 +112,8 @@ def cmd_hecke(args) -> int:
         "weight": space.weight,
         "char": space.char.spec_string(),
         "op": args.op,
-        "basis": [p.to_json() for p in space.basis],
+        "basis": [dict(zip(("N0", "N1", "N2"), space.decode(i)[1]))
+                  for i in range(space.dimension)],
         "matrix": word_rows(ops, word),
     })
     args.stage("render", None)
@@ -157,8 +158,8 @@ def eigen_csv(system, op_list):
              for c in comparisons]
     yield "partition,op,eigenvalue,closed_form,match\n"
     space = system.space
-    for rho, ranks in zip(space.basis, space.rank_tuples) if tails else ():
-        head = f"({rho.n0};{rho.n1};{rho.n2}),"
+    for ranks, parts in map(space.decode, range(space.dimension)) if tails else ():
+        head = "({};{};{}),".format(*parts)
         yield head + ("\n" + head).join(
             [texts[key(ranks)] for key, texts in tails]) + "\n"
 
@@ -182,8 +183,8 @@ def cmd_relations(args) -> int:
     pad, pad3 = "\n    ", "\n      "
     identities = (JsonText(  # a record per identity, at a list item's depth
         f'{{{pad3}"holds": {("false", "true")[bad == 0]},{pad3}"target": '
-        f'{_text(rho, 3)},{pad3}"word": "S1:{rho.n1};S2:{rho.n2}"{pad}}}')
-        for rho, bad in zip(space.basis, defects))
+        f'{_text(parts, 3)},{pad3}"word": "S1:{parts[1]};S2:{parts[2]}"{pad}}}')
+        for (_, parts), bad in zip(map(space.decode, range(space.dimension)), defects))
     _emit_json(args, {
         "level": space.level,
         "weight": space.weight,

@@ -488,7 +488,7 @@ def project_components(provider: CoefficientProvider, N: int, k: int,
     prime, the eigenvalues of U(1,q) sorted ascending give the rank of q; and
     the U(q,1) eigenvalues must induce the same rank order.  Disagreement or
     ambiguity raises LabelingError rather than guessing."""
-    from .eisspace import Partition
+    from .eisspace import enumerate_partitions
     if provider.weight != k:
         raise ValueError(
             f"provider weight {provider.weight} does not match k={k}"
@@ -530,19 +530,14 @@ def project_components(provider: CoefficientProvider, N: int, k: int,
                 f"corner component is not rank 0 at q={q}"
             )
         ranks[q] = by_scaling
-    out = []
-    seen = set()
+    space = enumerate_partitions(N, None, k, forced=True)
+    by_index = {}
     for i, comp in enumerate(comps):
-        parts = [1, 1, 1]
-        for q in primes:
-            parts[ranks[q][i]] *= q
-        rho = Partition(*parts)
-        if rho in seen:
-            raise LabelingError(f"two components labeled {rho}")
-        seen.add(rho)
-        out.append((rho, comp))
-    out.sort(key=lambda t: t[0].sort_key())
-    return out
+        j = space.index_of_code[sum(ranks[q][i] * 3 ** x for x, q in enumerate(primes))]
+        if j in by_index:
+            raise LabelingError(f"two components labeled {space.basis[j]}")
+        by_index[j] = comp
+    return [(rho, by_index[j]) for j, rho in enumerate(space.basis)]
 
 
 def _fit_relation(measured: list[CycNum], closed: list[CycNum]) -> dict:

@@ -94,7 +94,7 @@ class HeckeMatrix:
             self.key = itemgetter(slice(x, x + len(places)))
 
     def _row(self, i: int) -> tuple:
-        space, ranks = self.space, self.space.rank_tuples[i]
+        space, (ranks, _) = self.space, self.space.decode(i)
         row = self.local[self.key(ranks)]
         if self.pos is None:
             return ((i, row),)
@@ -125,10 +125,10 @@ def _chi_over(space: EisSpace, part_value: int, n: int) -> CycNum:
     return space.char.eval_over(prime_factors(part_value), n)
 
 
-def _row_prime_to_level(space: EisSpace, rho: Partition, op: HeckeOp) -> CycNum:
-    """The diagonal entry at rho for p not dividing the level."""
+def _row_prime_to_level(space: EisSpace, rho, op: HeckeOp) -> CycNum:
+    """The diagonal entry at the parts rho for p not dividing the level."""
     p, k = op.p, space.weight
-    c0, c1, c2 = rho.n0, rho.n1, rho.n2
+    c0, c1, c2 = rho
     if op.kind == "T":
         return (
             _chi_over(space, c0, p * p) * _chi_over(space, c1, p) * p ** (2 * k - 3)
@@ -168,8 +168,8 @@ def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> tuple
     i < up(1) < up(2) in the basis, which is sorted by total rank."""
     q, k = op.p, space.weight
     local = space.char.local(q)
-    rho, rank = space.basis[i], space.rank_tuples[i][pos]
-    c0, c1, c2 = rho.n0, rho.n1, rho.n2
+    ranks, (c0, c1, c2) = space.decode(i)
+    rank = ranks[pos]
 
     def up(to: int) -> int:
         return space.index_of_code[space.codes[i] + (to - rank) * 3 ** pos]
@@ -230,13 +230,13 @@ def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     """
     if op.kind not in ("T", "T1"):
         raise ValueError(f"{op} is a relation operator; build it with s_operator")
-    primes, ranks = prime_factors(space.level), space.rank_tuples
+    primes = prime_factors(space.level)
     pos = primes.index(op.p) if op.p in primes else None
     hm = HeckeMatrix(space, op, pos, _moved_by(space, op.p), {})
     for key, i in _representatives(space, hm.places).items():
         hm.local[key] = (
-            _row_prime_to_level(space, space.basis[i], op) if pos is None
-            else tuple((ranks[j][pos], a)
+            _row_prime_to_level(space, space.decode(i)[1], op) if pos is None
+            else tuple((space.decode(j)[0][pos], a)
                        for j, a in _row_at_level_prime(space, i, op, pos)))
     return hm
 
@@ -274,27 +274,27 @@ class SpaceOperators:
 # -- eigenbasis ---------------------------------------------------------------
 
 
-def _coeff_a(space: EisSpace, rho: Partition, q: int) -> CycNum:
+def _coeff_a(space: EisSpace, rho, q: int) -> CycNum:
     # moves q from N0 to N1; nonzero only for trivial chi_q
     if not space.char.local(q).is_trivial:
         return _ZERO
-    k = space.weight
-    chi12 = _chi_over(space, rho.n1 * rho.n2, q)
-    chi0 = _chi_over(space, rho.n0 // q, q)
+    k, (c0, c1, c2) = space.weight, rho
+    chi12 = _chi_over(space, c1 * c2, q)
+    chi0 = _chi_over(space, c0 // q, q)
     return -(chi12 * Fraction(q - 1, q)) / (chi0 * q ** (k - 1) - chi12)
 
 
-def _coeff_b(space: EisSpace, rho: Partition, q: int) -> CycNum:
+def _coeff_b(space: EisSpace, rho, q: int) -> CycNum:
     # moves q from N0 to N2
     local = space.char.local(q)
     if not local.is_real:
         return _ZERO
-    k = space.weight
-    chi2_sq = _chi_over(space, rho.n2, q * q)
-    chi0 = _chi_over(space, rho.n0 // q, q)
-    chi0_sq = _chi_over(space, rho.n0 // q, q * q)
+    k, (c0, c1, c2) = space.weight, rho
+    chi2_sq = _chi_over(space, c2, q * q)
+    chi0 = _chi_over(space, c0 // q, q)
+    chi0_sq = _chi_over(space, c0 // q, q * q)
     if local.is_trivial:
-        chi12 = _chi_over(space, rho.n1 * rho.n2, q)
+        chi12 = _chi_over(space, c1 * c2, q)
         num = chi2_sq * Fraction(q - 1, q) * (chi0 * q ** (k - 3) - chi12)
         den = (chi0 * q ** (k - 1) - chi12) * (chi0_sq * q ** (2 * k - 3) - chi2_sq)
         return -(num / den)
@@ -303,13 +303,13 @@ def _coeff_b(space: EisSpace, rho: Partition, q: int) -> CycNum:
     return -(num / (chi0_sq * q ** (2 * k - 3) - chi2_sq))
 
 
-def _coeff_c(space: EisSpace, rho: Partition, q: int) -> CycNum:
+def _coeff_c(space: EisSpace, rho, q: int) -> CycNum:
     # moves q from N1 to N2; nonzero only for trivial chi_q
     if not space.char.local(q).is_trivial:
         return _ZERO
-    k = space.weight
-    chi2 = _chi_over(space, rho.n2, q)
-    chi01 = _chi_over(space, rho.n0 * (rho.n1 // q), q)
+    k, (c0, c1, c2) = space.weight, rho
+    chi2 = _chi_over(space, c2, q)
+    chi01 = _chi_over(space, c0 * (c1 // q), q)
     return -(chi2 * Fraction(q * q - 1, q * q)) / (chi01 * q ** (k - 2) - chi2)
 
 
@@ -345,7 +345,7 @@ class EigenSystem:
     def at(self, i: int, ops, maps) -> list:
         """The i-th basis element's entry in each map of maps, read at its
         key in the table of the op beside the map."""
-        ranks = self.space.rank_tuples[i]
+        ranks = self.space.decode(i)[0]
         return [m[self.tables[op].key(ranks)] for op, m in zip(ops, maps)]
 
     @property
@@ -391,7 +391,7 @@ def _expand(system: EigenSystem, i: int, products: dict) -> zip:
     space = system.space
     codes, coeffs = [space.codes[i]], [_ONE]
     us = system.at(i, system.vector_ops, system.local)
-    for x, (r, u) in enumerate(zip(space.rank_tuples[i], us)):
+    for x, (r, u) in enumerate(zip(space.decode(i)[0], us)):
         moves = [((t - r) * 3 ** x, a) for t, a in u.items()
                  if t != r and not a.is_zero()]
         if not moves:
@@ -411,10 +411,10 @@ def _expand(system: EigenSystem, i: int, products: dict) -> zip:
     return zip(map(space.index_of_code.__getitem__, codes), coeffs)
 
 
-def _local_vector(space: EisSpace, rho: Partition, q: int,
+def _local_vector(space: EisSpace, rho, q: int,
                   rank: int) -> dict[int, CycNum]:
-    """u_q of rho: 1 at its rank at q, then the coefficients a, b (rank 0)
-    or c (rank 1) of the moves up from it, where nonzero."""
+    """u_q of the parts rho: 1 at its rank at q, then the coefficients a, b
+    (rank 0) or c (rank 1) of the moves up from it, where nonzero."""
     if rank == 0:
         u = {0: _ONE, 1: _coeff_a(space, rho, q), 2: _coeff_b(space, rho, q)}
     elif rank == 1:
@@ -449,7 +449,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     The level operators T(q), T1(q^2) for q | N are constructed if absent;
     each eigenvector v is then proved to satisfy v.M = lambda.v, with lambda
     the diagonal entry at rho, against every stored table M at a prime p.
-    Basis elements are indexed by their rank tuples over the primes of N,
+    A basis element's ranks and parts are read off its code (EisSpace.decode),
     and v is by definition the tensor product of its local vectors u_q.
     The character values in u_q are those of the primes in A_q, so u_q
     depends on rho only through its key in the table of T(q) (ranks at
@@ -495,7 +495,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
         hm = ops.matrix(HeckeOp("T", q))
         by_key = {}  # a key ends with the rank at q
         for key, i in _representatives(space, hm.places).items():
-            u = by_key[key] = _local_vector(space, space.basis[i], q, key[-1])
+            u = by_key[key] = _local_vector(space, space.decode(i)[1], q, key[-1])
             if not u.get(key[-1], _ZERO).is_one():
                 failures.append((i, -1, next(iter(tables)),
                                  "a local vector is not 1 at rho"))
@@ -508,7 +508,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
         # rho's ranks that fix its key and its local vectors at the places
         read = tuple(sorted({x for v in near_ops for x in tables[v].places}))
         for i in sorted(_representatives(space, read).values()):
-            lam = lams.setdefault(hm.key(space.rank_tuples[i]), hm.diagonal(i))
+            lam = lams.setdefault(hm.key(space.decode(i)[0]), hm.diagonal(i))
             near = system.at(i, near_ops, near_maps)
             u = None if hm.pos is None else near.pop()
             if not all(_is_local_eigen(hm.local, k, u, lam)
@@ -518,18 +518,18 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     if failures:
         i, _, op, why = min(failures, key=itemgetter(0, 1))
         raise RuntimeError("eigenvector verification failed for "
-                           f"rho={space.basis[i]}, op={op}: {why}")
+                           f"rho={Partition(*space.decode(i)[1])}, op={op}: {why}")
     return system
 
 
 # -- closed forms and comparison ----------------------------------------------
 
 
-def eigenvalue_closed_form(space: EisSpace, rho: Partition, op: HeckeOp) -> CycNum:
-    """The published eigenvalue tables, verbatim (including the p | N1 entry
-    of the T1 table that the matrices contradict; see compare_eigenvalues)."""
+def eigenvalue_closed_form(space: EisSpace, rho, op: HeckeOp) -> CycNum:
+    """The published eigenvalue tables at the parts rho, verbatim (including
+    the p | N1 entry of the T1 table that the matrices contradict)."""
     p, k = op.p, space.weight
-    c0, c1, c2 = rho.n0, rho.n1, rho.n2
+    c0, c1, c2 = rho
     if space.level % p != 0:
         if op.kind == "T":
             return (
@@ -541,7 +541,7 @@ def eigenvalue_closed_form(space: EisSpace, rho: Partition, op: HeckeOp) -> CycN
             + space.char(p) * Fraction(p ** (k - 3) * (p - 1))
             + _chi_over(space, c2, p * p)
         )
-    rank = rho.rank_of(p)
+    rank = 0 if c0 % p == 0 else 1 if c1 % p == 0 else 2
     if op.kind == "T":
         if rank == 2:
             return (_chi_over(space, c0, p * p) * _chi_over(space, c1, p)
@@ -563,7 +563,7 @@ class Comparison:
 
     ``cases`` maps each key of the op's table to (matrix value, closed
     form, match, expected mismatch); ``key``, the table's key getter, reads
-    a basis element's key off its rank tuple.
+    a basis element's key off its decoded ranks.
     """
 
     op: HeckeOp
@@ -595,10 +595,10 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison
         hm, lams = system.tables[op], system.columns[op]
         cases = {}
         for key, i in _representatives(space, hm.places).items():
-            rho, mval = space.basis[i], lams[key]
-            cval = eigenvalue_closed_form(space, rho, op)
+            mval = lams[key]
+            cval = eigenvalue_closed_form(space, space.decode(i)[1], op)
             cases[key] = (mval, cval, bool(mval == cval), op.kind == "T1"
-                          and op.p in primes and rho.rank_of(op.p) == 1)
+                          and op.p in primes and key[-1] == 1)
         out.append(Comparison(op, hm.key, cases))
     return out
 
@@ -611,9 +611,9 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
     return [{"partition": rho.to_json(), "op": c.op.spec_string(),
              "matrix_value": mval.to_json(), "closed_form": cval.to_json(),
              "match": match, "expected_mismatch": expected}
-            for rho, ranks in zip(space.basis, space.rank_tuples)
+            for i, rho in enumerate(space.basis)
             for c in comparisons
-            for mval, cval, match, expected in (c.cases[c.key(ranks)],)]
+            for mval, cval, match, expected in (c.cases[c.key(space.decode(i)[0])],)]
 
 
 def check_eigen_printable(system: EigenSystem, comparisons,
@@ -637,16 +637,16 @@ def check_eigen_printable(system: EigenSystem, comparisons,
 
 
 def _text(obj, depth: int) -> str:
-    """The JSON of a CycNum or a Partition, standing at `depth`: the bytes
-    of json.dumps(obj.to_json(), indent=2, sort_keys=True) with each
-    newline indented to that depth, written from the stored form.  A
-    partition is (N0, N1, N2); a CycNum (sum n[i] z^i) / d writes each
-    coordinate n[i] / d reduced by their gcd, as CycNum.to_json does."""
+    """The JSON of a CycNum or of parts (N0, N1, N2), standing at `depth`:
+    the bytes of json.dumps(obj.to_json(), indent=2, sort_keys=True) with
+    each newline indented to that depth, written from the stored form.  A
+    CycNum (sum n[i] z^i) / d writes each coordinate n[i] / d reduced by
+    their gcd, as CycNum.to_json does."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
-    if type(obj) is Partition:
-        return (f'{{{inner}"N0": {obj.n0},{inner}"N1": {obj.n1}'
-                f',{inner}"N2": {obj.n2}{pad}}}')
+    if type(obj) is not CycNum:
+        n0, n1, n2 = obj
+        return f'{{{inner}"N0": {n0},{inner}"N1": {n1},{inner}"N2": {n2}{pad}}}'
     d = obj.d
     coeffs = []
     for a in obj.n:
@@ -674,27 +674,27 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
     compare_eigenvalues(system, op_list)) written by jsonout.write_json.
     Its lists are iterators of JsonText records, each rendered for the
     depth where it stands when the writer reaches it: per basis partition
-    its rows (several list items in one record) and its entry; the
-    descriptor's basis is one record.
+    its rows (several list items in one record) and its entry; the space
+    is EisSpace.descriptor, whose basis is one record.
 
-    The records are read off the per-key maps, with no object per row,
-    entry or vector.  Each distinct value and partition is encoded once per
-    depth, by _text (values through _value_texts).  Per op, a row's text up
-    to its partition is built once per key of eigenvalue_comparisons'
-    cases, and an eigenvalue line once per key of the op's eigenvalues; a
-    record reads them at its partition's keys, the ops being sorted by name
-    once.  Each vector is expanded by its basis index from the maps of
-    local vectors (_expand), and a vector item's text up to its partition
-    is memoized per coefficient object, each 1 or held by the product memo
-    that all vectors share.  The comparison and check_eigen_printable run
-    first, so an op that eigenbasis did not verify, or an integer too long
-    for str(), raises ValueError before any record.
+    The records are read off the per-key maps and EisSpace.decode, with no
+    object per row, entry, vector or partition.  Each distinct value and
+    partition is encoded once per depth, by _text (values through
+    _value_texts).  Per op, a row's text up to its partition is built once
+    per key of eigenvalue_comparisons' cases, and an eigenvalue line once per
+    key of the op's eigenvalues; a record reads them at its partition's keys,
+    the ops being sorted by name once.  Each vector is expanded by its basis
+    index from the maps of local vectors (_expand), and a vector item's text
+    up to its partition is memoized per coefficient object, each 1 or held by
+    the product memo that all vectors share.  The comparison and
+    check_eigen_printable run first, so an op that eigenbasis did not verify,
+    or an integer too long for str(), raises ValueError before any record.
     """
     space = system.space
     comparisons = eigenvalue_comparisons(system, op_list)
     check_eigen_printable(system, comparisons, True)
     pad, pad3, pad4, pad5 = ("\n" + "  " * d for d in (2, 3, 4, 5))
-    part = [_text(p, 3) for p in space.basis]
+    part = [_text(parts, 3) for _, parts in map(space.decode, range(space.dimension))]
     value = _value_texts()
 
     def comparison_records():
@@ -709,8 +709,8 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
                      f',{pad3}"op": {name},{pad3}"partition": '
                 for key, (mval, cval, match, expected) in c.cases.items()}))
         sep = "," + pad
-        for p, ranks in zip(part, space.rank_tuples) if heads else ():
-            tail = p + pad + "}"  # each row ends with its partition
+        for i, p in enumerate(part) if heads else ():
+            ranks, tail = space.decode(i)[0], p + pad + "}"  # rows end with rho
             yield JsonText((tail + sep).join(
                 [texts[key(ranks)] for key, texts in heads]) + tail)
 
@@ -720,8 +720,8 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
         ops = sorted(system.columns, key=HeckeOp.spec_string)
         lines = [{key: _json_str(op.spec_string()) + ": " + value(lam, 4)
                   for key, lam in system.columns[op].items()} for op in ops]
-        item_end = [f',{pad5}"partition": {_text(p, 5)}{pad4}}}'
-                    for p in space.basis]
+        item_end = [f',{pad5}"partition": {_text(parts, 5)}{pad4}}}'
+                    for _, parts in map(space.decode, range(space.dimension))]
         sep = "," + pad4
         for i, p in enumerate(part):
             items = []
@@ -739,15 +739,9 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
                 f'{p},{pad3}"vector": [{pad4}{sep.join(items)}'
                 f'{pad3}]{pad}}}')
 
-    basis = ("," + pad3).join(
-        f'{{{pad4}"N0": {p.n0},{pad4}"N1": {p.n1},{pad4}"N2": {p.n2}'
-        f',{pad4}"index": {i}{pad3}}}' for i, p in enumerate(space.basis))
     return {"comparison": comparison_records(),
             "eigenbasis": eigenbasis_records(),
-            "space": {"level": space.level, "weight": space.weight,
-                      "char": space.char.spec_string(),
-                      "dimension": space.dimension,
-                      "basis": [JsonText(basis)]}}
+            "space": space.descriptor(1)}
 
 
 # -- relation operators (corner-to-basis words) --------------------------------
@@ -878,7 +872,7 @@ def relation_defects(ops: SpaceOperators) -> list[int]:
             {t: _ONE if a.is_one() else a for t, a in row if not a.is_zero()}
             for row in rows])
     out = []
-    for ranks in space.rank_tuples:
+    for ranks, _ in map(space.decode, range(space.dimension)):
         size, v = 1, _ONE
         for w, r in zip(local, ranks):
             size *= len(w[r])

@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import lcm
 
 from .characters import enumerate_characters
-from .cyclotomic import CycNum, _check_cap, _make, as_cyc, euler_phi, \
-    is_squarefree, primes_up_to
+from .cyclotomic import CycNum, _check_cap, _make, as_cyc, divisors, \
+    euler_phi, is_squarefree, primes_up_to
 from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
@@ -149,17 +149,11 @@ def spaces_in_scope(config) -> list[EisSpace]:
 
 
 def _expected_mismatch_values(space, rho, q):
-    """The two sides of the known T1 disagreement at q | N1."""
-    k = space.weight
-    matrix_side = (
-        _chi_over(space, rho.n0, q * q) * q ** (2 * k - 2)
-        + _chi_over(space, rho.n2, q * q) * q
-    )
-    table_side = (
-        _chi_over(space, rho.n0, q * q) * q ** (2 * k - 3)
-        + _chi_over(space, rho.n2, q * q) * q
-    )
-    return matrix_side, table_side
+    """The two sides of the known T1 disagreement at q | N1 of the parts rho."""
+    k, (c0, _, c2) = space.weight, rho
+    chi0, chi2 = _chi_over(space, c0, q * q), _chi_over(space, c2, q * q) * q
+    # the matrix side has q^(2k-2) where the table has q^(2k-3)
+    return chi0 * q ** (2 * k - 2) + chi2, chi0 * q ** (2 * k - 3) + chi2
 
 
 def _check_config(config: dict) -> None:
@@ -291,12 +285,14 @@ def _space_params(space):
 
 
 def _check_eisspace(config, run):
-    space = run.space
-    a = sum(1 for q in prime_factors(space.level) if space.char.is_real_at(q))
-    b = len(prime_factors(space.level)) - a
-    ok = space.dimension == 3**a * 2**b
-    again = enumerate_partitions(space.level, space.char, space.weight)
-    ok = ok and again.basis == space.basis
+    """The decoded basis against a brute-force oracle: the ordered divisor
+    triples with product N, chi_q^2 = 1 at each q | N1, by Partition.sort_key."""
+    space, n = run.space, run.space.level
+    want = sorted((Partition(a, b, n // (a * b)) for a in divisors(n)
+                   for b in divisors(n // a)
+                   if all(map(space.char.is_real_at, prime_factors(b)))),
+                  key=Partition.sort_key)
+    ok = want == list(space.basis)  # the Partitions of the decoded parts
     return [CheckRecord(
         "eisspace-enumeration", _space_params(space),
         PASS if ok else FAIL,
@@ -358,8 +354,8 @@ def _check_triangularity(config, run):
     """Every entry of every sweep table keeps or raises each rank, and every
     row equals the per-row formula at that row: the oracle of the factored
     tables, which evaluate the formula once per key."""
-    space = run.space
-    ranks, primes = space.rank_tuples, prime_factors(space.level)
+    space, primes = run.space, prime_factors(run.space.level)
+    ranks, parts = zip(*map(space.decode, range(space.dimension)))
     bad, off = 0, []
     for op in run.sweep:
         rows = run.ops.matrix(op).rows
@@ -370,7 +366,7 @@ def _check_triangularity(config, run):
             want = [_row_at_level_prime(space, i, op, pos) for i in range(len(rows))]
         else:
             want = [((i, _row_prime_to_level(space, rho, op)),)
-                    for i, rho in enumerate(space.basis)]
+                    for i, rho in enumerate(parts)]
         if list(rows) != want:
             off.append(str(op))
     detail = f"{bad} rank-decreasing entries"
@@ -402,9 +398,9 @@ def _check_closed_forms(config, run):
     bad = 0
     matched = 0
     comparisons = eigenvalue_comparisons(run.system, run.ops.level_ops())
-    for rho, ranks in zip(space.basis, space.rank_tuples):
+    for i, rho in enumerate(space.basis):  # Partitions, at the desk's scale
         for c in comparisons:
-            mval, cval, match, exempt = c.cases[c.key(ranks)]
+            mval, cval, match, exempt = c.cases[c.key(space.decode(i)[0])]
             if exempt:
                 mwant, twant = _expected_mismatch_values(space, rho, c.op.p)
                 if mval == mwant and cval == twant and not match:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from siegeleis.cyclotomic import CycNum
 from siegeleis.eisspace import Partition
 from siegeleis.fourier import (CoefficientProvider, CoverageError,
                                FourierExpansion, LabelingError, UOperator,
@@ -310,3 +311,41 @@ def test_krylov_leftover_factor_is_named_by_its_coefficients():
     with pytest.raises(LabelingError,
                        match=r"factor \[-1, -1, 1\] does not split"):
         krylov_spectral(g, [UOperator(1, 2)], sample_bound=2)
+
+
+def _labeled_by_ranks(monkeypatch, ranks):
+    """project_components at N=6 on nine stand-in components, the i-th of
+    rank ranks[i][x] at the x-th prime of 6 and nonzero at the zero form
+    exactly at the corner (rank 0 at both)."""
+    import siegeleis.fourier as fourier
+
+    class Comp:
+        def __init__(self, r):
+            zero = CycNum.one() if r == (0, 0) else CycNum.zero()
+            self.expansion = type("E", (), {"coeffs": {ZERO_FORM: zero}})()
+            self.ranks = r
+    comps = [Comp(r) for r in ranks]
+    monkeypatch.setattr(fourier, "krylov_spectral", lambda *args: comps)
+    monkeypatch.setattr(fourier, "_rank_labels", lambda cs, u: {
+        i: c.ranks[(2, 3).index(u.Q * u.P)] for i, c in enumerate(cs)})
+    provider = type("P", (), {"weight": 4, "level": 1, "expansion": None})()
+    return comps, project_components(provider, 6, 4)
+
+
+def test_projection_labels_come_in_basis_order(monkeypatch):
+    # the labels are read off each component's ranks and come back in the
+    # order of Partition.sort_key, each beside its own component
+    ranks = [(2, 1), (0, 0), (1, 2), (0, 2), (2, 2), (1, 0), (0, 1), (2, 0),
+             (1, 1)]
+    comps, labeled = _labeled_by_ranks(monkeypatch, ranks)
+    rhos = [rho for rho, _ in labeled]
+    assert rhos == sorted(rhos, key=Partition.sort_key) and len(rhos) == 9
+    for rho, comp in labeled:
+        assert [rho.rank_of(q) for q in (2, 3)] == list(comp.ranks)
+
+
+def test_projection_refuses_a_repeated_label(monkeypatch):
+    ranks = [(0, 0), (1, 0), (1, 0), (0, 2), (2, 2), (2, 1), (0, 1), (2, 0),
+             (1, 1)]
+    with pytest.raises(LabelingError, match=r"two components labeled \(3,2,1\)"):
+        _labeled_by_ranks(monkeypatch, ranks)

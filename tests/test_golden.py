@@ -24,8 +24,11 @@ Krylov relation was read off `left_null_space`: with them every command of
 the perfbench fourier-e8 workload is pinned; the level-30030 hecke T:2,
 dimension 729, before its rows were streamed from `apply_word` instead of
 held as a dense matrix; the level-2310 relations before its identities were
-streamed as rendered records instead of one dict each).  `SL2_APPLY` pins four fourier `--apply` words on a
-generated SL2 table, whose twin proper classes carry different values,
+streamed as rendered records instead of one dict each; at scale, `basis`
+and the csv `eigen` at N=9699690 (omega 8) and `relations` at N=223092870
+(omega 9), before the basis was stored as one sorted code per element, the
+order that rewrite computes anew).  `SL2_APPLY` pins four fourier `--apply`
+words on a generated SL2 table, whose twin proper classes carry different values,
 before an SL2 class was keyed by its proper reduced form alone.
 
 A refactor that changes no result leaves every digest unchanged.  When an
@@ -43,7 +46,7 @@ import pytest
 import siegeleis.hecke as hecke
 from siegeleis.cli import main
 from siegeleis.cyclotomic import CycNum
-from siegeleis.eisspace import EisSpace
+from siegeleis.eisspace import EisSpace, Partition, enumerate_partitions
 from siegeleis.fourier import CoefficientProvider
 from siegeleis.lattices import reduced_posdef_forms
 
@@ -109,6 +112,12 @@ GOLDEN = [
      "cb949c95a6865b98fcc76af3a4a3add4dd65548d6d9a44dcb509e57a82512d64"),
     (RELATIONS_2310,
      "eb7e3e94599c083c2400392acc5c34427bff2296d672e43a2f5704e57dc9d6ef"),
+    (("basis", "--level", "9699690", "--weight", "4"),
+     "c706dc0d91d5d980bd1675993514ee7d459f9dd4719b2e459eee9fae6f7d0317"),
+    (("eigen", "--level", "9699690", "--weight", "4", "--format", "csv"),
+     "e8b7d9c18e2a8947e8eb9b916672cf105d1896ad25d20c75f586f357490815f7"),
+    (("relations", "--level", "223092870", "--weight", "4"),
+     "be9c2fd177c3091ca5f1acc13828638e98c3328a3dfbfac5bdd537c2cf66db55"),
     (("fourier", "--provider", PROVIDER, "--level", "2"),
      "22dc2d83c0157c0851aaca1f231d78deef188fe7452a8f936a845b77e03233b3"),
     (("fourier", "--provider", PROVIDER, "--level", "2", "--calibrate"),
@@ -270,6 +279,26 @@ def test_json_eigen_expands_each_vector_once(capsys, monkeypatch):
     digest = stdout_digest(capsys, EIGEN_30_PRIMES_7)
     assert calls == Counter(range(27))  # each basis index once
     assert digest == dict(GOLDEN)[EIGEN_30_PRIMES_7]
+
+
+def test_no_command_builds_a_partition_per_basis_element(capsys, monkeypatch):
+    # the space is its codes: enumerate_partitions builds no Partition, and
+    # basis, hecke, eigen (JSON and csv) and relations print the decoded
+    # parts, so none of them builds one either
+    made = []
+    monkeypatch.setattr(Partition, "__post_init__",
+                        lambda self: made.append(self))
+    assert enumerate_partitions(2310, None, 4).dimension == 243
+    assert made == []
+    golden = dict(GOLDEN)
+    for argv in [("basis", "--level", "2310", "--weight", "4"),
+                 ("hecke", "--level", "210", "--weight", "4", "--op",
+                  "T:2;S1:3;S2:5"),
+                 ("eigen", "--level", "2310", "--weight", "4"),
+                 EIGEN_2310_CSV, RELATIONS_2310]:
+        digest = stdout_digest(capsys, argv)
+        assert made == [], argv
+        assert digest == golden.get(argv, digest)
 
 
 def write_sl2_table(path) -> str:

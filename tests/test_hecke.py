@@ -512,10 +512,20 @@ def test_word_rows_are_the_dense_rows_each_value_encoded_once(monkeypatch):
 # -- the sparse verifier proves every coordinate -------------------------------
 
 
+def _ranks(space) -> list:
+    """The decoded ranks of every basis element, in basis order."""
+    return [space.decode(i)[0] for i in range(space.dimension)]
+
+
+def _ranks_of(space, rho) -> tuple:
+    """The decoded ranks of the basis element with the parts rho."""
+    return space.decode(space.index_of(Partition(*rho)))[0]
+
+
 def _same_key(space, q, rho, target) -> bool:
     """Whether rho and target have the same key in the table of T(q)."""
-    key, ranks = hecke_matrix(space, HeckeOp("T", q)).key, space.rank_tuples
-    return key(ranks[space.index_of(rho)]) == key(ranks[space.index_of(target)])
+    key = hecke_matrix(space, HeckeOp("T", q)).key
+    return key(_ranks_of(space, rho)) == key(_ranks_of(space, target))
 
 
 def _tampered(change, target=Partition(2, 1, 1)):
@@ -530,7 +540,7 @@ def _tampered(change, target=Partition(2, 1, 1)):
         if not _same_key(space, q, rho, target):
             return real(space, rho, q, rank)
         primes = prime_factors(space.level)
-        ranks = space.rank_tuples[space.index_of(target)]
+        ranks = _ranks_of(space, target)
         local = [dict(real(space, target, p, r)) for p, r in zip(primes, ranks)]
         change(local)
         return local[primes.index(q)]
@@ -630,7 +640,8 @@ def test_eigenbasis_checks_a_shared_local_vector_per_object(monkeypatch):
         # 2 and 0 elsewhere holds every u_q, q != 2, of the corner (N,1,1),
         # so a wrong u_q at the second prime of that partition fails at the
         # corner
-        later = space.rank_tuples.index((1,) + space.rank_tuples[0][1:])
+        ranks = _ranks(space)
+        later = ranks.index((1,) + ranks[0][1:])
         with monkeypatch.context() as m:
             m.setattr(hecke, "_local_vector",
                       _tampered(_put(1, 1, 7), space.basis[later]))
@@ -687,7 +698,7 @@ def test_check_2_runs_once_per_key_and_local_vectors(monkeypatch, level, spec,
         near = ([system.vector_ops[x] for x in hm.places],
                 [system.local[x] for x in hm.places])
         pairs = {}  # (key, ids of the local vectors at the places) -> them
-        for i, ranks in enumerate(ops.space.rank_tuples):
+        for i, ranks in enumerate(_ranks(ops.space)):
             held = tuple(system.at(i, *near))
             pairs[hm.key(ranks), tuple(map(id, held))] = held
         size = 0
@@ -733,11 +744,11 @@ def test_eigenvectors_are_stored_as_one_column_per_prime():
     keys = [ops.matrix(HeckeOp("T", q)).key for q in primes]
     for q, us in zip(primes, system.local):
         assert list(us) == list(ops.matrix(HeckeOp("T", q)).local)
-    for i, ranks in enumerate(space.rank_tuples):
+    for i, ranks in enumerate(_ranks(space)):
         us = [m[key(ranks)] for key, m in zip(keys, system.local)]
         want = [math.prod((u.get(r, CycNum.zero()) for u, r in zip(us, s)),
                           start=CycNum.one())
-                for s in space.rank_tuples]
+                for s in _ranks(space)]
         assert system.dense(i) == want
 
 
@@ -773,6 +784,14 @@ def test_local_vectors_are_computed_once_per_key(monkeypatch):
     assert sorted(calls) == [(q, r) for q in (2, 3, 5, 7, 11) for r in range(3)]
 
 
+def _plain_space(space) -> dict:
+    """The plain tree that EisSpace.descriptor writes, from the Partitions."""
+    return {"level": space.level, "weight": space.weight,
+            "char": space.char.spec_string(), "dimension": space.dimension,
+            "basis": [{"index": i, **p.to_json()}
+                      for i, p in enumerate(space.basis)]}
+
+
 def _plain_entry(system, i: int) -> dict:
     """The JSON of the i-th eigenbasis entry, built from dense(i), the
     eigenvalues at its keys and to_json()."""
@@ -804,8 +823,9 @@ def test_json_memo_keeps_one_entry_per_value(monkeypatch):
     encoded_at = []
     real = hecke._text
 
-    def counted(obj, depth):
-        encoded_at.append((json.dumps(obj.to_json(), sort_keys=True), depth))
+    def counted(obj, depth):  # a value, or a partition's parts
+        plain = obj if type(obj) is CycNum else Partition(*obj)
+        encoded_at.append((json.dumps(plain.to_json(), sort_keys=True), depth))
         return real(obj, depth)
 
     monkeypatch.setattr(hecke, "_text", counted)
@@ -866,7 +886,7 @@ def test_eigen_json_writes_the_plain_json():
         assert iter(out["eigenbasis"]) is out["eigenbasis"]
         pieces = []
         write_json(out, pieces.append)
-        plain = {"space": system.space.descriptor(),
+        plain = {"space": _plain_space(system.space),
                  "eigenbasis": [_plain_entry(system, i) for i
                                 in range(system.space.dimension)],
                  "comparison": compare_eigenvalues(system, op_list)}
@@ -882,14 +902,14 @@ def test_eigen_json_prints_each_rows_own_matrix_value():
     system = eigenbasis(SpaceOperators(enumerate_partitions(30, None, 4)))
     space, op = system.space, HeckeOp("T", 2)
     lams, key = system.columns[op], system.tables[op].key
-    at = key(space.rank_tuples[-1])
+    at = key(_ranks(space)[-1])
     lams[at] = lams[at] + 1
     pieces = []
     write_json(eigen_json(system), pieces.append)
     doc = json.loads("".join(pieces))
     rows = doc["comparison"]
     assert rows == compare_eigenvalues(system)
-    ours = [i for i, ranks in enumerate(space.rank_tuples) if key(ranks) == at]
+    ours = [i for i, ranks in enumerate(_ranks(space)) if key(ranks) == at]
     assert len(ours) == 9 and ours[-1] == space.dimension - 1
     for i in ours:
         assert (doc["eigenbasis"][i]["eigenvalues"]["T:2"]
@@ -1273,7 +1293,7 @@ def test_closed_forms_once_per_key_equal_the_per_row_formula():
         for c in got:
             op = c.op
             assert c.cases.keys() == system.columns[op].keys()
-            for rho, ranks in zip(space.basis, space.rank_tuples):
+            for rho, ranks in zip(space.basis, _ranks(space)):
                 mval, cval, match, expected = c.cases[c.key(ranks)]
                 assert mval is system.columns[op][c.key(ranks)]
                 assert cval == eigenvalue_closed_form(space, rho, op), (

@@ -11,7 +11,7 @@ from siegeleis import hecke, verify
 from siegeleis.characters import DirichletCharacter
 from siegeleis.cli import main
 from siegeleis.cyclotomic import CycNum, as_cyc
-from siegeleis.eisspace import Partition, enumerate_partitions
+from siegeleis.eisspace import EisSpace, Partition, enumerate_partitions
 from siegeleis.hecke import HeckeMatrix, HeckeOp, SpaceOperators
 from siegeleis.verify import (DESK_CONFIG, PRESETS, QUICK_CONFIG,
                               run_suite, space_run, spaces_in_scope,
@@ -260,7 +260,7 @@ def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
 
     def wrong(space, rho, q, rank):
         u = real(space, rho, q, rank)
-        if space.level == 2 and rho == Partition(2, 1, 1):
+        if space.level == 2 and tuple(rho) == (2, 1, 1):
             # u_2 is {0: 1, 1: -1/14, 2: -1/434}
             u = {**u, 1: as_cyc(Fraction(-1, 13))}
         return u
@@ -278,6 +278,33 @@ def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
     assert {c.name for c in report.checks if c.status == "fail"} == {
         "hecke-eigen-exactness", "hecke-closed-form-comparison",
         "hecke-eigen-oracle"}
+
+
+def test_eisspace_record_fails_when_the_tie_break_changes(monkeypatch):
+    # the enumeration with its tie-break changed to -N1 before -N2 keeps the
+    # elements but not their order; the brute-force oracle of the
+    # eisspace-enumeration record sees it where (N2, N1) ties with two
+    # primes or more: at N = 6, (1,6,1) before (2,1,3).  Total rank still
+    # comes first, so every table stays upper triangular and no other
+    # check fails
+    real = verify.enumerate_partitions
+
+    def swapped(N, char=None, k=4):
+        space = real(N, char, k)
+
+        def key(i):
+            ranks, (_, n1, n2) = space.decode(i)
+            return sum(ranks), -n1, -n2
+        order = sorted(range(space.dimension), key=key)
+        return EisSpace(N, k, space.char, tuple(space.codes[i] for i in order))
+
+    monkeypatch.setattr(verify, "enumerate_partitions", swapped)
+    checks = run_suite(QUICK_CONFIG).checks
+    failed = {(c.name, c.parameters["level"]) for c in checks
+              if c.status == "fail"}
+    assert failed == {("eisspace-enumeration", 6)}
+    assert sum(c.name == "eisspace-enumeration" and c.status == "pass"
+               for c in checks) > 0
 
 
 def test_eigen_oracle_drops_a_non_invariant_piece():
@@ -320,7 +347,7 @@ def _bump(columns, op, rho):
     the eigenvalue of rho alone."""
     space = enumerate_partitions(2, None, 4)
     key = SpaceOperators(space).matrix(op).key(
-        space.rank_tuples[space.index_of(rho)])
+        space.decode(space.index_of(rho))[0])
     columns[op][key] = columns[op][key] + 1
 
 
