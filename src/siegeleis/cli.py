@@ -224,12 +224,12 @@ def cmd_fourier(args) -> int:
             exp = apply_U(exp, u)
         args.stage("apply", None)
         _check_fourier_printable([exp])
-        out = exp.to_json()
+        out = exp.rendered(0)
     elif task == "--ops":
         comps = krylov_spectral(provider.expansion, word, bound)
         args.stage("ops", None)
         _check_fourier_printable([], comps)
-        out = [_component_json(c) for c in comps]
+        out = [_component_json(c, 2) for c in comps]
     else:
         labeled = project_components(provider, level, provider.weight, bound)
         args.stage("project", None)
@@ -237,7 +237,7 @@ def cmd_fourier(args) -> int:
         out = {
             "level": level,
             "weight": provider.weight,
-            "components": [{"partition": rho.to_json(), **_component_json(comp)}
+            "components": [{"partition": rho.to_json(), **_component_json(comp, 3)}
                            for rho, comp in labeled],
         }
     _emit_json(args, out)
@@ -264,12 +264,12 @@ def _check_fourier_printable(expansions, comps=()) -> None:
                      *(e.coeffs[k] for e in expansions for k in e.domain_keys())])
 
 
-def _component_json(comp) -> dict:
-    """A spectral component's U eigenvalues and expansion as JSON."""
+def _component_json(comp, depth: int) -> dict:
+    """A spectral component's U eigenvalues and expansion at `depth`."""
     return {
         "eigenvalues": {u.spec_string(): lam.to_json()
                         for u, lam in comp.eigenvalues.items()},
-        "expansion": comp.expansion.to_json(),
+        "expansion": comp.expansion.rendered(depth),
     }
 
 

@@ -493,17 +493,37 @@ class CycNum:
 
     # -- JSON --------------------------------------------------------------
 
-    def to_json(self):
+    def coord_texts(self) -> list[str]:
+        """Each coordinate n[i] / d as JSON prints it, reduced by their gcd."""
         d = self.d
-        coeffs = []
-        for a in self.n:
-            g = gcd(a, d)
-            coeffs.append(str(a // g) if g == d else f"{a // g}/{d // g}")
-        return {"m": self.m, "coeffs": coeffs}
+        return [str(a // g) if (g := gcd(a, d)) == d else f"{a // g}/{d // g}"
+                for a in self.n]
+
+    def to_json(self):
+        return {"m": self.m, "coeffs": self.coord_texts()}
+
+    def json_text(self, depth: int) -> str:
+        """The bytes of json.dumps(self.to_json(), indent=2, sort_keys=True)
+        with each newline indented to `depth`, written from the stored form."""
+        pad = "\n" + "  " * depth
+        sep = '",' + pad + '    "'
+        return (f'{{{pad}  "coeffs": [{pad}    "{sep.join(self.coord_texts())}"'
+                f'{pad}  ],{pad}  "m": {self.m}{pad}}}')
 
     @staticmethod
     def from_json(obj) -> "CycNum":
         return CycNum(int(obj["m"]), obj["coeffs"])
+
+
+def value_texts():
+    """CycNum.json_text memoized by stored form and depth, so that each
+    distinct value is encoded once per depth."""
+    memo: dict = {}
+
+    def value(c: CycNum, depth: int) -> str:
+        key = (c.m, c.n, c.d, depth)
+        return memo.get(key) or memo.setdefault(key, c.json_text(depth))
+    return value
 
 
 _set_m = CycNum.m.__set__

@@ -17,7 +17,7 @@ from math import prod
 
 from .characters import DirichletCharacter
 from .cyclotomic import is_squarefree, prime_factors
-from .jsonout import JsonText
+from .jsonout import chunked
 
 
 @dataclass(frozen=True)
@@ -120,16 +120,16 @@ class EisSpace:
         (r0, (a, b, c)), (r1, (d, e, f)) = self._low[lo], self._high[hi]
         return r0 + r1, (a * d, b * e, c * f)
 
-    def descriptor(self, depth: int = 0) -> dict:
-        """What `basis` prints, as a dict standing at `depth`; its basis is
-        one JsonText of the items {N0, N1, N2, index}, read off the codes."""
+    def descriptor(self, depth: int = 0, decoded=None) -> dict:
+        """What `basis` prints, as a dict at `depth`: its basis is chunked
+        JsonText of {N0, N1, N2, index}, off `decoded` or else the codes."""
         pad, inner = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 3)
         items = (f'{{{inner}"N0": {a},{inner}"N1": {b},{inner}"N2": {c},{inner}'
-                 f'"index": {i}{pad}}}' for i, (_, (a, b, c))
-                 in enumerate(map(self.decode, range(self.dimension))))
+                 f'"index": {i}{pad}}}' for i, (_, (a, b, c)) in enumerate(
+                     decoded or map(self.decode, range(self.dimension))))
         return {"level": self.level, "weight": self.weight,
                 "char": self.char.spec_string(), "dimension": self.dimension,
-                "basis": [JsonText(("," + pad).join(items))]}
+                "basis": chunked(items, depth + 2)}
 
     def __repr__(self):
         return (f"EisSpace(N={self.level}, k={self.weight}, "

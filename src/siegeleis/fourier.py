@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import (CycNum, as_cyc, check_printable, is_squarefree,
-                         prime_factors)
+                         prime_factors, value_texts)
+from .jsonout import chunked
 from .lattices import (
     GL2,
     SL2,
@@ -153,6 +154,26 @@ class FourierExpansion:
             "coeffs": out,
         }
 
+    def rendered(self, depth: int) -> dict:
+        """to_json() standing at `depth`, its coefficient list rendered from
+        the stored forms as JsonText chunks (jsonout.chunked), a distinct
+        value once: write_json writes it as the bytes of to_json() there."""
+        p = "\n" + "  " * (depth + 2)  # a coefficient, a list item
+        p1, p2 = p + "  ", p + "    "
+        orient = ((f'"orient": 1,{p1}', f'"orient": -1,{p1}')
+                  if self.mode == SL2 else ("", ""))  # a GL2 key has b >= 0
+        coeffs, value = self.coeffs, value_texts()
+
+        def items():
+            for key in self.domain_keys():
+                a, b, c = key
+                yield (f'{{{p1}"form": {{{p2}"a": {a},{p2}"b": {abs(b)},{p2}'
+                       f'"c": {c}{p1}}},{p1}{orient[b < 0]}'
+                       f'"value": {value(coeffs[key], depth + 3)}{p}}}')
+        return {"group": self.mode, "det_bound": self.det_bound,
+                "content_bound": self.content_bound,
+                "coeffs": chunked(items(), depth + 2)}
+
 
 def _common_domain(expansions) -> tuple:
     """(det bound, content bound, keys) of the largest domain that all the
@@ -237,9 +258,13 @@ class CoefficientProvider:
     expansion: FourierExpansion
 
 
-def _text(raw: str) -> str:
-    """A provider line without its comment and outer whitespace."""
-    return raw.split("#", 1)[0].strip()
+def _quote(text: str, limit: int = 80) -> str:
+    """repr of a provider line or token, less its comment and outer space;
+    a longer one than `limit` is cut to its first `limit`, then its length."""
+    text = text.split("#", 1)[0].strip()
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
@@ -255,8 +280,7 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
         if not toks:
             continue
         if toks[0][0] == "!":
-            line = _text(raw)
-            toks = line[1:].split()
+            toks = raw.split("#", 1)[0].strip()[1:].split()
             if (len(toks) != 6 or toks[0] != "weight" or toks[2] != "level"
                     or toks[4] != "group"):
                 raise ValueError(
@@ -266,14 +290,14 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
             try:
                 weight, level = int(toks[1]), int(toks[3])
             except ValueError:
-                raise ValueError(f"{source}:{lineno}: bad number in {line!r}") from None
+                raise ValueError(f"{source}:{lineno}: bad number in {_quote(raw)}") from None
             mode = toks[5]
             if mode not in (GL2, SL2):
-                raise ValueError(f"{source}:{lineno}: unknown group {mode!r}")
+                raise ValueError(f"{source}:{lineno}: unknown group {_quote(mode)}")
             sl2 = mode == SL2
             continue
         if len(toks) not in (4, 5):
-            raise ValueError(f"{source}:{lineno}: malformed line {_text(raw)!r}")
+            raise ValueError(f"{source}:{lineno}: malformed line {_quote(raw)}")
         try:
             a, b, c = int(toks[0]), int(toks[1]), int(toks[2])
             val = values.get(toks[3])
@@ -285,11 +309,12 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
                 values[toks[3]] = val
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{source}:{lineno}: bad number in "
-                             f"{_text(raw)!r}") from None
+                             f"{_quote(raw)}") from None
         orient = toks[4] if len(toks) == 5 else "1"
         if orient not in ("1", "-1"):
-            raise ValueError(f"{source}:{lineno}: bad orientation {orient!r} "
-                             f"in {_text(raw)!r}; want 1 or -1")
+            raise ValueError(f"{source}:{lineno}: bad orientation "
+                             f"{_quote(orient)} in {_quote(raw)}; "
+                             f"want 1 or -1")
         # an SL2 line names the class of the b < 0 twin by orient -1
         s = -b if sl2 and orient == "-1" else b
         if (0 <= 2 * s <= a <= c and a > 0) or s == c == 0 <= a:

@@ -20,11 +20,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii as _json_str
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 
 from .characters import legendre_epsilon
-from .cyclotomic import CycNum, _height, as_cyc, check_printable, is_prime
+from .cyclotomic import (CycNum, _height, as_cyc, check_printable, is_prime,
+                         value_texts)
 from .eisspace import EisSpace, Partition, prime_factors
 from .jsonout import JsonText
 
@@ -342,10 +343,10 @@ class EigenSystem:
         """T(q) for each prime q of N, whose table's keys key ``local``."""
         return tuple(HeckeOp("T", q) for q in prime_factors(self.space.level))
 
-    def at(self, i: int, ops, maps) -> list:
+    def at(self, i: int, ops, maps, ranks=None) -> list:
         """The i-th basis element's entry in each map of maps, read at its
-        key in the table of the op beside the map."""
-        ranks = self.space.decode(i)[0]
+        key (off `ranks`, when given) in the table of the op beside the map."""
+        ranks = self.space.decode(i)[0] if ranks is None else ranks
         return [m[self.tables[op].key(ranks)] for op, m in zip(ops, maps)]
 
     @property
@@ -359,7 +360,7 @@ class EigenSystem:
     def dense(self, i: int) -> list[CycNum]:
         """The i-th eigenvector, as a list over the basis."""
         out = [_ZERO] * self.space.dimension
-        for j, c in _expand(self, i, {}):
+        for j, c in _expand(self, i, self.space.decode(i)[0], {}):
             out[j] = c
         return out
 
@@ -374,9 +375,9 @@ class EigenSystem:
         return [own[op] for op in op_list]
 
 
-def _expand(system: EigenSystem, i: int, products: dict) -> zip:
-    """The nonzero coefficients of the i-th eigenvector of system as (basis
-    index, value) pairs, in no particular order.
+def _expand(system: EigenSystem, i: int, ranks: tuple, products: dict) -> zip:
+    """The nonzero coefficients of the i-th eigenvector of system (ranks
+    `ranks`) as (basis index, value) pairs, in no particular order.
 
     Each value is the product, from 1, of its local entries off the
     partition's ranks, the primes in ascending order.  `products` maps
@@ -390,8 +391,8 @@ def _expand(system: EigenSystem, i: int, products: dict) -> zip:
     """
     space = system.space
     codes, coeffs = [space.codes[i]], [_ONE]
-    us = system.at(i, system.vector_ops, system.local)
-    for x, (r, u) in enumerate(zip(space.decode(i)[0], us)):
+    us = system.at(i, system.vector_ops, system.local, ranks)
+    for x, (r, u) in enumerate(zip(ranks, us)):
         moves = [((t - r) * 3 ** x, a) for t, a in u.items()
                  if t != r and not a.is_zero()]
         if not moves:
@@ -636,36 +637,14 @@ def check_eigen_printable(system: EigenSystem, comparisons,
     check_printable(values, factors)
 
 
-def _text(obj, depth: int) -> str:
-    """The JSON of a CycNum or of parts (N0, N1, N2), standing at `depth`:
-    the bytes of json.dumps(obj.to_json(), indent=2, sort_keys=True) with
-    each newline indented to that depth, written from the stored form.  A
-    CycNum (sum n[i] z^i) / d writes each coordinate n[i] / d reduced by
-    their gcd, as CycNum.to_json does."""
+def _text(parts, depth: int) -> str:
+    """The JSON of parts (N0, N1, N2) standing at `depth`: the bytes of
+    json.dumps of their Partition's to_json(), indent=2, sort_keys=True,
+    with each newline indented to that depth."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
-    if type(obj) is not CycNum:
-        n0, n1, n2 = obj
-        return f'{{{inner}"N0": {n0},{inner}"N1": {n1},{inner}"N2": {n2}{pad}}}'
-    d = obj.d
-    coeffs = []
-    for a in obj.n:
-        g = gcd(a, d)
-        coeffs.append(str(a // g) if g == d else f"{a // g}/{d // g}")
-    sep = '",' + inner + '  "'
-    return (f'{{{inner}"coeffs": [{inner}  "{sep.join(coeffs)}"{inner}]'
-            f',{inner}"m": {obj.m}{pad}}}')
-
-
-def _value_texts():
-    """_text of a CycNum at a depth, memoized by its stored form and the
-    depth, so that each distinct value is encoded once per depth."""
-    memo: dict = {}
-
-    def value(c: CycNum, depth: int) -> str:
-        key = (c.m, c.n, c.d, depth)
-        return memo.get(key) or memo.setdefault(key, _text(c, depth))
-    return value
+    n0, n1, n2 = parts
+    return f'{{{inner}"N0": {n0},{inner}"N1": {n1},{inner}"N2": {n2}{pad}}}'
 
 
 def eigen_json(system: EigenSystem, op_list=None) -> dict:
@@ -675,27 +654,29 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
     Its lists are iterators of JsonText records, each rendered for the
     depth where it stands when the writer reaches it: per basis partition
     its rows (several list items in one record) and its entry; the space
-    is EisSpace.descriptor, whose basis is one record.
+    is EisSpace.descriptor, whose basis is a stream of chunks.
 
-    The records are read off the per-key maps and EisSpace.decode, with no
-    object per row, entry, vector or partition.  Each distinct value and
-    partition is encoded once per depth, by _text (values through
-    _value_texts).  Per op, a row's text up to its partition is built once
-    per key of eigenvalue_comparisons' cases, and an eigenvalue line once per
-    key of the op's eigenvalues; a record reads them at its partition's keys,
-    the ops being sorted by name once.  Each vector is expanded by its basis
-    index from the maps of local vectors (_expand), and a vector item's text
-    up to its partition is memoized per coefficient object, each 1 or held by
-    the product memo that all vectors share.  The comparison and
-    check_eigen_printable run first, so an op that eigenbasis did not verify,
-    or an integer too long for str(), raises ValueError before any record.
+    The records are read off the per-key maps and one EisSpace.decode per
+    element, with no object per row, entry, vector or partition.  Each
+    distinct value and partition is encoded once per depth.  Per op, a
+    row's text up to its partition is built once per key of
+    eigenvalue_comparisons' cases, and an eigenvalue line once per key of
+    the op's eigenvalues; a record reads them at its partition's keys, the
+    ops being sorted by name once.  Each vector is expanded by its basis
+    index from the maps of local vectors (_expand), and a vector item's
+    text up to its partition is memoized per coefficient object, each 1 or
+    held by the product memo that all vectors share.  The comparison and
+    check_eigen_printable run first, so an op that eigenbasis did not
+    verify, or an integer too long for str(), raises ValueError before any
+    record.
     """
     space = system.space
     comparisons = eigenvalue_comparisons(system, op_list)
     check_eigen_printable(system, comparisons, True)
     pad, pad3, pad4, pad5 = ("\n" + "  " * d for d in (2, 3, 4, 5))
-    part = [_text(parts, 3) for _, parts in map(space.decode, range(space.dimension))]
-    value = _value_texts()
+    decoded = list(map(space.decode, range(space.dimension)))
+    part = [_text(parts, 3) for _, parts in decoded]
+    value = value_texts()
 
     def comparison_records():
         heads = []  # per op, its key getter and each key's row up to rho
@@ -709,8 +690,8 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
                      f',{pad3}"op": {name},{pad3}"partition": '
                 for key, (mval, cval, match, expected) in c.cases.items()}))
         sep = "," + pad
-        for i, p in enumerate(part) if heads else ():
-            ranks, tail = space.decode(i)[0], p + pad + "}"  # rows end with rho
+        for (ranks, _), p in zip(decoded, part) if heads else ():
+            tail = p + pad + "}"  # rows end with rho
             yield JsonText((tail + sep).join(
                 [texts[key(ranks)] for key, texts in heads]) + tail)
 
@@ -721,17 +702,17 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
         lines = [{key: _json_str(op.spec_string()) + ": " + value(lam, 4)
                   for key, lam in system.columns[op].items()} for op in ops]
         item_end = [f',{pad5}"partition": {_text(parts, 5)}{pad4}}}'
-                    for _, parts in map(space.decode, range(space.dimension))]
+                    for _, parts in decoded]
         sep = "," + pad4
-        for i, p in enumerate(part):
+        for i, ((ranks, _), p) in enumerate(zip(decoded, part)):
             items = []
-            for j, c in sorted(_expand(system, i, products),
+            for j, c in sorted(_expand(system, i, ranks, products),
                                key=itemgetter(0)):
                 start = starts.get(id(c))
                 if start is None:
                     start = starts[id(c)] = f'{{{pad5}"coeff": {value(c, 5)}'
                 items.append(start + item_end[j])
-            eigs = system.at(i, ops, lines)
+            eigs = system.at(i, ops, lines, ranks)
             eig_text = (f"{{{pad4}" + sep.join(eigs) + pad3 + "}"
                         if eigs else "{}")
             yield JsonText(
@@ -741,7 +722,7 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
 
     return {"comparison": comparison_records(),
             "eigenbasis": eigenbasis_records(),
-            "space": space.descriptor(1)}
+            "space": space.descriptor(1, decoded)}
 
 
 # -- relation operators (corner-to-basis words) --------------------------------
@@ -822,10 +803,10 @@ def word_rows(ops: SpaceOperators, word):
     row i is apply_word on the unit vector e_i, yielded as the JsonText of
     its dense list at the depth of a list item under a top-level key, so
     no n x n matrix is ever held.  Each distinct value is encoded once
-    (_value_texts), the zero cell included."""
+    (cyclotomic.value_texts), the zero cell included."""
     n = ops.space.dimension
     pad, pad3 = "\n    ", "\n      "
-    value = _value_texts()
+    value = value_texts()
     zero = value(_ZERO, 3)
     for i in range(n):
         row = [zero] * n

@@ -3,18 +3,22 @@
 `write_json` writes the bytes of json.dumps(obj, indent=2, sort_keys=True)
 plus a newline in chunks as it encodes them; an iterator in list position
 is written item by item as it yields them.  A caller that renders whole
-records itself (hecke.eigen_json, hecke.word_rows and cli.cmd_relations)
-hands them over as `JsonText`, rendered for the depth where it stands,
-which write_json writes as it is.
+records itself (hecke.eigen_json and word_rows, cli.cmd_relations,
+EisSpace.descriptor, FourierExpansion.rendered) hands them over as
+`JsonText`, rendered for the depth where it stands, which write_json
+writes as it is; `chunked` cuts a long list of such items into chunks.
+A CycNum writes its own text (CycNum.json_text).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
 # Pieces per write, counted after each list item and each closed dict.
 _FLUSH_PIECES = 1024
+_CHUNK_ITEMS = 1024  # rendered list items per JsonText of `chunked`
 
 
 class JsonText:
@@ -26,6 +30,16 @@ class JsonText:
 
     def __init__(self, text: str):
         self.text = text
+
+
+def chunked(items, depth: int) -> Iterator[JsonText]:
+    """The texts of list items standing at `depth` as JsonText chunks of
+    _CHUNK_ITEMS items, joined by "," and the indentation: in list position
+    write_json writes them as the list of the items, one chunk held."""
+    sep = ",\n" + "  " * depth
+    items = iter(items)
+    while batch := list(islice(items, _CHUNK_ITEMS)):
+        yield JsonText(sep.join(batch))
 
 
 def write_json(obj, write) -> None:

@@ -231,6 +231,35 @@ def test_bad_provider_orientation_exit_code(capsys, tmp_path, group, orient):
                    f"{lines[2]!r}; want 1 or -1\n")
 
 
+@pytest.mark.parametrize("line", [
+    " ".join(["1"] * 2_000_000),  # two million value tokens
+    "0 0 0 " + "x" * 100_000,
+    "1 0 1 5 " + "7" * 100_000,
+    "0 0 0 1/" + "0" * 100_000,
+], ids=["malformed", "number", "orientation", "zero-denominator"])
+def test_bad_provider_error_quotes_a_bounded_excerpt(capsys, tmp_path, line):
+    path = tmp_path / "bad.coeffs"
+    path.write_text(f"!weight 4 level 1 group GL2\n0 0 0 1\n{line}\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "fourier", "--provider", str(path),
+                         "--apply", "U:1,2")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}:3: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024 and "Traceback" not in err
+    assert f"... ({len(line.strip())} characters)" in err
+
+
+def test_bad_provider_group_quotes_a_bounded_excerpt(capsys, tmp_path):
+    path = tmp_path / "bad.coeffs"
+    path.write_text("!weight 4 level 1 group " + "G" * 100_000 + "\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "fourier", "--provider", str(path),
+                         "--apply", "U:1,2")
+    assert code == 1 and out == ""
+    assert err == (f"error: {path}:1: unknown group {'G' * 80!r}... "
+                   f"(100000 characters)\n")
+
+
 def test_basis_examples(capsys):
     code, out, _ = run(capsys, "basis", "--level", "6", "--weight", "4", "--char", "1")
     assert code == 0

@@ -15,7 +15,6 @@ import pytest
 
 from siegeleis.cyclotomic import (CycNum, as_cyc, cyclotomic_polynomial,
                                   euler_phi)
-from siegeleis.hecke import _text
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -151,12 +150,13 @@ def test_equal_values_share_one_stored_form(mxy):
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(triples(), st.integers(min_value=0, max_value=6))
 def test_text_is_the_json_of_the_stored_form(xyz, depth):
-    # the eigen and hecke outputs write a value from its stored form, each
-    # coordinate reduced by its own gcd with d, as json.dumps writes to_json
+    # the eigen, hecke and fourier outputs write a value from its stored
+    # form, each coordinate reduced by its own gcd with d, as json.dumps
+    # writes to_json
     pad = "\n" + "  " * depth
     for v in (*xyz, xyz[0] * xyz[1], xyz[0] + xyz[2]):
         plain = json.dumps(v.to_json(), indent=2, sort_keys=True)
-        assert _text(v, depth) == plain.replace("\n", pad)
+        assert v.json_text(depth) == plain.replace("\n", pad)
 
 
 # the rational operands of CycNum arithmetic: ints, Fractions and CycNums

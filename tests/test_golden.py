@@ -39,16 +39,20 @@ installed, which must see the command's stages in order and change no byte.
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import siegeleis.hecke as hecke
+import siegeleis.jsonout as jsonout
 from siegeleis.cli import main
 from siegeleis.cyclotomic import CycNum
 from siegeleis.eisspace import EisSpace, Partition, enumerate_partitions
-from siegeleis.fourier import CoefficientProvider
-from siegeleis.lattices import reduced_posdef_forms
+from siegeleis.fourier import (CoefficientProvider, FourierExpansion,
+                               UOperator, apply_U, provider_load)
+from siegeleis.jsonout import write_json
+from siegeleis.lattices import GL2, SL2, reduced_class_keys, reduced_posdef_forms
 
 PROVIDER = str(Path(__file__).resolve().parent.parent / "data"
                / "e8_weight4_level1.coeffs")
@@ -271,9 +275,9 @@ def test_json_eigen_expands_each_vector_once(capsys, monkeypatch):
     calls = Counter()
     real = hecke._expand
 
-    def counted(system, i, products):
+    def counted(system, i, *rest):  # rest: the ranks and the products
         calls[i] += 1
-        return real(system, i, products)
+        return real(system, i, *rest)
 
     monkeypatch.setattr(hecke, "_expand", counted)
     digest = stdout_digest(capsys, EIGEN_30_PRIMES_7)
@@ -333,3 +337,60 @@ def test_golden_sl2_apply(capsys, tmp_path, word, digest):
     argv = ("fourier", "--provider", table, "--apply", word)
     assert stdout_digest(capsys, argv) == digest
     assert staged_digest(capsys, argv) == digest
+
+
+def written(obj) -> str:
+    pieces = []
+    write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+# where `fourier` writes an expansion: the whole --apply output, the
+# expansion of an --ops component and that of a level-projection component
+AT_DEPTH = {0: lambda x: x, 2: lambda x: [{"expansion": x}],
+            3: lambda x: {"components": [{"expansion": x}]}}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, jsonout._CHUNK_ITEMS])
+def test_rendered_expansions_write_their_plain_json(tmp_path, monkeypatch,
+                                                    chunk):
+    # the oracle is write_json of to_json(): E8 and its images, the SL2
+    # golden table (orient -1 keys and a/b values), and a validated table
+    # holding a value off Q, zeta_5 + 1/3
+    monkeypatch.setattr(jsonout, "_CHUNK_ITEMS", chunk)
+    e8 = provider_load(PROVIDER).expansion
+    sl2 = provider_load(write_sl2_table(tmp_path / "sl2.coeffs")).expansion
+    assert any(b < 0 for _, b, _ in sl2.domain_keys())
+    assert any(v.d > 1 for v in sl2.coeffs.values())
+    zeta = CycNum(5, [Fraction(1, 3), 1, 0, 0])
+    keys = reduced_class_keys(6, 3, GL2)
+    mixed = FourierExpansion(GL2, 6, 3, {k: zeta if i % 3 else Fraction(i, 4)
+                                         for i, k in enumerate(keys)})
+    expansions = [e8, apply_U(e8, UOperator(1, 2)), apply_U(e8, UOperator(3, 1)),
+                  sl2, apply_U(sl2, UOperator(1, 2)), mixed]
+    assert (sl2.mode, mixed.coeffs[keys[1]].m) == (SL2, 5)
+    for exp in expansions:
+        for depth, place in AT_DEPTH.items():
+            assert (written(place(exp.rendered(depth)))
+                    == written(place(exp.to_json()))), (exp.mode, depth)
+
+
+def test_json_eigen_decodes_each_element_once(monkeypatch):
+    # eigen_json decodes each basis element once, and the representative
+    # of each key of a comparison once, where it evaluates the closed form
+    space = enumerate_partitions(2310, None, 4)
+    system = hecke.eigenbasis(hecke.SpaceOperators(space))
+    cases = sum(len(c.cases) for c in hecke.eigenvalue_comparisons(system))
+    calls = Counter()
+    real = EisSpace.decode
+
+    def counted(self, i):
+        calls[i] += 1
+        return real(self, i)
+
+    monkeypatch.setattr(EisSpace, "decode", counted)
+    text = written(hecke.eigen_json(system))
+    assert sum(calls.values()) <= space.dimension + cases == 243 + 30
+    assert set(calls) == set(range(space.dimension))
+    digest = dict(GOLDEN)[("eigen", "--level", "2310", "--weight", "4")]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -493,12 +493,12 @@ def test_word_rows_are_the_dense_rows_each_value_encoded_once(monkeypatch):
     ops = SpaceOperators(space)
     word = [HeckeOp("T", 2), HeckeOp("T", 3)]
     made = []
-    real = hecke._text
+    real = CycNum.json_text
 
     def counted(obj, depth):
         made.append(((obj.m, obj.n, obj.d), depth))
         return real(obj, depth)
-    monkeypatch.setattr(hecke, "_text", counted)
+    monkeypatch.setattr(CycNum, "json_text", counted)
     rows = list(hecke.word_rows(ops, word))
     dense = _word_dense(ops, word)
     assert all(row.text.endswith("\n    ]") for row in rows)  # at depth 2
@@ -821,13 +821,14 @@ def test_json_memo_keeps_one_entry_per_value(monkeypatch):
     # depth it stands at, however often it recurs; its records stand at
     # depth 2, so their keys' values stand at 3 and deeper
     encoded_at = []
-    real = hecke._text
+    real = {CycNum: CycNum.json_text, Partition: hecke._text}
 
     def counted(obj, depth):  # a value, or a partition's parts
         plain = obj if type(obj) is CycNum else Partition(*obj)
         encoded_at.append((json.dumps(plain.to_json(), sort_keys=True), depth))
-        return real(obj, depth)
+        return real[type(plain)](obj, depth)
 
+    monkeypatch.setattr(CycNum, "json_text", counted)
     monkeypatch.setattr(hecke, "_text", counted)
     system = eigenbasis(SpaceOperators(_space(2310, "5:1,11:1")))
     pieces = []
@@ -866,7 +867,9 @@ def test_text_writes_what_json_dumps_writes():
         plain = json.dumps(obj.to_json(), indent=2, sort_keys=True)
         for depth in (0, 3, 4, 5):
             pad = "\n" + "  " * depth
-            assert hecke._text(obj, depth) == plain.replace("\n", pad)
+            text = (obj.json_text(depth) if type(obj) is CycNum
+                    else hecke._text(obj, depth))
+            assert text == plain.replace("\n", pad)
 
 
 def test_eigen_json_writes_the_plain_json():
