@@ -601,6 +601,40 @@ def _rational(a: int, d: int) -> CycNum:
     return _raw(1, (a,), d)
 
 
+def exact_sum(values, coeffs=None) -> CycNum:
+    """sum(values), or sum(c * v) over zip(coeffs, values), for a sequence
+    of values, as the canonical value that the left fold of + (and *) from
+    zero stores.  The rational terms are added as integers over the lcm of
+    their denominators and reduced once (_rational); the others are folded
+    onto that with +.  A lone value is returned as it is."""
+    if coeffs is None:
+        if len(values) == 1:
+            return values[0]
+        terms = values
+    else:  # a rational product is kept as its (n, d), with no object
+        terms = [(c.n[0] * v.n[0], c.d * v.d) if c.m == v.m == 1 else c * v
+                 for c, v in zip(coeffs, values)]
+    num, den, rest = 0, 1, []
+    for t in terms:
+        if type(t) is tuple:
+            n, d = t
+        elif t.m == 1:
+            n, d = t.n[0], t.d
+        else:
+            rest.append(t)
+            continue
+        if d == den:
+            num += n
+        else:
+            g = lcm(den, d)
+            num = num * (g // den) + n * (g // d)
+            den = g
+    total = _rational(num, den)
+    for t in rest:
+        total = total + t
+    return total
+
+
 def _mul_poly(m: int, a, b) -> list[int]:
     """Power-basis numerators of a(z) * b(z) in Q(zeta_m), for numerators
     a and b at m."""

@@ -8,7 +8,9 @@ form, rank-1 classes [[m,0],[0,0]] with m <= content_bound, and positive
 definite classes with det <= det_bound.  Lookups outside the bounds raise
 CoverageError ("unknown"), missing keys inside the bounds are rejected at
 construction time.  A class is keyed by its reduced form in the expansion's
-group (`lattices.reduce_form`), in GL2 and SL2 mode alike.  `to_json` prints
+group (`lattices.reduce_form`), in GL2 and SL2 mode alike; an ingested
+table holds it as the plain tuple (a, b, c), which hashes and compares as
+that GramForm, so either finds the one entry of its class.  `to_json` prints
 an SL2 key (a, -b, c) with b > 0 as the form (a, b, c) with orient -1, any
 other SL2 key with orient 1, and a GL2 key with no orient.
 
@@ -25,14 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import (CycNum, as_cyc, check_printable, is_squarefree,
-                         prime_factors, value_texts)
+from .cyclotomic import (CycNum, _raw, as_cyc, check_printable, exact_sum,
+                         is_squarefree, prime_factors, value_texts)
 from .jsonout import chunked
 from .lattices import (
     GL2,
     SL2,
     GramForm,
     ZERO_FORM,
+    _proper_reduce,
     _reduced_triples,
     reduce_form,
     reduced_class_keys,
@@ -42,7 +45,6 @@ from .linalg import _Span, left_null_space, split_roots
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
-_new_tuple = tuple.__new__
 
 
 class CoverageError(ValueError):
@@ -206,12 +208,8 @@ def combine(terms) -> FourierExpansion:
     if any(f.mode != mode for _, f in terms):
         raise ValueError("mixed group modes")
     db, cb, keys = _common_domain([f for _, f in terms])
-    coeffs = {}
-    for key in keys:
-        total = _ZERO
-        for c, f in terms:
-            total = total + c * f.coeffs[key]
-        coeffs[key] = total
+    cs, tables = [c for c, _ in terms], [f.coeffs for _, f in terms]
+    coeffs = {key: exact_sum([t[key] for t in tables], cs) for key in keys}
     return FourierExpansion(mode, db, cb, coeffs, validate=False)
 
 
@@ -223,6 +221,7 @@ def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
     db = f.det_bound // u.det_factor
     cb = f.content_bound // u.content_factor
     P, mode, table = u.P, f.mode, f.coeffs
+    gl2 = mode == GL2
     # P * (H T H^t) = (a*ra + b*rb + c*rc, b*sb + c*sc, c*tc) for the
     # sublattice H = [[d1, x], [0, d2]] and T = [[a, b], [b, c]]
     subs = [(P * H.d1 * H.d1, 2 * P * H.d1 * H.x, P * H.x * H.x,
@@ -231,17 +230,19 @@ def apply_U(f: FourierExpansion, u: UOperator) -> FourierExpansion:
     coeffs = {}
     for key in reduced_class_keys(db, cb, mode):
         a, b, c = key
-        total = _ZERO
+        images = []
         for ra, rb, rc, sb, sc, tc in subs:
             A, B, C = a * ra + b * rb + c * rc, b * sb + c * sc, c * tc
             # an image of rank <= 1 (C = 0 forces B = 0) or a reduced one is
-            # its own key; a GramForm hashes and compares as its plain tuple
+            # its own key; any other is positive definite, as T is, and
+            # keyed as reduce_form keys it.  A GramForm key hashes and
+            # compares as its plain tuple.
             if C == 0 or 0 <= 2 * B <= A <= C:
-                img = (A, B, C)
+                images.append(table[A, B, C])
             else:
-                img = reduce_form(GramForm(A, B, C), mode)
-            total = total + table[img]
-        coeffs[key] = total
+                A, B, C = _proper_reduce(A, B, C)
+                images.append(table[A, -B if B < 0 and gl2 else B, C])
+        coeffs[key] = exact_sum(images)
     return FourierExpansion(mode, db, cb, coeffs, validate=False)
 
 
@@ -258,76 +259,104 @@ class CoefficientProvider:
     expansion: FourierExpansion
 
 
-def _quote(text: str, limit: int = 80) -> str:
-    """repr of a provider line or token, less its comment and outer space;
-    a longer one than `limit` is cut to its first `limit`, then its length."""
+def _quote(text: str, limit: int = 80, show=repr) -> str:
+    """`show` (repr) of a provider line or token, less its comment and outer
+    space; a longer one than `limit` is cut to its first `limit`, then its
+    length."""
     text = text.split("#", 1)[0].strip()
     if len(text) <= limit:
-        return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:limit])}... ({len(text)} characters)"
+
+
+def _header(raw: str, where: str) -> tuple[int, int, str]:
+    """(weight, level, group) of a '!weight k level 1 group GL2|SL2' line."""
+    toks = raw.split("#", 1)[0].strip()[1:].split()
+    if (len(toks) != 6 or toks[0] != "weight" or toks[2] != "level"
+            or toks[4] != "group"):
+        raise ValueError(f"{where}: bad header; want "
+                         f"'!weight k level 1 group GL2|SL2'")
+    try:
+        weight, level = int(toks[1]), int(toks[3])
+    except ValueError:
+        raise ValueError(f"{where}: bad number in {_quote(raw)}") from None
+    if toks[5] not in (GL2, SL2):
+        raise ValueError(f"{where}: unknown group {_quote(toks[5])}")
+    return weight, level, toks[5]
+
+
+def _value(tok: str) -> CycNum:
+    """The value of a provider token, built in its canonical form: an int
+    over 1, or a Fraction's reduced pair (int reads a subset of what
+    Fraction reads, without a regex)."""
+    try:
+        return _raw(1, (int(tok),), 1)
+    except ValueError:
+        f = Fraction(tok)
+        return _raw(1, (f.numerator,), f.denominator)
 
 
 def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
-    weight = None
-    level = None
+    weight = level = None
     mode = GL2
     sl2 = False
     table: dict = {}
-    values: dict = {}
+    ints: dict = {}  # token -> int
+    values: dict = {}  # token -> CycNum
     top = pd = 0  # the largest det and the number of positive definite keys
     for lineno, raw in enumerate(lines, 1):
         toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not toks:
             continue
         if toks[0][0] == "!":
-            toks = raw.split("#", 1)[0].strip()[1:].split()
-            if (len(toks) != 6 or toks[0] != "weight" or toks[2] != "level"
-                    or toks[4] != "group"):
-                raise ValueError(
-                    f"{source}:{lineno}: bad header; want "
-                    f"'!weight k level 1 group GL2|SL2'"
-                )
-            try:
-                weight, level = int(toks[1]), int(toks[3])
-            except ValueError:
-                raise ValueError(f"{source}:{lineno}: bad number in {_quote(raw)}") from None
-            mode = toks[5]
-            if mode not in (GL2, SL2):
-                raise ValueError(f"{source}:{lineno}: unknown group {_quote(mode)}")
+            where = f"{source}:{lineno}"
+            if weight is not None:
+                raise ValueError(f"{where}: repeated header")
+            if table:
+                raise ValueError(f"{where}: header after the first data line")
+            weight, level, mode = _header(raw, where)
             sl2 = mode == SL2
             continue
-        if len(toks) not in (4, 5):
+        if len(toks) == 4:
+            A, B, C, V = toks
+            orient = None
+        elif len(toks) == 5:
+            A, B, C, V, orient = toks
+        else:
             raise ValueError(f"{source}:{lineno}: malformed line {_quote(raw)}")
-        try:
-            a, b, c = int(toks[0]), int(toks[1]), int(toks[2])
-            val = values.get(toks[3])
+        try:  # each distinct token is parsed once
+            a = ints.get(A)
+            if a is None:
+                a = ints[A] = int(A)
+            b = ints.get(B)
+            if b is None:
+                b = ints[B] = int(B)
+            c = ints.get(C)
+            if c is None:
+                c = ints[C] = int(C)
+            val = values.get(V)
             if val is None:
-                try:  # int reads a subset of what Fraction reads, without a regex
-                    val = as_cyc(int(toks[3]))
-                except ValueError:
-                    val = as_cyc(Fraction(toks[3]))
-                values[toks[3]] = val
+                val = values[V] = _value(V)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{source}:{lineno}: bad number in "
                              f"{_quote(raw)}") from None
-        orient = toks[4] if len(toks) == 5 else "1"
-        if orient not in ("1", "-1"):
-            raise ValueError(f"{source}:{lineno}: bad orientation "
-                             f"{_quote(orient)} in {_quote(raw)}; "
-                             f"want 1 or -1")
-        # an SL2 line names the class of the b < 0 twin by orient -1
-        s = -b if sl2 and orient == "-1" else b
+        s = b
+        if orient is not None and orient != "1":
+            if orient != "-1":
+                raise ValueError(f"{source}:{lineno}: bad orientation "
+                                 f"{_quote(orient)} in {_quote(raw)}; "
+                                 f"want 1 or -1")
+            if sl2:  # an SL2 line names the class of the b < 0 twin by -1
+                s = -b
         if (0 <= 2 * s <= a <= c and a > 0) or s == c == 0 <= a:
-            # already reduced: its own key (GramForm(a, s, c), built without
-            # the Python frame of the generated NamedTuple __new__)
-            key = _new_tuple(GramForm, (a, s, c))
+            key = (a, s, c)  # already reduced: its own key
         else:
             try:
-                key = reduce_form(GramForm(a, s, c), mode)
+                a, s, c = key = tuple(reduce_form(GramForm(a, s, c), mode))
             except ValueError:
-                raise ValueError(f"{source}:{lineno}: form {GramForm(a, b, c)} "
+                form = _quote(str(GramForm(a, b, c)), show=str)
+                raise ValueError(f"{source}:{lineno}: form {form} "
                                  f"is not psd") from None
-            a, s, c = key
         old = table.get(key)
         if old is None:
             table[key] = val
@@ -336,9 +365,8 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
                 if a * c - s * s > top:
                     top = a * c - s * s
         elif old is not val and not (old == val):
-            raise ValueError(
-                f"{source}:{lineno}: inconsistent duplicate for class {key}"
-            )
+            raise ValueError(f"{source}:{lineno}: inconsistent duplicate for "
+                             f"class {_quote(str(GramForm(*key)), show=str)}")
     if weight is None:
         raise ValueError(f"{source}: missing '!weight ...' header line")
 
@@ -351,9 +379,8 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
     # det bound: largest D with every reduced positive definite class of
     # det <= D in the table.  [[1,0],[0,d]] is a reduced class of det d, so
     # D is at most the number of positive definite keys, and the walk stops
-    # there however large a det the file names.  A reduced form is looked up
-    # as its plain tuple, which hashes and compares as the GramForm key; in
-    # SL2 a form with 0 < 2b < a < c has the twin key (a, -b, c).
+    # there however large a det the file names.  In SL2 a form with
+    # 0 < 2b < a < c has the twin key (a, -b, c).
     walk = min(top, pd)
     db = walk
     for det, a, b, c in _reduced_triples(walk):

@@ -249,6 +249,73 @@ def test_bad_provider_error_quotes_a_bounded_excerpt(capsys, tmp_path, line):
     assert f"... ({len(line.strip())} characters)" in err
 
 
+BIG = str(10**4000)
+
+
+@pytest.mark.parametrize("lines, form, message", [
+    ([f"{BIG} {BIG} 1 1"], f"[{BIG},{BIG};1]", "form {} is not psd"),
+    ([f"1 0 {BIG} 1", f"1 0 {BIG} 2"], f"[1,0;{BIG}]",
+     "inconsistent duplicate for class {}"),
+], ids=["not-psd", "duplicate"])
+def test_provider_form_errors_quote_a_bounded_excerpt(capsys, tmp_path, lines,
+                                                      form, message):
+    # a form of 4000-digit entries is quoted by its first 80 characters and
+    # its length, in at most 256 bytes of stderr (whole, over 8,000 bytes)
+    path = tmp_path / "bad.coeffs"
+    path.write_text("\n".join(["!weight 4 level 1 group GL2", "0 0 0 1",
+                               *lines]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "fourier", "--provider", str(path),
+                         "--apply", "U:1,2")
+    excerpt = f"{form[:80]}... ({len(form)} characters)"
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:{2 + len(lines)}: {message.format(excerpt)}\n"
+    assert len(err.encode()) <= 256
+
+
+def test_a_short_form_error_keeps_its_bytes(capsys, tmp_path):
+    # (the short duplicate message is pinned in tests/test_fourier.py)
+    path = tmp_path / "bad.coeffs"
+    path.write_text("!weight 4 level 1 group GL2\n0 0 0 1\n1 2 1 1\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "fourier", "--provider", str(path),
+                         "--apply", "U:1,2")
+    assert (code, out, err) == (1, "", f"error: {path}:3: form [1,2;1] is "
+                                       f"not psd\n")
+
+
+def _e8_with(lines: list[str], at: int, header: str) -> list[str]:
+    """The E8 table's lines with `header` put in at index `at`."""
+    return lines[:at] + [header] + lines[at:]
+
+
+E8_LINES = PROVIDER.read_text(encoding="utf-8").splitlines()
+E8_HEADER = E8_LINES.index("!weight 4 level 1 group GL2")
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    # an SL2 header after the fifth data line made the rest of the table
+    # SL2, so the det bound fell from 144 to 10
+    (_e8_with(E8_LINES, E8_HEADER + 6, "!weight 4 level 1 group SL2"),
+     E8_HEADER + 7, "repeated header"),
+    # a second header at the end changed the weight from 4 to 6
+    (E8_LINES + ["!weight 6 level 1 group GL2"], len(E8_LINES) + 1,
+     "repeated header"),
+    # the one header, after the fifth data line
+    (_e8_with(E8_LINES[:E8_HEADER] + E8_LINES[E8_HEADER + 1:], E8_HEADER + 5,
+              E8_LINES[E8_HEADER]), E8_HEADER + 6,
+     "header after the first data line"),
+], ids=["sl2-after-data", "second-at-end", "only-after-data"])
+def test_a_header_after_data_or_a_second_header_is_refused(capsys, tmp_path,
+                                                           lines, lineno,
+                                                           message):
+    path = tmp_path / "bad.coeffs"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "fourier", "--provider", str(path),
+                         "--apply", "U:1,2")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:{lineno}: {message}\n"
+
+
 def test_bad_provider_group_quotes_a_bounded_excerpt(capsys, tmp_path):
     path = tmp_path / "bad.coeffs"
     path.write_text("!weight 4 level 1 group " + "G" * 100_000 + "\n",

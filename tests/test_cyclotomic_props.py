@@ -14,7 +14,7 @@ from math import gcd, lcm
 import pytest
 
 from siegeleis.cyclotomic import (CycNum, as_cyc, cyclotomic_polynomial,
-                                  euler_phi)
+                                  euler_phi, exact_sum)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -191,3 +191,65 @@ def test_scalar_operands_give_the_general_paths_stored_form(xyz, s):
             for a, b in ((x, other), (other, x)):
                 got, want = op(a, b), general_path(op, a, b)
                 assert (got.m, got.n, got.d) == (want.m, want.n, want.d)
+
+
+def left_fold(terms) -> CycNum:
+    """The oracle of exact_sum: sum(terms) by pairwise +, from zero."""
+    total = as_cyc(0)
+    for t in terms:
+        total = total + t
+    return total
+
+
+rationals = small.map(lambda f: CycNum(1, [f]))
+
+
+@st.composite
+def sums(draw):
+    """(values, coeffs) of equal length, up to 8 of each: values drawn at
+    divisors of one base conductor and rationals of mixed denominators,
+    shuffled, sometimes followed by their negatives, so that the sum
+    cancels to zero."""
+    base = draw(st.sampled_from(BASES))
+    vals = draw(st.lists(values(base) | rationals, max_size=4))
+    if draw(st.booleans()):
+        vals += [-v for v in draw(st.permutations(vals))]
+    coeffs = [draw(values(base) | rationals) for _ in vals]
+    return vals, coeffs
+
+
+def stored(v: CycNum) -> tuple:
+    return v.m, v.n, v.d
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(sums())
+def test_exact_sum_stores_what_the_left_fold_stores(vc):
+    vals, coeffs = vc
+    got = exact_sum(vals)
+    assert stored(got) == stored(left_fold(vals))
+    assert_canonical(got)
+    got = exact_sum(vals, coeffs)
+    assert stored(got) == stored(left_fold(c * v for c, v in zip(coeffs, vals)))
+    assert_canonical(got)
+    if len(vals) == 1:
+        assert exact_sum(vals) is vals[0]
+
+
+def test_exact_sum_of_nothing_one_term_and_cancelling_terms():
+    z = CycNum.root_of_unity(12)
+    assert stored(exact_sum([])) == stored(exact_sum([], [])) == (1, (0,), 1)
+    assert exact_sum([z]) is z
+    assert stored(exact_sum([z], [as_cyc(3)])) == stored(3 * z)
+    # mixed denominators, reduced once: 1/4 + 1/6 - 5/12 + z - z = 0
+    parts = [as_cyc(Fraction(1, 4)), as_cyc(Fraction(1, 6)), z,
+             as_cyc(Fraction(-5, 12)), -z]
+    assert stored(exact_sum(parts)) == (1, (0,), 1)
+    assert stored(exact_sum(parts[:2])) == (1, (5,), 12)
+    assert stored(exact_sum(parts[:3])) == stored(z + Fraction(5, 12))
+    # rational products that leave a common denominator: 1/2 * 1/3 + 5/6
+    assert stored(exact_sum([as_cyc(Fraction(1, 3)), as_cyc(Fraction(5, 6))],
+                            [as_cyc(Fraction(1, 2)), as_cyc(1)])) == (1, (1,), 1)
+    # a product of non-rational values that is rational: z * z^-1 + 1 = 2
+    assert stored(exact_sum([z, as_cyc(1)], [z.inverse(), as_cyc(1)])) == (
+        1, (2,), 1)

@@ -7,7 +7,8 @@ in shuffled order.  Both coverage bounds equal a brute-force computation
 over the reduced-form definition done here.
 (b) One bad line makes the parser raise a plain ValueError that names
 `source:lineno` of that line; a fifth token other than `1` or `-1` is one,
-in GL2 and SL2 tables alike.
+in GL2 and SL2 tables alike, and so is a header after a data line or after
+another header.
 (c) A value token is accepted exactly when `fractions.Fraction` accepts it,
 with Fraction's value, and refused with the parser's "bad number" text.
 """
@@ -131,7 +132,8 @@ def test_whole_dets_are_covered_and_a_gap_ends_coverage(mode):
 BAD_NUMBERS = ["x", "1.2.3", "1/", "/2", "--1", "1_", "0x10", "nan", "1e", "²"]
 BAD_ORIENTS = ["7", "2", "0", "+1", "01", "-2", "x"]
 MUTATIONS = ["token-count", "non-number", "zero-denominator", "indefinite",
-             "bad-orient", "inconsistent-duplicate", "bad-header"]
+             "bad-orient", "inconsistent-duplicate", "bad-header",
+             "misplaced-header"]
 
 
 @st.composite
@@ -148,6 +150,15 @@ def mutated_tables(draw, kind):
             f"!weight four level 1 group {mode}", "!weight 4 level 1 group XL2",
             f"!weight 4 level 1 group {mode} extra"]))
         return lines, 2
+    if kind == "misplaced-header":
+        # a second header anywhere, or the only one after a data line
+        if draw(st.booleans()):
+            del lines[1]
+        at = draw(st.integers(2, len(lines)))
+        lines.insert(at, draw(st.sampled_from([
+            f"!weight 4 level 1 group {mode}", "!weight 6 level 1 group GL2",
+            "!weight 4 level 1 group SL2"])))
+        return lines, at + 1
     at = draw(st.integers(2, len(lines) - 1))
     toks = lines[at].split()
     if kind == "token-count":

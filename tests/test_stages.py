@@ -74,3 +74,17 @@ def test_the_tool_imports_only_the_cli():
     names += [f"{n.module}.{a.name}" for n in nodes
               if isinstance(n, ast.ImportFrom) for a in n.names]
     assert [m for m in names if "siegeleis" in m] == ["siegeleis.cli.main"]
+
+
+def test_the_size_of_an_ingested_provider_is_counted(capsys):
+    from siegeleis.fourier import provider_load
+
+    out = run_tool(capsys, "--through", "load", "--", "fourier", "--provider",
+                   PROVIDER, "--apply", "U:1,2")
+    exp = provider_load(PROVIDER).expansion
+    assert list(out["seconds"]) == ["load"]
+    assert (out["classes"], out["distinct_values"]) == (895, 124)
+    assert out["classes"] == len(exp.coeffs)
+    assert out["distinct_values"] == len(set(exp.coeffs.values()))
+    assert (out["det_bound"], out["content_bound"]) == (144, 36)
+    assert out["max_conductor"] == 1

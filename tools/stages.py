@@ -11,8 +11,9 @@ imports).  The counts (dimension, tables and local rows of the stored
 tables, local_vectors, the keys of the eigen system's maps of local
 vectors, and max_conductor, the largest conductor m of the values in the
 tables' local rows, the eigenvalue maps and those local vectors, and a
-provider's coefficients) are read off what the stages hand over,
-with the clock stopped.
+provider's coefficients; and for a provider its classes, the keys of its
+table, distinct_values, det_bound and content_bound) are read off what the
+stages hand over, with the clock stopped.
 `--through STAGE` stops after that stage.  Prints one JSON line: the
 command, its exit code (null when stopped), the best time of each stage over
 the repeats, and the counts.
@@ -59,7 +60,10 @@ def _count(value, counts: dict) -> None:
         values += [a for us in value.local for u in us.values()
                    for a in u.values()]
     if hasattr(value, "expansion"):  # a provider's coefficients
-        values = value.expansion.coeffs.values()
+        exp = value.expansion
+        values = exp.coeffs.values()
+        counts.update(classes=len(exp.coeffs), distinct_values=len(set(values)),
+                      det_bound=exp.det_bound, content_bound=exp.content_bound)
     if values:
         counts["max_conductor"] = max(counts.get("max_conductor", 1),
                                       *(a.m for a in values))
