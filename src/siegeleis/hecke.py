@@ -275,45 +275,6 @@ class SpaceOperators:
 # -- eigenbasis ---------------------------------------------------------------
 
 
-def _coeff_a(space: EisSpace, rho, q: int) -> CycNum:
-    # moves q from N0 to N1; nonzero only for trivial chi_q
-    if not space.char.local(q).is_trivial:
-        return _ZERO
-    k, (c0, c1, c2) = space.weight, rho
-    chi12 = _chi_over(space, c1 * c2, q)
-    chi0 = _chi_over(space, c0 // q, q)
-    return -(chi12 * Fraction(q - 1, q)) / (chi0 * q ** (k - 1) - chi12)
-
-
-def _coeff_b(space: EisSpace, rho, q: int) -> CycNum:
-    # moves q from N0 to N2
-    local = space.char.local(q)
-    if not local.is_real:
-        return _ZERO
-    k, (c0, c1, c2) = space.weight, rho
-    chi2_sq = _chi_over(space, c2, q * q)
-    chi0 = _chi_over(space, c0 // q, q)
-    chi0_sq = _chi_over(space, c0 // q, q * q)
-    if local.is_trivial:
-        chi12 = _chi_over(space, c1 * c2, q)
-        num = chi2_sq * Fraction(q - 1, q) * (chi0 * q ** (k - 3) - chi12)
-        den = (chi0 * q ** (k - 1) - chi12) * (chi0_sq * q ** (2 * k - 3) - chi2_sq)
-        return -(num / den)
-    eps = legendre_epsilon(q)
-    num = chi2_sq * Fraction(eps * (q - 1), q * q)
-    return -(num / (chi0_sq * q ** (2 * k - 3) - chi2_sq))
-
-
-def _coeff_c(space: EisSpace, rho, q: int) -> CycNum:
-    # moves q from N1 to N2; nonzero only for trivial chi_q
-    if not space.char.local(q).is_trivial:
-        return _ZERO
-    k, (c0, c1, c2) = space.weight, rho
-    chi2 = _chi_over(space, c2, q)
-    chi01 = _chi_over(space, c0 * (c1 // q), q)
-    return -(chi2 * Fraction(q * q - 1, q * q)) / (chi01 * q ** (k - 2) - chi2)
-
-
 @dataclass
 class EigenVectorEntry:
     partition: Partition
@@ -414,15 +375,35 @@ def _expand(system: EigenSystem, i: int, ranks: tuple, products: dict) -> zip:
 
 def _local_vector(space: EisSpace, rho, q: int,
                   rank: int) -> dict[int, CycNum]:
-    """u_q of the parts rho: 1 at its rank at q, then the coefficients a, b
-    (rank 0) or c (rank 1) of the moves up from it, where nonzero."""
-    if rank == 0:
-        u = {0: _ONE, 1: _coeff_a(space, rho, q), 2: _coeff_b(space, rho, q)}
-    elif rank == 1:
-        u = {1: _ONE, 2: _coeff_c(space, rho, q)}
+    """w_q of the parts rho: the local eigenvector u_q at q (1 at the rank
+    at q, then the coefficients a, b (rank 0) or c (rank 1) of the moves up
+    from it) times a common denominator of its entries, so that nothing is
+    divided; u_q = w_q / w_q[rank] (eigenbasis).  a and c are 0 unless chi_q
+    is trivial, and b unless chi_q is real.  With a = n_a / d_a, b = n_b /
+    (d_a e) and c = n_c / d_c for trivial chi_q, and b = n_b / e for
+    quadratic chi_q, w_q is {0: d_a e, 1: n_a e, 2: n_b} or {0: e, 2: n_b}
+    at rank 0, {1: d_c, 2: n_c} at rank 1, and {rank: 1} otherwise.  Zero
+    entries are dropped."""
+    local = space.char.local(q)
+    if rank == 2 or not local.is_real or rank == 1 and not local.is_trivial:
+        return {rank: _ONE}
+    k, (c0, c1, c2) = space.weight, rho
+    if rank == 1:
+        chi2 = _chi_over(space, c2, q)
+        d_c = _chi_over(space, c0 * (c1 // q), q) * q ** (k - 2) - chi2
+        w = {1: d_c, 2: -(chi2 * Fraction(q * q - 1, q * q))}
     else:
-        u = {2: _ONE}
-    return {t: a for t, a in u.items() if not a.is_zero()}
+        chi2_sq = _chi_over(space, c2, q * q)
+        e = _chi_over(space, c0 // q, q * q) * q ** (2 * k - 3) - chi2_sq
+        if local.is_trivial:
+            chi0, chi12 = _chi_over(space, c0 // q, q), _chi_over(space, c1 * c2, q)
+            d_a = chi0 * q ** (k - 1) - chi12
+            n_b = -(chi2_sq * Fraction(q - 1, q) * (chi0 * q ** (k - 3) - chi12))
+            w = {0: d_a * e, 1: -(chi12 * Fraction(q - 1, q)) * e, 2: n_b}
+        else:
+            eps = legendre_epsilon(q)
+            w = {0: e, 2: -(chi2_sq * Fraction(eps * (q - 1), q * q))}
+    return {t: a for t, a in w.items() if not a.is_zero()}
 
 
 def _is_local_eigen(local, key, u, lam: CycNum) -> bool:
@@ -456,20 +437,26 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     depends on rho only through its key in the table of T(q) (ranks at
     A_q, then at q): it is built once per key, at the key's representative
     row (_representatives, the key's first basis index), and stored under
-    that key (EigenSystem.local); nothing is mapped over the basis.  A
+    that key (EigenSystem.local); nothing is mapped over the basis.  What
+    is built is w_q (_local_vector), u_q times a common denominator of its
+    entries, so the proof divides nothing.  A
     table at p is stored factored (HeckeMatrix): it moves only the rank at
     p, and its rows with the same key share one local row, so its block
     over each p-fiber is a local block L_key.  The proof has two checks,
-    each exact:
+    each exact, both on w_q:
 
-    1. Once per (prime, key): u_q[rank at q] == 1, so v[rho] == 1 for
-       every vector and the factors that the expansion leaves out are 1.
+    1. Once per (prime, key): w_q[rank at q] != 0.  Then u_q = w_q /
+       w_q[rank at q] is 1 at the rank, so v[rho] == 1 for every vector
+       and the factors that the expansion leaves out are 1.
     2. Per vector and table, with lambda read off the local row of rho's
        key: for each key in the product of the local supports at A_p,
-       u_p.L_key == lambda.u_p on the union of the supports for p | N, and
+       w_p.L_key == lambda.w_p on the union of the supports for p | N, and
        the diagonal value of the key equals lambda for p not dividing N.
+       The equation is homogeneous in w_p, so u_p, a nonzero multiple of
+       w_p (check 1) with the same support, satisfies it exactly when w_p
+       does.
        The check reads only rho's key (which fixes lambda) and its local
-       vectors u_q at the table's places, which rho's ranks at the places
+       vectors w_q at the table's places, which rho's ranks at the places
        of those T(q) fix; so it runs once per pattern of these ranks, at its
        first basis index (_representatives), in basis order, and stores
        lambda under the table's key (EigenSystem.columns).
@@ -478,6 +465,9 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
     (v.M)[s] = lambda.v[s] on every fiber in the support of v; elsewhere
     both sides are 0.  The proof reads only local vectors and local rows.
+    Once both checks pass, each w_q is divided by its entry at the rank,
+    once per (prime, key), and stored as u_q: the only division of the
+    eigen system.
     The trade-off: that a table factors holds by construction and is not
     checked here (see HeckeMatrix).  A verification failure is an internal
     error, not a data condition; it names the first failing vector in
@@ -491,15 +481,15 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     # (first failing index, check 1 before the tables in stored order, op,
     # why) for each failure found; the least one is raised
     failures = []
-    local = []  # per prime q of N, the map key -> u_q of T(q)
+    local = []  # per prime q of N, the map key -> w_q, then u_q, of T(q)
     for q in prime_factors(space.level):
         hm = ops.matrix(HeckeOp("T", q))
         by_key = {}  # a key ends with the rank at q
         for key, i in _representatives(space, hm.places).items():
-            u = by_key[key] = _local_vector(space, space.decode(i)[1], q, key[-1])
-            if not u.get(key[-1], _ZERO).is_one():
+            w = by_key[key] = _local_vector(space, space.decode(i)[1], q, key[-1])
+            if w.get(key[-1], _ZERO).is_zero():
                 failures.append((i, -1, next(iter(tables)),
-                                 "a local vector is not 1 at rho"))
+                                 "a local vector is 0 at rho"))
         local.append(by_key)
     system = EigenSystem(space, tables, tuple(local), {})
     for t, (op, hm) in enumerate(tables.items()):
@@ -520,6 +510,12 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
         i, _, op, why = min(failures, key=itemgetter(0, 1))
         raise RuntimeError("eigenvector verification failed for "
                            f"rho={Partition(*space.decode(i)[1])}, op={op}: {why}")
+    for by_key in local:
+        for key, w in by_key.items():
+            if not w[key[-1]].is_one():
+                inv = w[key[-1]].inverse()
+                by_key[key] = {t: _ONE if t == key[-1] else a * inv
+                               for t, a in w.items()}
     return system
 
 

@@ -27,9 +27,13 @@ held as a dense matrix; the level-2310 relations before its identities were
 streamed as rendered records instead of one dict each; at scale, `basis`
 and the csv `eigen` at N=9699690 (omega 8) and `relations` at N=223092870
 (omega 9), before the basis was stored as one sorted code per element, the
-order that rewrite computes anew).  `SL2_APPLY` pins four fourier `--apply`
-words on a generated SL2 table, whose twin proper classes carry different values,
-before an SL2 class was keyed by its proper reduced form alone.
+order that rewrite computes anew; the JSON and csv `eigen` at N=30030
+(omega 6) with a character of conductor 60, whose rank-0 local vectors lie
+in a field larger than Q(zeta_20), before the local vectors were proved
+without division and normalized once per key).  `SL2_APPLY` pins four
+fourier `--apply` words on a generated SL2 table, whose twin proper classes
+carry different values, before an SL2 class was keyed by its proper reduced
+form alone.
 
 A refactor that changes no result leaves every digest unchanged.  When an
 output changes on purpose, re-record the digest and name the change in
@@ -61,6 +65,8 @@ EIGEN_30_PRIMES_7 = ("eigen", "--level", "30", "--weight", "4", "--primes", "7")
 RELATIONS_210 = ("relations", "--level", "210", "--weight", "4")
 RELATIONS_2310 = ("relations", "--level", "2310", "--weight", "4")
 EIGEN_2310_CSV = ("eigen", "--level", "2310", "--weight", "4", "--format", "csv")
+EIGEN_30030_CHAR = ("eigen", "--level", "30030", "--weight", "5", "--char",
+                    "7:1,11:1,13:1")
 EIGEN_55_CSV = ("eigen", "--level", "55", "--weight", "4", "--char",
                 "5:1,11:1", "--format", "csv")
 
@@ -97,6 +103,10 @@ GOLDEN = [
     (("eigen", "--level", "2310", "--weight", "4", "--char", "5:1,11:1",
       "--format", "csv"),
      "09c73d81279802f2aad191933ee39785372e1b011e98f6ee7bea102805973169"),
+    (EIGEN_30030_CHAR,
+     "7ebec27f1d593ede69ba93e71c17e315e6e8f4511e26902088dfda37e071a608"),
+    (EIGEN_30030_CHAR + ("--format", "csv"),
+     "d6f72cec000947d71326ea00af21551d55aa8aee5b2506b9ed556d9e477d74e2"),
     (("eigen", "--level", "70", "--weight", "5", "--char", "5:1,7:2",
       "--primes", "3,11"),
      "0568553e32059e25126095223ef76c866298c5e01b1b7363e4435778146ba1e4"),

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -548,7 +549,8 @@ def _tampered(change, target=Partition(2, 1, 1)):
 
 
 def _change_coeff(local):
-    # u_2 of (2,1,1) is {0: 1, 1: -1/14, 2: -1/434}
+    # w_2 of (2,1,1) is {0: 217, 1: -31/2, 2: -1/2}, so u_2 = w_2 / 217 is
+    # {0: 1, 1: -1/14, 2: -1/434}
     local[0][1] = as_cyc(Fraction(-1, 13))
 
 
@@ -560,13 +562,13 @@ def _drop_coeff(local):
 
 
 def _wrong_normalization(local):
-    # (6,1,1) has rank 0 at 3; the rest of u_3 is left as it is
-    local[1][0] = as_cyc(2)
+    # (6,1,1) has rank 0 at 3, where w_3 becomes 0; the rest of w_3 is left
+    # as it is, so no multiple of it is 1 there
+    local[1][0] = as_cyc(0)
 
 
 def _scale_vector(local):
-    # still a local eigenvector, so the tensor product is an eigenvector,
-    # but no longer normalized at rho
+    # still a local eigenvector, a nonzero multiple of w_q
     local[0] = {t: a * 2 for t, a in local[0].items()}
 
 
@@ -582,7 +584,7 @@ def _off_basis_coeff(local):
     local[0][1] = CycNum.one()
 
 
-NOT_ONE = r"op=T\(2\): a local vector is not 1 at rho"
+ZERO_AT = r"op=T\(2\): a local vector is 0 at rho"
 WRONG_AT = r"op=T\({0}\): wrong local eigenvector at {0}"
 
 
@@ -596,14 +598,51 @@ WRONG_AT = r"op=T\({0}\): wrong local eigenvector at {0}"
     (_off_basis_coeff, (5, "5:1", 5), Partition(5, 1, 1),
      r"rho=\(5,1,1\), " + WRONG_AT.format(5)),
     (_wrong_normalization, (6, "1", 4), Partition(6, 1, 1),
-     r"rho=\(6,1,1\), " + NOT_ONE),
-    (_scale_vector, (2, "1", 4), Partition(1, 2, 1), r"rho=\(1,2,1\), " + NOT_ONE),
-], ids=["changed", "dropped", "extra-local", "off-basis", "normalization",
-        "scaled"])
+     r"rho=\(6,1,1\), " + ZERO_AT),
+], ids=["changed", "dropped", "extra-local", "off-basis", "normalization"])
 def test_eigenbasis_rejects_a_wrong_vector(monkeypatch, change, space, rho, want):
     monkeypatch.setattr(hecke, "_local_vector", _tampered(change, rho))
     with pytest.raises(RuntimeError, match="verification failed for " + want):
         eigenbasis(SpaceOperators(_space(*space)))
+
+
+def test_eigenbasis_normalizes_a_scaled_local_vector(monkeypatch):
+    # both checks hold for every nonzero multiple of w_q, and eigenbasis
+    # stores w_q / w_q[rank], so a scaled w_q gives the same eigen system
+    # and the same bytes; at level 30 with chi_5 the scaled w_2 holds
+    # values of chi_5
+    def text(space):
+        pieces = []
+        write_json(eigen_json(eigenbasis(SpaceOperators(_space(*space)))),
+                   pieces.append)
+        return "".join(pieces)
+
+    for space, rho in [((2, "1", 4), Partition(1, 2, 1)),
+                       ((30, "5:1", 5), Partition(30, 1, 1))]:
+        want = text(space)
+        with monkeypatch.context() as m:
+            m.setattr(hecke, "_local_vector", _tampered(_scale_vector, rho))
+            assert text(space) == want
+
+
+def test_eigen_json_bounds_the_eigenvalues_of_tables_it_does_not_compare():
+    # at level 1 eigen_json compares no table, so the eigenvalue of T(7),
+    # built before eigenbasis, is printed but stands in no comparison case;
+    # at k = 2546 it has 4301 digits, and the bound must refuse it before
+    # the first record
+    ops = SpaceOperators(enumerate_partitions(1, None, 2546))
+    ops.matrix(HeckeOp("T", 7))
+    system = eigenbasis(ops)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        pieces = []
+        with pytest.raises(ValueError, match="the output would print integers "
+                                             "of up to 4301 digits"):
+            write_json(eigen_json(system), pieces.append)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert pieces == []
 
 
 def test_expansion_gives_the_same_bytes_in_any_order():
@@ -1065,7 +1104,7 @@ def _shift_key(key):
 
 
 def _normalize_wrong_and_change(local):
-    _put(0, 0, 2)(local)
+    _put(0, 0, 0)(local)
     _put(2, 1, Fraction(-1, 13))(local)
 
 
@@ -1084,10 +1123,10 @@ FIRST_FAILURES = [
      r"rho=\(30,1,1\), op=T\(5\): wrong local eigenvector at 5"),
     ("normalization-before-table",
      [(_normalize_wrong_and_change, Partition(30, 1, 1))], [], [],
-     r"rho=\(30,1,1\), op=T\(2\): a local vector is not 1 at rho"),
-    # (10,3,1) has the key of (30,1,1) at 2, whose u_2 it alters
+     r"rho=\(30,1,1\), op=T\(2\): a local vector is 0 at rho"),
+    # (10,3,1) has the key of (30,1,1) at 2, whose w_2 it alters
     ("table-before-later-normalization",
-     [(_put(0, 1, 2), Partition(15, 2, 1)),
+     [(_put(0, 1, 0), Partition(15, 2, 1)),
       (_put(0, 1, Fraction(-1, 13)), Partition(10, 3, 1))], [], [],
      r"rho=\(30,1,1\), op=T\(2\): wrong local eigenvector at 2"),
     ("tables-smallest-index",

@@ -261,7 +261,7 @@ def test_failed_eigenbasis_is_reported_not_raised(monkeypatch):
     def wrong(space, rho, q, rank):
         u = real(space, rho, q, rank)
         if space.level == 2 and tuple(rho) == (2, 1, 1):
-            # u_2 is {0: 1, 1: -1/14, 2: -1/434}
+            # w_2 is {0: 217, 1: -31/2, 2: -1/2}, u_2 = w_2 / 217
             u = {**u, 1: as_cyc(Fraction(-1, 13))}
         return u
 
