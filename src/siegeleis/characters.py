@@ -11,28 +11,14 @@ runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import product
 from math import gcd, lcm
 
 from .cyclotomic import (CycNum, _check_cap, is_prime, is_squarefree,
-                         prime_factors)
+                         prime_factors, smallest_primitive_root)
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
-
-
-@cache
-def smallest_primitive_root(q: int) -> int:
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if q == 2:
-        return 1
-    order_factors = prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in order_factors):
-            return g
-    raise AssertionError("no primitive root found")
 
 
 def legendre_epsilon(q: int) -> int:

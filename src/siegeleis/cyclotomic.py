@@ -160,6 +160,19 @@ def is_squarefree(n: int) -> bool:
     return n >= 1 and prod(prime_factors(n)) == n
 
 
+@cache
+def smallest_primitive_root(q: int) -> int:
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    if q == 2:
+        return 1
+    order_factors = prime_factors(q - 1)
+    for g in range(2, q):
+        if all(pow(g, (q - 1) // p, q) != 1 for p in order_factors):
+            return g
+    raise AssertionError("no primitive root found")
+
+
 def _poly_int_divexact(num: list[int], den: list[int]) -> list[int]:
     # exact division of integer polynomials, ascending coefficients
     num = list(num)
@@ -667,12 +680,10 @@ def _galois_generators(m: int) -> tuple[tuple[int, int], ...]:
         if p == 2:  # e >= 2, as m is never 2 mod 4
             gens = [(q - 1, 2)] + ([(5, q // 4)] if e >= 3 else [])
         else:
-            phi_p = p - 1
-            r = next(r for r in range(2, p) if all(
-                pow(r, phi_p // f, p) != 1 for f in factorize(phi_p)))
-            if e >= 2 and pow(r, phi_p, p * p) == 1:
+            r = smallest_primitive_root(p)
+            if e >= 2 and pow(r, p - 1, p * p) == 1:
                 r += p  # a primitive root mod p^2 is one mod every p^e
-            gens = [(r, phi_p * q // p)]
+            gens = [(r, (p - 1) * q // p)]
         for g, k in gens:
             # g mod q and 1 mod rest
             out.append((((g - 1) * rest * pow(rest, -1, q) + 1) % m, k))

@@ -162,72 +162,69 @@ def _representatives(space: EisSpace, places: tuple[int, ...]) -> dict:
     return out
 
 
-def _row_at_level_prime(space: EisSpace, i: int, op: HeckeOp, pos: int) -> tuple:
-    """Row i of T(q) or T1(q^2) for the prime q at position pos of the
-    primes of the level, as (j, value) pairs in ascending j.  A move target
-    is found by its code: that of row i with the rank at q raised, so
-    i < up(1) < up(2) in the basis, which is sorted by total rank."""
+def _row_at_level_prime(space: EisSpace, rho, rank: int, op: HeckeOp) -> tuple:
+    """The local row of T(q) or T1(q^2) at the parts rho with rank `rank` at
+    q: (target rank at q, value) pairs in ascending rank, the target being
+    the row with its rank at q replaced, so every move raises the rank."""
     q, k = op.p, space.weight
     local = space.char.local(q)
-    ranks, (c0, c1, c2) = space.decode(i)
-    rank = ranks[pos]
-
-    def up(to: int) -> int:
-        return space.index_of_code[space.codes[i] + (to - rank) * 3 ** pos]
+    c0, c1, c2 = rho
 
     if rank == 2:
         if op.kind == "T":
             val = _chi_over(space, c0, q * q) * _chi_over(space, c1, q) * q ** (2 * k - 3)
         else:
             val = _chi_over(space, c0, q * q) * ((q + 1) * q ** (2 * k - 3))
-        return ((i, val),)
+        return ((2, val),)
 
     if rank == 1:
         # q | N1 forces chi_q^2 = 1 (basis validity)
         if op.kind == "T":
             pref = _chi_over(space, c0 * c2, q)
-            row = ((i, pref * q ** (k - 1)),)
+            row = ((1, pref * q ** (k - 1)),)
             if local.is_trivial:
-                row += ((up(2), pref * Fraction(q ** (k - 3) * (q * q - 1))),)
+                row += ((2, pref * Fraction(q ** (k - 3) * (q * q - 1))),)
             return row
         diag = (
             _chi_over(space, c0, q * q) * q ** (2 * k - 2)
             + _chi_over(space, c2, q * q) * q
         )
-        row = ((i, diag),)
+        row = ((1, diag),)
         if local.is_trivial:
             chi_rest = _chi_over(space, space.level // q, q)
-            row += ((up(2), (chi_rest * q ** (k - 2) + _chi_over(space, c2, q * q))
+            row += ((2, (chi_rest * q ** (k - 2) + _chi_over(space, c2, q * q))
                      * Fraction(q * q - 1, q)),)
         return row
 
     # rank 0: q | N0
     if op.kind == "T":
         pref = _chi_over(space, c1, q) * _chi_over(space, c2, q * q)
-        row = ((i, pref),)
+        row = ((0, pref),)
         if local.is_trivial:
-            row += ((up(1), pref * Fraction(q - 1, q)),
-                    (up(2), pref * Fraction(q - 1, q)))
+            row += ((1, pref * Fraction(q - 1, q)),
+                    (2, pref * Fraction(q - 1, q)))
         elif local.is_real:
-            row += ((up(2), pref * Fraction(legendre_epsilon(q) * (q - 1), q * q)),)
+            row += ((2, pref * Fraction(legendre_epsilon(q) * (q - 1), q * q)),)
         return row
     chi2 = _chi_over(space, c2, q * q)
-    row = ((i, chi2 * (q + 1)),)
+    row = ((0, chi2 * (q + 1)),)
     if local.is_trivial:
         chi_rest = _chi_over(space, space.level // q, q)
-        row += ((up(1), (chi_rest * q ** (k - 1) + chi2) * Fraction(q - 1, q)),
-                (up(2), chi2 * Fraction(q * q - 1, q * q)))
+        row += ((1, (chi_rest * q ** (k - 1) + chi2) * Fraction(q - 1, q)),
+                (2, chi2 * Fraction(q * q - 1, q * q)))
     elif local.is_real:
-        row += ((up(2), chi2 * Fraction(legendre_epsilon(q) * (q * q - 1), q * q)),)
+        row += ((2, chi2 * Fraction(legendre_epsilon(q) * (q * q - 1), q * q)),)
     return row
 
 
 def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     """Exact action table of T(p) or T1(p^2), rows indexed by the source
-    basis element, stored factored (HeckeMatrix): the per-row formula is
-    evaluated once per key, at the key's representative row.  A prime q of
-    N with chi_q(p) = 1 contributes the factor 1 to every character value
-    in an entry, wherever the row puts q, so a row depends on its key only.
+    basis element, stored factored (HeckeMatrix): the row formula
+    (_row_prime_to_level, _row_at_level_prime) is evaluated once per key,
+    at the parts of the key's representative row, and what it returns is
+    the key's local row as stored.  A prime q of N with chi_q(p) = 1
+    contributes the factor 1 to every character value in an entry, wherever
+    the row puts q, so a row depends on its key only.
     """
     if op.kind not in ("T", "T1"):
         raise ValueError(f"{op} is a relation operator; build it with s_operator")
@@ -235,20 +232,15 @@ def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     pos = primes.index(op.p) if op.p in primes else None
     hm = HeckeMatrix(space, op, pos, _moved_by(space, op.p), {})
     for key, i in _representatives(space, hm.places).items():
-        hm.local[key] = (
-            _row_prime_to_level(space, space.decode(i)[1], op) if pos is None
-            else tuple((space.decode(j)[0][pos], a)
-                       for j, a in _row_at_level_prime(space, i, op, pos)))
+        rho = space.decode(i)[1]
+        hm.local[key] = (_row_prime_to_level(space, rho, op) if pos is None
+                         else _row_at_level_prime(space, rho, key[-1], op))
     return hm
 
 
 class SpaceOperators:
     """Per-space cache of constructed Hecke matrices: T and T1 built by
-    hecke_matrix, S1 and S2 by s_operator, each once per space.
-
-    Construction is pure; each cache entry is published with a single dict
-    assignment, so concurrent readers never observe a half-built table.
-    """
+    hecke_matrix, S1 and S2 by s_operator, each once per space."""
 
     def __init__(self, space: EisSpace):
         self.space = space
@@ -736,9 +728,13 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
     factored like T(q).
 
     S1 moves the corner prime q into rank 1 and needs chi_q = 1; S2 moves it
-    into rank 2 and needs chi_q^2 = 1 (with a separate form when chi_q is
-    quadratic).  The local row of each key combines the local rows of the
-    cached T(q), T1(q^2) and the identity at that key, entry by entry.
+    into rank 2 and needs chi_q^2 = 1.  Each is x T(q) + y T1(q^2) + z I:
+    with c = s_constant and chi_rest = chi_{N/q}(q),
+    S1 = c (T1 - (q+1)/q T - (q^2-1)/q I), S2 = c ((chi_rest q^(k-1) + 1) T
+    - T1 - q (chi_rest q^(k-2) - 1) I) for trivial chi_q, and S2 = f (T - I)
+    with f = (-1|q) q^2 / (q-1) for quadratic chi_q.  The local row of each
+    key is that combination of the local rows of the cached T(q) and
+    T1(q^2) at the key, zeros dropped.
     """
     space = ops.space
     if space.level % q != 0:
@@ -749,24 +745,16 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
         if not local.is_trivial:
             raise ValueError(f"S1({q}) requires trivial chi_{q}")
         c = s_constant(space, q)
-        a, b = as_cyc(Fraction(q + 1, q)), as_cyc(Fraction(q * q - 1, q))
-
-        def entry(t, t1, e):  # (T1 - T a - I b) c
-            return ((t1 - t * a) - e * b) * c
+        x, y, z = c * Fraction(-(q + 1), q), c, c * Fraction(1 - q * q, q)
     elif which == "S2":
         if local.is_trivial:
             c = s_constant(space, q)
             chi_rest = _chi_over(space, space.level // q, q)
-            a = chi_rest * q ** (k - 1) + 1
-            b = (chi_rest * q ** (k - 2) - 1) * q
-
-            def entry(t, t1, e):  # (T a - T1 - I b) c
-                return ((t * a - t1) - e * b) * c
+            x, y = c * (chi_rest * q ** (k - 1) + 1), -c
+            z = -(c * (chi_rest * q ** (k - 2) - 1) * q)
         elif local.is_real:
-            f = as_cyc(Fraction(legendre_epsilon(q) * q * q, q - 1))
-
-            def entry(t, t1, e):  # (T - I) f
-                return (t - e) * f
+            x = as_cyc(Fraction(legendre_epsilon(q) * q * q, q - 1))
+            y, z = _ZERO, -x
         else:
             raise ValueError(f"S2({q}) requires chi_{q}^2 = 1")
     else:
@@ -776,13 +764,10 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
     rows = {}  # key -> local row
     for key, row in T.local.items():
         t, t1, rank = dict(row), dict(T1[key]), key[-1]
-        out = []
-        for s in sorted(t.keys() | t1.keys() | {rank}):
-            val = entry(t.get(s, _ZERO), t1.get(s, _ZERO),
-                        _ONE if s == rank else _ZERO)
-            if not val.is_zero():
-                out.append((s, val))
-        rows[key] = tuple(out)
+        out = ((s, t.get(s, _ZERO) * x + t1.get(s, _ZERO) * y
+                + (z if s == rank else _ZERO))
+               for s in sorted(t.keys() | t1.keys() | {rank}))
+        rows[key] = tuple((s, a) for s, a in out if not a.is_zero())
     return HeckeMatrix(space, HeckeOp(which, q), T.pos, T.at, rows)
 
 

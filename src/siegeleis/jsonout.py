@@ -95,13 +95,6 @@ def write_json(obj, write) -> None:
             append(int.__repr__(o))
         elif t is list or isinstance(o, Iterator):
             inner = pad + "  "
-            if t is list and o:
-                try:  # all items str: one join; the escaper rejects the rest
-                    append("[" + inner + ("," + inner).join(map(_json_str, o))
-                           + pad + "]")
-                    return
-                except TypeError:
-                    pass
             sep = "[" + inner
             for v in o:
                 append(sep)

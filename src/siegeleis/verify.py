@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import lcm
 
 from .characters import enumerate_characters
-from .cyclotomic import CycNum, _check_cap, _make, as_cyc, divisors, \
-    euler_phi, is_squarefree, primes_up_to
+from .cyclotomic import CycNum, _check_cap, _make, divisors, euler_phi, \
+    is_prime, is_squarefree, primes_up_to
 from .eisspace import EisSpace, Partition, enumerate_partitions, prime_factors
 from .fourier import UOperator, apply_U, combine, constant_expansion, \
     expansion_from_function, krylov_spectral
@@ -363,7 +363,10 @@ def _check_triangularity(config, run):
                    if any(b < a for a, b in zip(r_i, ranks[j])))
         if op.p in primes:
             pos = primes.index(op.p)
-            want = [_row_at_level_prime(space, i, op, pos) for i in range(len(rows))]
+            # each (target rank t, value) to (basis index of the target, value)
+            want = [tuple((space.index_of_code[c + (t - r[pos]) * 3 ** pos], a)
+                          for t, a in _row_at_level_prime(space, rho, r[pos], op))
+                    for c, r, rho in zip(space.codes, ranks, parts)]
         else:
             want = [((i, _row_prime_to_level(space, rho, op)),)
                     for i, rho in enumerate(parts)]
@@ -452,29 +455,21 @@ def _check_relation_words(config, rng):
 
 
 def _check_level_one_specialization(config, rng):
-    # lambda(p) for N=1 must equal (p^(k-1)+1)(p^(k-2)+1) as a polynomial in
-    # p: both sides are degree 2k-3, so agreement at 2k points is an identity.
+    # at N=1 the T(p) table entry and the closed form must both equal
+    # (p^(k-1)+1)(p^(k-2)+1): all are polynomials in p of degree at most
+    # 2k-3, so agreement at the first 2k-2 primes is an identity
     out = []
     for k in config["k_set"]:
         if (-1) ** k != 1:
             continue
         space = enumerate_partitions(1, None, k)
-        rho = Partition(1, 1, 1)
-        bad = 0
-        for p in range(1, 2 * k + 2):
-            lhs = (
-                as_cyc(p ** (2 * k - 3))
-                + p ** (k - 2) * (p + 1)
-                + 1
-            )
-            rhs = as_cyc((p ** (k - 1) + 1) * (p ** (k - 2) + 1))
-            if not (lhs == rhs):
-                bad += 1
-        # and the closed form agrees with the table at genuine primes
-        for p in primes_up_to(config["prime_max"]):
-            tv = eigenvalue_closed_form(space, rho, HeckeOp("T", p))
-            if not (tv == (p ** (k - 1) + 1) * (p ** (k - 2) + 1)):
-                bad += 1
+        bad, p = 0, 1
+        for _ in range(2 * k - 2):
+            # Bertrand's postulate: there is a prime in (p, 2p]
+            p = next(n for n in range(p + 1, 2 * p + 1) if is_prime(n))
+            op, want = HeckeOp("T", p), (p ** (k - 1) + 1) * (p ** (k - 2) + 1)
+            bad += (_row_prime_to_level(space, (1, 1, 1), op) != want) + (
+                eigenvalue_closed_form(space, (1, 1, 1), op) != want)
         out.append(CheckRecord(
             "hecke-level-one-specialization", {"weight": k},
             PASS if bad == 0 else FAIL,

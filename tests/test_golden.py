@@ -30,7 +30,9 @@ and the csv `eigen` at N=9699690 (omega 8) and `relations` at N=223092870
 order that rewrite computes anew; the JSON and csv `eigen` at N=30030
 (omega 6) with a character of conductor 60, whose rank-0 local vectors lie
 in a field larger than Q(zeta_20), before the local vectors were proved
-without division and normalized once per key).  `SL2_APPLY` pins four
+without division and normalized once per key; the level-390 hecke word
+with quadratic chi_5 and chi_13, whose S2 tables are (T - I) f, before
+S1 and S2 became one combination of T, T1 and I).  `SL2_APPLY` pins four
 fourier `--apply` words on a generated SL2 table, whose twin proper classes
 carry different values, before an SL2 class was keyed by its proper reduced
 form alone.
@@ -120,6 +122,9 @@ GOLDEN = [
      "85ae3aee8e6ed0569afea0dd17c09ee68be57308cc9e74b3e5efa25dea0473cf"),
     (("hecke", "--level", "30030", "--weight", "4", "--op", "T:2"),
      "40c62763d6acee2e79935bc128b710a5c82706a155c9c4a27dc37e55c643b7a8"),
+    (("hecke", "--level", "390", "--weight", "6", "--char", "5:2,13:6",
+      "--op", "S2:5;S1:3;S2:13;T1:2"),
+     "0c6e638ad568d3432a6988d2c550d2c59c4385b88279a897245f5c2d80f9bfb5"),
     (("relations", "--level", "30", "--weight", "4"),
      "854f8d584076800e83d528f449ef0fd6776d617dda134547667a36efbabdc014"),
     (RELATIONS_210,

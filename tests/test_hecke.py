@@ -349,20 +349,20 @@ def _dense_reference(space, op):
     """The table written straight into dense rows from the row formulas."""
     rows = []
     q = op.p
-    primes = prime_factors(space.level)
+    index = {rho: j for j, rho in enumerate(space.basis)}
     for i, rho in enumerate(space.basis):
-        if q in primes:
-            entries = dict(hecke._row_at_level_prime(space, i, op, primes.index(q)))
-            # the targets, found by rank tuple, are rho or rho with q
-            # moved up, built here from the partition itself
-            c0, c1, c2 = rho.n0, rho.n1, rho.n2
-            moves = {rho}
-            if c0 % q == 0:
-                moves |= {Partition(c0 // q, c1 * q, c2),
-                          Partition(c0 // q, c1, c2 * q)}
-            if c1 % q == 0:
-                moves.add(Partition(c0, c1 // q, c2 * q))
-            assert {space.basis[j] for j in entries} <= moves and i in entries
+        if q in prime_factors(space.level):
+            # the target of rank t is rho with q moved from its part at
+            # rho's rank r to the part at t, built from the partition itself
+            r = next(x for x, c in enumerate(rho) if c % q == 0)
+            entries = {}
+            for t, val in hecke._row_at_level_prime(space, rho, r, op):
+                assert t >= r
+                moved = list(rho)
+                moved[r] //= q
+                moved[t] *= q
+                entries[index[Partition(*moved)]] = val
+            assert i in entries
         else:
             entries = {i: hecke._row_prime_to_level(space, rho, op)}
         row = [CycNum.zero()] * space.dimension
@@ -1221,7 +1221,7 @@ def test_eigen_calls_the_row_formulas_once_per_key(monkeypatch, capsys):
         real = getattr(hecke, name)
 
         def counted(space, *args, real=real):
-            calls.append(args[-2] if len(args) == 3 else args[-1])
+            calls.append(args[-1])
             return real(space, *args)
         monkeypatch.setattr(hecke, name, counted)
     assert cli.main(["eigen", "--level", "2310", "--weight", "4"]) == 0

@@ -463,3 +463,25 @@ def test_relation_words_are_counted_by_the_chained_product(monkeypatch):
         assert rec.status == ("pass" if bad == 0 else "fail")
         failing += bad > 0
     assert failing == sum(1 for r in recs if r.parameters["level"] % 3 == 0)
+
+
+def test_level_one_record_catches_a_wrong_good_prime_row(monkeypatch):
+    # every T(p) diagonal at p not dividing N raised by 1, where the tables
+    # and the triangularity oracle read the row formula: the tables stay
+    # diagonal, commuting and self-consistent, and the closed-form record
+    # reads only the level tables, so only the level-one record sees it
+    real = hecke._row_prime_to_level
+
+    def raised(space, rho, op):
+        return real(space, rho, op) + (op.kind == "T")
+
+    monkeypatch.setattr(hecke, "_row_prime_to_level", raised)
+    monkeypatch.setattr(verify, "_row_prime_to_level", raised)
+    report = run_suite(DESK_CONFIG)
+    assert report.counts() == {"pass": 787, "documented-mismatch": 598,
+                               "fail": 2}
+    # the table entry is wrong at each of the 2k - 2 primes it is read at
+    assert [(r.name, r.parameters, r.details) for r in report.checks
+            if r.status == "fail"] == [
+        ("hecke-level-one-specialization", {"weight": k}, f"{2 * k - 2} failures")
+        for k in (4, 6)]
