@@ -82,6 +82,17 @@ class UOperator:
         return self.spec_string()
 
 
+def _exact(x) -> CycNum:
+    """x as a CycNum, for an int, Fraction or CycNum; any other value (a
+    float, say) raises TypeError naming its type, so no inexact or
+    NotImplemented value becomes a coefficient."""
+    c = as_cyc(x)
+    if c is NotImplemented:
+        raise TypeError(f"expected an exact value (int, Fraction or CycNum), "
+                        f"got {type(x).__name__}")
+    return c
+
+
 class FourierExpansion:
     """Class function on reduced Gram classes, total on a bounded domain.
     validate=False trusts the caller for CycNum values on the whole domain,
@@ -98,7 +109,7 @@ class FourierExpansion:
         self.content_bound = content_bound
         self.coeffs = coeffs
         if validate:
-            self.coeffs = {k: as_cyc(v) for k, v in coeffs.items()}
+            self.coeffs = {k: _exact(v) for k, v in coeffs.items()}
             for key in self.domain_keys():
                 if key not in self.coeffs:
                     raise ValueError(f"missing coefficient for {key} within bounds")
@@ -120,7 +131,7 @@ class FourierExpansion:
         return self.coeffs[key]
 
     def scale(self, s) -> "FourierExpansion":
-        s = as_cyc(s)
+        s = _exact(s)
         return FourierExpansion(
             self.mode, self.det_bound, self.content_bound,
             {k: v * s for k, v in self.coeffs.items()}, validate=False,
@@ -189,7 +200,7 @@ def expansion_from_function(mode: str, fn, det_bound: int, content_bound: int
                             ) -> FourierExpansion:
     keys = reduced_class_keys(det_bound, content_bound, mode)
     return FourierExpansion(
-        mode, det_bound, content_bound, {k: as_cyc(fn(k)) for k in keys},
+        mode, det_bound, content_bound, {k: _exact(fn(k)) for k in keys},
         validate=False,
     )
 
@@ -201,7 +212,7 @@ def constant_expansion(value, det_bound: int, content_bound: int,
 
 def combine(terms) -> FourierExpansion:
     """Exact linear combination sum(c_i * f_i) on the common domain."""
-    terms = [(as_cyc(c), f) for c, f in terms]
+    terms = [(_exact(c), f) for c, f in terms]
     if not terms:
         raise ValueError("empty combination")
     mode = terms[0][1].mode
@@ -416,11 +427,15 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int,
     stabilization).  The newest sample's index is then free in the
     samples' left null space, so the last null vector is 1 there: it is
     the minimal monic relation, in ascending order (also when g samples to
-    zero).  Lagrange projectors then rebuild the components on the largest common
-    domain, and each component is checked to be an exact eigenvector on its
-    full remaining coverage, its image taken from the Krylov images already
-    built.  Insufficient coverage raises CoverageError; a relation that
-    split_roots cannot split into distinct roots raises LabelingError."""
+    zero).  Lagrange projectors then rebuild the components on the largest
+    common domain; a single root (the relation x - lam, krylov == [g]) has
+    the identity projector, so its component is g itself and its image the
+    g|u already built.  Each component is checked to be an exact
+    eigenvector on its full remaining coverage in one pass, comp|u against
+    lam * comp coefficient by coefficient, its image taken from the Krylov
+    images already built.  Insufficient coverage raises CoverageError; a
+    relation that split_roots cannot split into distinct roots raises
+    LabelingError."""
     krylov = [g]
     samples = [g.sample_vector(sample_bound, sample_bound)]
     span = _Span()
@@ -453,17 +468,23 @@ def _split_by(g: FourierExpansion, u: UOperator, sample_bound: int,
     roots = [lam for lam, _ in found]
     out = []
     for i, lam in enumerate(roots):
-        # the Lagrange numerator prod (x - r) over the other roots, one
-        # linear factor at a time, and its value prod (lam - r) at lam
-        numer, denom = [_ONE], _ONE
-        for r in roots[:i] + roots[i + 1:]:
-            numer = [a - r * b for a, b in zip([_ZERO] + numer, numer + [_ZERO])]
-            denom = denom * (lam - r)
-        coeffs = [c / denom for c in numer]
-        comp = combine(zip(coeffs, krylov))
-        # comp|u by linearity, from the images apply_U already built
-        image = combine(zip(coeffs, krylov[1:] + [nxt]))
-        if not image.agrees_with(comp.scale(lam)):
+        if len(roots) == 1:  # krylov == [g]: the projector is the identity
+            comp, image = g, nxt
+        else:
+            # the Lagrange numerator prod (x - r) over the other roots, one
+            # linear factor at a time, and its value prod (lam - r) at lam
+            numer, denom = [_ONE], _ONE
+            for r in roots[:i] + roots[i + 1:]:
+                numer = [a - r * b
+                         for a, b in zip([_ZERO] + numer, numer + [_ZERO])]
+                denom = denom * (lam - r)
+            coeffs = [c / denom for c in numer]
+            comp = combine(zip(coeffs, krylov))
+            # comp|u by linearity, from the images apply_U already built
+            image = combine(zip(coeffs, krylov[1:] + [nxt]))
+        have, want = image.coeffs, comp.coeffs
+        if not all(have[k] == lam * want[k]
+                   for k in _common_domain([image, comp])[2]):
             raise CoverageError(
                 f"component validation failed for {u}; the sample domain "
                 f"(<= {sample_bound}) is too small, raise coverage"

@@ -7,16 +7,17 @@ nonzero entries, so elimination touches nothing else; an insertion reports
 only whether the row was independent.  Dependencies among rows are read
 off the left null space, the RREF of a matrix's columns.  A polynomial is
 the list of its CycNum coefficients in ascending degree.  Its roots are
-found only by trial candidates (0, then a bounded rational-root search) in
-split_roots, each tried by one Horner deflation; whatever does not split
-inside the working field is returned as a leftover factor rather than
-approximated.
+found only by trial candidates in split_roots: 0, tried by one Horner
+deflation, then a bounded rational-root search whose candidates are tested
+on the integer polynomial, so only roots are deflated; whatever does not
+split inside the working field is returned as a leftover factor rather
+than approximated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm as _int_lcm
+from math import gcd as _gcd, lcm as _int_lcm
 
 from .cyclotomic import CycNum, as_cyc, divisors
 
@@ -121,32 +122,42 @@ def deflate(coeffs, c: CycNum) -> tuple[list[CycNum], CycNum]:
 
 
 def _root_candidates(coeffs):
-    """0, then +-d/q for d | den*c0 and q | den ascending (den the common
-    denominator of the rational coefficients, c0 the constant term with
-    its power of x divided out); duplicates are dropped and the divisor
-    search is skipped past |den*c0| > 10^9 or den > 10^6, so huge constant
-    terms are never factored."""
+    """0, then the roots +-d/q among d | den*c0 and q | den ascending (den
+    the common denominator of the rational coefficients, c0 the constant
+    term with its power of x divided out).  The polynomial's denominators
+    are cleared once, to integers a_i, and a pair is yielded only when
+    gcd(d, q) = 1, so each value is met once, in its reduced form, and
+    sum a_i d^i q^(n-i) = 0: the rational-root test runs on integers
+    (Cohen, A Course in Computational Algebraic Number Theory, Ch. 3), and
+    only roots become CycNums.  The divisor search is skipped past
+    |den*c0| > 10^9 or den > 10^6, so huge constant terms are never
+    factored."""
     yield _ZERO
     if not all(c.is_rational() for c in coeffs):
         return
     den = _int_lcm(*(c.as_fraction().denominator for c in coeffs))
-    low = next(c for c in coeffs if not c.is_zero())
-    c0 = abs((low.as_fraction() * den).numerator)
+    low = next(i for i, c in enumerate(coeffs) if not c.is_zero())
+    ints = [(c.as_fraction() * den).numerator for c in coeffs[low:]]
+    c0 = abs(ints[0])
     if c0 > 10**9 or den > 10**6:
         return
-    seen: set[Fraction] = set()
     for d in divisors(c0):
         for q in divisors(den):
-            for s in (1, -1):
-                x = Fraction(s * d, q)
-                if x not in seen:
-                    seen.add(x)
-                    yield as_cyc(x)
+            if _gcd(d, q) != 1:
+                continue
+            for x in (d, -d):
+                acc, xp = 0, 1  # sum a_i x^i q^(n-i), Horner on q
+                for a in ints:
+                    acc = acc * q + a * xp
+                    xp *= x
+                if acc == 0:
+                    yield as_cyc(Fraction(x, q))
 
 
 def split_roots(coeffs) -> tuple[list[tuple[CycNum, int]], list[CycNum]]:
     """Deflate the monic polynomial with ascending coefficients `coeffs` by
-    its roots among _root_candidates.
+    its roots among _root_candidates: 0, then only the rational roots the
+    integer test found, each deflated until it leaves the quotient.
 
     Returns (root, multiplicity) pairs in candidate order and the leftover
     factor's coefficients, which are a single constant exactly when the

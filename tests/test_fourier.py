@@ -48,6 +48,18 @@ def test_expansion_totality_enforced():
         f.value(GramForm(1, 0, 0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: FourierExpansion(GL2, 0, 0, {ZERO_FORM: 1.5}),
+    lambda: expansion_from_function(GL2, lambda k: 0.5, 4, 4),
+    lambda: combine([(0.5, constant_expansion(1, 4, 4))]),
+    lambda: constant_expansion(1, 4, 4).scale(0.5),
+], ids=["FourierExpansion", "expansion_from_function", "combine", "scale"])
+def test_inexact_values_are_refused(build):
+    with pytest.raises(TypeError, match=r"expected an exact value "
+                                        r"\(int, Fraction or CycNum\), got float$"):
+        build()
+
+
 def test_identity_and_scaling():
     f = constant_expansion(7, 40, 40)
     assert apply_U(f, UOperator(1, 1)).agrees_with(f)
@@ -94,6 +106,14 @@ def test_krylov_trivial_eigenvector():
     assert len(comps) == 1
     assert comps[0].eigenvalues[UOperator(2, 1)] == 6
     assert comps[0].expansion.det_bound == 400  # no coverage lost
+
+
+def test_krylov_single_root_keeps_its_input():
+    # the relation x - 6 has the identity projector: the component is the
+    # input object itself, not a copy
+    f = rank1_power(1)
+    comps = krylov_spectral(f, [UOperator(2, 1)], 2)
+    assert len(comps) == 1 and comps[0].expansion is f
 
 
 def test_krylov_mixture_recovery():
@@ -237,6 +257,24 @@ def test_krylov_checks_a_single_component(sample_bound):
     prov = provider_load(PROVIDER_PATH)
     with pytest.raises(CoverageError, match="component validation failed"):
         krylov_spectral(prov.expansion, [UOperator(1, 2)], sample_bound)
+
+
+@needs_provider
+def test_projection_builds_few_expansions(monkeypatch):
+    # 9 apply_U images, the Lagrange components and their images at the
+    # three-root split, the combined total: no copy for a single root and
+    # no scaled copy to validate against
+    prov = provider_load(PROVIDER_PATH)
+    built = []
+    init = FourierExpansion.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierExpansion, "__init__", counted)
+    assert len(project_components(prov, 2, 4)) == 3
+    assert len(built) <= 16
 
 
 @needs_provider

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from siegeleis import linalg
-from siegeleis.cyclotomic import CycNum, as_cyc
+from siegeleis.cyclotomic import CycNum, as_cyc, divisors
 from siegeleis.linalg import deflate, left_null_space, split_roots
 from siegeleis.verify import _combine
 
@@ -196,6 +197,94 @@ def test_split_roots_huge_constant_term_is_not_factored(monkeypatch):
     found, rem = split_roots(from_roots([2, 500000]))
     assert [(r.as_fraction(), m) for r, m in found] == [(2, 1), (500000, 1)]
     assert len(rem) == 1
+
+
+def _reference_split_roots(coeffs):
+    """split_roots as first written: every candidate +-d/q a Fraction,
+    duplicates dropped by a seen-set, and each one, root or not, tried by a
+    CycNum deflation."""
+    def candidates():
+        yield CycNum.zero()
+        if not all(c.is_rational() for c in coeffs):
+            return
+        den = lcm(*(c.as_fraction().denominator for c in coeffs))
+        low = next(c for c in coeffs if not c.is_zero())
+        c0 = abs((low.as_fraction() * den).numerator)
+        if c0 > 10**9 or den > 10**6:
+            return
+        seen = set()
+        for d in divisors(c0):
+            for q in divisors(den):
+                for s in (1, -1):
+                    x = Fraction(s * d, q)
+                    if x not in seen:
+                        seen.add(x)
+                        yield as_cyc(x)
+
+    rem, found = coeffs, []
+    for cand in candidates():
+        mult = 0
+        while len(rem) > 1:
+            quo, val = deflate(rem, cand)
+            if not val.is_zero():
+                break
+            rem, mult = quo, mult + 1
+        if mult:
+            found.append((cand, mult))
+        if len(rem) == 1:
+            break
+    return found, rem
+
+
+def _split_json(split):
+    found, rem = split
+    return [(r.to_json(), m) for r, m in found], [c.to_json() for c in rem]
+
+
+def test_split_roots_matches_the_fraction_search():
+    # monic rational polynomials of degree <= 5: rational roots +-d/q
+    # (repeats and 0 among them, q <= 12) times a random monic factor,
+    # which may split further or be left over
+    rng = random.Random(20261020)
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        roots = [rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+                 for _ in range(rng.randint(0, n))]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 1)))
+        roots = roots[:n]
+        p = [as_cyc(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+             for _ in range(n - len(roots))] + [CycNum.one()]
+        for r in roots:
+            p = times_x_minus(p, as_cyc(r))
+        assert _split_json(split_roots(p)) == _split_json(
+            _reference_split_roots(p)), p
+    # x (x - 1)(x^2 + ix + 1/2): with an irrational coefficient only the
+    # zero root is searched for, and the rational root 1 stays in the
+    # leftover
+    i = CycNum.root_of_unity(4)
+    p = times_x_minus(times_x_minus([as_cyc(Fraction(1, 2)), i, CycNum.one()],
+                                    CycNum.zero()), as_cyc(1))
+    want = _reference_split_roots(p)
+    assert _split_json(split_roots(p)) == _split_json(want)
+    assert [(r.to_json(), m) for r, m in want[0]] == [(CycNum.zero().to_json(), 1)]
+    assert len(want[1]) == 4
+
+
+def test_split_roots_deflates_only_roots(monkeypatch):
+    # x^3 - 41x^2 + 296x - 256 = (x - 1)(x - 8)(x - 32): one deflation for
+    # the candidate 0, then each root is deflated until it leaves (two
+    # each), but the last one empties the quotient
+    calls = []
+
+    def counted(coeffs, c):
+        calls.append(c)
+        return deflate(coeffs, c)
+
+    monkeypatch.setattr(linalg, "deflate", counted)
+    found, rem = split_roots([as_cyc(c) for c in (-256, 296, -41, 1)])
+    assert [(r.as_fraction(), m) for r, m in found] == [(1, 1), (8, 1), (32, 1)]
+    assert len(rem) == 1
+    assert [c.as_fraction() for c in calls] == [0, 1, 1, 8, 8, 32]
 
 
 def _random_triangular(rng, n, conductor):
