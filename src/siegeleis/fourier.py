@@ -24,6 +24,7 @@ by calibrate_normalization, never hard-coded.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,8 +37,8 @@ from .lattices import (
     GramForm,
     ZERO_FORM,
     _proper_reduce,
-    _reduced_triples,
     reduce_form,
+    reduced_class_count,
     reduced_class_keys,
     sublattices,
 )
@@ -280,8 +281,15 @@ def _quote(text: str, limit: int = 80, show=repr) -> str:
     return f"{show(text[:limit])}... ({len(text)} characters)"
 
 
-def _header(raw: str, where: str) -> tuple[int, int, str]:
-    """(weight, level, group) of a '!weight k level 1 group GL2|SL2' line."""
+def _header(raw: str, where: str, weight, table) -> tuple[int, int, str]:
+    """(weight, level, group) of a '!weight k level 1 group GL2|SL2' line,
+    `weight` and `table` being what the parse has read so far: a second
+    header, then a header after a data line, then a malformed one is
+    refused, in that order."""
+    if weight is not None:
+        raise ValueError(f"{where}: repeated header")
+    if table:
+        raise ValueError(f"{where}: header after the first data line")
     toks = raw.split("#", 1)[0].strip()[1:].split()
     if (len(toks) != 6 or toks[0] != "weight" or toks[2] != "level"
             or toks[4] != "group"):
@@ -308,31 +316,49 @@ def _value(tok: str) -> CycNum:
 
 
 def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
+    """The provider of a coefficient table given as lines of text.
+
+    The first non-comment line is the header '!weight k level 1 group
+    GL2|SL2'; every other one is a data line `a b c value [orient]`, where
+    `#` starts a comment and blank lines are skipped.  The form is read
+    with `int`, the value as `fractions.Fraction` reads it, and an orient
+    of -1 names the SL2 twin; the class key is the reduced form in the
+    table's group.  The first bad line stops the parse with a ValueError
+    that begins `SOURCE:LINE: `: a malformed line, a bad number or
+    orientation, a form that is not psd, a duplicate that disagrees, or a
+    header that is repeated, after a data line, or bad.  A table with no
+    header or no zero-form coefficient is refused after the pass.
+
+    The coverage of the expansion is read off the keys: the content bound
+    is the longest run [[m,0],[0,0]], m = 1, 2, ..., and the det bound the
+    largest D with every positive definite class of det <= D present.  The
+    keys are distinct classes, so that holds exactly when the keys of det
+    <= D number `reduced_class_count(D)`; it holds at 0, and once false it
+    stays false.  [[1,0],[0,d]] is a class of det d, so D is at most the
+    number of positive definite keys, and D is found by bisection: about
+    log2 of that number of counts, each O(D) arithmetic, and a table
+    complete up to its largest det costs one count.
+    """
     weight = level = None
     mode = GL2
     sl2 = False
     table: dict = {}
     ints: dict = {}  # token -> int
     values: dict = {}  # token -> CycNum
-    top = pd = 0  # the largest det and the number of positive definite keys
     for lineno, raw in enumerate(lines, 1):
         toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not toks:
-            continue
-        if toks[0][0] == "!":
-            where = f"{source}:{lineno}"
-            if weight is not None:
-                raise ValueError(f"{where}: repeated header")
-            if table:
-                raise ValueError(f"{where}: header after the first data line")
-            weight, level, mode = _header(raw, where)
-            sl2 = mode == SL2
-            continue
         if len(toks) == 4:
             A, B, C, V = toks
             orient = None
         elif len(toks) == 5:
             A, B, C, V, orient = toks
+        elif not toks:
+            continue
+        elif toks[0][0] == "!":
+            weight, level, mode = _header(raw, f"{source}:{lineno}", weight,
+                                          table)
+            sl2 = mode == SL2
+            continue
         else:
             raise ValueError(f"{source}:{lineno}: malformed line {_quote(raw)}")
         try:  # each distinct token is parsed once
@@ -349,6 +375,8 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
             if val is None:
                 val = values[V] = _value(V)
         except (ValueError, ZeroDivisionError):
+            if A[0] == "!":  # a header of 4 or 5 tokens: _header refuses it
+                _header(raw, f"{source}:{lineno}", weight, table)
             raise ValueError(f"{source}:{lineno}: bad number in "
                              f"{_quote(raw)}") from None
         s = b
@@ -363,7 +391,7 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
             key = (a, s, c)  # already reduced: its own key
         else:
             try:
-                a, s, c = key = tuple(reduce_form(GramForm(a, s, c), mode))
+                key = tuple(reduce_form(GramForm(a, s, c), mode))
             except ValueError:
                 form = _quote(str(GramForm(a, b, c)), show=str)
                 raise ValueError(f"{source}:{lineno}: form {form} "
@@ -371,10 +399,6 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
         old = table.get(key)
         if old is None:
             table[key] = val
-            if c:  # a new positive definite key
-                pd += 1
-                if a * c - s * s > top:
-                    top = a * c - s * s
         elif old is not val and not (old == val):
             raise ValueError(f"{source}:{lineno}: inconsistent duplicate for "
                              f"class {_quote(str(GramForm(*key)), show=str)}")
@@ -387,17 +411,20 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
     cb = 0
     while (cb + 1, 0, 0) in table:
         cb += 1
-    # det bound: largest D with every reduced positive definite class of
-    # det <= D in the table.  [[1,0],[0,d]] is a reduced class of det d, so
-    # D is at most the number of positive definite keys, and the walk stops
-    # there however large a det the file names.  In SL2 a form with
-    # 0 < 2b < a < c has the twin key (a, -b, c).
-    walk = min(top, pd)
-    db = walk
-    for det, a, b, c in _reduced_triples(walk):
-        if det <= db and ((a, b, c) not in table or sl2 and 0 < 2 * b < a < c
-                          and (a, -b, c) not in table):
-            db = det - 1
+    # det bound: the largest D <= min(top det, positive definite keys) with
+    # as many keys of det <= D as classes (see the docstring); the top is
+    # probed first, then lo holds and hi fails
+    dets = sorted(a * c - b * b for a, b, c in table if c)
+    db = min(dets[-1], len(dets)) if dets else 0
+    if bisect_right(dets, db) != reduced_class_count(db, mode):
+        lo, hi = 0, db
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if bisect_right(dets, mid) == reduced_class_count(mid, mode):
+                lo = mid
+            else:
+                hi = mid
+        db = lo
     exp = FourierExpansion(mode, db, cb, table, validate=False)
     return CoefficientProvider(source, weight, level, exp)
 

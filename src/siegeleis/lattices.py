@@ -1,6 +1,8 @@
 """Binary quadratic lattice kernel: integral symmetric 2x2 Gram forms,
-Gauss reduction to canonical class representatives, index-Q sublattice
-enumeration, form scaling, and the finite-field isotropy classifier.
+Gauss reduction to canonical class representatives, the reduced forms of
+bounded det (listed, or only counted, from one set of (a, b) rows),
+index-Q sublattice enumeration, form scaling, and the finite-field
+isotropy classifier.
 
 Gram convention: [[a, b], [b, c]] with integer b, form value a*x^2 + 2*b*x*y
 + c*y^2 (no half-integral convention).  Reduction works on positive
@@ -9,6 +11,13 @@ weight a class may split into two proper (SL2) classes.  Either way the class
 key is one GramForm, the reduced form of its group: the GL2 key has b >= 0,
 and the SL2 key is the proper reduced form, so the twin of a class that
 splits is keyed (a, -b, c).
+
+`_reduced_rows` owns the bounds of the reduced forms of det <= D: one row
+(a, b, c_lo, c_hi) per (a, b), with c running over [c_lo, c_hi].
+`_reduced_triples` walks the rows, and `reduced_class_count` only sums
+their lengths (plus the SL2 twins), in O(D) arithmetic and no form built:
+the count is how `fourier.provider_parse` checks that a table is complete
+up to a det.
 """
 
 from __future__ import annotations
@@ -177,16 +186,41 @@ def isotropic_lines(T: GramForm, p: int) -> IsotropyReport:
     return IsotropyReport(count, kind)
 
 
-def _reduced_triples(det_bound: int):
-    """(det, a, b, c) for every GL2-reduced positive definite form with
-    det <= det_bound, unordered."""
+def _reduced_rows(det_bound: int):
+    """(a, b, c_lo, c_hi) for every (a, b) with a GL2-reduced positive
+    definite form (a, b, c) of det <= det_bound: the forms of the row are
+    those with c_lo <= c <= c_hi, and each row yielded is non-empty.  This
+    is the one statement of the reduced-form bounds: 0 <= 2b <= a <= c,
+    so 3a^2 <= 4 det, and c >= a already makes det >= 3a^2/4 > 0."""
     a = 1
     while 3 * a * a <= 4 * det_bound:
         for b in range(a // 2 + 1):
-            bb = b * b
-            for c in range(max(a, bb // a + 1), (det_bound + bb) // a + 1):
-                yield a * c - bb, a, b, c
+            c_hi = (det_bound + b * b) // a
+            if c_hi >= a:
+                yield a, b, a, c_hi
         a += 1
+
+
+def _reduced_triples(det_bound: int):
+    """(det, a, b, c) for every GL2-reduced positive definite form with
+    det <= det_bound, unordered."""
+    for a, b, c_lo, c_hi in _reduced_rows(det_bound):
+        bb = b * b
+        for c in range(c_lo, c_hi + 1):
+            yield a * c - bb, a, b, c
+
+
+def reduced_class_count(det_bound: int, group: str = GL2) -> int:
+    """The number of positive definite classes of det <= det_bound in the
+    group, without listing one: the row lengths of `_reduced_rows`, and in
+    SL2 the twins (a, -b, c) with c > a of each row with 0 < 2b < a.  The
+    rows number about det_bound / 3, so this is O(det_bound) arithmetic."""
+    n = 0
+    for a, b, c_lo, c_hi in _reduced_rows(det_bound):
+        n += c_hi - c_lo + 1
+        if group == SL2 and 0 < 2 * b < a:
+            n += c_hi - a  # the class splits unless c = a
+    return n
 
 
 def reduced_posdef_forms(det_bound: int):

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -214,6 +215,56 @@ def test_provider_det_walk_is_bounded_by_the_class_count():
     assert time.perf_counter() - t0 < 1
     assert p.expansion.det_bound == 0
     assert p.expansion.coeffs[reduce_form(GramForm(1, 0, 100000))] == 5
+
+
+@pytest.mark.parametrize("header, lines, lineno, message", [
+    (header, lines, lineno, message)
+    for header in ["!weight 4 level", "!weight 4 level 1", "! weight 4 level",
+                   "!weight 4 level 1 group", "! weight 4 level 1"]
+    for lines, lineno, message in [
+        ([header, "0 0 0 1"], 1,
+         "bad header; want '!weight k level 1 group GL2|SL2'"),
+        (["!weight 4 level 1 group GL2", header, "0 0 0 1"], 2,
+         "repeated header"),
+        (["0 0 0 1", header], 2, "header after the first data line"),
+    ]
+])
+def test_short_header_lines_are_refused_in_order(header, lines, lineno,
+                                                 message):
+    # 3, 4 and 5 tokens: a 4- or 5-token line takes the data line's path
+    # until its first token fails to read as an int
+    with pytest.raises(ValueError) as exc:
+        provider_parse(lines, source="t.coeffs")
+    assert str(exc.value) == f"t.coeffs:{lineno}: {message}"
+
+
+def test_provider_coverage_counts_classes_and_lists_none(monkeypatch):
+    # 40,000 keys of det >= 10^6 and nothing between: the det bound is 0,
+    # found by bisection over class counts, with no reduced form listed
+    import siegeleis.fourier as fourier
+    import siegeleis.lattices as lattices
+
+    def listed(det_bound):
+        raise AssertionError(f"reduced forms listed up to det {det_bound}")
+
+    calls = []
+
+    def counted(det_bound, group=GL2):
+        calls.append(det_bound)
+        return lattices.reduced_class_count(det_bound, group)
+
+    monkeypatch.setattr(lattices, "_reduced_triples", listed)
+    monkeypatch.setattr(fourier, "reduced_class_count", counted)
+    n = 40000
+    lines = ["!weight 4 level 1 group GL2", "0 0 0 1"] + [
+        f"1 0 {10**6 + i} 5" for i in range(n)]
+    p = provider_parse(lines)
+    assert p.expansion.det_bound == 0 and len(p.expansion.coeffs) == n + 1
+    assert 0 < len(calls) <= 2 * math.log2(n) + 2
+    if PROVIDER_PATH.exists():  # a whole table costs one count
+        calls.clear()
+        assert provider_load(PROVIDER_PATH).expansion.det_bound == 144
+        assert calls == [144]
 
 
 def test_provider_lines_round_trip():

@@ -4,7 +4,8 @@
 value map: every class as a random unimodular image of its representative,
 values as int or p/q tokens, comments, blank lines and agreeing duplicates,
 in shuffled order.  Both coverage bounds equal a brute-force computation
-over the reduced-form definition done here.
+over the reduced-form definition done here, and the class count that
+the det bound is read from equals that definition and the listed forms.
 (b) One bad line makes the parser raise a plain ValueError that names
 `source:lineno` of that line; a fifth token other than `1` or `-1` is one,
 in GL2 and SL2 tables alike, and so is a header after a data line or after
@@ -20,7 +21,8 @@ import pytest
 from siegeleis.cyclotomic import as_cyc
 from siegeleis.fourier import provider_parse
 from siegeleis.lattices import (GL2, SL2, GramForm, transform,
-                                _unimodular_entries_bounded)
+                                _reduced_triples, _unimodular_entries_bounded,
+                                reduced_class_count)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -127,6 +129,25 @@ def test_whole_dets_are_covered_and_a_gap_ends_coverage(mode):
             "{} {} {} 1 1".format(*k) for k in keys]
         assert provider_parse(lines).expansion.det_bound == d
         assert provider_parse(lines[:-1]).expansion.det_bound == d - 1
+
+
+@pytest.mark.parametrize("mode", [GL2, SL2])
+def test_class_count_is_the_number_of_classes_by_definition(mode):
+    total = 0
+    for d in range(201):
+        total += len(classes_of_det(d, mode))
+        assert reduced_class_count(d, mode) == total
+
+
+@pytest.mark.parametrize("det_bound", [2187, 6000])
+def test_class_count_is_the_number_of_listed_triples(det_bound):
+    gl2 = sl2 = 0
+    for _, a, b, c in _reduced_triples(det_bound):
+        gl2 += 1
+        sl2 += 2 if 0 < 2 * b < a < c else 1  # the twin (a, -b, c)
+    assert reduced_class_count(det_bound) == gl2
+    assert reduced_class_count(det_bound, GL2) == gl2
+    assert reduced_class_count(det_bound, SL2) == sl2
 
 
 BAD_NUMBERS = ["x", "1.2.3", "1/", "/2", "--1", "1_", "0x10", "nan", "1e", "²"]

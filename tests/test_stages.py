@@ -88,3 +88,11 @@ def test_the_size_of_an_ingested_provider_is_counted(capsys):
     assert out["distinct_values"] == len(set(exp.coeffs.values()))
     assert (out["det_bound"], out["content_bound"]) == (144, 36)
     assert out["max_conductor"] == 1
+
+
+def test_every_fourier_stage_reads_above_zero(capsys):
+    # six decimals: the cheap stages of a fourier command are microseconds
+    out = run_tool(capsys, "--repeat", "5", "--", "fourier", "--provider",
+                   PROVIDER, "--apply", "U:6,1")
+    assert list(out["seconds"]) == ["load", "apply", "render"]
+    assert all(t > 0 for t in out["seconds"].values())

@@ -104,7 +104,7 @@ def main(argv=None) -> None:
             best[name] = min(best.get(name, value), value)
     print(json.dumps({"argv": args.command, "repeat": args.repeat,
                       "through": args.through, "code": code,
-                      "seconds": {k: round(v, 4) for k, v in best.items()},
+                      "seconds": {k: round(v, 6) for k, v in best.items()},
                       **counts}))
 
 
