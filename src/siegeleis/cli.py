@@ -26,7 +26,7 @@ import contextlib
 import os
 import sys
 
-from .jsonout import JsonText, write_json
+from .jsonout import JsonText, chunked, write_json
 
 
 def _spec_int(text: str, what: str) -> int:
@@ -94,7 +94,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    from .hecke import HeckeOp, SpaceOperators, check_word_printable, word_rows
+    from .hecke import (HeckeOp, SpaceOperators, _text, check_word_printable,
+                        word_rows)
     space = _space_from_args(args)
     args.stage("basis", space)
     word = parse_op_word(args.op)
@@ -112,8 +113,8 @@ def cmd_hecke(args) -> int:
         "weight": space.weight,
         "char": space.char.spec_string(),
         "op": args.op,
-        "basis": [dict(zip(("N0", "N1", "N2"), space.decode(i)[1]))
-                  for i in range(space.dimension)],
+        "basis": chunked((_text(space.decode(i)[1], 2)
+                          for i in range(space.dimension)), 2),
         "matrix": word_rows(ops, word),
     })
     args.stage("render", None)
@@ -275,16 +276,27 @@ def _component_json(comp, depth: int) -> dict:
 
 def cmd_verify(args) -> int:
     from .verify import PRESETS, run_suite
+    # the suite flags and the values read in place of one not given
+    suite = {"n_max": 6, "k_set": "4,5", "prime_max": 5, "char_orders": "1,2",
+             "trials": 100, "seed": 7}
+    given = {name: value for name in suite
+             if (value := getattr(args, name)) is not None}
     if args.preset:
+        if given:  # the preset's config would ignore it
+            flag = "--" + next(iter(given)).replace("_", "-")
+            args.usage_error(f"argument {flag}: not allowed with argument "
+                             "--preset")
         config = dict(PRESETS[args.preset])
     else:
+        suite.update(given)
         config = {
-            "N_max": args.n_max,
-            "k_set": _int_list(args.k_set, "weight list"),
-            "prime_max": args.prime_max,
-            "char_orders": _int_list(args.char_orders, "character order list"),
-            "trials": args.trials,
-            "seed": args.seed,
+            "N_max": suite["n_max"],
+            "k_set": _int_list(suite["k_set"], "weight list"),
+            "prime_max": suite["prime_max"],
+            "char_orders": _int_list(suite["char_orders"],
+                                     "character order list"),
+            "trials": suite["trials"],
+            "seed": suite["seed"],
         }
     report = run_suite(config)
     args.stage("suite", None)
@@ -352,13 +364,16 @@ def _fourier_args(p) -> None:
 def _verify_args(p) -> None:
     # the names of verify.PRESETS, spelled here so the parser loads no verify
     p.add_argument("--preset", choices=("desk", "quick"))
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--k-set", default="4,5")
-    p.add_argument("--prime-max", type=int, default=5)
-    p.add_argument("--char-orders", default="1,2")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    # no default, so that --preset can refuse a suite flag given at all;
+    # cmd_verify reads the suite's own values in their place
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--k-set")
+    p.add_argument("--prime-max", type=int)
+    p.add_argument("--char-orders")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", default=None)
+    p.set_defaults(usage_error=p.error)
 
 
 # name: (help, the function that adds its arguments, handler), in help order

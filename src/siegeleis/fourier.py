@@ -24,6 +24,7 @@ by calibrate_normalization, never hard-coded.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -307,10 +308,16 @@ def _header(raw: str, where: str, weight, table) -> tuple[int, int, str]:
 def _value(tok: str) -> CycNum:
     """The value of a provider token, built in its canonical form: an int
     over 1, or a Fraction's reduced pair (int reads a subset of what
-    Fraction reads, without a regex)."""
+    Fraction reads, without a regex).  Fraction builds 10^|e| for an
+    exponent e whatever its size, so an |e| past the str digit limit
+    (when one is set) is refused as a bad number before it is read."""
     try:
         return _raw(1, (int(tok),), 1)
     except ValueError:
+        _, e, exp = tok.lower().partition("e")
+        limit = sys.get_int_max_str_digits()
+        if e and limit and abs(int(exp)) > limit:
+            raise ValueError(f"exponent past {limit} digits") from None
         f = Fraction(tok)
         return _raw(1, (f.numerator,), f.denominator)
 

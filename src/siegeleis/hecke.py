@@ -28,6 +28,7 @@ from .cyclotomic import (CycNum, _height, as_cyc, check_printable, is_prime,
                          value_texts)
 from .eisspace import EisSpace, Partition, prime_factors
 from .jsonout import JsonText
+from .linalg import _axpy
 
 _ZERO = CycNum.zero()
 _ONE = CycNum.one()
@@ -64,11 +65,13 @@ class HeckeOp:
 class HeckeMatrix:
     """An action table at one prime p, stored factored over the primes of N.
 
-    ``pos`` is the position of p among the primes of N (None for p not
-    dividing N) and ``at`` is A_p, the positions of the primes q != p of N
+    Built as HeckeMatrix(space, op, local), it derives its own layout:
+    ``pos``, the position of p among the primes of N (None for p not
+    dividing N), and ``at``, A_p, the positions of the primes q != p of N
     with chi_q(p) != 1.  The key of a row is its ranks at ``places``: A_p,
     then p for p | N; every reader of keys uses ``key``, which reads that
-    tuple off any tuple indexed like a rank tuple.  ``local`` maps each
+    tuple off any tuple indexed like a rank tuple, and of a key's first
+    basis index ``representatives``, built once.  ``local`` maps each
     key to its local row: for p | N the entries (target rank at p, value)
     in ascending rank, the target being the row with its rank at p
     replaced; for p not dividing N the diagonal value.  ``diagonal`` and
@@ -82,17 +85,24 @@ class HeckeMatrix:
 
     space: EisSpace
     op: HeckeOp
-    pos: int | None
-    at: tuple[int, ...]
     local: dict
 
     def __post_init__(self):
+        p, char = self.op.p, self.space.char
+        primes = prime_factors(self.space.level)
+        self.pos = primes.index(p) if p in primes else None
+        self.at = tuple(x for x, q in enumerate(primes)
+                        if q != p and not char.local(q)(p).is_one())
         places = self.places = self.at if self.pos is None else self.at + (self.pos,)
         if len(places) > 1:
             self.key = itemgetter(*places)
         else:  # a slice of the tuple, to keep the key a tuple
             x = places[0] if places else 0
             self.key = itemgetter(slice(x, x + len(places)))
+
+    @cached_property
+    def representatives(self) -> dict:
+        return _representatives(self.space, self.places)
 
     def _row(self, i: int) -> tuple:
         space, (ranks, _) = self.space, self.space.decode(i)
@@ -116,8 +126,7 @@ class HeckeMatrix:
         an absent index stands for 0."""
         out: dict[int, CycNum] = {}
         for i, x in v.items():
-            for j, a in self._row(i):
-                out[j] = out[j] + x * a if j in out else x * a
+            _axpy(out, x, self._row(i))
         return out
 
 
@@ -141,12 +150,6 @@ def _row_prime_to_level(space: EisSpace, rho, op: HeckeOp) -> CycNum:
         + space.char(p) * Fraction(p ** (k - 3) * (p - 1))
         + _chi_over(space, c2, p * p)
     )
-
-
-def _moved_by(space: EisSpace, p: int) -> tuple[int, ...]:
-    """A_p: the positions of the primes q != p of N with chi_q(p) != 1."""
-    return tuple(x for x, q in enumerate(prime_factors(space.level))
-                 if q != p and not space.char.local(q)(p).is_one())
 
 
 def _representatives(space: EisSpace, places: tuple[int, ...]) -> dict:
@@ -219,21 +222,19 @@ def _row_at_level_prime(space: EisSpace, rho, rank: int, op: HeckeOp) -> tuple:
 
 def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:
     """Exact action table of T(p) or T1(p^2), rows indexed by the source
-    basis element, stored factored (HeckeMatrix): the row formula
-    (_row_prime_to_level, _row_at_level_prime) is evaluated once per key,
-    at the parts of the key's representative row, and what it returns is
-    the key's local row as stored.  A prime q of N with chi_q(p) = 1
-    contributes the factor 1 to every character value in an entry, wherever
-    the row puts q, so a row depends on its key only.
+    basis element, stored factored (HeckeMatrix, given only local rows):
+    the row formula (_row_prime_to_level, _row_at_level_prime) is evaluated
+    once per key, at the parts of the key's representative row, and what
+    it returns is the key's local row as stored.  A prime q of N with
+    chi_q(p) = 1 contributes the factor 1 to every character value in an
+    entry, wherever the row puts q, so a row depends on its key only.
     """
     if op.kind not in ("T", "T1"):
         raise ValueError(f"{op} is a relation operator; build it with s_operator")
-    primes = prime_factors(space.level)
-    pos = primes.index(op.p) if op.p in primes else None
-    hm = HeckeMatrix(space, op, pos, _moved_by(space, op.p), {})
-    for key, i in _representatives(space, hm.places).items():
+    hm = HeckeMatrix(space, op, {})
+    for key, i in hm.representatives.items():
         rho = space.decode(i)[1]
-        hm.local[key] = (_row_prime_to_level(space, rho, op) if pos is None
+        hm.local[key] = (_row_prime_to_level(space, rho, op) if hm.pos is None
                          else _row_at_level_prime(space, rho, key[-1], op))
     return hm
 
@@ -410,8 +411,7 @@ def _is_local_eigen(local, key, u, lam: CycNum) -> bool:
         row = local.get(key + (s,))
         if row is None:
             return False
-        for t, a in row:
-            image[t] = image[t] + x * a if t in image else x * a
+        _axpy(image, x, row)
     return all(image.get(t, _ZERO) == lam * u.get(t, _ZERO)
                for t in image.keys() | u.keys())
 
@@ -428,8 +428,8 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     The character values in u_q are those of the primes in A_q, so u_q
     depends on rho only through its key in the table of T(q) (ranks at
     A_q, then at q): it is built once per key, at the key's representative
-    row (_representatives, the key's first basis index), and stored under
-    that key (EigenSystem.local); nothing is mapped over the basis.  What
+    row (the table's HeckeMatrix.representatives), and stored under that
+    key (EigenSystem.local); nothing is mapped over the basis.  What
     is built is w_q (_local_vector), u_q times a common denominator of its
     entries, so the proof divides nothing.  A
     table at p is stored factored (HeckeMatrix): it moves only the rank at
@@ -477,7 +477,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     for q in prime_factors(space.level):
         hm = ops.matrix(HeckeOp("T", q))
         by_key = {}  # a key ends with the rank at q
-        for key, i in _representatives(space, hm.places).items():
+        for key, i in hm.representatives.items():
             w = by_key[key] = _local_vector(space, space.decode(i)[1], q, key[-1])
             if w.get(key[-1], _ZERO).is_zero():
                 failures.append((i, -1, next(iter(tables)),
@@ -573,7 +573,7 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison
     with expected_mismatch=True.  The closed form and the expected mismatch
     depend only on rho's key in the op's table (its ranks at A_p and, for
     p | N, at p), as the eigenvalue does; so each case is evaluated once
-    per (op, key), at the key's first basis element (_representatives).
+    per (op, key), at the key's representative row in the op's table.
     """
     space = system.space
     primes = prime_factors(space.level)
@@ -583,7 +583,7 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison
     for op in system.keyed(op_list):
         hm, lams = system.tables[op], system.columns[op]
         cases = {}
-        for key, i in _representatives(space, hm.places).items():
+        for key, i in hm.representatives.items():
             mval = lams[key]
             cval = eigenvalue_closed_form(space, space.decode(i)[1], op)
             cases[key] = (mval, cval, bool(mval == cval), op.kind == "T1"
@@ -734,7 +734,7 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
     - T1 - q (chi_rest q^(k-2) - 1) I) for trivial chi_q, and S2 = f (T - I)
     with f = (-1|q) q^2 / (q-1) for quadratic chi_q.  The local row of each
     key is that combination of the local rows of the cached T(q) and
-    T1(q^2) at the key, zeros dropped.
+    T1(q^2) at the key, zeros dropped: the table is given only these.
     """
     space = ops.space
     if space.level % q != 0:
@@ -759,16 +759,15 @@ def s_operator(ops: SpaceOperators, q: int, which: str) -> HeckeMatrix:
             raise ValueError(f"S2({q}) requires chi_{q}^2 = 1")
     else:
         raise ValueError(f"unknown relation operator {which!r}; want S1 or S2")
-    T = ops.matrix(HeckeOp("T", q))
-    T1 = ops.matrix(HeckeOp("T1", q)).local
+    T, T1 = (ops.matrix(HeckeOp(kind, q)).local for kind in ("T", "T1"))
     rows = {}  # key -> local row
-    for key, row in T.local.items():
+    for key, row in T.items():
         t, t1, rank = dict(row), dict(T1[key]), key[-1]
         out = ((s, t.get(s, _ZERO) * x + t1.get(s, _ZERO) * y
                 + (z if s == rank else _ZERO))
                for s in sorted(t.keys() | t1.keys() | {rank}))
         rows[key] = tuple((s, a) for s, a in out if not a.is_zero())
-    return HeckeMatrix(space, HeckeOp(which, q), T.pos, T.at, rows)
+    return HeckeMatrix(space, HeckeOp(which, q), rows)
 
 
 def apply_word(ops: SpaceOperators, word, v: dict[int, CycNum]) -> dict[int, CycNum]:
@@ -803,9 +802,9 @@ def check_word_printable(ops: SpaceOperators, word) -> None:
     weights' absolute sum is at most the product of the S_l, the largest
     row sums of D_l |n_i| / d; so its factor of M_l is max(D_l, S_l)."""
     factors, values = [], []
-    for op in word:
-        rows = [row if type(row) is tuple else ((0, row),)  # p not | N
-                for row in ops.matrix(op).local.values()]
+    for hm in map(ops.matrix, word):
+        rows = [row if hm.pos is not None else ((0, row),)  # p not | N
+                for row in hm.local.values()]
         d = lcm(*(a.d for row in rows for _, a in row))
         factors.append(max(d, *(sum(d // a.d * sum(map(abs, a.n))
                                     for _, a in row) for row in rows)))

@@ -15,10 +15,10 @@ import pytest
 from siegeleis import cli, cyclotomic
 from siegeleis.cli import main, parse_op_word
 from siegeleis.cyclotomic import (PRIMALITY_BOUND, TRIAL_BOUND, CycNum,
-                                  conductor_cap, set_conductor_cap)
-from siegeleis.fourier import UOperator
+                                  as_cyc, conductor_cap, set_conductor_cap)
+from siegeleis.fourier import UOperator, provider_load
 from siegeleis.hecke import HeckeOp
-from siegeleis.lattices import MAX_SUBLATTICES
+from siegeleis.lattices import MAX_SUBLATTICES, GramForm
 from siegeleis.verify import PRESETS, run_suite
 
 PROVIDER = Path(__file__).resolve().parent.parent / "data" / "e8_weight4_level1.coeffs"
@@ -215,6 +215,30 @@ def test_bad_provider_number_exit_code(capsys, tmp_path, lines, lineno):
     assert code == 1 and out == ""
     line = lines[lineno - 1]
     assert err == f"error: {path}:{lineno}: bad number in {line!r}\n"
+
+
+def test_provider_exponent_past_the_digit_limit_exit_code(tmp_path):
+    # Fraction builds 10^e whatever e: 1e100000000 ran for minutes, and is
+    # now a bad number, refused before it is read (in a child process, so
+    # that a parse which does read it stops at the timeout)
+    lines = ["!weight 4 level 1 group GL2", "0 0 0 1e100000000"]
+    path = tmp_path / "bad.coeffs"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "siegeleis.cli", "fourier", "--provider",
+         str(path), "--apply", "U:1,2"],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert time.perf_counter() - t0 < 2
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {path}:2: bad number in {lines[1]!r}\n"
+    # an exponent within the limit is read as Fraction reads it
+    path.write_text("!weight 4 level 1 group GL2\n0 0 0 1.5e2\n")
+    coeffs = provider_load(path).expansion.coeffs
+    assert coeffs == {GramForm(0, 0, 0): as_cyc(150)}
 
 
 @pytest.mark.parametrize("group,orient", [("GL2", "garbage"), ("GL2", "2"),
@@ -556,6 +580,41 @@ def test_relations_write_the_plain_tree_from_records(capsys, monkeypatch):
     assert out == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
+SUITE_FLAGS = [("--n-max", "2"), ("--k-set", "4"), ("--prime-max", "3"),
+               ("--char-orders", "1"), ("--trials", "5"), ("--seed", "3")]
+
+
+@pytest.mark.parametrize("flag,value", SUITE_FLAGS,
+                         ids=[flag for flag, _ in SUITE_FLAGS])
+def test_verify_preset_refuses_a_suite_flag(capsys, flag, value):
+    # the preset's config was run and the flag ignored, its value not even
+    # in the report; given at all, even at the value the suite reads in its
+    # place, it is a usage error naming both flags
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--preset", "quick", flag, value])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith("usage: siegeleis verify ")
+    assert out.err.endswith(f"\nsiegeleis verify: error: argument {flag}: "
+                            "not allowed with argument --preset\n")
+
+
+def test_verify_reads_the_suite_values_of_flags_not_given(monkeypatch):
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr("siegeleis.verify.run_suite", record)
+    assert main(["verify"]) == main(["verify", "--seed", "3", "--k-set", "6"]) == 1
+    assert configs == [
+        {"N_max": 6, "k_set": [4, 5], "prime_max": 5, "char_orders": [1, 2],
+         "trials": 100, "seed": 7},
+        {"N_max": 6, "k_set": [6], "prime_max": 5, "char_orders": [1, 2],
+         "trials": 100, "seed": 3}]
+
+
 def test_verify_quick(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code = main(["verify", "--preset", "quick", "--output", str(out_path)])
@@ -770,6 +829,15 @@ MESSAGES = {
     "invalid-choice": (["verify", "--preset", "nope"], 2,
         EMPTY,
         "73acd81e9b0793701eb73975b35cf9679555de902ce7b32083fb4255fc514a90"),
+    # a suite flag the preset would ignore; of several, the first in the
+    # parser's order is named
+    "preset-seed": (["verify", "--preset", "quick", "--seed", "3"], 2,
+        EMPTY,
+        "b610132c5597359f531e8cff3b481d7988f8950f6f2bb6c25bcbe2ce77e8b8f8"),
+    "preset-seed-n-max": (["verify", "--preset", "quick", "--seed", "3",
+                           "--n-max", "2"], 2,
+        EMPTY,
+        "14672fe333141fdb86c0673add95bccfaaee9206beae0c3b907b4998e672f8ce"),
 }
 
 

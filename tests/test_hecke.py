@@ -472,8 +472,8 @@ def test_apply_word_gives_the_same_bytes_in_any_order():
     x, i = CycNum.root_of_unity(12), CycNum.root_of_unity(4)
     op = HeckeOp("T", 2)
     # the local rows at ranks 0, 1, 2 of the prime 2 all move to rank 2
-    hm = HeckeMatrix(N2K4, op, 0, (), {(0,): ((2, x),), (1,): ((2, -x),),
-                                       (2,): ((2, i),)})
+    hm = HeckeMatrix(N2K4, op, {(0,): ((2, x),), (1,): ((2, -x),),
+                                 (2,): ((2, i),)})
 
     class Ops:
         def matrix(self, o):
@@ -1031,9 +1031,9 @@ def _with_table(monkeypatch, op, tamper):
         if o == op:
             local = {key: [list(e) for e in row] if hm.pos is not None
                      else [row] for key, row in hm.local.items()}
-            copy = HeckeMatrix(space, o, hm.pos, hm.at, local)
+            copy = HeckeMatrix(space, o, local)
             tamper(space, copy)
-            hm = HeckeMatrix(space, o, hm.pos, hm.at, {
+            hm = HeckeMatrix(space, o, {
                 key: tuple((t, as_cyc(a)) for t, a in row)
                 if hm.pos is not None else as_cyc(row[0])
                 for key, row in local.items()})
@@ -1229,6 +1229,56 @@ def test_eigen_calls_the_row_formulas_once_per_key(monkeypatch, capsys):
     ops = SpaceOperators(enumerate_partitions(2310, None, 4)).level_ops()
     assert sorted(calls, key=str) == sorted(
         [op for op in ops for _ in range(3)], key=str)
+
+
+# N=2310 with chi_5 of order 4 and chi_11 of order 10: chi_5(p) = 1 only
+# for p = 1 mod 5 (11 and 31 here), chi_11(p) = 1 only for p = 1 mod 11
+CHI_2310 = ["--level", "2310", "--weight", "4", "--char", "5:1,11:1"]
+
+
+def test_eigen_builds_one_representative_map_per_table(monkeypatch, capsys):
+    # each table's map key -> first basis index is its `representatives`,
+    # which hecke_matrix, eigenbasis (at T(q)) and eigenvalue_comparisons
+    # read; eigenbasis also maps the ranks its check 2 reads, once per table
+    calls = []
+    real = hecke._representatives
+    monkeypatch.setattr(hecke, "_representatives",
+                        lambda space, places: calls.append(places)
+                        or real(space, places))
+    handed = {}
+    assert cli.main(["eigen", *CHI_2310, "--format", "csv"],
+                    stage=lambda name, value: handed.setdefault(name, value)) == 0
+    capsys.readouterr()
+    # 10 tables, T and T1 at 2, 3, 5, 7, 11, with places (A_p, then p)
+    # (2,4,0), (2,4,1), (4,2), (2,4,3) and (4,); for each, the ranks that
+    # eigenbasis reads, the places of T(q) at each of its places q, are
+    # (0,2,4), (1,2,4), (2,4), (2,3,4) and (4,)
+    assert Counter(calls) == Counter({
+        (2, 4, 0): 2, (2, 4, 1): 2, (4, 2): 2, (2, 4, 3): 2, (4,): 4,
+        (0, 2, 4): 2, (1, 2, 4): 2, (2, 4): 2, (2, 3, 4): 2})
+    tables = handed["tables"].stored().values()
+    assert len(tables) == 10
+    assert all("representatives" in vars(hm) for hm in tables)
+
+
+@pytest.mark.parametrize("op,pos,at", [
+    (HeckeOp("T", 2), 0, (2, 4)),     # 2 generates (Z/5)* and (Z/11)*
+    (HeckeOp("T1", 3), 1, (2, 4)),    # 3 generates (Z/5)*; 3 = 2^8 mod 11
+    (HeckeOp("S2", 5), 2, (4,)),      # 5 = 2^4 mod 11
+    (HeckeOp("T", 11), 4, ()),        # 11 = 1 mod 5
+    (HeckeOp("T", 31), None, (4,)),   # 31 = 1 mod 5, 31 = 2^6 mod 11
+], ids=str)
+def test_a_table_derives_its_layout_from_the_space_and_op(op, pos, at):
+    space = _space(2310, "5:1,11:1")
+    hm = HeckeMatrix(space, op, {})
+    places = at if pos is None else at + (pos,)
+    assert (hm.pos, hm.at, hm.places) == (pos, at, places)
+    assert hm.key(tuple(range(10, 15))) == tuple(10 + x for x in places)
+    assert hm.representatives == hecke._representatives(space, places)
+    if op.kind in ("T", "T1"):  # the built table has the same layout
+        built = hecke_matrix(space, op)
+        assert (built.pos, built.at, built.local.keys()) == (
+            pos, at, hm.representatives.keys())
 
 
 def _dense(hm: HeckeMatrix) -> list[list[CycNum]]:

@@ -10,10 +10,13 @@ the det bound is read from equals that definition and the listed forms.
 `source:lineno` of that line; a fifth token other than `1` or `-1` is one,
 in GL2 and SL2 tables alike, and so is a header after a data line or after
 another header.
-(c) A value token is accepted exactly when `fractions.Fraction` accepts it,
-with Fraction's value, and refused with the parser's "bad number" text.
+(c) A value token is accepted exactly when `fractions.Fraction` accepts it
+and its exponent is within the str digit limit, with Fraction's value, and
+refused with the parser's "bad number" text.
 """
 
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -222,11 +225,15 @@ TOKEN_CHARS = "0123456789+-/._eE" + "x٣²"
 @hypothesis.given(st.text(TOKEN_CHARS, min_size=1, max_size=7)
                   | st.sampled_from(["+7", "-0", "007", "1_000", "3/04", "-1/2",
                                      "1.5", "2e3", "1E-2", ".5", "٣/٣", "1/0",
-                                     "0x10", "0o7", "0b1", "1__0", "1_0/2_0"]))
+                                     "0x10", "0o7", "0b1", "1__0", "1_0/2_0",
+                                     "1e-999", "1e9999"]))
 def test_value_tokens_are_what_fraction_reads(tok):
     line = f"0 0 0 {tok}"
     try:
         want = Fraction(tok)
+        exp = re.search("[eE](.*)", tok)  # Fraction builds 10^|exp|
+        if exp and abs(int(exp[1])) > sys.get_int_max_str_digits():
+            raise ValueError("exponent past the str digit limit")
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ValueError) as exc:
             provider_parse(["!weight 4 level 1 group GL2", line], source=SOURCE)

@@ -53,7 +53,7 @@ def _count(value, counts: dict) -> None:
         counts["tables"] = len(tables)
         counts["local_rows"] = sum(len(t.local) for t in tables)
         values = [a for t in tables for row in t.local.values()
-                  for _, a in (row if type(row) is tuple else ((0, row),))]
+                  for _, a in (row if t.pos is not None else ((0, row),))]
     if hasattr(value, "columns"):  # eigenvalues and local vectors
         values = [a for lams in value.columns.values() for a in lams.values()]
         counts["local_vectors"] = sum(map(len, value.local))
