@@ -175,11 +175,13 @@ def cmd_relations(args) -> int:
         raise ValueError(f"relation words need an even weight, got {args.weight}")
     space = enumerate_partitions(args.level, char, args.weight)
     args.stage("basis", space)
+    # the constants alone bound the digits, so a huge weight is refused
+    # before the words are proved
+    constants = {str(q): s_constant(space, q) for q in prime_factors(space.level)}
+    check_printable(constants.values())
     ops = SpaceOperators(space)
     defects = relation_defects(ops)
     args.stage("relations", ops)
-    constants = {str(q): s_constant(space, q) for q in prime_factors(space.level)}
-    check_printable(constants.values())
     all_ok = not any(defects)
     pad, pad3 = "\n    ", "\n      "
     identities = (JsonText(  # a record per identity, at a list item's depth

@@ -15,6 +15,7 @@ off-diagonal terms vanish).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -275,27 +276,114 @@ class EigenVectorEntry:
     eigenvalues: dict[HeckeOp, CycNum]
 
 
+class _Memo(dict):
+    """A dict that builds a missing value with ``make`` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make, *args):
+        super().__init__(*args)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 @dataclass
 class EigenSystem:
     """The verified eigenvectors and eigenvalues, and the tables they were
-    verified against, stored per key (eigenbasis).  ``local[x]`` maps each
-    key of T(q), q the x-th prime of N, to u_q: a map rank -> value, 1 at
-    the key's rank at q.  The i-th eigenvector is the tensor product of the
-    u_q at the i-th partition's keys; ``dense(i)`` and eigen_json expand
-    it, through _expand.  ``columns[op]`` maps each key of the table of op
-    to its eigenvalue; ``columns`` has the keys of ``tables``, in order.
-    ``at`` reads either kind of map by basis index.  ``entries`` is a view
-    as one object per basis element, built on each access."""
+    verified against, stored per key (eigenbasis).  ``scaled[x]`` maps each
+    key of T(q), q the x-th prime of N, to w_q as the proof read it: u_q
+    times a nonzero constant.  ``local[x]``, built on first read, maps it to
+    u_q = w_q / w_q[rank at q], a map rank -> value, 1 at the key's rank;
+    it makes the only divisions of the eigen system, once per (prime, key),
+    and the csv never reads it.  ``columns[op]`` maps each key of the table
+    of op to its eigenvalue; ``columns`` has the keys of ``tables``, in
+    order.  ``at`` reads any of these maps by basis index.  ``entries`` is a
+    view as one object per basis element, built on each access.  The i-th
+    eigenvector is the tensor product of the u_q at the i-th partition's
+    keys; ``dense(i)`` and eigen_json expand it from integer codes (_terms,
+    _codes)."""
 
     space: EisSpace
     tables: dict[HeckeOp, HeckeMatrix]
-    local: tuple[dict[tuple, dict[int, CycNum]], ...]
+    scaled: tuple[dict[tuple, dict[int, CycNum]], ...]
     columns: dict[HeckeOp, dict[tuple, CycNum]]
 
     @cached_property
     def vector_ops(self) -> tuple[HeckeOp, ...]:
         """T(q) for each prime q of N, whose table's keys key ``local``."""
         return tuple(HeckeOp("T", q) for q in prime_factors(self.space.level))
+
+    @cached_property
+    def local(self) -> tuple[dict[tuple, dict[int, CycNum]], ...]:
+        """Per prime x of N, each key of T(q) mapped to u_q: w_q, divided
+        by its entry at the key's rank unless that is 1."""
+        out = []
+        for by_key in self.scaled:
+            us = {}
+            for key, w in by_key.items():
+                pivot = w[key[-1]]
+                if pivot.is_one():
+                    us[key] = w
+                else:
+                    inv = pivot.inverse()
+                    us[key] = {t: _ONE if t == key[-1] else a * inv
+                               for t, a in w.items()}
+            out.append(us)
+        return tuple(out)
+
+    @cached_property
+    def _codes(self) -> tuple[tuple[tuple[itemgetter, dict], ...], _Memo]:
+        """(moves, product), built once per system.  ``moves[x]`` holds the
+        key getter of T(q), q the x-th prime of N, and maps each of its keys
+        to the moves of its u_q as (rank-code shift (t - r) 3^x, digit times
+        w_x), r the key's rank.  Digit 0 is the entry 1 at r, picked by its
+        rank; the other digits number the nonzero entries off the rank of
+        all of x's keys; w_x is the product of the digit counts of the
+        primes below x.  So a combination code, the sum of one digit term
+        per prime, names one entry per prime, and ``product`` maps it to
+        the product of those entries, built on first read as the code less
+        its highest nonzero digit term, times that entry (the code 0 is 1):
+        a left fold from 1 in ascending prime order, the 1s left out."""
+        moves, factors, weights, weight = [], [], [], 1
+        for x, (op, us) in enumerate(zip(self.vector_ops, self.local)):
+            table, digits = {}, [_ONE]
+            for key, u in us.items():
+                r, row = key[-1], [(0, 0)]
+                for t, a in u.items():
+                    if t != r and not a.is_zero():
+                        row.append(((t - r) * 3 ** x, len(digits) * weight))
+                        digits.append(a)
+                table[key] = row
+            moves.append((self.tables[op].key, table))
+            factors.append(digits)
+            weights.append(weight)
+            weight *= len(digits)
+
+        def make(code: int) -> CycNum:
+            # the highest nonzero digit is at the last prime whose weight
+            # is at most the code: primes sharing a weight, but for the
+            # last, have digit 0 alone
+            x = bisect_right(weights, code) - 1
+            digit, rest = divmod(code, weights[x])
+            return product[rest] * factors[x][digit]
+        product = _Memo(make, {0: _ONE})
+        return tuple(moves), product
+
+    def _terms(self, i: int, ranks: tuple) -> tuple[list[int], list[int]]:
+        """The nonzero coefficients of the i-th eigenvector (ranks `ranks`)
+        as two parallel lists, in no particular order: their rank codes and
+        their combination codes (_codes).  Each prime whose key has more
+        than one move grows both lists by the terms so far, moved."""
+        codes, combos = [self.space.codes[i]], [0]
+        for key, table in self._codes[0]:
+            moves = table[key(ranks)]
+            if len(moves) > 1:
+                codes = [c + s for s, _ in moves for c in codes]
+                combos = [k + d for _, d in moves for k in combos]
+        return codes, combos
 
     def at(self, i: int, ops, maps, ranks=None) -> list:
         """The i-th basis element's entry in each map of maps, read at its
@@ -314,8 +402,9 @@ class EigenSystem:
     def dense(self, i: int) -> list[CycNum]:
         """The i-th eigenvector, as a list over the basis."""
         out = [_ZERO] * self.space.dimension
-        for j, c in _expand(self, i, self.space.decode(i)[0], {}):
-            out[j] = c
+        index, product = self.space.index_of_code, self._codes[1]
+        for c, k in zip(*self._terms(i, self.space.decode(i)[0])):
+            out[index[c]] = product[k]
         return out
 
     def keyed(self, op_list) -> list[HeckeOp]:
@@ -327,43 +416,6 @@ class EigenSystem:
                 raise ValueError(
                     f"{op} was not verified; build its table before eigenbasis")
         return [own[op] for op in op_list]
-
-
-def _expand(system: EigenSystem, i: int, ranks: tuple, products: dict) -> zip:
-    """The nonzero coefficients of the i-th eigenvector of system (ranks
-    `ranks`) as (basis index, value) pairs, in no particular order.
-
-    Each value is the product, from 1, of its local entries off the
-    partition's ranks, the primes in ascending order.  `products` maps
-    id(a), for each local factor a, to (a, {id(prefix): prefix * a}): a
-    product found there is reused, and as every prefix is 1 or held there,
-    no id in it is reused while it lives.  A rank tuple is carried as its
-    mixed-radix code (EisSpace.codes): a move at x adds (t - r) 3^x.
-    Codes and values are two parallel lists, grown once per move by the
-    terms so far, shifted and multiplied; the codes become basis indices
-    at the end.
-    """
-    space = system.space
-    codes, coeffs = [space.codes[i]], [_ONE]
-    us = system.at(i, system.vector_ops, system.local, ranks)
-    for x, (r, u) in enumerate(zip(ranks, us)):
-        moves = [((t - r) * 3 ** x, a) for t, a in u.items()
-                 if t != r and not a.is_zero()]
-        if not moves:
-            continue
-        base_codes, base = codes[:], coeffs[:]
-        for shift, a in moves:
-            entry = products.get(id(a))
-            if entry is None:
-                entry = products[id(a)] = (a, {})
-            memo = entry[1]
-            for c in base:
-                p = memo.get(id(c))
-                if p is None:
-                    p = memo[id(c)] = c * a
-                coeffs.append(p)
-            codes += [s + shift for s in base_codes]
-    return zip(map(space.index_of_code.__getitem__, codes), coeffs)
 
 
 def _local_vector(space: EisSpace, rho, q: int,
@@ -429,9 +481,9 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     depends on rho only through its key in the table of T(q) (ranks at
     A_q, then at q): it is built once per key, at the key's representative
     row (the table's HeckeMatrix.representatives), and stored under that
-    key (EigenSystem.local); nothing is mapped over the basis.  What
-    is built is w_q (_local_vector), u_q times a common denominator of its
-    entries, so the proof divides nothing.  A
+    key; nothing is mapped over the basis.  What is built and stored is w_q
+    (_local_vector, EigenSystem.scaled), u_q times a common denominator of
+    its entries, so the proof divides nothing.  A
     table at p is stored factored (HeckeMatrix): it moves only the rank at
     p, and its rows with the same key share one local row, so its block
     over each p-fiber is a local block L_key.  The proof has two checks,
@@ -457,9 +509,9 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     prod_{q != p} u_q[s_q] times u_p, and the block of s is L_key(s), so
     (v.M)[s] = lambda.v[s] on every fiber in the support of v; elsewhere
     both sides are 0.  The proof reads only local vectors and local rows.
-    Once both checks pass, each w_q is divided by its entry at the rank,
-    once per (prime, key), and stored as u_q: the only division of the
-    eigen system.
+    eigenbasis divides nothing: each w_q is divided by its entry at the
+    rank once per (prime, key), on the first read of EigenSystem.local,
+    which the csv output never makes.
     The trade-off: that a table factors holds by construction and is not
     checked here (see HeckeMatrix).  A verification failure is an internal
     error, not a data condition; it names the first failing vector in
@@ -473,7 +525,7 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
     # (first failing index, check 1 before the tables in stored order, op,
     # why) for each failure found; the least one is raised
     failures = []
-    local = []  # per prime q of N, the map key -> w_q, then u_q, of T(q)
+    local = []  # per prime q of N, the map key -> w_q of T(q)
     for q in prime_factors(space.level):
         hm = ops.matrix(HeckeOp("T", q))
         by_key = {}  # a key ends with the rank at q
@@ -502,12 +554,6 @@ def eigenbasis(ops: SpaceOperators) -> EigenSystem:
         i, _, op, why = min(failures, key=itemgetter(0, 1))
         raise RuntimeError("eigenvector verification failed for "
                            f"rho={Partition(*space.decode(i)[1])}, op={op}: {why}")
-    for by_key in local:
-        for key, w in by_key.items():
-            if not w[key[-1]].is_one():
-                inv = w[key[-1]].inverse()
-                by_key[key] = {t: _ONE if t == key[-1] else a * inv
-                               for t, a in w.items()}
     return system
 
 
@@ -650,13 +696,13 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
     row's text up to its partition is built once per key of
     eigenvalue_comparisons' cases, and an eigenvalue line once per key of
     the op's eigenvalues; a record reads them at its partition's keys, the
-    ops being sorted by name once.  Each vector is expanded by its basis
-    index from the maps of local vectors (_expand), and a vector item's
-    text up to its partition is memoized per coefficient object, each 1 or
-    held by the product memo that all vectors share.  The comparison and
-    check_eigen_printable run first, so an op that eigenbasis did not
-    verify, or an integer too long for str(), raises ValueError before any
-    record.
+    ops being sorted by name once.  Each vector is expanded to the rank
+    codes and combination codes of its coefficients (EigenSystem._terms),
+    and a vector item's text up to its partition is rendered once per
+    combination code, from the product that the system holds per code.
+    The comparison and check_eigen_printable run first, so an op that
+    eigenbasis did not verify, or an integer too long for str(), raises
+    ValueError before any record.
     """
     space = system.space
     comparisons = eigenvalue_comparisons(system, op_list)
@@ -684,8 +730,9 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
                 [texts[key(ranks)] for key, texts in heads]) + tail)
 
     def eigenbasis_records():
-        products: dict = {}
-        starts: dict = {}  # id(c) -> a vector item up to its partition
+        index, product = space.index_of_code.__getitem__, system._codes[1]
+        # combination code -> a vector item up to its partition
+        texts = _Memo(lambda k: f'{{{pad5}"coeff": {value(product[k], 5)}')
         ops = sorted(system.columns, key=HeckeOp.spec_string)
         lines = [{key: _json_str(op.spec_string()) + ": " + value(lam, 4)
                   for key, lam in system.columns[op].items()} for op in ops]
@@ -693,13 +740,9 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
                     for _, parts in decoded]
         sep = "," + pad4
         for i, ((ranks, _), p) in enumerate(zip(decoded, part)):
-            items = []
-            for j, c in sorted(_expand(system, i, ranks, products),
-                               key=itemgetter(0)):
-                start = starts.get(id(c))
-                if start is None:
-                    start = starts[id(c)] = f'{{{pad5}"coeff": {value(c, 5)}'
-                items.append(start + item_end[j])
+            codes, combos = system._terms(i, ranks)
+            items = [start + item_end[j] for j, start in sorted(zip(
+                map(index, codes), map(texts.__getitem__, combos)))]
             eigs = system.at(i, ops, lines, ranks)
             eig_text = (f"{{{pad4}" + sep.join(eigs) + pad3 + "}"
                         if eigs else "{}")

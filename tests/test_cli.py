@@ -387,6 +387,44 @@ def test_relations_refuse_an_odd_weight_by_the_weight_alone(capsys):
         1, "", "error: relation words need an even weight, got 5\n")
 
 
+def test_relations_refuse_a_huge_weight_before_the_words():
+    # the S constants bound the digits of the output; they take well under
+    # a second to build at weight 10^6, where proving the words took over
+    # a minute, so the refusal comes before the proof
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "siegeleis.cli", "relations", "--level", "6",
+         "--weight", "1000000"],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: the output would print integers of up to "
+                           "477122 digits; at most 4300 can be printed\n")
+
+
+@pytest.mark.parametrize("argv,inverses", [
+    (["--char", "5:1,11:1", "--format", "csv"], 0),
+    (["--format", "csv"], 0),
+    (["--char", "5:1,11:1"], 24),
+], ids=["csv-chi20", "csv-trivial", "json-chi20"])
+def test_only_an_eigen_output_that_prints_vectors_divides(
+        capsys, monkeypatch, argv, inverses):
+    # the proof reads the w_q; the csv prints no vector, so it never
+    # divides a w_q by its entry at the rank, and the JSON divides once
+    # per (prime, key) whose entry is not 1
+    calls = []
+    real = CycNum.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counted)
+    assert run(capsys, "eigen", "--level", "2310", "--weight", "4", *argv)[0] == 0
+    assert len(calls) == inverses
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--level", "5"])

@@ -266,7 +266,7 @@ def test_csv_eigen_expands_no_vector(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("csv output expanded an eigenvector")
 
-    monkeypatch.setattr(hecke, "_expand", forbidden)
+    monkeypatch.setattr(hecke.EigenSystem, "_terms", forbidden)
     assert stdout_digest(capsys, EIGEN_55_CSV) == dict(GOLDEN)[EIGEN_55_CSV]
 
 
@@ -288,13 +288,13 @@ def test_csv_eigen_formats_each_row_tail_once(capsys, monkeypatch):
 
 def test_json_eigen_expands_each_vector_once(capsys, monkeypatch):
     calls = Counter()
-    real = hecke._expand
+    real = hecke.EigenSystem._terms
 
-    def counted(system, i, *rest):  # rest: the ranks and the products
+    def counted(system, i, ranks):
         calls[i] += 1
-        return real(system, i, *rest)
+        return real(system, i, ranks)
 
-    monkeypatch.setattr(hecke, "_expand", counted)
+    monkeypatch.setattr(hecke.EigenSystem, "_terms", counted)
     digest = stdout_digest(capsys, EIGEN_30_PRIMES_7)
     assert calls == Counter(range(27))  # each basis index once
     assert digest == dict(GOLDEN)[EIGEN_30_PRIMES_7]

@@ -5,7 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -653,9 +653,10 @@ def test_expansion_gives_the_same_bytes_in_any_order():
     rho = Partition(10, 3, 1)  # ranks 0, 1, 0 at 2, 3, 5
     ops = SpaceOperators(space)
     tables = {op: ops.matrix(op) for op in [HeckeOp("T", q) for q in (2, 3, 5)]}
-    local = tuple(dict.fromkeys(hm.local, u) for hm, u in zip(
-        tables.values(), ({0: CycNum.one(), 1: i}, {1: CycNum.one(), 2: z3},
-                          {0: CycNum.one(), 2: -i})))
+    # each u_q stands at rho's key in T(q) alone, where it is 1 at the rank
+    local = tuple({(r,): u} for r, u in zip(
+        (0, 1, 0), ({0: CycNum.one(), 1: i}, {1: CycNum.one(), 2: z3},
+                    {0: CycNum.one(), 2: -i})))
     coeffs = _coeffs(EigenSystem(space, tables, local, {}),
                      space.index_of(rho))
     assert coeffs[Partition(1, 2, 15)].to_json() == z3.to_json()
@@ -789,6 +790,38 @@ def test_eigenvectors_are_stored_as_one_column_per_prime():
                           start=CycNum.one())
                 for s in _ranks(space)]
         assert system.dense(i) == want
+
+
+def _tensor_oracle(system, i) -> list:
+    """The i-th eigenvector as the plain tensor product of its normalized
+    local vectors, with no memo: each w_q of the proof is divided by its
+    entry at the key's rank, and the coefficient at each choice of one
+    entry per prime is their product, at the rank code of the choice."""
+    space = system.space
+    ranks = space.decode(i)[0]
+    us = []
+    for op, ws in zip(system.vector_ops, system.scaled):
+        key = system.tables[op].key(ranks)
+        w = ws[key]
+        us.append({t: a / w[key[-1]] for t, a in w.items()})
+    out = [CycNum.zero()] * space.dimension
+    for terms in product(*(u.items() for u in us)):
+        j = space.index_of_code[sum(t * 3 ** x for x, (t, _) in enumerate(terms))]
+        assert j is not None
+        out[j] = math.prod((a for _, a in terms), start=CycNum.one())
+    return out
+
+
+@pytest.mark.parametrize("level,spec,k,primes", [
+    (2310, "1", 4, []), (2310, "5:1,11:1", 4, []), (70, "5:1,7:2", 5, [3, 11]),
+    (1, "1", 4, []),
+], ids=["2310", "2310-5:1,11:1", "70-5:1,7:2-primes-3,11", "1"])
+def test_dense_is_the_plain_tensor_product(level, spec, k, primes):
+    # dense expands a vector from integer codes and shares one product per
+    # combination code among all vectors; the oracle multiplies afresh
+    system = eigenbasis(_eigen_ops(level, spec, k, primes))
+    for i in range(system.space.dimension):
+        assert system.dense(i) == _tensor_oracle(system, i)
 
 
 @pytest.mark.parametrize("level,spec,k,primes", [

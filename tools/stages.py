@@ -9,8 +9,9 @@ stages of each command are listed in the `siegeleis.cli` docstring).  The
 first stage also holds the argument parsing (and, on the first repeat, the
 imports).  The counts (dimension, tables and local rows of the stored
 tables, local_vectors, the keys of the eigen system's maps of local
-vectors, and max_conductor, the largest conductor m of the values in the
-tables' local rows, the eigenvalue maps and those local vectors, and a
+vectors as its proof read them, undivided, and max_conductor, the largest
+conductor m of the values in the tables' local rows, the eigenvalue maps
+and those local vectors, and a
 provider's coefficients; and for a provider its classes, the keys of its
 table, distinct_values, det_bound and content_bound) are read off what the
 stages hand over, with the clock stopped.
@@ -55,10 +56,11 @@ def _count(value, counts: dict) -> None:
         values = [a for t in tables for row in t.local.values()
                   for _, a in (row if t.pos is not None else ((0, row),))]
     if hasattr(value, "columns"):  # eigenvalues and local vectors
+        # the proof's w_q: reading the u_q would divide
         values = [a for lams in value.columns.values() for a in lams.values()]
-        counts["local_vectors"] = sum(map(len, value.local))
-        values += [a for us in value.local for u in us.values()
-                   for a in u.values()]
+        counts["local_vectors"] = sum(map(len, value.scaled))
+        values += [a for ws in value.scaled for w in ws.values()
+                   for a in w.values()]
     if hasattr(value, "expansion"):  # a provider's coefficients
         exp = value.expansion
         values = exp.coeffs.values()
