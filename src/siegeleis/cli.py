@@ -8,15 +8,20 @@ exit 1, internal errors (a failed internal check) exit 3.  The environment
 variable SIEGELEIS_CONDUCTOR_CAP, a positive integer, overrides the
 cyclotomic conductor cap.
 
-The command table `_COMMANDS` drives the parser and the dispatch; `main`
-builds the parser of the invoked command alone.  Each command imports what
-it runs, so building the parser loads no library module and `fourier
---apply` loads no Hecke table code.  A closed stdout (`| head`) exits 141.
+The command table `_COMMANDS` drives the parsers and the dispatch.  When
+the first word names a command, `main` parses the rest with that command's
+parser alone, the one `build_parser` adds for it.  The parser of every
+command is built only for `siegeleis --help`, an unknown or missing command
+or a word the command's parser leaves over, so every usage, help and error
+text is the one it prints.  Each command imports what it runs, so building
+a parser loads no library module and `fourier --apply` loads no Hecke table
+code.  A closed stdout (`| head`) exits 141.
 
 `main(argv, stage=f)` calls f(name, value) as each stage ends, with what it
-built (EisSpace, SpaceOperators, EigenSystem, provider) or None.  Stages are
-basis, tables (hecke, eigen), eigenbasis (eigen), relations, render; fourier
-load, apply|ops|project|calibrate, render; verify suite, render.
+built (EisSpace, SpaceOperators, EigenSystem, provider) or None.  Every
+command first ends parse (the argument parsing); then basis, tables (hecke,
+eigen), eigenbasis (eigen), relations, render; fourier load,
+apply|ops|project|calibrate, render; verify suite, render.
 """
 
 from __future__ import annotations
@@ -122,9 +127,16 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from .cyclotomic import check_power_printable, prime_factors
     from .hecke import HeckeOp, SpaceOperators, eigen_json, eigenbasis
     space = _space_from_args(args)
     args.stage("basis", space)
+    if space.level > 1:
+        # the corner (1, 1, N) is in every basis, and both formats print its
+        # T1(q^2) eigenvalue (q + 1) q^(2k-3) at the largest prime q of N,
+        # so a huge weight is refused before any table is built
+        q = prime_factors(space.level)[-1]
+        check_power_printable(q + 1, q, 2 * space.weight - 3)
     ops = SpaceOperators(space)
     primes = _int_list(args.primes, "prime list") if args.primes.strip() else []
     extra = [HeckeOp(kind, p) for p in primes for kind in ("T", "T1")]
@@ -391,25 +403,16 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of `argv`: only its command's, when its first token names
-    one, else every command's (for `--help`, a typo or nothing at all)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for `--help`, a typo, no command or a
+    leftover argument; `main` parses a command's flags with its own alone."""
     parser = _Parser(
         prog="siegeleis",
         description="Exact Hecke computations on degree-2 Siegel Eisenstein "
         "series of square-free level",
     )
-    names = list(_COMMANDS)
-    if argv and argv[0] in _COMMANDS:
-        # the usage that later errors print names every command; the full
-        # build leaves metavar unset, which names `command` in its errors
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(names) + "}")
-        names = [argv[0]]
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -417,7 +420,15 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None, *, stage=lambda name, value: None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv, argparse.Namespace(stage=stage))
+    name = argv[0] if argv else None
+    args = argparse.Namespace(stage=stage, command=name)
+    if name in _COMMANDS:  # the parser that build_parser adds for it
+        parser = _Parser(prog="siegeleis " + name)
+        _COMMANDS[name][1](parser)
+    if name not in _COMMANDS or parser.parse_known_args(argv[1:], args)[1]:
+        # --help, a typo, no command or a leftover word: the full parser's text
+        args = build_parser().parse_args(argv, argparse.Namespace(stage=stage))
+    stage("parse", None)
     try:
         return _COMMANDS[args.command][2](args)
     except BrokenPipeError:

@@ -261,9 +261,25 @@ def check_printable(values, factors=()) -> None:
              * root_sum_growth(lcm(*{v.m for v in values})))
     # below 2^(3 limit), which is below 10^limit, no power need be formed
     if limit and bound.bit_length() > 3 * limit and bound >= 10 ** limit:
-        raise ValueError(f"the output would print integers of up to "
-                         f"{int(log10(bound)) + 1} digits; at most {limit} "
-                         f"can be printed")
+        raise _past_limit(int(log10(bound)) + 1, limit)
+
+
+def check_power_printable(c: int, q: int, e: int) -> None:
+    """check_printable for the integer c * q^e (c >= 1, q >= 2, e >= 0).
+    It is formed only while e * (bits of q, less 1) < 4 limit, so below
+    2^(8 limit); past that q^e >= 16^limit > 10^limit, and the refusal
+    counts its digits from logarithms, so a huge e costs neither time nor
+    memory."""
+    limit = sys.get_int_max_str_digits()
+    if limit and e * (q.bit_length() - 1) >= 4 * limit:
+        raise _past_limit(int(log10(c) + e * log10(q)) + 1, limit)
+    if limit:
+        check_printable((), [c * q ** e])
+
+
+def _past_limit(digits: int, limit: int) -> ValueError:
+    return ValueError(f"the output would print integers of up to {digits} "
+                      f"digits; at most {limit} can be printed")
 
 
 _new = object.__new__

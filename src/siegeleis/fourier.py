@@ -436,9 +436,21 @@ def provider_parse(lines, source: str = "<memory>") -> CoefficientProvider:
     return CoefficientProvider(source, weight, level, exp)
 
 
+# the most characters a provider file may hold: well above the 6 MB of the
+# det <= 6000 table, and a bound on a FIFO or /dev/stdin, whose size reads 0
+PROVIDER_MAX_CHARS = 16 * 2**20
+
+
 def provider_load(path) -> CoefficientProvider:
+    """provider_parse of the file at `path`, of which at most
+    PROVIDER_MAX_CHARS + 1 characters are read: a longer one is refused
+    before any line is parsed."""
     with open(path, "r", encoding="utf-8") as fh:
-        return provider_parse(fh, source=str(path))
+        text = fh.read(PROVIDER_MAX_CHARS + 1)
+    if len(text) > PROVIDER_MAX_CHARS:
+        raise ValueError(f"{path}: a provider file holds at most "
+                         f"{PROVIDER_MAX_CHARS} characters")
+    return provider_parse(text.split("\n"), source=str(path))
 
 
 # -- Krylov spectral projection ------------------------------------------------

@@ -1,4 +1,4 @@
-import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,8 @@ from siegeleis import cli, cyclotomic
 from siegeleis.cli import main, parse_op_word
 from siegeleis.cyclotomic import (PRIMALITY_BOUND, TRIAL_BOUND, CycNum,
                                   as_cyc, conductor_cap, set_conductor_cap)
-from siegeleis.fourier import UOperator, provider_load
+from siegeleis.fourier import (PROVIDER_MAX_CHARS, UOperator,
+                               provider_load)
 from siegeleis.hecke import HeckeOp
 from siegeleis.lattices import MAX_SUBLATTICES, GramForm
 from siegeleis.verify import PRESETS, run_suite
@@ -170,6 +172,54 @@ def test_conductor_cap_from_the_environment(value, message):
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: {message}\n"
+
+
+def _padded_provider(path, size: int, first: str = "") -> str:
+    """The E8 table after the line `first`, padded by a comment line to
+    `size` characters."""
+    text = first + PROVIDER.read_text()
+    path.write_text(text + "#" + "x" * (size - len(text) - 2) + "\n")
+    return str(path)
+
+
+def test_a_provider_file_past_the_size_bound_is_refused_unparsed(capsys,
+                                                                 tmp_path):
+    def apply(provider):
+        return run(capsys, "fourier", "--provider", provider, "--apply",
+                   "U:1,2")
+
+    code, expected, err = apply(str(PROVIDER))
+    assert (code, err) == (0, "")
+    full = _padded_provider(tmp_path / "full.coeffs", PROVIDER_MAX_CHARS)
+    assert apply(full) == (0, expected, "")
+    # one character more, and a malformed first line that is never read
+    over = _padded_provider(tmp_path / "over.coeffs", PROVIDER_MAX_CHARS + 1,
+                            "bad line\n")
+    assert apply(over) == (1, "", (
+        f"error: {over}: a provider file holds at most "
+        f"{PROVIDER_MAX_CHARS} characters\n"))
+
+
+def test_an_endless_provider_stream_is_refused(capsys, tmp_path):
+    # a FIFO's size reads 0: the bound is on the characters read
+    fifo = tmp_path / "endless.coeffs"
+    os.mkfifo(fifo)
+
+    def write_forever():
+        line = "#" + "x" * 4094 + "\n"
+        with contextlib.suppress(BrokenPipeError), open(fifo, "w") as fh:
+            while True:
+                fh.write(line)
+
+    writer = threading.Thread(target=write_forever, daemon=True)
+    writer.start()
+    code, out, err = run(capsys, "fourier", "--provider", str(fifo),
+                         "--apply", "U:1,2")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (code, out) == (1, "")
+    assert err == (f"error: {fifo}: a provider file holds at most "
+                   f"{PROVIDER_MAX_CHARS} characters\n")
 
 
 def test_missing_provider_is_a_clean_error(capsys, tmp_path):
@@ -401,6 +451,27 @@ def test_relations_refuse_a_huge_weight_before_the_words():
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("error: the output would print integers of up to "
                            "477122 digits; at most 4300 can be printed\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("weight,digits", [(10**6, 954242),
+                                           (10**9, 954242509)])
+def test_eigen_refuses_a_huge_weight_before_the_tables(fmt, weight, digits):
+    # both formats print the corner's T1(3^2) eigenvalue 4 * 3^(2k-3), whose
+    # digits are counted without forming it; the csv ran 6.7 s and the JSON
+    # 44 s at weight 10^6 before their refusal
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "siegeleis.cli", "eigen", "--level", "6",
+         "--weight", str(weight), "--format", fmt],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - t0 < 2
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: the output would print integers of up to "
+                           f"{digits} digits; at most 4300 can be printed\n")
 
 
 @pytest.mark.parametrize("argv,inverses", [
@@ -856,6 +927,18 @@ MESSAGES = {
     "missing-weight": (["eigen", "--level", "6"], 2,
         EMPTY,
         "a121a76fa23511efb11380e2c6bba32260adbc247d04e99eff9d1d6dc92848e9"),
+    # a leftover argument with a missing flag: the missing flag is named
+    "leftover-missing-weight": (["eigen", "--level", "6", "extra"], 2,
+        EMPTY,
+        "a121a76fa23511efb11380e2c6bba32260adbc247d04e99eff9d1d6dc92848e9"),
+    # after `--` every word is positional, so --provider is missing
+    "dashdash-before-flags": (["fourier", "--", "--provider", "P"], 2,
+        EMPTY,
+        "a238341d7d5269fed7c48834d245c5df81c4902113cdca2854d36c7124a7f7ba"),
+    # an abbreviated flag is read; the leftover is reported by `siegeleis`
+    "abbreviated-flag": (["fourier", "--prov", "P", "--level", "2", "x"], 2,
+        EMPTY,
+        "e86e6420b83f38af60a88c96ce67d17eb1d7b56df2f9b5fd23a98485549b330f"),
     "exclusive": (["fourier", "--apply", "U:1,2", "--ops", "U:1,2"], 2,
         EMPTY,
         "9889a423e8bb4232aa3d8a3bb28f5782afc68064d054738d9a95f4458d568313"),
@@ -932,7 +1015,9 @@ PROVIDERS = {NINES: _nines_provider, WEIGHT_8000: _weight_8000_provider}
 @pytest.mark.parametrize("argv,digits", [
     (["eigen", "--level", "30", "--weight", "1800"], 7967),
     (["hecke", "--level", "30", "--weight", "3200", "--op", "T1:5"], 4474),
-    (["eigen", "--level", "6", "--weight", "5000"], 11670),
+    # refused before any table by the corner's T1(3^2) eigenvalue 4 * 3^9997,
+    # which both formats print (the JSON's vectors would print longer ones)
+    (["eigen", "--level", "6", "--weight", "5000"], 4771),
     (["eigen", "--level", "6", "--weight", "5000", "--format", "csv"], 4771),
     (["relations", "--level", "30", "--weight", "7000"], 4894),
     # U(2,1) sums values, past 4300 digits; U(1,2) keeps them, and prints
@@ -989,23 +1074,56 @@ def test_the_digit_bound_holds_where_the_output_is_printed(
     assert run(capsys, *argv)[:2] == (1, "")
 
 
-def _registered(parser) -> list[str]:
-    sub, = (a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction))
-    return list(sub.choices)
-
-
 ALL_COMMANDS = ["basis", "hecke", "eigen", "relations", "fourier", "verify"]
+FULL = ["siegeleis", *(f"siegeleis {name}" for name in ALL_COMMANDS)]
+VALID = {
+    "basis": ["--level", "6", "--weight", "4"],
+    "hecke": ["--level", "6", "--weight", "4", "--op", "T:2"],
+    "eigen": ["--level", "6", "--weight", "4"],
+    "relations": ["--level", "6", "--weight", "4"],
+    "fourier": ["--provider", "P", "--apply", "U:1,2"],
+    "verify": ["--preset", "quick"],
+}
 
 
-@pytest.mark.parametrize("argv,names", [
-    (None, ALL_COMMANDS),
-    ([], ALL_COMMANDS),
-    (["--help"], ALL_COMMANDS),
-    (["bogus", "--level", "6"], ALL_COMMANDS),
-    (["--", "eigen"], ALL_COMMANDS),
-    (["eigen", "--level", "6", "--weight", "4"], ["eigen"]),
-    (["fourier", "--help"], ["fourier"]),
-], ids=["none", "empty", "help", "bogus", "dashdash", "eigen", "fourier-help"])
-def test_the_parser_registers_the_invoked_command_alone(argv, names):
-    assert _registered(cli.build_parser(argv)) == names
+@pytest.fixture
+def built(monkeypatch):
+    """The _Parser objects that each call of main builds, in order, with
+    every command replaced by one that does nothing."""
+    parsers = []
+    real = cli._Parser.__init__
+
+    def counted(self, *a, **kw):
+        parsers.append(self)
+        real(self, *a, **kw)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for name, (help_text, add_arguments, _) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            (help_text, add_arguments, lambda args: 0))
+    return parsers
+
+
+@pytest.mark.parametrize("argv,progs", [
+    (None, FULL),
+    ([], FULL),
+    (["--help"], FULL),
+    (["bogus", "--level", "6"], FULL),
+    (["--", "eigen"], FULL),
+    *(([name, *VALID[name]], [f"siegeleis {name}"]) for name in ALL_COMMANDS),
+    (["fourier", "--help"], ["siegeleis fourier"]),
+    (["basis", *VALID["basis"], "extra"], ["siegeleis basis", *FULL]),
+    (["eigen", "--level", "6", "extra"], ["siegeleis eigen"]),
+], ids=["none", "empty", "help", "bogus", "dashdash", *ALL_COMMANDS,
+        "fourier-help", "leftover", "leftover-missing-flag"])
+def test_the_parser_registers_the_invoked_command_alone(
+        built, capsys, monkeypatch, argv, progs):
+    # a valid command builds its own parser alone, the one the full parser
+    # adds for it (its help and errors are pinned above); --help, a typo, no
+    # command and a leftover argument build the parser of every command,
+    # whose text they print; a command's own --help and a missing flag are
+    # its parser's, and exit before any leftover is read
+    monkeypatch.setattr(sys, "argv", ["siegeleis"])
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert [p.prog for p in built] == progs

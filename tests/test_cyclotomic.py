@@ -266,3 +266,24 @@ def test_pickle_round_trip(value, m):
     back = pickle.loads(pickle.dumps(value))
     assert type(back) is CycNum and back.m == value.m == m
     assert back == value and back.to_json() == value.to_json()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 11, 1000003])
+def test_a_power_is_refused_as_its_formed_value_would_be(monkeypatch, q):
+    # check_power_printable counts the digits of (q + 1) q^e from logarithms
+    # from e (bits of q - 1) >= 4 limit on, and forms the value below that;
+    # on either side of that point it refuses as check_printable of the
+    # formed value does, with the same digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+    start = 4 * 640 // (q.bit_length() - 1)
+    for e in range(start - 3, start + 4):
+        with pytest.raises(ValueError) as formed:
+            cyclotomic.check_printable((), [(q + 1) * q ** e])
+        with pytest.raises(ValueError) as counted:
+            cyclotomic.check_power_printable(q + 1, q, e)
+        assert str(counted.value) == str(formed.value)
+    # the least e past the limit, and the one below it
+    e = next(e for e in range(1, start) if (q + 1) * q ** e >= 10 ** 640)
+    cyclotomic.check_power_printable(q + 1, q, e - 1)
+    with pytest.raises(ValueError, match="at most 640 can be printed"):
+        cyclotomic.check_power_printable(q + 1, q, e)

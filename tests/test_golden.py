@@ -181,11 +181,11 @@ SL2_APPLY = [
 
 # the stages each command reports to cli.main's callback, in order, and the
 # type of what each hands over (None where a stage is not named here)
-STAGES = {"basis": ["basis", "render"],
-          "hecke": ["basis", "tables", "render"],
-          "eigen": ["basis", "tables", "eigenbasis", "render"],
-          "relations": ["basis", "relations", "render"],
-          "verify": ["suite", "render"]}
+STAGES = {"basis": ["parse", "basis", "render"],
+          "hecke": ["parse", "basis", "tables", "render"],
+          "eigen": ["parse", "basis", "tables", "eigenbasis", "render"],
+          "relations": ["parse", "basis", "relations", "render"],
+          "verify": ["parse", "suite", "render"]}
 BUILT = {"basis": EisSpace, "tables": hecke.SpaceOperators,
          "eigenbasis": hecke.EigenSystem, "relations": hecke.SpaceOperators,
          "load": CoefficientProvider}
@@ -206,7 +206,8 @@ def staged_digest(capsys, argv) -> str:
     task = next((a[2:] for a in argv if a in ("--apply", "--ops", "--calibrate")),
                 "project")
     assert [name for name, _ in seen] == STAGES.get(argv[0],
-                                                    ["load", task, "render"])
+                                                    ["parse", "load", task,
+                                                     "render"])
     for name, value in seen:
         assert isinstance(value, BUILT.get(name, type(None))), name
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

@@ -48,12 +48,20 @@ def test_every_submodule_resolves_without_its_own_import():
 
 
 def test_building_the_parser_loads_only_the_cli():
-    # the parser of every command, and those of one command alone
-    for argv in (None, ["eigen", "--level", "6"],
-                 ["fourier", "--provider", PROVIDER], ["verify", "--preset", "desk"]):
-        code = f"import siegeleis.cli\nsiegeleis.cli.build_parser({argv!r})"
-        assert loaded_after(code) == {"siegeleis", "siegeleis.cli",
-                                      "siegeleis.jsonout"}, argv
+    # the parser of every command, and main parsing a valid argv of each
+    # command (which builds that command's parser alone) with the command
+    # itself replaced by one that does nothing
+    cli = {"siegeleis", "siegeleis.cli", "siegeleis.jsonout"}
+    assert loaded_after("import siegeleis.cli\n"
+                        "siegeleis.cli.build_parser()") == cli
+    for argv in (["eigen", "--level", "6", "--weight", "4"],
+                 ["fourier", "--provider", PROVIDER],
+                 ["verify", "--preset", "desk"]):
+        code = ("import siegeleis.cli as c\n"
+                "c._COMMANDS = {n: (h, a, lambda args: 0)\n"
+                "               for n, (h, a, _) in c._COMMANDS.items()}\n"
+                f"assert c.main({argv!r}) == 0")
+        assert loaded_after(code) == cli, argv
 
 
 def test_eigen_loads_no_fourier_side(tmp_path):

@@ -12,7 +12,7 @@ from siegeleis.cli import main
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "stages.py"
 PROVIDER = str(TOOL.parent.parent / "data" / "e8_weight4_level1.coeffs")
 EIGEN_30 = ["eigen", "--level", "30", "--weight", "4"]
-EIGEN_STAGES = ["basis", "tables", "eigenbasis", "render"]
+EIGEN_STAGES = ["parse", "basis", "tables", "eigenbasis", "render"]
 
 
 def run_tool(capsys, *argv) -> dict:
@@ -24,16 +24,17 @@ def run_tool(capsys, *argv) -> dict:
 
 
 @pytest.mark.parametrize("argv, names", [
-    (["basis", "--level", "30", "--weight", "4"], ["basis", "render"]),
+    (["basis", "--level", "30", "--weight", "4"],
+     ["parse", "basis", "render"]),
     (["hecke", "--level", "30", "--weight", "4", "--op", "T:2;S1:3"],
-     ["basis", "tables", "render"]),
+     ["parse", "basis", "tables", "render"]),
     (EIGEN_30, EIGEN_STAGES),
     (EIGEN_30 + ["--format", "csv"], EIGEN_STAGES),
     (["relations", "--level", "30", "--weight", "4"],
-     ["basis", "relations", "render"]),
+     ["parse", "basis", "relations", "render"]),
     (["fourier", "--provider", PROVIDER, "--level", "2"],
-     ["load", "project", "render"]),
-    (["verify", "--preset", "quick"], ["suite", "render"]),
+     ["parse", "load", "project", "render"]),
+    (["verify", "--preset", "quick"], ["parse", "suite", "render"]),
 ], ids=["basis", "hecke", "eigen-json", "eigen-csv", "relations", "fourier",
         "verify"])
 def test_each_stage_is_timed_and_the_bytes_are_the_clis(capsys, argv, names):
@@ -46,7 +47,7 @@ def test_each_stage_is_timed_and_the_bytes_are_the_clis(capsys, argv, names):
 
 def test_through_stops_after_the_named_stage(capsys):
     out = run_tool(capsys, "--through", "eigenbasis", "--", *EIGEN_30)
-    assert list(out["seconds"]) == EIGEN_STAGES[:3]
+    assert list(out["seconds"]) == EIGEN_STAGES[:4]
     assert (out["code"], out["bytes"]) == (None, 0)
     assert (out["dimension"], out["tables"], out["local_rows"]) == (27, 6, 18)
 
@@ -82,7 +83,7 @@ def test_the_size_of_an_ingested_provider_is_counted(capsys):
     out = run_tool(capsys, "--through", "load", "--", "fourier", "--provider",
                    PROVIDER, "--apply", "U:1,2")
     exp = provider_load(PROVIDER).expansion
-    assert list(out["seconds"]) == ["load"]
+    assert list(out["seconds"]) == ["parse", "load"]
     assert (out["classes"], out["distinct_values"]) == (895, 124)
     assert out["classes"] == len(exp.coeffs)
     assert out["distinct_values"] == len(set(exp.coeffs.values()))
@@ -94,5 +95,5 @@ def test_every_fourier_stage_reads_above_zero(capsys):
     # six decimals: the cheap stages of a fourier command are microseconds
     out = run_tool(capsys, "--repeat", "5", "--", "fourier", "--provider",
                    PROVIDER, "--apply", "U:6,1")
-    assert list(out["seconds"]) == ["load", "apply", "render"]
+    assert list(out["seconds"]) == ["parse", "load", "apply", "render"]
     assert all(t > 0 for t in out["seconds"].values())

@@ -6,15 +6,15 @@
 Calls `siegeleis.cli.main` on the words after `--`, stdout sent to a sink
 that counts bytes, and times the gaps between its `stage` callbacks (the
 stages of each command are listed in the `siegeleis.cli` docstring).  The
-first stage also holds the argument parsing (and, on the first repeat, the
-imports).  The counts (dimension, tables and local rows of the stored
-tables, local_vectors, the keys of the eigen system's maps of local
-vectors as its proof read them, undivided, and max_conductor, the largest
-conductor m of the values in the tables' local rows, the eigenvalue maps
-and those local vectors, and a
-provider's coefficients; and for a provider its classes, the keys of its
-table, distinct_values, det_bound and content_bound) are read off what the
-stages hand over, with the clock stopped.
+first stage of every command is parse, the argument parsing (and, on the
+first repeat, the imports).  The counts (dimension, tables and local rows
+of the stored tables, local_vectors, the keys of the eigen system's maps of
+local vectors as its proof read them, undivided, and max_conductor, the
+largest conductor m of the values in the tables' local rows, the eigenvalue
+maps and those local vectors, and a provider's coefficients; and for a
+provider its classes, the keys of its table, distinct_values, det_bound and
+content_bound) are read off what the stages hand over, with the clock
+stopped.
 `--through STAGE` stops after that stage.  Prints one JSON line: the
 command, its exit code (null when stopped), the best time of each stage over
 the repeats, and the counts.
