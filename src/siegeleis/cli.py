@@ -127,19 +127,14 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    from .cyclotomic import check_power_printable, prime_factors
-    from .hecke import HeckeOp, SpaceOperators, eigen_json, eigenbasis
+    from .hecke import (HeckeOp, SpaceOperators, check_corner_printable,
+                        eigen_json, eigenbasis)
     space = _space_from_args(args)
     args.stage("basis", space)
-    if space.level > 1:
-        # the corner (1, 1, N) is in every basis, and both formats print its
-        # T1(q^2) eigenvalue (q + 1) q^(2k-3) at the largest prime q of N,
-        # so a huge weight is refused before any table is built
-        q = prime_factors(space.level)[-1]
-        check_power_printable(q + 1, q, 2 * space.weight - 3)
     ops = SpaceOperators(space)
     primes = _int_list(args.primes, "prime list") if args.primes.strip() else []
     extra = [HeckeOp(kind, p) for p in primes for kind in ("T", "T1")]
+    check_corner_printable(space)  # a huge weight, before any table
     op_list = list(dict.fromkeys(ops.level_ops() + extra))
     for op in extra + op_list:  # eigenbasis ranks failures in this order
         ops.matrix(op)

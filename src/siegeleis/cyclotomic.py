@@ -264,17 +264,15 @@ def check_printable(values, factors=()) -> None:
         raise _past_limit(int(log10(bound)) + 1, limit)
 
 
-def check_power_printable(c: int, q: int, e: int) -> None:
-    """check_printable for the integer c * q^e (c >= 1, q >= 2, e >= 0).
-    It is formed only while e * (bits of q, less 1) < 4 limit, so below
-    2^(8 limit); past that q^e >= 16^limit > 10^limit, and the refusal
-    counts its digits from logarithms, so a huge e costs neither time nor
-    memory."""
+def refuse_huge_power(c: int, q: int, e: int) -> None:
+    """Refuse, as check_printable of the integer c * q^e would (c >= 1,
+    q >= 2), a power too large to form cheaply: one with e * (bits of q,
+    less 1) >= 4 limit, so q^e >= 16^limit > 10^limit.  Its digits are
+    counted from logarithms, so a huge e costs neither time nor memory; a
+    smaller power is left to check_printable of the output, once built."""
     limit = sys.get_int_max_str_digits()
     if limit and e * (q.bit_length() - 1) >= 4 * limit:
         raise _past_limit(int(log10(c) + e * log10(q)) + 1, limit)
-    if limit:
-        check_printable((), [c * q ** e])
 
 
 def _past_limit(digits: int, limit: int) -> ValueError:

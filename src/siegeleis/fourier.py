@@ -28,6 +28,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .cyclotomic import (CycNum, _raw, as_cyc, check_printable, exact_sum,
                          is_squarefree, prime_factors, value_texts)
@@ -445,12 +446,35 @@ def provider_load(path) -> CoefficientProvider:
     """provider_parse of the file at `path`, of which at most
     PROVIDER_MAX_CHARS + 1 characters are read: a longer one is refused
     before any line is parsed."""
+    chunks, size = [], 0
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read(PROVIDER_MAX_CHARS + 1)
-    if len(text) > PROVIDER_MAX_CHARS:
+        # in 64 KiB reads: one read of the whole bound holds more memory
+        while size <= PROVIDER_MAX_CHARS and (
+                chunk := fh.read(min(1 << 16, PROVIDER_MAX_CHARS + 1 - size))):
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > PROVIDER_MAX_CHARS:
         raise ValueError(f"{path}: a provider file holds at most "
                          f"{PROVIDER_MAX_CHARS} characters")
-    return provider_parse(text.split("\n"), source=str(path))
+    return provider_parse(chain.from_iterable(_line_lists(chunks)),
+                          source=str(path))
+
+
+def _line_lists(chunks):
+    """The lines of the text held in `chunks`, as iterating its file gives
+    them but without their newlines, in a list per chunk: chained, they are
+    read one at a time, and no list of every line is built."""
+    head = []  # the pieces of a line that spans chunks
+    for chunk in chunks:
+        lines = chunk.split("\n")
+        if len(lines) > 1:
+            head.append(lines[0])
+            lines[0] = "".join(head)
+            head = []
+        head.append(lines.pop())
+        yield lines
+    if tail := "".join(head):
+        yield [tail]
 
 
 # -- Krylov spectral projection ------------------------------------------------

@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .characters import legendre_epsilon
 from .cyclotomic import (CycNum, _height, as_cyc, check_printable, is_prime,
-                         value_texts)
+                         refuse_huge_power, value_texts)
 from .eisspace import EisSpace, Partition, prime_factors
 from .jsonout import JsonText
 from .linalg import _axpy
@@ -219,6 +219,17 @@ def _row_at_level_prime(space: EisSpace, rho, rank: int, op: HeckeOp) -> tuple:
     elif local.is_real:
         row += ((2, chi2 * Fraction(legendre_epsilon(q) * (q * q - 1), q * q)),)
     return row
+
+
+def check_corner_printable(space: EisSpace) -> None:
+    """Refuse a weight at which `eigen` would print a power too large to
+    form, before any table is built: the corner (1, 1, N) is in every
+    basis, and both formats print its T1(q^2) eigenvalue, a root of unity
+    times (q + 1) q^(2k-3) (the rank-2 row above), at the largest prime q
+    of N.  A smaller weight is left to check_eigen_printable."""
+    if space.level > 1:
+        q = prime_factors(space.level)[-1]
+        refuse_huge_power(q + 1, q, 2 * space.weight - 3)
 
 
 def hecke_matrix(space: EisSpace, op: HeckeOp) -> HeckeMatrix:

@@ -124,6 +124,9 @@ def test_bad_prime_list_exit_code(capsys):
                          "--primes", "x")
     assert code == 1 and out == ""
     assert err == "error: bad prime list 'x'\n"
+    # read before a huge weight is refused
+    assert run(capsys, "eigen", "--level", "6", "--weight", "1000000",
+               "--primes", "x") == (1, "", err)
 
 
 @pytest.mark.parametrize("spec", ["3:x", "3:1:2"])
@@ -458,8 +461,9 @@ def test_relations_refuse_a_huge_weight_before_the_words():
                                            (10**9, 954242509)])
 def test_eigen_refuses_a_huge_weight_before_the_tables(fmt, weight, digits):
     # both formats print the corner's T1(3^2) eigenvalue 4 * 3^(2k-3), whose
-    # digits are counted without forming it; the csv ran 6.7 s and the JSON
-    # 44 s at weight 10^6 before their refusal
+    # digits are counted without forming it (the JSON's vectors would hold
+    # longer integers); the csv ran 6.7 s and the JSON 44 s at weight 10^6
+    # before their refusal
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -1015,9 +1019,7 @@ PROVIDERS = {NINES: _nines_provider, WEIGHT_8000: _weight_8000_provider}
 @pytest.mark.parametrize("argv,digits", [
     (["eigen", "--level", "30", "--weight", "1800"], 7967),
     (["hecke", "--level", "30", "--weight", "3200", "--op", "T1:5"], 4474),
-    # refused before any table by the corner's T1(3^2) eigenvalue 4 * 3^9997,
-    # which both formats print (the JSON's vectors would print longer ones)
-    (["eigen", "--level", "6", "--weight", "5000"], 4771),
+    (["eigen", "--level", "6", "--weight", "5000"], 11670),
     (["eigen", "--level", "6", "--weight", "5000", "--format", "csv"], 4771),
     (["relations", "--level", "30", "--weight", "7000"], 4894),
     # U(2,1) sums values, past 4300 digits; U(1,2) keeps them, and prints

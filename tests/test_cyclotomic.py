@@ -269,21 +269,22 @@ def test_pickle_round_trip(value, m):
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 11, 1000003])
-def test_a_power_is_refused_as_its_formed_value_would_be(monkeypatch, q):
-    # check_power_printable counts the digits of (q + 1) q^e from logarithms
-    # from e (bits of q - 1) >= 4 limit on, and forms the value below that;
-    # on either side of that point it refuses as check_printable of the
-    # formed value does, with the same digits
+def test_a_huge_power_is_refused_as_its_formed_value_would_be(monkeypatch,
+                                                              q):
+    # refuse_huge_power counts the digits of (q + 1) q^e from logarithms
+    # from e (bits of q - 1) >= 4 limit on, and there refuses as
+    # check_printable of the formed value does, with the same digits; below
+    # that point it leaves the value to check_printable, even one past the
+    # limit
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
-    start = 4 * 640 // (q.bit_length() - 1)
-    for e in range(start - 3, start + 4):
+    start = -(-4 * 640 // (q.bit_length() - 1))
+    for e in range(start, start + 4):
         with pytest.raises(ValueError) as formed:
             cyclotomic.check_printable((), [(q + 1) * q ** e])
         with pytest.raises(ValueError) as counted:
-            cyclotomic.check_power_printable(q + 1, q, e)
+            cyclotomic.refuse_huge_power(q + 1, q, e)
         assert str(counted.value) == str(formed.value)
-    # the least e past the limit, and the one below it
-    e = next(e for e in range(1, start) if (q + 1) * q ** e >= 10 ** 640)
-    cyclotomic.check_power_printable(q + 1, q, e - 1)
+    for e in range(start - 3, start):
+        cyclotomic.refuse_huge_power(q + 1, q, e)
     with pytest.raises(ValueError, match="at most 640 can be printed"):
-        cyclotomic.check_power_printable(q + 1, q, e)
+        cyclotomic.check_printable((), [(q + 1) * q ** (start - 1)])

@@ -280,6 +280,28 @@ def test_provider_lines_round_trip():
     assert p.expansion.agrees_with(f)
 
 
+def test_provider_load_reads_lines_across_its_chunks(tmp_path):
+    # provider_load reads the file in 64 KiB pieces: lines that span them,
+    # and a last line without its newline, load as the file's own lines
+    # parse, and a bad line far in is reported at its own line number
+    lines = ["!weight 4 level 1 group GL2", "0 0 0 1"]
+    for i in range(1, 6001):
+        lines += ["#" + "x" * (i % 97), f"{i} 0 0 {3 * i - 1}"]
+    path = tmp_path / "long.coeffs"
+    path.write_text("\n".join(lines))
+    assert path.stat().st_size > 4 * 2**16
+    with open(path) as fh:
+        parsed = provider_parse(fh, source=str(path))
+    loaded = provider_load(path)
+    assert loaded.expansion.coeffs == parsed.expansion.coeffs
+    assert loaded.expansion.content_bound == 6000
+    path.write_text("\n".join(lines + ["6001 0 0 x"]) + "\n")
+    with pytest.raises(ValueError) as err:
+        provider_load(path)
+    assert str(err.value) == (f"{path}:{len(lines) + 1}: bad number in "
+                              f"'6001 0 0 x'")
+
+
 needs_provider = pytest.mark.skipif(
     not PROVIDER_PATH.exists(), reason="no provider data file present"
 )
