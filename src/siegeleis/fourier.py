@@ -448,9 +448,10 @@ def provider_load(path) -> CoefficientProvider:
     before any line is parsed."""
     chunks, size = [], 0
     with open(path, "r", encoding="utf-8") as fh:
-        # in 64 KiB reads: one read of the whole bound holds more memory
+        # in 4 KiB reads: one read of the whole bound, or a list of every
+        # line, would hold more memory while the table is built
         while size <= PROVIDER_MAX_CHARS and (
-                chunk := fh.read(min(1 << 16, PROVIDER_MAX_CHARS + 1 - size))):
+                chunk := fh.read(min(1 << 12, PROVIDER_MAX_CHARS + 1 - size))):
             chunks.append(chunk)
             size += len(chunk)
     if size > PROVIDER_MAX_CHARS:

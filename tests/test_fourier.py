@@ -281,7 +281,7 @@ def test_provider_lines_round_trip():
 
 
 def test_provider_load_reads_lines_across_its_chunks(tmp_path):
-    # provider_load reads the file in 64 KiB pieces: lines that span them,
+    # provider_load reads the file in 4 KiB pieces: lines that span them,
     # and a last line without its newline, load as the file's own lines
     # parse, and a bad line far in is reported at its own line number
     lines = ["!weight 4 level 1 group GL2", "0 0 0 1"]
@@ -289,7 +289,7 @@ def test_provider_load_reads_lines_across_its_chunks(tmp_path):
         lines += ["#" + "x" * (i % 97), f"{i} 0 0 {3 * i - 1}"]
     path = tmp_path / "long.coeffs"
     path.write_text("\n".join(lines))
-    assert path.stat().st_size > 4 * 2**16
+    assert path.stat().st_size > 64 * 2**12
     with open(path) as fh:
         parsed = provider_parse(fh, source=str(path))
     loaded = provider_load(path)
