@@ -12,7 +12,10 @@ conductor; a sum or product is then reduced into the least subfield that
 holds it.  The inverse is x^-1 = N(x)^-1 * prod_{sigma != 1} sigma(x), the
 product of the other Galois conjugates over the norm, formed on integer
 numerators over a basis of cyclic subgroups of (Z/m)^x by doubling; x^-1
-keeps the least conductor of x.
+keeps the least conductor of x.  Phi_m is built with no polynomial division
+as the Moebius product of the binomials x^d - 1, d | m.  Every coordinate
+n[i] / d is printed by one rule, coord_texts: the JSON text and repr, and
+so the csv and the error texts that print repr, write the same digits.
 """
 
 from __future__ import annotations
@@ -173,29 +176,29 @@ def smallest_primitive_root(q: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-def _poly_int_divexact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, ascending coefficients
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
-        q = c // den[-1]
-        out[i] = q
-        for j, d in enumerate(den):
-            num[i + j] -= q * d
-    assert all(c == 0 for c in num)
-    return out
-
-
 @cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, ascending degree."""
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_int_divexact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    """Integer coefficients of Phi_m, ascending degree, as the Moebius
+    product prod_{d | m} (x^d - 1)^mu(m/d), d running over the divisors
+    with m/d square-free: the inversion of x^m - 1 = prod_{d | m} Phi_d
+    (Washington, Introduction to Cyclotomic Fields, Ch. 2).  Each binomial
+    with mu = 1 multiplies in one pass from the top; each with mu = -1 then
+    divides exactly in one pass from the bottom, by the same p[i] = p[i-d]
+    - p[i], and leaves a zero remainder in the top d coefficients."""
+    signed = [(m, 1)]
+    for q in prime_factors(m):
+        signed += [(d // q, -mu) for d, mu in signed]
+    p = [1]
+    for d in [d for d, mu in signed if mu == 1]:  # p *= x^d - 1
+        p += [0] * d
+        for i in range(len(p) - 1, -1, -1):
+            p[i] = (p[i - d] if i >= d else 0) - p[i]
+    for d in [d for d, mu in signed if mu == -1]:  # p /= x^d - 1
+        for i in range(len(p)):
+            p[i] = (p[i - d] if i >= d else 0) - p[i]
+        assert not any(p[-d:])
+        del p[-d:]
+    return tuple(p)
 
 
 _Rows = list[tuple[tuple[int, int], ...]]
@@ -330,12 +333,6 @@ class CycNum:
 
     # -- predicates / accessors -------------------------------------------
 
-    @property
-    def c(self) -> tuple[Fraction, ...]:
-        """The coordinates as Fractions, a derived view for repr and approx."""
-        d = self.d
-        return tuple(Fraction(a, d) for a in self.n)
-
     def is_zero(self) -> bool:
         return self.m == 1 and not self.n[0]
 
@@ -353,9 +350,10 @@ class CycNum:
     def approx(self) -> complex:
         """Float embedding zeta_m -> exp(2*pi*i/m); test-side sanity only."""
         z = cmath.exp(2j * cmath.pi / self.m)
+        d = self.d
         val = 0j
-        for a in reversed(self.c):
-            val = val * z + complex(a)
+        for a in reversed(self.n):
+            val = val * z + a / d  # int division rounds as float(Fraction)
         return val
 
     # -- arithmetic --------------------------------------------------------
@@ -505,17 +503,16 @@ class CycNum:
         return not self.is_zero()
 
     def __repr__(self):
-        if self.m == 1:  # (n, d) is reduced with d > 0, as Fraction prints it
-            return str(self.n[0]) if self.d == 1 else f"{self.n[0]}/{self.d}"
+        # each coordinate by coord_texts, the rule the JSON output prints
         parts = []
-        for i, a in enumerate(self.c):
-            if not a:
+        for i, t in enumerate(self.coord_texts()):
+            if t == "0":
                 continue
             if i == 0:
-                parts.append(str(a))
+                parts.append(t)
             else:
                 z = f"z{self.m}" if i == 1 else f"z{self.m}^{i}"
-                parts.append(z if a == 1 else f"-{z}" if a == -1 else f"{a}*{z}")
+                parts.append(z if t == "1" else f"-{z}" if t == "-1" else f"{t}*{z}")
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     # -- JSON --------------------------------------------------------------

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -27,6 +28,38 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     for m in range(1, 40):
         assert len(cyclotomic_polynomial(m)) == euler_phi(m) + 1
+
+
+def _divexact(num, den):
+    # exact division of integer polynomials, ascending coefficients
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        assert c % den[-1] == 0
+        q = c // den[-1]
+        out[i] = q
+        for j, d in enumerate(den):
+            num[i + j] -= q * d
+    assert all(c == 0 for c in num)
+    return out
+
+
+@cache
+def _phi_by_division(m):
+    """Phi_m as x^m - 1 divided exactly by Phi_d for each proper d | m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divexact(poly, _phi_by_division(d))
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_is_the_divisor_quotient():
+    # the Moebius product against dividing x^m - 1 by every Phi_d, d | m
+    ms = [m for m in range(1, 401) if m % 4 != 2] + [720, 840, 2520]
+    for m in ms:
+        assert cyclotomic_polynomial(m) == _phi_by_division(m), m
 
 
 def test_basic_relations():
@@ -103,20 +136,25 @@ def test_conductor_cap_at_construction(monkeypatch):
     def no_phi(m):
         raise AssertionError(f"euler_phi({m}) called before the cap check")
 
-    # neither phi(m) nor a single coefficient is touched for an oversized m,
-    # so even m = 10^6 + 3 (phi ~ 10^6) costs nothing
-    monkeypatch.setattr(cyclotomic, "euler_phi", no_phi)
-    for m in (121, 242, 1000, 10**6 + 3, 10**100):
-        with pytest.raises(ConductorCapError):
-            CycNum(m, poisoned())
-        with pytest.raises(ConductorCapError):
-            CycNum.from_json({"m": str(m), "coeffs": poisoned()})
-    monkeypatch.undo()
-    # m = 2 (mod 4) is checked as m/2, the conductor it is stored at
-    assert CycNum(238, [3] + [0] * 95) == 3
-    assert CycNum.from_json(root(119, 2).to_json()) == root(119, 2)
-    with pytest.raises(ValueError):
-        CycNum(0, [])
+    old = conductor_cap()
+    set_conductor_cap(120)  # whatever SIEGELEIS_CONDUCTOR_CAP set
+    try:
+        # neither phi(m) nor a single coefficient is touched for an
+        # oversized m, so even m = 10^6 + 3 (phi ~ 10^6) costs nothing
+        monkeypatch.setattr(cyclotomic, "euler_phi", no_phi)
+        for m in (121, 242, 1000, 10**6 + 3, 10**100):
+            with pytest.raises(ConductorCapError):
+                CycNum(m, poisoned())
+            with pytest.raises(ConductorCapError):
+                CycNum.from_json({"m": str(m), "coeffs": poisoned()})
+        monkeypatch.undo()
+        # m = 2 (mod 4) is checked as m/2, the conductor it is stored at
+        assert CycNum(238, [3] + [0] * 95) == 3
+        assert CycNum.from_json(root(119, 2).to_json()) == root(119, 2)
+        with pytest.raises(ValueError):
+            CycNum(0, [])
+    finally:
+        set_conductor_cap(old)
 
 
 def test_json_round_trip():
@@ -181,6 +219,11 @@ def test_numerical_embedding_sanity():
         assert abs(exact - floaty) / scale < 1e-9
     for m, e in [(7, 3), (9, 2), (16, 5), (120, 7)]:
         assert abs(root(m, e).approx() - cmath.exp(2j * cmath.pi * e / m)) < 1e-9
+    # coordinates past the float range over a denominator as large
+    big = 10**400
+    x = CycNum(4, [Fraction(big + 1, big), Fraction(-3 * big, big + 7)])
+    assert x.d > 10**700
+    assert abs(x.approx() - (1 - 3j)) < 1e-9
 
 
 def test_small_helpers():
@@ -253,6 +296,52 @@ def test_rational_repr_is_the_fraction_str():
     for v in values:
         assert v.m == 1
         assert repr(v) == str(v.as_fraction())
+
+
+def _repr_by_fractions(v):
+    """repr's text built from a Fraction per coordinate: 0 is skipped, a
+    coordinate +-1 writes z^i bare, the rest c*z^i, and '+ -' reads '- '."""
+    parts = []
+    for i, a in enumerate(Fraction(x, v.d) for x in v.n):
+        if not a:
+            continue
+        if i == 0:
+            parts.append(str(a))
+        else:
+            z = f"z{v.m}" if i == 1 else f"z{v.m}^{i}"
+            parts.append(z if a == 1 else f"-{z}" if a == -1 else f"{a}*{z}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def test_repr_is_the_fraction_text():
+    assert repr(root(4) / 2) == "1/2*z4"
+    assert repr(1 - root(5)) == "1 - z5"
+    assert repr(-root(5, 4)) == "1 + z5 + z5^2 + z5^3"
+    assert repr(root(12, 5) * Fraction(-2, 5) + 1) == "1 + 2/5*z12 - 2/5*z12^3"
+    rng = random.Random(52)
+    huge = 10**30
+    old = conductor_cap()
+    set_conductor_cap(720)
+    try:
+        values = [CycNum.zero(), CycNum.one()]
+        for m in (1, 3, 4, 5, 12, 20, 24, 60, 240, 720):
+            for _ in range(20):
+                den = rng.choice([1, rng.randint(2, 10**4), huge + rng.randint(1, 99)])
+                coords = []
+                for _ in range(euler_phi(m)):
+                    kind = rng.randrange(4)
+                    coords.append(0 if kind == 0 else rng.choice([1, -1]) if kind == 1
+                                  else Fraction(rng.randint(-9, 9), den) if kind == 2
+                                  else Fraction(rng.randint(-huge, huge), den))
+                values.append(CycNum(m, coords))
+        assert {v.m for v in values} >= {1, 3, 4, 5, 12, 20, 24, 60, 240, 720}
+        texts = [t for v in values if v.m > 1 for t in v.coord_texts()[1:]]
+        assert {"0", "1", "-1"} <= set(texts)
+        assert any(abs(a) > huge // 10 for v in values for a in v.n)
+        for v in values:
+            assert repr(v) == _repr_by_fractions(v)
+    finally:
+        set_conductor_cap(old)
 
 
 @pytest.mark.parametrize("value,m", [

@@ -105,7 +105,7 @@ def least_conductor(v: CycNum, M: int) -> int:
     """The least d | M, d != 2 (mod 4), such that every z -> z^a with
     a = 1 (mod d) fixes v, by substituting a*e for each exponent e of v
     written at M."""
-    terms = [(i * (M // v.m), c) for i, c in enumerate(v.c)]
+    terms = [(i * (M // v.m), Fraction(c, v.d)) for i, c in enumerate(v.n)]
     here = at_conductor(M, terms)
     moved = {a for a in range(1, M + 1) if gcd(a, M) == 1
              and at_conductor(M, [(a * e, c) for e, c in terms]) != here}
@@ -125,8 +125,8 @@ def routes(draw):
     route = draw(st.sampled_from(["lift", "mul", "add"]))
     if route == "lift":
         d = x.m
-        y = CycNum(M, at_conductor(M, [(i * (M // d), c)
-                                       for i, c in enumerate(x.c)]))
+        y = CycNum(M, at_conductor(M, [(i * (M // d), Fraction(c, x.d))
+                                       for i, c in enumerate(x.n)]))
     elif route == "mul" and w:
         y = (x * w) * w.inverse()
     else:
@@ -171,7 +171,8 @@ def general_path(op, x, y) -> CycNum:
     coordinates combined here and canonicalised by CycNum(M, ...)."""
     x, y = as_cyc(x), as_cyc(y)
     M = lcm(x.m, y.m)
-    a, b = ([(i * (M // v.m), c) for i, c in enumerate(v.c)] for v in (x, y))
+    a, b = ([(i * (M // v.m), Fraction(c, v.d)) for i, c in enumerate(v.n)]
+            for v in (x, y))
     if op is operator.mul:
         terms = [(e + f, c * g) for e, c in a for f, g in b]
     else:
