@@ -31,7 +31,7 @@ import contextlib
 import os
 import sys
 
-from .jsonout import JsonText, chunked, write_json
+from .jsonout import write_json
 
 
 def _spec_int(text: str, what: str) -> int:
@@ -99,8 +99,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    from .hecke import (HeckeOp, SpaceOperators, _text, check_word_printable,
-                        word_rows)
+    from .hecke import HeckeOp, SpaceOperators, check_word_printable, word_json
     space = _space_from_args(args)
     args.stage("basis", space)
     word = parse_op_word(args.op)
@@ -113,22 +112,14 @@ def cmd_hecke(args) -> int:
         ops.matrix(op)
     args.stage("tables", ops)
     check_word_printable(ops, word)
-    _emit_json(args, {
-        "level": space.level,
-        "weight": space.weight,
-        "char": space.char.spec_string(),
-        "op": args.op,
-        "basis": chunked((_text(space.decode(i)[1], 2)
-                          for i in range(space.dimension)), 2),
-        "matrix": word_rows(ops, word),
-    })
+    _emit_json(args, word_json(ops, word, args.op))
     args.stage("render", None)
     return 0
 
 
 def cmd_eigen(args) -> int:
     from .hecke import (HeckeOp, SpaceOperators, check_corner_printable,
-                        eigen_json, eigenbasis)
+                        eigen_csv, eigen_json, eigenbasis)
     space = _space_from_args(args)
     args.stage("basis", space)
     ops = SpaceOperators(space)
@@ -142,8 +133,9 @@ def cmd_eigen(args) -> int:
     system = eigenbasis(ops)
     args.stage("eigenbasis", system)
     if args.format == "csv":
+        chunks = eigen_csv(system, op_list)  # it refuses here, before the open
         with _writer(args) as write:
-            for chunk in eigen_csv(system, op_list):
+            for chunk in chunks:
                 write(chunk)
     else:
         _emit_json(args, eigen_json(system, op_list))
@@ -151,32 +143,12 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def eigen_csv(system, op_list):
-    """The csv output of `eigen`, a line per (partition, op) of
-    eigenvalue_comparisons, partitions outer, yielded as the header line
-    and then one chunk of lines per partition, so that no more than one
-    partition's text is held; the rest of a line after its partition is
-    built once per key of its op's cases."""
-    from .hecke import check_eigen_printable, eigenvalue_comparisons
-    comparisons = eigenvalue_comparisons(system, op_list)
-    check_eigen_printable(system, comparisons, False)
-    tails = [(c.key, {key: f"{c.op.spec_string()},{repr(mval).replace(' ', '')},"
-                           f"{repr(cval).replace(' ', '')},{str(match).lower()}"
-                      for key, (mval, cval, match, _) in c.cases.items()})
-             for c in comparisons]
-    yield "partition,op,eigenvalue,closed_form,match\n"
-    space = system.space
-    for ranks, parts in map(space.decode, range(space.dimension)) if tails else ():
-        head = "({};{};{}),".format(*parts)
-        yield head + ("\n" + head).join(
-            [texts[key(ranks)] for key, texts in tails]) + "\n"
-
-
 def cmd_relations(args) -> int:
     from .characters import DirichletCharacter
     from .cyclotomic import check_printable, prime_factors
     from .eisspace import enumerate_partitions
-    from .hecke import SpaceOperators, _text, relation_defects, s_constant
+    from .hecke import (SpaceOperators, relation_defects, relations_json,
+                        s_constant)
     char = DirichletCharacter.trivial(args.level)
     if args.weight % 2:  # the trivial character is even: the space is zero
         raise ValueError(f"relation words need an even weight, got {args.weight}")
@@ -184,26 +156,14 @@ def cmd_relations(args) -> int:
     args.stage("basis", space)
     # the constants alone bound the digits, so a huge weight is refused
     # before the words are proved
-    constants = {str(q): s_constant(space, q) for q in prime_factors(space.level)}
+    constants = {q: s_constant(space, q) for q in prime_factors(space.level)}
     check_printable(constants.values())
     ops = SpaceOperators(space)
     defects = relation_defects(ops)
     args.stage("relations", ops)
-    all_ok = not any(defects)
-    pad, pad3 = "\n    ", "\n      "
-    identities = (JsonText(  # a record per identity, at a list item's depth
-        f'{{{pad3}"holds": {("false", "true")[bad == 0]},{pad3}"target": '
-        f'{_text(parts, 3)},{pad3}"word": "S1:{parts[1]};S2:{parts[2]}"{pad}}}')
-        for (_, parts), bad in zip(map(space.decode, range(space.dimension)), defects))
-    _emit_json(args, {
-        "level": space.level,
-        "weight": space.weight,
-        "constants": {q: c.to_json() for q, c in constants.items()},
-        "identities": identities,
-        "all_hold": all_ok,
-    })
+    _emit_json(args, relations_json(space, constants, defects))
     args.stage("render", None)
-    return 0 if all_ok else 1
+    return 1 if any(defects) else 0
 
 
 def cmd_fourier(args) -> int:

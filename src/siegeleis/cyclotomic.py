@@ -271,15 +271,16 @@ def refuse_huge_power(c: int, q: int, e: int) -> None:
     """Refuse, as check_printable of the integer c * q^e would (c >= 1,
     q >= 2), a power too large to form cheaply: one with e * (bits of q,
     less 1) >= 4 limit, so q^e >= 16^limit > 10^limit.  Its digits are
-    counted from logarithms, so a huge e costs neither time nor memory; a
-    smaller power is left to check_printable of the output, once built."""
+    counted from logarithms, so a huge e costs neither time nor memory, and
+    named as a floor ("at least"): the output may print longer integers.
+    A smaller power is left to check_printable of the output, once built."""
     limit = sys.get_int_max_str_digits()
     if limit and e * (q.bit_length() - 1) >= 4 * limit:
-        raise _past_limit(int(log10(c) + e * log10(q)) + 1, limit)
+        raise _past_limit(int(log10(c) + e * log10(q)) + 1, limit, "at least")
 
 
-def _past_limit(digits: int, limit: int) -> ValueError:
-    return ValueError(f"the output would print integers of up to {digits} "
+def _past_limit(digits: int, limit: int, bound: str = "up to") -> ValueError:
+    return ValueError(f"the output would print integers of {bound} {digits} "
                       f"digits; at most {limit} can be printed")
 
 

@@ -28,7 +28,7 @@ from .characters import legendre_epsilon
 from .cyclotomic import (CycNum, _height, as_cyc, check_printable, is_prime,
                          refuse_huge_power, value_texts)
 from .eisspace import EisSpace, Partition, prime_factors
-from .jsonout import JsonText
+from .jsonout import JsonText, chunked
 from .linalg import _axpy
 
 _ZERO = CycNum.zero()
@@ -226,7 +226,7 @@ def check_corner_printable(space: EisSpace) -> None:
     form, before any table is built: the corner (1, 1, N) is in every
     basis, and both formats print its T1(q^2) eigenvalue, a root of unity
     times (q + 1) q^(2k-3) (the rank-2 row above), at the largest prime q
-    of N.  A smaller weight is left to check_eigen_printable."""
+    of N.  A smaller weight is left to the output's own bound (_case_rows)."""
     if space.level > 1:
         q = prime_factors(space.level)[-1]
         refuse_huge_power(q + 1, q, 2 * space.weight - 3)
@@ -417,16 +417,6 @@ class EigenSystem:
         for c, k in zip(*self._terms(i, self.space.decode(i)[0])):
             out[index[c]] = product[k]
         return out
-
-    def keyed(self, op_list) -> list[HeckeOp]:
-        """The op of ``tables`` equal to each op of op_list; an op without a
-        verified table raises ValueError."""
-        own = {op: op for op in self.tables}
-        for op in op_list:
-            if op not in own:
-                raise ValueError(
-                    f"{op} was not verified; build its table before eigenbasis")
-        return [own[op] for op in op_list]
 
 
 def _local_vector(space: EisSpace, rho, q: int,
@@ -636,9 +626,13 @@ def eigenvalue_comparisons(system: EigenSystem, op_list=None) -> list[Comparison
     primes = prime_factors(space.level)
     if op_list is None:
         op_list = SpaceOperators(space).level_ops()
+    tables = [system.tables.get(op) for op in op_list]
+    for op, hm in zip(op_list, tables):  # every op before any work
+        if hm is None:
+            raise ValueError(f"{op} was not verified; build its table before eigenbasis")
     out = []
-    for op in system.keyed(op_list):
-        hm, lams = system.tables[op], system.columns[op]
+    for hm in tables:  # the table's own op, found by identity, keys lams
+        op, lams = hm.op, system.columns[hm.op]
         cases = {}
         for key, i in hm.representatives.items():
             mval = lams[key]
@@ -662,11 +656,25 @@ def compare_eigenvalues(system: EigenSystem, op_list=None) -> list[dict]:
             for mval, cval, match, expected in (c.cases[c.key(space.decode(i)[0])],)]
 
 
-def check_eigen_printable(system: EigenSystem, comparisons,
-                          vectors: bool) -> None:
-    """check_printable for `eigen`: the comparison cases and, in JSON, the
+def _text(parts, depth: int) -> str:
+    """The JSON of parts (N0, N1, N2) standing at `depth`: the bytes of
+    json.dumps of their Partition's to_json(), indent=2, sort_keys=True,
+    with each newline indented to that depth."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    n0, n1, n2 = parts
+    return f'{{{inner}"N0": {n0},{inner}"N1": {n1},{inner}"N2": {n2}{pad}}}'
+
+
+def _case_rows(system: EigenSystem, op_list, vectors: bool, text, decoded):
+    """The comparison lines of both `eigen` formats, after a prologue run at
+    the call: eigenvalue_comparisons (an unverified op raises ValueError),
+    check_printable of the cases and, with `vectors` (JSON), of the
     eigenvalues and the vector coefficients, each a product of one local
-    entry per prime, read off the maps of system.local."""
+    entry per prime of system.local; then text(op, *case) per key of each
+    op's cases.  Yields, per decoded basis element, its parts and the
+    texts at its keys, one per op; nothing when there is no op."""
+    comparisons = eigenvalue_comparisons(system, op_list)
     values = [v for c in comparisons for case in c.cases.values()
               for v in case[:2]]
     factors = []
@@ -680,16 +688,30 @@ def check_eigen_printable(system: EigenSystem, comparisons,
             if op not in compared:
                 values += lams.values()
     check_printable(values, factors)
+    cases = [(c.key, {key: text(c.op, *case) for key, case in c.cases.items()})
+             for c in comparisons]
+    return ((parts, [texts[key(ranks)] for key, texts in cases])
+            for ranks, parts in (decoded if cases else ()))
 
 
-def _text(parts, depth: int) -> str:
-    """The JSON of parts (N0, N1, N2) standing at `depth`: the bytes of
-    json.dumps of their Partition's to_json(), indent=2, sort_keys=True,
-    with each newline indented to that depth."""
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    n0, n1, n2 = parts
-    return f'{{{inner}"N0": {n0},{inner}"N1": {n1},{inner}"N2": {n2}{pad}}}'
+def eigen_csv(system: EigenSystem, op_list=None):
+    """The csv output of `eigen`, a line per (partition, op) of
+    eigenvalue_comparisons, partitions outer, checked at the call
+    (_case_rows), then yielded as the header line and one chunk of lines
+    per partition, so that no more than one partition's text is held."""
+    def tail(op, mval, cval, match, _):  # a line after its partition
+        return (f"{op.spec_string()},{repr(mval).replace(' ', '')},"
+                f"{repr(cval).replace(' ', '')},{str(match).lower()}")
+    space = system.space
+    rows = _case_rows(system, op_list, False, tail,
+                      map(space.decode, range(space.dimension)))
+
+    def chunks():
+        yield "partition,op,eigenvalue,closed_form,match\n"
+        for parts, tails in rows:
+            head = "({};{};{}),".format(*parts)
+            yield head + ("\n" + head).join(tails) + "\n"
+    return chunks()
 
 
 def eigen_json(system: EigenSystem, op_list=None) -> dict:
@@ -705,40 +727,32 @@ def eigen_json(system: EigenSystem, op_list=None) -> dict:
     element, with no object per row, entry, vector or partition.  Each
     distinct value and partition is encoded once per depth.  Per op, a
     row's text up to its partition is built once per key of
-    eigenvalue_comparisons' cases, and an eigenvalue line once per key of
-    the op's eigenvalues; a record reads them at its partition's keys, the
-    ops being sorted by name once.  Each vector is expanded to the rank
-    codes and combination codes of its coefficients (EigenSystem._terms),
-    and a vector item's text up to its partition is rendered once per
-    combination code, from the product that the system holds per code.
-    The comparison and check_eigen_printable run first, so an op that
-    eigenbasis did not verify, or an integer too long for str(), raises
-    ValueError before any record.
+    eigenvalue_comparisons' cases (_case_rows, which checks at the call),
+    and an eigenvalue line once per key of the op's eigenvalues; a record
+    reads them at its partition's keys, the ops being sorted by name once.
+    Each vector is expanded to the rank codes and combination codes of its
+    coefficients (EigenSystem._terms), and a vector item's text up to its
+    partition is rendered once per combination code, from its product.
     """
     space = system.space
-    comparisons = eigenvalue_comparisons(system, op_list)
-    check_eigen_printable(system, comparisons, True)
     pad, pad3, pad4, pad5 = ("\n" + "  " * d for d in (2, 3, 4, 5))
-    decoded = list(map(space.decode, range(space.dimension)))
-    part = [_text(parts, 3) for _, parts in decoded]
     value = value_texts()
 
+    def head(op, mval, cval, match, expected):  # a row up to its partition
+        return (f'{{{pad3}"closed_form": {value(cval, 3)}'
+                f',{pad3}"expected_mismatch": {("false", "true")[expected]}'
+                f',{pad3}"match": {("false", "true")[match]}'
+                f',{pad3}"matrix_value": {value(mval, 3)}'
+                f',{pad3}"op": {_json_str(op.spec_string())},{pad3}"partition": ')
+    decoded = list(map(space.decode, range(space.dimension)))
+    rows = _case_rows(system, op_list, True, head, decoded)
+    part = [_text(parts, 3) for _, parts in decoded]
+
     def comparison_records():
-        heads = []  # per op, its key getter and each key's row up to rho
-        for c in comparisons:
-            name = _json_str(c.op.spec_string())
-            heads.append((c.key, {
-                key: f'{{{pad3}"closed_form": {value(cval, 3)}'
-                     f',{pad3}"expected_mismatch": {("false", "true")[expected]}'
-                     f',{pad3}"match": {("false", "true")[match]}'
-                     f',{pad3}"matrix_value": {value(mval, 3)}'
-                     f',{pad3}"op": {name},{pad3}"partition": '
-                for key, (mval, cval, match, expected) in c.cases.items()}))
         sep = "," + pad
-        for (ranks, _), p in zip(decoded, part) if heads else ():
+        for (_, heads), p in zip(rows, part):
             tail = p + pad + "}"  # rows end with rho
-            yield JsonText((tail + sep).join(
-                [texts[key(ranks)] for key, texts in heads]) + tail)
+            yield JsonText((tail + sep).join(heads) + tail)
 
     def eigenbasis_records():
         index, product = space.index_of_code.__getitem__, system._codes[1]
@@ -849,6 +863,17 @@ def word_rows(ops: SpaceOperators, word):
         yield JsonText("[" + pad3 + ("," + pad3).join(row) + pad + "]")
 
 
+def word_json(ops: SpaceOperators, word, spec: str) -> dict:
+    """The `hecke` command's output for a word of HeckeOps spelled `spec`:
+    the space, the word, its basis as a stream of chunks and its rows
+    (word_rows)."""
+    space = ops.space
+    basis = (_text(space.decode(i)[1], 2) for i in range(space.dimension))
+    return {"level": space.level, "weight": space.weight,
+            "char": space.char.spec_string(), "op": spec,
+            "basis": chunked(basis, 2), "matrix": word_rows(ops, word)}
+
+
 def check_word_printable(ops: SpaceOperators, word) -> None:
     """check_printable for the rows of a word of tables M_l, each entry a
     sum of products of one entry per table.  With D_l the lcm of M_l's
@@ -894,3 +919,17 @@ def relation_defects(ops: SpaceOperators) -> list[int]:
             v = v * w[r].get(r, _ZERO)
         out.append(size - (not v.is_zero()) + (not v.is_one()))
     return out
+
+
+def relations_json(space: EisSpace, constants: dict, defects: list[int]) -> dict:
+    """The `relations` command's output: the S constants (q -> s_constant)
+    and per basis partition rho the record of e_corner.S1(N1)S2(N2) ==
+    e_rho, which holds where relation_defects counts 0."""
+    pad, pad3 = "\n    ", "\n      "
+    identities = (JsonText(
+        f'{{{pad3}"holds": {("false", "true")[bad == 0]},{pad3}"target": '
+        f'{_text(parts, 3)},{pad3}"word": "S1:{parts[1]};S2:{parts[2]}"{pad}}}')
+        for (_, parts), bad in zip(map(space.decode, range(space.dimension)), defects))
+    return {"level": space.level, "weight": space.weight,
+            "constants": {str(q): c.to_json() for q, c in constants.items()},
+            "identities": identities, "all_hold": not any(defects)}

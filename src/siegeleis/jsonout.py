@@ -3,7 +3,7 @@
 `write_json` writes the bytes of json.dumps(obj, indent=2, sort_keys=True)
 plus a newline in chunks as it encodes them; an iterator in list position
 is written item by item as it yields them.  A caller that renders whole
-records itself (hecke.eigen_json and word_rows, cli.cmd_relations,
+records itself (hecke.eigen_json, word_rows and relations_json,
 EisSpace.descriptor, FourierExpansion.rendered) hands them over as
 `JsonText`, rendered for the depth where it stands, which write_json
 writes as it is; `chunked` cuts a long list of such items into chunks.

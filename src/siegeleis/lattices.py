@@ -13,7 +13,7 @@ and the SL2 key is the proper reduced form, so the twin of a class that
 splits is keyed (a, -b, c).
 
 `_reduced_rows` owns the bounds of the reduced forms of det <= D: one row
-(a, b, c_lo, c_hi) per (a, b), with c running over [c_lo, c_hi].
+(a, b, c_hi) per (a, b), with c running over [a, c_hi].
 `_reduced_triples` walks the rows, and `reduced_class_count` only sums
 their lengths (plus the SL2 twins), in O(D) arithmetic and no form built:
 the count is how `fourier.provider_parse` checks that a table is complete
@@ -187,26 +187,26 @@ def isotropic_lines(T: GramForm, p: int) -> IsotropyReport:
 
 
 def _reduced_rows(det_bound: int):
-    """(a, b, c_lo, c_hi) for every (a, b) with a GL2-reduced positive
-    definite form (a, b, c) of det <= det_bound: the forms of the row are
-    those with c_lo <= c <= c_hi, and each row yielded is non-empty.  This
-    is the one statement of the reduced-form bounds: 0 <= 2b <= a <= c,
-    so 3a^2 <= 4 det, and c >= a already makes det >= 3a^2/4 > 0."""
+    """(a, b, c_hi) for every (a, b) with a GL2-reduced positive definite
+    form (a, b, c) of det <= det_bound: the forms of the row are those with
+    a <= c <= c_hi, and each row yielded is non-empty.  This is the one
+    statement of the reduced-form bounds: 0 <= 2b <= a <= c, so 3a^2 <=
+    4 det, and c >= a already makes det >= 3a^2/4 > 0."""
     a = 1
     while 3 * a * a <= 4 * det_bound:
         for b in range(a // 2 + 1):
             c_hi = (det_bound + b * b) // a
             if c_hi >= a:
-                yield a, b, a, c_hi
+                yield a, b, c_hi
         a += 1
 
 
 def _reduced_triples(det_bound: int):
     """(det, a, b, c) for every GL2-reduced positive definite form with
     det <= det_bound, unordered."""
-    for a, b, c_lo, c_hi in _reduced_rows(det_bound):
+    for a, b, c_hi in _reduced_rows(det_bound):
         bb = b * b
-        for c in range(c_lo, c_hi + 1):
+        for c in range(a, c_hi + 1):
             yield a * c - bb, a, b, c
 
 
@@ -216,8 +216,8 @@ def reduced_class_count(det_bound: int, group: str = GL2) -> int:
     SL2 the twins (a, -b, c) with c > a of each row with 0 < 2b < a.  The
     rows number about det_bound / 3, so this is O(det_bound) arithmetic."""
     n = 0
-    for a, b, c_lo, c_hi in _reduced_rows(det_bound):
-        n += c_hi - c_lo + 1
+    for a, b, c_hi in _reduced_rows(det_bound):
+        n += c_hi - a + 1
         if group == SL2 and 0 < 2 * b < a:
             n += c_hi - a  # the class splits unless c = a
     return n

@@ -568,10 +568,9 @@ def _check_eigen_oracle(config, run):
         # stored forms are canonical, so equal eigenvalues hash alike
         # each basis index under the tuple of its eigenvalues for op_list
         by_tags = defaultdict(list)
-        keyed = system.keyed(op_list)
-        lams = [system.columns[op] for op in keyed]
+        lams = [system.columns[op] for op in op_list]
         for i in range(space.dimension):
-            by_tags[tuple(system.at(i, keyed, lams))].append(i)
+            by_tags[tuple(system.at(i, op_list, lams))].append(i)
         for tags, basis in pieces:
             if len(basis) != 1:
                 bad.append("joint eigenspace not 1-dimensional")

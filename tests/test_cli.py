@@ -461,9 +461,9 @@ def test_relations_refuse_a_huge_weight_before_the_words():
                                            (10**9, 954242509)])
 def test_eigen_refuses_a_huge_weight_before_the_tables(fmt, weight, digits):
     # both formats print the corner's T1(3^2) eigenvalue 4 * 3^(2k-3), whose
-    # digits are counted without forming it (the JSON's vectors would hold
-    # longer integers); the csv ran 6.7 s and the JSON 44 s at weight 10^6
-    # before their refusal
+    # digits are counted without forming it, and named as a floor: the
+    # JSON's vectors would hold longer integers; the csv ran 6.7 s and the
+    # JSON 44 s at weight 10^6 before their refusal
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -474,7 +474,7 @@ def test_eigen_refuses_a_huge_weight_before_the_tables(fmt, weight, digits):
         env=env, capture_output=True, text=True, timeout=10)
     assert time.perf_counter() - t0 < 2
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == (f"error: the output would print integers of up to "
+    assert proc.stderr == (f"error: the output would print integers of at least "
                            f"{digits} digits; at most 4300 can be printed\n")
 
 
@@ -1044,6 +1044,52 @@ def test_integers_past_the_str_digit_limit_are_refused_first(
     assert run(capsys, *argv) == (1, "", (
         f"error: the output would print integers of up to {digits} digits; "
         f"at most 4300 can be printed\n"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_refused_eigen_run_keeps_its_output_file(capsys, tmp_path,
+                                                   str_digits, fmt):
+    # the csv's checks ran at its first line, after --output was opened,
+    # so a refused run left an existing file at 0 bytes; both formats now
+    # refuse before the file is opened
+    str_digits(4300)
+    path = tmp_path / "eigen.out"
+    path.write_bytes(b"kept\n")
+    code, out, err = run(capsys, "eigen", "--level", "6", "--weight", "5000",
+                         "--format", fmt, "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the output would print integers of up to ")
+    assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--level", "70", "--weight", "5", "--char", "5:1,7:2", "--primes", "3"],
+    ["--level", "2310", "--weight", "4", "--char", "5:1,11:1"],
+], ids=["N70", "N2310"])
+def test_the_eigen_formats_agree(capsys, argv):
+    # a csv line holds the eigenvalue, closed form and match of the JSON
+    # comparison row of its (partition, op), the values as their repr
+    code, out, _ = run(capsys, "eigen", *argv)
+    assert code == 0
+    rows = {("({N0};{N1};{N2})".format(**row["partition"]), row["op"]): row
+            for row in json.loads(out)["comparison"]}
+    code, out, _ = run(capsys, "eigen", *argv, "--format", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "partition,op,eigenvalue,closed_form,match"
+    assert len(lines) == len(rows) > 0
+
+    def text(value):
+        return repr(CycNum.from_json(value)).replace(" ", "")
+    assert any(row["match"] and "z" in text(row["matrix_value"])
+               for row in rows.values())  # a value off Q
+    for line in lines:
+        partition, op, eigenvalue, closed_form, match = line.split(",")
+        row = rows.pop((partition, op))
+        assert eigenvalue == text(row["matrix_value"])
+        assert closed_form == text(row["closed_form"])
+        assert match == str(row["match"]).lower()
+    assert rows == {}
 
 
 @pytest.mark.parametrize("argv", [

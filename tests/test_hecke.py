@@ -1023,7 +1023,7 @@ def test_eigen_outputs_build_no_entry_and_no_row_tuple(monkeypatch):
     system = eigenbasis(ops)
     pieces = []
     write_json(eigen_json(system, ops.level_ops()), pieces.append)
-    chunks = list(cli.eigen_csv(system, ops.level_ops()))
+    chunks = list(hecke.eigen_csv(system, ops.level_ops()))
     assert len(chunks) == 1 + 243  # the header, then one per partition
     lines = "".join(chunks).splitlines()
     assert len(lines) == 1 + 243 * 10 and len("".join(pieces)) > 10**6
@@ -1036,6 +1036,13 @@ def test_eigen_json_refuses_an_unverified_op_before_it_renders():
     system = eigenbasis(SpaceOperators(N2K4))
     with pytest.raises(ValueError, match="not verified"):
         eigen_json(system, [HeckeOp("T", 3)])
+
+
+def test_eigen_csv_refuses_an_unverified_op_at_the_call():
+    # before its first line, so before the command opens its output
+    system = eigenbasis(SpaceOperators(N2K4))
+    with pytest.raises(ValueError, match="not verified"):
+        hecke.eigen_csv(system, [HeckeOp("T", 3)])
 
 
 def test_level_tables_construct_no_partition(monkeypatch):
